@@ -6,12 +6,15 @@ derivation module of a multiplicity m by three checks, in this order:
   1. membership: the contact order of every member at every hyperplane
      is at least m(H), decided by repeated exact division;
   2. the degree count: member degrees must sum to sum_H m(H);
-  3. independence: the coefficient determinant must be nonzero, and it
-     then factors exactly as a scalar times prod_H alpha_H^{m(H)}.
+  3. independence: the coefficient determinant must be nonzero.
 
-Independent homogeneous members whose degrees sum correctly always form
-a basis, and the determinant factorization is recorded as a second,
-self-contained witness.
+Once 1 and 2 hold, Saito's criterion in Ziegler's form for
+multiarrangements says the coefficient determinant is c times
+prod_H alpha_H^{m(H)} for one scalar c, and the members form a basis
+exactly when c is nonzero.  So c is read off one exact evaluation at a
+rational point where no alpha_H vanishes: c = det M(p) / prod alpha_H(p)^m.
+The recorded determinant witness is c times prod_H alpha_H^{m(H)}; the
+polynomial determinant is never expanded.
 
 The module also provides direct graded dimensions of the derivation
 module (by linear algebra on one graded piece, no basis needed), the
@@ -21,17 +24,18 @@ between antiderivative images and high-contact-order invariant fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .coxeter import Arrangement, Multiplicity, ReflectionGroup
 from .derivations import Derivation, coefficient_matrix
-from .errors import NotPolynomial
+from .errors import NotDivisible, NotPolynomial
 from .invariants import InvariantSystem
-from .linalg import kernel_basis, rank
+from .linalg import det, kernel_basis, rank
 from .poly import (Poly, count_monomials, linear_form_order, monomials_of_degree,
-                   product)
+                   point_off, product)
 from .scalars import Scalar, scalar_inverse
 
 VERDICT_FREE = "Free-with-basis"
@@ -106,19 +110,17 @@ def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity,
             failure={"degree_sum": degree_sum, "multiplicity_sum": mult_sum},
             **base)
 
-    det = coefficient_matrix(members).det()
-    if det.is_zero:
-        return Certificate(verdict=VERDICT_DEPENDENT, determinant=det,
+    # membership and the degree count make det M = c * prod alpha^m
+    point, values = point_off([h.form for h in arrangement.hyperplanes], n)
+    at_point = det(coefficient_matrix(members).evaluate(point))
+    if at_point == 0:
+        return Certificate(verdict=VERDICT_DEPENDENT, determinant=Poly.zero(n),
                            failure={"determinant": "zero"}, **base)
-
+    target_at_point = math.prod((v ** mv for v, mv in zip(values, required)), start=Fraction(1))
+    scalar = at_point * scalar_inverse(target_at_point)
     target = product(
         (h.form ** mv for h, mv in zip(arrangement.hyperplanes, required)), n)
-    # membership and the degree count make this division exact
-    quotient = det.divide_exact(target)
-    if quotient.total_degree() != 0:
-        raise RuntimeError("determinant does not factor through the multiplicity")
-    scalar = quotient.leading_coefficient()
-    return Certificate(verdict=VERDICT_FREE, determinant=det,
+    return Certificate(verdict=VERDICT_FREE, determinant=target.scale(scalar),
                        determinant_scalar=scalar, **base)
 
 
@@ -215,11 +217,10 @@ def nabla_partial_P(delta: Derivation, j: int, system: InvariantSystem) -> Deriv
         num = partial_P_numerator(f, j, system)
         try:
             coeffs.append(num.divide_exact(system.jacobian))
-        except Exception as exc:
-            rem = getattr(exc, "remainder", None)
+        except NotDivisible as exc:
             raise NotPolynomial(
                 "component %d of the derivative along invariant direction %d "
-                "is not polynomial" % (i, j), coordinate=i, remainder=rem) from exc
+                "is not polynomial" % (i, j), coordinate=i, remainder=exc.remainder) from exc
     return Derivation(coeffs)
 
 

@@ -24,7 +24,7 @@ from .basis import BASE_SOURCES, BasisRequest, build_basis
 from .coxeter import (DEFAULT_ORDER_BOUND, Multiplicity, build_group, parse_type)
 from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError, NoSolution,
                      NonUniqueSolution, NotABasis, OrderBoundExceeded, UnsupportedType)
-from .invariants import compute_invariants
+from .invariants import compute_invariants, jacobian_factors
 from .report import (SCHEMA_VERIFY, basis_report, derivation_from_json, dump_report,
                      multiplicity_from_json)
 from . import verify as suites
@@ -94,7 +94,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         problems.append("hyperplane count %d != h*l/2" % len(arrangement))
     if len(datum.degrees) > 1 and datum.degrees[-2] >= datum.coxeter_number:
         problems.append("second-highest degree is not below the Coxeter number")
-    if system.jacobian != arrangement.defining_polynomial.scale(system.jacobian_scalar):
+    if not jacobian_factors(system, arrangement):
         problems.append("Jacobian is not a scalar multiple of the defining polynomial")
 
     from .report import group_to_json

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coxeter import ReflectionGroup, is_invariant_derivation
 from .derivations import Derivation, euler_field
-from .errors import NoSolution, NonUniqueSolution, NotPolynomial
+from .errors import NoSolution, NonUniqueSolution, NotDivisible, NotPolynomial
 from .invariants import InvariantSystem
 from .linalg import solve_linear
 from .poly import Poly
@@ -68,11 +68,10 @@ def nabla_D(delta: Derivation, system: InvariantSystem) -> Derivation:
         num = primitive_numerator(f, system)
         try:
             coeffs.append(num.divide_exact(system.jacobian))
-        except Exception as exc:
-            rem = getattr(exc, "remainder", None)
+        except NotDivisible as exc:
             raise NotPolynomial(
                 "component %d of the derivative along the primitive direction "
-                "is not polynomial" % i, coordinate=i, remainder=rem) from exc
+                "is not polynomial" % i, coordinate=i, remainder=exc.remainder) from exc
     return Derivation(coeffs)
 
 

@@ -264,13 +264,17 @@ class Arrangement:
         self.hyperplanes = hyperplanes
         self.group = group
         self._orbits: tuple[tuple[int, ...], ...] | None = None
+        self._defining_polynomial: Poly | None = None
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
 
     @property
     def defining_polynomial(self) -> Poly:
-        return product((h.form for h in self.hyperplanes), self.datum.rank)
+        if self._defining_polynomial is None:
+            self._defining_polynomial = product((h.form for h in self.hyperplanes),
+                                                self.datum.rank)
+        return self._defining_polynomial
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """W-orbits of hyperplanes as index tuples, canonically ordered."""

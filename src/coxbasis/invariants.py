@@ -3,16 +3,19 @@
 Invariants are produced degree by degree: Reynolds averages of monomials
 (walked in the global monomial order) are reduced against the subalgebra
 generated by the invariants already chosen, and the first candidates with
-nonzero reduction win.  A final determinant check confirms the Jacobian
-of the full set is nonzero; if it is not, the selection backtracks to the
-next candidate combination.  Each chosen invariant is normalized to
-leading coefficient 1, so the whole system is deterministic.
+nonzero reduction win.  A final check confirms the Jacobian of the full
+set is nonzero; if it is not, the selection backtracks to the next
+candidate combination.  Each chosen invariant is normalized to leading
+coefficient 1, so the whole system is deterministic.
 
-The Jacobian matrix M[i][j] = dP_j/dx_i has determinant J equal to the
-defining polynomial of the arrangement up to a nonzero scalar, which is
-recorded.  Its cofactors drive both the coordinate expression of the
-fields d/dP_j (column j of the cofactor matrix over J) and therefore the
-whole connection layer.
+The Jacobian matrix M[i][j] = dP_j/dx_i of homogeneous invariants of the
+basic degrees has determinant J = c * Q, with Q the defining polynomial
+of the arrangement and c a scalar, nonzero exactly when the invariants
+are basic.  So c is found by evaluating M at one rational point off the
+arrangement, c = det M(p) / Q(p), and J is recorded as c * Q without
+expanding the determinant.  The cofactors of M drive both the coordinate
+expression of the fields d/dP_j (column j of the cofactor matrix over J)
+and therefore the whole connection layer.
 
 Systems can be cached to disk as JSON, keyed by type, rank and field,
 with every coefficient stored as an exact string.  A loaded system is
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -32,8 +36,8 @@ from typing import Iterator, Sequence
 from .coxeter import Arrangement, ReflectionGroup, act, reynolds
 from .derivations import Derivation
 from .errors import JacobianDegenerate
-from .linalg import PolyMatrix
-from .poly import Poly, monomials_of_degree
+from .linalg import PolyMatrix, det
+from .poly import Poly, monomials_of_degree, point_off
 from .scalars import Scalar, format_scalar, parse_scalar, scalar_inverse
 
 
@@ -137,13 +141,29 @@ def _poly_to_json(p: Poly) -> list:
 
 
 def _poly_from_json(data: list, nvars: int) -> Poly:
-    return Poly(nvars, {tuple(exps): parse_scalar(coeff) for exps, coeff in data})
+    terms = {}
+    for exps, coeff in data:
+        if not isinstance(coeff, str) or not all(type(e) is int and e >= 0 for e in exps):
+            raise TypeError("malformed polynomial term %r" % ([exps, coeff],))
+        terms[tuple(exps)] = parse_scalar(coeff)
+    return Poly(nvars, terms)
 
 
 def jacobian_matrix(polys: Sequence[Poly]) -> PolyMatrix:
     """Matrix with entry (i, j) equal to dP_j/dx_i."""
     n = polys[0].nvars
     return PolyMatrix([[polys[j].partial(i) for j in range(len(polys))] for i in range(n)])
+
+
+def jacobian_factors(system: InvariantSystem, arrangement: Arrangement) -> bool:
+    """Reference check that the expanded Jacobian determinant equals c * Q.
+
+    The pipeline never expands this determinant; the check does, so it
+    tests the recorded scalar against an independent computation.
+    """
+    reference = jacobian_matrix(system.polys).det()
+    return (system.jacobian_scalar != 0 and
+            reference == arrangement.defining_polynomial.scale(system.jacobian_scalar))
 
 
 def _cofactor_matrix(m: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
@@ -185,7 +205,7 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
     for d in sorted(set(datum.degrees)):
         levels.append((d, datum.degrees.count(d)))
 
-    q_poly = arrangement.defining_polynomial
+    point, _ = point_off([h.form for h in arrangement.hyperplanes], n)
 
     def candidates_at(degree: int) -> "_LazyCandidates":
         def gen():
@@ -197,9 +217,9 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
 
     def dfs(level: int, chosen: list[tuple[int, Poly]]) -> list[Poly] | None:
         if level == len(levels):
+            # J = c * Q for invariants of the basic degrees, so J(p) decides J != 0
             polys = [p for _, p in chosen]
-            jac = jacobian_matrix(polys).det()
-            return polys if not jac.is_zero else None
+            return polys if det(jacobian_matrix(polys).evaluate(point)) != 0 else None
         degree, count = levels[level]
         cands = candidates_at(degree)
         monos = list(monomials_of_degree(n, degree))
@@ -270,17 +290,21 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
     if polys is None:
         raise JacobianDegenerate("no candidate invariants give a nonzero Jacobian for %s"
                                  % datum.label)
-    return _finish_system(datum.label, n, datum.degrees, tuple(polys), q_poly, datum.gram)
+    return _finish_system(datum.label, n, datum.degrees, tuple(polys), arrangement, datum.gram)
 
 
 def _finish_system(label: str, nvars: int, degrees: tuple[int, ...], polys: tuple[Poly, ...],
-                   q_poly: Poly, gram) -> InvariantSystem:
+                   arrangement: Arrangement, gram) -> InvariantSystem:
+    """Attach the Jacobian data to homogeneous invariants of the basic degrees.
+
+    Invariance is what makes J = c * Q, so callers must have checked it.
+    """
     m = jacobian_matrix(polys)
-    jac = m.det()
-    scalar_poly = jac.divide_exact(q_poly)
-    if scalar_poly.total_degree() != 0:
-        raise JacobianDegenerate("Jacobian is not a scalar multiple of the defining polynomial")
-    jac_scalar = scalar_poly.leading_coefficient()
+    point, values = point_off([h.form for h in arrangement.hyperplanes], nvars)
+    jac_scalar = det(m.evaluate(point)) * scalar_inverse(math.prod(values, start=Fraction(1)))
+    if jac_scalar == 0:
+        raise JacobianDegenerate("Jacobian of the invariants vanishes")
+    jac = arrangement.defining_polynomial.scale(jac_scalar)
     cof = _cofactor_matrix(m)
     # the invariant form on covectors has matrix `gram`; pairing the partials
     # of P_j against it is what makes the gradient field equivariant
@@ -314,23 +338,22 @@ def partial_P_field(system: InvariantSystem, j: int) -> tuple[Derivation, Poly]:
     return Derivation(coeffs), system.jacobian
 
 
-def _validate_system(system: InvariantSystem, group: ReflectionGroup,
-                     arrangement: Arrangement) -> bool:
+def _valid_invariants(label: str, nvars: int, degrees: tuple[int, ...],
+                      polys: tuple[Poly, ...], group: ReflectionGroup) -> bool:
+    """Loaded invariants match the group: degrees, normalization, invariance."""
     datum = group.datum
-    if system.degrees != datum.degrees or system.nvars != datum.rank:
+    if label != datum.label or degrees != datum.degrees or nvars != datum.rank:
         return False
-    for p, d in zip(system.polys, system.degrees):
+    if len(polys) != len(degrees):
+        return False
+    for p, d in zip(polys, degrees):
         if p.is_zero or not p.is_homogeneous() or p.homogeneous_degree() != d:
             return False
         if p.leading_coefficient() != 1:
             return False
         if any(act(g, p) != p for g in group.generators):
             return False
-    try:
-        check = system.jacobian.divide_exact(arrangement.defining_polynomial)
-    except Exception:
-        return False
-    return check.total_degree() == 0 and check.leading_coefficient() == system.jacobian_scalar
+    return True
 
 
 def _load_cache(path: Path, group: ReflectionGroup, arrangement: Arrangement) -> InvariantSystem | None:
@@ -340,16 +363,21 @@ def _load_cache(path: Path, group: ReflectionGroup, arrangement: Arrangement) ->
     except (OSError, ValueError):
         return None
     try:
+        label = data["label"]
         nvars = int(data["nvars"])
         degrees = tuple(int(d) for d in data["degrees"])
         polys = tuple(_poly_from_json(p, nvars) for p in data["polys"])
-        system = _finish_system(data["label"], nvars, degrees, polys,
-                                arrangement.defining_polynomial, group.datum.gram)
-    except Exception:
+        # J = c * Q holds only for invariants, so they are checked first;
+        # coefficients from a foreign quadratic field raise ValueError here
+        valid = _valid_invariants(label, nvars, degrees, polys, group)
+    except (KeyError, ValueError, TypeError):
         return None
-    if not _validate_system(system, group, arrangement):
+    if not valid:
         return None
-    return system
+    try:
+        return _finish_system(label, nvars, degrees, polys, arrangement, group.datum.gram)
+    except JacobianDegenerate:
+        return None
 
 
 def _store_cache(path: Path, system: InvariantSystem) -> None:

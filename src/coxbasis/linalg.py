@@ -1,13 +1,14 @@
 """Exact linear algebra over scalar fields and polynomial rings.
 
 Scalar matrices (entries Fraction or Quad) get reduced row echelon form,
-solving, kernel bases and inversion.  Pivoting always takes the first
-nonzero entry in a fixed scan order, so every result is deterministic.
+solving, kernel bases, inversion and determinants.  Pivoting always takes
+the first nonzero entry in a fixed scan order, so every result is
+deterministic.
 
-Polynomial matrices get exact determinants: cofactor expansion for size
-up to 4, fraction-free Bareiss elimination above that.  Bareiss stays
-inside the polynomial ring because every division it performs is by a
-previous pivot, which divides exactly.
+Polynomial matrices get determinants by cofactor expansion.  The package
+needs them only for the Jacobian cofactors; where the theory fixes a
+determinant up to a scalar, that scalar comes from the scalar determinant
+of the matrix evaluated at one point.
 """
 
 from __future__ import annotations
@@ -99,6 +100,29 @@ def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> tup
     return particular, kernel
 
 
+def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Determinant of a square scalar matrix by exact elimination."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError("determinant needs a nonempty square matrix")
+    out: Scalar = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            out = -out
+        out = out * m[c][c]
+        inv = scalar_inverse(m[c][c])
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return out
+
+
 def invert_matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -138,18 +162,17 @@ class PolyMatrix:
             for i, row in enumerate(self.rows) if i != drop_row
         ])
 
-    def det(self, method: str = "auto") -> Poly:
+    def evaluate(self, point: Sequence[Scalar]) -> Matrix:
+        """The scalar matrix of the entries' values at a point."""
+        return [[e.evaluate(point) for e in row] for row in self.rows]
+
+    def det(self) -> Poly:
+        """Determinant by cofactor expansion along the first column."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         if self.nrows == 0:
             raise ValueError("determinant of an empty matrix")
-        if method == "auto":
-            method = "cofactor" if self.nrows <= 4 else "bareiss"
-        if method == "cofactor":
-            return _det_cofactor(self.rows)
-        if method == "bareiss":
-            return _det_bareiss(self.rows)
-        raise ValueError("unknown determinant method %r" % method)
+        return _det_cofactor(self.rows)
 
 
 def _det_cofactor(rows: list[list[Poly]]) -> Poly:
@@ -168,30 +191,3 @@ def _det_cofactor(rows: list[list[Poly]]) -> Poly:
         term = entry * _det_cofactor(sub)
         out = out + term if i % 2 == 0 else out - term
     return out
-
-
-def _det_bareiss(rows: list[list[Poly]]) -> Poly:
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = Poly.constant(nvars, Fraction(1))
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            swap = None
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    swap = i
-                    break
-            if swap is None:
-                return Poly.zero(nvars)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.divide_exact(prev)
-            m[i][k] = Poly.zero(nvars)
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result

@@ -243,6 +243,23 @@ class Poly:
             out = out + term
         return out
 
+    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
+        """Exact value at a point given by one scalar per variable."""
+        if len(point) != self.nvars:
+            raise ValueError("need %d coordinates, got %d" % (self.nvars, len(point)))
+        powers: dict[tuple[int, int], Scalar] = {}
+        total: Scalar = Fraction(0)
+        for exps, coeff in self.terms.items():
+            term = coeff
+            for i, e in enumerate(exps):
+                if e:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[(i, e)] = point[i] ** e
+                    term = term * pw
+            total = total + term
+        return total
+
     def divrem(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder of division by one divisor in grlex order."""
         self._check_compatible(divisor)
@@ -347,6 +364,26 @@ def linear_form_order(p: Poly, alpha: Poly) -> int | float:
         except NotDivisible:
             return order
         order += 1
+
+
+def point_off(forms: Sequence[Poly], nvars: int) -> tuple[tuple[Fraction, ...], tuple[Scalar, ...]]:
+    """The first point (1, t, t^2, ...), t = 1, 2, ..., where no form vanishes.
+
+    Returns the point together with the values of the forms there.  The
+    forms must be nonzero linear forms: each is then a nonzero polynomial
+    of degree below ``nvars`` in t along this curve, so only finitely many
+    t are skipped and the search ends.
+    """
+    for f in forms:
+        if f.nvars != nvars or f.is_zero or not f.is_homogeneous() or f.total_degree() != 1:
+            raise ValueError("point_off needs nonzero linear forms in %d variables" % nvars)
+    t = 1
+    while True:
+        point = tuple(Fraction(t) ** i for i in range(nvars))
+        values = tuple(f.evaluate(point) for f in forms)
+        if all(v != 0 for v in values):
+            return point, values
+        t += 1
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:

@@ -19,10 +19,12 @@ from coxbasis.certify import (
     nabla_partial_P,
     ziegler_certify,
 )
+from coxbasis.basis import BasisRequest, build_basis
 from coxbasis.connection import universal_field
 from coxbasis.coxeter import Multiplicity, is_invariant_derivation
-from coxbasis.derivations import Derivation, euler_field, nabla
+from coxbasis.derivations import Derivation, coefficient_matrix, euler_field, nabla
 from coxbasis.errors import NotPolynomial
+from coxbasis.invariants import jacobian_matrix
 from coxbasis.poly import Poly, product
 
 
@@ -68,6 +70,39 @@ def test_dependent_verdict(pipeline):
     cert = ziegler_certify(members, mult, arrangement)
     assert cert.verdict == VERDICT_DEPENDENT
     assert cert.determinant is not None and cert.determinant.is_zero
+    assert cert.failure == {"determinant": "zero"}
+
+
+def test_dependent_members_of_the_module(pipeline):
+    # E and x*E both lie in D(A2), and their degrees 1 + 2 sum to |A| = 3,
+    # so only the evaluated determinant can reject them
+    _, arrangement, _ = pipeline("A2")
+    mult = Multiplicity.constant(arrangement, 1)
+    e = euler_field(2)
+    members = [e, e * Poly.variable(2, 0)]
+    cert = ziegler_certify(members, mult, arrangement)
+    assert cert.verdict == VERDICT_DEPENDENT
+    assert cert.determinant is not None and cert.determinant.is_zero
+    assert cert.determinant_scalar is None
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "G2", "I2(5)"])
+def test_evaluated_certificate_matches_polynomial_determinant(pipeline, label):
+    group, arrangement, system = pipeline(label)
+    # the expanded determinants are the references for both evaluated scalars
+    assert jacobian_matrix(system.polys).det() == system.jacobian
+    for m in (0, 1):
+        for k in (0, 1):
+            mult = Multiplicity.constant(arrangement, m)
+            result = build_basis(BasisRequest(group, arrangement, system, mult, k))
+            certificates = [result.certificate]
+            if result.base_certificate is not None:
+                certificates.append(result.base_certificate)
+                assert (result.base_certificate.determinant
+                        == coefficient_matrix(list(result.base_members)).det())
+            assert result.certificate.determinant == coefficient_matrix(list(result.members)).det()
+            for cert in certificates:
+                assert cert.is_free and cert.determinant_scalar != 0
 
 
 def test_coordinate_fields_certify_for_zero_multiplicity(pipeline):
@@ -156,6 +191,17 @@ def test_nabla_partial_P_stays_polynomial_on_a2(pipeline):
 def test_nabla_partial_P_can_leave_polynomials(pipeline):
     _, _, system = pipeline("A1")
     with pytest.raises(NotPolynomial):
+        nabla_partial_P(euler_field(1), 0, system)
+
+
+def test_nabla_partial_P_lets_programming_errors_through(pipeline, monkeypatch):
+    _, _, system = pipeline("A1")
+
+    def broken(self, divisor):
+        raise RuntimeError("bug in division")
+
+    monkeypatch.setattr(Poly, "divide_exact", broken)
+    with pytest.raises(RuntimeError, match="bug in division"):
         nabla_partial_P(euler_field(1), 0, system)
 
 

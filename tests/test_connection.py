@@ -45,6 +45,17 @@ def test_nabla_D_rejects_non_polynomial_result(pipeline):
     assert info.value.coordinate == 0
 
 
+def test_nabla_D_lets_programming_errors_through(pipeline, monkeypatch):
+    _, _, system = pipeline("A1")
+
+    def broken(self, divisor):
+        raise RuntimeError("bug in division")
+
+    monkeypatch.setattr(Poly, "divide_exact", broken)
+    with pytest.raises(RuntimeError, match="bug in division"):
+        nabla_D(euler_field(1), system)
+
+
 def test_universal_field_on_a1(pipeline):
     group, arrangement, system = pipeline("A1")
     x = Poly.variable(1, 0)

@@ -99,6 +99,8 @@ def test_reflections_negate_their_forms(pipeline):
     q = arrangement.defining_polynomial
     for h in arrangement.hyperplanes:
         assert act(h.reflection, q) == -q
+    # built once per arrangement, not on every access
+    assert arrangement.defining_polynomial is q
 
 
 def test_act_is_multiplicative_group_action(pipeline):

@@ -1,0 +1,60 @@
+"""Report byte-identity against the benchmark's golden digests.
+
+The warm sweep of the benchmark (``perfbench/workloads.py``) requests 68
+``basis`` reports, and ``perfbench/golden.json`` holds the sha256 of each
+as the benchmark's driver receives it on standard output.  These tests
+serve the same argument lists in-process through ``coxbasis.cli.main`` on
+one shared invariant cache and compare digests, so a change that moves a
+report byte fails here as well as in the benchmark.  Both files are only
+read.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from coxbasis.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+
+
+def _sweep_basis_requests() -> list[list[str]]:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    # the seed only shuffles the order and seeds the verify suites
+    return [argv for argv in workloads.sweep_requests(0) if argv[0] == "basis"]
+
+
+REQUESTS = _sweep_basis_requests()
+GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["digests"]
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden-cache")
+
+
+def test_sweep_has_every_basis_request():
+    assert len(REQUESTS) == 68
+    assert all(" ".join(argv) in GOLDEN for argv in REQUESTS)
+
+
+@pytest.mark.parametrize("argv", REQUESTS, ids=" ".join)
+def test_report_matches_golden_digest(argv, cache_dir, monkeypatch):
+    # the --mfile paths are relative to the root of the checkout
+    monkeypatch.chdir(ROOT)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = main(argv + ["--cache-dir", str(cache_dir)])
+    assert rc == 0
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN[" ".join(argv)]

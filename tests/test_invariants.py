@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxbasis import invariants
 from coxbasis.coxeter import build_group, is_invariant_derivation, is_invariant_poly, parse_type
 from coxbasis.derivations import coefficient_matrix
 from coxbasis.invariants import compute_invariants, gradient_basis, jacobian_matrix, partial_P_field
@@ -49,7 +50,8 @@ def test_jacobian_is_scalar_times_defining_polynomial(pipeline):
     for label in ("A2", "B3", "G2"):
         _, arrangement, system = pipeline(label)
         expected = arrangement.defining_polynomial.scale(system.jacobian_scalar)
-        assert system.jacobian == expected
+        # the expanded determinant is the reference; the system never builds it
+        assert jacobian_matrix(system.polys).det() == expected
         assert system.jacobian_scalar != 0
 
 
@@ -144,6 +146,46 @@ def test_cache_corruption_is_recomputed(tmp_path):
                     '"jacobian_scalar": "4"}', encoding="utf-8")
     third = compute_invariants(group, arrangement, cache_dir=tmp_path)
     assert third.polys == first.polys
+
+
+@pytest.mark.parametrize("content", [
+    '[1, 2]',
+    '{"label": "B2", "nvars": 2, "degrees": [2, 4]}',
+    '{"label": "B2", "nvars": "two", "degrees": [2, 4], "polys": []}',
+    # coefficients must be strings, exponents nonnegative integers
+    '{"label": "B2", "nvars": 2, "degrees": [2, 4], '
+    '"polys": [[[[2, 0], 1], [[0, 2], 1]], [[[2, 2], "1"]]]}',
+    '{"label": "B2", "nvars": 2, "degrees": [2, 4], '
+    '"polys": [[[[2, 0], "1"], [[0, 2], "1"]], [[[2.5, 1.5], "1"]]]}',
+    '{"label": "B2", "nvars": 2, "degrees": [2, 4], "polys": [[[[2, 0], "1"], [[0, 2], "1"]]]}',
+    # invariant and of the right degrees, but the label belongs to another type
+    '{"label": "A2", "nvars": 2, "degrees": [2, 4], '
+    '"polys": [[[[2, 0], "1"], [[0, 2], "1"]], [[[2, 2], "1"]]]}',
+    # invariant and of the right degrees, but P2 = P1^2 makes J vanish
+    '{"label": "B2", "nvars": 2, "degrees": [2, 4], '
+    '"polys": [[[[2, 0], "1"], [[0, 2], "1"]], '
+    '[[[4, 0], "1"], [[2, 2], "2"], [[0, 4], "1"]]]}',
+])
+def test_malformed_cache_is_silently_recomputed(tmp_path, pipeline, content):
+    _, _, reference = pipeline("B2")
+    group, arrangement = build_group(parse_type("B2"))
+    compute_invariants(group, arrangement, cache_dir=tmp_path)
+    path = next(tmp_path.glob("invariants_*.json"))
+    path.write_text(content, encoding="utf-8")
+    system = compute_invariants(group, arrangement, cache_dir=tmp_path)
+    assert system.fingerprint() == reference.fingerprint()
+
+
+def test_cache_loader_lets_programming_errors_through(tmp_path, monkeypatch):
+    group, arrangement = build_group(parse_type("B2"))
+    compute_invariants(group, arrangement, cache_dir=tmp_path)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the loader")
+
+    monkeypatch.setattr(invariants, "_valid_invariants", broken)
+    with pytest.raises(RuntimeError, match="bug in the loader"):
+        compute_invariants(group, arrangement, cache_dir=tmp_path)
 
 
 def test_fingerprint_is_stable_across_builds(pipeline):

@@ -8,6 +8,7 @@ import pytest
 from coxbasis.errors import NoSolution
 from coxbasis.linalg import (
     PolyMatrix,
+    det,
     invert_matrix,
     kernel_basis,
     rank,
@@ -15,6 +16,7 @@ from coxbasis.linalg import (
     solve_linear,
 )
 from coxbasis.poly import Poly
+from coxbasis.scalars import Quad
 
 
 def random_poly(rng: random.Random, nvars: int, max_deg: int) -> Poly:
@@ -85,12 +87,27 @@ def test_det_two_by_two_formula():
     assert m.det() == expected
 
 
-def test_det_methods_agree():
+def test_cofactor_det_matches_scalar_det_at_points():
     rng = random.Random(17)
     for n in (2, 3, 4, 5):
         entries = [[random_poly(rng, 2, 2) for _ in range(n)] for _ in range(n)]
         m = PolyMatrix(entries)
-        assert m.det(method="cofactor") == m.det(method="bareiss")
+        poly_det = m.det()
+        for _ in range(3):
+            point = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2)]
+            assert poly_det.evaluate(point) == det(m.evaluate(point))
+
+
+def test_scalar_det_pivots_and_rejects_bad_shapes():
+    # a zero leading entry forces a row swap, which flips the sign
+    assert det([[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]) == -6
+    assert det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
+    r5 = Quad(0, 1, 5)
+    assert det([[r5, Fraction(1)], [Fraction(1), r5]]) == 4
+    with pytest.raises(ValueError):
+        det([[Fraction(1), Fraction(2)]])
+    with pytest.raises(ValueError):
+        det([])
 
 
 def test_det_scalar_matrix_matches_fraction_elimination():

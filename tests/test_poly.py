@@ -13,8 +13,10 @@ from coxbasis.poly import (
     grlex_key,
     linear_form_order,
     monomials_of_degree,
+    point_off,
     product,
 )
+from coxbasis.scalars import Quad
 
 
 def x_y() -> tuple[Poly, Poly]:
@@ -149,3 +151,32 @@ def test_to_str_and_names():
     assert default_names(2) == ["x", "y"]
     assert default_names(4) == ["x1", "x2", "x3", "x4"]
     assert Poly.zero(2).to_str(("x", "y")) == "0"
+
+
+def test_evaluate_matches_substitution_by_constants():
+    rng = random.Random(5)
+    r5 = Quad(0, 1, 5)
+    for _ in range(5):
+        p = random_poly(rng, 3, 3, 6)
+        point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)), r5, Fraction(2)]
+        constants = [Poly.constant(1, c) for c in point]
+        assert p.substitute(constants) == Poly.constant(1, p.evaluate(point))
+    x, y = x_y()
+    with pytest.raises(ValueError):
+        (x + y).evaluate([Fraction(1)])
+
+
+def test_point_off_skips_points_on_a_form():
+    x, y = x_y()
+    # (1, 1) lies on x - y, so the search moves on to (1, 2)
+    point, values = point_off([x - y, x], 2)
+    assert point == (1, 2)
+    assert values == (-1, 1)
+    # forms vanishing at t = 1, 2 and 3 push it to t = 4
+    point, values = point_off([x - y, y - x * 2, y - x * 3], 2)
+    assert point == (1, 4)
+    assert values == (-3, 2, 1)
+    with pytest.raises(ValueError):
+        point_off([x * y], 2)
+    with pytest.raises(ValueError):
+        point_off([Poly.zero(2)], 2)
