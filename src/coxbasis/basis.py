@@ -22,9 +22,9 @@ from .coxeter import Arrangement, Multiplicity, ReflectionGroup
 from .derivations import Derivation, nabla
 from .errors import CertificateFailed, NotABasis
 from .invariants import InvariantSystem
-from .linalg import rref
+from .linalg import Echelon, rref
 from .poly import Poly, monomials_of_degree
-from .scalars import Scalar, scalar_inverse
+from .scalars import Scalar
 
 BASE_SOURCES = ("auto", "coordinate", "gradient", "oracle", "user")
 
@@ -98,6 +98,7 @@ def base_basis(request: BasisRequest) -> tuple[str, tuple[Derivation, ...], Cert
         return source, tuple(members), cert
     if source == "user":
         members = tuple(request.user_base or ())
+        _check_user_shape(members, n)
         cert = ziegler_certify(members, mult, arr)
         if not cert.is_free:
             raise NotABasis("user-supplied base failed certification", certificate=cert)
@@ -109,6 +110,19 @@ def base_basis(request: BasisRequest) -> tuple[str, tuple[Derivation, ...], Cert
         raise NotABasis("search produced %d generators but they failed certification"
                         % len(members), certificate=cert)
     return "oracle", tuple(members), cert
+
+
+def _check_user_shape(members: Sequence[Derivation], n: int) -> None:
+    """Reject a proposed base that cannot be certified at all: a basis has
+    exactly n members, each nonzero and homogeneous."""
+    if len(members) != n:
+        raise NotABasis("user-supplied base has %d members, a basis needs %d"
+                        % (len(members), n), failure={"members": len(members), "required": n})
+    for i, m in enumerate(members):
+        problem = "zero" if m.is_zero else None if m.is_homogeneous() else "not homogeneous"
+        if problem is not None:
+            raise NotABasis("user-supplied base member %d is %s" % (i, problem),
+                            failure={"member": i, "problem": problem})
 
 
 def _oracle_search(mult: Multiplicity, arr: Arrangement) -> tuple[Derivation, ...]:
@@ -144,29 +158,10 @@ def _oracle_search(mult: Multiplicity, arr: Arrangement) -> tuple[Derivation, ..
             for exps in monomials_of_degree(n, shift):
                 span_rows.append(vectorize(gen * Poly.monomial(n, exps)))
         reduced, pivots = rref(span_rows) if span_rows else ([], [])
-        echelon = [(p, row) for p, row in zip(pivots, reduced)]
-
-        def reduce_vec(v: list[Scalar]) -> list[Scalar]:
-            v = list(v)
-            for p, row in echelon:
-                f = v[p]
-                if f != 0:
-                    v = [a - f * b for a, b in zip(v, row)]
-            return v
-
+        echelon = Echelon(zip(pivots, reduced))
         for cand in piece:
-            v = reduce_vec(vectorize(cand))
-            pivot = next((k for k, a in enumerate(v) if a != 0), None)
-            if pivot is None:
+            if echelon.add(vectorize(cand)) is None:
                 continue
-            inv = scalar_inverse(v[pivot])
-            new_row = [inv * a for a in v]
-            for idx, (p, row) in enumerate(echelon):
-                f = row[pivot]
-                if f != 0:
-                    echelon[idx] = (p, [a - f * b for a, b in zip(row, new_row)])
-            echelon.append((pivot, new_row))
-            echelon.sort(key=lambda t: t[0])
             generators.append(cand)
             if len(generators) > n:
                 raise NotABasis("module needs more than %d generators; it is not free" % n)

@@ -142,7 +142,13 @@ def _load_user_base(path: str, nvars: int):
         data = data["members"]
     if not isinstance(data, list):
         raise ValueError("base file must hold a member list or a basis report")
-    return [derivation_from_json(d, nvars) for d in data]
+    members = []
+    for i, d in enumerate(data):
+        try:
+            members.append(derivation_from_json(d, nvars))
+        except ValueError as exc:
+            raise ValueError("base member %d: %s" % (i, exc)) from exc
+    return members
 
 
 def cmd_basis(args: argparse.Namespace) -> int:

@@ -9,21 +9,33 @@ divides that by J coordinate-wise.
 
 The inverse direction solves nabla_D(delta') = delta inside the module of
 invariant fields.  Invariant polynomial fields decompose uniquely as
-sum_j g_j grad(P_j) with invariant polynomial coefficients g_j, so the
-solver parametrizes delta' over monomials in the invariants times the
-gradient fields and solves one exact linear system.  The solution must
-exist and be unique for invariant input; both failure modes raise.
+sum_j g_j(P) grad(P_j) with invariant polynomial coefficients g_j, so the
+unknowns are the coefficients of the monomials g in the invariants.  The
+cofactor identity D(P_m) = delta_{m,l} gives
+
+    J * nabla_D(g(P) grad P_j) = J (dg/dP_l)(P) grad P_j + g(P) N_j,
+
+with N_j the numerator of D applied to grad P_j.  Evaluated at an exact
+point p with J(p) != 0, each coordinate of this identity is one linear
+equation in the unknowns, and no image field is ever expanded.  A solution
+of the polynomial system solves every evaluated equation, so the evaluated
+rank never exceeds the true rank: once it reaches the number of unknowns
+the solution is unique, and an inconsistent evaluated equation proves
+there is none.  The single candidate is then built in coordinates once,
+and the exact re-check nabla_D(delta') == delta decides the result.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+import random
+from typing import Iterator
 
 from .coxeter import ReflectionGroup, is_invariant_derivation
 from .derivations import Derivation, euler_field
 from .errors import NoSolution, NonUniqueSolution, NotDivisible, NotPolynomial
 from .invariants import InvariantSystem
-from .linalg import solve_linear
+from .linalg import Echelon
 from .poly import Poly
 from .scalars import Scalar
 
@@ -94,14 +106,79 @@ def invariant_field_basis(system: InvariantSystem, degree: int) -> list[tuple[tu
     return out
 
 
+# the inverse evaluates at a fixed stream of small integer points in general
+# position; the moment curve of `point_off` will not do, because an image in
+# the ideal of that curve vanishes at every point of it
+_POINT_SEED = 2002
+_POINT_RANGE = 9
+# points beyond the number of unknowns before a short rank counts as an alarm
+_SPARE_POINTS = 10
+
+
+def _sample_points(nvars: int) -> Iterator[tuple[int, ...]]:
+    """The fixed, endless stream of points `nabla_D_inverse` evaluates at."""
+    rng = random.Random(_POINT_SEED)
+    while True:
+        yield tuple(rng.randint(-_POINT_RANGE, _POINT_RANGE) for _ in range(nvars))
+
+
+def _evaluated_rows(delta: Derivation, system: InvariantSystem,
+                    unknowns: list[tuple[int, tuple[int, ...]]]) -> Iterator[list[Scalar]]:
+    """Equations of nabla_D(delta') = delta, times J, at sample points.
+
+    Each point p of `_sample_points` with J(p) != 0 gives one row per
+    coordinate i: the entry of unknown (j, g) is
+    J(p) (dg/dP_l)(P(p)) grad_{j,i}(p) + g(P(p)) N_{j,i}(p), and the last
+    entry is J(p) delta_i(p).  The stream ends after `_SPARE_POINTS` more
+    such points than unknowns.
+    """
+    last = system.nvars - 1
+    numerators = system.gradient_numerators
+    used = 0
+    for point in _sample_points(system.nvars):
+        jac = system.jacobian.evaluate(point)
+        if jac == 0:
+            continue
+        values = [p.evaluate(point) for p in system.polys]
+        grads = [[f.evaluate(point) for f in g.coeffs] for g in system.gradients]
+        nums = [[f.evaluate(point) for f in row] for row in numerators]
+        g_at = []
+        dg_at = []
+        for _, exps in unknowns:
+            g_at.append(math.prod(v ** e for v, e in zip(values, exps) if e))
+            e_last = exps[last]
+            if e_last:
+                lowered = exps[:last] + (e_last - 1,)
+                dg_at.append(jac * e_last * math.prod(
+                    v ** e for v, e in zip(values, lowered) if e))
+            else:
+                dg_at.append(0)
+        for i, f in enumerate(delta.coeffs):
+            row = [dg * grads[j][i] + g * nums[j][i]
+                   for (j, _), g, dg in zip(unknowns, g_at, dg_at)]
+            row.append(jac * f.evaluate(point))
+            yield row
+        used += 1
+        if used == len(unknowns) + _SPARE_POINTS:
+            return
+
+
 def nabla_D_inverse(delta: Derivation, system: InvariantSystem,
                     group: ReflectionGroup) -> Derivation:
     """Solve nabla_D(delta') = delta for an invariant homogeneous delta.
 
-    The solution is found inside the invariant fields of degree
-    deg(delta) + h and re-verified by applying nabla_D to it.  NoSolution
-    signals a non-invariant or otherwise malformed input; NonUniqueSolution
-    signals an internal inconsistency and should never happen.
+    The unknowns are the coefficients of delta' = sum_j g_j(P) grad(P_j)
+    in degree deg(delta) + h, keyed like `invariant_field_basis`.  Their
+    equations come from exact evaluation at points where J does not
+    vanish (`_evaluated_rows`), reduced into one incremental echelon until
+    its rank equals the number of unknowns, which proves the solution
+    unique.  The solution is then built in coordinates and re-verified
+    exactly by applying nabla_D to it; that re-check is the gate.
+
+    NoSolution signals a non-invariant or otherwise malformed input: an
+    evaluated equation is inconsistent, or the unique candidate fails the
+    re-check.  NonUniqueSolution signals that the rank stayed short after
+    `_SPARE_POINTS` more points than unknowns; it is an internal alarm.
     """
     n = system.nvars
     if delta.is_zero:
@@ -111,48 +188,42 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem,
     if not is_invariant_derivation(group, delta):
         raise NoSolution("input field is not invariant")
     target_degree = delta.degree() + system.coxeter_number
-    basis = invariant_field_basis(system, target_degree)
-    if not basis:
+    unknowns = [(j, exps) for j, d in enumerate(system.degrees)
+                for exps in system.invariant_exponents(target_degree - (d - 1))]
+    if not unknowns:
         raise NoSolution("no invariant fields exist in degree %d" % target_degree)
+    size = len(unknowns)
 
-    # image of each basis field under nabla_D, kept as numerators over J
-    images = []
-    for _, field in basis:
-        images.append([primitive_numerator(f, system) for f in field.coeffs])
-    targets = [system.jacobian * f for f in delta.coeffs]
+    echelon = Echelon()
+    for row in _evaluated_rows(delta, system, unknowns):
+        if echelon.add(row) == size:
+            raise NoSolution("field has no polynomial preimage along the primitive "
+                             "direction; input is likely not invariant")
+        if echelon.rank == size:
+            break
+    else:
+        raise NonUniqueSolution(
+            "evaluated rank %d of %d after %d points; the preimage along the "
+            "primitive direction is not proven unique"
+            % (echelon.rank, size, size + _SPARE_POINTS))
 
-    monomials: dict[tuple[int, tuple[int, ...]], int] = {}
-    for i in range(n):
-        for img in images:
-            for exps in img[i].terms:
-                monomials.setdefault((i, exps), len(monomials))
-        for exps in targets[i].terms:
-            monomials.setdefault((i, exps), len(monomials))
-    rows: list[list[Scalar]] = [[Fraction(0)] * len(basis) for _ in monomials]
-    rhs: list[Scalar] = [Fraction(0)] * len(monomials)
-    for u, img in enumerate(images):
-        for i in range(n):
-            for exps, coeff in img[i].terms.items():
-                rows[monomials[(i, exps)]][u] = coeff
-    for i in range(n):
-        for exps, coeff in targets[i].terms.items():
-            rhs[monomials[(i, exps)]] = coeff
-
-    try:
-        particular, kernel = solve_linear(rows, rhs)
-    except NoSolution:
-        raise NoSolution("field has no polynomial preimage along the primitive "
-                         "direction; input is likely not invariant")
-    if kernel:
-        raise NonUniqueSolution("preimage along the primitive direction is not unique")
-
+    # rows are in pivot order with pivots 0 .. size-1; the last column is the solution
     out = Derivation.zero(n)
-    for c, (_, field) in zip(particular, basis):
-        if c != 0:
-            out = out + field * Poly.constant(n, c)
-    check = nabla_D(out, system)
-    if check != delta:
-        raise NonUniqueSolution("solved preimage failed re-verification")
+    for j, grad in enumerate(system.gradients):
+        g_j = Poly.zero(n)
+        for (jj, exps), (_, row) in zip(unknowns, echelon.rows):
+            if jj == j and row[size] != 0:
+                g_j = g_j + system.expand(exps).scale(row[size])
+        if not g_j.is_zero:
+            out = out + grad * g_j
+    try:
+        verified = nabla_D(out, system) == delta
+    except NotPolynomial:
+        # only an exact preimage is sure to have a polynomial image
+        verified = False
+    if not verified:
+        raise NoSolution("the unique candidate preimage along the primitive direction "
+                         "failed re-verification; the field has no polynomial preimage")
     return out
 
 

@@ -45,11 +45,13 @@ class JacobianDegenerate(CoxBasisError):
 
 
 class NotABasis(CoxBasisError):
-    """A proposed base basis failed certification; carries the certificate."""
+    """A proposed base basis failed certification; carries the certificate,
+    or a failure record when the members could not be certified at all."""
 
-    def __init__(self, message: str, certificate=None) -> None:
+    def __init__(self, message: str, certificate=None, failure: dict | None = None) -> None:
         super().__init__(message)
         self.certificate = certificate
+        self.failure = failure
 
 
 class CertificateFailed(CoxBasisError):

@@ -24,6 +24,7 @@ revalidated before use and recomputed on any mismatch.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -36,7 +37,7 @@ from typing import Iterator, Sequence
 from .coxeter import Arrangement, ReflectionGroup, act, reynolds
 from .derivations import Derivation
 from .errors import JacobianDegenerate
-from .linalg import PolyMatrix, det
+from .linalg import Echelon, PolyMatrix, det
 from .poly import Poly, monomials_of_degree, point_off
 from .scalars import Scalar, format_scalar, parse_scalar, scalar_inverse
 
@@ -65,6 +66,19 @@ class InvariantSystem:
     @property
     def exponents(self) -> tuple[int, ...]:
         return tuple(d - 1 for d in self.degrees)
+
+    @functools.cached_property
+    def gradient_numerators(self) -> tuple[tuple[Poly, ...], ...]:
+        """N[j][i], the numerator over J of D applied to component i of
+        grad P_j, for the primitive derivation D = d/dP_l.
+
+        Only the connection's inverse needs these, so they are computed on
+        first use, never by cache loading or `info`.
+        """
+        from .connection import primitive_numerator
+
+        return tuple(tuple(primitive_numerator(f, self) for f in g.coeffs)
+                     for g in self.gradients)
 
     def power(self, j: int, e: int) -> Poly:
         """P_j**e with caching; these powers recur in every expansion."""
@@ -231,37 +245,14 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
                 v[index[exps]] = coeff
             return v
 
-        # echelon rows spanning the subalgebra of lower invariants at this degree
-        rows: list[tuple[int, list[Scalar]]] = []
-
-        def reduce_vec(v: list[Scalar]) -> list[Scalar]:
-            v = list(v)
-            for pivot, row in rows:
-                f = v[pivot]
-                if f != 0:
-                    v = [a - f * b for a, b in zip(v, row)]
-            return v
-
-        def add_row(v: list[Scalar]) -> None:
-            # keep the rows fully inter-reduced so one reduction pass suffices
-            pivot = next(k for k, a in enumerate(v) if a != 0)
-            inv = scalar_inverse(v[pivot])
-            new_row = [inv * a for a in v]
-            for k, (p, row) in enumerate(rows):
-                f = row[pivot]
-                if f != 0:
-                    rows[k] = (p, [a - f * b for a, b in zip(row, new_row)])
-            rows.append((pivot, new_row))
-            rows.sort(key=lambda t: t[0])
-
+        # echelon spanning the subalgebra of lower invariants at this degree
+        echelon = Echelon()
         weights = [d for d, _ in chosen]
         for exps in _weighted_exponents(weights, degree):
             prod = Poly.constant(n, Fraction(1))
             for (_, p), e in zip(chosen, exps):
                 prod = prod * p ** e
-            red = reduce_vec(vectorize(prod))
-            if any(a != 0 for a in red):
-                add_row(red)
+            echelon.add(vectorize(prod))
 
         def pick(start: int, picked: list[Poly]) -> list[Poly] | None:
             if len(picked) == count:
@@ -271,18 +262,17 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
                 cand = cands.get(idx)
                 if cand is None:
                     return None
-                red = reduce_vec(vectorize(cand))
+                red = echelon.reduce(vectorize(cand))
                 idx += 1
                 if all(a == 0 for a in red):
                     continue
                 reduced_poly = Poly(n, {monos[k]: c for k, c in enumerate(red)}).monic()
-                checkpoint = list(rows)
-                add_row(red)
+                checkpoint = list(echelon.rows)
+                echelon.insert(red)
                 result = pick(idx, picked + [reduced_poly])
                 if result is not None:
                     return result
-                rows.clear()
-                rows.extend(checkpoint)
+                echelon.rows = checkpoint
 
         return pick(0, [])
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over scalar fields and polynomial rings.
 
 Scalar matrices (entries Fraction or Quad) get reduced row echelon form,
-solving, kernel bases, inversion and determinants.  Pivoting always takes
-the first nonzero entry in a fixed scan order, so every result is
-deterministic.
+kernel bases, inversion and determinants, and an incremental echelon that
+grows one vector at a time.  Pivoting always takes the first nonzero entry
+in a fixed scan order, so every result is deterministic.
 
 Polynomial matrices get determinants by cofactor expansion.  The package
 needs them only for the Jacobian cofactors; where the theory fixes a
@@ -13,10 +13,10 @@ of the matrix evaluated at one point.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import NoSolution
 from .poly import Poly
 from .scalars import Scalar, scalar_inverse
 
@@ -53,6 +53,57 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
+class Echelon:
+    """Rows in reduced echelon form, grown one vector at a time.
+
+    Each row has a 1 in its pivot column, every other row has a 0 there,
+    and the rows are kept in pivot order, so one pass over them reduces a
+    vector.  Rows are replaced, never changed in place, so a shallow copy
+    of ``rows`` is a checkpoint that can be assigned back.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[tuple[int, list[Scalar]]] = ()) -> None:
+        self.rows: list[tuple[int, list[Scalar]]] = list(rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: Sequence[Scalar]) -> list[Scalar]:
+        """The vector minus its components along the rows."""
+        v = list(v)
+        for pivot, row in self.rows:
+            f = v[pivot]
+            if f != 0:
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def insert(self, reduced: Sequence[Scalar]) -> int:
+        """Add a nonzero vector that `reduce` returned; returns its pivot column."""
+        pivot = next(k for k, a in enumerate(reduced) if a != 0)
+        inv = scalar_inverse(reduced[pivot])
+        new_row = [inv * a for a in reduced]
+        for k, (p, row) in enumerate(self.rows):
+            f = row[pivot]
+            if f != 0:
+                self.rows[k] = (p, [a - f * b for a, b in zip(row, new_row)])
+        bisect.insort(self.rows, (pivot, new_row), key=lambda t: t[0])
+        return pivot
+
+    def add(self, v: Sequence[Scalar]) -> int | None:
+        """Reduce a vector and keep it if it is nonzero.
+
+        Returns the pivot column of the new row, or None when the vector
+        lies in the span of the rows.
+        """
+        red = self.reduce(v)
+        if all(a == 0 for a in red):
+            return None
+        return self.insert(red)
+
+
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(rref(rows)[1])
 
@@ -76,28 +127,6 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> 
             v[pc] = -red[r][f]
         basis.append(v)
     return basis
-
-
-def solve_linear(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> tuple[list[Scalar], list[list[Scalar]]]:
-    """Solve A x = b exactly.
-
-    Returns a particular solution (free variables set to zero) together
-    with a kernel basis.  Raises NoSolution when the system is infeasible.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("matrix and right-hand side disagree on row count")
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        raise NoSolution("linear system is inconsistent")
-    particular: list[Scalar] = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        particular[pc] = red[r][ncols]
-    kernel = kernel_basis([row[:ncols] for row in red[:len(pivots)]] or [[Fraction(0)] * ncols], ncols)
-    return particular, kernel
 
 
 def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:

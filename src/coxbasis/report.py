@@ -30,8 +30,19 @@ def poly_to_json(p: Poly) -> list:
 
 
 def poly_from_json(data: Sequence, nvars: int) -> Poly:
-    return Poly(nvars, {tuple(int(e) for e in exps): parse_scalar(coeff)
-                        for exps, coeff in data})
+    """Parse a term list; raises ValueError on any malformed term."""
+    if not isinstance(data, list):
+        raise ValueError("a polynomial must be a list of terms")
+    terms = {}
+    for term in data:
+        if not (isinstance(term, list) and len(term) == 2):
+            raise ValueError("malformed polynomial term %r" % (term,))
+        exps, coeff = term
+        if (not isinstance(coeff, str) or not isinstance(exps, list) or len(exps) != nvars
+                or not all(type(e) is int and e >= 0 for e in exps)):
+            raise ValueError("malformed polynomial term %r" % (term,))
+        terms[tuple(exps)] = parse_scalar(coeff)
+    return Poly(nvars, terms)
 
 
 def derivation_to_json(delta: Derivation) -> dict:
@@ -43,7 +54,10 @@ def derivation_to_json(delta: Derivation) -> dict:
 
 
 def derivation_from_json(data: dict, nvars: int) -> Derivation:
-    coeffs = data["coefficients"]
+    """Parse a derivation; raises ValueError on any malformed shape."""
+    coeffs = data.get("coefficients") if isinstance(data, dict) else None
+    if not isinstance(coeffs, list):
+        raise ValueError("derivation data needs a list of coefficients")
     if len(coeffs) != nvars:
         raise ValueError("derivation data has %d coefficients, expected %d"
                          % (len(coeffs), nvars))

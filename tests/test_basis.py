@@ -119,6 +119,20 @@ def test_user_base_rejected_when_not_a_basis(pipeline):
     assert info.value.certificate.verdict != VERDICT_FREE
 
 
+@pytest.mark.parametrize("members, failure", [
+    ([Derivation.zero(2), Derivation.coordinate(2, 1)], {"member": 0, "problem": "zero"}),
+    ([Derivation([Poly.variable(2, 0) ** 2, Poly.variable(2, 1)]), Derivation.coordinate(2, 1)],
+     {"member": 0, "problem": "not homogeneous"}),
+    ([Derivation.coordinate(2, 0)], {"members": 1, "required": 2}),
+])
+def test_user_base_that_cannot_be_certified_is_not_a_basis(pipeline, members, failure):
+    request = make_request(pipeline, "B2", 0, 0, base_source="user", user_base=members)
+    with pytest.raises(NotABasis) as info:
+        base_basis(request)
+    assert info.value.failure == failure
+    assert info.value.certificate is None
+
+
 def test_coordinate_source_rejects_nonzero_multiplicity(pipeline):
     request = make_request(pipeline, "B2", 1, 0, base_source="coordinate")
     with pytest.raises(NotABasis):

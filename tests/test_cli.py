@@ -117,6 +117,36 @@ def test_basis_rejects_bad_user_base(tmp_path, capsys):
     assert "not a basis" in err
 
 
+@pytest.mark.parametrize("member", [
+    {"degree": 0},
+    {"degree": 0, "coefficients": [[[[0, 0], 1]], []]},
+    {"degree": 0, "coefficients": [[[[0, 0.5], "1"]], []]},
+    {"degree": 0, "coefficients": [[[[0, 0], "1", "2"]], []]},
+    [[[0, 0], "1"]],
+])
+def test_basis_rejects_malformed_base_file(tmp_path, capsys, member):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([member, {"degree": 0, "coefficients": [[], [[[0, 0], "1"]]]}]),
+                   encoding="utf-8")
+    code, _, err = run(["basis", "--type", "B2", "--m", "0", "--k", "0",
+                        "--base", "user", "--base-file", str(bad), "--no-cache"], capsys)
+    assert code == EXIT_FAIL
+    assert err.startswith("error: base member 0:")
+
+
+@pytest.mark.parametrize("first", [[], [[[1, 0], "1"], [[0, 0], "1"]]])
+def test_basis_zero_or_mixed_degree_base_member_exits_not_a_basis(tmp_path, capsys, first):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([
+        {"degree": None, "coefficients": [first, []]},
+        {"degree": 0, "coefficients": [[], [[[0, 0], "1"]]]},
+    ]), encoding="utf-8")
+    code, _, err = run(["basis", "--type", "B2", "--m", "0", "--k", "0",
+                        "--base", "user", "--base-file", str(bad), "--no-cache"], capsys)
+    assert code == EXIT_NOT_A_BASIS
+    assert "member 0" in err
+
+
 def test_basis_time_budget(capsys):
     code, _, err = run(["basis", "--type", "B3", "--m", "1", "--k", "1",
                         "--time-budget", "0", "--no-cache"], capsys)

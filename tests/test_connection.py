@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from coxbasis import connection
 from coxbasis.connection import (
     invariant_field_basis,
     nabla_D,
@@ -15,7 +17,8 @@ from coxbasis.connection import (
 )
 from coxbasis.coxeter import is_invariant_derivation
 from coxbasis.derivations import Derivation, euler_field, nabla
-from coxbasis.errors import NoSolution, NotPolynomial
+from coxbasis.errors import NoSolution, NonUniqueSolution, NotPolynomial
+from coxbasis.linalg import rref
 from coxbasis.poly import Poly, linear_form_order
 from coxbasis.verify import random_invariant_derivation
 
@@ -164,3 +167,121 @@ def test_nabla_of_members_recovers_contact_orders(pipeline):
     # U_1 itself has contact order 3 everywhere
     for h in arrangement.hyperplanes:
         assert contact_order(u1, h.form) == 3
+
+
+def dense_inverse(delta, system):
+    """Reference inverse: expand every candidate's image and solve the
+    dense system over the coefficients of all monomials."""
+    n = system.nvars
+    basis = invariant_field_basis(system, delta.degree() + system.coxeter_number)
+    images = [[primitive_numerator(f, system) for f in field.coeffs] for _, field in basis]
+    targets = [system.jacobian * f for f in delta.coeffs]
+    monomials = {}
+    for i in range(n):
+        for poly in [img[i] for img in images] + [targets[i]]:
+            for exps in poly.terms:
+                monomials.setdefault((i, exps), len(monomials))
+    rows = [[Fraction(0)] * (len(basis) + 1) for _ in monomials]
+    for u, img in enumerate(images):
+        for i in range(n):
+            for exps, coeff in img[i].terms.items():
+                rows[monomials[(i, exps)]][u] = coeff
+    for i in range(n):
+        for exps, coeff in targets[i].terms.items():
+            rows[monomials[(i, exps)]][len(basis)] = coeff
+    reduced, pivots = rref(rows)
+    assert pivots == list(range(len(basis)))
+    out = Derivation.zero(n)
+    for (_, field), row in zip(basis, reduced):
+        out = out + field * row[len(basis)]
+    return out
+
+
+def smallest_nonempty_degrees(system, count):
+    found = []
+    d = 0
+    while len(found) < count:
+        if invariant_field_basis(system, d):
+            found.append(d)
+        d += 1
+    return found
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "G2", "I2(5)"])
+def test_inverse_agrees_with_dense_reference(pipeline, label):
+    group, _, system = pipeline(label)
+    fields = [universal_field(k, system, group) for k in (0, 1, 2)]
+    for d in smallest_nonempty_degrees(system, 2):
+        fields += [field for _, field in invariant_field_basis(system, d)]
+    for field in fields:
+        assert nabla_D_inverse(field, system, group) == dense_inverse(field, system)
+
+
+def test_inverse_with_one_repeated_point_raises_non_unique(pipeline, monkeypatch):
+    group, _, system = pipeline("B2")
+    delta = universal_field(1, system, group)
+    unknowns = len(invariant_field_basis(system, delta.degree() + system.coxeter_number))
+    # one point gives one equation per coordinate, too few for the unknowns
+    assert unknowns > system.nvars
+    drawn = []
+
+    def one_point(nvars):
+        for point in itertools.repeat((2, 1), 1000):
+            drawn.append(point)
+            yield point
+        raise AssertionError("the inverse kept drawing points")
+
+    monkeypatch.setattr(connection, "_sample_points", one_point)
+    with pytest.raises(NonUniqueSolution):
+        nabla_D_inverse(delta, system, group)
+    assert len(drawn) == unknowns + connection._SPARE_POINTS
+
+
+def test_inverse_rejects_non_invariant_field_past_the_invariance_check(pipeline, monkeypatch):
+    group, _, system = pipeline("A2")
+    monkeypatch.setattr(connection, "is_invariant_derivation", lambda group, delta: True)
+    x = Poly.variable(2, 0)
+    # full evaluated rank, but the unique candidate fails the exact re-check
+    with pytest.raises(NoSolution, match="re-verification"):
+        nabla_D_inverse(Derivation([x * x, x * x]), system, group)
+    # d/dx has one unknown, P_1 grad P_1; at (2, -1) its first equation reads
+    # 0 = J(p) != 0, so the evaluated system itself is inconsistent
+    assert system.gradient_numerators[0][0].evaluate((2, -1)) == 0
+    original = connection._sample_points
+
+    def inconsistent_first(nvars):
+        yield (2, -1)
+        yield from original(nvars)
+
+    monkeypatch.setattr(connection, "_sample_points", inconsistent_first)
+    with pytest.raises(NoSolution, match="likely not invariant"):
+        nabla_D_inverse(Derivation.coordinate(2, 0), system, group)
+
+
+def test_inverse_skips_points_where_the_jacobian_vanishes(pipeline, monkeypatch):
+    group, _, system = pipeline("B2")
+    delta = universal_field(1, system, group)
+    expected = universal_field(2, system, group)
+    # points on the hyperplane x = y, distinct, more than the whole point budget
+    on_mirror = [(t, t) for t in range(1, 40)]
+    assert all(system.jacobian.evaluate(p) == 0 for p in on_mirror)
+    original = connection._sample_points
+
+    def mirror_first(nvars):
+        yield from on_mirror
+        yield from original(nvars)
+
+    monkeypatch.setattr(connection, "_sample_points", mirror_first)
+    assert nabla_D_inverse(delta, system, group) == expected
+
+
+def test_gradient_numerators_are_lazy():
+    from coxbasis.coxeter import build_group, parse_type
+    from coxbasis.invariants import compute_invariants
+
+    group, arrangement = build_group(parse_type("A2"))
+    system = compute_invariants(group, arrangement, cache_dir=None)
+    assert "gradient_numerators" not in vars(system)
+    nabla_D_inverse(euler_field(2), system, group)
+    numerators = vars(system)["gradient_numerators"]
+    assert numerators[1][0] == primitive_numerator(system.gradients[1].coeffs[0], system)

@@ -5,8 +5,10 @@ The warm sweep of the benchmark (``perfbench/workloads.py``) requests 68
 as the benchmark's driver receives it on standard output.  These tests
 serve the same argument lists in-process through ``coxbasis.cli.main`` on
 one shared invariant cache and compare digests, so a change that moves a
-report byte fails here as well as in the benchmark.  Both files are only
-read.
+report byte fails here as well as in the benchmark.  The four high-shift
+requests of the deep-shift workload, where the inverse of the primitive
+connection does most of the work, are served the same way with
+``--no-cache``.  Both files are only read.
 """
 
 from __future__ import annotations
@@ -26,16 +28,26 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 
 
-def _sweep_basis_requests() -> list[list[str]]:
+def _load_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    # the seed only shuffles the order and seeds the verify suites
-    return [argv for argv in workloads.sweep_requests(0) if argv[0] == "basis"]
+    return workloads
 
 
-REQUESTS = _sweep_basis_requests()
+WORKLOADS = _load_workloads()
+# the seed only shuffles the order and seeds the verify suites
+REQUESTS = [argv for argv in WORKLOADS.sweep_requests(0) if argv[0] == "basis"]
+DEEP_SHIFT = WORKLOADS.DEEP_SHIFT
 GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["digests"]
+
+
+def _digest(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = main(argv)
+    assert rc == 0
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +64,14 @@ def test_sweep_has_every_basis_request():
 def test_report_matches_golden_digest(argv, cache_dir, monkeypatch):
     # the --mfile paths are relative to the root of the checkout
     monkeypatch.chdir(ROOT)
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        rc = main(argv + ["--cache-dir", str(cache_dir)])
-    assert rc == 0
-    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-    assert digest == GOLDEN[" ".join(argv)]
+    assert _digest(argv + ["--cache-dir", str(cache_dir)]) == GOLDEN[" ".join(argv)]
+
+
+def test_deep_shift_has_four_basis_requests():
+    assert len(DEEP_SHIFT) == 4
+    assert all(argv[0] == "basis" and " ".join(argv) in GOLDEN for argv in DEEP_SHIFT)
+
+
+@pytest.mark.parametrize("argv", DEEP_SHIFT, ids=" ".join)
+def test_deep_shift_report_matches_golden_digest(argv):
+    assert _digest(argv + ["--no-cache"]) == GOLDEN[" ".join(argv)]

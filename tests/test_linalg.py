@@ -5,15 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from coxbasis.errors import NoSolution
 from coxbasis.linalg import (
+    Echelon,
     PolyMatrix,
     det,
     invert_matrix,
     kernel_basis,
     rank,
     rref,
-    solve_linear,
 )
 from coxbasis.poly import Poly
 from coxbasis.scalars import Quad
@@ -56,21 +55,39 @@ def test_kernel_basis_no_rows():
     assert rank(basis) == 3
 
 
-def test_solve_linear_particular_plus_kernel():
-    rows = [
-        [Fraction(1), Fraction(1)],
-        [Fraction(2), Fraction(2)],
-    ]
-    rhs = [Fraction(3), Fraction(6)]
-    particular, kernel = solve_linear(rows, rhs)
-    assert sum(r * p for r, p in zip(rows[0], particular)) == 3
-    assert len(kernel) == 1
+def test_echelon_reduces_and_adds_only_new_directions():
+    echelon = Echelon()
+    assert echelon.add([Fraction(0), Fraction(2), Fraction(4)]) == 1
+    assert echelon.add([Fraction(3), Fraction(1), Fraction(2)]) == 0
+    # in the span: reduced to zero and not kept
+    assert echelon.add([Fraction(6), Fraction(5), Fraction(10)]) is None
+    assert echelon.rank == 2
+    # fully inter-reduced, in pivot order, with leading ones
+    assert echelon.rows == [(0, [Fraction(1), Fraction(0), Fraction(0)]),
+                            (1, [Fraction(0), Fraction(1), Fraction(2)])]
+    assert echelon.reduce([Fraction(1), Fraction(1), Fraction(5)]) == [0, 0, 3]
 
 
-def test_solve_linear_inconsistent():
-    rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    with pytest.raises(NoSolution):
-        solve_linear(rows, [Fraction(1), Fraction(2)])
+def test_echelon_matches_rref_on_random_rows():
+    rng = random.Random(29)
+    for _ in range(20):
+        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(5)] for _ in range(rng.randint(1, 6))]
+        echelon = Echelon()
+        for row in rows:
+            echelon.add(row)
+        reduced, pivots = rref(rows)
+        assert echelon.rows == list(zip(pivots, reduced))
+
+
+def test_echelon_checkpoint_and_quadratic_entries():
+    r5 = Quad(0, 1, 5)
+    echelon = Echelon([(0, [Fraction(1), Fraction(0)])])
+    checkpoint = list(echelon.rows)
+    assert echelon.add([r5, r5 + 1]) == 1
+    assert echelon.rank == 2
+    echelon.rows = checkpoint
+    assert echelon.rank == 1
+    assert echelon.rows == [(0, [Fraction(1), Fraction(0)])]
 
 
 def test_invert_matrix():
