@@ -7,8 +7,9 @@ Three subcommands:
   verify              run seeded exact property suites
 
 Exit codes: 0 success, 1 verification or structural failure, 2 a proposed
-base is not a basis, 3 a certificate failed on a constructed basis (an
-internal alarm), 4 unsupported input or an exceeded budget.
+base is not a basis, 3 a certificate failed on a constructed basis or a
+group enumeration did not match its type (internal alarms), 4 unsupported
+input or an exceeded budget.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from pathlib import Path
 
 from .basis import BASE_SOURCES, BasisRequest, build_basis
 from .coxeter import (DEFAULT_ORDER_BOUND, Multiplicity, build_group, parse_type)
-from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError, NoSolution,
-                     NonUniqueSolution, NotABasis, OrderBoundExceeded, UnsupportedType)
+from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError, GroupClosureFailed,
+                     NoSolution, NonUniqueSolution, NotABasis, OrderBoundExceeded,
+                     UnsupportedType)
 from .invariants import compute_invariants, jacobian_factors
 from .report import (SCHEMA_VERIFY, basis_report, derivation_from_json, dump_report,
                      multiplicity_from_json)
@@ -294,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NOT_A_BASIS
     except (CertificateFailed, NonUniqueSolution, NoSolution) as exc:
         sys.stderr.write("certificate failure: %s\n" % exc)
+        return EXIT_CERTIFICATE
+    except GroupClosureFailed as exc:
+        sys.stderr.write("group enumeration failure: %s\n" % exc)
         return EXIT_CERTIFICATE
     except (UnsupportedType, OrderBoundExceeded, BudgetExceeded) as exc:
         sys.stderr.write("unsupported or over budget: %s\n" % exc)

@@ -31,7 +31,7 @@ import math
 import random
 from typing import Iterator
 
-from .coxeter import ReflectionGroup, is_invariant_derivation
+from .coxeter import ReflectionGroup
 from .derivations import Derivation, euler_field
 from .errors import NoSolution, NonUniqueSolution, NotDivisible, NotPolynomial
 from .invariants import InvariantSystem
@@ -40,33 +40,22 @@ from .poly import Poly
 from .scalars import Scalar
 
 
-def primitive_numerator(f: Poly, system: InvariantSystem) -> Poly:
-    """Numerator of D(f): the last Jacobian column replaced by grad f."""
-    n = system.nvars
-    last = n - 1
-    out = Poly.zero(n)
-    for k in range(n):
-        cof = system.cofactors[k][last]
-        if cof.is_zero:
-            continue
-        part = f.partial(k)
-        if not part.is_zero:
-            out = out + cof * part
-    return out
-
-
 def partial_P_numerator(f: Poly, j: int, system: InvariantSystem) -> Poly:
     """Numerator of (d/dP_j)(f), via column j of the cofactor matrix."""
     n = system.nvars
     out = Poly.zero(n)
-    for k in range(n):
-        cof = system.cofactors[k][j]
+    for cof, k in zip(system.cofactor_column(j), range(n)):
         if cof.is_zero:
             continue
         part = f.partial(k)
         if not part.is_zero:
             out = out + cof * part
     return out
+
+
+def primitive_numerator(f: Poly, system: InvariantSystem) -> Poly:
+    """Numerator of D(f): the last Jacobian column replaced by grad f."""
+    return partial_P_numerator(f, system.nvars - 1, system)
 
 
 def nabla_D(delta: Derivation, system: InvariantSystem) -> Derivation:
@@ -177,16 +166,17 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem,
 
     NoSolution signals a non-invariant or otherwise malformed input: an
     evaluated equation is inconsistent, or the unique candidate fails the
-    re-check.  NonUniqueSolution signals that the rank stayed short after
-    `_SPARE_POINTS` more points than unknowns; it is an internal alarm.
+    re-check.  Every candidate is invariant and nabla_D keeps fields
+    invariant, so the re-check rejects a non-invariant input without a
+    separate invariance test; ``group`` is not consulted.  NonUniqueSolution
+    signals that the rank stayed short after `_SPARE_POINTS` more points
+    than unknowns; it is an internal alarm.
     """
     n = system.nvars
     if delta.is_zero:
         return Derivation.zero(n)
     if not delta.is_homogeneous():
         raise NoSolution("input field is not homogeneous")
-    if not is_invariant_derivation(group, delta):
-        raise NoSolution("input field is not invariant")
     target_degree = delta.degree() + system.coxeter_number
     unknowns = [(j, exps) for j, d in enumerate(system.degrees)
                 for exps in system.invariant_exponents(target_degree - (d - 1))]

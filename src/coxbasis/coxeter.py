@@ -8,8 +8,14 @@ orthonormal coordinates; G2 and the dihedral types use rank-2 root
 coordinates; I2(5), I2(8) and H3 live over a real quadratic extension.
 
 Group elements are exact matrices R acting on covector coefficients,
-c -> R c.  The action on polynomials substitutes column i of R for
-variable i, which realizes p -> p o w^{-1} without inverting anything.
+c -> R c.  The closure is enumerated on integer matrices over one positive
+common denominator (entries int pairs (a, b) for a + b*sqrt(d) over
+Q(sqrt(d))), normalized by content so equal elements compare equal; each
+element becomes a public tuple of Fraction/Quad entries once, at the end.
+The action on polynomials substitutes column i of R for variable i,
+which realizes p -> p o w^{-1} without inverting anything.  The group
+keeps the powers of its elements' column forms, shared between elements
+with equal columns, so every Reynolds average reuses them.
 Hyperplanes are recovered from the reflections in the group as their
 (-1)-eigenvectors, normalized so the first nonzero coefficient is 1, and
 are kept sorted by coefficient vector so all downstream artifacts are
@@ -19,15 +25,17 @@ deterministic.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .derivations import Derivation
-from .errors import OrderBoundExceeded, UnsupportedType
+from .errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
 from .linalg import invert_matrix, kernel_basis
-from .poly import Poly, product
-from .scalars import Quad, Scalar, scalar_inverse
+from .poly import Poly, Powers, product, substitute_sum
+from .scalars import Quad, Scalar, join_scalar, scalar_inverse, split_scalars
 
 MatrixT = tuple[tuple[Scalar, ...], ...]
 
@@ -254,6 +262,26 @@ class ReflectionGroup:
     def rank(self) -> int:
         return self.datum.rank
 
+    @functools.cached_property
+    def column_powers(self) -> tuple[tuple[Powers, ...], ...]:
+        """Per element, the power tables of its column forms.
+
+        Elements with an equal column share one table, so the tables grow
+        once per degree for the whole group and every Reynolds average
+        reuses them.
+        """
+        shared: dict[Poly, Powers] = {}
+        out = []
+        for w in self.elements:
+            row = []
+            for form in _column_forms(w):
+                table = shared.get(form)
+                if table is None:
+                    table = shared[form] = Powers(form)
+                row.append(table)
+            out.append(tuple(row))
+        return tuple(out)
+
 
 class Arrangement:
     """The set of reflecting hyperplanes, in canonical sorted order."""
@@ -315,46 +343,100 @@ def normalize_form(coeffs: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(inv * c for c in coeffs)
 
 
+# An integer matrix: rows of int numerators (int pairs over Q(sqrt(d)))
+# over a positive denominator coprime to their content.
+IntMatrix = tuple[tuple[tuple, ...], int]
+
+
+def _int_matrix(a: MatrixT, d: int) -> IntMatrix:
+    n = len(a)
+    _, nums, den = split_scalars([x for row in a for x in row], d)
+    return tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(n)), den
+
+
+def _public_matrix(a: IntMatrix, d: int) -> MatrixT:
+    rows, den = a
+    return tuple(tuple(join_scalar(d, x, den) for x in row) for row in rows)
+
+
+def _int_mat_mul(a: IntMatrix, b: IntMatrix, d: int) -> IntMatrix:
+    (ar, ad), (br, bd) = a, b
+    cols = tuple(zip(*br))
+    if d == 1:
+        rows = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in ar)
+    else:
+        rows = tuple(tuple(_pair_dot(row, col, d) for col in cols) for row in ar)
+    den = ad * bd
+    if den == 1:
+        return rows, 1
+    flat = [x for row in rows for x in row]
+    g = math.gcd(den, *flat) if d == 1 else math.gcd(den, *(y for x in flat for y in x))
+    if g == 1:
+        return rows, den
+    if d == 1:
+        return tuple(tuple(x // g for x in row) for row in rows), den // g
+    return tuple(tuple((x // g, y // g) for x, y in row) for row in rows), den // g
+
+
+def _pair_dot(row: tuple, col: tuple, d: int) -> tuple[int, int]:
+    sa = sb = 0
+    for (a1, b1), (a2, b2) in zip(row, col):
+        sa += a1 * a2 + d * b1 * b2
+        sb += a1 * b2 + b1 * a2
+    return sa, sb
+
+
+def _is_reflection_trace(a: IntMatrix, d: int) -> bool:
+    rows, den = a
+    n = len(rows)
+    diag = [rows[i][i] for i in range(n)]
+    if d == 1:
+        return sum(diag) == (n - 2) * den
+    return sum(x for x, _ in diag) == (n - 2) * den and sum(y for _, y in diag) == 0
+
+
 def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> tuple[ReflectionGroup, Arrangement]:
     """Enumerate the group and its reflection arrangement.
 
     The expected order is known from the type, so the bound is checked
-    before any enumeration happens.  The generated group is validated
-    against the expected order and hyperplane count.
+    before any enumeration happens.  The closure runs on integer matrices
+    and is validated against the expected order and hyperplane count;
+    a mismatch raises GroupClosureFailed.
     """
     expected = datum.group_order()
     if expected > order_bound:
         raise OrderBoundExceeded("group of order %d exceeds the bound %d" % (expected, order_bound))
     n = datum.rank
+    d = datum.disc
     generators = tuple(reflection_matrix(r, datum.gram) for r in datum.simple_roots)
-    ident = identity_matrix(n)
-    elements: dict[MatrixT, None] = {ident: None}
+    int_gens = [_int_matrix(g, d) for g in generators]
+    ident = _int_matrix(identity_matrix(n), d)
+    elements: dict[IntMatrix, None] = {ident: None}
     frontier = [ident]
-    while frontier:
+    # stop as soon as the count overshoots, so a wrong realization cannot loop
+    while frontier and len(elements) <= expected:
         nxt = []
         for w in frontier:
-            for g in generators:
-                prod = mat_mul(g, w)
+            for g in int_gens:
+                prod = _int_mat_mul(g, w, d)
                 if prod not in elements:
                     elements[prod] = None
                     nxt.append(prod)
         frontier = nxt
     if len(elements) != expected:
-        raise RuntimeError("closure produced %d elements, expected %d" % (len(elements), expected))
-    group = ReflectionGroup(datum, tuple(elements), generators)
+        raise GroupClosureFailed("closure produced %d elements, expected %d"
+                                 % (len(elements), expected))
+    group = ReflectionGroup(datum, tuple(_public_matrix(w, d) for w in elements), generators)
 
     hyperplanes: dict[tuple[Scalar, ...], MatrixT] = {}
-    for w in group.elements:
-        if w == ident:
+    for w, public in zip(elements, group.elements):
+        if w == ident or not _is_reflection_trace(w, d) or _int_mat_mul(w, w, d) != ident:
             continue
-        trace = sum((w[i][i] for i in range(1, n)), w[0][0])
-        if trace != n - 2 or mat_mul(w, w) != ident:
-            continue
-        coeffs = _minus_one_eigenvector(w, n)
-        hyperplanes[coeffs] = w
+        coeffs = _minus_one_eigenvector(public, n)
+        hyperplanes[coeffs] = public
     if len(hyperplanes) != datum.num_hyperplanes:
-        raise RuntimeError("found %d reflecting hyperplanes, expected %d"
-                           % (len(hyperplanes), datum.num_hyperplanes))
+        raise GroupClosureFailed("found %d reflecting hyperplanes, expected %d"
+                                 % (len(hyperplanes), datum.num_hyperplanes))
     ordered = []
     for coeffs in sorted(hyperplanes):
         ordered.append(Hyperplane(coeffs, Poly.linear(list(coeffs)), hyperplanes[coeffs]))
@@ -367,15 +449,27 @@ def _minus_one_eigenvector(w: MatrixT, n: int) -> tuple[Scalar, ...]:
             for i in range(n)]
     basis = kernel_basis(rows, n)
     if len(basis) != 1:
-        raise RuntimeError("reflection has a %d-dimensional (-1)-eigenspace" % len(basis))
+        raise GroupClosureFailed("reflection has a %d-dimensional (-1)-eigenspace" % len(basis))
     return normalize_form(basis[0])
 
 
+def _column_forms(w: MatrixT) -> tuple[Poly, ...]:
+    n = len(w)
+    return tuple(Poly.linear([w[j][i] for j in range(n)]) for i in range(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _act_powers(w: MatrixT) -> tuple[Powers, ...]:
+    return tuple(Powers(form) for form in _column_forms(w))
+
+
 def act(w: MatrixT, p: Poly) -> Poly:
-    """Action of a group element on a polynomial, p -> p o w^{-1}."""
-    n = p.nvars
-    forms = [Poly.linear([w[j][i] for j in range(n)]) for i in range(n)]
-    return p.substitute(forms)
+    """Action of a group element on a polynomial, p -> p o w^{-1}.
+
+    The power tables of w's column forms are kept for the elements acted
+    with most recently, so repeated actions of one element reuse them.
+    """
+    return substitute_sum(p, [_act_powers(w)], p.nvars)
 
 
 def act_derivation(w: MatrixT, delta: Derivation) -> Derivation:
@@ -394,11 +488,12 @@ def act_derivation(w: MatrixT, delta: Derivation) -> Derivation:
 
 
 def reynolds(group: ReflectionGroup, p: Poly) -> Poly:
-    """Average of p over the group, the projection onto invariants."""
-    total = Poly.zero(p.nvars)
-    for w in group.elements:
-        total = total + act(w, p)
-    return total.scale(Fraction(1, group.order))
+    """Average of p over the group, the projection onto invariants.
+
+    All |W| substitutions accumulate into one numerator dict, using the
+    group's shared column-form power tables.
+    """
+    return substitute_sum(p, group.column_powers, p.nvars).scale(Fraction(1, group.order))
 
 
 def is_invariant_poly(group: ReflectionGroup, p: Poly) -> bool:

@@ -2,7 +2,8 @@
 
 Everything raised on purpose derives from CoxBasisError.  The CLI maps
 NotABasis to exit code 2, failed or internally inconsistent certificates
-to 3, and unsupported input or exceeded budgets to 4.
+and group enumerations to 3, and unsupported input or exceeded budgets
+to 4.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ class CertificateFailed(CoxBasisError):
     def __init__(self, message: str, certificate=None) -> None:
         super().__init__(message)
         self.certificate = certificate
+
+
+class GroupClosureFailed(CoxBasisError):
+    """Enumerating a group did not give the order, the hyperplane count or
+    the one-dimensional (-1)-eigenspaces its type fixes.  The realization
+    is fixed per type, so this is an internal alarm."""
 
 
 class UnsupportedType(CoxBasisError):

@@ -15,7 +15,8 @@ are basic.  So c is found by evaluating M at one rational point off the
 arrangement, c = det M(p) / Q(p), and J is recorded as c * Q without
 expanding the determinant.  The cofactors of M drive both the coordinate
 expression of the fields d/dP_j (column j of the cofactor matrix over J)
-and therefore the whole connection layer.
+and therefore the whole connection layer.  Each cofactor column is
+expanded on first use; the pipeline reads only the primitive one, j = l - 1.
 
 Systems can be cached to disk as JSON, keyed by type, rank and field,
 with every coefficient stored as an exact string.  A loaded system is
@@ -47,7 +48,7 @@ class InvariantSystem:
 
     def __init__(self, label: str, nvars: int, degrees: tuple[int, ...],
                  polys: tuple[Poly, ...], jacobian: Poly, jacobian_scalar: Scalar,
-                 cofactors: tuple[tuple[Poly, ...], ...],
+                 jacobian_partials: PolyMatrix,
                  gradients: tuple[Derivation, ...]) -> None:
         self.label = label
         self.nvars = nvars
@@ -55,9 +56,27 @@ class InvariantSystem:
         self.polys = polys
         self.jacobian = jacobian
         self.jacobian_scalar = jacobian_scalar
-        self.cofactors = cofactors
+        self.jacobian_partials = jacobian_partials
         self.gradients = gradients
         self._powers: dict[tuple[int, int], Poly] = {}
+        self._cofactor_columns: dict[int, tuple[Poly, ...]] = {}
+
+    def cofactor_column(self, j: int) -> tuple[Poly, ...]:
+        """Column j of the Jacobian cofactor matrix, computed on first use.
+
+        The pipeline reads only the primitive column j = l - 1; the others
+        are expanded only when d/dP_j for a lower j is asked for.
+        """
+        column = self._cofactor_columns.get(j)
+        if column is None:
+            column = self._cofactor_columns[j] = _cofactor_column(self.jacobian_partials, j)
+        return column
+
+    @property
+    def cofactors(self) -> tuple[tuple[Poly, ...], ...]:
+        """The whole cofactor matrix C[i][j]; expands every column."""
+        columns = [self.cofactor_column(j) for j in range(self.nvars)]
+        return tuple(zip(*columns))
 
     @property
     def coxeter_number(self) -> int:
@@ -180,17 +199,14 @@ def jacobian_factors(system: InvariantSystem, arrangement: Arrangement) -> bool:
             reference == arrangement.defining_polynomial.scale(system.jacobian_scalar))
 
 
-def _cofactor_matrix(m: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
+def _cofactor_column(m: PolyMatrix, j: int) -> tuple[Poly, ...]:
     n = m.nrows
     if n == 1:
-        return ((Poly.constant(m.entry(0, 0).nvars, Fraction(1)),),)
+        return (Poly.constant(m.entry(0, 0).nvars, Fraction(1)),)
     out = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            minor = m.minor(i, j).det()
-            row.append(minor if (i + j) % 2 == 0 else -minor)
-        out.append(tuple(row))
+        minor = m.minor(i, j).det()
+        out.append(minor if (i + j) % 2 == 0 else -minor)
     return tuple(out)
 
 
@@ -295,7 +311,6 @@ def _finish_system(label: str, nvars: int, degrees: tuple[int, ...], polys: tupl
     if jac_scalar == 0:
         raise JacobianDegenerate("Jacobian of the invariants vanishes")
     jac = arrangement.defining_polynomial.scale(jac_scalar)
-    cof = _cofactor_matrix(m)
     # the invariant form on covectors has matrix `gram`; pairing the partials
     # of P_j against it is what makes the gradient field equivariant
     gradients = []
@@ -310,7 +325,7 @@ def _finish_system(label: str, nvars: int, degrees: tuple[int, ...], polys: tupl
             coeffs.append(acc)
         gradients.append(Derivation(coeffs))
     return InvariantSystem(label, nvars, tuple(degrees), polys, jac, jac_scalar,
-                           cof, tuple(gradients))
+                           m, tuple(gradients))
 
 
 def gradient_basis(system: InvariantSystem) -> tuple[Derivation, ...]:
@@ -324,8 +339,7 @@ def partial_P_field(system: InvariantSystem, j: int) -> tuple[Derivation, Poly]:
     The numerator coefficients form column j of the Jacobian cofactor
     matrix, so d/dP_j = (1/J) * sum_i C[i][j] d/dx_i.
     """
-    coeffs = [system.cofactors[i][j] for i in range(system.nvars)]
-    return Derivation(coeffs), system.jacobian
+    return Derivation(system.cofactor_column(j)), system.jacobian
 
 
 def _valid_invariants(label: str, nvars: int, degrees: tuple[int, ...],

@@ -1,10 +1,21 @@
-"""Sparse multivariate polynomials with exact coefficients.
+"""Sparse multivariate polynomials with exact coefficients on Python ints.
 
-A polynomial is a dict from exponent tuples to nonzero scalars
-(Fraction or Quad).  The monomial order used everywhere is graded
-lexicographic: compare total degree first, then the exponent tuple
-lexicographically.  Leading terms, division, and all serialized term
-lists refer to this order.
+A polynomial stores integer numerators over one positive common
+denominator: ``num`` maps exponent tuples to nonzero numerators and
+``den`` is the smallest positive integer that clears every coefficient,
+so gcd(den, all numerators) = 1 and equal polynomials have equal
+representations.  Over Q each numerator is an int; over Q(sqrt(d)) it is
+an int pair (a, b) standing for a + b*sqrt(d), and d is stored once per
+polynomial (``d`` = 1 over Q).  A polynomial whose sqrt parts all cancel
+is stored over Q.  Products, sums, derivatives, substitution and
+division all run on these ints through one set of kernels for both
+fields.  ``Fraction`` and ``Quad`` appear only at the boundary: the
+constructor, the exponents -> scalar view ``terms`` (built on first use),
+coefficient accessors, evaluation and formatting.
+
+The monomial order used everywhere is graded lexicographic: compare total
+degree first, then the exponent tuple lexicographically.  Leading terms,
+division, and all serialized term lists refer to this order.
 
 Division is plain multivariate division by a single divisor.  Exact
 division raises :class:`~coxbasis.errors.NotDivisible` carrying the
@@ -18,15 +29,17 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotDivisible
-from .scalars import Quad, Scalar, format_scalar, scalar_inverse
+from .scalars import (Quad, Scalar, common_field, format_scalar, join_scalar, split_scalar,
+                      split_scalars)
 
 Exponents = tuple[int, ...]
 
 INFINITE_ORDER = math.inf
-
 
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
@@ -37,34 +50,129 @@ def _heap_key(exps: Exponents) -> tuple[int, Exponents]:
     return (-sum(exps), tuple(-e for e in exps))
 
 
-def _clean_coeff(c: Scalar) -> Scalar:
-    # ints are promoted so scalar division can never fall into floats
-    return Fraction(c) if isinstance(c, int) else c
+# --- integer kernels ------------------------------------------------------
+#
+# A numerator dict maps exponents to ints (d = 1) or to int pairs (d > 1).
+# The kernels take and return such dicts; callers track the denominators.
+
+
+def _promote(num: dict, d_from: int, d_to: int) -> dict:
+    """A numerator dict in the representation of the field ``d_to``."""
+    if d_from == d_to:
+        return num
+    return {e: (c, 0) for e, c in num.items()}
+
+
+def _content(num: dict, d: int, den: int) -> int:
+    if d == 1:
+        return math.gcd(den, *num.values())
+    return math.gcd(den, *chain.from_iterable(num.values()))
+
+
+def _scale_num(num: dict, c, d: int) -> dict:
+    """Every numerator times the int (d = 1) or pair c."""
+    if d == 1:
+        return {e: v * c for e, v in num.items()}
+    ca, cb = c
+    return {e: (a * ca + d * b * cb, a * cb + b * ca) for e, (a, b) in num.items()}
+
+
+def _packing(a: dict, b: dict, nvars: int) -> tuple[int, tuple[int, ...]]:
+    """Field width and bit offsets packing the exponents of a product into
+    one int each; every exponent of the product fits its field."""
+    bits = (max(map(sum, a)) + max(map(sum, b))).bit_length()
+    return bits, tuple(range((nvars - 1) * bits, -1, -bits))
+
+
+def _mul_num(a: dict, b: dict, d: int) -> dict:
+    """Product of two numerator dicts.
+
+    Exponent tuples are packed into single ints (Kronecker substitution),
+    so a monomial product is one integer addition; the packing is chosen
+    wide enough that no exponent of the product overflows its field.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    if len(a) == 1:
+        ((e1, c1),) = a.items()
+        if d == 1:
+            return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+        return _scale_num({tuple(map(add, e1, e2)): c2 for e2, c2 in b.items()}, c1, d)
+    nvars = len(next(iter(a)))
+    bits, shifts = _packing(a, b, nvars)
+    pa = [(sum(x << s for x, s in zip(e, shifts)), c) for e, c in a.items()]
+    pb = [(sum(x << s for x, s in zip(e, shifts)), c) for e, c in b.items()]
+    if d == 1:
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in pa:
+            for k2, c2 in pb:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        packed = [(k, c) for k, c in out.items() if c]
+    else:
+        outa: dict[int, int] = {}
+        outb: dict[int, int] = {}
+        geta, getb = outa.get, outb.get
+        for k1, (a1, b1) in pa:
+            for k2, (a2, b2) in pb:
+                k = k1 + k2
+                outa[k] = geta(k, 0) + a1 * a2 + d * b1 * b2
+                outb[k] = getb(k, 0) + a1 * b2 + b1 * a2
+        packed = [(k, (ca, outb[k])) for k, ca in outa.items() if ca or outb[k]]
+    mask = (1 << bits) - 1
+    return {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed}
+
+
+def _add_into(acc: dict, num: dict, factor, d: int) -> None:
+    """acc += factor * num, leaving zeros in place for a final sweep."""
+    get = acc.get
+    if d == 1:
+        if factor == 1:
+            for e, c in num.items():
+                acc[e] = get(e, 0) + c
+        else:
+            for e, c in num.items():
+                acc[e] = get(e, 0) + factor * c
+        return
+    fa, fb = factor
+    for e, (a, b) in num.items():
+        cur = get(e)
+        xa = a * fa + d * b * fb
+        xb = a * fb + b * fa
+        acc[e] = (xa, xb) if cur is None else (cur[0] + xa, cur[1] + xb)
+
+
+def _nonzero(acc: dict, d: int) -> dict:
+    if d == 1:
+        return {e: c for e, c in acc.items() if c}
+    return {e: c for e, c in acc.items() if c[0] or c[1]}
 
 
 class Poly:
     """Immutable sparse polynomial in ``nvars`` variables."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "d", "num", "den", "_terms")
 
     def __init__(self, nvars: int, terms: dict[Exponents, Scalar] | None = None) -> None:
-        clean: dict[Exponents, Scalar] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != nvars:
-                    raise ValueError("exponent tuple %r does not have %d entries" % (exps, nvars))
-                if coeff == 0:
-                    continue
-                clean[exps] = _clean_coeff(coeff)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        exps_list, coeffs = [], []
+        for exps, coeff in (terms or {}).items():
+            if len(exps) != nvars:
+                raise ValueError("exponent tuple %r does not have %d entries" % (exps, nvars))
+            if coeff != 0:
+                exps_list.append(exps)
+                coeffs.append(coeff)
+        d, nums, den = split_scalars(coeffs)
+        _init(self, nvars, d, dict(zip(exps_list, nums)), den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, {})
+        return _new(nvars, 1, {}, 1)
 
     @classmethod
     def constant(cls, nvars: int, c: Scalar) -> "Poly":
@@ -73,7 +181,7 @@ class Poly:
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return _new(nvars, 1, {exps: 1}, 1)
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exponents, c: Scalar = 1) -> "Poly":
@@ -86,57 +194,74 @@ class Poly:
                        for i, c in enumerate(coeffs)})
 
     @property
+    def terms(self) -> dict[Exponents, Scalar]:
+        """The exponents -> Fraction/Quad view, built on first use."""
+        view = self._terms
+        if view is None:
+            d, den = self.d, self.den
+            view = {e: join_scalar(d, c, den) for e, c in self.num.items()}
+            object.__setattr__(self, "_terms", view)
+        return view
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (self.nvars == other.nvars and self.d == other.d
+                    and self.den == other.den and self.num == other.num)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.d, self.den, frozenset(self.num.items())))
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the lcm of the denominators."""
+        self._check_compatible(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign == 1 else -other
+        d = common_field(self.d, other.d)
+        a = _promote(self.num, self.d, d)
+        b = _promote(other.num, other.d, d)
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        den = da // g * db
+        fa, fb = db // g, sign * (da // g)
+        out = dict(a) if fa == 1 else _scale_num(a, fa if d == 1 else (fa, 0), d)
+        _add_into(out, b, fb if d == 1 else (fb, 0), d)
+        return _make(self.nvars, d, _nonzero(out, d), den)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            s = out.get(exps, 0) + coeff
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Poly(self.nvars, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        if self.d == 1:
+            num = {e: -c for e, c in self.num.items()}
+        else:
+            num = {e: (-a, -b) for e, (a, b) in self.num.items()}
+        return _new(self.nvars, self.d, num, self.den)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, Poly):
             self._check_compatible(other)
-            out: dict[Exponents, Scalar] = {}
-            a, b = self.terms, other.terms
-            if len(a) > len(b):
-                a, b = b, a
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    exps = tuple(x + y for x, y in zip(e1, e2))
-                    s = out.get(exps, 0) + c1 * c2
-                    if s == 0:
-                        out.pop(exps, None)
-                    else:
-                        out[exps] = s
-            return Poly(self.nvars, out)
+            if not self.num or not other.num:
+                return Poly.zero(self.nvars)
+            d = common_field(self.d, other.d)
+            num = _mul_num(_promote(self.num, self.d, d), _promote(other.num, other.d, d), d)
+            return _make(self.nvars, d, num, self.den * other.den)
         if isinstance(other, (int, Fraction, Quad)):
             return self.scale(other)
         return NotImplemented
@@ -149,8 +274,12 @@ class Poly:
     def scale(self, c: Scalar) -> "Poly":
         if c == 0:
             return Poly.zero(self.nvars)
-        c = _clean_coeff(c)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        cd, cn, cden = split_scalar(c)
+        if cd == 1 and cn == cden:
+            return self
+        d = common_field(self.d, cd)
+        num = _scale_num(_promote(self.num, self.d, d), cn if cd == d else (cn, 0), d)
+        return _make(self.nvars, d, num, self.den * cden)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -171,17 +300,16 @@ class Poly:
 
     def total_degree(self) -> int | float:
         """Maximum total degree, -inf for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -INFINITE_ORDER
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.num))
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.num))) <= 1
 
     def homogeneous_degree(self) -> int | None:
         """Common total degree of all terms; None for zero, error if mixed."""
-        degs = {sum(e) for e in self.terms}
+        degs = set(map(sum, self.num))
         if not degs:
             return None
         if len(degs) > 1:
@@ -189,10 +317,10 @@ class Poly:
         return degs.pop()
 
     def leading_term(self) -> tuple[Exponents, Scalar]:
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
+        exps = max(self.num, key=grlex_key)
+        return exps, join_scalar(self.d, self.num[exps], self.den)
 
     def leading_coefficient(self) -> Scalar:
         return self.leading_term()[1]
@@ -201,21 +329,21 @@ class Poly:
         _, c = self.leading_term()
         if c == 1:
             return self
-        return self.scale(scalar_inverse(c))
+        return self.scale(1 / c)
 
     def coefficient(self, exps: Exponents) -> Scalar:
-        return self.terms.get(tuple(exps), Fraction(0))
+        c = self.num.get(tuple(exps))
+        return Fraction(0) if c is None else join_scalar(self.d, c, self.den)
 
     def partial(self, i: int) -> "Poly":
         """Partial derivative with respect to variable ``i``."""
-        out: dict[Exponents, Scalar] = {}
-        for exps, coeff in self.terms.items():
+        out = {}
+        d = self.d
+        for exps, c in self.num.items():
             e = exps[i]
-            if e == 0:
-                continue
-            lowered = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[lowered] = coeff * e
-        return Poly(self.nvars, out)
+            if e:
+                out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e if d == 1 else (c[0] * e, c[1] * e)
+        return _make(self.nvars, d, out, self.den)
 
     def substitute(self, forms: Sequence["Poly"]) -> "Poly":
         """Substitute ``forms[i]`` for variable ``i``."""
@@ -225,77 +353,101 @@ class Poly:
         for f in forms:
             if f.nvars != target:
                 raise ValueError("substitution polynomials disagree on variable count")
-        powers: list[list[Poly]] = [[Poly.constant(target, Fraction(1))] for _ in range(self.nvars)]
-        one = Poly.constant(target, Fraction(1))
-
-        def power(i: int, e: int) -> Poly:
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * forms[i])
-            return cache[e]
-
-        out = Poly.zero(target)
-        for exps, coeff in self.terms.items():
-            term = one.scale(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+        return substitute_sum(self, [tuple(Powers(f) for f in forms)], target)
 
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         """Exact value at a point given by one scalar per variable."""
         if len(point) != self.nvars:
             raise ValueError("need %d coordinates, got %d" % (self.nvars, len(point)))
-        powers: dict[tuple[int, int], Scalar] = {}
-        total: Scalar = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
+        ints = _integral(point)
+        if ints is None:
+            return _evaluate_scalars(self, point)
+        powers: dict[tuple[int, int], int] = {}
+        d = self.d
+        ta = tb = 0
+        for exps, c in self.num.items():
+            m = 1
             for i, e in enumerate(exps):
                 if e:
                     pw = powers.get((i, e))
                     if pw is None:
-                        pw = powers[(i, e)] = point[i] ** e
-                    term = term * pw
-            total = total + term
-        return total
+                        pw = powers[(i, e)] = ints[i] ** e
+                    m *= pw
+            if d == 1:
+                ta += c * m
+            else:
+                ta += c[0] * m
+                tb += c[1] * m
+        return join_scalar(d, ta if d == 1 else (ta, tb), self.den)
 
     def divrem(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Quotient and remainder of division by one divisor in grlex order."""
+        """Quotient and remainder of division by one divisor in grlex order.
+
+        The divisor is made monic with integer numerators over m.  A
+        quotient step needs its coefficient divisible by m; when it is
+        not, the work, quotient and remainder numerators are rescaled
+        once by the missing factor, so exact divisions by integral monic
+        divisors never rescale at all.
+        """
         self._check_compatible(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         lt_exps, lt_coeff = divisor.leading_term()
-        inv_lt = scalar_inverse(lt_coeff)
-        work = dict(self.terms)
+        monic = divisor if lt_coeff == 1 else divisor.scale(1 / lt_coeff)
+        d = common_field(self.d, monic.d)
+        m = monic.den
+        tail = [(e, c) for e, c in _promote(monic.num, monic.d, d).items() if e != lt_exps]
+        work = dict(_promote(self.num, self.d, d))
+        wden = self.den
         heap = [(_heap_key(e), e) for e in work]
         heapq.heapify(heap)
-        quot: dict[Exponents, Scalar] = {}
-        rem: dict[Exponents, Scalar] = {}
+        quot: dict = {}
+        rem: dict = {}
         while heap:
             _, exps = heapq.heappop(heap)
-            coeff = work.get(exps)
-            if coeff is None:
+            c = work.pop(exps, None)
+            if c is None:
                 continue  # stale heap entry
-            del work[exps]
-            if all(a >= b for a, b in zip(exps, lt_exps)):
-                t_exps = tuple(a - b for a, b in zip(exps, lt_exps))
-                t_coeff = coeff * inv_lt
-                quot[t_exps] = quot.get(t_exps, 0) + t_coeff
-                for d_exps, d_coeff in divisor.terms.items():
-                    if d_exps == lt_exps:
-                        continue
-                    target = tuple(a + b for a, b in zip(t_exps, d_exps))
-                    s = work.get(target, 0) - t_coeff * d_coeff
-                    if s == 0:
-                        work.pop(target, None)
-                    else:
-                        if target not in work:
-                            heapq.heappush(heap, (_heap_key(target), target))
-                        work[target] = s
+            if not all(a >= b for a, b in zip(exps, lt_exps)):
+                rem[exps] = c
+                continue
+            if m != 1:
+                g = m // (math.gcd(m, c) if d == 1 else math.gcd(m, *c))
+                if g != 1:
+                    wden *= g
+                    gg = g if d == 1 else (g, 0)
+                    work = _scale_num(work, gg, d)
+                    quot = _scale_num(quot, gg, d)
+                    rem = _scale_num(rem, gg, d)
+                    c = c * g if d == 1 else (c[0] * g, c[1] * g)
+                q = c // m if d == 1 else (c[0] // m, c[1] // m)
             else:
-                rem[exps] = coeff
-        return Poly(self.nvars, quot), Poly(self.nvars, rem)
+                q = c
+            t_exps = tuple(map(sub, exps, lt_exps))
+            quot[t_exps] = c
+            for d_exps, d_coeff in tail:
+                target = tuple(map(add, t_exps, d_exps))
+                cur = work.get(target)
+                if d == 1:
+                    s = (0 if cur is None else cur) - q * d_coeff
+                    nz = s != 0
+                else:
+                    qa, qb = q
+                    ca, cb = d_coeff
+                    s = (-(qa * ca + d * qb * cb), -(qa * cb + qb * ca))
+                    if cur is not None:
+                        s = (cur[0] + s[0], cur[1] + s[1])
+                    nz = s[0] != 0 or s[1] != 0
+                if nz:
+                    if cur is None:
+                        heapq.heappush(heap, (_heap_key(target), target))
+                    work[target] = s
+                elif cur is not None:
+                    del work[target]
+        quotient = _make(self.nvars, d, quot, wden)
+        if lt_coeff != 1:
+            quotient = quotient.scale(1 / lt_coeff)
+        return quotient, _make(self.nvars, d, rem, wden)
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Exact quotient; raises NotDivisible with the remainder otherwise."""
@@ -306,10 +458,12 @@ class Poly:
 
     def terms_sorted(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in descending grlex order (the canonical serialization)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        d, den = self.d, self.den
+        return [(e, join_scalar(d, self.num[e], den))
+                for e in sorted(self.num, key=grlex_key, reverse=True)]
 
     def to_str(self, names: Sequence[str] | None = None) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         if names is None:
             names = default_names(self.nvars)
@@ -340,6 +494,136 @@ class Poly:
 
     def __repr__(self) -> str:
         return "Poly(%d, %s)" % (self.nvars, self.to_str())
+
+
+_set = object.__setattr__
+
+
+def _init(p: Poly, nvars: int, d: int, num: dict, den: int) -> None:
+    _set(p, "nvars", nvars)
+    _set(p, "d", d)
+    _set(p, "num", num)
+    _set(p, "den", den)
+    _set(p, "_terms", None)
+
+
+def _new(nvars: int, d: int, num: dict, den: int) -> Poly:
+    """A polynomial from numerators already in normal form."""
+    p = object.__new__(Poly)
+    _init(p, nvars, d, num, den)
+    return p
+
+
+def _make(nvars: int, d: int, num: dict, den: int) -> Poly:
+    """A polynomial from nonzero numerators over a positive denominator.
+
+    Demotes to Q when every sqrt part vanishes and divides out the common
+    factor of the denominator and the numerators.
+    """
+    if d != 1 and not any(b for _, b in num.values()):
+        d = 1
+        num = {e: a for e, (a, _) in num.items()}
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = _content(num, d, den)
+            if g != 1:
+                den //= g
+                if d == 1:
+                    num = {e: c // g for e, c in num.items()}
+                else:
+                    num = {e: (a // g, b // g) for e, (a, b) in num.items()}
+    return _new(nvars, d, num, den)
+
+
+def _integral(point: Sequence[Scalar]) -> list[int] | None:
+    out = []
+    for x in point:
+        if isinstance(x, int):
+            out.append(x)
+        elif isinstance(x, Fraction) and x.denominator == 1:
+            out.append(x.numerator)
+        else:
+            return None
+    return out
+
+
+def _evaluate_scalars(p: Poly, point: Sequence[Scalar]) -> Scalar:
+    """Value at a point with non-integral coordinates, in scalar arithmetic."""
+    powers: dict[tuple[int, int], Scalar] = {}
+    total: Scalar = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for i, e in enumerate(exps):
+            if e:
+                pw = powers.get((i, e))
+                if pw is None:
+                    pw = powers[(i, e)] = point[i] ** e
+                term = term * pw
+        total = total + term
+    return total
+
+
+class Powers:
+    """The powers of one polynomial's numerators, grown on demand.
+
+    Power e of a polynomial F = N / f is N^e / f^e; the table keeps the
+    numerator dicts N^e, so substitutions that reuse a form (every term
+    of one polynomial, or every candidate of one Reynolds average) never
+    recompute its powers.
+    """
+
+    __slots__ = ("d", "den", "_pows")
+
+    def __init__(self, form: Poly) -> None:
+        self.d = form.d
+        self.den = form.den
+        one = 1 if form.d == 1 else (1, 0)
+        self._pows = [{(0,) * form.nvars: one}, form.num]
+
+    def get(self, e: int) -> dict:
+        pows = self._pows
+        while len(pows) <= e:
+            pows.append(_mul_num(pows[-1], pows[1], self.d))
+        return pows[e]
+
+
+def substitute_sum(p: Poly, substitutions: Sequence[Sequence[Powers]], nvars: int) -> Poly:
+    """The sum over substitutions of p with table i's form put for variable i.
+
+    All results are accumulated into one numerator dict over one common
+    denominator: a term x^E of p becomes c_E times the product of the
+    tables' powers, scaled by the table denominators the term does not use.
+    """
+    if not p.num:
+        return Poly.zero(nvars)
+    d = p.d
+    for tables in substitutions:
+        for t in tables:
+            d = common_field(d, t.d)
+    top = [max(e[i] for e in p.num) for i in range(p.nvars)]
+    # per substitution the product of den_i^top_i, and the common multiple
+    clears = [math.prod(t.den ** k for t, k in zip(tables, top)) for tables in substitutions]
+    common = math.lcm(*clears)
+    terms = list(_promote(p.num, p.d, d).items())
+    one_exps = (0,) * nvars
+    acc: dict = {}
+    for tables, clear in zip(substitutions, clears):
+        outer = common // clear
+        for exps, c in terms:
+            factor = outer
+            prod = None
+            for t, e, k in zip(tables, exps, top):
+                if e < k:
+                    factor *= t.den ** (k - e)
+                if e:
+                    pw = _promote(t.get(e), t.d, d)
+                    prod = pw if prod is None else _mul_num(prod, pw, d)
+            if prod is None:
+                prod = {one_exps: 1 if d == 1 else (1, 0)}
+            _add_into(acc, prod, c * factor if d == 1 else (c[0] * factor, c[1] * factor), d)
+    return _make(nvars, d, _nonzero(acc, d), p.den * common)
 
 
 def default_names(nvars: int) -> list[str]:

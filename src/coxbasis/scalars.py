@@ -6,18 +6,22 @@ icosahedral group H3 need a real quadratic extension, implemented here as
 ``Quad``: a number a + b*sqrt(d) with exact rational parts and a fixed
 square-free d > 1.
 
-The two kinds interoperate.  Arithmetic between int/Fraction and Quad
-promotes to Quad, and a Quad whose irrational part cancels demotes back to
-Fraction, so downstream code never branches on the scalar type.  It relies
-only on field operations, comparison with 0 and 1, a total (real-number)
-order, and hashability.
+These are the boundary types of the package: parsing and formatting,
+reports, point evaluation, scalar linear algebra and the public API.
+Polynomials and group elements compute on integer numerators instead
+(see ``poly``); ``split_scalar`` and ``join_scalar`` convert between the
+two.  Arithmetic between int/Fraction and Quad promotes to Quad, and a
+Quad whose irrational part cancels demotes back to Fraction, so scalar
+code never branches on the type.  It relies only on field operations,
+comparison with 0 and 1, a total (real-number) order, and hashability.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction, "Quad"]
 
@@ -192,6 +196,69 @@ class Quad:
 
     def __str__(self) -> str:
         return format_scalar(self)
+
+
+def split_scalar(x: Scalar) -> tuple[int, "int | tuple[int, int]", int]:
+    """Integer parts of a scalar: (d, numerator, denominator).
+
+    A rational gives d = 1 and an int numerator; an element a + b*sqrt(d)
+    with b != 0 gives the pair of numerators of a and b over their least
+    common positive denominator.  This and :func:`join_scalar` are the
+    boundary between the scalar types and the integer polynomial kernels.
+    """
+    if isinstance(x, int):
+        return 1, x, 1
+    if isinstance(x, Fraction):
+        return 1, x.numerator, x.denominator
+    if isinstance(x, Quad):
+        a, b = x.a, x.b
+        if b == 0:
+            return 1, a.numerator, a.denominator
+        den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+        return x.d, (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)), den
+    raise TypeError("not an exact scalar: %r" % (x,))
+
+
+def common_field(d1: int, d2: int) -> int:
+    """The field holding both Q(sqrt(d1)) and Q(sqrt(d2)), d = 1 meaning Q."""
+    if d1 == d2 or d2 == 1:
+        return d1
+    if d1 == 1:
+        return d2
+    raise ValueError("mixed quadratic fields: sqrt(%d) vs sqrt(%d)" % (d1, d2))
+
+
+def split_scalars(values: Sequence[Scalar], d: int = 1) -> tuple[int, list, int]:
+    """Integer numerators of several scalars over their least common
+    positive denominator, in the smallest field holding them and Q(sqrt(d)).
+
+    Returns (field, numerators, denominator); the numerators are ints over
+    Q and int pairs otherwise, and the denominator is coprime to them all.
+    """
+    parts = [split_scalar(x) for x in values]
+    for cd, _, _ in parts:
+        d = common_field(d, cd)
+    den = math.lcm(*(cden for _, _, cden in parts))
+    nums = []
+    for cd, cn, cden in parts:
+        f = den // cden
+        if d == 1:
+            nums.append(cn * f)
+        elif cd == 1:
+            nums.append((cn * f, 0))
+        else:
+            nums.append((cn[0] * f, cn[1] * f))
+    return d, nums, den
+
+
+def join_scalar(d: int, num: "int | tuple[int, int]", den: int) -> Scalar:
+    """Inverse of :func:`split_scalar`; a vanishing sqrt part gives a Fraction."""
+    if d == 1:
+        return Fraction(num, den)
+    a, b = num
+    if b == 0:
+        return Fraction(a, den)
+    return Quad(Fraction(a, den), Fraction(b, den), d)
 
 
 def scalar_inverse(x: Scalar) -> Scalar:

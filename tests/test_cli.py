@@ -12,6 +12,7 @@ from coxbasis.cli import (
     EXIT_UNSUPPORTED,
     main,
 )
+from coxbasis.coxeter import parse_type
 
 
 def run(argv, capsys):
@@ -186,3 +187,16 @@ def test_verify_hodge_degrees_flag(capsys):
     assert code == EXIT_OK
     assert "hodge" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("attr", ["group_order", "num_hyperplanes"])
+def test_group_enumeration_alarm_exits_three(attr, capsys, monkeypatch):
+    from coxbasis.coxeter import CoxeterDatum
+
+    wrong = CoxeterDatum.group_order(parse_type("B2")) + 1 if attr == "group_order" else 5
+    replacement = (lambda self: wrong) if attr == "group_order" else property(lambda self: wrong)
+    monkeypatch.setattr(CoxeterDatum, attr, replacement)
+    code, _, err = run(["basis", "--type", "B2", "--m", "1", "--k", "0", "--no-cache"], capsys)
+    assert code == EXIT_CERTIFICATE
+    assert "group enumeration failure" in err
+    assert "Traceback" not in err

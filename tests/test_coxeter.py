@@ -17,11 +17,12 @@ from coxbasis.coxeter import (
     mat_mul,
     normalize_form,
     parse_type,
+    _minus_one_eigenvector,
     reynolds,
     transpose,
 )
 from coxbasis.derivations import Derivation, euler_field
-from coxbasis.errors import OrderBoundExceeded, UnsupportedType
+from coxbasis.errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
 from coxbasis.poly import Poly
 from coxbasis.verify import random_homogeneous_derivation
 
@@ -196,3 +197,22 @@ def test_multiplicity(pipeline):
 def test_order_bound_checked_before_enumeration():
     with pytest.raises(OrderBoundExceeded):
         build_group(parse_type("H3"), order_bound=10)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "H3", "I2(5)", "I2(8)"])
+def test_integer_closure_matches_scalar_closure(label):
+    # the breadth-first closure in Fraction/Quad arithmetic is the reference
+    datum = parse_type(label)
+    group, _ = build_group(datum)
+    ident = identity_matrix(datum.rank)
+    seen = {ident: None}
+    frontier = [ident]
+    while frontier:
+        frontier = [w for w in (mat_mul(g, v) for v in frontier for g in group.generators)
+                    if w not in seen and not seen.setdefault(w)]
+    assert group.elements == tuple(seen)
+
+
+def test_degenerate_reflection_raises_typed_alarm():
+    with pytest.raises(GroupClosureFailed, match="eigenspace"):
+        _minus_one_eigenvector(identity_matrix(3), 3)

@@ -7,8 +7,10 @@ serve the same argument lists in-process through ``coxbasis.cli.main`` on
 one shared invariant cache and compare digests, so a change that moves a
 report byte fails here as well as in the benchmark.  The four high-shift
 requests of the deep-shift workload, where the inverse of the primitive
-connection does most of the work, are served the same way with
-``--no-cache``.  Both files are only read.
+connection does most of the work, and the four rank-4 requests of the
+rank-4 workload, where group enumeration, Reynolds averages and
+certification do, are served the same way with ``--no-cache``.  Both files
+are only read.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ WORKLOADS = _load_workloads()
 # the seed only shuffles the order and seeds the verify suites
 REQUESTS = [argv for argv in WORKLOADS.sweep_requests(0) if argv[0] == "basis"]
 DEEP_SHIFT = WORKLOADS.DEEP_SHIFT
+RANK4 = WORKLOADS.RANK4
 GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["digests"]
 
 
@@ -74,4 +77,14 @@ def test_deep_shift_has_four_basis_requests():
 
 @pytest.mark.parametrize("argv", DEEP_SHIFT, ids=" ".join)
 def test_deep_shift_report_matches_golden_digest(argv):
+    assert _digest(argv + ["--no-cache"]) == GOLDEN[" ".join(argv)]
+
+
+def test_rank4_has_four_basis_requests():
+    assert len(RANK4) == 4
+    assert all(argv[0] == "basis" and " ".join(argv) in GOLDEN for argv in RANK4)
+
+
+@pytest.mark.parametrize("argv", RANK4, ids=" ".join)
+def test_rank4_report_matches_golden_digest(argv):
     assert _digest(argv + ["--no-cache"]) == GOLDEN[" ".join(argv)]

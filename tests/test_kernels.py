@@ -1,0 +1,255 @@
+"""The integer polynomial kernels against a scalar reference.
+
+``Poly`` computes on integer numerators over a common denominator.  The
+reference below is the plain dict-of-scalars arithmetic on ``Fraction`` and
+``Quad`` coefficients that the kernels replaced; it lives only here.  Random
+polynomials over Q, Q(sqrt(5)) and Q(sqrt(2)) are pushed through both, and
+the results must agree term by term.
+"""
+
+from __future__ import annotations
+
+import heapq
+import random
+from fractions import Fraction
+
+import pytest
+
+from coxbasis.coxeter import act, build_group, parse_type, reynolds
+from coxbasis.poly import Poly, grlex_key
+from coxbasis.scalars import Quad, scalar_inverse
+
+FIELDS = [1, 5, 2]
+
+
+# --- the scalar reference -------------------------------------------------
+
+
+def _put(out, exps, value):
+    if value == 0:
+        out.pop(exps, None)
+    else:
+        out[exps] = value
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exps, c in b.items():
+        _put(out, exps, out.get(exps, 0) + c)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            _put(out, exps, out.get(exps, 0) + c1 * c2)
+    return out
+
+
+def ref_partial(a, i):
+    out = {}
+    for exps, c in a.items():
+        if exps[i]:
+            out[exps[:i] + (exps[i] - 1,) + exps[i + 1:]] = c * exps[i]
+    return out
+
+
+def ref_substitute(a, forms, nvars):
+    out = {}
+    for exps, c in a.items():
+        term = {(0,) * nvars: c}
+        for f, e in zip(forms, exps):
+            for _ in range(e):
+                term = ref_mul(term, f)
+        out = ref_add(out, term)
+    return out
+
+
+def ref_evaluate(a, point):
+    total = Fraction(0)
+    for exps, c in a.items():
+        term = c
+        for x, e in zip(point, exps):
+            term = term * x ** e
+        total = total + term
+    return total
+
+
+def ref_divrem(a, b):
+    lt = max(b, key=grlex_key)
+    inv = scalar_inverse(b[lt])
+    work = dict(a)
+    heap = [(-sum(e), tuple(-x for x in e)) for e in work]
+    heapq.heapify(heap)
+    quot, rem = {}, {}
+    while heap:
+        key = heapq.heappop(heap)
+        exps = tuple(-x for x in key[1])
+        c = work.pop(exps, None)
+        if c is None:
+            continue
+        if all(x >= y for x, y in zip(exps, lt)):
+            t = tuple(x - y for x, y in zip(exps, lt))
+            q = c * inv
+            quot[t] = q
+            for e2, c2 in b.items():
+                if e2 != lt:
+                    target = tuple(x + y for x, y in zip(t, e2))
+                    if target not in work:
+                        heapq.heappush(heap, (-sum(target), tuple(-x for x in target)))
+                    _put(work, target, work.get(target, 0) - q * c2)
+        else:
+            rem[exps] = c
+    return quot, rem
+
+
+# --- random inputs --------------------------------------------------------
+
+
+def random_scalar(rng: random.Random, d: int):
+    a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    if d == 1 or rng.random() < 0.3:
+        return a
+    return Quad(a, Fraction(rng.randint(-4, 4), rng.randint(1, 3)), d)
+
+
+def random_terms(rng: random.Random, nvars: int, d: int, nterms: int, max_deg: int = 3):
+    out = {}
+    for _ in range(nterms):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        c = random_scalar(rng, d)
+        if c != 0:
+            out[exps] = c
+    return out
+
+
+def same(poly: Poly, terms: dict) -> bool:
+    """The kernel result equals the reference, as a polynomial and term-wise."""
+    return poly == Poly(poly.nvars, terms) and poly.terms == {e: c for e, c in terms.items() if c != 0}
+
+
+# --- differential tests ---------------------------------------------------
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_mul_and_add_match_reference(d):
+    rng = random.Random(100 + d)
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        a = random_terms(rng, n, d, rng.randint(0, 7))
+        b = random_terms(rng, n, d, rng.randint(0, 7))
+        pa, pb = Poly(n, a), Poly(n, b)
+        assert same(pa * pb, ref_mul(a, b))
+        assert same(pa + pb, ref_add(a, b))
+        assert same(pa - pb, ref_add(a, {e: -c for e, c in b.items()}))
+
+
+def test_mul_mixes_rational_and_quadratic():
+    rng = random.Random(3)
+    a = random_terms(rng, 3, 1, 6)
+    b = random_terms(rng, 3, 5, 6)
+    assert same(Poly(3, a) * Poly(3, b), ref_mul(a, b))
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        Poly.constant(1, Quad(0, 1, 5)) * Poly.constant(1, Quad(0, 1, 2))
+
+
+def test_cancelled_sqrt_parts_demote_to_rationals():
+    s5 = Poly.constant(2, Quad(0, 1, 5))
+    square = s5 * s5
+    assert square.d == 1 and square == Poly.constant(2, 5)
+    assert (s5 - s5).is_zero
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_partial_matches_reference(d):
+    rng = random.Random(200 + d)
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        a = random_terms(rng, n, d, rng.randint(0, 8), max_deg=4)
+        i = rng.randrange(n)
+        assert same(Poly(n, a).partial(i), ref_partial(a, i))
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_substitute_matches_reference(d):
+    rng = random.Random(300 + d)
+    for _ in range(15):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, 3)
+        a = random_terms(rng, n, d, rng.randint(0, 5))
+        forms = [random_terms(rng, m, d, rng.randint(0, 3), max_deg=1) for _ in range(n)]
+        result = Poly(n, a).substitute([Poly(m, f) for f in forms])
+        assert same(result, ref_substitute(a, forms, m))
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_evaluate_matches_reference(d):
+    rng = random.Random(400 + d)
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        a = random_terms(rng, n, d, rng.randint(0, 8), max_deg=4)
+        p = Poly(n, a)
+        ints = tuple(rng.randint(-5, 5) for _ in range(n))
+        fracs = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+        quads = tuple(random_scalar(rng, 5 if d == 1 else d) for _ in range(n))
+        for point in (ints, fracs, quads):
+            assert p.evaluate(point) == ref_evaluate(a, point)
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_divrem_matches_reference(d):
+    rng = random.Random(500 + d)
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        a = random_terms(rng, n, d, rng.randint(0, 8))
+        b = {}
+        while not b:
+            b = random_terms(rng, n, d, rng.randint(1, 3), max_deg=2)
+        quot, rem = Poly(n, a).divrem(Poly(n, b))
+        ref_q, ref_r = ref_divrem(a, b)
+        assert same(quot, ref_q)
+        assert same(rem, ref_r)
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_exact_division_by_fractional_forms(d):
+    # forms whose monic numerators are not integral force the rescaling path
+    rng = random.Random(600 + d)
+    for _ in range(15):
+        n = rng.randint(2, 3)
+        form = {tuple(1 if j == i else 0 for j in range(n)): random_scalar(rng, d)
+                for i in range(n)}
+        form = {e: c for e, c in form.items() if c != 0} or {(1,) + (0,) * (n - 1): Fraction(2, 3)}
+        q = random_terms(rng, n, d, rng.randint(1, 6))
+        if not q:
+            continue
+        alpha = Poly(n, form)
+        product = Poly(n, q) * alpha
+        assert product.divide_exact(alpha) == Poly(n, q)
+        quot, rem = (product + Poly.constant(n, Fraction(1, 7))).divrem(alpha)
+        ref_q, ref_r = ref_divrem(ref_add(ref_mul(q, form), {(0,) * n: Fraction(1, 7)}), form)
+        assert same(quot, ref_q) and same(rem, ref_r)
+
+
+def test_representation_is_canonical():
+    p = Poly(2, {(1, 0): Fraction(2, 3), (0, 1): Fraction(4, 9)})
+    assert p.den == 9 and p.num == {(1, 0): 6, (0, 1): 4}
+    q = Poly(2, {(1, 0): Quad(Fraction(1, 2), Fraction(1, 2), 5)})
+    assert (q.d, q.den, q.num) == (5, 2, {(1, 0): (1, 1)})
+    # the same polynomial reached two ways has one representation
+    assert (p * Poly.constant(2, 3)).scale(Fraction(1, 3)).num == p.num
+    assert hash(p + p - p) == hash(p)
+
+
+def test_reynolds_matches_the_average_of_actions():
+    rng = random.Random(9)
+    for label in ("B3", "H3", "I2(8)"):
+        group, _ = build_group(parse_type(label))
+        n = group.rank
+        p = Poly(n, random_terms(rng, n, group.datum.disc, 3))
+        total = Poly.zero(n)
+        for w in group.elements:
+            total = total + act(w, p)
+        assert reynolds(group, p) == total.scale(Fraction(1, group.order))

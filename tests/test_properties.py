@@ -1,0 +1,88 @@
+"""Property tests of polynomials, scalars and the group action.
+
+They need hypothesis and are skipped without it: the ring axioms, the
+division identity, the report format round trip, and the action of the
+group composing along its closure.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from coxbasis.coxeter import act, build_group, mat_mul, parse_type
+from coxbasis.poly import Poly
+from coxbasis.report import poly_from_json, poly_to_json
+from coxbasis.scalars import Quad, format_scalar, parse_scalar
+
+FIELDS = [1, 5, 2]
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given, settings = hypothesis.given, hypothesis.settings
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def polys(draw, nvars=2, field=None):
+    d = draw(st.sampled_from(FIELDS)) if field is None else field
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(nvars))
+        a = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        b = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) if d > 1 else 0
+        terms[exps] = Quad(a, b, d) if b else a
+    return Poly(nvars, terms)
+
+
+@SETTINGS
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(polys(field=d), polys(field=d),
+                                                           polys(field=d))))
+def test_ring_axioms(triple):
+    a, b, c = triple
+    zero, one = Poly.zero(2), Poly.constant(2, 1)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a - a).is_zero
+
+
+@SETTINGS
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(polys(field=d), polys(field=d))))
+def test_divrem_identity(pair):
+    p, divisor = pair
+    hypothesis.assume(not divisor.is_zero)
+    quot, rem = p.divrem(divisor)
+    assert quot * divisor + rem == p
+    lt, _ = divisor.leading_term()
+    assert not any(all(x >= y for x, y in zip(e, lt)) for e in rem.terms)
+
+
+@SETTINGS
+@given(polys(nvars=3))
+def test_format_parse_round_trip(p):
+    assert poly_from_json(json.loads(json.dumps(poly_to_json(p))), 3) == p
+    for c in p.terms.values():
+        assert parse_scalar(format_scalar(c)) == c
+
+
+@pytest.fixture(scope="module")
+def groups():
+    return {label: build_group(parse_type(label))[0] for label in ("B3", "H3", "I2(8)")}
+
+
+@SETTINGS
+@given(label=st.sampled_from(["B3", "H3", "I2(8)"]), data=st.data())
+def test_action_composes_along_the_closure(groups, label, data):
+    group = groups[label]
+    n = group.rank
+    w1 = data.draw(st.sampled_from(group.elements))
+    w2 = data.draw(st.sampled_from(group.elements))
+    p = data.draw(polys(nvars=n, field=group.datum.disc))
+    w12 = mat_mul(w1, w2)
+    assert w12 in group.elements
+    assert act(w1, act(w2, p)) == act(w12, p)
