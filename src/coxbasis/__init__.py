@@ -9,10 +9,8 @@ determinant factorization.
 
 from .basis import BasisRequest, BasisResult, base_basis, build_basis
 from .certify import (Certificate, contact_order, graded_dimension,
-                      graded_member_basis, hodge_equality_check, nabla_partial_P,
-                      ziegler_certify)
-from .connection import (nabla_D, nabla_D_inverse, primitive_numerator,
-                         universal_field)
+                      graded_member_basis, ziegler_certify)
+from .connection import nabla_D, nabla_D_inverse, nabla_partial_P, universal_field
 from .coxeter import (Arrangement, CoxeterDatum, Multiplicity, ReflectionGroup,
                       act, act_derivation, build_group, make_datum, parse_type,
                       reynolds)
@@ -21,9 +19,10 @@ from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError,
                      JacobianDegenerate, NoSolution, NonUniqueSolution, NotABasis,
                      NotDivisible, NotPolynomial, OrderBoundExceeded,
                      UnsupportedType)
-from .invariants import InvariantSystem, compute_invariants, gradient_basis, partial_P_field
+from .invariants import InvariantSystem, compute_invariants, partial_P_field
 from .poly import Poly, linear_form_order
 from .scalars import Quad, format_scalar, parse_scalar
+from .verify import hodge_equality_check
 
 __version__ = "0.1.0"
 
@@ -35,9 +34,8 @@ __all__ = [
     "OrderBoundExceeded", "Poly", "Quad", "ReflectionGroup", "UnsupportedType",
     "act", "act_derivation", "base_basis", "build_basis", "build_group",
     "compute_invariants", "contact_order", "euler_field", "format_scalar",
-    "graded_dimension", "graded_member_basis", "gradient_basis",
-    "hodge_equality_check", "linear_form_order", "make_datum", "nabla",
+    "graded_dimension", "graded_member_basis", "hodge_equality_check",
+    "linear_form_order", "make_datum", "nabla",
     "nabla_D", "nabla_D_inverse", "nabla_partial_P", "parse_scalar", "parse_type",
-    "partial_P_field", "primitive_numerator", "reynolds", "universal_field",
-    "ziegler_certify",
+    "partial_P_field", "reynolds", "universal_field", "ziegler_certify",
 ]

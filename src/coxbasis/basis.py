@@ -13,7 +13,6 @@ the constructed members is an internal alarm, not a user error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .certify import Certificate, graded_member_basis, ziegler_certify
@@ -22,9 +21,8 @@ from .coxeter import Arrangement, Multiplicity, ReflectionGroup
 from .derivations import Derivation, nabla
 from .errors import CertificateFailed, NotABasis
 from .invariants import InvariantSystem
-from .linalg import Echelon, rref
+from .linalg import Echelon, coefficient_vector, monomial_columns, rref
 from .poly import Poly, monomials_of_degree
-from .scalars import Scalar
 
 BASE_SOURCES = ("auto", "coordinate", "gradient", "oracle", "user")
 
@@ -141,26 +139,16 @@ def _oracle_search(mult: Multiplicity, arr: Arrangement) -> tuple[Derivation, ..
         piece = graded_member_basis(mult, degree, arr)
         if not piece:
             continue
-        monos = list(monomials_of_degree(n, degree))
-        index = {(i, e): k for k, (i, e) in
-                 enumerate((i, e) for i in range(n) for e in monos)}
-
-        def vectorize(delta: Derivation) -> list[Scalar]:
-            v: list[Scalar] = [Fraction(0)] * len(index)
-            for i, f in enumerate(delta.coeffs):
-                for exps, coeff in f.terms.items():
-                    v[index[(i, exps)]] = coeff
-            return v
-
-        span_rows: list[list[Scalar]] = []
+        columns = monomial_columns(n, n, degree)
+        span_rows = []
         for gen in generators:
             shift = degree - gen.degree()
             for exps in monomials_of_degree(n, shift):
-                span_rows.append(vectorize(gen * Poly.monomial(n, exps)))
+                span_rows.append(coefficient_vector((gen * Poly.monomial(n, exps)).coeffs, columns))
         reduced, pivots = rref(span_rows) if span_rows else ([], [])
         echelon = Echelon(zip(pivots, reduced))
         for cand in piece:
-            if echelon.add(vectorize(cand)) is None:
+            if echelon.add(coefficient_vector(cand.coeffs, columns)) is None:
                 continue
             generators.append(cand)
             if len(generators) > n:
@@ -174,7 +162,7 @@ def _oracle_search(mult: Multiplicity, arr: Arrangement) -> tuple[Derivation, ..
 def build_basis(request: BasisRequest) -> BasisResult:
     """Build and certify the basis for the shifted multiplicity."""
     source, base, base_cert = base_basis(request)
-    univ = universal_field(request.k, request.system, request.group)
+    univ = universal_field(request.k, request.system)
     members = tuple(nabla(delta, univ) for delta in base)
     shifted = request.multiplicity.shifted(2 * request.k)
     cert = ziegler_certify(members, shifted, request.arrangement)

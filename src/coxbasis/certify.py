@@ -17,9 +17,8 @@ The recorded determinant witness is c times prod_H alpha_H^{m(H)}; the
 polynomial determinant is never expanded.
 
 The module also provides direct graded dimensions of the derivation
-module (by linear algebra on one graded piece, no basis needed), the
-connection along the lower invariant directions, and the comparison
-between antiderivative images and high-contact-order invariant fields.
+module, by linear algebra on one graded piece with no basis needed: the
+contact-order conditions become linear rows (`order_constraint_rows`).
 """
 
 from __future__ import annotations
@@ -29,11 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coxeter import Arrangement, Multiplicity, ReflectionGroup
+from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation, coefficient_matrix
-from .errors import NotDivisible, NotPolynomial
-from .invariants import InvariantSystem
-from .linalg import det, kernel_basis, rank
+from .linalg import det, kernel_basis
 from .poly import (Poly, count_monomials, linear_form_order, monomials_of_degree,
                    point_off, product)
 from .scalars import Scalar, scalar_inverse
@@ -142,7 +139,7 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int,
     for h, m in zip(arrangement.hyperplanes, multiplicity.values):
         if m <= 0:
             continue
-        rows.extend(_order_constraint_rows(
+        rows.extend(order_constraint_rows(
             [_apply_to_form(i, e, h.coeffs, n) for (i, e) in unknowns],
             h.coeffs, m, n))
     fields = []
@@ -160,8 +157,8 @@ def _apply_to_form(i: int, exps: tuple[int, ...], alpha: Sequence[Scalar], n: in
     return Poly.monomial(n, exps, alpha[i])
 
 
-def _order_constraint_rows(applied: list[Poly], alpha: Sequence[Scalar], m: int,
-                           n: int) -> list[list[Scalar]]:
+def order_constraint_rows(applied: list[Poly], alpha: Sequence[Scalar], m: int,
+                          n: int) -> list[list[Scalar]]:
     """Rows forcing alpha^m to divide a field applied to alpha.
 
     ``applied`` holds, per unknown, the polynomial the unknown contributes.
@@ -205,89 +202,3 @@ def free_module_graded_dimension(member_degrees: Sequence[int], degree: int,
                                  nvars: int) -> int:
     """Graded dimension predicted by a free basis with the given degrees."""
     return sum(count_monomials(nvars, degree - d) for d in member_degrees)
-
-
-def nabla_partial_P(delta: Derivation, j: int, system: InvariantSystem) -> Derivation:
-    """Covariant derivative along d/dP_j; NotPolynomial when it leaves
-    the polynomial fields."""
-    from .connection import partial_P_numerator
-
-    coeffs = []
-    for i, f in enumerate(delta.coeffs):
-        num = partial_P_numerator(f, j, system)
-        try:
-            coeffs.append(num.divide_exact(system.jacobian))
-        except NotDivisible as exc:
-            raise NotPolynomial(
-                "component %d of the derivative along invariant direction %d "
-                "is not polynomial" % (i, j), coordinate=i, remainder=exc.remainder) from exc
-    return Derivation(coeffs)
-
-
-def invariant_graded_dimension(system: InvariantSystem, arrangement: Arrangement,
-                               degree: int, min_order: int) -> int:
-    """Dimension of the invariant fields of one degree with contact order
-    at least min_order at every hyperplane."""
-    from .connection import invariant_field_basis
-
-    basis = invariant_field_basis(system, degree)
-    if not basis:
-        return 0
-    n = system.nvars
-    rows: list[list[Scalar]] = []
-    for h in arrangement.hyperplanes:
-        applied = [fld.apply(h.form) for _, fld in basis]
-        rows.extend(_order_constraint_rows(applied, h.coeffs, min_order, n))
-    return len(kernel_basis(rows, len(basis)))
-
-
-def hodge_equality_check(k: int, source_degrees: Sequence[int], system: InvariantSystem,
-                         group: ReflectionGroup, arrangement: Arrangement) -> dict:
-    """Compare k-fold antiderivative images with high-order invariant fields.
-
-    For each source degree d, the invariant fields of degree d are mapped
-    through the k-fold inverse of nabla_D; the dimension of the image is
-    compared with the dimension of the invariant fields of degree d + k*h
-    having contact order at least 2k+1 everywhere.
-    """
-    from .connection import invariant_field_basis, nabla_D_inverse
-
-    h = system.coxeter_number
-    entries = []
-    for d in source_degrees:
-        basis = [fld for _, fld in invariant_field_basis(system, d)]
-        images = []
-        for fld in basis:
-            img = fld
-            for _ in range(k):
-                img = nabla_D_inverse(img, system, group)
-            images.append(img)
-        image_dim = _derivation_rank(images, system.nvars)
-        target = d + k * h
-        kernel_dim = invariant_graded_dimension(system, arrangement, target, 2 * k + 1)
-        entries.append({
-            "source_degree": d,
-            "target_degree": target,
-            "image_dimension": image_dim,
-            "invariant_kernel_dimension": kernel_dim,
-            "equal": image_dim == kernel_dim,
-        })
-    return {"k": k, "entries": entries, "all_equal": all(e["equal"] for e in entries)}
-
-
-def _derivation_rank(fields: Sequence[Derivation], n: int) -> int:
-    monomials: dict[tuple[int, tuple[int, ...]], int] = {}
-    for fld in fields:
-        for i, f in enumerate(fld.coeffs):
-            for exps in f.terms:
-                monomials.setdefault((i, exps), len(monomials))
-    if not monomials:
-        return 0
-    rows = []
-    for fld in fields:
-        row: list[Scalar] = [Fraction(0)] * len(monomials)
-        for i, f in enumerate(fld.coeffs):
-            for exps, coeff in f.terms.items():
-                row[monomials[(i, exps)]] = coeff
-        rows.append(row)
-    return rank(rows)

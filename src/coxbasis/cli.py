@@ -6,10 +6,10 @@ Three subcommands:
   basis               build and certify a basis for a shifted multiplicity
   verify              run seeded exact property suites
 
-Exit codes: 0 success, 1 verification or structural failure, 2 a proposed
-base is not a basis, 3 a certificate failed on a constructed basis or a
-group enumeration did not match its type (internal alarms), 4 unsupported
-input or an exceeded budget.
+Exit codes: 0 success, 1 verification or structural failure or invalid
+arguments, 2 a proposed base is not a basis, 3 a certificate failed on a
+constructed basis or a group enumeration did not match its type (internal
+alarms), 4 unsupported input or an exceeded budget.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ from .coxeter import (DEFAULT_ORDER_BOUND, Multiplicity, build_group, parse_type
 from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError, GroupClosureFailed,
                      NoSolution, NonUniqueSolution, NotABasis, OrderBoundExceeded,
                      UnsupportedType)
-from .invariants import compute_invariants, jacobian_factors
+from .invariants import compute_invariants, invariant_field_basis, jacobian_factors
 from .report import (SCHEMA_VERIFY, basis_report, derivation_from_json, dump_report,
-                     multiplicity_from_json)
+                     group_to_json, multiplicity_from_json)
+from .scalars import format_scalar
 from . import verify as suites
 
 EXIT_OK = 0
@@ -98,9 +99,6 @@ def cmd_info(args: argparse.Namespace) -> int:
         problems.append("second-highest degree is not below the Coxeter number")
     if not jacobian_factors(system, arrangement):
         problems.append("Jacobian is not a scalar multiple of the defining polynomial")
-
-    from .report import group_to_json
-    from .scalars import format_scalar
 
     info = group_to_json(group, arrangement)
     info["invariant_degrees"] = list(system.degrees)
@@ -190,8 +188,6 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _hodge_default_degrees(system) -> list[int]:
-    from .connection import invariant_field_basis
-
     out = []
     d = 0
     while len(out) < 2 and d <= 2 * system.coxeter_number:
@@ -241,8 +237,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_FAIL
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; argparse's own 2 means "not a basis" here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FAIL, "%s: error: %s\n" % (self.prog, message))
+
+
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="coxbasis",
         description="exact bases for derivation modules of Coxeter arrangements")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -260,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="constant base multiplicity")
     p_basis.add_argument("--mfile", type=str, default=None,
                          help="JSON file with per_orbit or per_hyperplane values")
-    p_basis.add_argument("--k", type=int, default=1,
+    p_basis.add_argument("--k", type=_nonnegative, default=1,
                          help="number of antiderivative steps")
     p_basis.add_argument("--base", choices=BASE_SOURCES, default="auto",
                          help="where the base basis comes from")
@@ -276,9 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rank", type=int, default=None)
     p_verify.add_argument("--suite", choices=("euler", "jacobian", "shift", "hodge", "all"),
                           default="all")
-    p_verify.add_argument("--samples", type=int, default=20)
+    p_verify.add_argument("--samples", type=_nonnegative, default=20)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--k", type=int, default=1, help="shift for the hodge suite")
+    p_verify.add_argument("--k", type=_nonnegative, default=1,
+                          help="shift for the hodge suite")
     p_verify.add_argument("--degrees", type=str, default=None,
                           help="comma separated source degrees for the hodge suite")
     _add_common(p_verify)

@@ -1,11 +1,11 @@
-"""The primitive direction of the connection and its inverse.
+"""The connection along the invariant directions and its primitive inverse.
 
-With basic invariants P_1 .. P_l fixed, the primitive derivation is
-D = d/dP_l.  Applying the connection along D to a polynomial field is
-exact division by the Jacobian: the numerator of D(f) is the determinant
-of the Jacobian matrix with its last column replaced by the partials of
-f, equivalently sum_k C[k][l-1] df/dx_k over the cofactors, and nabla_D
-divides that by J coordinate-wise.
+With basic invariants P_1 .. P_l fixed, the field d/dP_j has the
+polynomial numerator `partial_P_field` over the Jacobian J.  Applying the
+connection along d/dP_j to a polynomial field is exact division by J:
+`nabla_partial_P` applies the numerator field to each coefficient and
+divides the result by J.  The primitive derivation is D = d/dP_l, and
+nabla_D is the case j = l - 1.
 
 The inverse direction solves nabla_D(delta') = delta inside the module of
 invariant fields.  Invariant polynomial fields decompose uniquely as
@@ -31,68 +31,35 @@ import math
 import random
 from typing import Iterator
 
-from .coxeter import ReflectionGroup
 from .derivations import Derivation, euler_field
 from .errors import NoSolution, NonUniqueSolution, NotDivisible, NotPolynomial
-from .invariants import InvariantSystem
+from .invariants import InvariantSystem, partial_P_field
 from .linalg import Echelon
 from .poly import Poly
 from .scalars import Scalar
 
 
-def partial_P_numerator(f: Poly, j: int, system: InvariantSystem) -> Poly:
-    """Numerator of (d/dP_j)(f), via column j of the cofactor matrix."""
-    n = system.nvars
-    out = Poly.zero(n)
-    for cof, k in zip(system.cofactor_column(j), range(n)):
-        if cof.is_zero:
-            continue
-        part = f.partial(k)
-        if not part.is_zero:
-            out = out + cof * part
-    return out
-
-
-def primitive_numerator(f: Poly, system: InvariantSystem) -> Poly:
-    """Numerator of D(f): the last Jacobian column replaced by grad f."""
-    return partial_P_numerator(f, system.nvars - 1, system)
-
-
-def nabla_D(delta: Derivation, system: InvariantSystem) -> Derivation:
-    """Covariant derivative along the primitive direction.
+def nabla_partial_P(delta: Derivation, j: int, system: InvariantSystem) -> Derivation:
+    """Covariant derivative along d/dP_j (j counted from 0).
 
     Raises NotPolynomial with the offending coordinate and remainder when
     some component of the result is not polynomial.
     """
+    field, jacobian = partial_P_field(system, j)
     coeffs = []
     for i, f in enumerate(delta.coeffs):
-        num = primitive_numerator(f, system)
         try:
-            coeffs.append(num.divide_exact(system.jacobian))
+            coeffs.append(field.apply(f).divide_exact(jacobian))
         except NotDivisible as exc:
             raise NotPolynomial(
-                "component %d of the derivative along the primitive direction "
-                "is not polynomial" % i, coordinate=i, remainder=exc.remainder) from exc
+                "component %d of the derivative along d/dP_%d is not polynomial"
+                % (i, j + 1), coordinate=i, remainder=exc.remainder) from exc
     return Derivation(coeffs)
 
 
-def invariant_field_basis(system: InvariantSystem, degree: int) -> list[tuple[tuple[int, int, tuple[int, ...]], Derivation]]:
-    """Basis of the invariant polynomial fields of one coefficient degree.
-
-    Every invariant field of degree d is uniquely sum_j g_j grad(P_j)
-    with g_j an invariant polynomial of degree d - (deg P_j - 1).  The
-    basis therefore consists of invariant monomials times gradients; each
-    entry is keyed by (j, degree of g, exponents of g).
-    """
-    out = []
-    for j, d in enumerate(system.degrees):
-        g_degree = degree - (d - 1)
-        if g_degree < 0:
-            continue
-        for exps in system.invariant_exponents(g_degree):
-            g = system.expand(exps)
-            out.append(((j, g_degree, exps), system.gradients[j] * g))
-    return out
+def nabla_D(delta: Derivation, system: InvariantSystem) -> Derivation:
+    """Covariant derivative along the primitive direction D = d/dP_l."""
+    return nabla_partial_P(delta, system.nvars - 1, system)
 
 
 # the inverse evaluates at a fixed stream of small integer points in general
@@ -152,13 +119,12 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
             return
 
 
-def nabla_D_inverse(delta: Derivation, system: InvariantSystem,
-                    group: ReflectionGroup) -> Derivation:
+def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
     """Solve nabla_D(delta') = delta for an invariant homogeneous delta.
 
     The unknowns are the coefficients of delta' = sum_j g_j(P) grad(P_j)
-    in degree deg(delta) + h, keyed like `invariant_field_basis`.  Their
-    equations come from exact evaluation at points where J does not
+    in degree deg(delta) + h, keyed like `invariants.invariant_field_basis`.
+    Their equations come from exact evaluation at points where J does not
     vanish (`_evaluated_rows`), reduced into one incremental echelon until
     its rank equals the number of unknowns, which proves the solution
     unique.  The solution is then built in coordinates and re-verified
@@ -168,9 +134,9 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem,
     evaluated equation is inconsistent, or the unique candidate fails the
     re-check.  Every candidate is invariant and nabla_D keeps fields
     invariant, so the re-check rejects a non-invariant input without a
-    separate invariance test; ``group`` is not consulted.  NonUniqueSolution
-    signals that the rank stayed short after `_SPARE_POINTS` more points
-    than unknowns; it is an internal alarm.
+    separate invariance test.  NonUniqueSolution signals that the rank
+    stayed short after `_SPARE_POINTS` more points than unknowns; it is
+    an internal alarm.
     """
     n = system.nvars
     if delta.is_zero:
@@ -217,11 +183,11 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem,
     return out
 
 
-def universal_field(k: int, system: InvariantSystem, group: ReflectionGroup) -> Derivation:
+def universal_field(k: int, system: InvariantSystem) -> Derivation:
     """The k-fold primitive antiderivative of the Euler field."""
     if k < 0:
         raise ValueError("negative antiderivative count")
     field = euler_field(system.nvars)
     for _ in range(k):
-        field = nabla_D_inverse(field, system, group)
+        field = nabla_D_inverse(field, system)
     return field

@@ -72,8 +72,6 @@ class CoxeterDatum:
         return "Q" if self.disc == 1 else "Q(sqrt(%d))" % self.disc
 
     def group_order(self) -> int:
-        import math
-
         f, n = self.family, self.rank
         if f == "A":
             return math.factorial(n + 1)
@@ -184,6 +182,8 @@ def make_datum(family: str, rank: int, param: int | None = None) -> CoxeterDatum
 def parse_type(text: str, rank: int | None = None) -> CoxeterDatum:
     """Parse a type label such as ``B3``, ``I2(5)``, or (``A``, rank=2)."""
     t = text.strip().upper().replace(" ", "")
+    if not t:
+        raise UnsupportedType("empty type label")
     if t.startswith("I2"):
         rest = t[2:].strip("()")
         m = int(rest) if rest else (rank if rank is not None else 0)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import PolyMatrix
-from .poly import Poly
+from .poly import Poly, default_names
 from .scalars import Quad, Scalar
 
 
@@ -112,8 +112,6 @@ class Derivation:
         return degs.pop()
 
     def to_str(self, names: Sequence[str] | None = None) -> str:
-        from .poly import default_names
-
         if names is None:
             names = default_names(self.nvars)
         parts = []

@@ -13,10 +13,15 @@ basic degrees has determinant J = c * Q, with Q the defining polynomial
 of the arrangement and c a scalar, nonzero exactly when the invariants
 are basic.  So c is found by evaluating M at one rational point off the
 arrangement, c = det M(p) / Q(p), and J is recorded as c * Q without
-expanding the determinant.  The cofactors of M drive both the coordinate
-expression of the fields d/dP_j (column j of the cofactor matrix over J)
-and therefore the whole connection layer.  Each cofactor column is
-expanded on first use; the pipeline reads only the primitive one, j = l - 1.
+expanding the determinant.  The cofactors of M give the coordinate
+expression of the fields d/dP_j: `partial_P_field` (column j of the
+cofactor matrix over J) is their one definition, and the connection layer
+divides its action by J.  Each cofactor column is expanded on first use;
+the pipeline reads only the primitive one, j = l - 1.
+
+The invariant fields of one degree have the basis g(P) grad P_j over
+invariant monomials g (`invariant_field_basis`); the connection's inverse
+and the Hodge comparison both work in it.
 
 Systems can be cached to disk as JSON, keyed by type, rank and field,
 with every coefficient stored as an exact string.  A loaded system is
@@ -38,9 +43,9 @@ from typing import Iterator, Sequence
 from .coxeter import Arrangement, ReflectionGroup, act, reynolds
 from .derivations import Derivation
 from .errors import JacobianDegenerate
-from .linalg import Echelon, PolyMatrix, det
-from .poly import Poly, monomials_of_degree, point_off
-from .scalars import Scalar, format_scalar, parse_scalar, scalar_inverse
+from .linalg import Echelon, PolyMatrix, coefficient_vector, det, monomial_columns
+from .poly import Poly, monomials_of_degree, point_off, poly_from_json, poly_to_json
+from .scalars import Scalar, format_scalar, scalar_inverse
 
 
 class InvariantSystem:
@@ -94,10 +99,8 @@ class InvariantSystem:
         Only the connection's inverse needs these, so they are computed on
         first use, never by cache loading or `info`.
         """
-        from .connection import primitive_numerator
-
-        return tuple(tuple(primitive_numerator(f, self) for f in g.coeffs)
-                     for g in self.gradients)
+        field, _ = partial_P_field(self, self.nvars - 1)
+        return tuple(tuple(field.apply(f) for f in g.coeffs) for g in self.gradients)
 
     def power(self, j: int, e: int) -> Poly:
         """P_j**e with caching; these powers recur in every expansion."""
@@ -131,7 +134,7 @@ class InvariantSystem:
             "label": self.label,
             "nvars": self.nvars,
             "degrees": list(self.degrees),
-            "polys": [_poly_to_json(p) for p in self.polys],
+            "polys": [poly_to_json(p) for p in self.polys],
             "jacobian_scalar": format_scalar(self.jacobian_scalar),
         }
 
@@ -167,19 +170,6 @@ def _weighted_exponents(weights: Sequence[int], total: int) -> Iterator[tuple[in
     for e in range(total // w, -1, -1):
         for rest in _weighted_exponents(weights[1:], total - e * w):
             yield (e,) + rest
-
-
-def _poly_to_json(p: Poly) -> list:
-    return [[list(exps), format_scalar(coeff)] for exps, coeff in p.terms_sorted()]
-
-
-def _poly_from_json(data: list, nvars: int) -> Poly:
-    terms = {}
-    for exps, coeff in data:
-        if not isinstance(coeff, str) or not all(type(e) is int and e >= 0 for e in exps):
-            raise TypeError("malformed polynomial term %r" % ([exps, coeff],))
-        terms[tuple(exps)] = parse_scalar(coeff)
-    return Poly(nvars, terms)
 
 
 def jacobian_matrix(polys: Sequence[Poly]) -> PolyMatrix:
@@ -252,14 +242,8 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
             return polys if det(jacobian_matrix(polys).evaluate(point)) != 0 else None
         degree, count = levels[level]
         cands = candidates_at(degree)
-        monos = list(monomials_of_degree(n, degree))
-        index = {m: k for k, m in enumerate(monos)}
-
-        def vectorize(p: Poly) -> list[Scalar]:
-            v: list[Scalar] = [Fraction(0)] * len(monos)
-            for exps, coeff in p.terms.items():
-                v[index[exps]] = coeff
-            return v
+        columns = monomial_columns(1, n, degree)
+        monos = [e for _, e in columns]
 
         # echelon spanning the subalgebra of lower invariants at this degree
         echelon = Echelon()
@@ -268,7 +252,7 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
             prod = Poly.constant(n, Fraction(1))
             for (_, p), e in zip(chosen, exps):
                 prod = prod * p ** e
-            echelon.add(vectorize(prod))
+            echelon.add(coefficient_vector((prod,), columns))
 
         def pick(start: int, picked: list[Poly]) -> list[Poly] | None:
             if len(picked) == count:
@@ -278,7 +262,7 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
                 cand = cands.get(idx)
                 if cand is None:
                     return None
-                red = echelon.reduce(vectorize(cand))
+                red = echelon.reduce(coefficient_vector((cand,), columns))
                 idx += 1
                 if all(a == 0 for a in red):
                     continue
@@ -328,11 +312,6 @@ def _finish_system(label: str, nvars: int, degrees: tuple[int, ...], polys: tupl
                            m, tuple(gradients))
 
 
-def gradient_basis(system: InvariantSystem) -> tuple[Derivation, ...]:
-    """Gradient fields of the basic invariants; a Saito basis for m = 1."""
-    return system.gradients
-
-
 def partial_P_field(system: InvariantSystem, j: int) -> tuple[Derivation, Poly]:
     """The field d/dP_j as (polynomial numerator field, denominator J).
 
@@ -340,6 +319,25 @@ def partial_P_field(system: InvariantSystem, j: int) -> tuple[Derivation, Poly]:
     matrix, so d/dP_j = (1/J) * sum_i C[i][j] d/dx_i.
     """
     return Derivation(system.cofactor_column(j)), system.jacobian
+
+
+def invariant_field_basis(system: InvariantSystem, degree: int) -> list[tuple[tuple[int, int, tuple[int, ...]], Derivation]]:
+    """Basis of the invariant polynomial fields of one coefficient degree.
+
+    Every invariant field of degree d is uniquely sum_j g_j grad(P_j)
+    with g_j an invariant polynomial of degree d - (deg P_j - 1).  The
+    basis therefore consists of invariant monomials times gradients; each
+    entry is keyed by (j, degree of g, exponents of g).
+    """
+    out = []
+    for j, d in enumerate(system.degrees):
+        g_degree = degree - (d - 1)
+        if g_degree < 0:
+            continue
+        for exps in system.invariant_exponents(g_degree):
+            g = system.expand(exps)
+            out.append(((j, g_degree, exps), system.gradients[j] * g))
+    return out
 
 
 def _valid_invariants(label: str, nvars: int, degrees: tuple[int, ...],
@@ -370,7 +368,7 @@ def _load_cache(path: Path, group: ReflectionGroup, arrangement: Arrangement) ->
         label = data["label"]
         nvars = int(data["nvars"])
         degrees = tuple(int(d) for d in data["degrees"])
-        polys = tuple(_poly_from_json(p, nvars) for p in data["polys"])
+        polys = tuple(poly_from_json(p, nvars) for p in data["polys"])
         # J = c * Q holds only for invariants, so they are checked first;
         # coefficients from a foreign quadratic field raise ValueError here
         valid = _valid_invariants(label, nvars, degrees, polys, group)

@@ -2,7 +2,9 @@
 
 Scalar matrices (entries Fraction or Quad) get reduced row echelon form,
 kernel bases, inversion and determinants, and an incremental echelon that
-grows one vector at a time.  Pivoting always takes the first nonzero entry
+grows one vector at a time.  Polynomials and fields enter this linear
+algebra through one vectorizer, `coefficient_vector`, over the columns
+`monomial_columns` numbers.  Pivoting always takes the first nonzero entry
 in a fixed scan order, so every result is deterministic.
 
 Polynomial matrices get determinants by cofactor expansion.  The package
@@ -17,10 +19,28 @@ import bisect
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import Poly
+from .poly import Exponents, Poly, monomials_of_degree
 from .scalars import Scalar, scalar_inverse
 
 Matrix = list[list[Scalar]]
+# column of the coefficient of x^exponents in polynomial `position` of a tuple
+Columns = dict[tuple[int, Exponents], int]
+
+
+def monomial_columns(width: int, nvars: int, degree: int) -> Columns:
+    """Columns for tuples of `width` homogeneous polynomials of one degree:
+    position-major, then descending grlex, as `monomials_of_degree` yields."""
+    keys = ((i, e) for i in range(width) for e in monomials_of_degree(nvars, degree))
+    return {key: k for k, key in enumerate(keys)}
+
+
+def coefficient_vector(polys: Sequence[Poly], columns: Columns) -> list[Scalar]:
+    """The coefficients of a tuple of polynomials as one vector in `columns`."""
+    v: list[Scalar] = [Fraction(0)] * len(columns)
+    for i, f in enumerate(polys):
+        for exps, coeff in f.terms.items():
+            v[columns[(i, exps)]] = coeff
+    return v
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:

@@ -22,6 +22,10 @@ division raises :class:`~coxbasis.errors.NotDivisible` carrying the
 remainder, which doubles as the membership test for the whole package:
 "alpha^m divides p" is decided by m successive exact divisions, never by
 factorization.
+
+The JSON form of a polynomial, a term list of exponent lists and exact
+coefficient strings, is defined here once for reports and the invariant
+cache alike; the parser rejects any malformed term with ValueError.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotDivisible
-from .scalars import (Quad, Scalar, common_field, format_scalar, join_scalar, split_scalar,
-                      split_scalars)
+from .scalars import (Quad, Scalar, common_field, format_scalar, join_scalar, parse_scalar,
+                      split_scalar, split_scalars)
 
 Exponents = tuple[int, ...]
 
@@ -624,6 +628,27 @@ def substitute_sum(p: Poly, substitutions: Sequence[Sequence[Powers]], nvars: in
                 prod = {one_exps: 1 if d == 1 else (1, 0)}
             _add_into(acc, prod, c * factor if d == 1 else (c[0] * factor, c[1] * factor), d)
     return _make(nvars, d, _nonzero(acc, d), p.den * common)
+
+
+def poly_to_json(p: Poly) -> list:
+    """The term list [[exponents, coefficient string], ...] in descending grlex order."""
+    return [[list(exps), format_scalar(coeff)] for exps, coeff in p.terms_sorted()]
+
+
+def poly_from_json(data: Sequence, nvars: int) -> Poly:
+    """Parse a term list; raises ValueError on any malformed term."""
+    if not isinstance(data, list):
+        raise ValueError("a polynomial must be a list of terms")
+    terms = {}
+    for term in data:
+        if not (isinstance(term, list) and len(term) == 2):
+            raise ValueError("malformed polynomial term %r" % (term,))
+        exps, coeff = term
+        if (not isinstance(coeff, str) or not isinstance(exps, list) or len(exps) != nvars
+                or not all(type(e) is int and e >= 0 for e in exps)):
+            raise ValueError("malformed polynomial term %r" % (term,))
+        terms[tuple(exps)] = parse_scalar(coeff)
+    return Poly(nvars, terms)
 
 
 def default_names(nvars: int) -> list[str]:

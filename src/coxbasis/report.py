@@ -11,38 +11,17 @@ and re-certified.
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
 from .basis import BasisResult
 from .certify import Certificate
 from .coxeter import Arrangement, Multiplicity, ReflectionGroup
 from .derivations import Derivation
 from .invariants import InvariantSystem
-from .poly import Poly
-from .scalars import format_scalar, parse_scalar
+from .poly import poly_from_json, poly_to_json
+from .scalars import format_scalar
 
 SCHEMA_BASIS = "coxbasis/basis-report/1"
 SCHEMA_VERIFY = "coxbasis/verify-report/1"
-
-
-def poly_to_json(p: Poly) -> list:
-    return [[list(exps), format_scalar(coeff)] for exps, coeff in p.terms_sorted()]
-
-
-def poly_from_json(data: Sequence, nvars: int) -> Poly:
-    """Parse a term list; raises ValueError on any malformed term."""
-    if not isinstance(data, list):
-        raise ValueError("a polynomial must be a list of terms")
-    terms = {}
-    for term in data:
-        if not (isinstance(term, list) and len(term) == 2):
-            raise ValueError("malformed polynomial term %r" % (term,))
-        exps, coeff = term
-        if (not isinstance(coeff, str) or not isinstance(exps, list) or len(exps) != nvars
-                or not all(type(e) is int and e >= 0 for e in exps)):
-            raise ValueError("malformed polynomial term %r" % (term,))
-        terms[tuple(exps)] = parse_scalar(coeff)
-    return Poly(nvars, terms)
 
 
 def derivation_to_json(delta: Derivation) -> dict:
@@ -114,12 +93,21 @@ def multiplicity_to_json(mult: Multiplicity) -> dict:
 
 
 def multiplicity_from_json(data: dict, arrangement: Arrangement) -> Multiplicity:
-    if "per_hyperplane" in data:
-        return Multiplicity(arrangement, [int(v) for v in data["per_hyperplane"]])
-    if "per_orbit" in data:
-        return Multiplicity.from_orbit_values(arrangement, [int(v) for v in data["per_orbit"]])
+    """Parse one of {"per_hyperplane": [...]}, {"per_orbit": [...]} or
+    {"constant": n}; raises ValueError unless every value is an int."""
+    if not isinstance(data, dict):
+        raise ValueError("multiplicity data must be a JSON object")
+    builders = {"per_hyperplane": Multiplicity, "per_orbit": Multiplicity.from_orbit_values}
+    for key, build in builders.items():
+        if key in data:
+            values = data[key]
+            if not (isinstance(values, list) and all(type(v) is int for v in values)):
+                raise ValueError("multiplicity %s must be a list of integers" % key)
+            return build(arrangement, values)
     if "constant" in data:
-        return Multiplicity.constant(arrangement, int(data["constant"]))
+        if type(data["constant"]) is not int:
+            raise ValueError("multiplicity constant must be an integer")
+        return Multiplicity.constant(arrangement, data["constant"])
     raise ValueError("multiplicity data needs per_hyperplane, per_orbit, or constant")
 
 

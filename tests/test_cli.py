@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,13 @@ def test_info_unsupported_type(capsys):
     assert "unsupported" in err
 
 
+@pytest.mark.parametrize("label", ["", " "])
+def test_info_blank_type_is_unsupported(label, capsys):
+    code, _, err = run(["info", label, "--no-cache"], capsys)
+    assert code == EXIT_UNSUPPORTED
+    assert "empty type label" in err
+
+
 def test_order_bound_exit_code(capsys):
     code, _, _ = run(["info", "B3", "--order-bound", "10", "--no-cache"], capsys)
     assert code == EXIT_UNSUPPORTED
@@ -82,6 +93,25 @@ def test_basis_mfile_per_orbit(tmp_path, capsys):
     assert data["inputs"]["multiplicity"]["per_hyperplane"] == [1, 0, 1, 0]
     assert data["inputs"]["base_source"] == "oracle"
     assert data["certificate"]["verdict"] == "Free-with-basis"
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    {"per_hyperplane": 5},
+    {"per_hyperplane": [None, 1, 1]},
+    {"per_hyperplane": [0.9, 1, 1]},
+    {"per_hyperplane": [True, 1, 1]},
+    {"per_orbit": [[1]]},
+    {"per_orbit": 3},
+])
+def test_basis_rejects_malformed_mfile(tmp_path, capsys, content):
+    mfile = tmp_path / "mult.json"
+    mfile.write_text(json.dumps(content), encoding="utf-8")
+    code, out, err = run(["basis", "--type", "A2", "--mfile", str(mfile), "--k", "0",
+                          "--no-cache"], capsys)
+    assert code == EXIT_FAIL
+    assert err.startswith("error: multiplicity")
+    assert out == ""
 
 
 def test_basis_base_file_round_trip(tmp_path, capsys):
@@ -200,3 +230,29 @@ def test_group_enumeration_alarm_exits_three(attr, capsys, monkeypatch):
     assert code == EXIT_CERTIFICATE
     assert "group enumeration failure" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["basis", "--type", "A2", "--m", "2"],
+    ["basis", "--type", "A2", "--k", "x"],
+    ["basis", "--type", "A2", "--k", "-1"],
+    ["verify", "--type", "A2", "--suite", "hodge", "--k", "-1"],
+    ["verify", "--type", "A2", "--suite", "euler", "--samples", "-2"],
+])
+def test_usage_errors_exit_one(argv, capsys):
+    # argparse would exit 2, the code reserved for "not a basis"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--no-cache"] if argv else argv)
+    assert info.value.code == EXIT_FAIL
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_usage_error_exit_status_of_the_process():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "coxbasis.cli", "verify", "--type", "A2",
+                           "--samples", "-2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_FAIL
+    assert "expected a nonnegative integer" in proc.stderr

@@ -7,17 +7,11 @@ from fractions import Fraction
 import pytest
 
 from coxbasis import connection
-from coxbasis.connection import (
-    invariant_field_basis,
-    nabla_D,
-    nabla_D_inverse,
-    partial_P_numerator,
-    primitive_numerator,
-    universal_field,
-)
+from coxbasis.connection import nabla_D, nabla_D_inverse, universal_field
 from coxbasis.coxeter import is_invariant_derivation
 from coxbasis.derivations import Derivation, euler_field, nabla
 from coxbasis.errors import NoSolution, NonUniqueSolution, NotPolynomial
+from coxbasis.invariants import invariant_field_basis, partial_P_field
 from coxbasis.linalg import rref
 from coxbasis.poly import Poly, linear_form_order
 from coxbasis.verify import random_invariant_derivation
@@ -27,8 +21,9 @@ def test_primitive_numerator_on_a1(pipeline):
     _, _, system = pipeline("A1")
     x = Poly.variable(1, 0)
     # one variable: the cofactor is 1, so the numerator is just df/dx
-    assert primitive_numerator(x ** 3, system) == x ** 2 * 3
-    assert partial_P_numerator(x ** 3, 0, system) == x ** 2 * 3
+    field, denominator = partial_P_field(system, 0)
+    assert field.apply(x ** 3) == x ** 2 * 3
+    assert denominator == system.jacobian
 
 
 def test_nabla_D_lowers_x_cubed_field_on_a1(pipeline):
@@ -62,7 +57,7 @@ def test_nabla_D_lets_programming_errors_through(pipeline, monkeypatch):
 def test_universal_field_on_a1(pipeline):
     group, arrangement, system = pipeline("A1")
     x = Poly.variable(1, 0)
-    u1 = universal_field(1, system, group)
+    u1 = universal_field(1, system)
     # solve nabla_D(c x^3 d/dx) = x d/dx: numerator 3cx^2 over J = 2x
     # gives (3c/2) x, so c = 2/3.
     assert u1 == Derivation([x ** 3 * Fraction(2, 3)])
@@ -76,18 +71,18 @@ def test_universal_field_degrees(pipeline):
         group, _, system = pipeline(label)
         h = system.coxeter_number
         for k in (0, 1, 2):
-            u = universal_field(k, system, group)
+            u = universal_field(k, system)
             assert u.degree() == k * h + 1
             assert is_invariant_derivation(group, u)
 
 
 def test_universal_field_recursion(pipeline):
     group, _, system = pipeline("B2")
-    u1 = universal_field(1, system, group)
-    u2 = universal_field(2, system, group)
+    u1 = universal_field(1, system)
+    u2 = universal_field(2, system)
     assert nabla_D(u2, system) == u1
     assert nabla_D(u1, system) == euler_field(2)
-    assert nabla_D_inverse(u1, system, group) == u2
+    assert nabla_D_inverse(u1, system) == u2
 
 
 def test_inverse_round_trips_on_random_invariant_fields(pipeline):
@@ -99,7 +94,7 @@ def test_inverse_round_trips_on_random_invariant_fields(pipeline):
             delta = random_invariant_derivation(system, degree, rng)
             if delta.is_zero:
                 continue
-            lifted = nabla_D_inverse(delta, system, group)
+            lifted = nabla_D_inverse(delta, system)
             assert lifted.degree() == degree + h
             assert nabla_D(lifted, system) == delta
             assert is_invariant_derivation(group, lifted)
@@ -110,14 +105,14 @@ def test_inverse_is_linear(pipeline):
     group, _, system = pipeline("B2")
     d1 = random_invariant_derivation(system, 3, rng)
     d2 = random_invariant_derivation(system, 3, rng)
-    lift = nabla_D_inverse(d1 + d2, system, group)
-    assert lift == nabla_D_inverse(d1, system, group) + nabla_D_inverse(d2, system, group)
+    lift = nabla_D_inverse(d1 + d2, system)
+    assert lift == nabla_D_inverse(d1, system) + nabla_D_inverse(d2, system)
 
 
 def test_inverse_rejects_non_invariant_input(pipeline):
     group, _, system = pipeline("A2")
     with pytest.raises(NoSolution):
-        nabla_D_inverse(Derivation.coordinate(2, 0), system, group)
+        nabla_D_inverse(Derivation.coordinate(2, 0), system)
 
 
 def test_inverse_rejects_non_homogeneous_input(pipeline):
@@ -126,12 +121,12 @@ def test_inverse_rejects_non_homogeneous_input(pipeline):
     y = Poly.variable(2, 1)
     mixed = Derivation([x + x * x, y])
     with pytest.raises(NoSolution):
-        nabla_D_inverse(mixed, system, group)
+        nabla_D_inverse(mixed, system)
 
 
 def test_inverse_of_zero_is_zero(pipeline):
     group, _, system = pipeline("A2")
-    assert nabla_D_inverse(Derivation.zero(2), system, group).is_zero
+    assert nabla_D_inverse(Derivation.zero(2), system).is_zero
 
 
 def test_invariant_field_basis_spans_invariants(pipeline):
@@ -158,7 +153,7 @@ def test_nabla_of_members_recovers_contact_orders(pipeline):
     from coxbasis.certify import contact_order
 
     group, arrangement, system = pipeline("B2")
-    u1 = universal_field(1, system, group)
+    u1 = universal_field(1, system)
     for i in range(2):
         member = nabla(Derivation.coordinate(2, i), u1)
         assert member.degree() == system.coxeter_number
@@ -174,7 +169,8 @@ def dense_inverse(delta, system):
     dense system over the coefficients of all monomials."""
     n = system.nvars
     basis = invariant_field_basis(system, delta.degree() + system.coxeter_number)
-    images = [[primitive_numerator(f, system) for f in field.coeffs] for _, field in basis]
+    primitive, _ = partial_P_field(system, n - 1)
+    images = [[primitive.apply(f) for f in field.coeffs] for _, field in basis]
     targets = [system.jacobian * f for f in delta.coeffs]
     monomials = {}
     for i in range(n):
@@ -210,16 +206,16 @@ def smallest_nonempty_degrees(system, count):
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "G2", "I2(5)"])
 def test_inverse_agrees_with_dense_reference(pipeline, label):
     group, _, system = pipeline(label)
-    fields = [universal_field(k, system, group) for k in (0, 1, 2)]
+    fields = [universal_field(k, system) for k in (0, 1, 2)]
     for d in smallest_nonempty_degrees(system, 2):
         fields += [field for _, field in invariant_field_basis(system, d)]
     for field in fields:
-        assert nabla_D_inverse(field, system, group) == dense_inverse(field, system)
+        assert nabla_D_inverse(field, system) == dense_inverse(field, system)
 
 
 def test_inverse_with_one_repeated_point_raises_non_unique(pipeline, monkeypatch):
     group, _, system = pipeline("B2")
-    delta = universal_field(1, system, group)
+    delta = universal_field(1, system)
     unknowns = len(invariant_field_basis(system, delta.degree() + system.coxeter_number))
     # one point gives one equation per coordinate, too few for the unknowns
     assert unknowns > system.nvars
@@ -233,7 +229,7 @@ def test_inverse_with_one_repeated_point_raises_non_unique(pipeline, monkeypatch
 
     monkeypatch.setattr(connection, "_sample_points", one_point)
     with pytest.raises(NonUniqueSolution):
-        nabla_D_inverse(delta, system, group)
+        nabla_D_inverse(delta, system)
     assert len(drawn) == unknowns + connection._SPARE_POINTS
 
 
@@ -244,7 +240,7 @@ def test_inverse_rejects_non_invariant_field_past_the_invariance_check(pipeline,
     x = Poly.variable(2, 0)
     # full evaluated rank, but the unique candidate fails the exact re-check
     with pytest.raises(NoSolution, match="re-verification"):
-        nabla_D_inverse(Derivation([x * x, x * x]), system, group)
+        nabla_D_inverse(Derivation([x * x, x * x]), system)
     # d/dx has one unknown, P_1 grad P_1; at (2, -1) its first equation reads
     # 0 = J(p) != 0, so the evaluated system itself is inconsistent
     assert system.gradient_numerators[0][0].evaluate((2, -1)) == 0
@@ -256,13 +252,13 @@ def test_inverse_rejects_non_invariant_field_past_the_invariance_check(pipeline,
 
     monkeypatch.setattr(connection, "_sample_points", inconsistent_first)
     with pytest.raises(NoSolution, match="likely not invariant"):
-        nabla_D_inverse(Derivation.coordinate(2, 0), system, group)
+        nabla_D_inverse(Derivation.coordinate(2, 0), system)
 
 
 def test_inverse_skips_points_where_the_jacobian_vanishes(pipeline, monkeypatch):
     group, _, system = pipeline("B2")
-    delta = universal_field(1, system, group)
-    expected = universal_field(2, system, group)
+    delta = universal_field(1, system)
+    expected = universal_field(2, system)
     # points on the hyperplane x = y, distinct, more than the whole point budget
     on_mirror = [(t, t) for t in range(1, 40)]
     assert all(system.jacobian.evaluate(p) == 0 for p in on_mirror)
@@ -273,7 +269,7 @@ def test_inverse_skips_points_where_the_jacobian_vanishes(pipeline, monkeypatch)
         yield from original(nvars)
 
     monkeypatch.setattr(connection, "_sample_points", mirror_first)
-    assert nabla_D_inverse(delta, system, group) == expected
+    assert nabla_D_inverse(delta, system) == expected
 
 
 def test_gradient_numerators_are_lazy():
@@ -283,6 +279,7 @@ def test_gradient_numerators_are_lazy():
     group, arrangement = build_group(parse_type("A2"))
     system = compute_invariants(group, arrangement, cache_dir=None)
     assert "gradient_numerators" not in vars(system)
-    nabla_D_inverse(euler_field(2), system, group)
+    nabla_D_inverse(euler_field(2), system)
     numerators = vars(system)["gradient_numerators"]
-    assert numerators[1][0] == primitive_numerator(system.gradients[1].coeffs[0], system)
+    primitive, _ = partial_P_field(system, 1)
+    assert numerators[1][0] == primitive.apply(system.gradients[1].coeffs[0])

@@ -77,6 +77,9 @@ def test_parse_type():
         parse_type("A")
     with pytest.raises(UnsupportedType):
         parse_type("E6")
+    for blank in ("", " ", "\t"):
+        with pytest.raises(UnsupportedType):
+            parse_type(blank)
     with pytest.raises(UnsupportedType):
         parse_type("I2(7)")
     with pytest.raises(UnsupportedType):

@@ -13,8 +13,7 @@ from fractions import Fraction
 import pytest
 
 from coxbasis.coxeter import act, build_group, mat_mul, parse_type
-from coxbasis.poly import Poly
-from coxbasis.report import poly_from_json, poly_to_json
+from coxbasis.poly import Poly, poly_from_json, poly_to_json
 from coxbasis.scalars import Quad, format_scalar, parse_scalar
 
 FIELDS = [1, 5, 2]

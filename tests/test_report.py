@@ -9,7 +9,7 @@ from coxbasis.basis import BasisRequest, build_basis
 from coxbasis.certify import ziegler_certify
 from coxbasis.coxeter import Multiplicity
 from coxbasis.derivations import Derivation
-from coxbasis.poly import Poly
+from coxbasis.poly import Poly, poly_from_json, poly_to_json
 from coxbasis.report import (
     SCHEMA_BASIS,
     basis_report,
@@ -20,8 +20,6 @@ from coxbasis.report import (
     group_to_json,
     multiplicity_from_json,
     multiplicity_to_json,
-    poly_from_json,
-    poly_to_json,
 )
 
 
@@ -81,6 +79,9 @@ def test_multiplicity_json_round_trips(pipeline):
     assert multiplicity_from_json({"constant": 1}, arrangement) == Multiplicity.constant(arrangement, 1)
     with pytest.raises(ValueError):
         multiplicity_from_json({}, arrangement)
+    for bad in ({"constant": 1.0}, {"constant": True}, {"per_orbit": [1, False]}, [1, 0]):
+        with pytest.raises(ValueError):
+            multiplicity_from_json(bad, arrangement)
 
 
 def test_basis_report_structure_and_determinism(pipeline):

@@ -1,0 +1,123 @@
+"""Structure guards: the package's import graph and the benchmark's bindings.
+
+Every import in ``src/coxbasis`` sits at module level and the modules import
+each other without a cycle, so each module reads after the ones it imports.
+The benchmark's tracer wraps module and class attributes by name (its
+``TARGETS`` in ``perfbench/tracer.py``); each of them must still be bound, or
+a traced benchmark run fails while the rest of the suite passes.  The tracer
+file is only parsed, never imported.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "coxbasis"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def package_modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def nested_imports(tree: ast.Module) -> list[int]:
+    """Line numbers of the imports that are not statements of the module body."""
+    top = {id(node) for node in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
+def package_imports(tree: ast.Module, modules: set[str]) -> set[str]:
+    """The package modules one module imports; ``__init__`` stands for the package."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(a.name if a.name in modules else "__init__" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("coxbasis"):
+            parts = node.module.split(".")
+            out.add(parts[1] if len(parts) > 1 else "__init__")
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "coxbasis":
+                    out.add(parts[1] if len(parts) > 1 else "__init__")
+    return out
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of a directed graph as a closed path of nodes, or None."""
+    state: dict[str, int] = {}  # 1 on the current path, 2 finished
+    path: list[str] = []
+
+    def visit(node: str) -> list[str] | None:
+        state[node] = 1
+        path.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == 1:
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state:
+                found = visit(nxt)
+                if found:
+                    return found
+        path.pop()
+        state[node] = 2
+        return None
+
+    for node in sorted(graph):
+        if node not in state:
+            found = visit(node)
+            if found:
+                return found
+    return None
+
+
+def tracer_targets() -> tuple[tuple[str, str, str], ...]:
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), filename=str(TRACER))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id == "TARGETS"):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_no_function_level_imports():
+    found = {name: lines for name, tree in package_modules().items()
+             if (lines := nested_imports(tree))}
+    assert found == {}
+
+
+def test_package_import_graph_is_acyclic():
+    modules = package_modules()
+    graph = {name: package_imports(tree, set(modules)) for name, tree in modules.items()}
+    assert find_cycle(graph) is None, " -> ".join(find_cycle(graph))
+    # the layers the connection and the checks sit on stay below them
+    assert "connection" not in graph["certify"] | graph["invariants"]
+
+
+def test_guards_detect_what_they_guard():
+    tree = ast.parse("import os\n\ndef f():\n    from .poly import Poly\n    import math\n")
+    assert nested_imports(tree) == [4, 5]
+    tree = ast.parse("from . import verify, main\nfrom .poly import Poly\nimport coxbasis.cli\n")
+    assert package_imports(tree, {"verify", "poly", "cli"}) == {"verify", "__init__", "poly", "cli"}
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def test_tracer_targets_resolve():
+    targets = tracer_targets()
+    assert targets
+    for _, path, attr in targets:
+        try:
+            owner = importlib.import_module(path)
+        except ModuleNotFoundError:
+            module, _, cls = path.rpartition(".")
+            owner = getattr(importlib.import_module(module), cls)
+        # the tracer reads the binding from the owner itself, not from a base class
+        assert callable(vars(owner).get(attr)), "%s.%s is not bound" % (path, attr)
