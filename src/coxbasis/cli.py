@@ -8,8 +8,8 @@ Three subcommands:
 
 Exit codes: 0 success, 1 verification or structural failure or invalid
 arguments, 2 a proposed base is not a basis, 3 a certificate failed on a
-constructed basis or a group enumeration did not match its type (internal
-alarms), 4 unsupported input or an exceeded budget.
+constructed basis or a group's coset chain or root orbit did not match its
+type (internal alarms), 4 unsupported input or an exceeded budget.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .coxeter import (DEFAULT_ORDER_BOUND, Multiplicity, build_group, parse_type
 from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError, GroupClosureFailed,
                      NoSolution, NonUniqueSolution, NotABasis, OrderBoundExceeded,
                      UnsupportedType)
-from .invariants import compute_invariants, invariant_field_basis, jacobian_factors
+from .invariants import compute_invariants, invariant_field_degrees, jacobian_factors
 from .report import (SCHEMA_VERIFY, basis_report, derivation_from_json, dump_report,
                      group_to_json, multiplicity_from_json)
 from .scalars import format_scalar
@@ -187,16 +187,6 @@ def cmd_basis(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _hodge_default_degrees(system) -> list[int]:
-    out = []
-    d = 0
-    while len(out) < 2 and d <= 2 * system.coxeter_number:
-        if invariant_field_basis(system, d):
-            out.append(d)
-        d += 1
-    return out
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     datum = parse_type(args.type, args.rank)
     group, arrangement = build_group(datum, order_bound=args.order_bound)
@@ -213,8 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reports.append(suites.shift_suite(group, arrangement, system,
                                               args.samples, args.seed))
         elif name == "hodge":
-            degrees = ([int(v) for v in args.degrees.split(",")]
-                       if args.degrees else _hodge_default_degrees(system))
+            degrees = args.degrees or invariant_field_degrees(system, 2 * system.coxeter_number)[:2]
             reports.append(suites.hodge_suite(group, arrangement, system, args.k, degrees))
     all_passed = all(r["passed"] for r in reports)
 
@@ -253,6 +242,10 @@ def _nonnegative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
     return value
+
+
+def _nonnegative_list(text: str) -> list[int]:
+    return [_nonnegative(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--k", type=_nonnegative, default=1,
                           help="shift for the hodge suite")
-    p_verify.add_argument("--degrees", type=str, default=None,
+    p_verify.add_argument("--degrees", type=_nonnegative_list, default=None,
                           help="comma separated source degrees for the hodge suite")
     _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)

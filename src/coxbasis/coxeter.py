@@ -8,17 +8,17 @@ orthonormal coordinates; G2 and the dihedral types use rank-2 root
 coordinates; I2(5), I2(8) and H3 live over a real quadratic extension.
 
 Group elements are exact matrices R acting on covector coefficients,
-c -> R c.  The closure is enumerated on integer matrices over one positive
-common denominator (entries int pairs (a, b) for a + b*sqrt(d) over
-Q(sqrt(d))), normalized by content so equal elements compare equal; each
-element becomes a public tuple of Fraction/Quad entries once, at the end.
-The action on polynomials substitutes column i of R for variable i,
-which realizes p -> p o w^{-1} without inverting anything.  The group
-keeps the powers of its elements' column forms, shared between elements
-with equal columns, so every Reynolds average reuses them.
-Hyperplanes are recovered from the reflections in the group as their
-(-1)-eigenvectors, normalized so the first nonzero coefficient is 1, and
-are kept sorted by coefficient vector so all downstream artifacts are
+c -> R c.  The action on polynomials substitutes column i of R for
+variable i, which realizes p -> p o w^{-1} without inverting anything.
+The group is never enumerated.  Dropping simple roots from the end gives
+a chain of parabolic subgroups W_K > W_J; each step keeps one matrix per
+coset u W_J, found from the orbit of a fundamental weight, whose
+stabilizer in W_K is W_J.  Reynolds averages run through this chain with
+one substitution per coset, the sum of the indices in all instead of
+|W|, reusing the powers of the representatives' column forms.
+Hyperplanes are the orbit of the simple roots under the simple
+reflections, normalized so the first nonzero coefficient is 1, and are
+kept sorted by coefficient vector so all downstream artifacts are
 deterministic.
 """
 
@@ -28,14 +28,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .derivations import Derivation
 from .errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
-from .linalg import invert_matrix, kernel_basis
+from .linalg import invert_matrix
 from .poly import Poly, Powers, product, substitute_sum
-from .scalars import Quad, Scalar, join_scalar, scalar_inverse, split_scalars
+from .scalars import Quad, Scalar, scalar_inverse
 
 MatrixT = tuple[tuple[Scalar, ...], ...]
 
@@ -241,46 +240,37 @@ def reflection_matrix(root: Sequence[Scalar], gram: MatrixT) -> MatrixT:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """A reflecting hyperplane: normalized form plus its reflection."""
+    """A reflecting hyperplane: its normalized coefficients and form."""
 
     coeffs: tuple[Scalar, ...]
     form: Poly
-    reflection: MatrixT
 
 
 class ReflectionGroup:
-    """A finite real reflection group given by exact matrices."""
+    """A finite real reflection group: its generators and a coset chain.
 
-    def __init__(self, datum: CoxeterDatum, elements: tuple[MatrixT, ...],
-                 generators: tuple[MatrixT, ...]) -> None:
+    Stage s of ``cosets`` holds matrices u with W_K the disjoint union of
+    the cosets u W_J, for K = {0, ..., s} and J = K - {s}.  So the stages
+    run innermost first, and the order is the product of their lengths.
+    """
+
+    def __init__(self, datum: CoxeterDatum, generators: tuple[MatrixT, ...],
+                 cosets: tuple[tuple[MatrixT, ...], ...]) -> None:
         self.datum = datum
-        self.elements = elements
         self.generators = generators
-        self.order = len(elements)
+        self.cosets = cosets
+        self.order = math.prod(len(reps) for reps in cosets)
 
     @property
     def rank(self) -> int:
         return self.datum.rank
 
     @functools.cached_property
-    def column_powers(self) -> tuple[tuple[Powers, ...], ...]:
-        """Per element, the power tables of its column forms.
-
-        Elements with an equal column share one table, so the tables grow
-        once per degree for the whole group and every Reynolds average
-        reuses them.
-        """
-        shared: dict[Poly, Powers] = {}
-        out = []
-        for w in self.elements:
-            row = []
-            for form in _column_forms(w):
-                table = shared.get(form)
-                if table is None:
-                    table = shared[form] = Powers(form)
-                row.append(table)
-            out.append(tuple(row))
-        return tuple(out)
+    def coset_powers(self) -> tuple[tuple[tuple[Powers, ...], ...], ...]:
+        """Per stage and representative, the power tables of its column
+        forms, kept so every Reynolds average reuses them."""
+        return tuple(tuple(tuple(Powers(form) for form in _column_forms(u)) for u in reps)
+                     for reps in self.cosets)
 
 
 class Arrangement:
@@ -343,114 +333,67 @@ def normalize_form(coeffs: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(inv * c for c in coeffs)
 
 
-# An integer matrix: rows of int numerators (int pairs over Q(sqrt(d)))
-# over a positive denominator coprime to their content.
-IntMatrix = tuple[tuple[tuple, ...], int]
-
-
-def _int_matrix(a: MatrixT, d: int) -> IntMatrix:
-    n = len(a)
-    _, nums, den = split_scalars([x for row in a for x in row], d)
-    return tuple(tuple(nums[i * n:(i + 1) * n]) for i in range(n)), den
-
-
-def _public_matrix(a: IntMatrix, d: int) -> MatrixT:
-    rows, den = a
-    return tuple(tuple(join_scalar(d, x, den) for x in row) for row in rows)
-
-
-def _int_mat_mul(a: IntMatrix, b: IntMatrix, d: int) -> IntMatrix:
-    (ar, ad), (br, bd) = a, b
-    cols = tuple(zip(*br))
-    if d == 1:
-        rows = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in ar)
-    else:
-        rows = tuple(tuple(_pair_dot(row, col, d) for col in cols) for row in ar)
-    den = ad * bd
-    if den == 1:
-        return rows, 1
-    flat = [x for row in rows for x in row]
-    g = math.gcd(den, *flat) if d == 1 else math.gcd(den, *(y for x in flat for y in x))
-    if g == 1:
-        return rows, den
-    if d == 1:
-        return tuple(tuple(x // g for x in row) for row in rows), den // g
-    return tuple(tuple((x // g, y // g) for x, y in row) for row in rows), den // g
-
-
-def _pair_dot(row: tuple, col: tuple, d: int) -> tuple[int, int]:
-    sa = sb = 0
-    for (a1, b1), (a2, b2) in zip(row, col):
-        sa += a1 * a2 + d * b1 * b2
-        sb += a1 * b2 + b1 * a2
-    return sa, sb
-
-
-def _is_reflection_trace(a: IntMatrix, d: int) -> bool:
-    rows, den = a
-    n = len(rows)
-    diag = [rows[i][i] for i in range(n)]
-    if d == 1:
-        return sum(diag) == (n - 2) * den
-    return sum(x for x, _ in diag) == (n - 2) * den and sum(y for _, y in diag) == 0
-
-
 def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> tuple[ReflectionGroup, Arrangement]:
-    """Enumerate the group and its reflection arrangement.
+    """Build the group's coset chain and its reflection arrangement.
 
     The expected order is known from the type, so the bound is checked
-    before any enumeration happens.  The closure runs on integer matrices
-    and is validated against the expected order and hyperplane count;
-    a mismatch raises GroupClosureFailed.
+    before any work is done.  Dropping simple roots from the end gives a
+    chain of parabolic subgroups; at the step K > J = K - {s} the
+    fundamental weight x of s (<alpha_t, x> = 0 for t != s, 1 for s, under
+    the Gram form) has stabilizer W_J in W_K (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.10 and 1.12), so the points of the orbit W_K x
+    are the cosets u W_J.  The hyperplanes are the orbit of the normalized simple roots.
+    The product of the indices must be the type's order and the root orbit
+    its hyperplane count; a mismatch raises GroupClosureFailed.
     """
     expected = datum.group_order()
     if expected > order_bound:
         raise OrderBoundExceeded("group of order %d exceeds the bound %d" % (expected, order_bound))
-    n = datum.rank
-    d = datum.disc
-    generators = tuple(reflection_matrix(r, datum.gram) for r in datum.simple_roots)
-    int_gens = [_int_matrix(g, d) for g in generators]
-    ident = _int_matrix(identity_matrix(n), d)
-    elements: dict[IntMatrix, None] = {ident: None}
-    frontier = [ident]
-    # stop as soon as the count overshoots, so a wrong realization cannot loop
-    while frontier and len(elements) <= expected:
-        nxt = []
-        for w in frontier:
-            for g in int_gens:
-                prod = _int_mat_mul(g, w, d)
-                if prod not in elements:
-                    elements[prod] = None
-                    nxt.append(prod)
-        frontier = nxt
-    if len(elements) != expected:
-        raise GroupClosureFailed("closure produced %d elements, expected %d"
-                                 % (len(elements), expected))
-    group = ReflectionGroup(datum, tuple(_public_matrix(w, d) for w in elements), generators)
+    roots = datum.simple_roots
+    generators = tuple(reflection_matrix(r, datum.gram) for r in roots)
+    # the fundamental weights are the rows of the inverse Gram matrix of the
+    # simple roots (it is symmetric), written in the simple roots
+    inverse = invert_matrix(mat_mul(roots, mat_mul(datum.gram, transpose(roots))))
+    weights = [mat_vec(transpose(roots), row) for row in inverse]
+    cosets = tuple(_coset_representatives(weights[s], generators[:s + 1], expected)
+                   for s in range(datum.rank))
+    group = ReflectionGroup(datum, generators, cosets)
+    if group.order != expected:
+        raise GroupClosureFailed("coset chain gives order %d, expected %d"
+                                 % (group.order, expected))
 
-    hyperplanes: dict[tuple[Scalar, ...], MatrixT] = {}
-    for w, public in zip(elements, group.elements):
-        if w == ident or not _is_reflection_trace(w, d) or _int_mat_mul(w, w, d) != ident:
-            continue
-        coeffs = _minus_one_eigenvector(public, n)
-        hyperplanes[coeffs] = public
-    if len(hyperplanes) != datum.num_hyperplanes:
+    forms = {normalize_form(r): None for r in roots}
+    queue = list(forms)
+    for y in queue:
+        if len(forms) > datum.num_hyperplanes:
+            break
+        for g in generators:
+            z = normalize_form(mat_vec(g, y))
+            if z not in forms:
+                forms[z] = None
+                queue.append(z)
+    if len(forms) != datum.num_hyperplanes:
         raise GroupClosureFailed("found %d reflecting hyperplanes, expected %d"
-                                 % (len(hyperplanes), datum.num_hyperplanes))
-    ordered = []
-    for coeffs in sorted(hyperplanes):
-        ordered.append(Hyperplane(coeffs, Poly.linear(list(coeffs)), hyperplanes[coeffs]))
-    arrangement = Arrangement(datum, tuple(ordered), group)
-    return group, arrangement
+                                 % (len(forms), datum.num_hyperplanes))
+    hyperplanes = tuple(Hyperplane(c, Poly.linear(list(c))) for c in sorted(forms))
+    return group, Arrangement(datum, hyperplanes, group)
 
 
-def _minus_one_eigenvector(w: MatrixT, n: int) -> tuple[Scalar, ...]:
-    rows = [[w[i][j] + (Fraction(1) if i == j else Fraction(0)) for j in range(n)]
-            for i in range(n)]
-    basis = kernel_basis(rows, n)
-    if len(basis) != 1:
-        raise GroupClosureFailed("reflection has a %d-dimensional (-1)-eigenspace" % len(basis))
-    return normalize_form(basis[0])
+def _coset_representatives(x: tuple[Scalar, ...], generators: Sequence[MatrixT],
+                           bound: int) -> tuple[MatrixT, ...]:
+    """Breadth-first over the orbit of x under the reflections: one matrix u
+    per orbit point, with u x equal to it.  Stops once past bound points."""
+    reps = {x: identity_matrix(len(x))}
+    queue = [x]
+    for y in queue:
+        if len(reps) > bound:
+            break
+        for g in generators:
+            z = mat_vec(g, y)
+            if z not in reps:
+                reps[z] = mat_mul(g, reps[y])
+                queue.append(z)
+    return tuple(reps.values())
 
 
 def _column_forms(w: MatrixT) -> tuple[Poly, ...]:
@@ -490,10 +433,14 @@ def act_derivation(w: MatrixT, delta: Derivation) -> Derivation:
 def reynolds(group: ReflectionGroup, p: Poly) -> Poly:
     """Average of p over the group, the projection onto invariants.
 
-    All |W| substitutions accumulate into one numerator dict, using the
-    group's shared column-form power tables.
+    act is a left action, so with W_K the union of the cosets u W_J the
+    sum over W_K of w p is the sum over u of u applied to the sum over
+    W_J.  Each stage of the chain is one substitute_sum, innermost first,
+    and the total is divided by |W| once at the end.
     """
-    return substitute_sum(p, group.column_powers, p.nvars).scale(Fraction(1, group.order))
+    for tables in group.coset_powers:
+        p = substitute_sum(p, tables, p.nvars)
+    return p.scale(Fraction(1, group.order))
 
 
 def is_invariant_poly(group: ReflectionGroup, p: Poly) -> bool:

@@ -2,7 +2,7 @@
 
 Everything raised on purpose derives from CoxBasisError.  The CLI maps
 NotABasis to exit code 2, failed or internally inconsistent certificates
-and group enumerations to 3, and unsupported input or exceeded budgets
+and group constructions to 3, and unsupported input or exceeded budgets
 to 4.
 """
 
@@ -65,9 +65,9 @@ class CertificateFailed(CoxBasisError):
 
 
 class GroupClosureFailed(CoxBasisError):
-    """Enumerating a group did not give the order, the hyperplane count or
-    the one-dimensional (-1)-eigenspaces its type fixes.  The realization
-    is fixed per type, so this is an internal alarm."""
+    """The coset chain of a group did not give the order its type fixes,
+    or the orbit of its simple roots not the hyperplane count.  The
+    realization is fixed per type, so this is an internal alarm."""
 
 
 class UnsupportedType(CoxBasisError):

@@ -321,6 +321,17 @@ def partial_P_field(system: InvariantSystem, j: int) -> tuple[Derivation, Poly]:
     return Derivation(system.cofactor_column(j)), system.jacobian
 
 
+def invariant_field_degrees(system: InvariantSystem, top: int) -> list[int]:
+    """The degrees 0..top that have a nonzero invariant field.
+
+    Degree d has one exactly when some invariant g_j of degree
+    d - (deg P_j - 1) exists, so only the exponents are enumerated.
+    """
+    return [d for d in range(top + 1)
+            if any(next(system.invariant_exponents(d - (deg - 1)), None) is not None
+                   for deg in system.degrees)]
+
+
 def invariant_field_basis(system: InvariantSystem, degree: int) -> list[tuple[tuple[int, int, tuple[int, ...]], Derivation]]:
     """Basis of the invariant polynomial fields of one coefficient degree.
 

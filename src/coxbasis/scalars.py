@@ -8,9 +8,8 @@ square-free d > 1.
 
 These are the boundary types of the package: parsing and formatting,
 reports, point evaluation, scalar linear algebra and the public API.
-Polynomials and group elements compute on integer numerators instead
-(see ``poly``); ``split_scalar`` and ``join_scalar`` convert between the
-two.  Arithmetic between int/Fraction and Quad promotes to Quad, and a
+Polynomials compute on integer numerators instead (see ``poly``);
+``split_scalar`` and ``join_scalar`` convert between the two.  Arithmetic between int/Fraction and Quad promotes to Quad, and a
 Quad whose irrational part cancels demotes back to Fraction, so scalar
 code never branches on the type.  It relies only on field operations,
 comparison with 0 and 1, a total (real-number) order, and hashability.
@@ -228,14 +227,15 @@ def common_field(d1: int, d2: int) -> int:
     raise ValueError("mixed quadratic fields: sqrt(%d) vs sqrt(%d)" % (d1, d2))
 
 
-def split_scalars(values: Sequence[Scalar], d: int = 1) -> tuple[int, list, int]:
+def split_scalars(values: Sequence[Scalar]) -> tuple[int, list, int]:
     """Integer numerators of several scalars over their least common
-    positive denominator, in the smallest field holding them and Q(sqrt(d)).
+    positive denominator, in the smallest field holding them all.
 
     Returns (field, numerators, denominator); the numerators are ints over
     Q and int pairs otherwise, and the denominator is coprime to them all.
     """
     parts = [split_scalar(x) for x in values]
+    d = 1
     for cd, _, _ in parts:
         d = common_field(d, cd)
     den = math.lcm(*(cden for _, _, cden in parts))

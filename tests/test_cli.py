@@ -239,6 +239,9 @@ def test_group_enumeration_alarm_exits_three(attr, capsys, monkeypatch):
     ["basis", "--type", "A2", "--k", "-1"],
     ["verify", "--type", "A2", "--suite", "hodge", "--k", "-1"],
     ["verify", "--type", "A2", "--suite", "euler", "--samples", "-2"],
+    ["verify", "--type", "A2", "--suite", "hodge", "--degrees", "-5"],
+    ["verify", "--type", "A2", "--suite", "hodge", "--degrees", "x"],
+    ["verify", "--type", "A2", "--suite", "hodge", "--degrees", "1,-2"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     # argparse would exit 2, the code reserved for "not a basis"

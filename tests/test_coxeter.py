@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from coxbasis.coxeter import (
+    CoxeterDatum,
     Multiplicity,
     act,
     act_derivation,
@@ -17,13 +18,15 @@ from coxbasis.coxeter import (
     mat_mul,
     normalize_form,
     parse_type,
-    _minus_one_eigenvector,
+    reflection_matrix,
     reynolds,
     transpose,
 )
+from coxbasis import coxeter
 from coxbasis.derivations import Derivation, euler_field
 from coxbasis.errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
-from coxbasis.poly import Poly
+from coxbasis.linalg import kernel_basis
+from coxbasis.poly import Poly, Powers, monomials_of_degree, substitute_sum
 from coxbasis.verify import random_homogeneous_derivation
 
 ORDERS = {
@@ -97,20 +100,20 @@ def test_generators_preserve_gram(pipeline):
 def test_reflections_negate_their_forms(pipeline):
     group, arrangement, _ = pipeline("B2")
     ident = identity_matrix(group.rank)
-    for h in arrangement.hyperplanes:
-        assert mat_mul(h.reflection, h.reflection) == ident
-        assert act(h.reflection, h.form) == -h.form
+    reflections = [reflection_matrix(h.coeffs, group.datum.gram) for h in arrangement.hyperplanes]
+    for h, r in zip(arrangement.hyperplanes, reflections):
+        assert mat_mul(r, r) == ident
+        assert act(r, h.form) == -h.form
     q = arrangement.defining_polynomial
-    for h in arrangement.hyperplanes:
-        assert act(h.reflection, q) == -q
+    for r in reflections:
+        assert act(r, q) == -q
     # built once per arrangement, not on every access
     assert arrangement.defining_polynomial is q
 
 
-def test_act_is_multiplicative_group_action(pipeline):
-    group, _, _ = pipeline("A2")
+def test_act_is_multiplicative_group_action(closure):
     rng = random.Random(31)
-    elements = list(group.elements)
+    elements = closure("A2")
     for _ in range(10):
         w1 = rng.choice(elements)
         w2 = rng.choice(elements)
@@ -121,12 +124,11 @@ def test_act_is_multiplicative_group_action(pipeline):
     assert act(identity_matrix(2), Poly.variable(2, 0)) == Poly.variable(2, 0)
 
 
-def test_act_derivation_is_conjugation(pipeline):
+def test_act_derivation_is_conjugation(closure):
     # The moved field applied to the moved polynomial equals the moved value.
-    group, _, _ = pipeline("B2")
     rng = random.Random(37)
     p = Poly.monomial(2, (2, 1), Fraction(1)) + Poly.monomial(2, (0, 2), Fraction(-2))
-    for w in list(group.elements)[:8]:
+    for w in closure("B2"):
         delta = random_homogeneous_derivation(2, rng.randint(0, 2), rng)
         lhs = act_derivation(w, delta).apply(act(w, p))
         assert lhs == act(w, delta.apply(p))
@@ -202,20 +204,76 @@ def test_order_bound_checked_before_enumeration():
         build_group(parse_type("H3"), order_bound=10)
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "G2", "H3", "I2(5)", "I2(8)"])
-def test_integer_closure_matches_scalar_closure(label):
-    # the breadth-first closure in Fraction/Quad arithmetic is the reference
+CROSS_CHECKED = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2", "H3", "I2(5)", "I2(8)"]
+
+
+@pytest.mark.parametrize("label", CROSS_CHECKED)
+def test_hyperplanes_are_the_reflections_of_the_closure(label, closure):
+    # the normalized (-1)-eigenvectors of the reflections among all elements
+    group, arrangement = build_group(parse_type(label))
+    n = group.rank
+    ident = identity_matrix(n)
+    forms = set()
+    for w in closure(label):
+        trace = sum((w[i][i] for i in range(1, n)), w[0][0])
+        if w != ident and trace == n - 2 and mat_mul(w, w) == ident:
+            (vector,) = kernel_basis([[w[i][j] + (i == j) for j in range(n)] for i in range(n)], n)
+            forms.add(normalize_form(vector))
+    assert tuple(h.coeffs for h in arrangement.hyperplanes) == tuple(sorted(forms))
+    assert group.order == len(closure(label))
+
+
+@pytest.mark.parametrize("label", CROSS_CHECKED)
+def test_reynolds_matches_the_closure_average(label, closure):
+    # every monomial up to degree h for rank <= 3, the basic degrees for rank 4
+    group, _ = build_group(parse_type(label))
+    n = group.rank
+    elements = closure(label)
+    tables = [[Powers(Poly.linear([w[j][i] for j in range(n)])) for i in range(n)]
+              for w in elements]
+    datum = group.datum
+    degrees = range(datum.coxeter_number + 1) if n <= 3 else sorted(set(datum.degrees))
+    for degree in degrees:
+        for exps in monomials_of_degree(n, degree):
+            p = Poly.monomial(n, exps)
+            expected = substitute_sum(p, tables, n).scale(Fraction(1, len(elements)))
+            assert reynolds(group, p) == expected
+
+
+def test_reynolds_substitutes_once_per_coset(monkeypatch):
+    # cosets of A2 in B3 (8), of A1 in A2 (3) and of 1 in A1 (2): 13, not |W| = 48
+    group, _ = build_group(parse_type("B3"))
+    assert [len(reps) for reps in group.cosets] == [2, 3, 8]
+    counted = []
+
+    def counting(p, substitutions, nvars):
+        counted.append(len(substitutions))
+        return substitute_sum(p, substitutions, nvars)
+
+    monkeypatch.setattr(coxeter, "substitute_sum", counting)
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    assert reynolds(group, x ** 2 * y + z ** 3).is_zero
+    assert sum(counted) == 13
+    counted.clear()
+    assert reynolds(group, x ** 2) == (x ** 2 + y ** 2 + z ** 2).scale(Fraction(1, 3))
+    assert sum(counted) == 13
+
+
+@pytest.mark.parametrize("label, orbits", [("A5", 1), ("B5", 2), ("D5", 1),
+                                           ("A6", 1), ("B6", 2), ("D6", 1)])
+def test_rank_five_and_six_groups(label, orbits):
     datum = parse_type(label)
-    group, _ = build_group(datum)
-    ident = identity_matrix(datum.rank)
-    seen = {ident: None}
-    frontier = [ident]
-    while frontier:
-        frontier = [w for w in (mat_mul(g, v) for v in frontier for g in group.generators)
-                    if w not in seen and not seen.setdefault(w)]
-    assert group.elements == tuple(seen)
+    group, arrangement = build_group(datum)
+    assert group.order == datum.group_order()
+    assert len(arrangement) == datum.coxeter_number * datum.rank // 2
+    assert len(arrangement.orbits()) == orbits
 
 
-def test_degenerate_reflection_raises_typed_alarm():
-    with pytest.raises(GroupClosureFailed, match="eigenspace"):
-        _minus_one_eigenvector(identity_matrix(3), 3)
+def test_infinite_realization_stops_with_an_alarm():
+    # a Gram form of indefinite signature generates an infinite group: the
+    # orbit walks must stop past the type's order instead of running forever
+    gram = ((Fraction(2), Fraction(-3)), (Fraction(-3), Fraction(2)))
+    roots = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    datum = CoxeterDatum("I2", 2, 5, "I2(5)", gram, roots, (2, 5), 1)
+    with pytest.raises(GroupClosureFailed, match="order"):
+        build_group(datum)

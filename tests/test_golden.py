@@ -8,7 +8,7 @@ one shared invariant cache and compare digests, so a change that moves a
 report byte fails here as well as in the benchmark.  The four high-shift
 requests of the deep-shift workload, where the inverse of the primitive
 connection does most of the work, and the four rank-4 requests of the
-rank-4 workload, where group enumeration, Reynolds averages and
+rank-4 workload, where group construction, Reynolds averages and
 certification do, are served the same way with ``--no-cache``.  Both files
 are only read.
 """

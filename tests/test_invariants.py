@@ -7,7 +7,8 @@ import pytest
 from coxbasis import invariants
 from coxbasis.coxeter import build_group, is_invariant_derivation, is_invariant_poly, parse_type
 from coxbasis.derivations import coefficient_matrix
-from coxbasis.invariants import compute_invariants, jacobian_matrix, partial_P_field
+from coxbasis.invariants import (compute_invariants, invariant_field_basis, invariant_field_degrees,
+                                 jacobian_matrix, partial_P_field)
 from coxbasis.poly import Poly
 
 
@@ -194,3 +195,11 @@ def test_fingerprint_is_stable_across_builds(pipeline):
     group, arrangement = build_group(datum)
     fresh = compute_invariants(group, arrangement)
     assert fresh.fingerprint() == cached.fingerprint()
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "G2", "H3", "I2(5)"])
+def test_invariant_field_degrees_are_the_nonempty_bases(pipeline, label):
+    _, _, system = pipeline(label)
+    top = 2 * system.coxeter_number
+    assert invariant_field_degrees(system, top) == [
+        d for d in range(top + 1) if invariant_field_basis(system, d)]

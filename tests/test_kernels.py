@@ -243,13 +243,13 @@ def test_representation_is_canonical():
     assert hash(p + p - p) == hash(p)
 
 
-def test_reynolds_matches_the_average_of_actions():
+def test_reynolds_matches_the_average_of_actions(closure):
     rng = random.Random(9)
     for label in ("B3", "H3", "I2(8)"):
         group, _ = build_group(parse_type(label))
         n = group.rank
         p = Poly(n, random_terms(rng, n, group.datum.disc, 3))
         total = Poly.zero(n)
-        for w in group.elements:
+        for w in closure(label):
             total = total + act(w, p)
-        assert reynolds(group, p) == total.scale(Fraction(1, group.order))
+        assert reynolds(group, p) == total.scale(Fraction(1, len(closure(label))))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxbasis.coxeter import act, build_group, mat_mul, parse_type
+from coxbasis.coxeter import act, mat_mul, parse_type
 from coxbasis.poly import Poly, poly_from_json, poly_to_json
 from coxbasis.scalars import Quad, format_scalar, parse_scalar
 
@@ -69,19 +69,14 @@ def test_format_parse_round_trip(p):
         assert parse_scalar(format_scalar(c)) == c
 
 
-@pytest.fixture(scope="module")
-def groups():
-    return {label: build_group(parse_type(label))[0] for label in ("B3", "H3", "I2(8)")}
-
-
 @SETTINGS
 @given(label=st.sampled_from(["B3", "H3", "I2(8)"]), data=st.data())
-def test_action_composes_along_the_closure(groups, label, data):
-    group = groups[label]
-    n = group.rank
-    w1 = data.draw(st.sampled_from(group.elements))
-    w2 = data.draw(st.sampled_from(group.elements))
-    p = data.draw(polys(nvars=n, field=group.datum.disc))
+def test_action_composes_along_the_closure(closure, label, data):
+    datum = parse_type(label)
+    elements = closure(label)
+    w1 = data.draw(st.sampled_from(elements))
+    w2 = data.draw(st.sampled_from(elements))
+    p = data.draw(polys(nvars=datum.rank, field=datum.disc))
     w12 = mat_mul(w1, w2)
-    assert w12 in group.elements
+    assert w12 in elements
     assert act(w1, act(w2, p)) == act(w12, p)
