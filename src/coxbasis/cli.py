@@ -203,7 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reports.append(suites.shift_suite(group, arrangement, system,
                                               args.samples, args.seed))
         elif name == "hodge":
-            degrees = args.degrees or invariant_field_degrees(system, 2 * system.coxeter_number)[:2]
+            degrees = args.degrees or invariant_field_degrees(system)[:2]
             reports.append(suites.hodge_suite(group, arrangement, system, args.k, degrees))
     all_passed = all(r["passed"] for r in reports)
 

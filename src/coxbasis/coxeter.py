@@ -11,11 +11,12 @@ Group elements are exact matrices R acting on covector coefficients,
 c -> R c.  The action on polynomials substitutes column i of R for
 variable i, which realizes p -> p o w^{-1} without inverting anything.
 The group is never enumerated.  Dropping simple roots from the end gives
-a chain of parabolic subgroups W_K > W_J; each step keeps one matrix per
-coset u W_J, found from the orbit of a fundamental weight, whose
-stabilizer in W_K is W_J.  Reynolds averages run through this chain with
-one substitution per coset, the sum of the indices in all instead of
-|W|, reusing the powers of the representatives' column forms.
+a chain of parabolic subgroups W_K > W_J; each step keeps one coset
+u W_J per point of the orbit of a fundamental weight, whose stabilizer
+in W_K is W_J.  Reynolds averages run through this chain with one
+substitution per coset, the sum of the indices in all instead of |W|,
+reusing the powers of the representatives' column forms; the matrices u
+are built the first time a Reynolds average runs.
 Hyperplanes are the orbit of the simple roots under the simple
 reflections, normalized so the first nonzero coefficient is 1, and are
 kept sorted by coefficient vector so all downstream artifacts are
@@ -249,17 +250,20 @@ class Hyperplane:
 class ReflectionGroup:
     """A finite real reflection group: its generators and a coset chain.
 
-    Stage s of ``cosets`` holds matrices u with W_K the disjoint union of
-    the cosets u W_J, for K = {0, ..., s} and J = K - {s}.  So the stages
-    run innermost first, and the order is the product of their lengths.
+    Stage s of ``chain`` is a breadth-first tree over the cosets u W_J of
+    W_K, for K = {0, ..., s} and J = K - {s}: entry k is (parent, t) with
+    u_k = g_t u_parent, and entry 0, the identity coset, is (-1, -1).  So
+    the stages run innermost first, and the order is the product of their
+    lengths.  The matrices u are built when a Reynolds average first needs
+    them.
     """
 
     def __init__(self, datum: CoxeterDatum, generators: tuple[MatrixT, ...],
-                 cosets: tuple[tuple[MatrixT, ...], ...]) -> None:
+                 chain: tuple[tuple[tuple[int, int], ...], ...]) -> None:
         self.datum = datum
         self.generators = generators
-        self.cosets = cosets
-        self.order = math.prod(len(reps) for reps in cosets)
+        self.chain = chain
+        self.order = math.prod(len(tree) for tree in chain)
 
     @property
     def rank(self) -> int:
@@ -267,10 +271,16 @@ class ReflectionGroup:
 
     @functools.cached_property
     def coset_powers(self) -> tuple[tuple[tuple[Powers, ...], ...], ...]:
-        """Per stage and representative, the power tables of its column
-        forms, kept so every Reynolds average reuses them."""
-        return tuple(tuple(tuple(Powers(form) for form in _column_forms(u)) for u in reps)
-                     for reps in self.cosets)
+        """Per stage and coset, the power tables of the column forms of its
+        matrix u, built on first use and kept so every Reynolds average
+        reuses them."""
+        stages = []
+        for tree in self.chain:
+            reps = [identity_matrix(self.rank)]
+            for parent, t in tree[1:]:
+                reps.append(mat_mul(self.generators[t], reps[parent]))
+            stages.append(tuple(tuple(Powers(form) for form in _column_forms(u)) for u in reps))
+        return tuple(stages)
 
 
 class Arrangement:
@@ -342,9 +352,10 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     fundamental weight x of s (<alpha_t, x> = 0 for t != s, 1 for s, under
     the Gram form) has stabilizer W_J in W_K (Humphreys, Reflection Groups
     and Coxeter Groups, 1.10 and 1.12), so the points of the orbit W_K x
-    are the cosets u W_J.  The hyperplanes are the orbit of the normalized simple roots.
-    The product of the indices must be the type's order and the root orbit
-    its hyperplane count; a mismatch raises GroupClosureFailed.
+    are the cosets u W_J.  The hyperplanes are the orbit of the normalized
+    simple roots.  The product of the indices must be the type's order and
+    the root orbit its hyperplane count; a mismatch raises
+    GroupClosureFailed.
     """
     expected = datum.group_order()
     if expected > order_bound:
@@ -355,9 +366,9 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     # simple roots (it is symmetric), written in the simple roots
     inverse = invert_matrix(mat_mul(roots, mat_mul(datum.gram, transpose(roots))))
     weights = [mat_vec(transpose(roots), row) for row in inverse]
-    cosets = tuple(_coset_representatives(weights[s], generators[:s + 1], expected)
-                   for s in range(datum.rank))
-    group = ReflectionGroup(datum, generators, cosets)
+    chain = tuple(_coset_tree(weights[s], generators[:s + 1], expected)
+                  for s in range(datum.rank))
+    group = ReflectionGroup(datum, generators, chain)
     if group.order != expected:
         raise GroupClosureFailed("coset chain gives order %d, expected %d"
                                  % (group.order, expected))
@@ -379,21 +390,24 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     return group, Arrangement(datum, hyperplanes, group)
 
 
-def _coset_representatives(x: tuple[Scalar, ...], generators: Sequence[MatrixT],
-                           bound: int) -> tuple[MatrixT, ...]:
-    """Breadth-first over the orbit of x under the reflections: one matrix u
-    per orbit point, with u x equal to it.  Stops once past bound points."""
-    reps = {x: identity_matrix(len(x))}
+def _coset_tree(x: tuple[Scalar, ...], generators: Sequence[MatrixT],
+                bound: int) -> tuple[tuple[int, int], ...]:
+    """Breadth-first over the orbit of x under the reflections: per orbit
+    point, its parent's index and the reflection that reaches it from the
+    parent (-1, -1 for x).  Stops once past bound points."""
+    index = {x: 0}
+    tree = [(-1, -1)]
     queue = [x]
-    for y in queue:
-        if len(reps) > bound:
+    for k, y in enumerate(queue):
+        if len(tree) > bound:
             break
-        for g in generators:
+        for t, g in enumerate(generators):
             z = mat_vec(g, y)
-            if z not in reps:
-                reps[z] = mat_mul(g, reps[y])
+            if z not in index:
+                index[z] = len(tree)
+                tree.append((k, t))
                 queue.append(z)
-    return tuple(reps.values())
+    return tuple(tree)
 
 
 def _column_forms(w: MatrixT) -> tuple[Poly, ...]:

@@ -321,13 +321,13 @@ def partial_P_field(system: InvariantSystem, j: int) -> tuple[Derivation, Poly]:
     return Derivation(system.cofactor_column(j)), system.jacobian
 
 
-def invariant_field_degrees(system: InvariantSystem, top: int) -> list[int]:
-    """The degrees 0..top that have a nonzero invariant field.
+def invariant_field_degrees(system: InvariantSystem) -> list[int]:
+    """The degrees 0..2h that have a nonzero invariant field.
 
     Degree d has one exactly when some invariant g_j of degree
     d - (deg P_j - 1) exists, so only the exponents are enumerated.
     """
-    return [d for d in range(top + 1)
+    return [d for d in range(2 * system.coxeter_number + 1)
             if any(next(system.invariant_exponents(d - (deg - 1)), None) is not None
                    for deg in system.degrees)]
 

@@ -9,9 +9,10 @@ square-free d > 1.
 These are the boundary types of the package: parsing and formatting,
 reports, point evaluation, scalar linear algebra and the public API.
 Polynomials compute on integer numerators instead (see ``poly``);
-``split_scalar`` and ``join_scalar`` convert between the two.  Arithmetic between int/Fraction and Quad promotes to Quad, and a
-Quad whose irrational part cancels demotes back to Fraction, so scalar
-code never branches on the type.  It relies only on field operations,
+``split_scalar`` and ``join_scalar`` convert between the two.
+Arithmetic between int/Fraction and Quad promotes to Quad, and a Quad
+whose irrational part cancels demotes back to Fraction, so scalar code
+never branches on the type.  It relies only on field operations,
 comparison with 0 and 1, a total (real-number) order, and hashability.
 """
 

@@ -243,7 +243,7 @@ def test_reynolds_matches_the_closure_average(label, closure):
 def test_reynolds_substitutes_once_per_coset(monkeypatch):
     # cosets of A2 in B3 (8), of A1 in A2 (3) and of 1 in A1 (2): 13, not |W| = 48
     group, _ = build_group(parse_type("B3"))
-    assert [len(reps) for reps in group.cosets] == [2, 3, 8]
+    assert [len(tree) for tree in group.chain] == [2, 3, 8]
     counted = []
 
     def counting(p, substitutions, nvars):
