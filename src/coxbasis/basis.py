@@ -21,7 +21,8 @@ from .coxeter import Arrangement, Multiplicity, ReflectionGroup
 from .derivations import Derivation, nabla
 from .errors import CertificateFailed, NotABasis
 from .invariants import InvariantSystem
-from .linalg import Echelon, coefficient_vector, monomial_columns, rref
+# rref stays bound here for the per-layer tracer of perfbench/tracer.py
+from .linalg import Echelon, monomial_columns, numerator_vector, rref  # noqa: F401
 from .poly import Poly, monomials_of_degree
 
 BASE_SOURCES = ("auto", "coordinate", "gradient", "oracle", "user")
@@ -133,6 +134,7 @@ def _oracle_search(mult: Multiplicity, arr: Arrangement) -> tuple[Derivation, ..
     degrees summing to sum(m), so anything else aborts the search.
     """
     n = arr.datum.rank
+    field = arr.datum.disc
     bound = mult.total()
     generators: list[Derivation] = []
     for degree in range(0, bound + 1):
@@ -140,15 +142,13 @@ def _oracle_search(mult: Multiplicity, arr: Arrangement) -> tuple[Derivation, ..
         if not piece:
             continue
         columns = monomial_columns(n, n, degree)
-        span_rows = []
+        echelon = Echelon(field)
         for gen in generators:
             shift = degree - gen.degree()
             for exps in monomials_of_degree(n, shift):
-                span_rows.append(coefficient_vector((gen * Poly.monomial(n, exps)).coeffs, columns))
-        reduced, pivots = rref(span_rows) if span_rows else ([], [])
-        echelon = Echelon(zip(pivots, reduced))
+                echelon.add(numerator_vector((gen * Poly.monomial(n, exps)).coeffs, columns, field))
         for cand in piece:
-            if echelon.add(coefficient_vector(cand.coeffs, columns)) is None:
+            if echelon.add(numerator_vector(cand.coeffs, columns, field)) is None:
                 continue
             generators.append(cand)
             if len(generators) > n:

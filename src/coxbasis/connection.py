@@ -27,6 +27,7 @@ and the exact re-check nabla_D(delta') == delta decides the result.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Iterator
@@ -36,7 +37,7 @@ from .errors import NoSolution, NonUniqueSolution, NotDivisible, NotPolynomial
 from .invariants import InvariantSystem, partial_P_field
 from .linalg import Echelon
 from .poly import Poly
-from .scalars import Scalar
+from .scalars import common_field
 
 
 def nabla_partial_P(delta: Derivation, j: int, system: InvariantSystem) -> Derivation:
@@ -78,41 +79,81 @@ def _sample_points(nvars: int) -> Iterator[tuple[int, ...]]:
         yield tuple(rng.randint(-_POINT_RANGE, _POINT_RANGE) for _ in range(nvars))
 
 
+def _times(x, y, d: int):
+    """Product of two integer numerators: ints, or int pairs when d > 1."""
+    if d == 1:
+        return x * y
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _scale(x, s: int):
+    return x * s if isinstance(x, int) else (x[0] * s, x[1] * s)
+
+
 def _evaluated_rows(delta: Derivation, system: InvariantSystem,
-                    unknowns: list[tuple[int, tuple[int, ...]]]) -> Iterator[list[Scalar]]:
-    """Equations of nabla_D(delta') = delta, times J, at sample points.
+                    unknowns: list[tuple[int, tuple[int, ...]]], field: int) -> Iterator[list]:
+    """Equations of nabla_D(delta') = delta, times J, at sample points, as
+    integer rows over Q (field 1) or Q(sqrt(field)).
 
     Each point p of `_sample_points` with J(p) != 0 gives one row per
     coordinate i: the entry of unknown (j, g) is
     J(p) (dg/dP_l)(P(p)) grad_{j,i}(p) + g(P(p)) N_{j,i}(p), and the last
-    entry is J(p) delta_i(p).  The stream ends after `_SPARE_POINTS` more
+    entry is J(p) delta_i(p).  Every polynomial enters as its integer
+    numerator at p (`Poly.numerator_at`) over its own denominator.  Row i
+    is scaled by den(J) K_i, K_i the lcm of the denominators of delta_i,
+    grad_{j,i} and N_{j,i}, and the column of (j, g) by
+    prod_m den(P_m)^(g_m), so every entry is integral; `nabla_D_inverse`
+    scales the solution back.  The stream ends after `_SPARE_POINTS` more
     such points than unknowns.
     """
-    last = system.nvars - 1
-    numerators = system.gradient_numerators
+    n = system.nvars
+    last = n - 1
+    grads = [g.coeffs for g in system.gradients]
+    nums = system.gradient_numerators
+    zero, one = (0, 1) if field == 1 else ((0, 0), (1, 0))
+
+    def at(f: Poly, point, scale: int = 1):
+        # f's numerator at the point times an integer scale, in the field
+        v = _scale(f.numerator_at(point), scale)
+        return v if field == 1 or f.d > 1 else (v, 0)
+
+    jd, d_last = system.jacobian.den, system.polys[last].den
+    ks = [math.lcm(f.den, *(grads[j][i].den for j in range(n)), *(nums[j][i].den for j in range(n)))
+          for i, f in enumerate(delta.coeffs)]
+    top = [max(exps[m] for _, exps in unknowns) for m in range(n)]
     used = 0
-    for point in _sample_points(system.nvars):
-        jac = system.jacobian.evaluate(point)
-        if jac == 0:
+    for point in _sample_points(n):
+        jac = at(system.jacobian, point)
+        if jac == zero:
             continue
-        values = [p.evaluate(point) for p in system.polys]
-        grads = [[f.evaluate(point) for f in g.coeffs] for g in system.gradients]
-        nums = [[f.evaluate(point) for f in row] for row in numerators]
+        powers = []
+        for m, p in enumerate(system.polys):
+            value = at(p, point)
+            powers.append([one])
+            for _ in range(top[m]):
+                powers[m].append(_times(powers[m][-1], value, field))
         g_at = []
         dg_at = []
         for _, exps in unknowns:
-            g_at.append(math.prod(v ** e for v, e in zip(values, exps) if e))
+            g = one
+            for m, e in enumerate(exps):
+                if e:
+                    g = _times(g, powers[m][e], field)
+            g_at.append(g)
             e_last = exps[last]
-            if e_last:
-                lowered = exps[:last] + (e_last - 1,)
-                dg_at.append(jac * e_last * math.prod(
-                    v ** e for v, e in zip(values, lowered) if e))
-            else:
-                dg_at.append(0)
-        for i, f in enumerate(delta.coeffs):
-            row = [dg * grads[j][i] + g * nums[j][i]
-                   for (j, _), g, dg in zip(unknowns, g_at, dg_at)]
-            row.append(jac * f.evaluate(point))
+            dg = _scale(jac, e_last * d_last)
+            for m, e in enumerate(exps[:last] + (e_last - 1,)):
+                if e_last and e:
+                    dg = _times(dg, powers[m][e], field)
+            dg_at.append(dg)
+        for i, (f, k) in enumerate(zip(delta.coeffs, ks)):
+            gk = [at(grads[j][i], point, k // grads[j][i].den) for j in range(n)]
+            ck = [at(nums[j][i], point, jd * k // nums[j][i].den) for j in range(n)]
+            row = []
+            for (j, _), g, dg in zip(unknowns, g_at, dg_at):
+                a, b = _times(dg, gk[j], field), _times(g, ck[j], field)
+                row.append(a + b if field == 1 else (a[0] + b[0], a[1] + b[1]))
+            row.append(_times(jac, at(f, point, k // f.den), field))
             yield row
         used += 1
         if used == len(unknowns) + _SPARE_POINTS:
@@ -124,10 +165,11 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
 
     The unknowns are the coefficients of delta' = sum_j g_j(P) grad(P_j)
     in degree deg(delta) + h, keyed like `invariants.invariant_field_basis`.
-    Their equations come from exact evaluation at points where J does not
-    vanish (`_evaluated_rows`), reduced into one incremental echelon until
-    its rank equals the number of unknowns, which proves the solution
-    unique.  The solution is then built in coordinates and re-verified
+    Their equations come as integer rows from exact evaluation at points
+    where J does not vanish (`_evaluated_rows`), and the integer kernel
+    `linalg.Echelon` takes them until its rank equals the number of
+    unknowns, which proves the solution unique.  The solution, each row's
+    last entry over its pivot, is then built in coordinates and re-verified
     exactly by applying nabla_D to it; that re-check is the gate.
 
     NoSolution signals a non-invariant or otherwise malformed input: an
@@ -150,8 +192,9 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
         raise NoSolution("no invariant fields exist in degree %d" % target_degree)
     size = len(unknowns)
 
-    echelon = Echelon()
-    for row in _evaluated_rows(delta, system, unknowns):
+    field = functools.reduce(common_field, (f.d for f in delta.coeffs), system.field)
+    echelon = Echelon(field)
+    for row in _evaluated_rows(delta, system, unknowns, field):
         if echelon.add(row) == size:
             raise NoSolution("field has no polynomial preimage along the primitive "
                              "direction; input is likely not invariant")
@@ -164,12 +207,15 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
             % (echelon.rank, size, size + _SPARE_POINTS))
 
     # rows are in pivot order with pivots 0 .. size-1; the last column is the solution
+    solution = echelon.column(size)
     out = Derivation.zero(n)
     for j, grad in enumerate(system.gradients):
         g_j = Poly.zero(n)
-        for (jj, exps), (_, row) in zip(unknowns, echelon.rows):
-            if jj == j and row[size] != 0:
-                g_j = g_j + system.expand(exps).scale(row[size])
+        for (jj, exps), x in zip(unknowns, solution):
+            if jj == j and x != 0:
+                # undo the column scaling of `_evaluated_rows`
+                x = x * math.prod(p.den ** e for p, e in zip(system.polys, exps))
+                g_j = g_j + system.expand(exps).scale(x)
         if not g_j.is_zero:
             out = out + grad * g_j
     try:

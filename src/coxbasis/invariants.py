@@ -37,15 +37,16 @@ import math
 import os
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .coxeter import Arrangement, ReflectionGroup, act, reynolds
 from .derivations import Derivation
 from .errors import JacobianDegenerate
-from .linalg import Echelon, PolyMatrix, coefficient_vector, det, monomial_columns
+from .linalg import Echelon, PolyMatrix, det, monomial_columns, numerator_vector
 from .poly import Poly, monomials_of_degree, point_off, poly_from_json, poly_to_json
-from .scalars import Scalar, format_scalar, scalar_inverse
+from .scalars import Scalar, common_field, format_scalar, join_scalar, scalar_inverse
 
 
 class InvariantSystem:
@@ -90,6 +91,13 @@ class InvariantSystem:
     @property
     def exponents(self) -> tuple[int, ...]:
         return tuple(d - 1 for d in self.degrees)
+
+    @functools.cached_property
+    def field(self) -> int:
+        """The d of Q(sqrt(d)) holding the invariants, their gradients and J;
+        1 for Q."""
+        polys = chain(self.polys, (self.jacobian,), *(g.coeffs for g in self.gradients))
+        return functools.reduce(common_field, (f.d for f in polys), 1)
 
     @functools.cached_property
     def gradient_numerators(self) -> tuple[tuple[Poly, ...], ...]:
@@ -221,6 +229,7 @@ def compute_invariants(group: ReflectionGroup, arrangement: Arrangement,
 def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> InvariantSystem:
     datum = group.datum
     n = datum.rank
+    field = datum.disc
     levels: list[tuple[int, int]] = []
     for d in sorted(set(datum.degrees)):
         levels.append((d, datum.degrees.count(d)))
@@ -246,13 +255,13 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
         monos = [e for _, e in columns]
 
         # echelon spanning the subalgebra of lower invariants at this degree
-        echelon = Echelon()
+        echelon = Echelon(field)
         weights = [d for d, _ in chosen]
         for exps in _weighted_exponents(weights, degree):
             prod = Poly.constant(n, Fraction(1))
             for (_, p), e in zip(chosen, exps):
                 prod = prod * p ** e
-            echelon.add(coefficient_vector((prod,), columns))
+            echelon.add(numerator_vector((prod,), columns, field))
 
         def pick(start: int, picked: list[Poly]) -> list[Poly] | None:
             if len(picked) == count:
@@ -262,11 +271,14 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
                 cand = cands.get(idx)
                 if cand is None:
                     return None
-                red = echelon.reduce(coefficient_vector((cand,), columns))
+                red = echelon.reduce(numerator_vector((cand,), columns, field))
                 idx += 1
-                if all(a == 0 for a in red):
+                # the reduction is known up to a scale, which monic() discards
+                terms = {monos[k]: join_scalar(field, c, 1) for k, c in enumerate(red)
+                         if c != echelon.zero}
+                if not terms:
                     continue
-                reduced_poly = Poly(n, {monos[k]: c for k, c in enumerate(red)}).monic()
+                reduced_poly = Poly(n, terms).monic()
                 checkpoint = list(echelon.rows)
                 echelon.insert(red)
                 result = pick(idx, picked + [reduced_poly])

@@ -1,26 +1,28 @@
 """Exact linear algebra over scalar fields and polynomial rings.
 
-Scalar matrices (entries Fraction or Quad) get reduced row echelon form,
-kernel bases, inversion and determinants, and an incremental echelon that
-grows one vector at a time.  Polynomials and fields enter this linear
-algebra through one vectorizer, `coefficient_vector`, over the columns
-`monomial_columns` numbers.  Pivoting always takes the first nonzero entry
-in a fixed scan order, so every result is deterministic.
-
-Polynomial matrices get determinants by cofactor expansion.  The package
-needs them only for the Jacobian cofactors; where the theory fixes a
-determinant up to a scalar, that scalar comes from the scalar determinant
-of the matrix evaluated at one point.
+All elimination runs in one kernel, `Echelon`, on integer numerators: ints
+over Q, int pairs (a, b) for a + b*sqrt(d) over Q(sqrt(d)), as in ``poly``.
+Its rows stay in reduced echelon form with unnormalized pivots, and a
+vector is reduced by cross-multiplying over the gcd of its components, so
+no fraction is formed (integer-preserving elimination: Bareiss, Math.
+Comp. 22, 1968).  `rref`, `rank`, `kernel_basis`, `invert_matrix` and
+`det` convert Fraction/Quad matrices at the boundary (`split_scalars`,
+`join_scalar`); polynomials enter through `numerator_vector`.  Pivots are
+the first nonzero entries in column order, so results are deterministic.
+Polynomial matrices get determinants by cofactor expansion, which the
+package needs only for the Jacobian cofactors.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 from .poly import Exponents, Poly, monomials_of_degree
-from .scalars import Scalar, scalar_inverse
+from .scalars import Scalar, join_scalar, split_scalars
 
 Matrix = list[list[Scalar]]
 # column of the coefficient of x^exponents in polynomial `position` of a tuple
@@ -34,94 +36,140 @@ def monomial_columns(width: int, nvars: int, degree: int) -> Columns:
     return {key: k for k, key in enumerate(keys)}
 
 
-def coefficient_vector(polys: Sequence[Poly], columns: Columns) -> list[Scalar]:
-    """The coefficients of a tuple of polynomials as one vector in `columns`."""
-    v: list[Scalar] = [Fraction(0)] * len(columns)
+def numerator_vector(polys: Sequence[Poly], columns: Columns, d: int) -> list:
+    """The coefficients of a tuple of polynomials over Q (d = 1) or
+    Q(sqrt(d)) as one integer vector in `columns`, times a positive integer."""
+    v = [0 if d == 1 else (0, 0)] * len(columns)
+    den = math.lcm(*(f.den for f in polys))
     for i, f in enumerate(polys):
-        for exps, coeff in f.terms.items():
-            v[columns[(i, exps)]] = coeff
+        if f.d not in (1, d):
+            raise ValueError("polynomial over Q(sqrt(%d)) in a vector over field %d" % (f.d, d))
+        s = den // f.den
+        for exps, c in f.num.items():
+            v[columns[(i, exps)]] = (c * s if d == 1 else (c * s, 0) if f.d == 1
+                                     else (c[0] * s, c[1] * s))
     return v
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [list(row) for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = scalar_inverse(m[r][c])
-        m[r] = [inv * v for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+def _primitive(v: list, d: int) -> list:
+    """The vector over the gcd of its integer components."""
+    g = math.gcd(*(v if d == 1 else chain.from_iterable(v)))
+    if g <= 1:
+        return v
+    return [a // g for a in v] if d == 1 else [(a // g, b // g) for a, b in v]
+
+
+def _eliminate(v: list, row: list, p: int, d: int) -> list:
+    """row[p]*v - v[p]*row over its content; row[p] is a nonzero rational
+    integer, stored as (row[p][0], 0) when d > 1."""
+    if d == 1:
+        s, f = row[p], v[p]
+        g = math.gcd(s, f)
+        s, f = s // g, f // g
+        return _primitive([s * a - f * b for a, b in zip(v, row)], d)
+    s, (fa, fb) = row[p][0], v[p]
+    g = math.gcd(s, fa, fb)
+    s, fa, fb = s // g, fa // g, fb // g
+    dfb = d * fb
+    return _primitive([(s * a - fa * ra - dfb * rb, s * b - fa * rb - fb * ra)
+                       for (a, b), (ra, rb) in zip(v, row)], d)
 
 
 class Echelon:
-    """Rows in reduced echelon form, grown one vector at a time.
+    """Integer rows over Q (d = 1) or Q(sqrt(d)) in reduced echelon form,
+    grown one vector at a time: (pivot column, row) pairs in pivot order.
 
-    Each row has a 1 in its pivot column, every other row has a 0 there,
-    and the rows are kept in pivot order, so one pass over them reduces a
-    vector.  Rows are replaced, never changed in place, so a shallow copy
-    of ``rows`` is a checkpoint that can be assigned back.
+    A row has a nonzero rational integer at its pivot, every other row has
+    0 there, and its components have no common factor, so one pass over the
+    rows reduces a vector.  Rows are replaced, never changed in place, so a
+    shallow copy of ``rows`` is a checkpoint that can be assigned back.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("d", "zero", "rows")
 
-    def __init__(self, rows: Iterable[tuple[int, list[Scalar]]] = ()) -> None:
-        self.rows: list[tuple[int, list[Scalar]]] = list(rows)
+    def __init__(self, d: int = 1) -> None:
+        self.d = d
+        self.zero = 0 if d == 1 else (0, 0)
+        self.rows: list[tuple[int, list]] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Sequence[Scalar]) -> list[Scalar]:
-        """The vector minus its components along the rows."""
+    def _check(self, v: Sequence) -> None:
+        if self.rows and len(v) != len(self.rows[0][1]):
+            raise ValueError("vector of length %d for rows of length %d"
+                             % (len(v), len(self.rows[0][1])))
+
+    def reduce(self, v: Sequence) -> list:
+        """The vector minus its components along the rows, times a nonzero integer."""
+        self._check(v)
         v = list(v)
-        for pivot, row in self.rows:
-            f = v[pivot]
-            if f != 0:
-                v = [a - f * b for a, b in zip(v, row)]
+        for p, row in self.rows:
+            if v[p] != self.zero:
+                v = _eliminate(v, row, p, self.d)
         return v
 
-    def insert(self, reduced: Sequence[Scalar]) -> int:
+    def insert(self, reduced: Sequence) -> int:
         """Add a nonzero vector that `reduce` returned; returns its pivot column."""
-        pivot = next(k for k, a in enumerate(reduced) if a != 0)
-        inv = scalar_inverse(reduced[pivot])
-        new_row = [inv * a for a in reduced]
+        self._check(reduced)
+        d, zero = self.d, self.zero
+        pivot = next((k for k, a in enumerate(reduced) if a != zero), None)
+        if pivot is None:
+            raise ValueError("cannot insert a zero vector")
+        if d != 1 and reduced[pivot][1]:
+            # times the conjugate of the pivot, which makes the pivot its norm
+            ca, cb = reduced[pivot][0], -reduced[pivot][1]
+            reduced = [(a * ca + d * b * cb, a * cb + b * ca) for a, b in reduced]
+        new = _primitive(list(reduced), d)
         for k, (p, row) in enumerate(self.rows):
-            f = row[pivot]
-            if f != 0:
-                self.rows[k] = (p, [a - f * b for a, b in zip(row, new_row)])
-        bisect.insort(self.rows, (pivot, new_row), key=lambda t: t[0])
+            if row[pivot] != zero:
+                self.rows[k] = (p, _eliminate(row, new, pivot, d))
+        bisect.insort(self.rows, (pivot, new), key=lambda t: t[0])
         return pivot
 
-    def add(self, v: Sequence[Scalar]) -> int | None:
+    def add(self, v: Sequence) -> int | None:
         """Reduce a vector and keep it if it is nonzero.
 
         Returns the pivot column of the new row, or None when the vector
         lies in the span of the rows.
         """
         red = self.reduce(v)
-        if all(a == 0 for a in red):
+        if all(a == self.zero for a in red):
             return None
         return self.insert(red)
+
+    def scalar_rows(self) -> list[tuple[int, list[Scalar]]]:
+        """The boundary view: each row as scalars over its pivot entry."""
+        return [(p, [self._scalar(a, row[p]) for a in row]) for p, row in self.rows]
+
+    def column(self, c: int) -> list[Scalar]:
+        """Column c of `scalar_rows`."""
+        return [self._scalar(row[c], row[p]) for p, row in self.rows]
+
+    def _scalar(self, a, pivot) -> Scalar:
+        return join_scalar(self.d, a, pivot if self.d == 1 else pivot[0])
+
+
+def _numerators(rows: Sequence[Sequence[Scalar]]) -> tuple[int, list[list], int]:
+    """Integer rows of a nonempty scalar matrix over one common denominator."""
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged matrix")
+    d, nums, den = split_scalars([x for row in rows for x in row])
+    return d, [nums[k:k + width] for k in range(0, len(nums), width or 1)], den
+
+
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form, zero rows last, and the list of pivot columns."""
+    if not rows:
+        return [], []
+    d, nums, _ = _numerators(rows)
+    echelon = Echelon(d)
+    for row in nums:
+        echelon.add(row)
+    zeros = [[Fraction(0)] * len(rows[0]) for _ in range(len(rows) - echelon.rank)]
+    return [row for _, row in echelon.scalar_rows()] + zeros, [p for p, _ in echelon.rows]
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -134,54 +182,54 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> 
         if not rows:
             raise ValueError("kernel of an empty matrix needs an explicit column count")
         ncols = len(rows[0])
-    if not rows:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)] for i in range(ncols)]
+    if rows and ncols != len(rows[0]):
+        raise ValueError("kernel in %d columns of a matrix with %d" % (ncols, len(rows[0])))
     red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis: list[list[Scalar]] = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         v: list[Scalar] = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][f]
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[f]
         basis.append(v)
     return basis
 
 
 def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant of a square scalar matrix by exact elimination."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
+    """Determinant of a square scalar matrix.
+
+    Row i with e_i appended is reduced against the rows before it; the
+    entry lam at column n + i is the scale the reduction gave row i.  Over
+    their lam, the reduced rows are triangular up to the pivot order.
+    """
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("determinant needs a nonempty square matrix")
-    out: Scalar = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
+    d, nums, den = _numerators(rows)
+    echelon = Echelon(d)
+    zero, one = echelon.zero, (1 if d == 1 else (1, 0))
+    out: Scalar = Fraction(1, den ** n)
+    pivots: list[int] = []
+    for i, row in enumerate(nums):
+        v = echelon.reduce(row + [one if j == i else zero for j in range(n)])
+        pivot = next(k for k, a in enumerate(v) if a != zero)
+        if pivot >= n:
             return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            out = -out
-        out = out * m[c][c]
-        inv = scalar_inverse(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return out
+        out = out * join_scalar(d, v[pivot], 1) / join_scalar(d, v[n + i], 1)
+        pivots.append(echelon.insert(v))
+    inversions = sum(a > b for k, a in enumerate(pivots) for b in pivots[k + 1:])
+    return -out if inversions % 2 else out
 
 
 def invert_matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix inversion needs a square matrix")
-    aug = [list(r) + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(r) + [Fraction(int(i == j)) for j in range(n)]
+                        for i, r in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    return [row[n:] for row in red]
 
 
 class PolyMatrix:

@@ -366,6 +366,13 @@ class Poly:
         ints = _integral(point)
         if ints is None:
             return _evaluate_scalars(self, point)
+        return join_scalar(self.d, self.numerator_at(ints), self.den)
+
+    def numerator_at(self, point: Sequence[int]) -> "int | tuple[int, int]":
+        """The value at an integral point times ``den``: an int over Q, an
+        int pair over Q(sqrt(d))."""
+        if len(point) != self.nvars:
+            raise ValueError("need %d coordinates, got %d" % (self.nvars, len(point)))
         powers: dict[tuple[int, int], int] = {}
         d = self.d
         ta = tb = 0
@@ -375,14 +382,14 @@ class Poly:
                 if e:
                     pw = powers.get((i, e))
                     if pw is None:
-                        pw = powers[(i, e)] = ints[i] ** e
+                        pw = powers[(i, e)] = point[i] ** e
                     m *= pw
             if d == 1:
                 ta += c * m
             else:
                 ta += c[0] * m
                 tb += c[1] * m
-        return join_scalar(d, ta if d == 1 else (ta, tb), self.den)
+        return ta if d == 1 else (ta, tb)
 
     def divrem(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder of division by one divisor in grlex order.

@@ -23,7 +23,7 @@ from .coxeter import Arrangement, ReflectionGroup
 from .derivations import Derivation, euler_field, nabla
 from .invariants import (InvariantSystem, invariant_field_basis, invariant_field_degrees,
                          jacobian_factors)
-from .linalg import coefficient_vector, kernel_basis, monomial_columns, rank
+from .linalg import Echelon, kernel_basis, monomial_columns, numerator_vector
 from .poly import Poly, monomials_of_degree
 from .scalars import Scalar, format_scalar
 
@@ -155,12 +155,12 @@ def hodge_equality_check(k: int, source_degrees: Sequence[int], system: Invarian
         target = d + k * system.coxeter_number
         # every image is homogeneous of the target degree
         columns = monomial_columns(n, n, target)
-        images = []
+        images = Echelon(arrangement.datum.disc)
         for _, img in invariant_field_basis(system, d):
             for _ in range(k):
                 img = nabla_D_inverse(img, system)
-            images.append(coefficient_vector(img.coeffs, columns))
-        image_dim = rank(images)
+            images.add(numerator_vector(img.coeffs, columns, images.d))
+        image_dim = images.rank
         kernel_dim = invariant_graded_dimension(system, arrangement, target, 2 * k + 1)
         entries.append({
             "source_degree": d,

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import fraction_rref
 
 from coxbasis import connection
 from coxbasis.connection import nabla_D, nabla_D_inverse, universal_field
@@ -12,7 +13,6 @@ from coxbasis.coxeter import is_invariant_derivation
 from coxbasis.derivations import Derivation, euler_field, nabla
 from coxbasis.errors import NoSolution, NonUniqueSolution, NotPolynomial
 from coxbasis.invariants import invariant_field_basis, partial_P_field
-from coxbasis.linalg import rref
 from coxbasis.poly import Poly, linear_form_order
 from coxbasis.verify import random_invariant_derivation
 
@@ -166,7 +166,8 @@ def test_nabla_of_members_recovers_contact_orders(pipeline):
 
 def dense_inverse(delta, system):
     """Reference inverse: expand every candidate's image and solve the
-    dense system over the coefficients of all monomials."""
+    dense system over the coefficients of all monomials, by the test-only
+    Fraction/Quad elimination."""
     n = system.nvars
     basis = invariant_field_basis(system, delta.degree() + system.coxeter_number)
     primitive, _ = partial_P_field(system, n - 1)
@@ -185,7 +186,7 @@ def dense_inverse(delta, system):
     for i in range(n):
         for exps, coeff in targets[i].terms.items():
             rows[monomials[(i, exps)]][len(basis)] = coeff
-    reduced, pivots = rref(rows)
+    reduced, pivots = fraction_rref(rows)
     assert pivots == list(range(len(basis)))
     out = Derivation.zero(n)
     for (_, field), row in zip(basis, reduced):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import FractionEchelon, fraction_det, fraction_rref
 
 from coxbasis.linalg import (
     Echelon,
@@ -15,7 +16,7 @@ from coxbasis.linalg import (
     rref,
 )
 from coxbasis.poly import Poly
-from coxbasis.scalars import Quad
+from coxbasis.scalars import Quad, split_scalars
 
 
 def random_poly(rng: random.Random, nvars: int, max_deg: int) -> Poly:
@@ -57,37 +58,161 @@ def test_kernel_basis_no_rows():
 
 def test_echelon_reduces_and_adds_only_new_directions():
     echelon = Echelon()
-    assert echelon.add([Fraction(0), Fraction(2), Fraction(4)]) == 1
-    assert echelon.add([Fraction(3), Fraction(1), Fraction(2)]) == 0
+    assert echelon.add([0, 2, 4]) == 1
+    assert echelon.add([3, 1, 2]) == 0
     # in the span: reduced to zero and not kept
-    assert echelon.add([Fraction(6), Fraction(5), Fraction(10)]) is None
+    assert echelon.add([6, 5, 10]) is None
     assert echelon.rank == 2
-    # fully inter-reduced, in pivot order, with leading ones
-    assert echelon.rows == [(0, [Fraction(1), Fraction(0), Fraction(0)]),
-                            (1, [Fraction(0), Fraction(1), Fraction(2)])]
-    assert echelon.reduce([Fraction(1), Fraction(1), Fraction(5)]) == [0, 0, 3]
+    # fully inter-reduced, in pivot order; the boundary view has leading ones
+    assert echelon.scalar_rows() == [(0, [Fraction(1), Fraction(0), Fraction(0)]),
+                                     (1, [Fraction(0), Fraction(1), Fraction(2)])]
+    # the integer rows carry no common factor
+    assert echelon.rows == [(0, [1, 0, 0]), (1, [0, 1, 2])]
+    # a reduction is known up to a nonzero scale: [0, 0, 3] over its content
+    assert echelon.reduce([1, 1, 5]) == [0, 0, 1]
 
 
 def test_echelon_matches_rref_on_random_rows():
     rng = random.Random(29)
     for _ in range(20):
-        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(5)] for _ in range(rng.randint(1, 6))]
+        rows = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(rng.randint(1, 6))]
         echelon = Echelon()
         for row in rows:
             echelon.add(row)
-        reduced, pivots = rref(rows)
-        assert echelon.rows == list(zip(pivots, reduced))
+        reduced, pivots = rref([[Fraction(a) for a in row] for row in rows])
+        assert echelon.scalar_rows() == list(zip(pivots, reduced))
 
 
 def test_echelon_checkpoint_and_quadratic_entries():
+    # over Q(sqrt 5) the rows are int pairs (a, b) standing for a + b*sqrt(5)
     r5 = Quad(0, 1, 5)
-    echelon = Echelon([(0, [Fraction(1), Fraction(0)])])
+    echelon = Echelon(5)
+    assert echelon.add([(1, 0), (0, 0)]) == 0
     checkpoint = list(echelon.rows)
-    assert echelon.add([r5, r5 + 1]) == 1
+    assert echelon.add([(0, 1), (1, 1)]) == 1
     assert echelon.rank == 2
+    assert echelon.scalar_rows() == [(0, [Fraction(1), Fraction(0)]),
+                                     (1, [Fraction(0), Fraction(1)])]
     echelon.rows = checkpoint
     assert echelon.rank == 1
-    assert echelon.rows == [(0, [Fraction(1), Fraction(0)])]
+    assert echelon.scalar_rows() == [(0, [Fraction(1), Fraction(0)])]
+    # the pivot is made rational by the conjugate; the view divides it out
+    assert echelon.add([(0, 0), (0, 2)]) == 1
+    pivot_entry = echelon.rows[1][1][1]
+    assert pivot_entry[0] != 0 and pivot_entry[1] == 0
+    assert echelon.add([(0, 1), (1, 1)]) is None
+    assert rref([[r5, r5 + 1]]) == ([[Fraction(1), (r5 + 1) / r5]], [0])
+
+
+def test_echelon_reduce_rejects_a_shorter_vector():
+    echelon = Echelon()
+    echelon.add([1, 2, 3])
+    with pytest.raises(ValueError):
+        echelon.reduce([1, 2])
+
+
+def test_echelon_add_rejects_a_longer_vector():
+    echelon = Echelon()
+    echelon.add([1, 2, 3])
+    with pytest.raises(ValueError):
+        echelon.add([0, 1, 2, 3])
+    assert echelon.rows == [(0, [1, 2, 3])]
+
+
+def test_echelon_insert_rejects_the_zero_vector():
+    echelon = Echelon()
+    with pytest.raises(ValueError):
+        echelon.insert([0, 0, 0])
+    with pytest.raises(ValueError):
+        Echelon(5).insert([(0, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("ncols", [2, 4])
+def test_kernel_basis_rejects_a_column_count_unlike_the_rows(ncols):
+    rows = [[Fraction(1), Fraction(2), Fraction(3)]]
+    with pytest.raises(ValueError):
+        kernel_basis(rows, ncols)
+
+
+def random_scalar(rng: random.Random, d: int):
+    a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if d == 1 or rng.random() < 0.3:
+        return a
+    return a + Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * Quad(0, 1, d)
+
+
+def random_matrix(rng: random.Random, d: int, nrows: int, ncols: int):
+    """Full rank or the product of random nrows x r and r x ncols matrices
+    for a smaller r, with about one row in ten zeroed."""
+    full = min(nrows, ncols)
+    r = full if rng.random() < 0.7 else rng.randint(0, full)
+    left = [[random_scalar(rng, d) for _ in range(r)] for _ in range(nrows)]
+    right = [[random_scalar(rng, d) for _ in range(ncols)] for _ in range(r)]
+    return [[Fraction(0)] * ncols if rng.random() < 0.1 else
+            [sum((a * row[c] for a, row in zip(lrow, right)), Fraction(0)) for c in range(ncols)]
+            for lrow in left]
+
+
+def reference_kernel(rows, ncols):
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][f]
+        basis.append(v)
+    return basis
+
+
+def seeded_matrices(d: int, square: bool = False):
+    rng = random.Random(1000 + d)
+    for _ in range(20):
+        nrows = rng.randint(1, 6)
+        yield random_matrix(rng, d, nrows, nrows if square else rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("d", [1, 5, 2])
+def test_kernel_matches_the_fraction_reference(d):
+    for rows in seeded_matrices(d):
+        ncols = len(rows[0])
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == fraction_rref(rows)
+        assert rank(rows) == len(pivots)
+        assert kernel_basis(rows, ncols) == reference_kernel(rows, ncols)
+    for square in seeded_matrices(d, square=True):
+        assert det(square) == fraction_det(square)
+        if fraction_det(square) != 0:
+            n = len(square)
+            aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(square)]
+            assert invert_matrix(square) == [row[n:] for row in fraction_rref(aug)[0]]
+        else:
+            with pytest.raises(ValueError):
+                invert_matrix(square)
+
+
+@pytest.mark.parametrize("d", [1, 5, 2])
+def test_echelon_solves_augmented_systems_like_the_reference(d):
+    # consistent and inconsistent right-hand sides; add returns the augmented
+    # column exactly when a row makes the system inconsistent
+    rng = random.Random(2000 + d)
+    inconsistent = 0
+    for rows in seeded_matrices(d):
+        ncols = len(rows[0])
+        sol = [random_scalar(rng, d) for _ in range(ncols)]
+        rhs = [sum((a * x for a, x in zip(row, sol)), Fraction(0)) for row in rows]
+        if rng.random() < 0.5:
+            rhs[rng.randrange(len(rhs))] += 1
+        augmented = [row + [b] for row, b in zip(rows, rhs)]
+        field, nums, _ = split_scalars([x for row in augmented for x in row])
+        echelon, reference = Echelon(field), FractionEchelon()
+        for k, row in enumerate(augmented):
+            got = echelon.add(nums[k * (ncols + 1):(k + 1) * (ncols + 1)])
+            assert got == reference.add(row)
+            inconsistent += got == ncols
+        assert echelon.scalar_rows() == reference.rows
+        assert echelon.column(ncols) == [row[ncols] for _, row in reference.rows]
+    assert inconsistent > 0
 
 
 def test_invert_matrix():

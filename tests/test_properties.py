@@ -1,8 +1,9 @@
 """Property tests of polynomials, scalars and the group action.
 
 They need hypothesis and are skipped without it: the ring axioms, the
-division identity, the report format round trip, and the action of the
-group composing along its closure.
+division identity, the report format round trip, the action of the
+group composing along its closure, and the incremental echelon agreeing
+with the reduced row echelon form of the same rows.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from fractions import Fraction
 import pytest
 
 from coxbasis.coxeter import act, mat_mul, parse_type
+from coxbasis.linalg import Echelon, rref
 from coxbasis.poly import Poly, poly_from_json, poly_to_json
-from coxbasis.scalars import Quad, format_scalar, parse_scalar
+from coxbasis.scalars import Quad, format_scalar, parse_scalar, split_scalars
 
 FIELDS = [1, 5, 2]
 
@@ -80,3 +82,31 @@ def test_action_composes_along_the_closure(closure, label, data):
     w12 = mat_mul(w1, w2)
     assert w12 in elements
     assert act(w1, act(w2, p)) == act(w12, p)
+
+
+@st.composite
+def scalar_rows(draw):
+    d = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = []
+        for _ in range(ncols):
+            a = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            b = draw(st.integers(-2, 2)) if d > 1 else 0
+            row.append(Quad(a, b, d) if b else a)
+        rows.append(row)
+    return d, rows
+
+
+@SETTINGS
+@given(scalar_rows())
+def test_echelon_fed_row_by_row_equals_rref(drawn):
+    d, rows = drawn
+    echelon = Echelon(d)
+    for row in rows:
+        # each row over its own denominator, in the field of the matrix
+        field, nums, _ = split_scalars(row)
+        echelon.add(nums if field == d else [(a, 0) for a in nums])
+    reduced, pivots = rref(rows)
+    assert echelon.scalar_rows() == list(zip(pivots, reduced))

@@ -11,17 +11,23 @@ B3, G2 and I2(5):
     the inverse of the Jacobian matrix (dP_j/dx_i), against
     `nabla_partial_P` on seeded random invariant fields, for every j;
   * nabla_D of nabla_D_inverse, which must give each field back.
+
+On seeded random rational matrices up to 8 x 9, some of them rank
+deficient, `rref`, `det` and `kernel_basis` are also checked against
+sympy's ``rref``, ``det`` and ``nullspace``.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from coxbasis.connection import nabla_D, nabla_D_inverse, nabla_partial_P, universal_field
 from coxbasis.errors import NotPolynomial
 from coxbasis.invariants import invariant_field_basis
+from coxbasis.linalg import det, kernel_basis, rref
 from coxbasis.poly import Poly
 from coxbasis.scalars import Quad
 from coxbasis.verify import random_invariant_derivation
@@ -133,3 +139,43 @@ def test_nabla_D_inverts_nabla_D_inverse(pipeline, reference, label):
         assert nabla_D(lifted, system) == delta
         assert ([ref.partial_P_times_det(f, last) for f in lifted.coeffs]
                 == [ref.poly(f) * ref.det for f in delta.coeffs])
+
+
+def rational_matrices(seed: int, square: bool = False):
+    """Seeded random rational matrices up to 8 x 9; about a third of them
+    are products through a smaller inner dimension, so rank deficient."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        nrows = rng.randint(1, 8)
+        ncols = nrows if square else rng.randint(1, 9)
+        if rng.random() < 0.35:
+            inner = rng.randint(0, min(nrows, ncols))
+            left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(nrows)]
+            right = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+                     for _ in range(inner)]
+            yield [[sum((a * r[c] for a, r in zip(row, right)), Fraction(0)) for c in range(ncols)]
+                   for row in left]
+        else:
+            yield [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(ncols)]
+                   for _ in range(nrows)]
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows])
+
+
+def test_rref_and_kernel_match_sympy():
+    for rows in rational_matrices(8):
+        reference = to_sympy(rows)
+        expected, expected_pivots = reference.rref()
+        reduced, pivots = rref(rows)
+        assert pivots == list(expected_pivots)
+        assert to_sympy(reduced) == expected
+        kernel = kernel_basis(rows, len(rows[0]))
+        assert [to_sympy([v]).T for v in kernel] == reference.nullspace()
+
+
+def test_det_matches_sympy():
+    for rows in rational_matrices(9, square=True):
+        assert to_sympy([[det(rows)]])[0, 0] == to_sympy(rows).det()
