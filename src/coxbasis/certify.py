@@ -4,7 +4,8 @@ A list of l homogeneous fields is certified as a free basis for the
 derivation module of a multiplicity m by three checks, in this order:
 
   1. membership: the contact order of every member at every hyperplane
-     is at least m(H), decided by repeated exact division;
+     is at least m(H), decided by synthetic division by the form on
+     integer numerators (``poly.linear_form_order``);
   2. the degree count: member degrees must sum to sum_H m(H);
   3. independence: the coefficient determinant must be nonzero.
 
@@ -18,7 +19,8 @@ polynomial determinant is never expanded.
 
 The module also provides direct graded dimensions of the derivation
 module, by linear algebra on one graded piece with no basis needed: the
-contact-order conditions become linear rows (`order_constraint_rows`).
+contact-order conditions become integer linear rows
+(`order_constraint_rows`) for the elimination kernel `linalg.Echelon`.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from typing import Sequence
 
 from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation, coefficient_matrix
-from .linalg import det, kernel_basis
-from .poly import (Poly, count_monomials, linear_form_order, monomials_of_degree,
-                   point_off, product)
+from .linalg import Echelon, det
+from .poly import (Powers, Poly, count_monomials, linear_combination, linear_form_order,
+                   monomials_of_degree, point_off, product, substitute_sum)
 from .scalars import Scalar, scalar_inverse
 
 VERDICT_FREE = "Free-with-basis"
@@ -42,8 +44,9 @@ VERDICT_DEPENDENT = "Dependent"
 
 
 def contact_order(delta: Derivation, form: Poly) -> int | float:
-    """Largest k with form^k dividing delta(form)."""
-    return linear_form_order(delta.apply(form), form)
+    """Largest k with form^k dividing delta(form); delta(form) is the
+    combination of delta's coefficients with the form's coefficients."""
+    return linear_form_order(linear_combination(delta.coeffs, form), form)
 
 
 @dataclass
@@ -135,15 +138,25 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int,
         return []
     monos = list(monomials_of_degree(n, degree))
     unknowns = [(i, e) for i in range(n) for e in monos]
-    rows: list[list[Scalar]] = []
+    echelon = Echelon(arrangement.datum.disc)
+    d = echelon.d
+    monomials = [Poly.monomial(n, e) for e in monos]
     for h, m in zip(arrangement.hyperplanes, multiplicity.values):
         if m <= 0:
             continue
-        rows.extend(order_constraint_rows(
-            [_apply_to_form(i, e, h.coeffs, n) for (i, e) in unknowns],
-            h.coeffs, m, n))
+        # (x^e d/dx_i) applied to the form is alpha_i x^e: the rows for x^e
+        # times the numerator of each alpha_i
+        alpha = [echelon.zero] * n
+        for e, c in h.form.num.items():
+            alpha[e.index(1)] = c if h.form.d == d else (c, 0)
+        for row in order_constraint_rows(monomials, h.form, m, d):
+            if d == 1:
+                echelon.add([a * r for a in alpha for r in row])
+            else:
+                echelon.add([(a * ra + d * b * rb, a * rb + b * ra)
+                             for a, b in alpha for ra, rb in row])
     fields = []
-    for vec in kernel_basis(rows, len(unknowns)):
+    for vec in echelon.kernel_basis(len(unknowns)):
         polys: list[dict] = [dict() for _ in range(n)]
         for (i, e), c in zip(unknowns, vec):
             if c != 0:
@@ -152,43 +165,40 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int,
     return fields
 
 
-def _apply_to_form(i: int, exps: tuple[int, ...], alpha: Sequence[Scalar], n: int) -> Poly:
-    # (x^e d/dx_i) applied to the linear form alpha
-    return Poly.monomial(n, exps, alpha[i])
+def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) -> list[list]:
+    """Integer rows forcing alpha^m to divide a field applied to alpha.
 
-
-def order_constraint_rows(applied: list[Poly], alpha: Sequence[Scalar], m: int,
-                          n: int) -> list[list[Scalar]]:
-    """Rows forcing alpha^m to divide a field applied to alpha.
-
-    ``applied`` holds, per unknown, the polynomial the unknown contributes.
-    Coordinates are changed so alpha becomes the pivot variable; every
-    monomial of the rewritten polynomial with pivot exponent below m gives
-    one row.
+    ``applied`` holds, per unknown, the polynomial the unknown contributes;
+    row entries are ints over Q (d = 1) and int pairs over Q(sqrt(d)), as
+    in ``linalg.Echelon``.  Coordinates are changed so alpha becomes the
+    pivot variable; every monomial of the rewritten polynomials with pivot
+    exponent below m gives one row, their numerators over one common
+    denominator.
     """
-    pivot = next(k for k, a in enumerate(alpha) if a != 0)
-    inv = scalar_inverse(alpha[pivot])
+    n = alpha.nvars
+    coeffs = [alpha.coefficient(tuple(int(j == t) for j in range(n))) for t in range(n)]
+    pivot = next(t for t, a in enumerate(coeffs) if a != 0)
+    inv = scalar_inverse(coeffs[pivot])
     # x_pivot = inv * (y_pivot - sum of the other alpha_t y_t)
-    subst_coeffs = [-inv * a for a in alpha]
+    subst_coeffs = [-inv * a for a in coeffs]
     subst_coeffs[pivot] = inv
-    forms = []
-    for t in range(n):
-        if t == pivot:
-            forms.append(Poly.linear(subst_coeffs))
-        else:
-            forms.append(Poly.variable(n, t))
-    rewritten = [p.substitute(forms) for p in applied]
-    low_monomials: dict[tuple[int, ...], int] = {}
+    tables = [tuple(Powers(Poly.linear(subst_coeffs) if t == pivot else Poly.variable(n, t))
+                    for t in range(n))]
+    rewritten = [substitute_sum(p, tables, n) for p in applied]
+    low: dict[tuple[int, ...], int] = {}
     for p in rewritten:
-        for exps in p.terms:
-            if exps[pivot] < m and exps not in low_monomials:
-                low_monomials[exps] = len(low_monomials)
-    rows = [[Fraction(0)] * len(applied) for _ in low_monomials]
+        for exps in p.num:
+            if exps[pivot] < m:
+                low.setdefault(exps, len(low))
+    den = math.lcm(*(p.den for p in rewritten))
+    rows = [[0 if d == 1 else (0, 0)] * len(rewritten) for _ in low]
     for u, p in enumerate(rewritten):
-        for exps, coeff in p.terms.items():
-            slot = low_monomials.get(exps)
+        s = den // p.den
+        for exps, c in p.num.items():
+            slot = low.get(exps)
             if slot is not None:
-                rows[slot][u] = coeff
+                rows[slot][u] = (c * s if d == 1 else (c * s, 0) if p.d == 1
+                                 else (c[0] * s, c[1] * s))
     return rows
 
 

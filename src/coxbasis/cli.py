@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -244,6 +245,17 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError("expected a finite positive number of seconds, got %r"
+                                         % text)
+    return value
+
+
 def _nonnegative_list(text: str) -> list[int]:
     return [_nonnegative(v) for v in text.split(",")]
 
@@ -273,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="where the base basis comes from")
     p_basis.add_argument("--base-file", type=str, default=None,
                          help="JSON file with base members (or a previous report)")
-    p_basis.add_argument("--time-budget", type=float, default=None,
+    p_basis.add_argument("--time-budget", type=_positive_seconds, default=None,
                          help="soft wall clock budget in seconds")
     _add_common(p_basis)
     p_basis.set_defaults(func=cmd_basis)
@@ -306,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("certificate failure: %s\n" % exc)
         return EXIT_CERTIFICATE
     except GroupClosureFailed as exc:
-        sys.stderr.write("group enumeration failure: %s\n" % exc)
+        sys.stderr.write("group construction failure: %s\n" % exc)
         return EXIT_CERTIFICATE
     except (UnsupportedType, OrderBoundExceeded, BudgetExceeded) as exc:
         sys.stderr.write("unsupported or over budget: %s\n" % exc)

@@ -7,7 +7,8 @@ vector is reduced by cross-multiplying over the gcd of its components, so
 no fraction is formed (integer-preserving elimination: Bareiss, Math.
 Comp. 22, 1968).  `rref`, `rank`, `kernel_basis`, `invert_matrix` and
 `det` convert Fraction/Quad matrices at the boundary (`split_scalars`,
-`join_scalar`); polynomials enter through `numerator_vector`.  Pivots are
+`join_scalar`); polynomials enter through `numerator_vector`, and
+`Echelon.kernel_basis` reads kernels back as scalars.  Pivots are
 the first nonzero entries in column order, so results are deterministic.
 Polynomial matrices get determinants by cofactor expansion, which the
 package needs only for the Jacobian cofactors.
@@ -147,6 +148,24 @@ class Echelon:
         """Column c of `scalar_rows`."""
         return [self._scalar(row[c], row[p]) for p, row in self.rows]
 
+    def kernel_basis(self, ncols: int) -> list[list[Scalar]]:
+        """Basis of the right kernel of the rows in ``ncols`` columns, one
+        scalar vector per free column, in column order."""
+        if self.rows and ncols != len(self.rows[0][1]):
+            raise ValueError("kernel in %d columns of rows of length %d"
+                             % (ncols, len(self.rows[0][1])))
+        pivots = {p for p, _ in self.rows}
+        basis: list[list[Scalar]] = []
+        for f in range(ncols):
+            if f in pivots:
+                continue
+            v: list[Scalar] = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for (p, _), c in zip(self.rows, self.column(f)):
+                v[p] = -c
+            basis.append(v)
+        return basis
+
     def _scalar(self, a, pivot) -> Scalar:
         return join_scalar(self.d, a, pivot if self.d == 1 else pivot[0])
 
@@ -184,15 +203,13 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> 
         ncols = len(rows[0])
     if rows and ncols != len(rows[0]):
         raise ValueError("kernel in %d columns of a matrix with %d" % (ncols, len(rows[0])))
-    red, pivots = rref(rows)
-    basis: list[list[Scalar]] = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v: list[Scalar] = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[f]
-        basis.append(v)
-    return basis
+    if not rows:
+        return Echelon().kernel_basis(ncols)
+    d, nums, _ = _numerators(rows)
+    echelon = Echelon(d)
+    for row in nums:
+        echelon.add(row)
+    return echelon.kernel_basis(ncols)
 
 
 def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:

@@ -19,9 +19,9 @@ division, and all serialized term lists refer to this order.
 
 Division is plain multivariate division by a single divisor.  Exact
 division raises :class:`~coxbasis.errors.NotDivisible` carrying the
-remainder, which doubles as the membership test for the whole package:
-"alpha^m divides p" is decided by m successive exact divisions, never by
-factorization.
+remainder.  The membership test of the whole package, "alpha^m divides
+p" for a linear form alpha, is decided by `linear_form_order`: synthetic
+division by alpha on integer numerators, never by factorization.
 
 The JSON form of a polynomial, a term list of exponent lists and exact
 coefficient strings, is defined here once for reports and the invariant
@@ -664,22 +664,153 @@ def default_names(nvars: int) -> list[str]:
     return ["x%d" % (i + 1) for i in range(nvars)]
 
 
-def linear_form_order(p: Poly, alpha: Poly) -> int | float:
-    """Largest k with alpha^k dividing p, by repeated exact division.
+def linear_combination(polys: Sequence[Poly], form: Poly) -> Poly:
+    """sum_i a_i * polys[i] for the linear form sum_i a_i x_i.
 
-    Returns ``math.inf`` for p = 0.  ``alpha`` must be a nonzero linear form.
+    One integer combination of the numerators over one common
+    denominator; for the coefficients of a field this is the field
+    applied to the form.
     """
-    if alpha.is_zero or alpha.total_degree() != 1:
-        raise ValueError("order is only defined along a nonzero linear form")
-    if p.is_zero:
+    if len(polys) != form.nvars or any(sum(e) != 1 for e in form.num):
+        raise ValueError("need a linear form in %d variables" % len(polys))
+    d = form.d
+    picked = []
+    for e, c in form.num.items():
+        f = polys[e.index(1)]
+        if f.num:
+            d = common_field(d, f.d)
+            picked.append((f, c))
+    if not picked:
+        return Poly.zero(form.nvars)
+    den = math.lcm(*(f.den for f, _ in picked))
+    acc: dict = {}
+    for f, c in picked:
+        s = den // f.den
+        factor = c * s if d == 1 else (c * s, 0) if form.d == 1 else (c[0] * s, c[1] * s)
+        _add_into(acc, _promote(f.num, f.d, d), factor, d)
+    return _make(picked[0][0].nvars, d, _nonzero(acc, d), den * form.den)
+
+
+def linear_form_order(p: Poly, alpha: Poly) -> int | float:
+    """Largest k with alpha^k dividing p; ``math.inf`` for p = 0.
+
+    ``alpha`` must be a nonzero homogeneous linear form.  Every power is
+    decided by one kernel on integer numerators: write alpha = a*x_v + l
+    for a pivot variable x_v and bucket p's terms by their x_v exponent,
+    the other exponents packed into one int per term.  Dividing by alpha
+    is then a synthetic division from the top bucket down: the quotient
+    coefficient is q = c / a, and -q*l goes into the bucket below, one
+    int addition per term of l.  alpha divides exactly when bucket 0 ends
+    empty, and the quotient's buckets are the next dividend.
+
+    The kernel divides by a scalar multiple of alpha with a rational
+    integer pivot coefficient and primitive numerators (over Q(sqrt(d)),
+    alpha times the conjugate of its pivot coefficient), which leaves
+    every order unchanged.  When l is rational, an exact quotient of the
+    integral numerators is integral (Gauss's lemma), so a step with a not
+    dividing c already proves the order.  Otherwise the working numerators
+    are rescaled on demand, as in ``Poly.divrem``.
+    """
+    if (alpha.nvars != p.nvars or not alpha.num
+            or any(sum(e) != 1 for e in alpha.num)):
+        raise ValueError("order is only defined along a nonzero homogeneous linear form"
+                         " in %d variables" % p.nvars)
+    if not p.num:
         return INFINITE_ORDER
+    d = common_field(p.d, alpha.d)
+    coeffs = {e.index(1): c for e, c in _promote(alpha.num, alpha.d, d).items()}
+    if d == 1:
+        pivot = min(coeffs, key=lambda t: (abs(coeffs[t]), t))
+    else:
+        pivot = min(coeffs, key=lambda t: (coeffs[t][1] != 0,
+                                           abs(coeffs[t][0] ** 2 - d * coeffs[t][1] ** 2), t))
+        ca, cb = coeffs[pivot]
+        # times the conjugate of the pivot coefficient, with a positive norm at the pivot
+        sign = -1 if ca * ca - d * cb * cb < 0 else 1
+        coeffs = _scale_num(coeffs, (sign * ca, -sign * cb), d)
+    g = _content(coeffs, d, 0)
+    coeffs = {t: c // g if d == 1 else (c[0] // g, c[1] // g) for t, c in coeffs.items()}
+    a = coeffs.pop(pivot) if d == 1 else coeffs.pop(pivot)[0]
+    # exponents packed with the pivot's in the top field, which picks the bucket
+    bits = max(map(sum, p.num)).bit_length()
+    top = (p.nvars - 1) * bits
+    shifts = [top if t == pivot else (t - (t > pivot)) * bits for t in range(p.nvars)]
+    mask = (1 << top) - 1
+    tail = [(1 << shifts[t], c) for t, c in coeffs.items()]
+    buckets: list[dict] = [{} for _ in range(max(e[pivot] for e in p.num) + 1)]
+    for e, c in _promote(p.num, p.d, d).items():
+        k = sum(x << s for x, s in zip(e, shifts))
+        buckets[k >> top][k & mask] = c
+    if d == 1:
+        return _order_rational(buckets, a, tail)
+    return _order_quadratic(buckets, a, tail, d)
+
+
+def _order_rational(buckets: list[dict], a: int, tail: list[tuple[int, int]]) -> int:
+    """The order of the bucketed int numerators along the primitive form
+    a*x_v + tail."""
     order = 0
     while True:
-        try:
-            p = p.divide_exact(alpha)
-        except NotDivisible:
+        quotient = []
+        for j in range(len(buckets) - 1, 0, -1):
+            below = buckets[j - 1]
+            get = below.get
+            qb = {}
+            for k, c in buckets[j].items():
+                if not c:
+                    continue
+                if a != 1:
+                    c, r = divmod(c, a)
+                    if r:
+                        return order
+                qb[k] = c
+                for step, l in tail:
+                    t = k + step
+                    below[t] = get(t, 0) - c * l
+            quotient.append(qb)
+        if any(buckets[0].values()):
             return order
         order += 1
+        quotient.reverse()
+        buckets = quotient
+
+
+def _order_quadratic(buckets: list[dict], a: int, tail: list[tuple[int, tuple[int, int]]],
+                     d: int) -> int:
+    """The order of the bucketed int pair numerators along a*x_v + tail, a > 0."""
+    exact = not any(lb for _, (_, lb) in tail)
+    order = 0
+    while True:
+        quotient: list[dict] = []
+        for j in range(len(buckets) - 1, 0, -1):
+            below = buckets[j - 1]
+            get = below.get
+            qb: dict = {}
+            for k, (ca, cb) in buckets[j].items():
+                if not (ca or cb):
+                    continue
+                if a != 1:
+                    g = a // math.gcd(a, ca, cb)
+                    if g != 1:
+                        if exact:
+                            return order
+                        # rescales the rest of this pass, read live below
+                        for bucket in chain(buckets[:j + 1], quotient, (qb,)):
+                            for key, (x, y) in bucket.items():
+                                bucket[key] = (x * g, y * g)
+                        ca, cb = ca * g, cb * g
+                    ca, cb = ca // a, cb // a
+                qb[k] = (ca, cb)
+                for step, (la, lb) in tail:
+                    t = k + step
+                    xa, xb = get(t, (0, 0))
+                    below[t] = (xa - ca * la - d * cb * lb, xb - ca * lb - cb * la)
+            quotient.append(qb)
+        if any(ca or cb for ca, cb in buckets[0].values()):
+            return order
+        order += 1
+        quotient.reverse()
+        buckets = quotient
 
 
 def point_off(forms: Sequence[Poly], nvars: int) -> tuple[tuple[Fraction, ...], tuple[Scalar, ...]]:

@@ -23,9 +23,9 @@ from .coxeter import Arrangement, ReflectionGroup
 from .derivations import Derivation, euler_field, nabla
 from .invariants import (InvariantSystem, invariant_field_basis, invariant_field_degrees,
                          jacobian_factors)
-from .linalg import Echelon, kernel_basis, monomial_columns, numerator_vector
-from .poly import Poly, monomials_of_degree
-from .scalars import Scalar, format_scalar
+from .linalg import Echelon, monomial_columns, numerator_vector
+from .poly import Poly, linear_combination, monomials_of_degree
+from .scalars import format_scalar
 
 
 def random_homogeneous_derivation(nvars: int, degree: int, rng: random.Random,
@@ -130,12 +130,12 @@ def invariant_graded_dimension(system: InvariantSystem, arrangement: Arrangement
     basis = invariant_field_basis(system, degree)
     if not basis:
         return 0
-    n = system.nvars
-    rows: list[list[Scalar]] = []
+    echelon = Echelon(arrangement.datum.disc)
     for h in arrangement.hyperplanes:
-        applied = [fld.apply(h.form) for _, fld in basis]
-        rows.extend(order_constraint_rows(applied, h.coeffs, min_order, n))
-    return len(kernel_basis(rows, len(basis)))
+        applied = [linear_combination(fld.coeffs, h.form) for _, fld in basis]
+        for row in order_constraint_rows(applied, h.form, min_order, echelon.d):
+            echelon.add(row)
+    return len(basis) - echelon.rank
 
 
 def hodge_equality_check(k: int, source_degrees: Sequence[int], system: InvariantSystem,

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 
 import pytest
 
 from coxbasis.coxeter import build_group, identity_matrix, mat_mul, parse_type
+from coxbasis.errors import NotDivisible
 from coxbasis.invariants import compute_invariants
 from coxbasis.scalars import scalar_inverse
 
@@ -141,3 +143,18 @@ def fraction_det(rows):
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return out
+
+
+def division_order(p, alpha):
+    """Largest k with alpha^k dividing p, by repeated exact division in grlex
+    order; ``math.inf`` for p = 0.  The test-only reference for
+    ``coxbasis.poly.linear_form_order``."""
+    if p.is_zero:
+        return math.inf
+    order = 0
+    while True:
+        try:
+            p = p.divide_exact(alpha)
+        except NotDivisible:
+            return order
+        order += 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from conftest import division_order
 
 from coxbasis.certify import (
     VERDICT_DEGREE,
@@ -22,8 +23,22 @@ from coxbasis.coxeter import Multiplicity, is_invariant_derivation
 from coxbasis.derivations import Derivation, coefficient_matrix, euler_field, nabla
 from coxbasis.errors import NotPolynomial
 from coxbasis.invariants import jacobian_matrix
-from coxbasis.poly import Poly, product
+from coxbasis.poly import Poly, linear_combination, product
 from coxbasis.verify import hodge_equality_check, invariant_graded_dimension
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "G2", "I2(5)"])
+def test_fused_field_on_form_matches_apply(pipeline, label):
+    group, arrangement, system = pipeline(label)
+    for m in (0, 1):
+        mult = Multiplicity.constant(arrangement, m)
+        result = build_basis(BasisRequest(group=group, arrangement=arrangement, system=system,
+                                          multiplicity=mult, k=1))
+        for member in result.base_members + result.members:
+            for h in arrangement.hyperplanes:
+                applied = member.apply(h.form)
+                assert linear_combination(member.coeffs, h.form) == applied
+                assert contact_order(member, h.form) == division_order(applied, h.form)
 
 
 def test_contact_order(pipeline):

@@ -180,7 +180,7 @@ def test_basis_zero_or_mixed_degree_base_member_exits_not_a_basis(tmp_path, caps
 
 def test_basis_time_budget(capsys):
     code, _, err = run(["basis", "--type", "B3", "--m", "1", "--k", "1",
-                        "--time-budget", "0", "--no-cache"], capsys)
+                        "--time-budget", "1e-9", "--no-cache"], capsys)
     assert code == EXIT_UNSUPPORTED
     assert "budget" in err
 
@@ -220,7 +220,7 @@ def test_verify_hodge_degrees_flag(capsys):
 
 
 @pytest.mark.parametrize("attr", ["group_order", "num_hyperplanes"])
-def test_group_enumeration_alarm_exits_three(attr, capsys, monkeypatch):
+def test_group_construction_alarm_exits_three(attr, capsys, monkeypatch):
     from coxbasis.coxeter import CoxeterDatum
 
     wrong = CoxeterDatum.group_order(parse_type("B2")) + 1 if attr == "group_order" else 5
@@ -228,7 +228,7 @@ def test_group_enumeration_alarm_exits_three(attr, capsys, monkeypatch):
     monkeypatch.setattr(CoxeterDatum, attr, replacement)
     code, _, err = run(["basis", "--type", "B2", "--m", "1", "--k", "0", "--no-cache"], capsys)
     assert code == EXIT_CERTIFICATE
-    assert "group enumeration failure" in err
+    assert "group construction failure" in err
     assert "Traceback" not in err
 
 
@@ -237,6 +237,11 @@ def test_group_enumeration_alarm_exits_three(attr, capsys, monkeypatch):
     ["basis", "--type", "A2", "--m", "2"],
     ["basis", "--type", "A2", "--k", "x"],
     ["basis", "--type", "A2", "--k", "-1"],
+    ["basis", "--type", "A2", "--time-budget", "nan"],
+    ["basis", "--type", "A2", "--time-budget", "inf"],
+    ["basis", "--type", "A2", "--time-budget", "0"],
+    ["basis", "--type", "A2", "--time-budget", "-1"],
+    ["basis", "--type", "A2", "--time-budget", "x"],
     ["verify", "--type", "A2", "--suite", "hodge", "--k", "-1"],
     ["verify", "--type", "A2", "--suite", "euler", "--samples", "-2"],
     ["verify", "--type", "A2", "--suite", "hodge", "--degrees", "-5"],

@@ -4,7 +4,9 @@
 reference below is the plain dict-of-scalars arithmetic on ``Fraction`` and
 ``Quad`` coefficients that the kernels replaced; it lives only here.  Random
 polynomials over Q, Q(sqrt(5)) and Q(sqrt(2)) are pushed through both, and
-the results must agree term by term.
+the results must agree term by term.  The order kernel along linear forms
+is checked against repeated exact division (``division_order`` in
+conftest).
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import division_order
 
 from coxbasis.coxeter import act, build_group, parse_type, reynolds
-from coxbasis.poly import Poly, grlex_key
+from coxbasis.poly import Poly, grlex_key, linear_form_order
 from coxbasis.scalars import Quad, scalar_inverse
 
 FIELDS = [1, 5, 2]
@@ -253,3 +256,74 @@ def test_reynolds_matches_the_average_of_actions(closure):
         for w in closure(label):
             total = total + act(w, p)
         assert reynolds(group, p) == total.scale(Fraction(1, len(closure(label))))
+
+
+# --- orders along linear forms --------------------------------------------
+
+
+def random_form(rng: random.Random, nvars: int, d: int) -> Poly:
+    """A nonzero linear form; some coefficients are zero, so the pivot varies."""
+    while True:
+        coeffs = [random_scalar(rng, d) if rng.random() < 0.75 else 0 for _ in range(nvars)]
+        if any(c != 0 for c in coeffs):
+            return Poly.linear(coeffs)
+
+
+@pytest.mark.parametrize("d", FIELDS)
+def test_linear_form_order_matches_repeated_division(d):
+    rng = random.Random(700 + d)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        alpha, beta = random_form(rng, n, d), random_form(rng, n, d)
+        g = Poly(n, random_terms(rng, n, d, rng.randint(0, 4)))
+        k, j = rng.randint(0, 3), rng.randint(0, 2)
+        p = g * alpha ** k * beta ** j
+        order = linear_form_order(p, alpha)
+        assert order == division_order(p, alpha)
+        assert order >= k
+
+
+# alpha with fractional coefficients, a non-primitive numerator, a pivot
+# coefficient other than +-1, and irrational coefficients at and off the pivot
+R5, R2 = Quad(0, 1, 5), Quad(0, 1, 2)
+PHI = Quad(Fraction(1, 2), Fraction(1, 2), 5)
+FORMS = [
+    [Fraction(2, 3), Fraction(-4, 3), 0],
+    [6, 10, 0],
+    [2, 3, 5],
+    [0, Fraction(-3, 2), Fraction(9, 4)],
+    [1, PHI, 0],
+    [2, R5, 1],
+    [1 + R5, R5, 0],
+    [R5, -R5, 0],
+    [R2, -1, 0],
+    [2, 0, R2 * 3],
+]
+
+
+@pytest.mark.parametrize("coeffs", FORMS, ids=str)
+def test_linear_form_order_on_chosen_forms(coeffs):
+    alpha = Poly.linear(coeffs)
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    beta = x * 3 - y + z * 2
+    rng = random.Random(800)
+    d = max(alpha.d, 1)
+    for k in range(4):
+        for g in (x * y + z * 5 + Poly.constant(3, 7),
+                  Poly(3, random_terms(rng, 3, d, 4)),
+                  beta ** 2):
+            for p in (g * alpha ** k, (g * alpha ** k).scale(Fraction(5, 7))):
+                assert linear_form_order(p, alpha) == division_order(p, alpha)
+                assert linear_form_order(p, alpha) >= k
+
+
+def test_linear_form_order_edge_cases():
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    alpha = x * 2 + y * 3  # pivot x, the smaller coefficient
+    p = (alpha ** 2 * (y - z)).scale(Fraction(1, 14))
+    assert p.den == 14 and linear_form_order(p, alpha) == 2
+    assert linear_form_order(y ** 3 + z * y * Fraction(1, 2), alpha) == 0
+    assert linear_form_order(Poly.constant(3, Fraction(3, 4)), alpha) == 0
+    assert linear_form_order(Poly.zero(3), alpha) == float("inf")
+    assert linear_form_order(alpha.scale(Fraction(-1, 9)) ** 3 * (z + x), alpha) == 3
+    assert linear_form_order(alpha ** 2 * z, alpha.scale(R5)) == 2

@@ -109,6 +109,10 @@ def test_linear_form_order_rejects_nonlinear():
         linear_form_order(x, x * y)
     with pytest.raises(ValueError):
         linear_form_order(x, Poly.zero(2))
+    with pytest.raises(ValueError):
+        linear_form_order(x, x + Poly.constant(2, 1))
+    with pytest.raises(ValueError):
+        linear_form_order(x * y, Poly.variable(3, 0))
 
 
 def test_grlex_order():

@@ -1,9 +1,10 @@
 """Property tests of polynomials, scalars and the group action.
 
 They need hypothesis and are skipped without it: the ring axioms, the
-division identity, the report format round trip, the action of the
-group composing along its closure, and the incremental echelon agreeing
-with the reduced row echelon form of the same rows.
+division identity, orders along linear forms adding up, the report
+format round trip, the action of the group composing along its closure,
+and the incremental echelon agreeing with the reduced row echelon form of
+the same rows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 from coxbasis.coxeter import act, mat_mul, parse_type
 from coxbasis.linalg import Echelon, rref
-from coxbasis.poly import Poly, poly_from_json, poly_to_json
+from coxbasis.poly import Poly, linear_form_order, poly_from_json, poly_to_json
 from coxbasis.scalars import Quad, format_scalar, parse_scalar, split_scalars
 
 FIELDS = [1, 5, 2]
@@ -61,6 +62,26 @@ def test_divrem_identity(pair):
     assert quot * divisor + rem == p
     lt, _ = divisor.leading_term()
     assert not any(all(x >= y for x, y in zip(e, lt)) for e in rem.terms)
+
+
+@st.composite
+def linear_forms(draw, nvars=2, field=1):
+    coeffs = []
+    for _ in range(nvars):
+        a = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        b = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2))) if field > 1 else 0
+        coeffs.append(Quad(a, b, field) if b else a)
+    hypothesis.assume(any(c != 0 for c in coeffs))
+    return Poly.linear(coeffs)
+
+
+@SETTINGS
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(linear_forms(field=d), polys(field=d))),
+       st.integers(0, 3))
+def test_linear_form_orders_add(pair, k):
+    alpha, g = pair
+    hypothesis.assume(not g.is_zero)
+    assert linear_form_order(alpha ** k * g, alpha) == k + linear_form_order(g, alpha)
 
 
 @SETTINGS
