@@ -688,7 +688,7 @@ def linear_combination(polys: Sequence[Poly], form: Poly) -> Poly:
         s = den // f.den
         factor = c * s if d == 1 else (c * s, 0) if form.d == 1 else (c[0] * s, c[1] * s)
         _add_into(acc, _promote(f.num, f.d, d), factor, d)
-    return _make(picked[0][0].nvars, d, _nonzero(acc, d), den * form.den)
+    return _make(form.nvars, d, _nonzero(acc, d), den * form.den)
 
 
 def linear_form_order(p: Poly, alpha: Poly) -> int | float:

@@ -307,7 +307,7 @@ def test_linear_form_order_on_chosen_forms(coeffs):
     x, y, z = (Poly.variable(3, i) for i in range(3))
     beta = x * 3 - y + z * 2
     rng = random.Random(800)
-    d = max(alpha.d, 1)
+    d = alpha.d
     for k in range(4):
         for g in (x * y + z * 5 + Poly.constant(3, 7),
                   Poly(3, random_terms(rng, 3, d, 4)),
