@@ -15,6 +15,7 @@ type (internal alarms), 4 unsupported input or an exceeded budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -306,9 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: it holds no per-request state, so it is
+    built once and reused by every call of ``main``."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NotABasis as exc:

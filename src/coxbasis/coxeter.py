@@ -16,26 +16,32 @@ u W_J per point of the orbit of a fundamental weight, whose stabilizer
 in W_K is W_J.  Reynolds averages run through this chain with one
 substitution per coset, the sum of the indices in all instead of |W|,
 reusing the powers of the representatives' column forms; the matrices u
-are built the first time a Reynolds average runs.
+are built, as integer combinations of the generators' column forms, the
+first time a Reynolds average runs.
 Hyperplanes are the orbit of the simple roots under the simple
 reflections, normalized so the first nonzero coefficient is 1, and are
 kept sorted by coefficient vector so all downstream artifacts are
-deterministic.
+deterministic; the same walk records their W-orbits.  Both orbit walks
+run on integer numerators (ints over Q, interleaved int pairs over
+Q(sqrt(d))), so Fraction and Quad appear only in the generators and the
+final hyperplane coefficients.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .derivations import Derivation
 from .errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
 from .linalg import invert_matrix
-from .poly import Poly, Powers, product, substitute_sum
-from .scalars import Quad, Scalar, scalar_inverse
+from .poly import Poly, Powers, linear_combination, product, substitute_sum
+from .scalars import Quad, Scalar, join_scalar, scalar_inverse, split_scalars
 
 MatrixT = tuple[tuple[Scalar, ...], ...]
 
@@ -179,24 +185,34 @@ def make_datum(family: str, rank: int, param: int | None = None) -> CoxeterDatum
     raise UnsupportedType("unknown type %r" % family)
 
 
+_LABEL = re.compile(r"([ABD])(\d*)|(G2|H3)|I2(?:\((\d+)\))?")
+
+
 def parse_type(text: str, rank: int | None = None) -> CoxeterDatum:
-    """Parse a type label such as ``B3``, ``I2(5)``, or (``A``, rank=2)."""
+    """Parse a type label such as ``B3``, ``I2(5)``, or (``A``, rank=2).
+
+    A label is ``[ABD]<n>``, ``G2``, ``H3``, ``I2(<m>)``, or a family letter
+    (or ``I2``) with the rank given apart; for ``I2`` that rank is m.  A
+    rank given next to a full label must agree with it (2 or m for
+    ``I2(<m>)``).  Anything else raises UnsupportedType naming the label.
+    """
     t = text.strip().upper().replace(" ", "")
     if not t:
         raise UnsupportedType("empty type label")
-    if t.startswith("I2"):
-        rest = t[2:].strip("()")
-        m = int(rest) if rest else (rank if rank is not None else 0)
-        return make_datum("I2", 2, m)
-    if t in ("G2", "H3"):
-        return make_datum(t, int(t[1]))
-    family = t[0]
-    digits = t[1:]
+    match = _LABEL.fullmatch(t)
+    if match is None:
+        raise UnsupportedType("cannot read the type label %r" % text)
+    family, digits, exceptional, m = match.groups()
+    if family is None:
+        family, digits = (exceptional, exceptional[1]) if exceptional else ("I2", m)
     if digits:
-        return make_datum(family, int(digits))
-    if rank is None:
+        allowed = (2, int(digits)) if family == "I2" else (int(digits),)
+        if rank is not None and rank not in allowed:
+            raise UnsupportedType("type %r does not have rank %d" % (text, rank))
+        rank = int(digits)
+    elif rank is None:
         raise UnsupportedType("type %r needs a rank" % text)
-    return make_datum(family, rank)
+    return make_datum("I2", 2, rank) if family == "I2" else make_datum(family, rank)
 
 
 def mat_mul(a: MatrixT, b: MatrixT) -> MatrixT:
@@ -205,11 +221,6 @@ def mat_mul(a: MatrixT, b: MatrixT) -> MatrixT:
         tuple(sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j]) for j in range(n))
         for i in range(n)
     )
-
-
-def mat_vec(a: MatrixT, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    n = len(a)
-    return tuple(sum((a[i][k] * v[k] for k in range(1, n)), a[i][0] * v[0]) for i in range(n))
 
 
 def transpose(a: MatrixT) -> MatrixT:
@@ -227,16 +238,18 @@ def mat_inverse(a: MatrixT) -> MatrixT:
 
 
 def reflection_matrix(root: Sequence[Scalar], gram: MatrixT) -> MatrixT:
-    """Reflection in the hyperplane of a root, acting on covector coefficients."""
+    """Reflection in the hyperplane of a root, acting on covector coefficients.
+
+    R = 1 - 2 root (gram root)^T / (root^T gram root), so the rows where the
+    root has a zero coordinate are those of the identity.
+    """
     n = len(root)
-    g_root = mat_vec(gram, root)
+    g_root = [sum((row[k] * root[k] for k in range(1, n)), row[0] * root[0]) for row in gram]
     norm = sum((root[k] * g_root[k] for k in range(1, n)), root[0] * g_root[0])
     factor = 2 * scalar_inverse(norm)
-    return tuple(
-        tuple((Fraction(1) if i == j else Fraction(0)) - factor * root[i] * g_root[j]
-              for j in range(n))
-        for i in range(n)
-    )
+    ident = identity_matrix(n)
+    return tuple(tuple(e - factor * r * g for e, g in zip(ident[i], g_root)) if r else ident[i]
+                 for i, r in enumerate(root))
 
 
 @dataclass(frozen=True)
@@ -250,12 +263,13 @@ class Hyperplane:
 class ReflectionGroup:
     """A finite real reflection group: its generators and a coset chain.
 
+    ``generators`` are the simple reflections as Fraction/Quad matrices.
     Stage s of ``chain`` is a breadth-first tree over the cosets u W_J of
     W_K, for K = {0, ..., s} and J = K - {s}: entry k is (parent, t) with
     u_k = g_t u_parent, and entry 0, the identity coset, is (-1, -1).  So
     the stages run innermost first, and the order is the product of their
-    lengths.  The matrices u are built when a Reynolds average first needs
-    them.
+    lengths.  The matrices u are built, as the integer column forms of
+    ``coset_powers``, when a Reynolds average first needs them.
     """
 
     def __init__(self, datum: CoxeterDatum, generators: tuple[MatrixT, ...],
@@ -273,25 +287,29 @@ class ReflectionGroup:
     def coset_powers(self) -> tuple[tuple[tuple[Powers, ...], ...], ...]:
         """Per stage and coset, the power tables of the column forms of its
         matrix u, built on first use and kept so every Reynolds average
-        reuses them."""
+        reuses them.  Column i of g u is column i of u with the columns
+        of g put for the variables, one integer combination per column."""
+        columns = [_column_forms(g) for g in self.generators]
+        identity = tuple(Poly.variable(self.rank, i) for i in range(self.rank))
         stages = []
         for tree in self.chain:
-            reps = [identity_matrix(self.rank)]
+            reps = [identity]
             for parent, t in tree[1:]:
-                reps.append(mat_mul(self.generators[t], reps[parent]))
-            stages.append(tuple(tuple(Powers(form) for form in _column_forms(u)) for u in reps))
+                reps.append(tuple(linear_combination(columns[t], f) for f in reps[parent]))
+            stages.append(tuple(tuple(Powers(f) for f in u) for u in reps))
         return tuple(stages)
 
 
 class Arrangement:
-    """The set of reflecting hyperplanes, in canonical sorted order."""
+    """The set of reflecting hyperplanes, in canonical sorted order, and
+    their W-orbits as recorded by the root walk of ``build_group``."""
 
     def __init__(self, datum: CoxeterDatum, hyperplanes: tuple[Hyperplane, ...],
-                 group: ReflectionGroup) -> None:
+                 group: ReflectionGroup, orbits: tuple[tuple[int, ...], ...]) -> None:
         self.datum = datum
         self.hyperplanes = hyperplanes
         self.group = group
-        self._orbits: tuple[tuple[int, ...], ...] | None = None
+        self._orbits = orbits
         self._defining_polynomial: Poly | None = None
 
     def __len__(self) -> int:
@@ -306,41 +324,7 @@ class Arrangement:
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """W-orbits of hyperplanes as index tuples, canonically ordered."""
-        if self._orbits is not None:
-            return self._orbits
-        index_of = {h.coeffs: i for i, h in enumerate(self.hyperplanes)}
-        seen: set[int] = set()
-        orbit_list: list[tuple[int, ...]] = []
-        for start in range(len(self.hyperplanes)):
-            if start in seen:
-                continue
-            todo = [start]
-            members = {start}
-            while todo:
-                i = todo.pop()
-                for g in self.group.generators:
-                    image = normalize_form(mat_vec(g, self.hyperplanes[i].coeffs))
-                    j = index_of[image]
-                    if j not in members:
-                        members.add(j)
-                        todo.append(j)
-            seen |= members
-            orbit_list.append(tuple(sorted(members)))
-        self._orbits = tuple(orbit_list)
         return self._orbits
-
-
-def normalize_form(coeffs: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """Scale a nonzero covector so its first nonzero coefficient is 1."""
-    lead = None
-    for c in coeffs:
-        if c != 0:
-            lead = c
-            break
-    if lead is None:
-        raise ValueError("zero covector has no normalization")
-    inv = scalar_inverse(lead)
-    return tuple(inv * c for c in coeffs)
 
 
 def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> tuple[ReflectionGroup, Arrangement]:
@@ -352,47 +336,112 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     fundamental weight x of s (<alpha_t, x> = 0 for t != s, 1 for s, under
     the Gram form) has stabilizer W_J in W_K (Humphreys, Reflection Groups
     and Coxeter Groups, 1.10 and 1.12), so the points of the orbit W_K x
-    are the cosets u W_J.  The hyperplanes are the orbit of the normalized
-    simple roots.  The product of the indices must be the type's order and
-    the root orbit its hyperplane count; a mismatch raises
-    GroupClosureFailed.
+    are the cosets u W_J.  The hyperplanes are the orbit of the simple
+    roots, and the W-orbits of the hyperplanes are recorded on that walk.
+
+    Both walks run on integer numerators: the simple reflections are split
+    once over one common denominator, the orbit points are kept in lowest
+    terms and the root forms primitive, and only the h*l/2 hyperplanes
+    are converted back to Fraction/Quad.  The product of the indices must
+    be the type's order and the root orbit its hyperplane count; a
+    mismatch raises GroupClosureFailed.
     """
     expected = datum.group_order()
     if expected > order_bound:
         raise OrderBoundExceeded("group of order %d exceeds the bound %d" % (expected, order_bound))
     roots = datum.simple_roots
+    n = datum.rank
     generators = tuple(reflection_matrix(r, datum.gram) for r in roots)
-    # the fundamental weights are the rows of the inverse Gram matrix of the
-    # simple roots (it is symmetric), written in the simple roots
-    inverse = invert_matrix(mat_mul(roots, mat_mul(datum.gram, transpose(roots))))
-    weights = [mat_vec(transpose(roots), row) for row in inverse]
-    chain = tuple(_coset_tree(weights[s], generators[:s + 1], expected)
-                  for s in range(datum.rank))
+    # the fundamental weights x_s solve (roots gram) x_s = e_s, so they are
+    # the columns of the inverse of roots gram
+    weights = transpose(invert_matrix(mat_mul(roots, datum.gram)))
+    d, matrices, den, vectors = _integer_data(generators, weights + roots)
+    chain = tuple(_coset_tree(_lowest(vectors[s], den), matrices[:s + 1], den, expected)
+                  for s in range(n))
     group = ReflectionGroup(datum, generators, chain)
     if group.order != expected:
         raise GroupClosureFailed("coset chain gives order %d, expected %d"
                                  % (group.order, expected))
 
-    forms = {normalize_form(r): None for r in roots}
-    queue = list(forms)
-    for y in queue:
-        if len(forms) > datum.num_hyperplanes:
-            break
-        for g in generators:
-            z = normalize_form(mat_vec(g, y))
-            if z not in forms:
-                forms[z] = None
-                queue.append(z)
+    forms, orbits = _root_orbits([_primitive(r, d) for r in vectors[n:]], matrices, d,
+                                 datum.num_hyperplanes)
     if len(forms) != datum.num_hyperplanes:
         raise GroupClosureFailed("found %d reflecting hyperplanes, expected %d"
                                  % (len(forms), datum.num_hyperplanes))
-    hyperplanes = tuple(Hyperplane(c, Poly.linear(list(c))) for c in sorted(forms))
-    return group, Arrangement(datum, hyperplanes, group)
+    coeffs = [_form_scalars(z, d) for z in forms]
+    order = sorted(range(len(coeffs)), key=coeffs.__getitem__)
+    position = {k: i for i, k in enumerate(order)}
+    hyperplanes = tuple(Hyperplane(coeffs[k], Poly.linear(list(coeffs[k]))) for k in order)
+    orbit_indices = tuple(sorted(tuple(sorted(position[k] for k in orbit)) for orbit in orbits))
+    return group, Arrangement(datum, hyperplanes, group, orbit_indices)
 
 
-def _coset_tree(x: tuple[Scalar, ...], generators: Sequence[MatrixT],
+# --- integer walks ---------------------------------------------------------
+#
+# Over Q a vector is a list of int numerators.  Over Q(sqrt(d)) it holds
+# the interleaved pairs (a_i, b_i) of its entries a_i + b_i*sqrt(d), and a
+# matrix entry a + b*sqrt(d) acts on one pair as the int block
+# [[a, d*b], [b, a]], so the walks run on plain ints in both fields.
+
+
+def _integer_data(generators: Sequence[MatrixT], vectors: Sequence[Sequence[Scalar]]
+                  ) -> tuple[int, list[list[list[int]]], int, list[list[int]]]:
+    """The generators as int matrices and the vectors as int lists, all
+    numerators over one common denominator: (d, matrices, den, vectors)."""
+    n = len(vectors[0])
+    d, nums, den = split_scalars([c for m in generators for row in m for c in row]
+                                 + [c for v in vectors for c in v])
+    rows = [nums[k:k + n] for k in range(0, len(nums), n)]
+    mats, vecs = rows[:n * len(generators)], rows[n * len(generators):]
+    if d != 1:
+        vecs = [[x for pair in v for x in pair] for v in vecs]
+        mats = [r for row in mats for r in ([x for a, b in row for x in (a, d * b)],
+                                            [x for a, b in row for x in (b, a)])]
+    size = len(mats) // len(generators)
+    return d, [mats[i:i + size] for i in range(0, len(mats), size)], den, vecs
+
+
+def _apply(g: list[list[int]], v: Sequence[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in g]
+
+
+def _lowest(nums: list[int], den: int) -> tuple[int, ...]:
+    """nums / den in lowest terms, as the numerators with the denominator appended."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    return (*nums, den)
+
+
+def _primitive(w: list[int], d: int) -> tuple[int, ...]:
+    """The primitive int vector on the line of w whose leading entry is a
+    positive integer; over Q(sqrt(d)) w is first multiplied by the
+    conjugate of its leading entry, which makes that entry rational."""
+    lead = next(i for i, c in enumerate(w) if c)
+    if d != 1:
+        lead -= lead % 2
+        a, b = w[lead], -w[lead + 1]
+        if b:
+            w = [x for i in range(0, len(w), 2)
+                 for x in (w[i] * a + d * w[i + 1] * b, w[i] * b + w[i + 1] * a)]
+    g = math.gcd(*w)
+    if w[lead] < 0:
+        g = -g
+    return tuple(x // g for x in w)
+
+
+def _form_scalars(z: tuple[int, ...], d: int) -> tuple[Scalar, ...]:
+    """The coefficients of a primitive form scaled so the leading one is 1."""
+    lead = next(c for c in z if c)
+    return tuple(join_scalar(d, c, lead) for c in (z if d == 1 else zip(z[::2], z[1::2])))
+
+
+def _coset_tree(x: tuple[int, ...], generators: Sequence[list[list[int]]], den: int,
                 bound: int) -> tuple[tuple[int, int], ...]:
-    """Breadth-first over the orbit of x under the reflections: per orbit
+    """Breadth-first over the orbit of x under the reflections, whose
+    numerators are over ``den``; x and every point are kept in lowest
+    terms (see ``_lowest``), so equal points are equal tuples.  Per orbit
     point, its parent's index and the reflection that reaches it from the
     parent (-1, -1 for x).  Stops once past bound points."""
     index = {x: 0}
@@ -402,12 +451,50 @@ def _coset_tree(x: tuple[Scalar, ...], generators: Sequence[MatrixT],
         if len(tree) > bound:
             break
         for t, g in enumerate(generators):
-            z = mat_vec(g, y)
+            z = _lowest(_apply(g, y), den * y[-1])
             if z not in index:
                 index[z] = len(tree)
                 tree.append((k, t))
                 queue.append(z)
     return tuple(tree)
+
+
+def _root_orbits(seeds: list[tuple[int, ...]], generators: Sequence[list[list[int]]], d: int,
+                 bound: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Breadth-first over the orbit of the primitive simple root forms
+    under the reflections: the forms in the order found, and the W-orbits
+    as lists of positions in it.  Each form carries the label of the
+    simple root whose walk reached it first, and two labels merge where
+    their walks meet.  Stops once past bound forms."""
+    labels: dict[tuple[int, ...], int] = {}
+    merged = list(range(len(seeds)))
+    queue: list[tuple[int, ...]] = []
+
+    def root(a: int) -> int:
+        while merged[a] != a:
+            a = merged[a]
+        return a
+
+    def reach(z: tuple[int, ...], label: int) -> None:
+        other = labels.get(z)
+        if other is None:
+            labels[z] = label
+            queue.append(z)
+        else:
+            merged[root(other)] = root(label)
+
+    for s, z in enumerate(seeds):
+        reach(z, s)
+    for y in queue:
+        if len(queue) > bound:
+            break
+        label = labels[y]
+        for g in generators:
+            reach(_primitive(_apply(g, y), d), label)
+    orbits: dict[int, list[int]] = {}
+    for k, z in enumerate(queue):
+        orbits.setdefault(root(labels[z]), []).append(k)
+    return queue, list(orbits.values())
 
 
 def _column_forms(w: MatrixT) -> tuple[Poly, ...]:

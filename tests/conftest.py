@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from coxbasis.coxeter import build_group, identity_matrix, mat_mul, parse_type
+from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
+                              reflection_matrix, transpose)
 from coxbasis.errors import NotDivisible
 from coxbasis.invariants import compute_invariants
+from coxbasis.linalg import invert_matrix
 from coxbasis.scalars import scalar_inverse
 
 _CACHE: dict[str, tuple] = {}
@@ -158,3 +160,68 @@ def division_order(p, alpha):
         except NotDivisible:
             return order
         order += 1
+
+
+# Test-only reference orbit walks in Fraction/Quad arithmetic.  The package
+# walks on integer numerators in ``coxbasis.coxeter.build_group``; this is
+# what its coset chain, hyperplanes and orbits are checked against.
+
+
+def mat_vec(a, v):
+    n = len(a)
+    return tuple(sum((a[i][k] * v[k] for k in range(1, n)), a[i][0] * v[0]) for i in range(n))
+
+
+def normalize_form(coeffs):
+    """Scale a nonzero covector so its first nonzero coefficient is 1."""
+    lead = next((c for c in coeffs if c != 0), None)
+    if lead is None:
+        raise ValueError("zero covector has no normalization")
+    inv = scalar_inverse(lead)
+    return tuple(inv * c for c in coeffs)
+
+
+def fraction_walk(datum):
+    """(chain, sorted hyperplane coefficients, orbits) of a type: the coset
+    trees of the fundamental weights, the orbit of the normalized simple
+    roots and its W-orbits, all by matrix-vector products in scalars."""
+    roots = datum.simple_roots
+    generators = tuple(reflection_matrix(r, datum.gram) for r in roots)
+    inverse = invert_matrix(mat_mul(roots, mat_mul(datum.gram, transpose(roots))))
+    chain = []
+    for s, row in enumerate(inverse):
+        x = mat_vec(transpose(roots), row)
+        index, tree, queue = {x: 0}, [(-1, -1)], [x]
+        for k, y in enumerate(queue):
+            for t, g in enumerate(generators[:s + 1]):
+                z = mat_vec(g, y)
+                if z not in index:
+                    index[z] = len(tree)
+                    tree.append((k, t))
+                    queue.append(z)
+        chain.append(tuple(tree))
+    forms = {normalize_form(r): None for r in roots}
+    queue = list(forms)
+    for y in queue:
+        for g in generators:
+            z = normalize_form(mat_vec(g, y))
+            if z not in forms:
+                forms[z] = None
+                queue.append(z)
+    coeffs = sorted(forms)
+    index_of = {c: i for i, c in enumerate(coeffs)}
+    orbits, seen = [], set()
+    for start in range(len(coeffs)):
+        if start in seen:
+            continue
+        todo, members = [start], {start}
+        while todo:
+            i = todo.pop()
+            for g in generators:
+                j = index_of[normalize_form(mat_vec(g, coeffs[i]))]
+                if j not in members:
+                    members.add(j)
+                    todo.append(j)
+        seen |= members
+        orbits.append(tuple(sorted(members)))
+    return tuple(chain), tuple(coeffs), tuple(orbits)

@@ -14,6 +14,7 @@ from coxbasis.cli import (
     EXIT_NOT_A_BASIS,
     EXIT_OK,
     EXIT_UNSUPPORTED,
+    build_parser,
     main,
 )
 from coxbasis.coxeter import parse_type
@@ -264,3 +265,51 @@ def test_usage_error_exit_status_of_the_process():
                            "--samples", "-2"], capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_FAIL
     assert "expected a nonnegative integer" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, label, rank", [
+    (["basis", "--type", "A2", "--rank", "3", "--m", "0", "--k", "0"], "A2", "3"),
+    (["info", "A3", "5"], "A3", "5"),
+    (["info", "I2(5)", "7"], "I2(5)", "7"),
+    (["info", "G2", "5"], "G2", "5"),
+])
+def test_conflicting_rank_is_unsupported(argv, label, rank, capsys):
+    code, _, err = run(argv + ["--no-cache"], capsys)
+    assert code == EXIT_UNSUPPORTED
+    assert "type '%s' does not have rank %s" % (label, rank) in err
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["info", "A3", "3"], "A3"),
+    (["info", "I2", "5"], "I2(5)"),
+    (["info", "I2(5)", "5"], "I2(5)"),
+    (["basis", "--type", "A", "--rank", "3", "--m", "0", "--k", "0", "--format", "text"], "A3"),
+])
+def test_agreeing_rank_is_accepted(argv, label, capsys):
+    code, out, _ = run(argv + ["--no-cache"], capsys)
+    assert code == EXIT_OK
+    assert out.split()[1] == label
+
+
+@pytest.mark.parametrize("label", ["Ax", "B3.5", "Z3", "I2(7)", "I2(5"])
+def test_malformed_label_is_unsupported(label, capsys):
+    code, _, err = run(["info", label, "--no-cache"], capsys)
+    assert code == EXIT_UNSUPPORTED
+    assert "unsupported" in err and label in err
+    assert "invalid literal" not in err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    import coxbasis.cli as cli
+
+    built = []
+
+    def counting():
+        built.append(True)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    assert run(["info", "A1", "--no-cache"], capsys)[0] == EXIT_OK
+    assert run(["info", "A2", "--no-cache"], capsys)[0] == EXIT_OK
+    assert len(built) == 1

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from conftest import fraction_walk, mat_vec, normalize_form
 from coxbasis.coxeter import (
     CoxeterDatum,
     Multiplicity,
@@ -16,7 +18,6 @@ from coxbasis.coxeter import (
     is_invariant_poly,
     make_datum,
     mat_mul,
-    normalize_form,
     parse_type,
     reflection_matrix,
     reynolds,
@@ -76,6 +77,17 @@ def test_parse_type():
     assert parse_type(" I2(5) ").label == "I2(5)"
     assert parse_type("A", rank=2).label == "A2"
     assert parse_type("I2", rank=6).param == 6
+    # a rank next to a full label must agree with it
+    assert parse_type("A3", rank=3).label == "A3"
+    assert parse_type("G2", rank=2).label == "G2"
+    assert parse_type("I2(5)", rank=5).label == "I2(5)"
+    assert parse_type("I2(5)", rank=2).label == "I2(5)"
+    for label, rank in [("A2", 3), ("A3", 5), ("I2(5)", 7), ("G2", 5), ("H3", 2)]:
+        with pytest.raises(UnsupportedType, match="%d" % rank):
+            parse_type(label, rank)
+    for label in ["Ax", "B3.5", "Z3", "I2(5", "I25", "G", "A-1", "I2()", "B(3)"]:
+        with pytest.raises(UnsupportedType, match=re.escape(repr(label))):
+            parse_type(label)
     with pytest.raises(UnsupportedType):
         parse_type("A")
     with pytest.raises(UnsupportedType):
@@ -153,6 +165,43 @@ def test_euler_field_is_invariant(pipeline):
         assert not is_invariant_derivation(group, d0)
 
 
+WALKED = ["A%d" % n for n in range(1, 7)] + ["B%d" % n for n in range(2, 7)] + [
+    "D4", "D5", "D6", "G2", "H3", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"]
+
+
+@pytest.mark.parametrize("label", WALKED)
+def test_integer_walks_match_the_fraction_walk(label):
+    datum = parse_type(label)
+    group, arrangement = build_group(datum)
+    chain, coeffs, orbits = fraction_walk(datum)
+    assert group.chain == chain
+    assert tuple(h.coeffs for h in arrangement.hyperplanes) == coeffs
+    assert arrangement.orbits() == orbits
+
+
+@pytest.mark.parametrize("label", ["B4", "H3", "I2(8)"])
+def test_group_is_built_on_integer_numerators(label, monkeypatch):
+    # the scalars are split once and only the hyperplanes are joined back;
+    # the Fraction/Quad walk helpers are trapped should anything call them
+    calls = {"split_scalars": 0, "join_scalar": 0, "mat_vec": 0, "normalize_form": 0}
+
+    def counting(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    for name, function in [("split_scalars", coxeter.split_scalars),
+                           ("join_scalar", coxeter.join_scalar),
+                           ("mat_vec", mat_vec), ("normalize_form", normalize_form)]:
+        monkeypatch.setattr(coxeter, name, counting(name, function), raising=False)
+    datum = parse_type(label)
+    _, arrangement = build_group(datum)
+    arrangement.orbits()
+    assert calls == {"split_scalars": 1, "join_scalar": datum.rank * datum.num_hyperplanes,
+                     "mat_vec": 0, "normalize_form": 0}
+
+
 def test_orbits(pipeline):
     _, arr_a2, _ = pipeline("A2")
     assert arr_a2.orbits() == ((0, 1, 2),)
@@ -204,12 +253,14 @@ def test_order_bound_checked_before_enumeration():
         build_group(parse_type("H3"), order_bound=10)
 
 
-CROSS_CHECKED = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2", "H3", "I2(5)", "I2(8)"]
+CROSS_CHECKED = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2", "H3",
+                 "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"]
 
 
 @pytest.mark.parametrize("label", CROSS_CHECKED)
 def test_hyperplanes_are_the_reflections_of_the_closure(label, closure):
-    # the normalized (-1)-eigenvectors of the reflections among all elements
+    # the normalized (-1)-eigenvectors of the reflections among all elements,
+    # and their orbits under all elements
     group, arrangement = build_group(parse_type(label))
     n = group.rank
     ident = identity_matrix(n)
@@ -221,6 +272,10 @@ def test_hyperplanes_are_the_reflections_of_the_closure(label, closure):
             forms.add(normalize_form(vector))
     assert tuple(h.coeffs for h in arrangement.hyperplanes) == tuple(sorted(forms))
     assert group.order == len(closure(label))
+    index_of = {h.coeffs: i for i, h in enumerate(arrangement.hyperplanes)}
+    orbits = {tuple(sorted({index_of[normalize_form(mat_vec(w, h.coeffs))] for w in closure(label)}))
+              for h in arrangement.hyperplanes}
+    assert arrangement.orbits() == tuple(sorted(orbits))
 
 
 @pytest.mark.parametrize("label", CROSS_CHECKED)
