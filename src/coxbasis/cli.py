@@ -56,7 +56,7 @@ class _Budget:
 
     def check(self, stage: str) -> None:
         if self.seconds is not None and time.monotonic() - self.start > self.seconds:
-            raise BudgetExceeded("time budget of %.1fs exceeded after %s"
+            raise BudgetExceeded("time budget of %rs exceeded after %s"
                                  % (self.seconds, stage))
 
 

@@ -32,7 +32,7 @@ import math
 import random
 from typing import Iterator
 
-from .derivations import Derivation, euler_field
+from .derivations import Derivation
 from .errors import NoSolution, NonUniqueSolution, NotDivisible, NotPolynomial
 from .invariants import InvariantSystem, partial_P_field
 from .linalg import Echelon
@@ -230,10 +230,21 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
 
 
 def universal_field(k: int, system: InvariantSystem) -> Derivation:
-    """The k-fold primitive antiderivative of the Euler field."""
+    """The k-fold primitive antiderivative of the Euler field.
+
+    The fields depend on the system alone, so it keeps them
+    (``InvariantSystem.universal_fields``, keys 0 .. K): step k extends the
+    longest one kept, and each new step is a full, re-checked
+    `nabla_D_inverse`.  A step is stored only after its predecessor, so the
+    keys stay contiguous, and two callers racing on one step store equal
+    fields.
+    """
     if k < 0:
         raise ValueError("negative antiderivative count")
-    field = euler_field(system.nvars)
-    for _ in range(k):
-        field = nabla_D_inverse(field, system)
+    fields = system.universal_fields
+    j = min(k, len(fields) - 1)
+    field = fields[j]
+    while j < k:
+        j += 1
+        field = fields[j] = nabla_D_inverse(field, system)
     return field

@@ -345,10 +345,27 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     are converted back to Fraction/Quad.  The product of the indices must
     be the type's order and the root orbit its hyperplane count; a
     mismatch raises GroupClosureFailed.
+
+    The walks of the 16 types built most recently are kept (``_walked``),
+    so a process pays them once per type; the bound and both comparisons
+    run on every call.
     """
     expected = datum.group_order()
     if expected > order_bound:
         raise OrderBoundExceeded("group of order %d exceeds the bound %d" % (expected, order_bound))
+    group, arrangement = _walked(datum)
+    if group.order != expected:
+        raise GroupClosureFailed("coset chain gives order %d, expected %d"
+                                 % (group.order, expected))
+    if len(arrangement) != datum.num_hyperplanes:
+        raise GroupClosureFailed("found %d reflecting hyperplanes, expected %d"
+                                 % (len(arrangement), datum.num_hyperplanes))
+    return group, arrangement
+
+
+@functools.lru_cache(maxsize=16)
+def _walked(datum: CoxeterDatum) -> tuple[ReflectionGroup, Arrangement]:
+    """The group and arrangement of ``build_group``, before its checks."""
     roots = datum.simple_roots
     n = datum.rank
     generators = tuple(reflection_matrix(r, datum.gram) for r in roots)
@@ -356,18 +373,11 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     # the columns of the inverse of roots gram
     weights = transpose(invert_matrix(mat_mul(roots, datum.gram)))
     d, matrices, den, vectors = _integer_data(generators, weights + roots)
-    chain = tuple(_coset_tree(_lowest(vectors[s], den), matrices[:s + 1], den, expected)
-                  for s in range(n))
+    chain = tuple(_coset_tree(_lowest(vectors[s], den), matrices[:s + 1], den,
+                              datum.group_order()) for s in range(n))
     group = ReflectionGroup(datum, generators, chain)
-    if group.order != expected:
-        raise GroupClosureFailed("coset chain gives order %d, expected %d"
-                                 % (group.order, expected))
-
     forms, orbits = _root_orbits([_primitive(r, d) for r in vectors[n:]], matrices, d,
                                  datum.num_hyperplanes)
-    if len(forms) != datum.num_hyperplanes:
-        raise GroupClosureFailed("found %d reflecting hyperplanes, expected %d"
-                                 % (len(forms), datum.num_hyperplanes))
     coeffs = [_form_scalars(z, d) for z in forms]
     order = sorted(range(len(coeffs)), key=coeffs.__getitem__)
     position = {k: i for i, k in enumerate(order)}

@@ -24,8 +24,13 @@ invariant monomials g (`invariant_field_basis`); the connection's inverse
 and the Hodge comparison both work in it.
 
 Systems can be cached to disk as JSON, keyed by type, rank and field,
-with every coefficient stored as an exact string.  A loaded system is
-revalidated before use and recomputed on any mismatch.
+with every coefficient stored as an exact string.  The file is read on
+every call and stays authoritative: a loaded system is revalidated before
+use and recomputed on any mismatch.  The one shortcut is in memory: when
+the file's text equals, character for character, the text this process
+last validated or wrote for the same type, the system built from it then
+is returned again, with the fields and powers it has computed since.  A
+cache that cannot be written is skipped with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -35,14 +40,15 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tempfile
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .coxeter import Arrangement, ReflectionGroup, act, reynolds
-from .derivations import Derivation
+from .coxeter import Arrangement, CoxeterDatum, ReflectionGroup, act, reynolds
+from .derivations import Derivation, euler_field
 from .errors import JacobianDegenerate
 from .linalg import Echelon, PolyMatrix, det, monomial_columns, numerator_vector
 from .poly import Poly, monomials_of_degree, point_off, poly_from_json, poly_to_json
@@ -66,6 +72,8 @@ class InvariantSystem:
         self.gradients = gradients
         self._powers: dict[tuple[int, int], Poly] = {}
         self._cofactor_columns: dict[int, tuple[Poly, ...]] = {}
+        # k -> nabla_D^{-k} E for k = 0 .. K, extended by `connection.universal_field`
+        self.universal_fields: dict[int, Derivation] = {0: euler_field(nvars)}
 
     def cofactor_column(self, j: int) -> tuple[Poly, ...]:
         """Column j of the Jacobian cofactor matrix, computed on first use.
@@ -208,21 +216,41 @@ def _cofactor_column(m: PolyMatrix, j: int) -> tuple[Poly, ...]:
     return tuple(out)
 
 
+# per type, the cache text this process last validated or wrote, and the
+# system built from it
+_KNOWN_TEXTS: dict[CoxeterDatum, tuple[str, InvariantSystem]] = {}
+
+
 def compute_invariants(group: ReflectionGroup, arrangement: Arrangement,
                        cache_dir: str | Path | None = None) -> InvariantSystem:
-    """Select basic invariants for the group, optionally using a disk cache."""
+    """Select basic invariants for the group, optionally using a disk cache.
+
+    With a cache dir the file is read on every call; see the module
+    docstring for when its system is reused from memory.
+    """
     datum = group.datum
-    path = None
-    if cache_dir is not None:
-        path = Path(cache_dir) / ("invariants_%s_%s.json"
-                                  % (datum.label.replace("(", "").replace(")", ""),
-                                     "Q" if datum.disc == 1 else "Qsqrt%d" % datum.disc))
-        system = _load_cache(path, group, arrangement)
+    if cache_dir is None:
+        return _select_invariants(group, arrangement)
+    path = Path(cache_dir) / ("invariants_%s_%s.json"
+                              % (datum.label.replace("(", "").replace(")", ""),
+                                 "Q" if datum.disc == 1 else "Qsqrt%d" % datum.disc))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError):
+        text = None
+    if text is not None:
+        known = _KNOWN_TEXTS.get(datum)
+        if known is not None and known[0] == text:
+            return known[1]
+        system = _load_cache(text, group, arrangement)
         if system is not None:
+            _KNOWN_TEXTS[datum] = (text, system)
             return system
     system = _select_invariants(group, arrangement)
-    if path is not None:
-        _store_cache(path, system)
+    try:
+        _KNOWN_TEXTS[datum] = (_store_cache(path, system), system)
+    except OSError as exc:
+        sys.stderr.write("warning: invariant cache not written: %s\n" % exc)
     return system
 
 
@@ -381,11 +409,12 @@ def _valid_invariants(label: str, nvars: int, degrees: tuple[int, ...],
     return True
 
 
-def _load_cache(path: Path, group: ReflectionGroup, arrangement: Arrangement) -> InvariantSystem | None:
+def _load_cache(text: str, group: ReflectionGroup, arrangement: Arrangement) -> InvariantSystem | None:
+    """The system a cache file's text holds, or None if it does not hold a
+    valid one for the group."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
+        data = json.loads(text)
+    except ValueError:
         return None
     try:
         label = data["label"]
@@ -405,7 +434,8 @@ def _load_cache(path: Path, group: ReflectionGroup, arrangement: Arrangement) ->
         return None
 
 
-def _store_cache(path: Path, system: InvariantSystem) -> None:
+def _store_cache(path: Path, system: InvariantSystem) -> str:
+    """Write the system to its cache file atomically; returns the text written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     blob = json.dumps(system.to_json_dict(), sort_keys=True, indent=2)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
@@ -419,3 +449,4 @@ def _store_cache(path: Path, system: InvariantSystem) -> None:
         except OSError:
             pass
         raise
+    return blob

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxbasis import coxeter, invariants
 from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
                               reflection_matrix, transpose)
 from coxbasis.errors import NotDivisible
@@ -15,6 +16,21 @@ from coxbasis.scalars import scalar_inverse
 
 _CACHE: dict[str, tuple] = {}
 _CLOSURES: dict[str, tuple] = {}
+
+
+def clear_memos() -> None:
+    """Forget what the package keeps per process, the built groups and the
+    invariant cache texts it has validated, as a fresh interpreter would."""
+    coxeter._walked.cache_clear()
+    invariants._KNOWN_TEXTS.clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts from the package's per-process memos of a fresh
+    interpreter.  Universal fields stay on their systems, such as those of
+    the session-wide ``pipeline``."""
+    clear_memos()
 
 
 @pytest.fixture(scope="session")

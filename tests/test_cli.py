@@ -186,6 +186,31 @@ def test_basis_time_budget(capsys):
     assert "budget" in err
 
 
+def test_time_budget_message_shows_the_budget_given(capsys):
+    code, _, err = run(["basis", "--type", "A2", "--m", "1", "--k", "1",
+                        "--time-budget", "1e-9", "--no-cache"], capsys)
+    assert code == EXIT_UNSUPPORTED
+    assert "time budget of 1e-09s exceeded after group construction" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "A2", "--format", "json"],
+    ["basis", "--type", "A2", "--m", "1", "--k", "1"],
+    ["verify", "--type", "A2", "--suite", "jacobian", "--format", "json"],
+])
+def test_unwritable_cache_warns_and_keeps_the_result(argv, tmp_path, capsys):
+    # a regular file where the cache directory should be
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = run(argv + ["--cache-dir", str(blocker)], capsys)
+    expected_code, expected_out, _ = run(argv + ["--no-cache"], capsys)
+    assert code == expected_code == EXIT_OK
+    assert out == expected_out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: invariant cache not written")
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
 def test_basis_cache_dir_is_written(tmp_path, capsys):
     cache = tmp_path / "cache"
     code, _, _ = run(["basis", "--type", "A2", "--m", "1", "--k", "1",

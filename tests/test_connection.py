@@ -85,6 +85,30 @@ def test_universal_field_recursion(pipeline):
     assert nabla_D_inverse(u1, system) == u2
 
 
+def test_universal_field_extends_the_fields_it_keeps(monkeypatch):
+    from coxbasis.coxeter import build_group, parse_type
+    from coxbasis.invariants import compute_invariants
+
+    system = compute_invariants(*build_group(parse_type("B2")), cache_dir=None)
+    calls = []
+
+    def counting(delta, system):
+        calls.append(delta)
+        return original(delta, system)
+
+    original = connection.nabla_D_inverse
+    monkeypatch.setattr(connection, "nabla_D_inverse", counting)
+    u3 = universal_field(3, system)
+    assert len(calls) == 3
+    # a shorter chain is read back, a longer one takes one step per field
+    u1 = universal_field(1, system)
+    assert len(calls) == 3
+    u4 = universal_field(4, system)
+    assert len(calls) == 4 and calls[-1] is u3
+    assert nabla_D(u4, system) == u3
+    assert u1 == original(euler_field(2), system)
+
+
 def test_inverse_round_trips_on_random_invariant_fields(pipeline):
     rng = random.Random(41)
     for label in ("A2", "B2"):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import clear_memos
 from coxbasis import invariants
 from coxbasis.coxeter import build_group, is_invariant_derivation, is_invariant_poly, parse_type
 from coxbasis.derivations import coefficient_matrix
@@ -180,6 +181,8 @@ def test_malformed_cache_is_silently_recomputed(tmp_path, pipeline, content):
 def test_cache_loader_lets_programming_errors_through(tmp_path, monkeypatch):
     group, arrangement = build_group(parse_type("B2"))
     compute_invariants(group, arrangement, cache_dir=tmp_path)
+    # the text just written would be reused from memory; a fresh process loads it
+    clear_memos()
 
     def broken(*args, **kwargs):
         raise RuntimeError("bug in the loader")
