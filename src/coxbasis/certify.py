@@ -21,6 +21,10 @@ The module also provides direct graded dimensions of the derivation
 module, by linear algebra on one graded piece with no basis needed: the
 contact-order conditions become integer linear rows
 (`order_constraint_rows`) for the elimination kernel `linalg.Echelon`.
+The rows are the coefficients of the first m remainders of synthetic
+division by the form, the same step the contact orders take, with every
+polynomial scaled by one shared factor so that the rows of different
+unknowns stay comparable.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from typing import Sequence
 from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation, coefficient_matrix
 from .linalg import Echelon, det
-from .poly import (Powers, Poly, count_monomials, linear_combination, linear_form_order,
-                   monomials_of_degree, point_off, product, substitute_sum)
-from .scalars import Scalar, scalar_inverse
+from .poly import (INFINITE_ORDER, Poly, count_monomials, linear_combination, linear_form_order,
+                   linear_form_remainders, monomials_of_degree, point_off, product)
+from .scalars import Scalar
 
 VERDICT_FREE = "Free-with-basis"
 VERDICT_NOT_MEMBER = "NotMember"
@@ -47,6 +51,12 @@ def contact_order(delta: Derivation, form: Poly) -> int | float:
     """Largest k with form^k dividing delta(form); delta(form) is the
     combination of delta's coefficients with the form's coefficients."""
     return linear_form_order(linear_combination(delta.coeffs, form), form)
+
+
+def order_to_json(o: int | float) -> int | None:
+    """A contact order as JSON: null for the infinite order of a field
+    that annihilates the form."""
+    return None if o == INFINITE_ORDER else int(o)
 
 
 @dataclass
@@ -117,7 +127,7 @@ def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity,
         return Certificate(verdict=VERDICT_DEPENDENT, determinant=Poly.zero(n),
                            failure={"determinant": "zero"}, **base)
     target_at_point = math.prod((v ** mv for v, mv in zip(values, required)), start=Fraction(1))
-    scalar = at_point * scalar_inverse(target_at_point)
+    scalar = at_point / target_at_point
     target = product(
         (h.form ** mv for h, mv in zip(arrangement.hyperplanes, required)), n)
     return Certificate(verdict=VERDICT_FREE, determinant=target.scale(scalar),
@@ -130,8 +140,9 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int,
 
     Unknowns are the coefficients of a degree-d field; for each hyperplane
     the condition alpha^{m} | delta(alpha) becomes linear constraints on
-    them, read off after a change of coordinates that makes alpha a
-    variable.  The kernel of the stacked constraints is the graded piece.
+    them, the coefficients of the first m division remainders of each
+    monomial by alpha under one shared scale (`order_constraint_rows`).
+    The kernel of the stacked constraints is the graded piece.
     """
     n = arrangement.datum.rank
     if degree < 0:
@@ -170,35 +181,21 @@ def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) 
 
     ``applied`` holds, per unknown, the polynomial the unknown contributes;
     row entries are ints over Q (d = 1) and int pairs over Q(sqrt(d)), as
-    in ``linalg.Echelon``.  Coordinates are changed so alpha becomes the
-    pivot variable; every monomial of the rewritten polynomials with pivot
-    exponent below m gives one row, their numerators over one common
-    denominator.
+    in ``linalg.Echelon``.  Each polynomial is written p = sum_j r_j alpha^j
+    with no r_j containing the pivot variable, by the division remainders
+    of ``poly.linear_form_remainders`` under one shared scale; every
+    monomial of r_0 ... r_{m-1} gives one row, its coefficients in each
+    unknown's r_j.
     """
-    n = alpha.nvars
-    coeffs = [alpha.coefficient(tuple(int(j == t) for j in range(n))) for t in range(n)]
-    pivot = next(t for t, a in enumerate(coeffs) if a != 0)
-    inv = scalar_inverse(coeffs[pivot])
-    # x_pivot = inv * (y_pivot - sum of the other alpha_t y_t)
-    subst_coeffs = [-inv * a for a in coeffs]
-    subst_coeffs[pivot] = inv
-    tables = [tuple(Powers(Poly.linear(subst_coeffs) if t == pivot else Poly.variable(n, t))
-                    for t in range(n))]
-    rewritten = [substitute_sum(p, tables, n) for p in applied]
-    low: dict[tuple[int, ...], int] = {}
-    for p in rewritten:
-        for exps in p.num:
-            if exps[pivot] < m:
-                low.setdefault(exps, len(low))
-    den = math.lcm(*(p.den for p in rewritten))
-    rows = [[0 if d == 1 else (0, 0)] * len(rewritten) for _ in low]
-    for u, p in enumerate(rewritten):
-        s = den // p.den
-        for exps, c in p.num.items():
-            slot = low.get(exps)
-            if slot is not None:
-                rows[slot][u] = (c * s if d == 1 else (c * s, 0) if p.d == 1
-                                 else (c[0] * s, c[1] * s))
+    field, remainders = linear_form_remainders(applied, alpha, m)
+    slots: dict = {}
+    for r in remainders:
+        for key in r:
+            slots.setdefault(key, len(slots))
+    rows = [[0 if d == 1 else (0, 0)] * len(applied) for _ in slots]
+    for u, r in enumerate(remainders):
+        for key, c in r.items():
+            rows[slots[key]][u] = c if field == d else (c, 0)
     return rows
 
 

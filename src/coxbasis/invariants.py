@@ -51,7 +51,8 @@ from .coxeter import Arrangement, CoxeterDatum, ReflectionGroup, act, reynolds
 from .derivations import Derivation, euler_field
 from .errors import JacobianDegenerate
 from .linalg import Echelon, PolyMatrix, det, monomial_columns, numerator_vector
-from .poly import Poly, monomials_of_degree, point_off, poly_from_json, poly_to_json
+from .poly import (Poly, dump_json, monomials_of_degree, point_off, poly_from_json,
+                   poly_to_json)
 from .scalars import Scalar, common_field, format_scalar, join_scalar, scalar_inverse
 
 
@@ -437,7 +438,7 @@ def _load_cache(text: str, group: ReflectionGroup, arrangement: Arrangement) -> 
 def _store_cache(path: Path, system: InvariantSystem) -> str:
     """Write the system to its cache file atomically; returns the text written."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob = json.dumps(system.to_json_dict(), sort_keys=True, indent=2)
+    blob = dump_json(system.to_json_dict())
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -20,21 +20,33 @@ division, and all serialized term lists refer to this order.
 Division is plain multivariate division by a single divisor.  Exact
 division raises :class:`~coxbasis.errors.NotDivisible` carrying the
 remainder.  The membership test of the whole package, "alpha^m divides
-p" for a linear form alpha, is decided by `linear_form_order`: synthetic
-division by alpha on integer numerators, never by factorization.
+p" for a linear form alpha, is decided by one synthetic division step by
+alpha on integer numerators (`_divide_buckets`), never by factorization:
+`linear_form_order` repeats it until a remainder is nonzero, and
+`linear_form_remainders` keeps the first m remainders of several
+polynomials under one shared scale, from which the linear constraints of
+"alpha^m divides" are read.
 
 The JSON form of a polynomial, a term list of exponent lists and exact
 coefficient strings, is defined here once for reports and the invariant
 cache alike; the parser rejects any malformed term with ValueError.
+`dump_json` is the package's one JSON writer, for reports and the cache
+file alike.  It writes by hand exactly the text of ``json.dumps(obj,
+sort_keys=True, indent=2)``, the layout of every report, which ``json``
+can only produce with its pure-Python encoder: dicts with sorted keys,
+lists, strings through ``json``'s own ASCII escaping, ints, null and
+booleans, with lists of plain ints and polynomial terms rendered in one
+piece each; any other value is handed to ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import add, sub
+from operator import add, itemgetter, lshift, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotDivisible
@@ -42,6 +54,9 @@ from .scalars import (Quad, Scalar, common_field, format_scalar, join_scalar, pa
                       split_scalar, split_scalars)
 
 Exponents = tuple[int, ...]
+
+_escape = json.encoder.encode_basestring_ascii
+_INT_ONLY = {int}  # the types of a list of plain ints, bool excluded
 
 INFINITE_ORDER = math.inf
 
@@ -658,6 +673,69 @@ def poly_from_json(data: Sequence, nvars: int) -> Poly:
     return Poly(nvars, terms)
 
 
+def dump_json(obj: object) -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, written by hand."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(o: object, nl: str, out: list[str]) -> None:
+    """Append the JSON of o; ``nl`` is a newline and the indent of o's line."""
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, o)) == _INT_ONLY:
+            out.append("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
+            return
+        # a term [[exponents], "coeff"] with nonempty exponents, in one piece
+        inner2 = inner + "  "
+        term = "[" + inner2 + "[" + inner2 + "  %s" + inner2 + "]," + inner2 + "%s" + inner + "]"
+        sep3 = "," + inner2 + "  "
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            sep = "," + inner
+            if type(x) is list and len(x) == 2:
+                exps, coeff = x
+                if (type(coeff) is str and type(exps) is list
+                        and set(map(type, exps)) == _INT_ONLY):
+                    out.append(term % (sep3.join(map(str, exps)), _escape(coeff)))
+                    continue
+            _write_json(x, inner, out)
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                                    % type(key).__name__)
+                key = json.dumps(key)
+            out.append(sep + _escape(key) + ": ")
+            sep = "," + inner
+            _write_json(value, inner, out)
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(o))
+
+
 def default_names(nvars: int) -> list[str]:
     if nvars <= 3:
         return ["x", "y", "z"][:nvars]
@@ -695,29 +773,91 @@ def linear_form_order(p: Poly, alpha: Poly) -> int | float:
     """Largest k with alpha^k dividing p; ``math.inf`` for p = 0.
 
     ``alpha`` must be a nonzero homogeneous linear form.  Every power is
-    decided by one kernel on integer numerators: write alpha = a*x_v + l
-    for a pivot variable x_v and bucket p's terms by their x_v exponent,
-    the other exponents packed into one int per term.  Dividing by alpha
-    is then a synthetic division from the top bucket down: the quotient
-    coefficient is q = c / a, and -q*l goes into the bucket below, one
-    int addition per term of l.  alpha divides exactly when bucket 0 ends
-    empty, and the quotient's buckets are the next dividend.
+    decided by one synthetic division step on integer numerators
+    (`_divide_buckets`): alpha divides exactly when the remainder bucket
+    ends empty, and the quotient's buckets are the next dividend.
 
-    The kernel divides by a scalar multiple of alpha with a rational
-    integer pivot coefficient and primitive numerators (over Q(sqrt(d)),
-    alpha times the conjugate of its pivot coefficient), which leaves
-    every order unchanged.  When l is rational, an exact quotient of the
-    integral numerators is integral (Gauss's lemma), so a step with a not
-    dividing c already proves the order.  Otherwise the working numerators
-    are rescaled on demand, as in ``Poly.divrem``.
+    When the form's tail is rational, an exact quotient of the integral
+    numerators is integral (Gauss's lemma), so a step in which the pivot
+    coefficient does not divide a coefficient already proves the order.
+    Otherwise p is first scaled by a^D, with a the pivot coefficient and
+    D the top pivot exponent, which keeps every quotient integral.
     """
-    if (alpha.nvars != p.nvars or not alpha.num
-            or any(sum(e) != 1 for e in alpha.num)):
-        raise ValueError("order is only defined along a nonzero homogeneous linear form"
-                         " in %d variables" % p.nvars)
+    _check_linear_form(alpha, p.nvars)
     if not p.num:
         return INFINITE_ORDER
     d = common_field(p.d, alpha.d)
+    pivot, a, tail = _pivot_form(alpha, d)
+    steps, (buckets,) = _bucketed([_promote(p.num, p.d, d)], p.nvars, pivot, tail)
+    if d != 1 and any(lb for _, lb in tail.values()):
+        buckets = _scale_buckets(buckets, a ** (len(buckets) - 1), d)
+    order = 0
+    while True:
+        quotient = _divide_buckets(buckets, a, steps, d)
+        if quotient is None or _nonzero(buckets[0], d):
+            return order
+        order += 1
+        buckets = quotient
+
+
+def linear_form_remainders(polys: Sequence[Poly], alpha: Poly, m: int) -> tuple[int, list[dict]]:
+    """The coefficients r_0 ... r_{m-1} of p = sum_j r_j alpha^j, for each p.
+
+    No r_j contains the pivot variable x_v of `_pivot_form`, so the
+    expansion is unique and alpha^m divides a combination of the
+    polynomials exactly when the same combination of their r_0 ... r_{m-1}
+    vanishes.  The r_j are the remainders of m synthetic divisions by
+    alpha (`_divide_buckets`), the same step `linear_form_order` takes.
+
+    Every polynomial is scaled by one shared nonzero factor, the common
+    denominator times a^D with a the pivot coefficient and D the top pivot
+    exponent, so every quotient is integral.  Returns the field d and, per
+    polynomial, a dict (j, monomial key) -> numerator of the scaled r_j,
+    where one key stands for the same monomial in every dict.
+    """
+    _check_linear_form(alpha, alpha.nvars)
+    d = alpha.d
+    for p in polys:
+        if p.nvars != alpha.nvars:
+            raise ValueError("polynomial in %d variables, form in %d" % (p.nvars, alpha.nvars))
+        d = common_field(d, p.d)
+    pivot, a, tail = _pivot_form(alpha, d)
+    steps, bucketed = _bucketed([_promote(p.num, p.d, d) for p in polys], alpha.nvars,
+                               pivot, tail)
+    power = a ** max(0, max(map(len, bucketed), default=0) - 1)
+    den = math.lcm(*(p.den for p in polys))
+    out = []
+    for p, buckets in zip(polys, bucketed):
+        buckets = _scale_buckets(buckets, den // p.den * power, d)
+        remainders = {}
+        for j in range(m):
+            if not buckets:
+                break
+            quotient = _divide_buckets(buckets, a, steps, d)
+            assert quotient is not None, "the shared scale keeps every quotient integral"
+            remainders.update(((j, k), c) for k, c in _nonzero(buckets[0], d).items())
+            buckets = quotient
+        out.append(remainders)
+    return d, out
+
+
+def _check_linear_form(alpha: Poly, nvars: int) -> None:
+    if (alpha.nvars != nvars or not alpha.num
+            or any(sum(e) != 1 for e in alpha.num)):
+        raise ValueError("order is only defined along a nonzero homogeneous linear form"
+                         " in %d variables" % nvars)
+
+
+def _pivot_form(alpha: Poly, d: int) -> tuple[int, int, dict]:
+    """A primitive integral multiple of alpha as a*x_v + tail.
+
+    Returns the pivot variable v, the pivot coefficient a, a rational
+    integer, and the tail as {variable: numerator}.  Over Q the pivot is
+    a coefficient of least absolute value; over Q(sqrt(d)) a rational one
+    of least norm if there is one, and alpha is multiplied by the
+    conjugate of its pivot coefficient.  Scaling alpha leaves every order
+    unchanged.
+    """
     coeffs = {e.index(1): c for e, c in _promote(alpha.num, alpha.d, d).items()}
     if d == 1:
         pivot = min(coeffs, key=lambda t: (abs(coeffs[t]), t))
@@ -725,92 +865,86 @@ def linear_form_order(p: Poly, alpha: Poly) -> int | float:
         pivot = min(coeffs, key=lambda t: (coeffs[t][1] != 0,
                                            abs(coeffs[t][0] ** 2 - d * coeffs[t][1] ** 2), t))
         ca, cb = coeffs[pivot]
-        # times the conjugate of the pivot coefficient, with a positive norm at the pivot
-        sign = -1 if ca * ca - d * cb * cb < 0 else 1
-        coeffs = _scale_num(coeffs, (sign * ca, -sign * cb), d)
+        coeffs = _scale_num(coeffs, (ca, -cb), d)
     g = _content(coeffs, d, 0)
     coeffs = {t: c // g if d == 1 else (c[0] // g, c[1] // g) for t, c in coeffs.items()}
     a = coeffs.pop(pivot) if d == 1 else coeffs.pop(pivot)[0]
-    # exponents packed with the pivot's in the top field, which picks the bucket
-    bits = max(map(sum, p.num)).bit_length()
-    top = (p.nvars - 1) * bits
-    shifts = [top if t == pivot else (t - (t > pivot)) * bits for t in range(p.nvars)]
+    return pivot, a, coeffs
+
+
+def _bucketed(nums: Sequence[dict], nvars: int, pivot: int,
+              tail: dict) -> tuple[list, list[list[dict]]]:
+    """Numerator dicts as buckets by pivot exponent, ready for `_divide_buckets`.
+
+    Bucket j of a dict maps the other exponents of each term with pivot
+    exponent j, packed into one int under one packing for all the dicts,
+    to its numerator.  Also returns the tail as (packed step, numerator)
+    pairs: multiplying a term by x_t adds the step of t to its key.
+    """
+    bits = max(map(sum, chain.from_iterable(nums)), default=0).bit_length()
+    top = (nvars - 1) * bits
+    shifts = [top if t == pivot else (t - (t > pivot)) * bits for t in range(nvars)]
     mask = (1 << top) - 1
-    tail = [(1 << shifts[t], c) for t, c in coeffs.items()]
-    buckets: list[dict] = [{} for _ in range(max(e[pivot] for e in p.num) + 1)]
-    for e, c in _promote(p.num, p.d, d).items():
-        k = sum(x << s for x, s in zip(e, shifts))
-        buckets[k >> top][k & mask] = c
-    if d == 1:
-        return _order_rational(buckets, a, tail)
-    return _order_quadratic(buckets, a, tail, d)
+    out = []
+    for num in nums:
+        depth = max(map(itemgetter(pivot), num), default=-1) + 1
+        buckets: list[dict] = [{} for _ in range(depth)]
+        for e, c in num.items():
+            k = sum(map(lshift, e, shifts))
+            buckets[k >> top][k & mask] = c
+        out.append(buckets)
+    return [(1 << shifts[t], c) for t, c in tail.items()], out
 
 
-def _order_rational(buckets: list[dict], a: int, tail: list[tuple[int, int]]) -> int:
-    """The order of the bucketed int numerators along the primitive form
-    a*x_v + tail."""
-    order = 0
-    while True:
-        quotient = []
-        for j in range(len(buckets) - 1, 0, -1):
-            below = buckets[j - 1]
-            get = below.get
-            qb = {}
+def _scale_buckets(buckets: list[dict], s: int, d: int) -> list[dict]:
+    if s == 1:
+        return buckets
+    return [_scale_num(b, s if d == 1 else (s, 0), d) for b in buckets]
+
+
+def _divide_buckets(buckets: list[dict], a: int, steps: list, d: int) -> list[dict] | None:
+    """One synthetic division of bucketed numerators by a*x_v + tail.
+
+    From the top bucket down, a quotient coefficient is q = c / a, and
+    -q times the tail goes into the bucket below, one int addition per
+    term of the tail.  The remainder is left in ``buckets[0]``, zeros
+    included; returns the quotient's buckets, or None as soon as some c
+    is not divisible by a.
+    """
+    quotient = []
+    for j in range(len(buckets) - 1, 0, -1):
+        below = buckets[j - 1]
+        get = below.get
+        qb: dict = {}
+        if d == 1:
             for k, c in buckets[j].items():
                 if not c:
                     continue
                 if a != 1:
                     c, r = divmod(c, a)
                     if r:
-                        return order
+                        return None
                 qb[k] = c
-                for step, l in tail:
+                for step, lc in steps:
                     t = k + step
-                    below[t] = get(t, 0) - c * l
-            quotient.append(qb)
-        if any(buckets[0].values()):
-            return order
-        order += 1
-        quotient.reverse()
-        buckets = quotient
-
-
-def _order_quadratic(buckets: list[dict], a: int, tail: list[tuple[int, tuple[int, int]]],
-                     d: int) -> int:
-    """The order of the bucketed int pair numerators along a*x_v + tail, a > 0."""
-    exact = not any(lb for _, (_, lb) in tail)
-    order = 0
-    while True:
-        quotient: list[dict] = []
-        for j in range(len(buckets) - 1, 0, -1):
-            below = buckets[j - 1]
-            get = below.get
-            qb: dict = {}
+                    below[t] = get(t, 0) - c * lc
+        else:
             for k, (ca, cb) in buckets[j].items():
                 if not (ca or cb):
                     continue
                 if a != 1:
-                    g = a // math.gcd(a, ca, cb)
-                    if g != 1:
-                        if exact:
-                            return order
-                        # rescales the rest of this pass, read live below
-                        for bucket in chain(buckets[:j + 1], quotient, (qb,)):
-                            for key, (x, y) in bucket.items():
-                                bucket[key] = (x * g, y * g)
-                        ca, cb = ca * g, cb * g
-                    ca, cb = ca // a, cb // a
+                    ca, ra = divmod(ca, a)
+                    cb, rb = divmod(cb, a)
+                    if ra or rb:
+                        return None
                 qb[k] = (ca, cb)
-                for step, (la, lb) in tail:
+                for step, (la, lb) in steps:
                     t = k + step
                     xa, xb = get(t, (0, 0))
                     below[t] = (xa - ca * la - d * cb * lb, xb - ca * lb - cb * la)
-            quotient.append(qb)
-        if any(ca or cb for ca, cb in buckets[0].values()):
-            return order
-        order += 1
-        quotient.reverse()
-        buckets = quotient
+        quotient.append(qb)
+    quotient.reverse()
+    return quotient
 
 
 def point_off(forms: Sequence[Poly], nvars: int) -> tuple[tuple[Fraction, ...], tuple[Scalar, ...]]:

@@ -10,14 +10,12 @@ and re-certified.
 
 from __future__ import annotations
 
-import json
-
 from .basis import BasisResult
-from .certify import Certificate
+from .certify import Certificate, order_to_json
 from .coxeter import Arrangement, Multiplicity, ReflectionGroup
 from .derivations import Derivation
 from .invariants import InvariantSystem
-from .poly import poly_from_json, poly_to_json
+from .poly import dump_json, poly_from_json, poly_to_json
 from .scalars import format_scalar
 
 SCHEMA_BASIS = "coxbasis/basis-report/1"
@@ -43,17 +41,12 @@ def derivation_from_json(data: dict, nvars: int) -> Derivation:
     return Derivation([poly_from_json(c, nvars) for c in coeffs])
 
 
-def _order_value(o: int | float) -> int | None:
-    # contact order can be infinite when a member annihilates a form
-    return None if o == float("inf") else int(o)
-
-
 def certificate_to_json(cert: Certificate) -> dict:
     out = {
         "verdict": cert.verdict,
         "member_degrees": list(cert.member_degrees),
         "required_multiplicities": list(cert.required),
-        "contact_orders": [[_order_value(o) for o in row] for row in cert.orders],
+        "contact_orders": [[order_to_json(o) for o in row] for row in cert.orders],
         "degree_sum": cert.degree_sum,
         "multiplicity_sum": cert.multiplicity_sum,
     }
@@ -62,7 +55,7 @@ def certificate_to_json(cert: Certificate) -> dict:
     if cert.determinant_scalar is not None:
         out["determinant_scalar"] = format_scalar(cert.determinant_scalar)
     if cert.failure is not None:
-        out["failure"] = {k: _order_value(v) if isinstance(v, float) else v
+        out["failure"] = {k: order_to_json(v) if isinstance(v, float) else v
                           for k, v in cert.failure.items()}
     return out
 
@@ -144,4 +137,4 @@ def basis_report(result: BasisResult, system: InvariantSystem,
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return dump_json(report) + "\n"

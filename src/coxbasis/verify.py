@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .certify import contact_order, order_constraint_rows
+from .certify import contact_order, order_constraint_rows, order_to_json
 from .connection import nabla_D, nabla_D_inverse
 from .coxeter import Arrangement, ReflectionGroup
 from .derivations import Derivation, euler_field, nabla
@@ -106,7 +106,7 @@ def shift_suite(group: ReflectionGroup, arrangement: Arrangement,
             if after != before + 2:
                 failures.append({
                     "sample": s, "hyperplane": [str(c) for c in h.coeffs],
-                    "order_before": before, "order_after": after,
+                    "order_before": order_to_json(before), "order_after": order_to_json(after),
                 })
     return {"suite": "shift", "group": group.datum.label, "seed": seed,
             "samples": samples, "orders_checked": checked,

@@ -12,6 +12,7 @@ from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
 from coxbasis.errors import NotDivisible
 from coxbasis.invariants import compute_invariants
 from coxbasis.linalg import invert_matrix
+from coxbasis.poly import Poly, Powers, substitute_sum
 from coxbasis.scalars import scalar_inverse
 
 _CACHE: dict[str, tuple] = {}
@@ -176,6 +177,39 @@ def division_order(p, alpha):
         except NotDivisible:
             return order
         order += 1
+
+
+def substitution_rows(applied, alpha, m, d):
+    """Integer rows forcing alpha^m to divide a combination of ``applied``,
+    by a change of coordinates that makes alpha the pivot variable: every
+    monomial of the rewritten polynomials with pivot exponent below m
+    gives one row, their numerators over one common denominator.  The
+    test-only reference for ``coxbasis.certify.order_constraint_rows``."""
+    n = alpha.nvars
+    coeffs = [alpha.coefficient(tuple(int(j == t) for j in range(n))) for t in range(n)]
+    pivot = next(t for t, a in enumerate(coeffs) if a != 0)
+    inv = scalar_inverse(coeffs[pivot])
+    # x_pivot = inv * (y_pivot - sum of the other alpha_t y_t)
+    subst_coeffs = [-inv * a for a in coeffs]
+    subst_coeffs[pivot] = inv
+    tables = [tuple(Powers(Poly.linear(subst_coeffs) if t == pivot else Poly.variable(n, t))
+                    for t in range(n))]
+    rewritten = [substitute_sum(p, tables, n) for p in applied]
+    low = {}
+    for p in rewritten:
+        for exps in p.num:
+            if exps[pivot] < m:
+                low.setdefault(exps, len(low))
+    den = math.lcm(*(p.den for p in rewritten))
+    rows = [[0 if d == 1 else (0, 0)] * len(rewritten) for _ in low]
+    for u, p in enumerate(rewritten):
+        s = den // p.den
+        for exps, c in p.num.items():
+            slot = low.get(exps)
+            if slot is not None:
+                rows[slot][u] = (c * s if d == 1 else (c * s, 0) if p.d == 1
+                                 else (c[0] * s, c[1] * s))
+    return rows
 
 
 # Test-only reference orbit walks in Fraction/Quad arithmetic.  The package

@@ -11,6 +11,11 @@ connection does most of the work, and the four rank-4 requests of the
 rank-4 workload, where group construction, Reynolds averages and
 certification do, are served the same way with ``--no-cache``.  Both files
 are only read.
+
+Every report served here, and the JSON of every ``info`` and ``verify``
+request of the sweep, must also be the text ``json.dumps(...,
+sort_keys=True, indent=2)`` writes for it: the package writes that layout
+by hand.
 """
 
 from __future__ import annotations
@@ -40,17 +45,24 @@ def _load_workloads():
 WORKLOADS = _load_workloads()
 # the seed only shuffles the order and seeds the verify suites
 REQUESTS = [argv for argv in WORKLOADS.sweep_requests(0) if argv[0] == "basis"]
+OTHERS = [argv for argv in WORKLOADS.sweep_requests(0) if argv[0] != "basis"]
 DEEP_SHIFT = WORKLOADS.DEEP_SHIFT
 RANK4 = WORKLOADS.RANK4
 GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))["digests"]
 
 
-def _digest(argv: list[str]) -> str:
+def _serve(argv: list[str]) -> str:
     buf = io.StringIO()
     with redirect_stdout(buf):
         rc = main(argv)
     assert rc == 0
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    text = buf.getvalue()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    return text
+
+
+def _digest(argv: list[str]) -> str:
+    return hashlib.sha256(_serve(argv).encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +80,17 @@ def test_report_matches_golden_digest(argv, cache_dir, monkeypatch):
     # the --mfile paths are relative to the root of the checkout
     monkeypatch.chdir(ROOT)
     assert _digest(argv + ["--cache-dir", str(cache_dir)]) == GOLDEN[" ".join(argv)]
+
+
+def test_sweep_has_every_info_and_verify_request():
+    assert len(OTHERS) == 35
+    assert all("--format" in argv and argv[argv.index("--format") + 1] == "json"
+               for argv in OTHERS)
+
+
+@pytest.mark.parametrize("argv", OTHERS, ids=" ".join)
+def test_info_and_verify_json_is_what_json_dumps_writes(argv, cache_dir):
+    _serve(argv + ["--cache-dir", str(cache_dir)])
 
 
 def test_deep_shift_has_four_basis_requests():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,16 @@ def test_cache_round_trip(tmp_path):
     assert second.jacobian == first.jacobian
     assert second.jacobian_scalar == first.jacobian_scalar
     assert second.fingerprint() == first.fingerprint()
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "G2", "I2(5)", "H3"])
+def test_cache_file_is_what_json_dumps_writes(label, pipeline, tmp_path):
+    # existing cache files keep matching, character for character, the text
+    # this process writes, so their systems are reused in memory
+    _, _, system = pipeline(label)
+    text = invariants._store_cache(tmp_path / "cache.json", system)
+    assert (tmp_path / "cache.json").read_text(encoding="utf-8") == text
+    assert text == json.dumps(system.to_json_dict(), sort_keys=True, indent=2)
 
 
 def test_cache_corruption_is_recomputed(tmp_path):

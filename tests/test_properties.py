@@ -1,10 +1,11 @@
 """Property tests of polynomials, scalars and the group action.
 
 They need hypothesis and are skipped without it: the ring axioms, the
-division identity, orders along linear forms adding up, the report
-format round trip, the action of the group composing along its closure,
-and the incremental echelon agreeing with the reduced row echelon form of
-the same rows.
+division identity, orders along linear forms adding up, contact
+constraint rows vanishing exactly on the combinations of high order, the
+report format round trip and its writer, the action of the group
+composing along its closure, and the incremental echelon agreeing with
+the reduced row echelon form of the same rows.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from fractions import Fraction
 
 import pytest
 
+from coxbasis.certify import order_constraint_rows
 from coxbasis.coxeter import act, mat_mul, parse_type
 from coxbasis.linalg import Echelon, rref
-from coxbasis.poly import Poly, linear_form_order, poly_from_json, poly_to_json
+from coxbasis.poly import Poly, dump_json, linear_form_order, poly_from_json, poly_to_json
 from coxbasis.scalars import Quad, format_scalar, parse_scalar, split_scalars
 
 FIELDS = [1, 5, 2]
@@ -85,11 +87,62 @@ def test_linear_form_orders_add(pair, k):
 
 
 @SETTINGS
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(
+    st.just(d), linear_forms(field=d),
+    st.lists(st.tuples(st.integers(0, 3), polys(field=d), st.integers(-2, 2)),
+             min_size=1, max_size=4))),
+    st.integers(1, 3))
+# x and x*y share the monomial x in r_0 and r_1 along y: two rows, not one
+@hypothesis.example((1, Poly.variable(2, 1), [(0, Poly.variable(2, 0), 1),
+                                              (1, Poly.variable(2, 0), -1)]), 2)
+def test_constraint_rows_vanish_exactly_on_high_orders(drawn, m):
+    # sum_u c_u p_u has order >= m along alpha exactly when every row
+    # vanishes on the integer vector c
+    d, alpha, parts = drawn
+    applied = [alpha ** k * g for k, g, _ in parts]
+    c = [c for _, _, c in parts]
+    rows = order_constraint_rows(applied, alpha, m, d)
+    combination = Poly.zero(2)
+    for p, cu in zip(applied, c):
+        combination = combination + p.scale(cu)
+    if d == 1:
+        vanish = all(sum(r * cu for r, cu in zip(row, c)) == 0 for row in rows)
+    else:
+        vanish = all(sum(r[0] * cu for r, cu in zip(row, c)) == 0
+                     and sum(r[1] * cu for r, cu in zip(row, c)) == 0 for row in rows)
+    assert vanish == (linear_form_order(combination, alpha) >= m)
+
+
+@SETTINGS
 @given(polys(nvars=3))
 def test_format_parse_round_trip(p):
     assert poly_from_json(json.loads(json.dumps(poly_to_json(p))), 3) == p
     for c in p.terms.values():
         assert parse_scalar(format_scalar(c)) == c
+
+
+TEXT = st.text() | st.text(alphabet=st.sampled_from(
+    ["a", "1", "/", "\"", "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028",
+     "\U0001f600", " "]))
+TERMS = st.tuples(st.lists(st.integers(-3, 2 ** 70)), TEXT).map(list)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200) | st.floats() | TEXT | TERMS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=5)
+                   | st.dictionaries(st.integers(-5, 5), inner, max_size=3)
+                   | st.lists(st.integers() | st.booleans(), max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@hypothesis.example([True, 1])
+@hypothesis.example([[1], "a", 3])
+@hypothesis.example([[], "x"])
+@hypothesis.example([[True], "x"])
+@hypothesis.example({"b": [[[0, 2], "-1/2"]], "a": {}, "c": [], "\u00e9\"": -2 ** 100})
+@given(JSON_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert dump_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 @SETTINGS

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import json
+import math
 import random
 
+import pytest
+
+from coxbasis import verify
+from coxbasis.cli import main
 from coxbasis.verify import (
     euler_suite,
     hodge_suite,
@@ -56,6 +62,32 @@ def test_shift_suite(pipeline):
     assert report["passed"]
     assert report["orders_checked"] > 0
     assert report["failures"] == []
+
+
+def _no_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+def test_shift_suite_reports_infinite_orders_as_null(monkeypatch, capsys):
+    # force the lifted field to annihilate every form: its order is infinite
+    calls = []
+
+    def lifted_annihilates(delta, form):
+        calls.append(delta)
+        return math.inf if len(calls) % 2 == 0 else contact_order(delta, form)
+
+    contact_order = verify.contact_order
+    monkeypatch.setattr(verify, "contact_order", lifted_annihilates)
+    code = main(["verify", "--type", "A2", "--suite", "shift", "--samples", "2",
+                 "--seed", "0", "--format", "json", "--no-cache"])
+    out = capsys.readouterr().out
+    assert code == 1
+    report = json.loads(out, parse_constant=_no_constant)
+    failures = report["suites"][0]["failures"]
+    assert failures and all(f["order_after"] is None for f in failures)
+    assert all(type(f["order_before"]) is int for f in failures)
+    with pytest.raises(ValueError, match="Infinity is not JSON"):
+        json.loads('{"order_after": Infinity}', parse_constant=_no_constant)
 
 
 def test_hodge_suite(pipeline):
