@@ -12,7 +12,6 @@ the constructed members is an internal alarm, not a user error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .certify import Certificate, graded_member_basis, ziegler_certify
@@ -28,41 +27,44 @@ from .poly import Poly, monomials_of_degree
 BASE_SOURCES = ("auto", "coordinate", "gradient", "oracle", "user")
 
 
-@dataclass
 class BasisRequest:
     """What to build: a multiplicity with values in {0, 1} and a shift k."""
 
-    group: ReflectionGroup
-    arrangement: Arrangement
-    system: InvariantSystem
-    multiplicity: Multiplicity
-    k: int
-    base_source: str = "auto"
-    user_base: Sequence[Derivation] | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
+    def __init__(self, group: ReflectionGroup, arrangement: Arrangement, system: InvariantSystem,
+                 multiplicity: Multiplicity, k: int, base_source: str = "auto",
+                 user_base: Sequence[Derivation] | None = None) -> None:
+        if k < 0:
             raise ValueError("the shift k must be nonnegative")
-        if not self.multiplicity.is_zero_one():
+        if not multiplicity.is_zero_one():
             raise ValueError("base multiplicities must have values in {0, 1}")
-        if self.base_source not in BASE_SOURCES:
-            raise ValueError("unknown base source %r" % self.base_source)
-        if self.base_source == "user" and self.user_base is None:
+        if base_source not in BASE_SOURCES:
+            raise ValueError("unknown base source %r" % base_source)
+        if base_source == "user" and user_base is None:
             raise ValueError("base source 'user' needs a user_base")
+        self.group = group
+        self.arrangement = arrangement
+        self.system = system
+        self.multiplicity = multiplicity
+        self.k = k
+        self.base_source = base_source
+        self.user_base = user_base
 
 
-@dataclass
 class BasisResult:
     """A constructed basis together with its certificate."""
 
-    request: BasisRequest
-    base_source: str
-    base_members: tuple[Derivation, ...]
-    base_certificate: Certificate | None
-    universal: Derivation
-    members: tuple[Derivation, ...]
-    member_degrees: tuple[int, ...]
-    certificate: Certificate
+    def __init__(self, request: BasisRequest, base_source: str,
+                 base_members: tuple[Derivation, ...], base_certificate: Certificate | None,
+                 universal: Derivation, members: tuple[Derivation, ...],
+                 member_degrees: tuple[int, ...], certificate: Certificate) -> None:
+        self.request = request
+        self.base_source = base_source
+        self.base_members = base_members
+        self.base_certificate = base_certificate
+        self.universal = universal
+        self.members = members
+        self.member_degrees = member_degrees
+        self.certificate = certificate
 
     @property
     def shifted_multiplicity(self) -> Multiplicity:

@@ -14,8 +14,10 @@ multiarrangements says the coefficient determinant is c times
 prod_H alpha_H^{m(H)} for one scalar c, and the members form a basis
 exactly when c is nonzero.  So c is read off one exact evaluation at a
 rational point where no alpha_H vanishes: c = det M(p) / prod alpha_H(p)^m.
-The recorded determinant witness is c times prod_H alpha_H^{m(H)}; the
-polynomial determinant is never expanded.
+The recorded determinant witness is c times prod_H alpha_H^{m(H)}, built
+as prod_v Q_v^v with Q_v the product of the forms of multiplicity v (the
+cached defining polynomial Q when m is constant), by repeated squaring;
+the polynomial determinant is never expanded.
 
 The module also provides direct graded dimensions of the derivation
 module, by linear algebra on one graded piece with no basis needed: the
@@ -30,7 +32,6 @@ unknowns stay comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -59,19 +60,22 @@ def order_to_json(o: int | float) -> int | None:
     return None if o == INFINITE_ORDER else int(o)
 
 
-@dataclass
 class Certificate:
     """Record of one certification run."""
 
-    verdict: str
-    member_degrees: tuple[int, ...]
-    required: tuple[int, ...]
-    orders: tuple[tuple[int | float, ...], ...]
-    degree_sum: int
-    multiplicity_sum: int
-    determinant: Poly | None = None
-    determinant_scalar: Scalar | None = None
-    failure: dict | None = None
+    def __init__(self, verdict: str, member_degrees: tuple[int, ...], required: tuple[int, ...],
+                 orders: tuple[tuple[int | float, ...], ...], degree_sum: int,
+                 multiplicity_sum: int, determinant: Poly | None = None,
+                 determinant_scalar: Scalar | None = None, failure: dict | None = None) -> None:
+        self.verdict = verdict
+        self.member_degrees = member_degrees
+        self.required = required
+        self.orders = orders
+        self.degree_sum = degree_sum
+        self.multiplicity_sum = multiplicity_sum
+        self.determinant = determinant
+        self.determinant_scalar = determinant_scalar
+        self.failure = failure
 
     @property
     def is_free(self) -> bool:
@@ -128,10 +132,23 @@ def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity,
                            failure={"determinant": "zero"}, **base)
     target_at_point = math.prod((v ** mv for v, mv in zip(values, required)), start=Fraction(1))
     scalar = at_point / target_at_point
-    target = product(
-        (h.form ** mv for h, mv in zip(arrangement.hyperplanes, required)), n)
-    return Certificate(verdict=VERDICT_FREE, determinant=target.scale(scalar),
+    return Certificate(verdict=VERDICT_FREE,
+                       determinant=_witness(arrangement, required).scale(scalar),
                        determinant_scalar=scalar, **base)
+
+
+def _witness(arrangement: Arrangement, required: Sequence[int]) -> Poly:
+    """prod_H alpha_H^{m(H)} as prod_v Q_v^v, where Q_v is the product of
+    the forms with m(H) = v; a constant nonzero m has Q_v the arrangement's
+    cached defining polynomial."""
+    if len(set(required)) == 1 and required[0]:
+        return arrangement.defining_polynomial ** required[0]
+    n = arrangement.datum.rank
+    forms: dict[int, list[Poly]] = {}
+    for h, mv in zip(arrangement.hyperplanes, required):
+        if mv:
+            forms.setdefault(mv, []).append(h.form)
+    return product((product(fs, n) ** v for v, fs in forms.items()), n)
 
 
 def graded_member_basis(multiplicity: Multiplicity, degree: int,

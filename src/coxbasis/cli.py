@@ -28,7 +28,7 @@ from .coxeter import (DEFAULT_ORDER_BOUND, Multiplicity, build_group, parse_type
 from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError, GroupClosureFailed,
                      NoSolution, NonUniqueSolution, NotABasis, OrderBoundExceeded,
                      UnsupportedType)
-from .invariants import compute_invariants, invariant_field_degrees, jacobian_factors
+from .invariants import compute_invariants, invariant_field_degrees
 from .report import (SCHEMA_VERIFY, basis_report, derivation_from_json, dump_report,
                      group_to_json, multiplicity_from_json)
 from .scalars import format_scalar
@@ -99,8 +99,6 @@ def cmd_info(args: argparse.Namespace) -> int:
         problems.append("hyperplane count %d != h*l/2" % len(arrangement))
     if len(datum.degrees) > 1 and datum.degrees[-2] >= datum.coxeter_number:
         problems.append("second-highest degree is not below the Coxeter number")
-    if not jacobian_factors(system, arrangement):
-        problems.append("Jacobian is not a scalar multiple of the defining polynomial")
 
     info = group_to_json(group, arrangement)
     info["invariant_degrees"] = list(system.degrees)

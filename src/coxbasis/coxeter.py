@@ -32,10 +32,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .derivations import Derivation
 from .errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
@@ -48,8 +47,7 @@ MatrixT = tuple[tuple[Scalar, ...], ...]
 DEFAULT_ORDER_BOUND = 100000
 
 
-@dataclass(frozen=True)
-class CoxeterDatum:
+class CoxeterDatum(NamedTuple):
     """Coordinate realization of one finite Coxeter type."""
 
     family: str
@@ -252,8 +250,7 @@ def reflection_matrix(root: Sequence[Scalar], gram: MatrixT) -> MatrixT:
                  for i, r in enumerate(root))
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """A reflecting hyperplane: its normalized coefficients and form."""
 
     coeffs: tuple[Scalar, ...]

@@ -121,8 +121,8 @@ def _mul_num(a: dict, b: dict, d: int) -> dict:
         return _scale_num({tuple(map(add, e1, e2)): c2 for e2, c2 in b.items()}, c1, d)
     nvars = len(next(iter(a)))
     bits, shifts = _packing(a, b, nvars)
-    pa = [(sum(x << s for x, s in zip(e, shifts)), c) for e, c in a.items()]
-    pb = [(sum(x << s for x, s in zip(e, shifts)), c) for e, c in b.items()]
+    pa = [(sum(map(lshift, e, shifts)), c) for e, c in a.items()]
+    pb = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
     if d == 1:
         out: dict[int, int] = {}
         get = out.get

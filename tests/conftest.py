@@ -12,7 +12,7 @@ from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
 from coxbasis.errors import NotDivisible
 from coxbasis.invariants import compute_invariants
 from coxbasis.linalg import invert_matrix
-from coxbasis.poly import Poly, Powers, substitute_sum
+from coxbasis.poly import Poly, Powers, product, substitute_sum
 from coxbasis.scalars import scalar_inverse
 
 _CACHE: dict[str, tuple] = {}
@@ -177,6 +177,14 @@ def division_order(p, alpha):
         except NotDivisible:
             return order
         order += 1
+
+
+def sequential_witness(arrangement, values):
+    """prod_H alpha_H^{m(H)} as one product of the powers of the forms, one
+    factor after another.  The test-only reference for the determinant
+    witness of ``coxbasis.certify.ziegler_certify``."""
+    return product((h.form ** mv for h, mv in zip(arrangement.hyperplanes, values)),
+                   arrangement.datum.rank)
 
 
 def substitution_rows(applied, alpha, m, d):

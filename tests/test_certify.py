@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import division_order
+from conftest import division_order, sequential_witness
 
 from coxbasis.certify import (
     VERDICT_DEGREE,
@@ -24,6 +24,7 @@ from coxbasis.derivations import Derivation, coefficient_matrix, euler_field, na
 from coxbasis.errors import NotPolynomial
 from coxbasis.invariants import jacobian_matrix
 from coxbasis.poly import Poly, linear_combination, product
+from coxbasis.scalars import scalar_inverse
 from coxbasis.verify import hodge_equality_check, invariant_graded_dimension
 
 
@@ -247,3 +248,35 @@ def test_certificate_dataclass_defaults():
     assert cert.is_free
     assert cert.determinant is None
     assert cert.failure is None
+
+
+WITNESS_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2", "H3", "I2(5)", "I2(8)"]
+
+
+@pytest.mark.parametrize("label", WITNESS_TYPES)
+def test_witness_matches_sequential_product(pipeline, label):
+    """The recorded witness over its scalar is prod_H alpha_H^{m(H)}, for
+    constant m = 0 .. 4, the per-orbit values of the benchmark's two mfiles,
+    and a 0/1 multiplicity that is not constant on orbits (with its shift)."""
+    group, arrangement, system = pipeline(label)
+    n_hyp = len(arrangement)
+    cases = [([m % 2] * n_hyp, m // 2) for m in range(5)]
+    if len(arrangement.orbits()) == 2:
+        cases += [(Multiplicity.from_orbit_values(arrangement, per_orbit).values, k)
+                  for per_orbit in ([0, 1], [1, 0]) for k in (0, 1)]
+    if n_hyp > 1:
+        mixed = Multiplicity(arrangement, [1] + [0] * (n_hyp - 1))
+        assert mixed.per_orbit() is None
+        cases.append((mixed.values, 1))
+    certified = set()
+    for values, k in cases:
+        result = build_basis(BasisRequest(group=group, arrangement=arrangement, system=system,
+                                          multiplicity=Multiplicity(arrangement, values), k=k))
+        for cert in (result.base_certificate, result.certificate):
+            if cert is None:
+                continue
+            assert cert.verdict == VERDICT_FREE
+            witness = cert.determinant.scale(scalar_inverse(cert.determinant_scalar))
+            assert witness == sequential_witness(arrangement, cert.required)
+            certified.add(cert.required)
+    assert all((m,) * n_hyp in certified for m in range(5))

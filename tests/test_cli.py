@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from coxbasis.cli import (
     build_parser,
     main,
 )
+from coxbasis import invariants
 from coxbasis.coxeter import parse_type
 
 
@@ -41,6 +43,74 @@ def test_info_json(capsys):
     assert data["order"] == 10
     assert data["field"] == "Q(sqrt(5))"
     assert data["problems"] == []
+
+
+# sha256 of the standard output of ``info <type> --format <format>`` on a
+# fresh invariant cache, as written before ``info`` stopped expanding the
+# Jacobian determinant
+INFO_DIGESTS = {
+    "A1 text": "f2286e6b2f182e72db05f53c59d5b43aa3371dc3e0abb6afebf9c6e621140a6a",
+    "A1 json": "ab3266a009602ac6b16f89cd0e9a0f494d881395280f3ebdc414971dd60f31bd",
+    "A2 text": "22f7f3c6f8084567f00c01775159cf1f5b8fa7f08486f6b66515497a1ce91004",
+    "A2 json": "1c634f6c4eaa55a31ec6d6fee6a5f38f7625ac5cc5e3dc6b2843f117cd04a30d",
+    "A3 text": "e6fe6b83d0f3421bd322df495f254951f530a2dcc374a845f1c3a37c73647c00",
+    "A3 json": "9b645bc421edcaf287836d27024f98dc4ecd1d36929d738100e83d299833ddfa",
+    "B2 text": "1de3d8149a89098e110c580931964adb197d74c0e3dce500c790144e09274970",
+    "B2 json": "37a1aa70ff8c4b0635ba9984348578753bcccd5ce626db96fd983605fc897fee",
+    "B3 text": "ec20d72883a4491b645482d2ea84318299c8060be073ca9a36b66932f191dc8c",
+    "B3 json": "4ec1e265fc8895ada630180b86f8cba5b18f9dae6be17025b5813c46f55f489a",
+    "G2 text": "5c9e0ef0ae2f4ef6fb4fbbc8c978be92b69a6dbd0418b9e2add41e5d6bd07ea8",
+    "G2 json": "4b61d32ed092f32ce653180f49c4f330e2c47dd6ff74c33965324f19054f873d",
+    "I2(3) text": "71e679c9771dd8c93e86a792e648aed9d3b6109d8494c1c4ec1450615236032a",
+    "I2(3) json": "14cc82695fb3c4521a174271da9285de9790fd31e4d02f937975d322d08e9093",
+    "I2(4) text": "7bd2ef9911831dd568e0f8fad8f821328ae724de2fb2ef94cb42a9b31393a3a3",
+    "I2(4) json": "60d47521bd7f08a045a38e7ffa21c0549896e1e4539098cfd2bb41067ca369a7",
+    "I2(5) text": "c22c974611a7003580e73f39291b8515eb8e5a33a106c4211f60385905ed8c5c",
+    "I2(5) json": "473e49733ad9b8e45659b0a268071c9315ddc44167be387d6cd48b8a5dc18b02",
+    "I2(6) text": "7cc063a232ce3249ec0de98cf362ca8bba77283f1911799e091cf616d9929db6",
+    "I2(6) json": "041eaad9c806af4333d8a91897f4ab9a441dbaee3fae62959db26c55847746ee",
+    "I2(8) text": "50ae4b725fba842b695a899610484e19b96a4b3c52a658f9e7d61a645b5a2ef0",
+    "I2(8) json": "0a4f4b07f1ffd2bc716535c21dd6eb2f50e5d22ce4fa1a507c685328d0071354",
+    "A4 text": "eb9b5c6781c569553b1421a7e1143b556026b469735e3fe25ac45d125aff0929",
+    "A4 json": "63b582f984bde53ad06fd81ad7b2304931f44700c0a471a005b6789bdd2cbd73",
+    "B4 text": "6246b4e72357e067ef73b7dc5997da325ed764c318c9daed95b60fbfa3b6f81c",
+    "B4 json": "faf5aa5ad1eb0206de77c82c903caafc02b004de5c08b86e474b57837aed755a",
+    "D4 text": "707b2b88c55ee4f19a3aaf5c5d130578d691846fb16fb741fba63e73a7c54b9d",
+    "D4 json": "89aa9a8ad99ed2edd04c85d1e517a116faaa2271b878da8f917805cffd3a0ed1",
+    "H3 text": "ad7a7984731958e2d50e45a0990ffc8a6e06ed7aa14f8aa318da1b107d0c2a25",
+    "H3 json": "0c3748edcea67c460a6ababe4acaeb4ff00662d740114d9026f74eae9e6a5481",
+}
+
+
+@pytest.mark.parametrize("key", sorted(INFO_DIGESTS))
+def test_info_output_is_unchanged(key, capsys, tmp_path_factory):
+    label, fmt = key.split()
+    cache = tmp_path_factory.getbasetemp() / "info-cache"
+    code, out, _ = run(["info", label, "--format", fmt, "--cache-dir", str(cache)], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == INFO_DIGESTS[key]
+
+
+def test_info_never_expands_the_jacobian(capsys, monkeypatch):
+    calls = []
+
+    def counting(system, arrangement, original=invariants.jacobian_factors):
+        calls.append(arrangement.datum.label)
+        return original(system, arrangement)
+
+    # every binding of the name in the package, wherever it was imported
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coxbasis" and hasattr(module, "jacobian_factors"):
+            monkeypatch.setattr(module, "jacobian_factors", counting)
+    for label in ("A2", "B3", "I2(5)"):
+        for fmt in ("text", "json"):
+            code, _, _ = run(["info", label, "--format", fmt, "--no-cache"], capsys)
+            assert code == EXIT_OK
+    assert calls == []
+    # the counter sees the expanded check where it stays
+    code, _, _ = run(["verify", "--type", "A2", "--suite", "jacobian", "--no-cache"], capsys)
+    assert code == EXIT_OK
+    assert calls == ["A2"]
 
 
 def test_info_unsupported_type(capsys):

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from conftest import sequential_witness
 
 from coxbasis.basis import BasisRequest, build_basis
 from coxbasis.certify import VERDICT_FREE
 from coxbasis.coxeter import Multiplicity, is_invariant_derivation
-from coxbasis.poly import product
 from coxbasis.scalars import Quad
 
 
@@ -25,10 +25,7 @@ def check_free(request, result):
     assert cert.verdict == VERDICT_FREE
     expected = 2 * request.k * len(request.arrangement) + request.multiplicity.total()
     assert sum(result.member_degrees) == expected
-    n = request.group.rank
-    target = product(
-        (h.form ** mv for h, mv in zip(request.arrangement.hyperplanes,
-                                       result.shifted_multiplicity.values)), n)
+    target = sequential_witness(request.arrangement, result.shifted_multiplicity.values)
     assert cert.determinant == target.scale(cert.determinant_scalar)
 
 

@@ -6,17 +6,31 @@ The benchmark's tracer wraps module and class attributes by name (its
 ``TARGETS`` in ``perfbench/tracer.py``); each of them must still be bound, or
 a traced benchmark run fails while the rest of the suite passes.  The tracer
 file is only parsed, never imported.
+
+A cold request pays for every module the package imports, so the standard
+library modules it imports are an explicit allow-list, and a fresh
+interpreter that imports ``coxbasis.cli`` must not have loaded
+``dataclasses`` or ``inspect`` (which between them pull in ``ast``, ``dis``
+and ``tokenize``).
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coxbasis"
 TRACER = ROOT / "perfbench" / "tracer.py"
+
+STDLIB_IMPORTS = {
+    "__future__", "argparse", "bisect", "fractions", "functools", "hashlib", "heapq",
+    "itertools", "json", "math", "operator", "os", "pathlib", "random", "re", "sys",
+    "tempfile", "time", "typing",
+}
 
 
 def package_modules() -> dict[str, ast.Module]:
@@ -48,6 +62,18 @@ def package_imports(tree: ast.Module, modules: set[str]) -> set[str]:
                 parts = a.name.split(".")
                 if parts[0] == "coxbasis":
                     out.add(parts[1] if len(parts) > 1 else "__init__")
+    return out
+
+
+def external_imports(tree: ast.Module) -> set[str]:
+    """The modules outside the package that one module imports, as written."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names if a.name.split(".")[0] != "coxbasis")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] != "coxbasis"):
+            out.add(node.module)
     return out
 
 
@@ -101,11 +127,28 @@ def test_package_import_graph_is_acyclic():
     assert "connection" not in graph["certify"] | graph["invariants"]
 
 
+def test_stdlib_imports_are_the_allowed_ones():
+    found = set().union(*(external_imports(tree) for tree in package_modules().values()))
+    assert found == STDLIB_IMPORTS
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # -S keeps the site hooks of the interpreter's environment out of the count
+    code = ("import sys; sys.path.insert(0, %r); import coxbasis.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_guards_detect_what_they_guard():
     tree = ast.parse("import os\n\ndef f():\n    from .poly import Poly\n    import math\n")
     assert nested_imports(tree) == [4, 5]
     tree = ast.parse("from . import verify, main\nfrom .poly import Poly\nimport coxbasis.cli\n")
     assert package_imports(tree, {"verify", "poly", "cli"}) == {"verify", "__init__", "poly", "cli"}
+    assert external_imports(tree) == set()
+    tree = ast.parse("import os.path, coxbasis\nfrom dataclasses import dataclass\nfrom . import x\n")
+    assert external_imports(tree) == {"os.path", "dataclasses"}
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
 
