@@ -99,7 +99,7 @@ def base_basis(request: BasisRequest) -> tuple[str, tuple[Derivation, ...], Cert
         return source, tuple(members), cert
     if source == "user":
         members = tuple(request.user_base or ())
-        _check_user_shape(members, n)
+        _check_user_shape(members, n, mult.total())
         cert = ziegler_certify(members, mult, arr)
         if not cert.is_free:
             raise NotABasis("user-supplied base failed certification", certificate=cert)
@@ -113,9 +113,11 @@ def base_basis(request: BasisRequest) -> tuple[str, tuple[Derivation, ...], Cert
     return "oracle", tuple(members), cert
 
 
-def _check_user_shape(members: Sequence[Derivation], n: int) -> None:
+def _check_user_shape(members: Sequence[Derivation], n: int, mult_sum: int) -> None:
     """Reject a proposed base that cannot be certified at all: a basis has
-    exactly n members, each nonzero and homogeneous."""
+    exactly n members, each nonzero and homogeneous, and their degrees are
+    nonnegative and sum to sum(m), so none exceeds it.  The degree check
+    comes before any contact order, whose cost grows with the degree."""
     if len(members) != n:
         raise NotABasis("user-supplied base has %d members, a basis needs %d"
                         % (len(members), n), failure={"members": len(members), "required": n})
@@ -124,6 +126,11 @@ def _check_user_shape(members: Sequence[Derivation], n: int) -> None:
         if problem is not None:
             raise NotABasis("user-supplied base member %d is %s" % (i, problem),
                             failure={"member": i, "problem": problem})
+        degree = m.degree()
+        if degree > mult_sum:
+            raise NotABasis("user-supplied base member %d has degree %d, above the "
+                            "multiplicity sum %d" % (i, degree, mult_sum),
+                            failure={"member": i, "degree": degree, "multiplicity_sum": mult_sum})
 
 
 def _oracle_search(mult: Multiplicity, arr: Arrangement) -> tuple[Derivation, ...]:

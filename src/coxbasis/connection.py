@@ -210,14 +210,12 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
     solution = echelon.column(size)
     out = Derivation.zero(n)
     for j, grad in enumerate(system.gradients):
-        g_j = Poly.zero(n)
-        for (jj, exps), x in zip(unknowns, solution):
-            if jj == j and x != 0:
-                # undo the column scaling of `_evaluated_rows`
-                x = x * math.prod(p.den ** e for p, e in zip(system.polys, exps))
-                g_j = g_j + system.expand(exps).scale(x)
+        # g_j as a polynomial in the invariants; the product undoes the
+        # column scaling of `_evaluated_rows`
+        g_j = Poly(n, {exps: x * math.prod(p.den ** e for p, e in zip(system.polys, exps))
+                       for (jj, exps), x in zip(unknowns, solution) if jj == j})
         if not g_j.is_zero:
-            out = out + grad * g_j
+            out = out + grad * system.compose(g_j)
     try:
         verified = nabla_D(out, system) == delta
     except NotPolynomial:

@@ -1,12 +1,14 @@
 """Basic invariants, their Jacobian, and derived data.
 
-Invariants are produced degree by degree: Reynolds averages of monomials
-(walked in the global monomial order) are reduced against the subalgebra
-generated by the invariants already chosen, and the first candidates with
-nonzero reduction win.  A final check confirms the Jacobian of the full
-set is nonzero; if it is not, the selection backtracks to the next
-candidate combination.  Each chosen invariant is normalized to leading
-coefficient 1, so the whole system is deterministic.
+Invariants are chosen in one pass, degree by degree in increasing order:
+the Reynolds averages of the monomials of one degree (walked in the global
+monomial order) are reduced against the products of the invariants already
+chosen, and the first nonzero reductions are kept.  By Chevalley's theorem
+(Amer. J. Math. 77, 1955) homogeneous invariants of the basic degrees that
+are independent modulo the decomposables always form a basic system, so
+no choice is ever revisited; the Jacobian check of `_finish_system` stays
+as an alarm.  Each chosen invariant is normalized to leading coefficient
+1, so the whole system is deterministic.
 
 The Jacobian matrix M[i][j] = dP_j/dx_i of homogeneous invariants of the
 basic degrees has determinant J = c * Q, with Q the defining polynomial
@@ -51,8 +53,8 @@ from .coxeter import Arrangement, CoxeterDatum, ReflectionGroup, act, reynolds
 from .derivations import Derivation, euler_field
 from .errors import JacobianDegenerate
 from .linalg import Echelon, PolyMatrix, det, monomial_columns, numerator_vector
-from .poly import (Poly, dump_json, monomials_of_degree, point_off, poly_from_json,
-                   poly_to_json)
+from .poly import (Poly, Powers, dump_json, monomials_of_degree, point_off, poly_from_json,
+                   poly_to_json, substitute_sum)
 from .scalars import Scalar, common_field, format_scalar, join_scalar, scalar_inverse
 
 
@@ -71,7 +73,8 @@ class InvariantSystem:
         self.jacobian_scalar = jacobian_scalar
         self.jacobian_partials = jacobian_partials
         self.gradients = gradients
-        self._powers: dict[tuple[int, int], Poly] = {}
+        # the powers of P_1 .. P_l, grown as `compose` asks for them
+        self._tables = tuple(Powers(p) for p in polys)
         self._cofactor_columns: dict[int, tuple[Poly, ...]] = {}
         # k -> nabla_D^{-k} E for k = 0 .. K, extended by `connection.universal_field`
         self.universal_fields: dict[int, Derivation] = {0: euler_field(nvars)}
@@ -119,24 +122,13 @@ class InvariantSystem:
         field, _ = partial_P_field(self, self.nvars - 1)
         return tuple(tuple(field.apply(f) for f in g.coeffs) for g in self.gradients)
 
-    def power(self, j: int, e: int) -> Poly:
-        """P_j**e with caching; these powers recur in every expansion."""
-        if e == 0:
-            return Poly.constant(self.nvars, Fraction(1))
-        key = (j, e)
-        got = self._powers.get(key)
-        if got is None:
-            got = self.power(j, e - 1) * self.polys[j]
-            self._powers[key] = got
-        return got
+    def compose(self, g: Poly) -> Poly:
+        """g(P_1, .., P_l) in coordinates, for g a polynomial in l variables."""
+        return substitute_sum(g, [self._tables], self.nvars)
 
     def expand(self, exps: Sequence[int]) -> Poly:
         """Expand a monomial in the invariants to coordinates."""
-        out = Poly.constant(self.nvars, Fraction(1))
-        for j, e in enumerate(exps):
-            if e:
-                out = out * self.power(j, e)
-        return out
+        return self.compose(Poly.monomial(len(self.polys), exps))
 
     def invariant_exponents(self, degree: int) -> Iterator[tuple[int, ...]]:
         """Exponent vectors of invariant monomials of the given x-degree."""
@@ -158,22 +150,6 @@ class InvariantSystem:
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class _LazyCandidates:
-    """Candidate invariants, produced on demand in monomial order."""
-
-    def __init__(self, gen: Iterator[Poly]) -> None:
-        self._gen = gen
-        self._items: list[Poly] = []
-
-    def get(self, idx: int) -> Poly | None:
-        while len(self._items) <= idx:
-            nxt = next(self._gen, None)
-            if nxt is None:
-                return None
-            self._items.append(nxt)
-        return self._items[idx]
 
 
 def _weighted_exponents(weights: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
@@ -259,69 +235,37 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
     datum = group.datum
     n = datum.rank
     field = datum.disc
-    levels: list[tuple[int, int]] = []
-    for d in sorted(set(datum.degrees)):
-        levels.append((d, datum.degrees.count(d)))
-
-    point, _ = point_off([h.form for h in arrangement.hyperplanes], n)
-
-    def candidates_at(degree: int) -> "_LazyCandidates":
-        def gen():
-            for exps in monomials_of_degree(n, degree):
-                avg = reynolds(group, Poly.monomial(n, exps))
-                if not avg.is_zero:
-                    yield avg
-        return _LazyCandidates(gen())
-
-    def dfs(level: int, chosen: list[tuple[int, Poly]]) -> list[Poly] | None:
-        if level == len(levels):
-            # J = c * Q for invariants of the basic degrees, so J(p) decides J != 0
-            polys = [p for _, p in chosen]
-            return polys if det(jacobian_matrix(polys).evaluate(point)) != 0 else None
-        degree, count = levels[level]
-        cands = candidates_at(degree)
+    chosen: list[Poly] = []
+    tables: list[Powers] = []
+    for degree in sorted(set(datum.degrees)):
+        count = datum.degrees.count(degree)
         columns = monomial_columns(1, n, degree)
         monos = [e for _, e in columns]
-
-        # echelon spanning the subalgebra of lower invariants at this degree
+        # echelon spanning the decomposables of this degree, then the picks
         echelon = Echelon(field)
-        weights = [d for d, _ in chosen]
-        for exps in _weighted_exponents(weights, degree):
-            prod = Poly.constant(n, Fraction(1))
-            for (_, p), e in zip(chosen, exps):
-                prod = prod * p ** e
+        for exps in _weighted_exponents(datum.degrees[:len(chosen)], degree):
+            prod = substitute_sum(Poly.monomial(len(chosen), exps), [tables], n)
             echelon.add(numerator_vector((prod,), columns, field))
-
-        def pick(start: int, picked: list[Poly]) -> list[Poly] | None:
+        picked = []
+        for exps in monomials_of_degree(n, degree):
             if len(picked) == count:
-                return dfs(level + 1, chosen + [(degree, p) for p in picked])
-            idx = start
-            while True:
-                cand = cands.get(idx)
-                if cand is None:
-                    return None
-                red = echelon.reduce(numerator_vector((cand,), columns, field))
-                idx += 1
-                # the reduction is known up to a scale, which monic() discards
-                terms = {monos[k]: join_scalar(field, c, 1) for k, c in enumerate(red)
-                         if c != echelon.zero}
-                if not terms:
-                    continue
-                reduced_poly = Poly(n, terms).monic()
-                checkpoint = list(echelon.rows)
+                break
+            avg = reynolds(group, Poly.monomial(n, exps))
+            if avg.is_zero:
+                continue
+            red = echelon.reduce(numerator_vector((avg,), columns, field))
+            # the reduction is known up to a scale, which monic() discards
+            terms = {monos[k]: join_scalar(field, c, 1) for k, c in enumerate(red)
+                     if c != echelon.zero}
+            if terms:
                 echelon.insert(red)
-                result = pick(idx, picked + [reduced_poly])
-                if result is not None:
-                    return result
-                echelon.rows = checkpoint
-
-        return pick(0, [])
-
-    polys = dfs(0, [])
-    if polys is None:
-        raise JacobianDegenerate("no candidate invariants give a nonzero Jacobian for %s"
-                                 % datum.label)
-    return _finish_system(datum.label, n, datum.degrees, tuple(polys), arrangement, datum.gram)
+                picked.append(Poly(n, terms).monic())
+        if len(picked) < count:
+            raise JacobianDegenerate("only %d independent invariants of degree %d for %s"
+                                     % (len(picked), degree, datum.label))
+        chosen += picked
+        tables += map(Powers, picked)
+    return _finish_system(datum.label, n, datum.degrees, tuple(chosen), arrangement, datum.gram)
 
 
 def _finish_system(label: str, nvars: int, degrees: tuple[int, ...], polys: tuple[Poly, ...],

@@ -286,8 +286,19 @@ _SQRT_TERM = re.compile(r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*)?(?P<neg>-?)sqrt\((?P<
 
 
 def parse_scalar(s: str) -> Scalar:
-    """Inverse of :func:`format_scalar`."""
-    s = s.strip().replace(" ", "")
+    """Inverse of :func:`format_scalar`.
+
+    This is where outside text becomes a scalar, so every malformed input
+    raises ValueError: a zero denominator, and a square radicand, which
+    would make Q(sqrt(d)) a ring with zero divisors.
+    """
+    try:
+        return _parse_scalar(s.strip().replace(" ", ""))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in scalar %r" % s) from None
+
+
+def _parse_scalar(s: str) -> Scalar:
     if "sqrt" not in s:
         return Fraction(s)
     # split off a leading rational part, keeping the sign of the sqrt term
@@ -308,5 +319,7 @@ def parse_scalar(s: str) -> Scalar:
     if mt.group("neg"):
         b = -b
     d = int(mt.group("d"))
+    if math.isqrt(d) ** 2 == d:
+        raise ValueError("square radicand in scalar %r" % s)
     out = Quad(a, b, d)
     return out if out.b != 0 else a

@@ -124,6 +124,8 @@ def test_user_base_rejected_when_not_a_basis(pipeline):
     ([Derivation([Poly.variable(2, 0) ** 2, Poly.variable(2, 1)]), Derivation.coordinate(2, 1)],
      {"member": 0, "problem": "not homogeneous"}),
     ([Derivation.coordinate(2, 0)], {"members": 1, "required": 2}),
+    ([Derivation([Poly.variable(2, 0) ** 3, Poly.zero(2)]), Derivation.coordinate(2, 1)],
+     {"member": 0, "degree": 3, "multiplicity_sum": 0}),
 ])
 def test_user_base_that_cannot_be_certified_is_not_a_basis(pipeline, members, failure):
     request = make_request(pipeline, "B2", 0, 0, base_source="user", user_base=members)

@@ -18,7 +18,7 @@ from coxbasis.cli import (
     build_parser,
     main,
 )
-from coxbasis import invariants
+from coxbasis import certify, cli, invariants
 from coxbasis.coxeter import parse_type
 
 
@@ -79,6 +79,11 @@ INFO_DIGESTS = {
     "D4 json": "89aa9a8ad99ed2edd04c85d1e517a116faaa2271b878da8f917805cffd3a0ed1",
     "H3 text": "ad7a7984731958e2d50e45a0990ffc8a6e06ed7aa14f8aa318da1b107d0c2a25",
     "H3 json": "0c3748edcea67c460a6ababe4acaeb4ff00662d740114d9026f74eae9e6a5481",
+    "A5 json": "437a8c2282523c2542cd53656a6e7f19bc53fc8541d9220435322ccde178043d",
+    "B5 json": "cb244273082824d33d0ff04b3b99ae080a9161c4ca845e06940bbc58ddfd1f78",
+    "D5 json": "7597a8b6274ecf7e597b2ddeefc5b825ae0465f2973f6dda86e34279d41a4ed7",
+    "A6 json": "44b6817162c3db95314174c61df971a1e1111777b2d43bda6b0a414566d96360",
+    "B6 json": "299af68f918896607b49b742bc5a18c23f2efa680173b3c252d691d2631a4be6",
 }
 
 
@@ -225,6 +230,8 @@ def test_basis_rejects_bad_user_base(tmp_path, capsys):
     {"degree": 0, "coefficients": [[[[0, 0.5], "1"]], []]},
     {"degree": 0, "coefficients": [[[[0, 0], "1", "2"]], []]},
     [[[0, 0], "1"]],
+    {"degree": 0, "coefficients": [[[[0, 0], "1/0"]], []]},
+    {"degree": 0, "coefficients": [[[[0, 0], "2-sqrt(4)"]], []]},
 ])
 def test_basis_rejects_malformed_base_file(tmp_path, capsys, member):
     bad = tmp_path / "bad.json"
@@ -234,6 +241,43 @@ def test_basis_rejects_malformed_base_file(tmp_path, capsys, member):
                         "--base", "user", "--base-file", str(bad), "--no-cache"], capsys)
     assert code == EXIT_FAIL
     assert err.startswith("error: base member 0:")
+
+
+def test_base_member_above_the_multiplicity_sum_computes_no_contact_order(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(p, alpha, original=certify.linear_form_order):
+        calls.append(alpha)
+        return original(p, alpha)
+
+    monkeypatch.setattr(certify, "linear_form_order", counting)
+    bad = tmp_path / "bad.json"
+    # x^3 d/dx_0 has degree 3, and a basis for m = 0 has degrees summing to 0
+    bad.write_text(json.dumps([
+        {"degree": 3, "coefficients": [[[[3, 0], "1"]], []]},
+        {"degree": 0, "coefficients": [[], [[[0, 0], "1"]]]},
+    ]), encoding="utf-8")
+    code, _, err = run(["basis", "--type", "B2", "--m", "0", "--k", "0",
+                        "--base", "user", "--base-file", str(bad), "--no-cache"], capsys)
+    assert code == EXIT_NOT_A_BASIS
+    assert "member 0 has degree 3, above the multiplicity sum 0" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("fmt, expected", [("text", 0), ("json", 1)])
+def test_basis_report_is_built_only_for_json(fmt, expected, capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, original=cli.basis_report):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "basis_report", counting)
+    code, _, _ = run(["basis", "--type", "B2", "--m", "1", "--k", "1", "--format", fmt,
+                      "--no-cache"], capsys)
+    assert code == EXIT_OK
+    assert len(calls) == expected
 
 
 @pytest.mark.parametrize("first", [[], [[[1, 0], "1"], [[0, 0], "1"]]])

@@ -9,6 +9,7 @@ from conftest import clear_memos
 from coxbasis import invariants
 from coxbasis.coxeter import build_group, is_invariant_derivation, is_invariant_poly, parse_type
 from coxbasis.derivations import coefficient_matrix
+from coxbasis.errors import JacobianDegenerate
 from coxbasis.invariants import (compute_invariants, invariant_field_basis, invariant_field_degrees,
                                  jacobian_matrix, partial_P_field)
 from coxbasis.poly import Poly
@@ -23,6 +24,19 @@ def test_degrees_match_type_tables(pipeline):
             assert p.homogeneous_degree() == d
             assert p.leading_coefficient() == 1
             assert is_invariant_poly(group, p)
+
+
+def test_selection_alarms_raise_jacobian_degenerate(pipeline, monkeypatch):
+    group, arrangement, system = pipeline("B2")
+    p2 = system.polys[0]
+    # the Jacobian of P_1, P_1^2 vanishes, so they are not basic
+    with pytest.raises(JacobianDegenerate):
+        invariants._finish_system("B2", 2, (2, 4), (p2, p2 * p2), arrangement,
+                                  group.datum.gram)
+    # a degree whose averages all reduce to zero has too few candidates
+    monkeypatch.setattr(invariants, "reynolds", lambda group, p: Poly.zero(p.nvars))
+    with pytest.raises(JacobianDegenerate, match="only 0 independent invariants of degree 2"):
+        invariants._select_invariants(group, arrangement)
 
 
 def test_a1_frozen_values(pipeline):
@@ -119,7 +133,7 @@ def test_expand_multiplies_powers(pipeline):
     _, _, system = pipeline("B2")
     assert system.expand((1, 1)) == system.polys[0] * system.polys[1]
     assert system.expand((0, 0)) == Poly.constant(2, Fraction(1))
-    assert system.power(0, 3) == system.polys[0] ** 3
+    assert system.expand((3, 0)) == system.polys[0] ** 3
 
 
 def test_cache_round_trip(tmp_path):

@@ -76,6 +76,12 @@ def _not_invariant(text: str) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
+def _zero_denominator(text: str) -> str:
+    data = json.loads(text)
+    data["polys"][0][0][1] = "1/0"
+    return json.dumps(data, sort_keys=True, indent=2)
+
+
 # G2 and I2(6) share their Gram matrix and degrees; only the label tells
 # their cache files apart
 EDITS = {
@@ -83,6 +89,7 @@ EDITS = {
     "another type's file": lambda g2, i26: i26,
     "non-invariant polynomial": lambda g2, i26: _not_invariant(g2),
     "same system, other text": lambda g2, i26: _reindented(g2),
+    "zero denominator": lambda g2, i26: _zero_denominator(g2),
 }
 
 

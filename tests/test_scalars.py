@@ -91,6 +91,13 @@ def test_format_and_parse_round_trip():
         assert parse_scalar(format_scalar(v)) == v
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "1/0+sqrt(5)", "1/0*sqrt(5)",
+                                  "sqrt(4)", "2-sqrt(4)", "1+3*sqrt(9)"])
+def test_parse_rejects_zero_denominator_and_square_radicand(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
 def test_format_examples():
     assert format_scalar(Fraction(-3, 4)) == "-3/4"
     assert format_scalar(Quad(0, 1, 5)) == "sqrt(5)"
