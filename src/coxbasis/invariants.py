@@ -18,7 +18,8 @@ arrangement, c = det M(p) / Q(p), and J is recorded as c * Q without
 expanding the determinant.  The cofactors of M give the coordinate
 expression of the fields d/dP_j: `partial_P_field` (column j of the
 cofactor matrix over J) is their one definition, and the connection layer
-divides its action by J.  Each cofactor column is expanded on first use;
+divides its action by J.  Column j is read off the wedge product of the
+other columns of M (`PolyMatrix.wedge`) on first use;
 the pipeline reads only the primitive one, j = l - 1.
 
 The invariant fields of one degree have the basis g(P) grad P_j over
@@ -53,8 +54,8 @@ from .coxeter import Arrangement, CoxeterDatum, ReflectionGroup, act, reynolds
 from .derivations import Derivation, euler_field
 from .errors import JacobianDegenerate
 from .linalg import Echelon, PolyMatrix, det, monomial_columns, numerator_vector
-from .poly import (Poly, Powers, dump_json, monomials_of_degree, point_off, poly_from_json,
-                   poly_to_json, substitute_sum)
+from .poly import (Poly, Powers, dump_json, linear_combination, monomials_of_degree, point_off,
+                   poly_from_json, poly_to_json, substitute_sum)
 from .scalars import Scalar, common_field, format_scalar, join_scalar, scalar_inverse
 
 
@@ -87,7 +88,11 @@ class InvariantSystem:
         """
         column = self._cofactor_columns.get(j)
         if column is None:
-            column = self._cofactor_columns[j] = _cofactor_column(self.jacobian_partials, j)
+            n = self.nvars
+            minors = self.jacobian_partials.wedge([c for c in range(n) if c != j])
+            # C[i][j] is (-1)^(i+j) times the minor of the other columns off row i
+            column = self._cofactor_columns[j] = tuple(
+                (-1) ** (i + j) * minors[tuple(r for r in range(n) if r != i)] for i in range(n))
         return column
 
     @property
@@ -182,17 +187,6 @@ def jacobian_factors(system: InvariantSystem, arrangement: Arrangement) -> bool:
             reference == arrangement.defining_polynomial.scale(system.jacobian_scalar))
 
 
-def _cofactor_column(m: PolyMatrix, j: int) -> tuple[Poly, ...]:
-    n = m.nrows
-    if n == 1:
-        return (Poly.constant(m.entry(0, 0).nvars, Fraction(1)),)
-    out = []
-    for i in range(n):
-        minor = m.minor(i, j).det()
-        out.append(minor if (i + j) % 2 == 0 else -minor)
-    return tuple(out)
-
-
 # per type, the cache text this process last validated or wrote, and the
 # system built from it
 _KNOWN_TEXTS: dict[CoxeterDatum, tuple[str, InvariantSystem]] = {}
@@ -282,19 +276,10 @@ def _finish_system(label: str, nvars: int, degrees: tuple[int, ...], polys: tupl
     jac = arrangement.defining_polynomial.scale(jac_scalar)
     # the invariant form on covectors has matrix `gram`; pairing the partials
     # of P_j against it is what makes the gradient field equivariant
-    gradients = []
-    for j in range(len(polys)):
-        coeffs = []
-        for i in range(nvars):
-            acc = Poly.zero(nvars)
-            for i2 in range(nvars):
-                entry = m.entry(i2, j)
-                if not entry.is_zero and gram[i][i2] != 0:
-                    acc = acc + entry.scale(gram[i][i2])
-            coeffs.append(acc)
-        gradients.append(Derivation(coeffs))
-    return InvariantSystem(label, nvars, tuple(degrees), polys, jac, jac_scalar,
-                           m, tuple(gradients))
+    forms = [Poly.linear(row) for row in gram]
+    gradients = tuple(Derivation([linear_combination([row[j] for row in m.rows], form)
+                                  for form in forms]) for j in range(len(polys)))
+    return InvariantSystem(label, nvars, tuple(degrees), polys, jac, jac_scalar, m, gradients)
 
 
 def partial_P_field(system: InvariantSystem, j: int) -> tuple[Derivation, Poly]:

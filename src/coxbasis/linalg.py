@@ -10,8 +10,9 @@ Comp. 22, 1968).  `rref`, `rank`, `kernel_basis`, `invert_matrix` and
 `join_scalar`); polynomials enter through `numerator_vector`, and
 `Echelon.kernel_basis` reads kernels back as scalars.  Pivots are
 the first nonzero entries in column order, so results are deterministic.
-Polynomial matrices get determinants by cofactor expansion, which the
-package needs only for the Jacobian cofactors.
+Polynomial matrices have one minor routine, `PolyMatrix.wedge`, the
+exterior product of columns built one column at a time; their
+determinants and the Jacobian cofactor columns are read off it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import Sequence
 
 from .poly import Exponents, Poly, monomials_of_degree
@@ -270,38 +271,41 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]
 
-    def minor(self, drop_row: int, drop_col: int) -> "PolyMatrix":
-        return PolyMatrix([
-            [e for j, e in enumerate(row) if j != drop_col]
-            for i, row in enumerate(self.rows) if i != drop_row
-        ])
-
     def evaluate(self, point: Sequence[Scalar]) -> Matrix:
         """The scalar matrix of the entries' values at a point."""
         return [[e.evaluate(point) for e in row] for row in self.rows]
 
+    def wedge(self, columns: Sequence[int]) -> dict[tuple[int, ...], Poly]:
+        """The exterior product of the given columns, in order: the maximal
+        minors of the submatrix they form, keyed by increasing row tuples.
+
+        The minors of the first k columns come from those of the first
+        k - 1 by one Laplace step along column k, so each minor is
+        computed once and nothing recurses.
+        """
+        if not self.ncols or len(columns) > self.nrows:
+            raise ValueError("wedge of %d columns in a %d x %d matrix"
+                             % (len(columns), self.nrows, self.ncols))
+        nvars = self.rows[0][0].nvars
+        minors = {(): Poly.constant(nvars, 1)}
+        for k, c in enumerate(columns, 1):
+            entries = [row[c] for row in self.rows]
+            step = {}
+            for rows in combinations(range(self.nrows), k):
+                # expand along the new column, the last of k: entry t has
+                # sign (-1)^(t + k - 1) and the minor of the other rows
+                acc = Poly.zero(nvars)
+                for t, i in enumerate(rows):
+                    term = entries[i] * minors[rows[:t] + rows[t + 1:]]
+                    acc = acc - term if (k - 1 - t) % 2 else acc + term
+                step[rows] = acc
+            minors = step
+        return minors
+
     def det(self) -> Poly:
-        """Determinant by cofactor expansion along the first column."""
+        """Determinant: the wedge of all columns."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         if self.nrows == 0:
             raise ValueError("determinant of an empty matrix")
-        return _det_cofactor(self.rows)
-
-
-def _det_cofactor(rows: list[list[Poly]]) -> Poly:
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    out = Poly.zero(nvars)
-    for i in range(n):
-        entry = rows[i][0]
-        if entry.is_zero:
-            continue
-        sub = [[rows[r][c] for c in range(1, n)] for r in range(n) if r != i]
-        term = entry * _det_cofactor(sub)
-        out = out + term if i % 2 == 0 else out - term
-    return out
+        return self.wedge(range(self.ncols))[tuple(range(self.nrows))]

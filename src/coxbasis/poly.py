@@ -658,7 +658,8 @@ def poly_to_json(p: Poly) -> list:
 
 
 def poly_from_json(data: Sequence, nvars: int) -> Poly:
-    """Parse a term list; raises ValueError on any malformed term."""
+    """Parse a term list; raises ValueError on any malformed term and on
+    two terms with the same exponents."""
     if not isinstance(data, list):
         raise ValueError("a polynomial must be a list of terms")
     terms = {}
@@ -669,6 +670,8 @@ def poly_from_json(data: Sequence, nvars: int) -> Poly:
         if (not isinstance(coeff, str) or not isinstance(exps, list) or len(exps) != nvars
                 or not all(type(e) is int and e >= 0 for e in exps)):
             raise ValueError("malformed polynomial term %r" % (term,))
+        if tuple(exps) in terms:
+            raise ValueError("repeated exponents in polynomial term %r" % (term,))
         terms[tuple(exps)] = parse_scalar(coeff)
     return Poly(nvars, terms)
 

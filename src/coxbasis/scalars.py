@@ -285,12 +285,40 @@ def format_scalar(x: Scalar) -> str:
 _SQRT_TERM = re.compile(r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*)?(?P<neg>-?)sqrt\((?P<d>\d+)\)$")
 
 
+# radicands up to 10^12 factor by trial division in at most 10^4 steps
+_MAX_RADICAND = 10 ** 12
+
+
+def _square_free(d: int) -> tuple[int, int]:
+    """(s, f) with d = s*s*f and f square-free, for 0 <= d <= _MAX_RADICAND.
+
+    Trial division takes out every prime p with p**3 <= d.  What is left
+    has at most two prime factors, each above the cube root of d, so it
+    is square-free unless it is a square.
+    """
+    s, f, rest = 1, 1, d
+    p = 2
+    while p * p * p <= d:
+        while rest % (p * p) == 0:
+            rest //= p * p
+            s *= p
+        if rest % p == 0:
+            rest //= p
+            f *= p
+        p += 1
+    root = math.isqrt(rest)
+    if root * root == rest:
+        return s * root, f
+    return s, f * rest
+
+
 def parse_scalar(s: str) -> Scalar:
     """Inverse of :func:`format_scalar`.
 
     This is where outside text becomes a scalar, so every malformed input
-    raises ValueError: a zero denominator, and a square radicand, which
-    would make Q(sqrt(d)) a ring with zero divisors.
+    raises ValueError: a zero denominator, a square radicand, which
+    would make Q(sqrt(d)) a ring with zero divisors, and a radicand above
+    10^12.  A radicand s*s*d with d square-free is read as s*sqrt(d).
     """
     try:
         return _parse_scalar(s.strip().replace(" ", ""))
@@ -319,7 +347,10 @@ def _parse_scalar(s: str) -> Scalar:
     if mt.group("neg"):
         b = -b
     d = int(mt.group("d"))
-    if math.isqrt(d) ** 2 == d:
+    if d > _MAX_RADICAND:
+        raise ValueError("radicand out of range in scalar %r" % s)
+    root, d = _square_free(d)
+    if d == 1:
         raise ValueError("square radicand in scalar %r" % s)
-    out = Quad(a, b, d)
+    out = Quad(a, b * root, d)
     return out if out.b != 0 else a

@@ -164,6 +164,33 @@ def fraction_det(rows):
     return out
 
 
+def laplace_det(rows):
+    """Determinant of a square polynomial matrix by recursive Laplace
+    expansion along the first column.  The test-only reference for
+    ``coxbasis.linalg.PolyMatrix.wedge``, its determinants and the
+    Jacobian cofactor columns."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    out = Poly.zero(rows[0][0].nvars)
+    for i in range(n):
+        if rows[i][0].is_zero:
+            continue
+        term = rows[i][0] * laplace_det([row[1:] for r, row in enumerate(rows) if r != i])
+        out = out + term if i % 2 == 0 else out - term
+    return out
+
+
+def laplace_cofactor(rows, i, j):
+    """The (i, j) cofactor of a square polynomial matrix by `laplace_det`."""
+    n = len(rows)
+    if n == 1:
+        return Poly.constant(rows[0][0].nvars, 1)
+    minor = laplace_det([[e for c, e in enumerate(row) if c != j]
+                         for r, row in enumerate(rows) if r != i])
+    return -minor if (i + j) % 2 else minor
+
+
 def division_order(p, alpha):
     """Largest k with alpha^k dividing p, by repeated exact division in grlex
     order; ``math.inf`` for p = 0.  The test-only reference for

@@ -232,6 +232,8 @@ def test_basis_rejects_bad_user_base(tmp_path, capsys):
     [[[0, 0], "1"]],
     {"degree": 0, "coefficients": [[[[0, 0], "1/0"]], []]},
     {"degree": 0, "coefficients": [[[[0, 0], "2-sqrt(4)"]], []]},
+    # two terms x d/dx: the second must not silently replace the first
+    {"degree": 1, "coefficients": [[[[1, 0], "1"], [[1, 0], "2"]], []]},
 ])
 def test_basis_rejects_malformed_base_file(tmp_path, capsys, member):
     bad = tmp_path / "bad.json"
@@ -241,6 +243,22 @@ def test_basis_rejects_malformed_base_file(tmp_path, capsys, member):
                         "--base", "user", "--base-file", str(bad), "--no-cache"], capsys)
     assert code == EXIT_FAIL
     assert err.startswith("error: base member 0:")
+
+
+def test_user_base_reads_a_radicand_that_is_not_square_free(tmp_path, capsys):
+    # I2(8) lives over Q(sqrt(2)); sqrt(8) is 2*sqrt(2) there
+    outputs = []
+    for coeff in ("sqrt(8)", "2*sqrt(2)"):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps([
+            {"degree": 0, "coefficients": [[[[0, 0], "1"]], []]},
+            {"degree": 0, "coefficients": [[[[0, 0], coeff]], [[[0, 0], "1"]]]},
+        ]), encoding="utf-8")
+        code, out, err = run(["basis", "--type", "I2(8)", "--m", "0", "--k", "0",
+                              "--base", "user", "--base-file", str(base), "--no-cache"], capsys)
+        assert code == EXIT_OK, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_base_member_above_the_multiplicity_sum_computes_no_contact_order(

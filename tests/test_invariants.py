@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import clear_memos
+from conftest import clear_memos, laplace_cofactor, laplace_det
 from coxbasis import invariants
 from coxbasis.coxeter import build_group, is_invariant_derivation, is_invariant_poly, parse_type
 from coxbasis.derivations import coefficient_matrix
@@ -64,12 +64,23 @@ def test_b2_frozen_values(pipeline):
 
 
 def test_jacobian_is_scalar_times_defining_polynomial(pipeline):
-    for label in ("A2", "B3", "G2"):
+    for label in ("A2", "B3", "G2", "A5", "B5", "D5"):
         _, arrangement, system = pipeline(label)
         expected = arrangement.defining_polynomial.scale(system.jacobian_scalar)
         # the expanded determinant is the reference; the system never builds it
         assert jacobian_matrix(system.polys).det() == expected
         assert system.jacobian_scalar != 0
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2",
+                                   "H3", "I2(5)", "I2(8)"])
+def test_cofactor_columns_and_jacobian_match_laplace_expansion(pipeline, label):
+    _, _, system = pipeline(label)
+    m = jacobian_matrix(system.polys)
+    assert m.det() == laplace_det(m.rows) == system.jacobian
+    for j in range(system.nvars):
+        assert system.cofactor_column(j) == tuple(laplace_cofactor(m.rows, i, j)
+                                                  for i in range(system.nvars))
 
 
 def test_jacobian_matrix_layout(pipeline):

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import FractionEchelon, fraction_det, fraction_rref
+from conftest import FractionEchelon, fraction_det, fraction_rref, laplace_det
 
 from coxbasis.linalg import (
     Echelon,
@@ -278,5 +279,24 @@ def test_minor_and_entry():
     one = Poly.constant(1, 1)
     m = PolyMatrix([[x, one], [one, x]])
     assert m.entry(0, 1) == one
-    assert m.minor(0, 0).det() == x
     assert m.det() == x * x - one
+
+
+def test_wedge_minors_match_laplace_expansion():
+    rng = random.Random(29)
+    for n, k in ((3, 1), (3, 2), (4, 3), (5, 3), (5, 5)):
+        entries = [[random_poly(rng, 2, 2) for _ in range(n)] for _ in range(n)]
+        columns = rng.sample(range(n), k)
+        minors = PolyMatrix(entries).wedge(columns)
+        assert len(minors) == math.comb(n, k)
+        for rows, minor in minors.items():
+            assert minor == laplace_det([[entries[i][c] for c in columns] for i in rows])
+
+
+def test_wedge_rejects_bad_shapes():
+    x = Poly.variable(1, 0)
+    with pytest.raises(ValueError):
+        PolyMatrix([[x, x]]).wedge([0, 1])
+    with pytest.raises(ValueError):
+        PolyMatrix([[x], [x]]).det()
+    assert PolyMatrix([[x], [x]]).wedge([]) == {(): Poly.constant(1, 1)}

@@ -14,10 +14,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import laplace_det
 
 from coxbasis.certify import order_constraint_rows
 from coxbasis.coxeter import act, mat_mul, parse_type
-from coxbasis.linalg import Echelon, rref
+from coxbasis.linalg import Echelon, PolyMatrix, rref
 from coxbasis.poly import Poly, dump_json, linear_form_order, poly_from_json, poly_to_json
 from coxbasis.scalars import Quad, format_scalar, parse_scalar, split_scalars
 
@@ -184,3 +185,24 @@ def test_echelon_fed_row_by_row_equals_rref(drawn):
         echelon.add(nums if field == d else [(a, 0) for a in nums])
     reduced, pivots = rref(rows)
     assert echelon.scalar_rows() == list(zip(pivots, reduced))
+
+
+@st.composite
+def poly_matrices(draw):
+    d = draw(st.sampled_from([1, 5]))
+    n = draw(st.integers(1, 4))
+    return [[draw(polys(field=d)) for _ in range(n)] for _ in range(n)]
+
+
+@SETTINGS
+@given(poly_matrices(), st.data())
+def test_wedge_det_matches_laplace_and_alternates(rows, data):
+    det = PolyMatrix(rows).det()
+    assert det == laplace_det(rows)
+    n = len(rows)
+    if n > 1:
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        swapped = [list(row) for row in rows]
+        for row in swapped:
+            row[a], row[b] = row[b], row[a]
+        assert PolyMatrix(swapped).det() == -det

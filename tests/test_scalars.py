@@ -92,10 +92,21 @@ def test_format_and_parse_round_trip():
 
 
 @pytest.mark.parametrize("text", ["1/0", "-3/0", "1/0+sqrt(5)", "1/0*sqrt(5)",
-                                  "sqrt(4)", "2-sqrt(4)", "1+3*sqrt(9)"])
+                                  "sqrt(4)", "2-sqrt(4)", "1+3*sqrt(9)", "sqrt(0)",
+                                  "sqrt(1000000000001)", "sqrt(%d)" % 999983 ** 2])
 def test_parse_rejects_zero_denominator_and_square_radicand(text):
     with pytest.raises(ValueError):
         parse_scalar(text)
+
+
+def test_parse_takes_squares_out_of_the_radicand():
+    assert parse_scalar("sqrt(8)") == parse_scalar("2*sqrt(2)")
+    assert parse_scalar("1-3/2*sqrt(12)") == Quad(1, -3, 3)
+    assert parse_scalar("-sqrt(50)") == Quad(0, -5, 2)
+    # near the largest radicand, and two primes above its cube root
+    assert parse_scalar("sqrt(999999999999)") == Quad(0, 3, 111111111111)
+    assert parse_scalar("sqrt(%d)" % (999983 * 999979)) == Quad(0, 1, 999983 * 999979)
+    assert parse_scalar("sqrt(%d)" % (6 * 99991 ** 2)) == Quad(0, 99991, 6)
 
 
 def test_format_examples():
