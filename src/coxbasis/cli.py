@@ -90,7 +90,7 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    datum = parse_type(args.type, args.rank)
+    datum = parse_type(args.type, args.rank, order_bound=args.order_bound)
     group, arrangement = build_group(datum, order_bound=args.order_bound)
     system = compute_invariants(group, arrangement, cache_dir=_cache_dir(args))
 
@@ -151,7 +151,7 @@ def _load_user_base(path: str, nvars: int):
 
 def cmd_basis(args: argparse.Namespace) -> int:
     budget = _Budget(args.time_budget)
-    datum = parse_type(args.type, args.rank)
+    datum = parse_type(args.type, args.rank, order_bound=args.order_bound)
     group, arrangement = build_group(datum, order_bound=args.order_bound)
     budget.check("group construction")
     system = compute_invariants(group, arrangement, cache_dir=_cache_dir(args))
@@ -185,7 +185,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    datum = parse_type(args.type, args.rank)
+    datum = parse_type(args.type, args.rank, order_bound=args.order_bound)
     group, arrangement = build_group(datum, order_bound=args.order_bound)
     system = compute_invariants(group, arrangement, cache_dir=_cache_dir(args))
 

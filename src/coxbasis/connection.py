@@ -8,21 +8,24 @@ divides the result by J.  The primitive derivation is D = d/dP_l, and
 nabla_D is the case j = l - 1.
 
 The inverse direction solves nabla_D(delta') = delta inside the module of
-invariant fields.  Invariant polynomial fields decompose uniquely as
+invariant fields through the numerator C of D alone, the primitive
+cofactor column: coordinate i of J nabla_D(delta') is C . grad(delta'_i).
+Invariant polynomial fields decompose uniquely as
 sum_j g_j(P) grad(P_j) with invariant polynomial coefficients g_j, so the
 unknowns are the coefficients of the monomials g in the invariants.  The
 cofactor identity D(P_m) = delta_{m,l} gives
 
     J * nabla_D(g(P) grad P_j) = J (dg/dP_l)(P) grad P_j + g(P) N_j,
 
-with N_j the numerator of D applied to grad P_j.  Evaluated at an exact
+with N_j = C . grad(grad P_j) by coordinates.  Evaluated at an exact
 point p with J(p) != 0, each coordinate of this identity is one linear
 equation in the unknowns, and no image field is ever expanded.  A solution
 of the polynomial system solves every evaluated equation, so the evaluated
 rank never exceeds the true rank: once it reaches the number of unknowns
 the solution is unique, and an inconsistent evaluated equation proves
 there is none.  The single candidate is then built in coordinates once,
-and the exact re-check nabla_D(delta') == delta decides the result.
+and the exact re-check C . grad(delta') == J delta, multiplied out,
+decides the result.
 """
 
 from __future__ import annotations
@@ -90,6 +93,10 @@ def _scale(x, s: int):
     return x * s if isinstance(x, int) else (x[0] * s, x[1] * s)
 
 
+def _plus(x, y):
+    return x + y if isinstance(x, int) else (x[0] + y[0], x[1] + y[1])
+
+
 def _evaluated_rows(delta: Derivation, system: InvariantSystem,
                     unknowns: list[tuple[int, tuple[int, ...]]], field: int) -> Iterator[list]:
     """Equations of nabla_D(delta') = delta, times J, at sample points, as
@@ -101,15 +108,18 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
     entry is J(p) delta_i(p).  Every polynomial enters as its integer
     numerator at p (`Poly.numerator_at`) over its own denominator.  Row i
     is scaled by den(J) K_i, K_i the lcm of the denominators of delta_i,
-    grad_{j,i} and N_{j,i}, and the column of (j, g) by
+    grad_{j,i} and den(C_k) den(d_k grad_{j,i}), and the column of (j, g) by
     prod_m den(P_m)^(g_m), so every entry is integral; `nabla_D_inverse`
     scales the solution back.  The stream ends after `_SPARE_POINTS` more
-    such points than unknowns.
+    such points than unknowns.  N_{j,i}(p) = sum_k C_k(p) d_k grad_{j,i}(p)
+    is read from the primitive cofactor column C and the first partials.
     """
     n = system.nvars
     last = n - 1
     grads = [g.coeffs for g in system.gradients]
-    nums = system.gradient_numerators
+    column = partial_P_field(system, last)[0].coeffs
+    # partials[i][j][r] is d_r grad_{j,i}
+    partials = [[[grads[j][i].partial(r) for r in range(n)] for j in range(n)] for i in range(n)]
     zero, one = (0, 1) if field == 1 else ((0, 0), (1, 0))
 
     def at(f: Poly, point, scale: int = 1):
@@ -118,7 +128,8 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
         return v if field == 1 or f.d > 1 else (v, 0)
 
     jd, d_last = system.jacobian.den, system.polys[last].den
-    ks = [math.lcm(f.den, *(grads[j][i].den for j in range(n)), *(nums[j][i].den for j in range(n)))
+    ks = [math.lcm(f.den, *(grads[j][i].den for j in range(n)),
+                   *(c.den * dr.den for j in range(n) for c, dr in zip(column, partials[i][j])))
           for i, f in enumerate(delta.coeffs)]
     top = [max(exps[m] for _, exps in unknowns) for m in range(n)]
     used = 0
@@ -146,13 +157,15 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
                 if e_last and e:
                     dg = _times(dg, powers[m][e], field)
             dg_at.append(dg)
+        c_at = [at(c, point) for c in column]
         for i, (f, k) in enumerate(zip(delta.coeffs, ks)):
             gk = [at(grads[j][i], point, k // grads[j][i].den) for j in range(n)]
-            ck = [at(nums[j][i], point, jd * k // nums[j][i].den) for j in range(n)]
-            row = []
-            for (j, _), g, dg in zip(unknowns, g_at, dg_at):
-                a, b = _times(dg, gk[j], field), _times(g, ck[j], field)
-                row.append(a + b if field == 1 else (a[0] + b[0], a[1] + b[1]))
+            # N_{j,i}(p) at the row's scale den(J) K_i
+            ck = [functools.reduce(_plus, (_times(x, at(dr, point, jd * k // (c.den * dr.den)), field)
+                                           for x, c, dr in zip(c_at, column, partials[i][j])))
+                  for j in range(n)]
+            row = [_plus(_times(dg, gk[j], field), _times(g, ck[j], field))
+                   for (j, _), g, dg in zip(unknowns, g_at, dg_at)]
             row.append(_times(jac, at(f, point, k // f.den), field))
             yield row
         used += 1
@@ -170,7 +183,8 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
     `linalg.Echelon` takes them until its rank equals the number of
     unknowns, which proves the solution unique.  The solution, each row's
     last entry over its pivot, is then built in coordinates and re-verified
-    exactly by applying nabla_D to it; that re-check is the gate.
+    exactly: C . grad(delta'_i) == J delta_i as polynomials, for every
+    coordinate i.  That re-check is the gate.
 
     NoSolution signals a non-invariant or otherwise malformed input: an
     evaluated equation is inconsistent, or the unique candidate fails the
@@ -216,12 +230,8 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
                        for (jj, exps), x in zip(unknowns, solution) if jj == j})
         if not g_j.is_zero:
             out = out + grad * system.compose(g_j)
-    try:
-        verified = nabla_D(out, system) == delta
-    except NotPolynomial:
-        # only an exact preimage is sure to have a polynomial image
-        verified = False
-    if not verified:
+    primitive, jacobian = partial_P_field(system, n - 1)
+    if any(primitive.apply(f) != jacobian * g for f, g in zip(out.coeffs, delta.coeffs)):
         raise NoSolution("the unique candidate preimage along the primitive direction "
                          "failed re-verification; the field has no polynomial preimage")
     return out

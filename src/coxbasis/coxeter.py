@@ -34,7 +34,7 @@ import math
 import re
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .derivations import Derivation
 from .errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
@@ -76,20 +76,41 @@ class CoxeterDatum(NamedTuple):
         return "Q" if self.disc == 1 else "Q(sqrt(%d))" % self.disc
 
     def group_order(self) -> int:
-        f, n = self.family, self.rank
-        if f == "A":
-            return math.factorial(n + 1)
-        if f == "B":
-            return 2 ** n * math.factorial(n)
-        if f == "D":
-            return 2 ** (n - 1) * math.factorial(n)
-        if f == "G2":
-            return 12
-        if f == "H3":
-            return 120
-        if f == "I2":
-            return 2 * self.param
-        raise UnsupportedType("no order formula for %r" % f)
+        return math.prod(_order_factors(self.family, self.rank, self.param))
+
+
+def _order_factors(family: str, rank: int, param: int | None) -> Iterator[int]:
+    """The factors of the type's order, lazily, so a huge rank costs nothing."""
+    if family == "A":
+        yield from range(2, rank + 2)  # (n + 1)!
+    elif family == "B":
+        yield from range(2, 2 * rank + 1, 2)  # 2^n n!
+    elif family == "D":
+        yield from range(2, 2 * rank - 1, 2)  # 2^(n-1) n!
+        yield rank
+    elif family in ("G2", "H3", "I2"):
+        yield 12 if family == "G2" else 120 if family == "H3" else 2 * param
+    else:
+        raise UnsupportedType("no order formula for %r" % family)
+
+
+def check_order_bound(family: str, rank: int, param: int | None, order_bound: int) -> None:
+    """Raise OrderBoundExceeded if the type's group is larger than the bound.
+
+    The order formula is multiplied out only until it passes the bound, so
+    no rank makes this slow and the message holds a number about the size
+    of the bound: the order itself, or a lower bound for it.
+    """
+    order = 1
+    factors = _order_factors(family, rank, param)
+    for f in factors:
+        order *= f
+        if order > order_bound:
+            label = ("I2(%d)" % param if family == "I2" else
+                     family if family in ("G2", "H3") else "%s%d" % (family, rank))
+            more = "" if next(factors, None) is None else "at least "
+            raise OrderBoundExceeded("type %s: group of order %s%d exceeds the bound %d"
+                                     % (label, more, order, order_bound))
 
 
 def _frac_matrix(rows: Sequence[Sequence[int | Fraction]]) -> MatrixT:
@@ -186,13 +207,16 @@ def make_datum(family: str, rank: int, param: int | None = None) -> CoxeterDatum
 _LABEL = re.compile(r"([ABD])(\d*)|(G2|H3)|I2(?:\((\d+)\))?")
 
 
-def parse_type(text: str, rank: int | None = None) -> CoxeterDatum:
+def parse_type(text: str, rank: int | None = None,
+               order_bound: int | None = None) -> CoxeterDatum:
     """Parse a type label such as ``B3``, ``I2(5)``, or (``A``, rank=2).
 
     A label is ``[ABD]<n>``, ``G2``, ``H3``, ``I2(<m>)``, or a family letter
     (or ``I2``) with the rank given apart; for ``I2`` that rank is m.  A
     rank given next to a full label must agree with it (2 or m for
     ``I2(<m>)``).  Anything else raises UnsupportedType naming the label.
+    With an order bound, a larger group raises OrderBoundExceeded before
+    any of its rank-sized data is built.
     """
     t = text.strip().upper().replace(" ", "")
     if not t:
@@ -210,7 +234,10 @@ def parse_type(text: str, rank: int | None = None) -> CoxeterDatum:
         rank = int(digits)
     elif rank is None:
         raise UnsupportedType("type %r needs a rank" % text)
-    return make_datum("I2", 2, rank) if family == "I2" else make_datum(family, rank)
+    args = ("I2", 2, rank) if family == "I2" else (family, rank, None)
+    if order_bound is not None:
+        check_order_bound(*args, order_bound)
+    return make_datum(*args)
 
 
 def mat_mul(a: MatrixT, b: MatrixT) -> MatrixT:
@@ -229,7 +256,7 @@ def identity_matrix(n: int) -> MatrixT:
     return tuple(tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def mat_inverse(a: MatrixT) -> MatrixT:
     inv = invert_matrix([list(r) for r in a])
     return tuple(tuple(row) for row in inv)
@@ -347,9 +374,8 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     so a process pays them once per type; the bound and both comparisons
     run on every call.
     """
+    check_order_bound(datum.family, datum.rank, datum.param, order_bound)
     expected = datum.group_order()
-    if expected > order_bound:
-        raise OrderBoundExceeded("group of order %d exceeds the bound %d" % (expected, order_bound))
     group, arrangement = _walked(datum)
     if group.order != expected:
         raise GroupClosureFailed("coset chain gives order %d, expected %d"

@@ -19,8 +19,9 @@ expanding the determinant.  The cofactors of M give the coordinate
 expression of the fields d/dP_j: `partial_P_field` (column j of the
 cofactor matrix over J) is their one definition, and the connection layer
 divides its action by J.  Column j is read off the wedge product of the
-other columns of M (`PolyMatrix.wedge`) on first use;
-the pipeline reads only the primitive one, j = l - 1.
+other columns of M (`PolyMatrix.wedge`) on first use; the pipeline reads
+only the primitive one, j = l - 1, which the connection's inverse
+evaluates at points and multiplies out in its re-check, dividing nothing.
 
 The invariant fields of one degree have the basis g(P) grad P_j over
 invariant monomials g (`invariant_field_basis`); the connection's inverse
@@ -115,17 +116,6 @@ class InvariantSystem:
         1 for Q."""
         polys = chain(self.polys, (self.jacobian,), *(g.coeffs for g in self.gradients))
         return functools.reduce(common_field, (f.d for f in polys), 1)
-
-    @functools.cached_property
-    def gradient_numerators(self) -> tuple[tuple[Poly, ...], ...]:
-        """N[j][i], the numerator over J of D applied to component i of
-        grad P_j, for the primitive derivation D = d/dP_l.
-
-        Only the connection's inverse needs these, so they are computed on
-        first use, never by cache loading or `info`.
-        """
-        field, _ = partial_P_field(self, self.nvars - 1)
-        return tuple(tuple(field.apply(f) for f in g.coeffs) for g in self.gradients)
 
     def compose(self, g: Poly) -> Poly:
         """g(P_1, .., P_l) in coordinates, for g a polynomial in l variables."""

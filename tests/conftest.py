@@ -10,7 +10,7 @@ from coxbasis import coxeter, invariants
 from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
                               reflection_matrix, transpose)
 from coxbasis.errors import NotDivisible
-from coxbasis.invariants import compute_invariants
+from coxbasis.invariants import compute_invariants, partial_P_field
 from coxbasis.linalg import invert_matrix
 from coxbasis.poly import Poly, Powers, product, substitute_sum
 from coxbasis.scalars import scalar_inverse
@@ -189,6 +189,15 @@ def laplace_cofactor(rows, i, j):
     minor = laplace_det([[e for c, e in enumerate(row) if c != j]
                          for r, row in enumerate(rows) if r != i])
     return -minor if (i + j) % 2 else minor
+
+
+def gradient_numerators(system):
+    """N[j][i], the numerator over J of D applied to component i of grad P_j,
+    for the primitive derivation D = d/dP_l, as polynomials.  The package
+    reads these only at points, from the primitive cofactor column and the
+    partials of the gradients; this is the test-only reference."""
+    field, _ = partial_P_field(system, system.nvars - 1)
+    return tuple(tuple(field.apply(f) for f in g.coeffs) for g in system.gradients)
 
 
 def division_order(p, alpha):

@@ -18,7 +18,7 @@ from coxbasis.cli import (
     build_parser,
     main,
 )
-from coxbasis import certify, cli, invariants
+from coxbasis import certify, cli, coxeter, invariants
 from coxbasis.coxeter import parse_type
 
 
@@ -134,6 +134,24 @@ def test_info_blank_type_is_unsupported(label, capsys):
 def test_order_bound_exit_code(capsys):
     code, _, _ = run(["info", "B3", "--order-bound", "10", "--no-cache"], capsys)
     assert code == EXIT_UNSUPPORTED
+
+
+def test_huge_rank_exits_on_the_order_bound(capsys):
+    code, out, err = run(["info", "A1600", "--no-cache"], capsys)
+    assert (code, out) == (EXIT_UNSUPPORTED, "")
+    assert "type A1600: group of order at least 362880 exceeds the bound 100000" in err
+
+
+def test_order_bound_is_checked_before_the_datum_is_built(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("make_datum%r was called past the order bound" % (args,))
+
+    monkeypatch.setattr(coxeter, "make_datum", refuse)
+    for argv in (["info", "A100000"], ["basis", "--type", "B", "--rank", "5000", "--m", "0",
+                                       "--k", "0"]):
+        code, out, err = run(argv + ["--no-cache"], capsys)
+        assert (code, out) == (EXIT_UNSUPPORTED, "")
+        assert "exceeds the bound 100000" in err
 
 
 def test_basis_report_deterministic(tmp_path, capsys):

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import functools
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import fraction_rref
+from conftest import fraction_rref, gradient_numerators
 
 from coxbasis import connection
 from coxbasis.connection import nabla_D, nabla_D_inverse, universal_field
-from coxbasis.coxeter import is_invariant_derivation
+from coxbasis.coxeter import build_group, is_invariant_derivation, parse_type
 from coxbasis.derivations import Derivation, euler_field, nabla
 from coxbasis.errors import NoSolution, NonUniqueSolution, NotPolynomial
-from coxbasis.invariants import invariant_field_basis, partial_P_field
-from coxbasis.poly import Poly, linear_form_order
+from coxbasis.invariants import compute_invariants, invariant_field_basis, partial_P_field
+from coxbasis.poly import Poly, dump_json, linear_form_order
+from coxbasis.report import derivation_to_json
+from coxbasis.scalars import common_field, join_scalar, scalar_inverse
 from coxbasis.verify import random_invariant_derivation
 
 
@@ -268,7 +273,7 @@ def test_inverse_rejects_non_invariant_field_past_the_invariance_check(pipeline,
         nabla_D_inverse(Derivation([x * x, x * x]), system)
     # d/dx has one unknown, P_1 grad P_1; at (2, -1) its first equation reads
     # 0 = J(p) != 0, so the evaluated system itself is inconsistent
-    assert system.gradient_numerators[0][0].evaluate((2, -1)) == 0
+    assert gradient_numerators(system)[0][0].evaluate((2, -1)) == 0
     original = connection._sample_points
 
     def inconsistent_first(nvars):
@@ -297,14 +302,113 @@ def test_inverse_skips_points_where_the_jacobian_vanishes(pipeline, monkeypatch)
     assert nabla_D_inverse(delta, system) == expected
 
 
-def test_gradient_numerators_are_lazy():
-    from coxbasis.coxeter import build_group, parse_type
-    from coxbasis.invariants import compute_invariants
+ROW_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2", "H3", "I2(5)", "I2(8)"]
 
-    group, arrangement = build_group(parse_type("A2"))
-    system = compute_invariants(group, arrangement, cache_dir=None)
-    assert "gradient_numerators" not in vars(system)
-    nabla_D_inverse(euler_field(2), system)
-    numerators = vars(system)["gradient_numerators"]
-    primitive, _ = partial_P_field(system, 1)
-    assert numerators[1][0] == primitive.apply(system.gradients[1].coeffs[0])
+# sha256 of the JSON of universal_field(k), written before the inverse stopped
+# forming the polynomial gradient numerators
+UNIVERSAL_DIGESTS = {
+    ("A1", 1): "7eb171d04457a74b78253ed8e57b8cc59228f3093d7ff2675e849adf969e5296",
+    ("A1", 2): "7743a9f0c18c2d5fc279cd0935b5fa8d2c5c6f3d09d20d0f9d1c364f25d21845",
+    ("A2", 1): "d7585a62cd4b8320191131582567bc2a7cd64dde697f5a3f2876be706836d801",
+    ("A2", 2): "603986d7972f90b3f6d2695fd9973c2b2dcf8fde74bb0fa78acb102490dba607",
+    ("A3", 1): "fcaf600a37b0b8c34226acde2ecf9d1fc2b91b10686caa9d847592c38a76ca7e",
+    ("A3", 2): "4d4d7369e46d505e03da40517f18beac8e73c6dc3823d2e7aca87177d3c75b50",
+    ("A4", 1): "9ff67a5435b184dc9755ca650e12b668c4e87b067706de1b535b715bf81d023c",
+    ("A4", 2): "61c203d25b60035d5be6207d2c97c3a0b8881f75a5ee66f7f70a511568115293",
+    ("B2", 1): "ab9c07eb2c3868ffd9c2996719f0f03dc33e132cf37cfeeea9f6160cc6091dfd",
+    ("B2", 2): "ee8af751d11215d81302b4882e250be11947dfd69f0d50742a957e1615ecaba7",
+    ("B3", 1): "13d979a27292fc027ac2944319ff8728a87629a74977490756ce770e9715de90",
+    ("B3", 2): "6f6d85936a839ed81a052680bbf8ca666f38ec76023b6b7822b45bc438b93984",
+    ("B4", 1): "8c05e91b76c5dd784c889a5a85e984ec395a8efa061f8c7dce388cb6912c6293",
+    ("B4", 2): "e9473ef6a45b4daabc1dc0aa59b8c1862b1d809817679bb654933bf4f60873d8",
+    ("D4", 1): "bc87160a4a55ffabd9f5927b85cab1b090c054c66c9ac706f55027617304f403",
+    ("D4", 2): "672a6481d30a8ff5dab4cb05eb4b77dc330d42a650e5c21c4f83dd4eadc41125",
+    ("G2", 1): "ce1f6a37ef80d2beb95b32d3ad5fcb74de0ae9b39979a3655e4cd9f36778d5a9",
+    ("G2", 2): "7f07ff8dc9eff10bbeaa67f5b6fb642b083c800ec66236bcb03cf8a60476f651",
+    ("H3", 1): "226df154a413186bcc65c80c1ef63fe87f9e9432a0cbcd43090d78096c3b2ff0",
+    ("H3", 2): "039664c3dec99240f6dbeec80d689658c00c9f3b3f0a305d8a258f6032c680da",
+    ("I2(5)", 1): "04ed0a9ba45e1ca628274a26ac78278cc3e19fa9e869e018678ae770f6d0355f",
+    ("I2(5)", 2): "804047d3c989ce7dc8f4a36932ca110bf9e07b390f50f1231c528c5aef3ae716",
+    ("I2(8)", 1): "c2c3b792159a7ebbea46a51c097c8d3e7156319192d058e23d0e1832d084bccd",
+    ("I2(8)", 2): "3477cea4fc08842d309f28c9e4a18bed89d4ba3d5eed577eb6a4eef60b996032",
+}
+
+
+def reference_row(delta, system, unknowns, numerators, point, i):
+    """Row i of the inverse's equations at one point in Fraction/Quad
+    arithmetic, from the polynomial numerators: the entry of (j, g) is
+    J (dg/dP_l)(P) grad_{j,i} + g(P) N_{j,i} times prod_m den(P_m)^(g_m),
+    and the last entry is J delta_i."""
+    last = system.nvars - 1
+    jac = system.jacobian.evaluate(point)
+    values = [p.evaluate(point) for p in system.polys]
+    row = []
+    for j, exps in unknowns:
+        g = math.prod((v ** e for v, e in zip(values, exps)), start=Fraction(1))
+        lowered = exps[:last] + (exps[last] - 1,)
+        dg = exps[last] * math.prod((v ** e for v, e in zip(values, lowered)), start=Fraction(1)) \
+            if exps[last] else 0
+        entry = (jac * dg * system.gradients[j].coeffs[i].evaluate(point)
+                 + g * numerators[j][i].evaluate(point))
+        row.append(entry * math.prod(p.den ** e for p, e in zip(system.polys, exps)))
+    row.append(jac * delta.coeffs[i].evaluate(point))
+    return row
+
+
+@pytest.mark.parametrize("label", ROW_TYPES)
+def test_evaluated_rows_are_multiples_of_the_numerator_rows(pipeline, label):
+    _, _, system = pipeline(label)
+    n = system.nvars
+    numerators = gradient_numerators(system)
+    for k in (1, 2):
+        delta = universal_field(k - 1, system)
+        target = delta.degree() + system.coxeter_number
+        unknowns = [(j, exps) for j, d in enumerate(system.degrees)
+                    for exps in system.invariant_exponents(target - (d - 1))]
+        field = functools.reduce(common_field, (f.d for f in delta.coeffs), system.field)
+        points = (p for p in connection._sample_points(n) if system.jacobian.evaluate(p) != 0)
+        rows = list(connection._evaluated_rows(delta, system, unknowns, field))
+        assert len(rows) == n * (len(unknowns) + connection._SPARE_POINTS)
+        for start in range(0, len(rows), n):
+            point = next(points)
+            for i, row in enumerate(rows[start:start + n]):
+                got = [join_scalar(field, x, 1) for x in row]
+                want = reference_row(delta, system, unknowns, numerators, point, i)
+                pivot = next(c for c, x in enumerate(want) if x != 0)
+                ratio = got[pivot] * scalar_inverse(want[pivot])
+                assert ratio != 0
+                assert got == [ratio * x for x in want]
+
+
+@pytest.mark.parametrize("label", ROW_TYPES)
+def test_universal_field_digests(pipeline, label):
+    _, _, system = pipeline(label)
+    for k in (1, 2):
+        text = dump_json(derivation_to_json(universal_field(k, system)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == UNIVERSAL_DIGESTS[label, k]
+
+
+def test_inverse_divides_nothing(pipeline, monkeypatch):
+    group, arrangement = build_group(parse_type("B3"))
+    fresh = compute_invariants(group, arrangement, cache_dir=None)
+    _, _, i2 = pipeline("I2(5)")
+    delta = invariant_field_basis(i2, 7)[0][1]
+    calls = []
+    divrem, nabla_d = Poly.divrem, connection.nabla_D
+
+    def counted_divrem(self, divisor):
+        calls.append("divrem")
+        return divrem(self, divisor)
+
+    def counted_nabla_D(delta, system):
+        calls.append("nabla_D")
+        return nabla_d(delta, system)
+
+    monkeypatch.setattr(Poly, "divrem", counted_divrem)
+    monkeypatch.setattr(connection, "nabla_D", counted_nabla_D)
+    assert universal_field(2, fresh).degree() == 2 * fresh.coxeter_number + 1
+    lifted = nabla_D_inverse(delta, i2)
+    assert calls == []
+    # the division route still inverts what the inverse found
+    assert nabla_D(lifted, i2) == delta
+    assert "divrem" in calls

@@ -253,6 +253,23 @@ def test_order_bound_checked_before_enumeration():
         build_group(parse_type("H3"), order_bound=10)
 
 
+def test_order_bound_is_decided_from_the_label():
+    orders = {"A5": 720, "B5": 3840, "B6": 46080, "D5": 1920, "D6": 23040,
+              "G2": 12, "H3": 120, "I2(5)": 10}
+    for label, order in orders.items():
+        datum = parse_type(label, order_bound=order)
+        assert datum.group_order() == order
+        with pytest.raises(OrderBoundExceeded, match=r"type %s: group of order %d exceeds "
+                           r"the bound %d$" % (re.escape(label), order, order - 1)):
+            parse_type(label, order_bound=order - 1)
+    # a huge rank is refused after a few factors, with a lower bound for the order
+    with pytest.raises(OrderBoundExceeded, match=r"type B1000000000000: group of order "
+                       r"at least 645120 exceeds the bound 100000$"):
+        parse_type("B1000000000000", order_bound=100000)
+    with pytest.raises(OrderBoundExceeded, match="type D100000: .* at least "):
+        coxeter.check_order_bound("D", 100000, None, 100000)
+
+
 CROSS_CHECKED = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2", "H3",
                  "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"]
 

@@ -12,6 +12,9 @@ library modules it imports are an explicit allow-list, and a fresh
 interpreter that imports ``coxbasis.cli`` must not have loaded
 ``dataclasses`` or ``inspect`` (which between them pull in ``ast``, ``dis``
 and ``tokenize``).
+
+Every memo in the package has a finite size, since public functions reach
+them with caller input; a zero-argument ``functools.cache`` holds one value.
 """
 
 from __future__ import annotations
@@ -77,6 +80,31 @@ def external_imports(tree: ast.Module) -> set[str]:
     return out
 
 
+def unbounded_caches(tree: ast.Module) -> list[str]:
+    """Functions memoized without a size limit: an ``lru_cache`` given a
+    ``maxsize`` that is not a positive int literal, or a ``cache`` on a function
+    that takes arguments.  A long-running process grows those without end."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            target = call.func if call else deco
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name == "lru_cache" and call:
+                sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                # no maxsize at all is the default of 128
+                if sizes and not (isinstance(sizes[0], ast.Constant)
+                                  and isinstance(sizes[0].value, int) and sizes[0].value > 0):
+                    out.append(node.name)
+            elif name == "cache" and (node.args.args or node.args.posonlyargs
+                                      or node.args.kwonlyargs or node.args.vararg
+                                      or node.args.kwarg):
+                out.append(node.name)
+    return out
+
+
 def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     """One cycle of a directed graph as a closed path of nodes, or None."""
     state: dict[str, int] = {}  # 1 on the current path, 2 finished
@@ -139,6 +167,22 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_memo_is_bounded():
+    found = {name: funcs for name, tree in package_modules().items()
+             if (funcs := unbounded_caches(tree))}
+    assert found == {}
+    tree = ast.parse("import functools\nfrom functools import cache, lru_cache\n"
+                     "@functools.lru_cache(maxsize=None)\ndef a(x): pass\n"
+                     "@lru_cache(None)\ndef b(x): pass\n"
+                     "@functools.lru_cache(maxsize=n)\ndef c(x): pass\n"
+                     "@cache\ndef d(x): pass\n"
+                     "@functools.lru_cache()\ndef h(x): pass\n"
+                     "@functools.lru_cache(maxsize=16)\ndef e(x): pass\n"
+                     "@functools.lru_cache\ndef f(x): pass\n"
+                     "@functools.cache\ndef g(): pass\n")
+    assert unbounded_caches(tree) == ["a", "b", "c", "d"]
 
 
 def test_guards_detect_what_they_guard():
