@@ -18,10 +18,8 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
-from pathlib import Path
 
 from .basis import BASE_SOURCES, BasisRequest, build_basis
 from .coxeter import (DEFAULT_ORDER_BOUND, Multiplicity, build_group, parse_type)
@@ -41,12 +39,6 @@ EXIT_CERTIFICATE = 3
 EXIT_UNSUPPORTED = 4
 
 
-def default_cache_dir() -> Path:
-    root = os.environ.get("XDG_CACHE_HOME")
-    base = Path(root) if root else Path.home() / ".cache"
-    return base / "coxbasis"
-
-
 class _Budget:
     """Soft wall-clock budget checked between pipeline stages."""
 
@@ -63,22 +55,15 @@ class _Budget:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order-bound", type=int, default=DEFAULT_ORDER_BOUND,
                         help="refuse groups larger than this order")
+    # kept so that existing command lines still parse; there is no cache on disk
     parser.add_argument("--cache-dir", type=str, default=None,
-                        help="directory for the invariant cache")
+                        help="accepted and ignored")
     parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the invariant cache")
+                        help="accepted and ignored")
     parser.add_argument("--format", choices=("text", "json"), default=None,
                         help="output format")
     parser.add_argument("--out", type=str, default=None,
                         help="write the report to this file instead of stdout")
-
-
-def _cache_dir(args: argparse.Namespace) -> Path | None:
-    if args.no_cache:
-        return None
-    if args.cache_dir is not None:
-        return Path(args.cache_dir)
-    return default_cache_dir()
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -92,7 +77,7 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 def cmd_info(args: argparse.Namespace) -> int:
     datum = parse_type(args.type, args.rank, order_bound=args.order_bound)
     group, arrangement = build_group(datum, order_bound=args.order_bound)
-    system = compute_invariants(group, arrangement, cache_dir=_cache_dir(args))
+    system = compute_invariants(group, arrangement)
 
     problems = []
     if len(datum.degrees) > 1 and datum.degrees[-2] >= datum.coxeter_number:
@@ -123,17 +108,24 @@ def cmd_info(args: argparse.Namespace) -> int:
     return EXIT_FAIL if problems else EXIT_OK
 
 
+def _read_json(path: str):
+    """The JSON value a file holds; any text that does not decode, nesting
+    too deep for the decoder included, raises ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError("%s is not readable JSON: %s" % (path, exc)) from None
+
+
 def _load_multiplicity(args: argparse.Namespace, arrangement) -> Multiplicity:
     if args.mfile:
-        with open(args.mfile, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return multiplicity_from_json(data, arrangement)
+        return multiplicity_from_json(_read_json(args.mfile), arrangement)
     return Multiplicity.constant(arrangement, args.m)
 
 
 def _load_user_base(path: str, nvars: int):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if isinstance(data, dict) and "base" in data:
         data = data["base"]
     if isinstance(data, dict) and "members" in data:
@@ -154,7 +146,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     datum = parse_type(args.type, args.rank, order_bound=args.order_bound)
     group, arrangement = build_group(datum, order_bound=args.order_bound)
     budget.check("group construction")
-    system = compute_invariants(group, arrangement, cache_dir=_cache_dir(args))
+    system = compute_invariants(group, arrangement)
     budget.check("invariants")
 
     multiplicity = _load_multiplicity(args, arrangement)
@@ -187,7 +179,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     datum = parse_type(args.type, args.rank, order_bound=args.order_bound)
     group, arrangement = build_group(datum, order_bound=args.order_bound)
-    system = compute_invariants(group, arrangement, cache_dir=_cache_dir(args))
+    system = compute_invariants(group, arrangement)
 
     names = ("euler", "jacobian", "shift", "hodge") if args.suite == "all" else (args.suite,)
     reports = []

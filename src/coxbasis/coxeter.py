@@ -10,14 +10,15 @@ coordinates; I2(5), I2(8) and H3 live over a real quadratic extension.
 Group elements are exact matrices R acting on covector coefficients,
 c -> R c.  The action on polynomials substitutes column i of R for
 variable i, which realizes p -> p o w^{-1} without inverting anything.
-The group is never enumerated.  Dropping simple roots from the end gives
+The group is never enumerated.  Dropping simple roots one at a time gives
 a chain of parabolic subgroups W_K > W_J; each step keeps one coset
 u W_J per point of the orbit of a fundamental weight, whose stabilizer
-in W_K is W_J.  Reynolds averages run through this chain with one
-substitution per coset, the sum of the indices in all instead of |W|,
-reusing the powers of the representatives' column forms; the matrices u
-are built, as integer combinations of the generators' column forms, the
-first time a Reynolds average runs.
+in W_K is W_J, and drops the root whose orbit is smallest.  Reynolds
+averages run through this chain with one substitution per coset, the sum
+of the indices in all instead of |W|, reusing the powers of the
+representatives' column forms; the matrices u are built, as integer
+combinations of the generators' column forms, the first time a Reynolds
+average runs.
 Hyperplanes are the orbit of the simple roots under the simple
 reflections, normalized so the first nonzero coefficient is 1, and are
 kept sorted by coefficient vector so all downstream artifacts are
@@ -288,11 +289,13 @@ class ReflectionGroup:
     """A finite real reflection group: its generators and a coset chain.
 
     ``generators`` are the simple reflections as Fraction/Quad matrices.
-    Stage s of ``chain`` is a breadth-first tree over the cosets u W_J of
-    W_K, for K = {0, ..., s} and J = K - {s}: entry k is (parent, t) with
-    u_k = g_t u_parent, and entry 0, the identity coset, is (-1, -1).  So
-    the stages run innermost first, and the order is the product of their
-    lengths.  The matrices u are built, as the integer column forms of
+    Each stage of ``chain`` is a breadth-first tree over the cosets u W_J
+    of W_K, for a set K of simple roots and J = K less one root: entry k
+    is (parent, t) with u_k = g_t u_parent, t the index of the generator,
+    and entry 0, the identity coset, is (-1, -1).  The stages run
+    innermost first, each K the J of the stage after it, and the order is
+    the product of their lengths.  ``build_group`` says which root each
+    stage drops.  The matrices u are built, as the integer column forms of
     ``coset_powers``, when a Reynolds average first needs them.
     """
 
@@ -355,12 +358,19 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     """Build the group's coset chain and its reflection arrangement.
 
     The expected order is known from the type, so the bound is checked
-    before any work is done.  Dropping simple roots from the end gives a
+    before any work is done.  Dropping simple roots one at a time gives a
     chain of parabolic subgroups; at the step K > J = K - {s} the
     fundamental weight x of s (<alpha_t, x> = 0 for t != s, 1 for s, under
     the Gram form) has stabilizer W_J in W_K (Humphreys, Reflection Groups
     and Coxeter Groups, 1.10 and 1.12), so the points of the orbit W_K x
-    are the cosets u W_J.  The hyperplanes are the orbit of the simple
+    are the cosets u W_J.  Any chain gives the same exact average, so the
+    chain is built from the top, K = all roots, and each step drops the s
+    of K with the smallest orbit, the highest such index on a tie; a trial
+    walk stops once it is larger than the smallest found.  That keeps the
+    A_n chain [2, ..., n + 1] and turns B6's [2, 3, 4, 5, 6, 64] into
+    [2, 4, 6, 8, 10, 12] and D6's [2, 3, 4, 5, 6, 32] into
+    [2, 3, 4, 8, 10, 12], which makes the D-type invariants an order of
+    magnitude cheaper.  The hyperplanes are the orbit of the simple
     roots, and the W-orbits of the hyperplanes are recorded on that walk.
 
     Both walks run on integer numerators: the simple reflections are split
@@ -396,9 +406,20 @@ def _walked(datum: CoxeterDatum) -> tuple[ReflectionGroup, Arrangement]:
     # the columns of the inverse of roots gram
     weights = transpose(invert_matrix(mat_mul(roots, datum.gram)))
     d, matrices, den, vectors = _integer_data(generators, weights + roots)
-    chain = tuple(_coset_tree(_lowest(vectors[s], den), matrices[:s + 1], den,
-                              datum.group_order()) for s in range(n))
-    group = ReflectionGroup(datum, generators, chain)
+    # from the top: drop the node of K whose coset tree is smallest, the
+    # highest such index; a trial walk stops once it is larger than the best
+    chain = []
+    left = list(range(n))
+    while left:
+        best: tuple[tuple[int, int], ...] = ()
+        for s in left:
+            tree = _coset_tree(_lowest(vectors[s], den), left, matrices, den,
+                               len(best) if best else datum.group_order())
+            if not best or len(tree) <= len(best):
+                best, drop = tree, s
+        chain.append(best)
+        left.remove(drop)
+    group = ReflectionGroup(datum, generators, tuple(reversed(chain)))
     forms, orbits = _root_orbits([_primitive(r, d) for r in vectors[n:]], matrices, d,
                                  datum.num_hyperplanes)
     coeffs = [_form_scalars(z, d) for z in forms]
@@ -470,21 +491,22 @@ def _form_scalars(z: tuple[int, ...], d: int) -> tuple[Scalar, ...]:
     return tuple(join_scalar(d, c, lead) for c in (z if d == 1 else zip(z[::2], z[1::2])))
 
 
-def _coset_tree(x: tuple[int, ...], generators: Sequence[list[list[int]]], den: int,
-                bound: int) -> tuple[tuple[int, int], ...]:
-    """Breadth-first over the orbit of x under the reflections, whose
-    numerators are over ``den``; x and every point are kept in lowest
-    terms (see ``_lowest``), so equal points are equal tuples.  Per orbit
-    point, its parent's index and the reflection that reaches it from the
-    parent (-1, -1 for x).  Stops once past bound points."""
+def _coset_tree(x: tuple[int, ...], indices: Sequence[int], generators: Sequence[list[list[int]]],
+                den: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """Breadth-first over the orbit of x under the reflections of the given
+    indices, whose numerators are over ``den``; x and every point are kept
+    in lowest terms (see ``_lowest``), so equal points are equal tuples.
+    Per orbit point, its parent's index and the index of the reflection
+    that reaches it from the parent (-1, -1 for x).  Stops once past bound
+    points."""
     index = {x: 0}
     tree = [(-1, -1)]
     queue = [x]
     for k, y in enumerate(queue):
         if len(tree) > bound:
             break
-        for t, g in enumerate(generators):
-            z = _lowest(_apply(g, y), den * y[-1])
+        for t in indices:
+            z = _lowest(_apply(generators[t], y), den * y[-1])
             if z not in index:
                 index[z] = len(tree)
                 tree.append((k, t))

@@ -27,14 +27,11 @@ The invariant fields of one degree have the basis g(P) grad P_j over
 invariant monomials g (`invariant_field_basis`); the connection's inverse
 and the Hodge comparison both work in it.
 
-Systems can be cached to disk as JSON, keyed by type, rank and field,
-with every coefficient stored as an exact string.  The file is read on
-every call and stays authoritative: a loaded system is revalidated before
-use and recomputed on any mismatch.  The one shortcut is in memory: when
-the file's text equals, character for character, the text this process
-last validated or wrote for the same type, the system built from it then
-is returned again, with the fields and powers it has computed since.  A
-cache that cannot be written is skipped with a warning on stderr.
+The systems of the 16 types asked for most recently are kept in memory,
+keyed by type datum, so a process selects each type's invariants once.
+There is no on-disk state: the selection runs its Reynolds averages
+through the group's coset chain, largest parabolic first, and costs less
+than reading and revalidating a file did.
 """
 
 from __future__ import annotations
@@ -43,20 +40,16 @@ import functools
 import hashlib
 import json
 import math
-import os
-import sys
-import tempfile
 from fractions import Fraction
 from itertools import chain
-from pathlib import Path
 from typing import Iterator, Sequence
 
-from .coxeter import Arrangement, CoxeterDatum, ReflectionGroup, act, reynolds
+from .coxeter import Arrangement, CoxeterDatum, ReflectionGroup, reynolds
 from .derivations import Derivation, euler_field
 from .errors import JacobianDegenerate
 from .linalg import Echelon, PolyMatrix, det, monomial_columns, numerator_vector
-from .poly import (Poly, Powers, dump_json, linear_combination, monomials_of_degree, point_off,
-                   poly_from_json, poly_to_json, substitute_sum)
+from .poly import (Poly, Powers, linear_combination, monomials_of_degree, point_off,
+                   poly_to_json, substitute_sum)
 from .scalars import Scalar, common_field, format_scalar, join_scalar, scalar_inverse
 
 
@@ -177,41 +170,26 @@ def jacobian_factors(system: InvariantSystem, arrangement: Arrangement) -> bool:
             reference == arrangement.defining_polynomial.scale(system.jacobian_scalar))
 
 
-# per type, the cache text this process last validated or wrote, and the
-# system built from it
-_KNOWN_TEXTS: dict[CoxeterDatum, tuple[str, InvariantSystem]] = {}
+# the systems of the types asked for most recently, oldest first
+_SYSTEMS: dict[CoxeterDatum, InvariantSystem] = {}
+_MEMO_SIZE = 16
 
 
 def compute_invariants(group: ReflectionGroup, arrangement: Arrangement,
-                       cache_dir: str | Path | None = None) -> InvariantSystem:
-    """Select basic invariants for the group, optionally using a disk cache.
+                       cache_dir: object = None) -> InvariantSystem:
+    """Select basic invariants for the group, once per type and process.
 
-    With a cache dir the file is read on every call; see the module
-    docstring for when its system is reused from memory.
+    A system is kept for the 16 types asked for most recently, keyed by
+    the group's datum.  ``cache_dir`` is accepted and ignored: nothing is
+    read from or written to disk.
     """
     datum = group.datum
-    if cache_dir is None:
-        return _select_invariants(group, arrangement)
-    path = Path(cache_dir) / ("invariants_%s_%s.json"
-                              % (datum.label.replace("(", "").replace(")", ""),
-                                 "Q" if datum.disc == 1 else "Qsqrt%d" % datum.disc))
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, ValueError):
-        text = None
-    if text is not None:
-        known = _KNOWN_TEXTS.get(datum)
-        if known is not None and known[0] == text:
-            return known[1]
-        system = _load_cache(text, group, arrangement)
-        if system is not None:
-            _KNOWN_TEXTS[datum] = (text, system)
-            return system
-    system = _select_invariants(group, arrangement)
-    try:
-        _KNOWN_TEXTS[datum] = (_store_cache(path, system), system)
-    except OSError as exc:
-        sys.stderr.write("warning: invariant cache not written: %s\n" % exc)
+    system = _SYSTEMS.pop(datum, None)
+    if system is None:
+        system = _select_invariants(group, arrangement)
+        if len(_SYSTEMS) >= _MEMO_SIZE:
+            del _SYSTEMS[next(iter(_SYSTEMS))]
+    _SYSTEMS[datum] = system
     return system
 
 
@@ -249,27 +227,28 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
                                      % (len(picked), degree, datum.label))
         chosen += picked
         tables += map(Powers, picked)
-    return _finish_system(datum.label, n, datum.degrees, tuple(chosen), arrangement, datum.gram)
+    return _finish_system(datum, tuple(chosen), arrangement)
 
 
-def _finish_system(label: str, nvars: int, degrees: tuple[int, ...], polys: tuple[Poly, ...],
-                   arrangement: Arrangement, gram) -> InvariantSystem:
-    """Attach the Jacobian data to homogeneous invariants of the basic degrees.
+def _finish_system(datum: CoxeterDatum, polys: tuple[Poly, ...],
+                   arrangement: Arrangement) -> InvariantSystem:
+    """Attach the Jacobian data to homogeneous invariants of the type's degrees.
 
     Invariance is what makes J = c * Q, so callers must have checked it.
     """
     m = jacobian_matrix(polys)
-    point, values = point_off([h.form for h in arrangement.hyperplanes], nvars)
+    point, values = point_off([h.form for h in arrangement.hyperplanes], datum.rank)
     jac_scalar = det(m.evaluate(point)) * scalar_inverse(math.prod(values, start=Fraction(1)))
     if jac_scalar == 0:
         raise JacobianDegenerate("Jacobian of the invariants vanishes")
     jac = arrangement.defining_polynomial.scale(jac_scalar)
-    # the invariant form on covectors has matrix `gram`; pairing the partials
-    # of P_j against it is what makes the gradient field equivariant
-    forms = [Poly.linear(row) for row in gram]
+    # the invariant form on covectors has the Gram matrix; pairing the
+    # partials of P_j against it is what makes the gradient field equivariant
+    forms = [Poly.linear(row) for row in datum.gram]
     gradients = tuple(Derivation([linear_combination([row[j] for row in m.rows], form)
                                   for form in forms]) for j in range(len(polys)))
-    return InvariantSystem(label, nvars, tuple(degrees), polys, jac, jac_scalar, m, gradients)
+    return InvariantSystem(datum.label, datum.rank, datum.degrees, polys, jac, jac_scalar, m,
+                           gradients)
 
 
 def partial_P_field(system: InvariantSystem, j: int) -> tuple[Derivation, Poly]:
@@ -309,64 +288,3 @@ def invariant_field_basis(system: InvariantSystem, degree: int) -> list[tuple[tu
             g = system.expand(exps)
             out.append(((j, g_degree, exps), system.gradients[j] * g))
     return out
-
-
-def _valid_invariants(label: str, nvars: int, degrees: tuple[int, ...],
-                      polys: tuple[Poly, ...], group: ReflectionGroup) -> bool:
-    """Loaded invariants match the group: degrees, normalization, invariance."""
-    datum = group.datum
-    if label != datum.label or degrees != datum.degrees or nvars != datum.rank:
-        return False
-    if len(polys) != len(degrees):
-        return False
-    for p, d in zip(polys, degrees):
-        if p.is_zero or not p.is_homogeneous() or p.homogeneous_degree() != d:
-            return False
-        if p.leading_coefficient() != 1:
-            return False
-        if any(act(g, p) != p for g in group.generators):
-            return False
-    return True
-
-
-def _load_cache(text: str, group: ReflectionGroup, arrangement: Arrangement) -> InvariantSystem | None:
-    """The system a cache file's text holds, or None if it does not hold a
-    valid one for the group."""
-    try:
-        data = json.loads(text)
-    except ValueError:
-        return None
-    try:
-        label = data["label"]
-        nvars = int(data["nvars"])
-        degrees = tuple(int(d) for d in data["degrees"])
-        polys = tuple(poly_from_json(p, nvars) for p in data["polys"])
-        # J = c * Q holds only for invariants, so they are checked first;
-        # coefficients from a foreign quadratic field raise ValueError here
-        valid = _valid_invariants(label, nvars, degrees, polys, group)
-    except (KeyError, ValueError, TypeError):
-        return None
-    if not valid:
-        return None
-    try:
-        return _finish_system(label, nvars, degrees, polys, arrangement, group.datum.gram)
-    except JacobianDegenerate:
-        return None
-
-
-def _store_cache(path: Path, system: InvariantSystem) -> str:
-    """Write the system to its cache file atomically; returns the text written."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    blob = dump_json(system.to_json_dict())
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return blob

@@ -192,10 +192,6 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     return [row for _, row in echelon.scalar_rows()] + zeros, [p for p, _ in echelon.rows]
 
 
-def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(rref(rows)[1])
-
-
 def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[list[Scalar]]:
     """Basis of the right kernel, one vector per free column, in column order."""
     if ncols is None:

@@ -11,7 +11,7 @@ from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
                               reflection_matrix, transpose)
 from coxbasis.errors import NotDivisible
 from coxbasis.invariants import compute_invariants, partial_P_field
-from coxbasis.linalg import invert_matrix
+from coxbasis.linalg import invert_matrix, rref
 from coxbasis.poly import Poly, Powers, product, substitute_sum
 from coxbasis.scalars import scalar_inverse
 
@@ -21,9 +21,9 @@ _CLOSURES: dict[str, tuple] = {}
 
 def clear_memos() -> None:
     """Forget what the package keeps per process, the built groups and the
-    invariant cache texts it has validated, as a fresh interpreter would."""
+    invariant systems, as a fresh interpreter would."""
     coxeter._walked.cache_clear()
-    invariants._KNOWN_TEXTS.clear()
+    invariants._SYSTEMS.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -141,6 +141,12 @@ class FractionEchelon:
         if all(a == 0 for a in red):
             return None
         return self.insert(red)
+
+
+def rank(rows):
+    """The rank of a scalar matrix, the number of pivots of the package's
+    ``rref``."""
+    return len(rref(rows)[1])
 
 
 def fraction_det(rows):
@@ -278,22 +284,36 @@ def normalize_form(coeffs):
 def fraction_walk(datum):
     """(chain, sorted hyperplane coefficients, orbits) of a type: the coset
     trees of the fundamental weights, the orbit of the normalized simple
-    roots and its W-orbits, all by matrix-vector products in scalars."""
+    roots and its W-orbits, all by matrix-vector products in scalars.
+
+    The chain is chosen here from the full orbits: from K = all simple
+    roots, each step drops the root of K whose weight has the smallest
+    orbit under W_K, the highest index on a tie, and the trees are listed
+    innermost first."""
     roots = datum.simple_roots
     generators = tuple(reflection_matrix(r, datum.gram) for r in roots)
     inverse = invert_matrix(mat_mul(roots, mat_mul(datum.gram, transpose(roots))))
-    chain = []
-    for s, row in enumerate(inverse):
-        x = mat_vec(transpose(roots), row)
+    weights = [mat_vec(transpose(roots), row) for row in inverse]
+
+    def tree_of(s, left):
+        x = weights[s]
         index, tree, queue = {x: 0}, [(-1, -1)], [x]
         for k, y in enumerate(queue):
-            for t, g in enumerate(generators[:s + 1]):
-                z = mat_vec(g, y)
+            for t in left:
+                z = mat_vec(generators[t], y)
                 if z not in index:
                     index[z] = len(tree)
                     tree.append((k, t))
                     queue.append(z)
-        chain.append(tuple(tree))
+        return tuple(tree)
+
+    chain = []
+    left = list(range(len(roots)))
+    while left:
+        trees = {s: tree_of(s, left) for s in left}
+        drop = min(left, key=lambda s: (len(trees[s]), -s))
+        chain.insert(0, trees[drop])
+        left.remove(drop)
     forms = {normalize_form(r): None for r in roots}
     queue = list(forms)
     for y in queue:

@@ -45,9 +45,10 @@ def test_info_json(capsys):
     assert data["problems"] == []
 
 
-# sha256 of the standard output of ``info <type> --format <format>`` on a
-# fresh invariant cache, as written before ``info`` stopped expanding the
-# Jacobian determinant
+# sha256 of the standard output of ``info <type> --format <format>`` for
+# every type within the default order bound, as written before ``info``
+# stopped expanding the Jacobian determinant and before the coset chain
+# was built largest parabolic first
 INFO_DIGESTS = {
     "A1 text": "f2286e6b2f182e72db05f53c59d5b43aa3371dc3e0abb6afebf9c6e621140a6a",
     "A1 json": "ab3266a009602ac6b16f89cd0e9a0f494d881395280f3ebdc414971dd60f31bd",
@@ -55,12 +56,34 @@ INFO_DIGESTS = {
     "A2 json": "1c634f6c4eaa55a31ec6d6fee6a5f38f7625ac5cc5e3dc6b2843f117cd04a30d",
     "A3 text": "e6fe6b83d0f3421bd322df495f254951f530a2dcc374a845f1c3a37c73647c00",
     "A3 json": "9b645bc421edcaf287836d27024f98dc4ecd1d36929d738100e83d299833ddfa",
+    "A4 text": "eb9b5c6781c569553b1421a7e1143b556026b469735e3fe25ac45d125aff0929",
+    "A4 json": "63b582f984bde53ad06fd81ad7b2304931f44700c0a471a005b6789bdd2cbd73",
+    "A5 text": "f74ddd4d8433ae122ec18665bed536d49e29520841a4d9f4ec75364a64a67a3c",
+    "A5 json": "437a8c2282523c2542cd53656a6e7f19bc53fc8541d9220435322ccde178043d",
+    "A6 text": "7798d131707b1fa21b966e79c6ad189b20cbe2a3ed2a148194ff3b33fdae4dc6",
+    "A6 json": "44b6817162c3db95314174c61df971a1e1111777b2d43bda6b0a414566d96360",
+    "A7 text": "4b975f98669156bc9bf7744c7241abc16b9956ba592ce15a48eb8902c8fada43",
+    "A7 json": "8f82cf65c0adfc7cd3bc1f1cacba6afa7130daacee7d1e1fd41a6d311ebe09e3",
     "B2 text": "1de3d8149a89098e110c580931964adb197d74c0e3dce500c790144e09274970",
     "B2 json": "37a1aa70ff8c4b0635ba9984348578753bcccd5ce626db96fd983605fc897fee",
     "B3 text": "ec20d72883a4491b645482d2ea84318299c8060be073ca9a36b66932f191dc8c",
     "B3 json": "4ec1e265fc8895ada630180b86f8cba5b18f9dae6be17025b5813c46f55f489a",
+    "B4 text": "6246b4e72357e067ef73b7dc5997da325ed764c318c9daed95b60fbfa3b6f81c",
+    "B4 json": "faf5aa5ad1eb0206de77c82c903caafc02b004de5c08b86e474b57837aed755a",
+    "B5 text": "b706ab3154a84e2935f172da36879af39cc8ac2fc1d8cd50ef1908ef81dc45b6",
+    "B5 json": "cb244273082824d33d0ff04b3b99ae080a9161c4ca845e06940bbc58ddfd1f78",
+    "B6 text": "96e6933eb38fc5e1e620a74a58f7fa23769b1cb84a739553bca66b9e15aa612c",
+    "B6 json": "299af68f918896607b49b742bc5a18c23f2efa680173b3c252d691d2631a4be6",
+    "D4 text": "707b2b88c55ee4f19a3aaf5c5d130578d691846fb16fb741fba63e73a7c54b9d",
+    "D4 json": "89aa9a8ad99ed2edd04c85d1e517a116faaa2271b878da8f917805cffd3a0ed1",
+    "D5 text": "7ce4491b724c0484bfae95fa5fde274c6f8020a1cb7767c2dd21e350148ffe54",
+    "D5 json": "7597a8b6274ecf7e597b2ddeefc5b825ae0465f2973f6dda86e34279d41a4ed7",
+    "D6 text": "684b257fba6ca88a0ad21a2adb0ec364b9c772510b3967926dba15387ff3ec28",
+    "D6 json": "f3946c9388566a4d8079487c6960f808bef7b96588f907bf4e719a96abc37435",
     "G2 text": "5c9e0ef0ae2f4ef6fb4fbbc8c978be92b69a6dbd0418b9e2add41e5d6bd07ea8",
     "G2 json": "4b61d32ed092f32ce653180f49c4f330e2c47dd6ff74c33965324f19054f873d",
+    "H3 text": "ad7a7984731958e2d50e45a0990ffc8a6e06ed7aa14f8aa318da1b107d0c2a25",
+    "H3 json": "0c3748edcea67c460a6ababe4acaeb4ff00662d740114d9026f74eae9e6a5481",
     "I2(3) text": "71e679c9771dd8c93e86a792e648aed9d3b6109d8494c1c4ec1450615236032a",
     "I2(3) json": "14cc82695fb3c4521a174271da9285de9790fd31e4d02f937975d322d08e9093",
     "I2(4) text": "7bd2ef9911831dd568e0f8fad8f821328ae724de2fb2ef94cb42a9b31393a3a3",
@@ -71,27 +94,17 @@ INFO_DIGESTS = {
     "I2(6) json": "041eaad9c806af4333d8a91897f4ab9a441dbaee3fae62959db26c55847746ee",
     "I2(8) text": "50ae4b725fba842b695a899610484e19b96a4b3c52a658f9e7d61a645b5a2ef0",
     "I2(8) json": "0a4f4b07f1ffd2bc716535c21dd6eb2f50e5d22ce4fa1a507c685328d0071354",
-    "A4 text": "eb9b5c6781c569553b1421a7e1143b556026b469735e3fe25ac45d125aff0929",
-    "A4 json": "63b582f984bde53ad06fd81ad7b2304931f44700c0a471a005b6789bdd2cbd73",
-    "B4 text": "6246b4e72357e067ef73b7dc5997da325ed764c318c9daed95b60fbfa3b6f81c",
-    "B4 json": "faf5aa5ad1eb0206de77c82c903caafc02b004de5c08b86e474b57837aed755a",
-    "D4 text": "707b2b88c55ee4f19a3aaf5c5d130578d691846fb16fb741fba63e73a7c54b9d",
-    "D4 json": "89aa9a8ad99ed2edd04c85d1e517a116faaa2271b878da8f917805cffd3a0ed1",
-    "H3 text": "ad7a7984731958e2d50e45a0990ffc8a6e06ed7aa14f8aa318da1b107d0c2a25",
-    "H3 json": "0c3748edcea67c460a6ababe4acaeb4ff00662d740114d9026f74eae9e6a5481",
-    "A5 json": "437a8c2282523c2542cd53656a6e7f19bc53fc8541d9220435322ccde178043d",
-    "B5 json": "cb244273082824d33d0ff04b3b99ae080a9161c4ca845e06940bbc58ddfd1f78",
-    "D5 json": "7597a8b6274ecf7e597b2ddeefc5b825ae0465f2973f6dda86e34279d41a4ed7",
-    "A6 json": "44b6817162c3db95314174c61df971a1e1111777b2d43bda6b0a414566d96360",
-    "B6 json": "299af68f918896607b49b742bc5a18c23f2efa680173b3c252d691d2631a4be6",
 }
 
 
+def test_info_digests_cover_every_type_within_the_default_bound():
+    assert len({key.split()[0] for key in INFO_DIGESTS}) == 22 and len(INFO_DIGESTS) == 44
+
+
 @pytest.mark.parametrize("key", sorted(INFO_DIGESTS))
-def test_info_output_is_unchanged(key, capsys, tmp_path_factory):
+def test_info_output_is_unchanged(key, capsys):
     label, fmt = key.split()
-    cache = tmp_path_factory.getbasetemp() / "info-cache"
-    code, out, _ = run(["info", label, "--format", fmt, "--cache-dir", str(cache)], capsys)
+    code, out, _ = run(["info", label, "--format", fmt], capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == INFO_DIGESTS[key]
 
@@ -206,6 +219,35 @@ def test_basis_rejects_malformed_mfile(tmp_path, capsys, content):
     assert code == EXIT_FAIL
     assert err.startswith("error: multiplicity")
     assert out == ""
+
+
+def _nested_json_error(flag, tmp_path, capsys):
+    # deep enough for the JSON decoder to give up on recursion
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    code, out, err = run(["basis", "--type", "A2", "--m", "0", "--k", "0", flag, str(path),
+                          "--no-cache"], capsys)
+    assert (code, out) == (EXIT_FAIL, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: %s is not readable JSON" % path)
+
+
+def test_deeply_nested_mfile_is_an_error_not_a_traceback(tmp_path, capsys):
+    _nested_json_error("--mfile", tmp_path, capsys)
+
+
+def test_deeply_nested_base_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    _nested_json_error("--base-file", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("flag", ["--mfile", "--base-file"])
+def test_undecodable_json_file_is_an_error(flag, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{not json")
+    code, out, err = run(["basis", "--type", "A2", "--m", "0", "--k", "0", flag, str(path),
+                          "--no-cache"], capsys)
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err.startswith("error: %s is not readable JSON" % path) and err.count("\n") == 1
 
 
 def test_basis_base_file_round_trip(tmp_path, capsys):
@@ -348,25 +390,26 @@ def test_time_budget_message_shows_the_budget_given(capsys):
     ["basis", "--type", "A2", "--m", "1", "--k", "1"],
     ["verify", "--type", "A2", "--suite", "jacobian", "--format", "json"],
 ])
-def test_unwritable_cache_warns_and_keeps_the_result(argv, tmp_path, capsys):
-    # a regular file where the cache directory should be
+def test_cache_dir_that_is_a_file_is_ignored(argv, tmp_path, capsys):
+    # a regular file where a cache directory would be; the option is ignored
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("", encoding="utf-8")
     code, out, err = run(argv + ["--cache-dir", str(blocker)], capsys)
     expected_code, expected_out, _ = run(argv + ["--no-cache"], capsys)
-    assert code == expected_code == EXIT_OK
-    assert out == expected_out
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("warning: invariant cache not written")
+    assert (code, out, err) == (expected_code, expected_out, "")
+    assert code == EXIT_OK
     assert blocker.read_text(encoding="utf-8") == ""
 
 
-def test_basis_cache_dir_is_written(tmp_path, capsys):
+def test_basis_writes_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     cache = tmp_path / "cache"
-    code, _, _ = run(["basis", "--type", "A2", "--m", "1", "--k", "1",
-                      "--cache-dir", str(cache)], capsys)
-    assert code == EXIT_OK
-    assert list(cache.glob("invariants_*.json"))
+    code, _, err = run(["basis", "--type", "A2", "--m", "1", "--k", "1",
+                        "--cache-dir", str(cache)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_verify_all_suites(capsys):

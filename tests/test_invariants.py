@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import clear_memos, laplace_cofactor, laplace_det
+from conftest import laplace_cofactor, laplace_det
 from coxbasis import invariants
 from coxbasis.coxeter import build_group, is_invariant_derivation, is_invariant_poly, parse_type
 from coxbasis.derivations import coefficient_matrix
@@ -31,8 +30,7 @@ def test_selection_alarms_raise_jacobian_degenerate(pipeline, monkeypatch):
     p2 = system.polys[0]
     # the Jacobian of P_1, P_1^2 vanishes, so they are not basic
     with pytest.raises(JacobianDegenerate):
-        invariants._finish_system("B2", 2, (2, 4), (p2, p2 * p2), arrangement,
-                                  group.datum.gram)
+        invariants._finish_system(group.datum, (p2, p2 * p2), arrangement)
     # a degree whose averages all reduce to zero has too few candidates
     monkeypatch.setattr(invariants, "reynolds", lambda group, p: Poly.zero(p.nvars))
     with pytest.raises(JacobianDegenerate, match="only 0 independent invariants of degree 2"):
@@ -145,87 +143,6 @@ def test_expand_multiplies_powers(pipeline):
     assert system.expand((1, 1)) == system.polys[0] * system.polys[1]
     assert system.expand((0, 0)) == Poly.constant(2, Fraction(1))
     assert system.expand((3, 0)) == system.polys[0] ** 3
-
-
-def test_cache_round_trip(tmp_path):
-    datum = parse_type("B2")
-    group, arrangement = build_group(datum)
-    first = compute_invariants(group, arrangement, cache_dir=tmp_path)
-    files = list(tmp_path.glob("invariants_*.json"))
-    assert len(files) == 1
-    second = compute_invariants(group, arrangement, cache_dir=tmp_path)
-    assert second.polys == first.polys
-    assert second.jacobian == first.jacobian
-    assert second.jacobian_scalar == first.jacobian_scalar
-    assert second.fingerprint() == first.fingerprint()
-
-
-@pytest.mark.parametrize("label", ["A2", "B3", "G2", "I2(5)", "H3"])
-def test_cache_file_is_what_json_dumps_writes(label, pipeline, tmp_path):
-    # existing cache files keep matching, character for character, the text
-    # this process writes, so their systems are reused in memory
-    _, _, system = pipeline(label)
-    text = invariants._store_cache(tmp_path / "cache.json", system)
-    assert (tmp_path / "cache.json").read_text(encoding="utf-8") == text
-    assert text == json.dumps(system.to_json_dict(), sort_keys=True, indent=2)
-
-
-def test_cache_corruption_is_recomputed(tmp_path):
-    datum = parse_type("B2")
-    group, arrangement = build_group(datum)
-    first = compute_invariants(group, arrangement, cache_dir=tmp_path)
-    path = next(tmp_path.glob("invariants_*.json"))
-    path.write_text("{not json", encoding="utf-8")
-    second = compute_invariants(group, arrangement, cache_dir=tmp_path)
-    assert second.polys == first.polys
-    # wrong but well-formed content is rejected by revalidation
-    path.write_text('{"label": "B2", "nvars": 2, "degrees": [2, 4], '
-                    '"polys": [[[[1, 0], "1"]], [[[0, 4], "1"]]], '
-                    '"jacobian_scalar": "4"}', encoding="utf-8")
-    third = compute_invariants(group, arrangement, cache_dir=tmp_path)
-    assert third.polys == first.polys
-
-
-@pytest.mark.parametrize("content", [
-    '[1, 2]',
-    '{"label": "B2", "nvars": 2, "degrees": [2, 4]}',
-    '{"label": "B2", "nvars": "two", "degrees": [2, 4], "polys": []}',
-    # coefficients must be strings, exponents nonnegative integers
-    '{"label": "B2", "nvars": 2, "degrees": [2, 4], '
-    '"polys": [[[[2, 0], 1], [[0, 2], 1]], [[[2, 2], "1"]]]}',
-    '{"label": "B2", "nvars": 2, "degrees": [2, 4], '
-    '"polys": [[[[2, 0], "1"], [[0, 2], "1"]], [[[2.5, 1.5], "1"]]]}',
-    '{"label": "B2", "nvars": 2, "degrees": [2, 4], "polys": [[[[2, 0], "1"], [[0, 2], "1"]]]}',
-    # invariant and of the right degrees, but the label belongs to another type
-    '{"label": "A2", "nvars": 2, "degrees": [2, 4], '
-    '"polys": [[[[2, 0], "1"], [[0, 2], "1"]], [[[2, 2], "1"]]]}',
-    # invariant and of the right degrees, but P2 = P1^2 makes J vanish
-    '{"label": "B2", "nvars": 2, "degrees": [2, 4], '
-    '"polys": [[[[2, 0], "1"], [[0, 2], "1"]], '
-    '[[[4, 0], "1"], [[2, 2], "2"], [[0, 4], "1"]]]}',
-])
-def test_malformed_cache_is_silently_recomputed(tmp_path, pipeline, content):
-    _, _, reference = pipeline("B2")
-    group, arrangement = build_group(parse_type("B2"))
-    compute_invariants(group, arrangement, cache_dir=tmp_path)
-    path = next(tmp_path.glob("invariants_*.json"))
-    path.write_text(content, encoding="utf-8")
-    system = compute_invariants(group, arrangement, cache_dir=tmp_path)
-    assert system.fingerprint() == reference.fingerprint()
-
-
-def test_cache_loader_lets_programming_errors_through(tmp_path, monkeypatch):
-    group, arrangement = build_group(parse_type("B2"))
-    compute_invariants(group, arrangement, cache_dir=tmp_path)
-    # the text just written would be reused from memory; a fresh process loads it
-    clear_memos()
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("bug in the loader")
-
-    monkeypatch.setattr(invariants, "_valid_invariants", broken)
-    with pytest.raises(RuntimeError, match="bug in the loader"):
-        compute_invariants(group, arrangement, cache_dir=tmp_path)
 
 
 def test_fingerprint_is_stable_across_builds(pipeline):

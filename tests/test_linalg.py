@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import FractionEchelon, fraction_det, fraction_rref, laplace_det
+from conftest import FractionEchelon, fraction_det, fraction_rref, laplace_det, rank
 
 from coxbasis.linalg import (
     Echelon,
@@ -13,7 +13,6 @@ from coxbasis.linalg import (
     det,
     invert_matrix,
     kernel_basis,
-    rank,
     rref,
 )
 from coxbasis.poly import Poly

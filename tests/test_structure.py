@@ -11,7 +11,12 @@ A cold request pays for every module the package imports, so the standard
 library modules it imports are an explicit allow-list, and a fresh
 interpreter that imports ``coxbasis.cli`` must not have loaded
 ``dataclasses`` or ``inspect`` (which between them pull in ``ast``, ``dis``
-and ``tokenize``).
+and ``tokenize``), nor ``tempfile`` or ``shutil``.
+
+The package keeps no state on disk: ``invariants`` opens, reads and writes
+no file, and every JSON file the command line reads goes through one
+helper, ``cli._read_json``, which turns any decode failure into a
+ValueError.
 
 Every memo in the package has a finite size, since public functions reach
 them with caller input; a zero-argument ``functools.cache`` holds one value.
@@ -31,9 +36,12 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 
 STDLIB_IMPORTS = {
     "__future__", "argparse", "bisect", "fractions", "functools", "hashlib", "heapq",
-    "itertools", "json", "math", "operator", "os", "pathlib", "random", "re", "sys",
-    "tempfile", "time", "typing",
+    "itertools", "json", "math", "operator", "random", "re", "sys", "time", "typing",
 }
+# names whose call or import means file I/O
+FILE_IO = {"open", "io", "os", "pathlib", "shutil", "tempfile", "read_text", "write_text",
+           "read_bytes", "write_bytes", "mkdir", "unlink"}
+JSON_READER = ("cli", "_read_json")
 
 
 def package_modules() -> dict[str, ast.Module]:
@@ -105,6 +113,44 @@ def unbounded_caches(tree: ast.Module) -> list[str]:
     return out
 
 
+def file_io(tree: ast.Module) -> list[int]:
+    """Line numbers of the imports of file modules and the calls of file
+    functions or methods (``FILE_IO``) in one module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]] if node.level == 0 else []
+        elif isinstance(node, ast.Call):
+            f = node.func
+            names = [f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")]
+        else:
+            continue
+        if FILE_IO.intersection(names):
+            out.append(node.lineno)
+    return out
+
+
+def json_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing top-level function, line) of each ``json.load``/``json.loads``
+    call, or of a ``load``/``loads`` imported from ``json``."""
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "json"
+                for a in node.names if a.name in ("load", "loads")}
+    out = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if ((isinstance(f, ast.Attribute) and f.attr in ("load", "loads")
+                 and isinstance(f.value, ast.Name) and f.value.id == "json")
+                    or (isinstance(f, ast.Name) and f.id in imported)):
+                out.append((getattr(top, "name", ""), node.lineno))
+    return out
+
+
 def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     """One cycle of a directed graph as a closed path of nodes, or None."""
     state: dict[str, int] = {}  # 1 on the current path, 2 finished
@@ -163,10 +209,22 @@ def test_stdlib_imports_are_the_allowed_ones():
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # -S keeps the site hooks of the interpreter's environment out of the count
     code = ("import sys; sys.path.insert(0, %r); import coxbasis.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(ROOT / "src"))
+            "print(sorted({'dataclasses', 'inspect', 'tempfile', 'shutil'} & set(sys.modules)))"
+            % str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_invariants_do_no_file_io():
+    assert file_io(package_modules()["invariants"]) == []
+
+
+def test_every_json_read_goes_through_the_helper():
+    module, helper = JSON_READER
+    found = {name: reads for name, tree in package_modules().items()
+             if (reads := json_reads(tree))}
+    assert {name: [f for f, _ in reads] for name, reads in found.items()} == {module: [helper]}
 
 
 def test_every_memo_is_bounded():
@@ -193,6 +251,15 @@ def test_guards_detect_what_they_guard():
     assert external_imports(tree) == set()
     tree = ast.parse("import os.path, coxbasis\nfrom dataclasses import dataclass\nfrom . import x\n")
     assert external_imports(tree) == {"os.path", "dataclasses"}
+    tree = ast.parse("import os.path\nfrom pathlib import Path\nx = 1\n"
+                     "def f(p):\n    with open(p) as fh:\n        p.write_text(fh.read())\n"
+                     "import json\n")
+    assert file_io(tree) == [1, 2, 5, 6]
+    tree = ast.parse("import json\nfrom json import loads as parse\n"
+                     "def f(t):\n    return json.loads(t)\n"
+                     "class C:\n    def g(self, fh):\n        return parse(fh)\n"
+                     "x = json.load(open('a'))\ny = json.dumps(x)\n")
+    assert json_reads(tree) == [("f", 4), ("C", 7), ("", 8)]
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
 
