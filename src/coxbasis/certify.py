@@ -13,7 +13,9 @@ Once 1 and 2 hold, Saito's criterion in Ziegler's form for
 multiarrangements says the coefficient determinant is c times
 prod_H alpha_H^{m(H)} for one scalar c, and the members form a basis
 exactly when c is nonzero.  So c is read off one exact evaluation at a
-rational point where no alpha_H vanishes: c = det M(p) / prod alpha_H(p)^m.
+rational point where no alpha_H vanishes: c = det M(p) / prod alpha_H(p)^m
+(`determinant_scalar`, which also gives the Jacobian scalar of the
+basic invariants).
 The recorded determinant witness is c times prod_H alpha_H^{m(H)}, built
 as prod_v Q_v^v with Q_v the product of the forms of multiplicity v (the
 cached defining polynomial Q when m is constant), by repeated squaring;
@@ -22,11 +24,12 @@ the polynomial determinant is never expanded.
 The module also provides direct graded dimensions of the derivation
 module, by linear algebra on one graded piece with no basis needed: the
 contact-order conditions become integer linear rows
-(`order_constraint_rows`) for the elimination kernel `linalg.Echelon`.
-The rows are the coefficients of the first m remainders of synthetic
-division by the form, the same step the contact orders take, with every
-polynomial scaled by one shared factor so that the rows of different
-unknowns stay comparable.
+(`poly.order_constraint_rows`) for the elimination kernel
+`linalg.Echelon`.  The rows are the coefficients of the first m
+remainders of synthetic division by the form, placed as the same
+division loop the contact orders run finds them, with every polynomial
+scaled by one shared factor so that the rows of different unknowns stay
+comparable.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from typing import Sequence
 
 from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation, coefficient_matrix
-from .linalg import Echelon, det
+from .linalg import Echelon, PolyMatrix, det
 from .poly import (INFINITE_ORDER, Poly, count_monomials, linear_combination, linear_form_order,
-                   linear_form_remainders, monomials_of_degree, point_off, product)
+                   monomials_of_degree, order_constraint_rows, point_off, product)
 from .scalars import Scalar
 
 VERDICT_FREE = "Free-with-basis"
@@ -125,16 +128,24 @@ def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity,
             **base)
 
     # membership and the degree count make det M = c * prod alpha^m
-    point, values = point_off([h.form for h in arrangement.hyperplanes], n)
-    at_point = det(coefficient_matrix(members).evaluate(point))
-    if at_point == 0:
+    scalar = determinant_scalar(coefficient_matrix(members), arrangement, required)
+    if scalar == 0:
         return Certificate(verdict=VERDICT_DEPENDENT, determinant=Poly.zero(n),
                            failure={"determinant": "zero"}, **base)
-    target_at_point = math.prod((v ** mv for v, mv in zip(values, required)), start=Fraction(1))
-    scalar = at_point / target_at_point
     return Certificate(verdict=VERDICT_FREE,
                        determinant=_witness(arrangement, required).scale(scalar),
                        determinant_scalar=scalar, **base)
+
+
+def determinant_scalar(matrix: PolyMatrix, arrangement: Arrangement,
+                       exponents: Sequence[int]) -> Scalar:
+    """The c of det M = c * prod_H alpha_H^{e(H)}, for a polynomial matrix M
+    whose determinant is known to have that shape: det M(p) over
+    prod_H alpha_H(p)^{e(H)} at the first point p where no form vanishes
+    (``poly.point_off``).  It is 0 exactly when det M is."""
+    point, values = point_off([h.form for h in arrangement.hyperplanes], arrangement.datum.rank)
+    target = math.prod((v ** e for v, e in zip(values, exponents)), start=Fraction(1))
+    return det(matrix.evaluate(point)) / target
 
 
 def _witness(arrangement: Arrangement, required: Sequence[int]) -> Poly:
@@ -191,29 +202,6 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int,
                 polys[i][e] = c
         fields.append(Derivation([Poly(n, p) for p in polys]))
     return fields
-
-
-def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) -> list[list]:
-    """Integer rows forcing alpha^m to divide a field applied to alpha.
-
-    ``applied`` holds, per unknown, the polynomial the unknown contributes;
-    row entries are ints over Q (d = 1) and int pairs over Q(sqrt(d)), as
-    in ``linalg.Echelon``.  Each polynomial is written p = sum_j r_j alpha^j
-    with no r_j containing the pivot variable, by the division remainders
-    of ``poly.linear_form_remainders`` under one shared scale; every
-    monomial of r_0 ... r_{m-1} gives one row, its coefficients in each
-    unknown's r_j.
-    """
-    field, remainders = linear_form_remainders(applied, alpha, m)
-    slots: dict = {}
-    for r in remainders:
-        for key in r:
-            slots.setdefault(key, len(slots))
-    rows = [[0 if d == 1 else (0, 0)] * len(applied) for _ in slots]
-    for u, r in enumerate(remainders):
-        for key, c in r.items():
-            rows[slots[key]][u] = c if field == d else (c, 0)
-    return rows
 
 
 def graded_dimension(multiplicity: Multiplicity, degree: int,

@@ -22,10 +22,11 @@ average runs.
 Hyperplanes are the orbit of the simple roots under the simple
 reflections, normalized so the first nonzero coefficient is 1, and are
 kept sorted by coefficient vector so all downstream artifacts are
-deterministic; the same walk records their W-orbits.  Both orbit walks
-run on integer numerators (ints over Q, interleaved int pairs over
-Q(sqrt(d))), so Fraction and Quad appear only in the generators and the
-final hyperplane coefficients.
+deterministic; each simple root not yet reached starts one W-orbit.  The
+coset trees and the hyperplane orbits come out of one breadth-first walk
+(`_orbit_walk`) on integer numerators (ints over Q, interleaved int pairs
+over Q(sqrt(d))), so Fraction and Quad appear only in the generators and
+the final hyperplane coefficients.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import re
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .derivations import Derivation
 from .errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
@@ -229,10 +230,14 @@ def parse_type(text: str, rank: int | None = None,
     if family is None:
         family, digits = (exceptional, exceptional[1]) if exceptional else ("I2", m)
     if digits:
-        allowed = (2, int(digits)) if family == "I2" else (int(digits),)
+        try:
+            given = int(digits)
+        except ValueError:  # more digits than int() reads
+            raise UnsupportedType("cannot read the type label %r" % text) from None
+        allowed = (2, given) if family == "I2" else (given,)
         if rank is not None and rank not in allowed:
             raise UnsupportedType("type %r does not have rank %d" % (text, rank))
-        rank = int(digits)
+        rank = given
     elif rank is None:
         raise UnsupportedType("type %r needs a rank" % text)
     args = ("I2", 2, rank) if family == "I2" else (family, rank, None)
@@ -371,9 +376,9 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     [2, 4, 6, 8, 10, 12] and D6's [2, 3, 4, 5, 6, 32] into
     [2, 3, 4, 8, 10, 12], which makes the D-type invariants an order of
     magnitude cheaper.  The hyperplanes are the orbit of the simple
-    roots, and the W-orbits of the hyperplanes are recorded on that walk.
+    roots, walked one W-orbit at a time by the same breadth-first walk.
 
-    Both walks run on integer numerators: the simple reflections are split
+    The walks run on integer numerators: the simple reflections are split
     once over one common denominator, the orbit points are kept in lowest
     terms and the root forms primitive, and only the h*l/2 hyperplanes
     are converted back to Fraction/Quad.  The product of the indices must
@@ -411,17 +416,18 @@ def _walked(datum: CoxeterDatum) -> tuple[ReflectionGroup, Arrangement]:
     chain = []
     left = list(range(n))
     while left:
-        best: tuple[tuple[int, int], ...] = ()
+        best: list[tuple[int, int]] = []
         for s in left:
-            tree = _coset_tree(_lowest(vectors[s], den), left, matrices, den,
-                               len(best) if best else datum.group_order())
+            _, tree, _ = _orbit_walk([_lowest(vectors[s], den)], left, matrices,
+                                     lambda w, y: _lowest(w, den * y[-1]),
+                                     len(best) if best else datum.group_order())
             if not best or len(tree) <= len(best):
                 best, drop = tree, s
-        chain.append(best)
+        chain.append(tuple(best))
         left.remove(drop)
     group = ReflectionGroup(datum, generators, tuple(reversed(chain)))
-    forms, orbits = _root_orbits([_primitive(r, d) for r in vectors[n:]], matrices, d,
-                                 datum.num_hyperplanes)
+    forms, _, orbits = _orbit_walk([_primitive(r, d) for r in vectors[n:]], range(n), matrices,
+                                   lambda w, y: _primitive(w, d), datum.num_hyperplanes)
     coeffs = [_form_scalars(z, d) for z in forms]
     order = sorted(range(len(coeffs)), key=coeffs.__getitem__)
     position = {k: i for i, k in enumerate(order)}
@@ -491,65 +497,40 @@ def _form_scalars(z: tuple[int, ...], d: int) -> tuple[Scalar, ...]:
     return tuple(join_scalar(d, c, lead) for c in (z if d == 1 else zip(z[::2], z[1::2])))
 
 
-def _coset_tree(x: tuple[int, ...], indices: Sequence[int], generators: Sequence[list[list[int]]],
-                den: int, bound: int) -> tuple[tuple[int, int], ...]:
-    """Breadth-first over the orbit of x under the reflections of the given
-    indices, whose numerators are over ``den``; x and every point are kept
-    in lowest terms (see ``_lowest``), so equal points are equal tuples.
-    Per orbit point, its parent's index and the index of the reflection
-    that reaches it from the parent (-1, -1 for x).  Stops once past bound
-    points."""
-    index = {x: 0}
-    tree = [(-1, -1)]
-    queue = [x]
-    for k, y in enumerate(queue):
-        if len(tree) > bound:
-            break
-        for t in indices:
-            z = _lowest(_apply(generators[t], y), den * y[-1])
-            if z not in index:
-                index[z] = len(tree)
-                tree.append((k, t))
-                queue.append(z)
-    return tuple(tree)
-
-
-def _root_orbits(seeds: list[tuple[int, ...]], generators: Sequence[list[list[int]]], d: int,
-                 bound: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Breadth-first over the orbit of the primitive simple root forms
-    under the reflections: the forms in the order found, and the W-orbits
-    as lists of positions in it.  Each form carries the label of the
-    simple root whose walk reached it first, and two labels merge where
-    their walks meet.  Stops once past bound forms."""
-    labels: dict[tuple[int, ...], int] = {}
-    merged = list(range(len(seeds)))
-    queue: list[tuple[int, ...]] = []
-
-    def root(a: int) -> int:
-        while merged[a] != a:
-            a = merged[a]
-        return a
-
-    def reach(z: tuple[int, ...], label: int) -> None:
-        other = labels.get(z)
-        if other is None:
-            labels[z] = label
-            queue.append(z)
-        else:
-            merged[root(other)] = root(label)
-
-    for s, z in enumerate(seeds):
-        reach(z, s)
-    for y in queue:
-        if len(queue) > bound:
-            break
-        label = labels[y]
-        for g in generators:
-            reach(_primitive(_apply(g, y), d), label)
-    orbits: dict[int, list[int]] = {}
-    for k, z in enumerate(queue):
-        orbits.setdefault(root(labels[z]), []).append(k)
-    return queue, list(orbits.values())
+def _orbit_walk(seeds: Sequence[tuple[int, ...]], indices: Sequence[int],
+                generators: Sequence[list[list[int]]],
+                step: Callable[[list[int], tuple[int, ...]], tuple[int, ...]], bound: int
+                ) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], list[range]]:
+    """Breadth-first over the orbits of the seeds under the int matrices of
+    the given indices; ``step(image, point)`` normalizes the image of a
+    point, so equal points are equal tuples.  Returns the points in the
+    order found, per point its parent's position and the index of the
+    matrix that reaches it from the parent ((-1, -1) for a seed), and
+    each orbit as the range of its positions.  A seed already reached
+    starts no walk, since orbits are equal or disjoint.  Stops once past
+    bound points."""
+    index: dict[tuple[int, ...], int] = {}
+    points: list[tuple[int, ...]] = []
+    tree: list[tuple[int, int]] = []
+    orbits: list[range] = []
+    for x in seeds:
+        if x in index or len(points) > bound:
+            continue
+        start = k = len(points)
+        index[x] = k
+        points.append(x)
+        tree.append((-1, -1))
+        while k < len(points) <= bound:
+            y = points[k]
+            for t in indices:
+                z = step(_apply(generators[t], y), y)
+                if z not in index:
+                    index[z] = len(points)
+                    points.append(z)
+                    tree.append((k, t))
+            k += 1
+        orbits.append(range(start, len(points)))
+    return points, tree, orbits
 
 
 def _column_forms(w: MatrixT) -> tuple[Poly, ...]:

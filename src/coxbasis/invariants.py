@@ -39,18 +39,17 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
-from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Sequence
 
+from .certify import determinant_scalar
 from .coxeter import Arrangement, CoxeterDatum, ReflectionGroup, reynolds
 from .derivations import Derivation, euler_field
 from .errors import JacobianDegenerate
-from .linalg import Echelon, PolyMatrix, det, monomial_columns, numerator_vector
-from .poly import (Poly, Powers, linear_combination, monomials_of_degree, point_off,
-                   poly_to_json, substitute_sum)
-from .scalars import Scalar, common_field, format_scalar, join_scalar, scalar_inverse
+from .linalg import Echelon, PolyMatrix, monomial_columns, numerator_vector
+from .poly import (Poly, Powers, linear_combination, monomials_of_degree, poly_to_json,
+                   substitute_sum, weighted_exponents)
+from .scalars import Scalar, common_field, format_scalar, join_scalar
 
 
 class InvariantSystem:
@@ -120,7 +119,7 @@ class InvariantSystem:
 
     def invariant_exponents(self, degree: int) -> Iterator[tuple[int, ...]]:
         """Exponent vectors of invariant monomials of the given x-degree."""
-        yield from _weighted_exponents(self.degrees, degree)
+        yield from weighted_exponents(self.degrees, degree)
 
     def invariant_basis(self, degree: int) -> list[Poly]:
         """Monomials in the invariants spanning the invariants of one degree."""
@@ -138,19 +137,6 @@ class InvariantSystem:
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _weighted_exponents(weights: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
-    if total < 0:
-        return
-    if not weights:
-        if total == 0:
-            yield ()
-        return
-    w = weights[0]
-    for e in range(total // w, -1, -1):
-        for rest in _weighted_exponents(weights[1:], total - e * w):
-            yield (e,) + rest
 
 
 def jacobian_matrix(polys: Sequence[Poly]) -> PolyMatrix:
@@ -205,7 +191,7 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
         monos = [e for _, e in columns]
         # echelon spanning the decomposables of this degree, then the picks
         echelon = Echelon(field)
-        for exps in _weighted_exponents(datum.degrees[:len(chosen)], degree):
+        for exps in weighted_exponents(datum.degrees[:len(chosen)], degree):
             prod = substitute_sum(Poly.monomial(len(chosen), exps), [tables], n)
             echelon.add(numerator_vector((prod,), columns, field))
         picked = []
@@ -237,8 +223,7 @@ def _finish_system(datum: CoxeterDatum, polys: tuple[Poly, ...],
     Invariance is what makes J = c * Q, so callers must have checked it.
     """
     m = jacobian_matrix(polys)
-    point, values = point_off([h.form for h in arrangement.hyperplanes], datum.rank)
-    jac_scalar = det(m.evaluate(point)) * scalar_inverse(math.prod(values, start=Fraction(1)))
+    jac_scalar = determinant_scalar(m, arrangement, [1] * len(arrangement))
     if jac_scalar == 0:
         raise JacobianDegenerate("Jacobian of the invariants vanishes")
     jac = arrangement.defining_polynomial.scale(jac_scalar)

@@ -23,15 +23,16 @@ remainder.  The membership test of the whole package, "alpha^m divides
 p" for a linear form alpha, is decided by one synthetic division step by
 alpha on integer numerators (`_divide_buckets`), never by factorization:
 `linear_form_order` repeats it until a remainder is nonzero, and
-`linear_form_remainders` keeps the first m remainders of several
-polynomials under one shared scale, from which the linear constraints of
-"alpha^m divides" are read.
+`order_constraint_rows` takes it m times on several polynomials under one
+shared scale, placing each coefficient of the first m remainders in the
+linear constraint row of "alpha^m divides" that it belongs to.
 
 The JSON form of a polynomial, a term list of exponent lists and exact
-coefficient strings, is defined here once for reports and the invariant
-cache alike; the parser rejects any malformed term with ValueError.
-`dump_json` is the package's one JSON writer, for reports and the cache
-file alike.  It writes by hand exactly the text of ``json.dumps(obj,
+coefficient strings, is defined here once, for the reports and for the
+members that ``--base-file`` reads back from one; the parser rejects any
+malformed term with ValueError.  `dump_json` is the package's one JSON
+writer, for the info, basis and verify reports.  It writes by hand
+exactly the text of ``json.dumps(obj,
 sort_keys=True, indent=2)``, the layout of every report, which ``json``
 can only produce with its pure-Python encoder: dicts with sorted keys,
 lists, strings through ``json``'s own ASCII escaping, ints, null and
@@ -786,13 +787,10 @@ def linear_form_order(p: Poly, alpha: Poly) -> int | float:
     Otherwise p is first scaled by a^D, with a the pivot coefficient and
     D the top pivot exponent, which keeps every quotient integral.
     """
-    _check_linear_form(alpha, p.nvars)
+    d, a, steps, (buckets,) = _division_setup([p], alpha)
     if not p.num:
         return INFINITE_ORDER
-    d = common_field(p.d, alpha.d)
-    pivot, a, tail = _pivot_form(alpha, d)
-    steps, (buckets,) = _bucketed([_promote(p.num, p.d, d)], p.nvars, pivot, tail)
-    if d != 1 and any(lb for _, lb in tail.values()):
+    if d != 1 and any(c[1] for _, c in steps):
         buckets = _scale_buckets(buckets, a ** (len(buckets) - 1), d)
     order = 0
     while True:
@@ -803,52 +801,53 @@ def linear_form_order(p: Poly, alpha: Poly) -> int | float:
         buckets = quotient
 
 
-def linear_form_remainders(polys: Sequence[Poly], alpha: Poly, m: int) -> tuple[int, list[dict]]:
-    """The coefficients r_0 ... r_{m-1} of p = sum_j r_j alpha^j, for each p.
+def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) -> list[list]:
+    """Integer rows forcing alpha^m to divide a combination of ``applied``.
 
-    No r_j contains the pivot variable x_v of `_pivot_form`, so the
-    expansion is unique and alpha^m divides a combination of the
-    polynomials exactly when the same combination of their r_0 ... r_{m-1}
-    vanishes.  The r_j are the remainders of m synthetic divisions by
-    alpha (`_divide_buckets`), the same step `linear_form_order` takes.
-
-    Every polynomial is scaled by one shared nonzero factor, the common
-    denominator times a^D with a the pivot coefficient and D the top pivot
-    exponent, so every quotient is integral.  Returns the field d and, per
-    polynomial, a dict (j, monomial key) -> numerator of the scaled r_j,
-    where one key stands for the same monomial in every dict.
+    Each p is sum_j r_j alpha^j with no r_j containing the pivot variable
+    of `_pivot_form`, so alpha^m divides a combination exactly when the
+    same combination of the r_0 ... r_{m-1} vanishes.  The r_j are the
+    remainders of the division steps `linear_form_order` takes, with every
+    polynomial scaled by one shared factor (the common denominator times
+    a^D, a the pivot coefficient, D the top pivot exponent) so that every
+    quotient is integral; each monomial of some r_j is one row, filled in
+    as the division finds it.  Entries are ints over Q (d = 1) and int
+    pairs over Q(sqrt(d)), as in ``linalg.Echelon``.
     """
-    _check_linear_form(alpha, alpha.nvars)
+    field, a, steps, bucketed = _division_setup(applied, alpha)
+    power = a ** max(0, max(map(len, bucketed), default=0) - 1)
+    den = math.lcm(*(p.den for p in applied))
+    zero = 0 if d == 1 else (0, 0)
+    slots: dict[tuple[int, int], list] = {}
+    for u, (p, buckets) in enumerate(zip(applied, bucketed)):
+        buckets = _scale_buckets(buckets, den // p.den * power, field)
+        for j in range(min(m, len(buckets))):
+            quotient = _divide_buckets(buckets, a, steps, field)
+            assert quotient is not None, "the shared scale keeps every quotient integral"
+            for k, c in _nonzero(buckets[0], field).items():
+                row = slots.get((j, k))
+                if row is None:
+                    row = slots[j, k] = [zero] * len(applied)
+                row[u] = c if field == d else (c, 0)
+            buckets = quotient
+    return list(slots.values())
+
+
+def _division_setup(polys: Sequence[Poly], alpha: Poly) -> tuple[int, int, list, list[list[dict]]]:
+    """What every synthetic division by alpha starts from: the common field
+    d, the pivot coefficient a and the tail steps of `_pivot_form`, and
+    the polynomials' numerators bucketed by pivot exponent (`_bucketed`)."""
+    nvars = alpha.nvars
+    if (not alpha.num or any(sum(e) != 1 for e in alpha.num)
+            or any(p.nvars != nvars for p in polys)):
+        raise ValueError("order is only defined along a nonzero homogeneous linear form"
+                         " in the variables of the polynomials")
     d = alpha.d
     for p in polys:
-        if p.nvars != alpha.nvars:
-            raise ValueError("polynomial in %d variables, form in %d" % (p.nvars, alpha.nvars))
         d = common_field(d, p.d)
     pivot, a, tail = _pivot_form(alpha, d)
-    steps, bucketed = _bucketed([_promote(p.num, p.d, d) for p in polys], alpha.nvars,
-                               pivot, tail)
-    power = a ** max(0, max(map(len, bucketed), default=0) - 1)
-    den = math.lcm(*(p.den for p in polys))
-    out = []
-    for p, buckets in zip(polys, bucketed):
-        buckets = _scale_buckets(buckets, den // p.den * power, d)
-        remainders = {}
-        for j in range(m):
-            if not buckets:
-                break
-            quotient = _divide_buckets(buckets, a, steps, d)
-            assert quotient is not None, "the shared scale keeps every quotient integral"
-            remainders.update(((j, k), c) for k, c in _nonzero(buckets[0], d).items())
-            buckets = quotient
-        out.append(remainders)
-    return d, out
-
-
-def _check_linear_form(alpha: Poly, nvars: int) -> None:
-    if (alpha.nvars != nvars or not alpha.num
-            or any(sum(e) != 1 for e in alpha.num)):
-        raise ValueError("order is only defined along a nonzero homogeneous linear form"
-                         " in %d variables" % nvars)
+    steps, bucketed = _bucketed([_promote(p.num, p.d, d) for p in polys], nvars, pivot, tail)
+    return d, a, steps, bucketed
 
 
 def _pivot_form(alpha: Poly, d: int) -> tuple[int, int, dict]:
@@ -970,20 +969,29 @@ def point_off(forms: Sequence[Poly], nvars: int) -> tuple[tuple[Fraction, ...], 
         t += 1
 
 
-def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
-    """All exponent tuples of the given total degree, descending grlex."""
-    if degree < 0:
+def weighted_exponents(weights: Sequence[int], total: int) -> Iterator[Exponents]:
+    """All exponent tuples e with sum_i e_i * weights[i] = total, the first
+    exponent descending and the rest likewise for each; unit weights give
+    the monomials of one degree in descending grlex."""
+    if total < 0:
         return
-    if nvars == 0:
-        if degree == 0:
+    if not weights:
+        if total == 0:
             yield ()
         return
-    if nvars == 1:
-        yield (degree,)
+    w, rest = weights[0], weights[1:]
+    if not rest:
+        if total % w == 0:
+            yield (total // w,)
         return
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - first):
-            yield (first,) + rest
+    for e in range(total // w, -1, -1):
+        for tail in weighted_exponents(rest, total - e * w):
+            yield (e, *tail)
+
+
+def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
+    """All exponent tuples of the given total degree, descending grlex."""
+    return weighted_exponents((1,) * nvars, degree)
 
 
 def count_monomials(nvars: int, degree: int) -> int:

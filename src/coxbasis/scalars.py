@@ -282,6 +282,7 @@ def format_scalar(x: Scalar) -> str:
     return "%s%s%s" % (x.a, sign, sqrt_part)
 
 
+_RATIONAL_TEXT = re.compile(r"-?\d+(?:/\d+)?")
 _SQRT_TERM = re.compile(r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*)?(?P<neg>-?)sqrt\((?P<d>\d+)\)$")
 
 
@@ -316,9 +317,11 @@ def parse_scalar(s: str) -> Scalar:
     """Inverse of :func:`format_scalar`.
 
     This is where outside text becomes a scalar, so every malformed input
-    raises ValueError: a zero denominator, a square radicand, which
-    would make Q(sqrt(d)) a ring with zero divisors, and a radicand above
-    10^12.  A radicand s*s*d with d square-free is read as s*sqrt(d).
+    raises ValueError: text that ``format_scalar`` would not write (such as
+    ``0.5`` or ``1e999999999``, whose power of ten alone takes minutes), a
+    zero denominator, a square radicand, which would make Q(sqrt(d)) a
+    ring with zero divisors, and a radicand above 10^12.  A radicand
+    s*s*d with d square-free is read as s*sqrt(d).
     """
     try:
         return _parse_scalar(s.strip().replace(" ", ""))
@@ -328,6 +331,8 @@ def parse_scalar(s: str) -> Scalar:
 
 def _parse_scalar(s: str) -> Scalar:
     if "sqrt" not in s:
+        if _RATIONAL_TEXT.fullmatch(s) is None:
+            raise ValueError("cannot parse scalar %r" % s)
         return Fraction(s)
     # split off a leading rational part, keeping the sign of the sqrt term
     cut = s.find("sqrt")

@@ -17,14 +17,14 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .certify import contact_order, order_constraint_rows, order_to_json
+from .certify import contact_order, order_to_json
 from .connection import nabla_D, nabla_D_inverse
 from .coxeter import Arrangement, ReflectionGroup
 from .derivations import Derivation, euler_field, nabla
 from .invariants import (InvariantSystem, invariant_field_basis, invariant_field_degrees,
                          jacobian_factors)
 from .linalg import Echelon, monomial_columns, numerator_vector
-from .poly import Poly, linear_combination, monomials_of_degree
+from .poly import Poly, linear_combination, monomials_of_degree, order_constraint_rows
 from .scalars import format_scalar
 
 

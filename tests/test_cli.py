@@ -517,6 +517,13 @@ def test_malformed_label_is_unsupported(label, capsys):
     assert "invalid literal" not in err
 
 
+@pytest.mark.parametrize("label", ["A" + "1" * 5000, "I2(" + "7" * 5000 + ")"], ids=["A", "I2"])
+def test_label_with_more_digits_than_int_reads_is_unsupported(label, capsys):
+    code, out, err = run(["info", label], capsys)
+    assert (code, out) == (EXIT_UNSUPPORTED, "")
+    assert "cannot read the type label" in err and label in err
+
+
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     import coxbasis.cli as cli
 

@@ -1,7 +1,7 @@
 """Contact-constraint rows from division remainders against the substitution reference.
 
-``certify.order_constraint_rows`` reads the rows off the remainders of
-synthetic division by the form (``poly.linear_form_remainders``); the
+``poly.order_constraint_rows``, bound in ``certify`` and ``verify``, reads
+the rows off the remainders of synthetic division by the form; the
 reference ``substitution_rows`` in ``conftest`` changes coordinates so the
 form becomes a variable.  Both must span the same row space, hyperplane by
 hyperplane, for fields of every coordinate shape and for invariant

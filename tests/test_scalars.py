@@ -93,7 +93,9 @@ def test_format_and_parse_round_trip():
 
 @pytest.mark.parametrize("text", ["1/0", "-3/0", "1/0+sqrt(5)", "1/0*sqrt(5)",
                                   "sqrt(4)", "2-sqrt(4)", "1+3*sqrt(9)", "sqrt(0)",
-                                  "sqrt(1000000000001)", "sqrt(%d)" % 999983 ** 2])
+                                  "sqrt(1000000000001)", "sqrt(%d)" % 999983 ** 2,
+                                  "1e999999999", "1e999999999+sqrt(5)", "0.5", "1_000", "+3",
+                                  "1/2/3", "nan", "inf"])
 def test_parse_rejects_zero_denominator_and_square_radicand(text):
     with pytest.raises(ValueError):
         parse_scalar(text)

@@ -20,6 +20,11 @@ ValueError.
 
 Every memo in the package has a finite size, since public functions reach
 them with caller input; a zero-argument ``functools.cache`` holds one value.
+
+Every module-level function and class of the package, and every method
+that is not a dunder, is referred to outside its own body: by the package,
+by a test, by a tracer target, or, for an override, by the library class
+it overrides.  A merge that leaves the old routine behind fails here.
 """
 
 from __future__ import annotations
@@ -178,6 +183,53 @@ def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
     return None
 
 
+def definitions(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each module-level function and class
+    of one module, and of each method of those classes that is not a dunder."""
+    nodes = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            nodes.append(node)
+        if isinstance(node, ast.ClassDef):
+            nodes += [m for m in node.body if isinstance(m, ast.FunctionDef)
+                      and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return [(node.name, node.lineno, node.end_lineno) for node in nodes]
+
+
+def references(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each name, attribute and imported name one module uses."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(a.name, node.lineno) for a in node.names]
+    return out
+
+
+def unreferenced(package: dict[str, ast.Module], others: list[ast.Module],
+                 names: set[str]) -> list[str]:
+    """``module.name`` of each definition of the package (``definitions``)
+    that nothing refers to outside its own body: no other module of the
+    package, none of ``others``, none of ``names``, and no line of its own
+    module outside the definition."""
+    used = set(names).union(*({n for n, _ in references(tree)} for tree in others))
+    lines: dict[str, dict[str, list[int]]] = {}
+    for module, tree in package.items():
+        for name, line in references(tree):
+            lines.setdefault(name, {}).setdefault(module, []).append(line)
+    out = []
+    for module, tree in package.items():
+        for name, first, last in definitions(tree):
+            where = lines.get(name, {})
+            if (name not in used and where.keys() <= {module}
+                    and all(first <= line <= last for line in where.get(module, ()))):
+                out.append("%s.%s" % (module, name))
+    return out
+
+
 def tracer_targets() -> tuple[tuple[str, str, str], ...]:
     tree = ast.parse(TRACER.read_text(encoding="utf-8"), filename=str(TRACER))
     for node in tree.body:
@@ -260,8 +312,36 @@ def test_guards_detect_what_they_guard():
                      "class C:\n    def g(self, fh):\n        return parse(fh)\n"
                      "x = json.load(open('a'))\ny = json.dumps(x)\n")
     assert json_reads(tree) == [("f", 4), ("C", 7), ("", 8)]
+    package = {"a": ast.parse("def used():\n    return 1\n\n"
+                              "def unused(n):\n    return unused(n - 1) if n else used()\n\n"
+                              "class C:\n    def m(self):\n        return self.m\n"
+                              "    def __eq__(self, other):\n        return True\n"),
+               "b": ast.parse("from .a import C\n")}
+    assert unreferenced(package, [], set()) == ["a.unused", "a.m"]
+    assert unreferenced(package, [ast.parse("C().m()")], {"unused"}) == []
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+def library_overrides(modules: list[str]) -> set[str]:
+    """Names of the package's methods that override a method of a class
+    outside the package; that class is what calls them."""
+    out = set()
+    for name in modules:
+        module = importlib.import_module("coxbasis" if name == "__init__" else "coxbasis." + name)
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                out.update(attr for attr in vars(cls) for base in cls.__mro__[1:]
+                           if not base.__module__.startswith("coxbasis") and hasattr(base, attr))
+    return out
+
+
+def test_every_definition_is_referenced():
+    package = package_modules()
+    tests = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted((ROOT / "tests").glob("*.py"))]
+    names = {attr for _, _, attr in tracer_targets()} | library_overrides(list(package))
+    assert unreferenced(package, tests, names) == []
 
 
 def test_tracer_targets_resolve():
