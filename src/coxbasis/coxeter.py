@@ -3,9 +3,12 @@
 Each supported type carries a fixed coordinate realization: a Gram matrix
 for the invariant form on coordinate covectors and a list of simple roots
 written as covector coefficient vectors.  The A series is realized in its
-essential rank with the Cartan matrix as Gram form; B, D use standard
-orthonormal coordinates; G2 and the dihedral types use rank-2 root
-coordinates; I2(5), I2(8) and H3 live over a real quadratic extension.
+essential rank with the Cartan matrix as Gram form; B, D use orthonormal
+coordinates and differ only in the last simple root; G2, H3 and the
+dihedral types take their Gram matrix and field from one table, where G2
+and I2(6) share a matrix and I2(3) is A2.  I2(5), I2(8) and H3 live over
+a real quadratic extension.  The order is the product of the degrees
+(Chevalley, Amer. J. Math. 77, 1955), written once per family.
 
 Group elements are exact matrices R acting on covector coefficients,
 c -> R c.  The action on polynomials substitutes column i of R for
@@ -78,132 +81,103 @@ class CoxeterDatum(NamedTuple):
         return "Q" if self.disc == 1 else "Q(sqrt(%d))" % self.disc
 
     def group_order(self) -> int:
-        return math.prod(_order_factors(self.family, self.rank, self.param))
+        return math.prod(self.degrees)
 
 
-def _order_factors(family: str, rank: int, param: int | None) -> Iterator[int]:
-    """The factors of the type's order, lazily, so a huge rank costs nothing."""
+def _degrees(family: str, rank: int, param: int | None) -> Iterator[int]:
+    """The degrees of the basic invariants, lazily, so a huge rank costs nothing."""
     if family == "A":
-        yield from range(2, rank + 2)  # (n + 1)!
+        yield from range(2, rank + 2)
     elif family == "B":
-        yield from range(2, 2 * rank + 1, 2)  # 2^n n!
+        yield from range(2, 2 * rank + 1, 2)
     elif family == "D":
-        yield from range(2, 2 * rank - 1, 2)  # 2^(n-1) n!
+        yield from range(2, 2 * rank - 1, 2)
         yield rank
-    elif family in ("G2", "H3", "I2"):
-        yield 12 if family == "G2" else 120 if family == "H3" else 2 * param
+    elif family == "G2":
+        yield from (2, 6)
+    elif family == "H3":
+        yield from (2, 6, 10)
+    elif family == "I2":
+        yield from (2, param)
     else:
-        raise UnsupportedType("no order formula for %r" % family)
+        raise UnsupportedType("unknown type %r" % family)
+
+
+def _label(family: str, rank: int, param: int | None) -> str:
+    return ("I2(%d)" % param if family == "I2" else
+            family if family in ("G2", "H3") else "%s%d" % (family, rank))
 
 
 def check_order_bound(family: str, rank: int, param: int | None, order_bound: int) -> None:
     """Raise OrderBoundExceeded if the type's group is larger than the bound.
 
-    The order formula is multiplied out only until it passes the bound, so
-    no rank makes this slow and the message holds a number about the size
-    of the bound: the order itself, or a lower bound for it.
+    The order, the product of the degrees, is multiplied out only until it
+    passes the bound, so no rank makes this slow and the message holds a
+    number about the size of the bound: the order itself, or a lower bound
+    for it.
     """
     order = 1
-    factors = _order_factors(family, rank, param)
-    for f in factors:
+    degrees = _degrees(family, rank, param)
+    for f in degrees:
         order *= f
         if order > order_bound:
-            label = ("I2(%d)" % param if family == "I2" else
-                     family if family in ("G2", "H3") else "%s%d" % (family, rank))
-            more = "" if next(factors, None) is None else "at least "
+            more = "" if next(degrees, None) is None else "at least "
             raise OrderBoundExceeded("type %s: group of order %s%d exceeds the bound %d"
-                                     % (label, more, order, order_bound))
+                                     % (_label(family, rank, param), more, order, order_bound))
 
 
-def _frac_matrix(rows: Sequence[Sequence[int | Fraction]]) -> MatrixT:
+def _frac_matrix(rows: Sequence[Sequence[Scalar]]) -> MatrixT:
     return tuple(tuple(Fraction(v) if isinstance(v, int) else v for v in row) for row in rows)
 
 
-def _unit_roots(n: int) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n))
-
-
-def _cartan_gram_a(n: int) -> MatrixT:
-    return _frac_matrix([[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
-                         for i in range(n)])
+# the Gram matrix and field of each type realized on the unit simple roots
+# besides the A series, whose Gram matrix is its Cartan matrix
+_G2 = ((6, -3), (-3, 2))
+_TAU = Quad(Fraction(-1, 2), Fraction(-1, 2), 5)  # -2 cos(pi/5) = -(1 + sqrt(5))/2
+_UNIT_ROOT_GRAMS: dict[str, tuple[tuple[tuple[Scalar, ...], ...], int]] = {
+    "G2": (_G2, 1),
+    "H3": (((2, _TAU, 0), (_TAU, 2, -1), (0, -1, 2)), 5),
+    "I2(4)": (((2, -1), (-1, 1)), 1),
+    "I2(5)": (((2, _TAU), (_TAU, 2)), 5),
+    "I2(6)": (_G2, 1),
+    # unequal root lengths keep the entries inside Q(sqrt(2))
+    "I2(8)": (((Quad(4, 2, 2), Quad(-2, -1, 2)), (Quad(-2, -1, 2), 2)), 2),
+}
+_LEAST_RANK = {"A": 1, "B": 2, "D": 4}
 
 
 def make_datum(family: str, rank: int, param: int | None = None) -> CoxeterDatum:
     """Build the coordinate realization for one type."""
     family = family.upper()
+    if family in _LEAST_RANK and rank < _LEAST_RANK[family]:
+        raise UnsupportedType("%s series needs rank >= %d" % (family, _LEAST_RANK[family]))
+    if family == "I2" and (param or 0) < 3:
+        raise UnsupportedType("I2(m) needs m >= 3")
+    if family == "I2" and param == 3:  # the realization of A2
+        return make_datum("A", 2)._replace(family="I2", param=3, label="I2(3)")
+    param = param if family == "I2" else None
+    label = _label(family, rank, param)
+    disc = 1
     if family == "A":
-        if rank < 1:
-            raise UnsupportedType("A series needs rank >= 1")
-        return CoxeterDatum("A", rank, None, "A%d" % rank,
-                            _cartan_gram_a(rank), _unit_roots(rank),
-                            tuple(range(2, rank + 2)), 1)
-    if family == "B":
-        if rank < 2:
-            raise UnsupportedType("B series needs rank >= 2")
-        roots = []
-        for i in range(rank - 1):
-            r = [Fraction(0)] * rank
-            r[i], r[i + 1] = Fraction(1), Fraction(-1)
-            roots.append(tuple(r))
-        last = [Fraction(0)] * rank
-        last[rank - 1] = Fraction(1)
-        roots.append(tuple(last))
-        gram = _frac_matrix([[1 if i == j else 0 for j in range(rank)] for i in range(rank)])
-        return CoxeterDatum("B", rank, None, "B%d" % rank, gram, tuple(roots),
-                            tuple(2 * i for i in range(1, rank + 1)), 1)
-    if family == "D":
-        if rank < 4:
-            raise UnsupportedType("D series needs rank >= 4")
-        roots = []
-        for i in range(rank - 1):
-            r = [Fraction(0)] * rank
-            r[i], r[i + 1] = Fraction(1), Fraction(-1)
-            roots.append(tuple(r))
-        last = [Fraction(0)] * rank
-        last[rank - 2], last[rank - 1] = Fraction(1), Fraction(1)
-        roots.append(tuple(last))
-        gram = _frac_matrix([[1 if i == j else 0 for j in range(rank)] for i in range(rank)])
-        degrees = tuple(sorted(list(range(2, 2 * rank - 1, 2)) + [rank]))
-        return CoxeterDatum("D", rank, None, "D%d" % rank, gram, tuple(roots), degrees, 1)
-    if family == "G2":
-        gram = _frac_matrix([[6, -3], [-3, 2]])
-        return CoxeterDatum("G2", 2, None, "G2", gram, _unit_roots(2), (2, 6), 1)
-    if family == "H3":
-        tau_num = Fraction(1, 2)  # off-diagonal entry is -(1+sqrt(5))/2
-        off = Quad(-tau_num, -tau_num, 5)
-        gram = (
-            (Fraction(2), off, Fraction(0)),
-            (off, Fraction(2), Fraction(-1)),
-            (Fraction(0), Fraction(-1), Fraction(2)),
-        )
-        return CoxeterDatum("H3", 3, None, "H3", gram, _unit_roots(3), (2, 6, 10), 5)
-    if family == "I2":
-        m = param or 0
-        if m < 3:
-            raise UnsupportedType("I2(m) needs m >= 3")
-        label = "I2(%d)" % m
-        degrees = (2, m)
-        if m == 3:
-            return CoxeterDatum("I2", 2, 3, label, _cartan_gram_a(2), _unit_roots(2), degrees, 1)
-        if m == 4:
-            gram = _frac_matrix([[2, -1], [-1, 1]])
-            return CoxeterDatum("I2", 2, 4, label, gram, _unit_roots(2), degrees, 1)
-        if m == 6:
-            gram = _frac_matrix([[6, -3], [-3, 2]])
-            return CoxeterDatum("I2", 2, 6, label, gram, _unit_roots(2), degrees, 1)
-        if m == 5:
-            # 2 cos(pi/5) = (1+sqrt(5))/2
-            off = Quad(Fraction(-1, 2), Fraction(-1, 2), 5)
-            gram = ((Fraction(2), off), (off, Fraction(2)))
-            return CoxeterDatum("I2", 2, 5, label, gram, _unit_roots(2), degrees, 5)
-        if m == 8:
-            # unequal root lengths keep the entries inside Q(sqrt(2))
-            long2 = Quad(4, 2, 2)
-            off = Quad(-2, -1, 2)
-            gram = ((long2, off), (off, Fraction(2)))
-            return CoxeterDatum("I2", 2, 8, label, gram, _unit_roots(2), degrees, 2)
-        raise UnsupportedType("I2(%d) is not realized over Q or a quadratic field here" % m)
-    raise UnsupportedType("unknown type %r" % family)
+        # the Cartan matrix, on the unit roots of the essential rank
+        gram = _frac_matrix([[2 if i == j else -1 if abs(i - j) == 1 else 0
+                              for j in range(rank)] for i in range(rank)])
+        roots = identity_matrix(rank)
+    elif family in ("B", "D"):
+        # e_i - e_(i+1), then e_n for B and e_(n-1) + e_n for D
+        roots = _frac_matrix([[1 if j == i else -1 if j == i + 1 else 0 for j in range(rank)]
+                              for i in range(rank - 1)]
+                             + [[0] * (rank - 2) + ([0, 1] if family == "B" else [1, 1])])
+        gram = identity_matrix(rank)
+    elif label in _UNIT_ROOT_GRAMS:
+        gram, disc = _UNIT_ROOT_GRAMS[label]
+        rank, gram, roots = len(gram), _frac_matrix(gram), identity_matrix(len(gram))
+    elif family == "I2":
+        raise UnsupportedType("%s is not realized over Q or a quadratic field here" % label)
+    else:
+        raise UnsupportedType("unknown type %r" % family)
+    return CoxeterDatum(family, rank, param, label, gram, roots,
+                        tuple(sorted(_degrees(family, rank, param))), disc)
 
 
 _LABEL = re.compile(r"([ABD])(\d*)|(G2|H3)|I2(?:\((\d+)\))?")
@@ -334,15 +308,16 @@ class ReflectionGroup:
 
 class Arrangement:
     """The set of reflecting hyperplanes, in canonical sorted order, and
-    their W-orbits as recorded by the root walk of ``build_group``."""
+    their W-orbits as recorded by the root walk of ``build_group``; it
+    keeps the invariants ``compute_invariants`` selects for it."""
 
     def __init__(self, datum: CoxeterDatum, hyperplanes: tuple[Hyperplane, ...],
-                 group: ReflectionGroup, orbits: tuple[tuple[int, ...], ...]) -> None:
+                 orbits: tuple[tuple[int, ...], ...]) -> None:
         self.datum = datum
         self.hyperplanes = hyperplanes
-        self.group = group
         self._orbits = orbits
         self._defining_polynomial: Poly | None = None
+        self.invariants: object = None
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
@@ -385,9 +360,10 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     be the type's order and the root orbit its hyperplane count; a
     mismatch raises GroupClosureFailed.
 
-    The walks of the 16 types built most recently are kept (``_walked``),
-    so a process pays them once per type; the bound and both comparisons
-    run on every call.
+    The group and arrangement of the 16 types built most recently are kept
+    (``_walked``), with the invariants and universal fields that later
+    stages keep on them, so a process pays for each once per type; the
+    bound and both comparisons run on every call.
     """
     check_order_bound(datum.family, datum.rank, datum.param, order_bound)
     expected = datum.group_order()
@@ -433,7 +409,7 @@ def _walked(datum: CoxeterDatum) -> tuple[ReflectionGroup, Arrangement]:
     position = {k: i for i, k in enumerate(order)}
     hyperplanes = tuple(Hyperplane(coeffs[k], Poly.linear(list(coeffs[k]))) for k in order)
     orbit_indices = tuple(sorted(tuple(sorted(position[k] for k in orbit)) for orbit in orbits))
-    return group, Arrangement(datum, hyperplanes, group, orbit_indices)
+    return group, Arrangement(datum, hyperplanes, orbit_indices)
 
 
 # --- integer walks ---------------------------------------------------------

@@ -27,8 +27,9 @@ The invariant fields of one degree have the basis g(P) grad P_j over
 invariant monomials g (`invariant_field_basis`); the connection's inverse
 and the Hodge comparison both work in it.
 
-The systems of the 16 types asked for most recently are kept in memory,
-keyed by type datum, so a process selects each type's invariants once.
+A system is kept on its arrangement and its universal fields on it, so
+the memo of ``build_group`` (``coxeter._walked``, 16 types) is the one
+memo of a type's group, arrangement, invariants and universal fields.
 There is no on-disk state: the selection runs its Reynolds averages
 through the group's coset chain, largest parabolic first, and costs less
 than reading and revalidating a file did.
@@ -156,27 +157,17 @@ def jacobian_factors(system: InvariantSystem, arrangement: Arrangement) -> bool:
             reference == arrangement.defining_polynomial.scale(system.jacobian_scalar))
 
 
-# the systems of the types asked for most recently, oldest first
-_SYSTEMS: dict[CoxeterDatum, InvariantSystem] = {}
-_MEMO_SIZE = 16
-
-
 def compute_invariants(group: ReflectionGroup, arrangement: Arrangement,
                        cache_dir: object = None) -> InvariantSystem:
-    """Select basic invariants for the group, once per type and process.
+    """Select basic invariants for the group, once per arrangement.
 
-    A system is kept for the 16 types asked for most recently, keyed by
-    the group's datum.  ``cache_dir`` is accepted and ignored: nothing is
-    read from or written to disk.
+    The system is kept on the arrangement, which ``build_group`` keeps for
+    the 16 types built most recently.  ``cache_dir`` is accepted and
+    ignored: nothing is read from or written to disk.
     """
-    datum = group.datum
-    system = _SYSTEMS.pop(datum, None)
-    if system is None:
-        system = _select_invariants(group, arrangement)
-        if len(_SYSTEMS) >= _MEMO_SIZE:
-            del _SYSTEMS[next(iter(_SYSTEMS))]
-    _SYSTEMS[datum] = system
-    return system
+    if arrangement.invariants is None:
+        arrangement.invariants = _select_invariants(group, arrangement)
+    return arrangement.invariants
 
 
 def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> InvariantSystem:

@@ -20,11 +20,11 @@ division, and all serialized term lists refer to this order.
 Division is plain multivariate division by a single divisor.  Exact
 division raises :class:`~coxbasis.errors.NotDivisible` carrying the
 remainder.  The membership test of the whole package, "alpha^m divides
-p" for a linear form alpha, is decided by one synthetic division step by
-alpha on integer numerators (`_divide_buckets`), never by factorization:
-`linear_form_order` repeats it until a remainder is nonzero, and
-`order_constraint_rows` takes it m times on several polynomials under one
-shared scale, placing each coefficient of the first m remainders in the
+p" for a linear form alpha, is decided by synthetic division on integer
+numerators, never by factorization: one stream (`_remainders`) writes p
+as sum_j r_j alpha^j.  `linear_form_order` reads it until some r_j is
+nonzero, and `order_constraint_rows` reads r_0 .. r_{m-1} of several
+polynomials under one shared scale, placing each coefficient in the
 linear constraint row of "alpha^m divides" that it belongs to.
 
 The JSON form of a polynomial, a term list of exponent lists and exact
@@ -776,29 +776,15 @@ def linear_combination(polys: Sequence[Poly], form: Poly) -> Poly:
 def linear_form_order(p: Poly, alpha: Poly) -> int | float:
     """Largest k with alpha^k dividing p; ``math.inf`` for p = 0.
 
-    ``alpha`` must be a nonzero homogeneous linear form.  Every power is
-    decided by one synthetic division step on integer numerators
-    (`_divide_buckets`): alpha divides exactly when the remainder bucket
-    ends empty, and the quotient's buckets are the next dividend.
-
-    When the form's tail is rational, an exact quotient of the integral
-    numerators is integral (Gauss's lemma), so a step in which the pivot
-    coefficient does not divide a coefficient already proves the order.
-    Otherwise p is first scaled by a^D, with a the pivot coefficient and
-    D the top pivot exponent, which keeps every quotient integral.
+    ``alpha`` must be a nonzero homogeneous linear form.  Writing p as
+    sum_j r_j alpha^j (`_remainders`), the order is the first j with
+    r_j nonzero.
     """
     d, a, steps, (buckets,) = _division_setup([p], alpha)
     if not p.num:
         return INFINITE_ORDER
-    if d != 1 and any(c[1] for _, c in steps):
-        buckets = _scale_buckets(buckets, a ** (len(buckets) - 1), d)
-    order = 0
-    while True:
-        quotient = _divide_buckets(buckets, a, steps, d)
-        if quotient is None or _nonzero(buckets[0], d):
-            return order
-        order += 1
-        buckets = quotient
+    buckets = _scale_buckets(buckets, a ** (len(buckets) - 1), d)
+    return next(j for j, r in enumerate(_remainders(buckets, a, steps, d)) if r)
 
 
 def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) -> list[list]:
@@ -806,12 +792,11 @@ def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) 
 
     Each p is sum_j r_j alpha^j with no r_j containing the pivot variable
     of `_pivot_form`, so alpha^m divides a combination exactly when the
-    same combination of the r_0 ... r_{m-1} vanishes.  The r_j are the
-    remainders of the division steps `linear_form_order` takes, with every
-    polynomial scaled by one shared factor (the common denominator times
-    a^D, a the pivot coefficient, D the top pivot exponent) so that every
-    quotient is integral; each monomial of some r_j is one row, filled in
-    as the division finds it.  Entries are ints over Q (d = 1) and int
+    same combination of the r_0 ... r_{m-1} vanishes.  The r_j come from
+    `_remainders`, with every polynomial scaled by one shared factor (the
+    common denominator times a^D, a the pivot coefficient, D the top pivot
+    exponent of all of them); each monomial of some r_j is one row, filled
+    in as the division finds it.  Entries are ints over Q (d = 1) and int
     pairs over Q(sqrt(d)), as in ``linalg.Echelon``.
     """
     field, a, steps, bucketed = _division_setup(applied, alpha)
@@ -821,15 +806,12 @@ def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) 
     slots: dict[tuple[int, int], list] = {}
     for u, (p, buckets) in enumerate(zip(applied, bucketed)):
         buckets = _scale_buckets(buckets, den // p.den * power, field)
-        for j in range(min(m, len(buckets))):
-            quotient = _divide_buckets(buckets, a, steps, field)
-            assert quotient is not None, "the shared scale keeps every quotient integral"
-            for k, c in _nonzero(buckets[0], field).items():
+        for j, r in zip(range(m), _remainders(buckets, a, steps, field)):
+            for k, c in r.items():
                 row = slots.get((j, k))
                 if row is None:
                     row = slots[j, k] = [zero] * len(applied)
                 row[u] = c if field == d else (c, 0)
-            buckets = quotient
     return list(slots.values())
 
 
@@ -904,14 +886,24 @@ def _scale_buckets(buckets: list[dict], s: int, d: int) -> list[dict]:
     return [_scale_num(b, s if d == 1 else (s, 0), d) for b in buckets]
 
 
-def _divide_buckets(buckets: list[dict], a: int, steps: list, d: int) -> list[dict] | None:
+def _remainders(buckets: list[dict], a: int, steps: list, d: int) -> Iterator[dict]:
+    """r_0, r_1, ... of p = sum_j r_j alpha^j, one `_divide_buckets` step
+    each, for buckets of p scaled by a multiple of a^D (a the pivot
+    coefficient, D the top pivot exponent), so every quotient is integral."""
+    while buckets:
+        quotient = _divide_buckets(buckets, a, steps, d)
+        yield _nonzero(buckets[0], d)
+        buckets = quotient
+
+
+def _divide_buckets(buckets: list[dict], a: int, steps: list, d: int) -> list[dict]:
     """One synthetic division of bucketed numerators by a*x_v + tail.
 
     From the top bucket down, a quotient coefficient is q = c / a, and
     -q times the tail goes into the bucket below, one int addition per
     term of the tail.  The remainder is left in ``buckets[0]``, zeros
-    included; returns the quotient's buckets, or None as soon as some c
-    is not divisible by a.
+    included; returns the quotient's buckets.  The dividend must be
+    scaled as `_remainders` says, so a divides every c.
     """
     quotient = []
     for j in range(len(buckets) - 1, 0, -1):
@@ -924,8 +916,7 @@ def _divide_buckets(buckets: list[dict], a: int, steps: list, d: int) -> list[di
                     continue
                 if a != 1:
                     c, r = divmod(c, a)
-                    if r:
-                        return None
+                    assert not r, "the scale by a^D keeps every quotient integral"
                 qb[k] = c
                 for step, lc in steps:
                     t = k + step
@@ -937,8 +928,7 @@ def _divide_buckets(buckets: list[dict], a: int, steps: list, d: int) -> list[di
                 if a != 1:
                     ca, ra = divmod(ca, a)
                     cb, rb = divmod(cb, a)
-                    if ra or rb:
-                        return None
+                    assert not (ra or rb), "the scale by a^D keeps every quotient integral"
                 qb[k] = (ca, cb)
                 for step, (la, lb) in steps:
                     t = k + step

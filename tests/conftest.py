@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxbasis import coxeter, invariants
+from coxbasis import coxeter
 from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
                               reflection_matrix, transpose)
 from coxbasis.errors import NotDivisible
@@ -20,10 +20,10 @@ _CLOSURES: dict[str, tuple] = {}
 
 
 def clear_memos() -> None:
-    """Forget what the package keeps per process, the built groups and the
-    invariant systems, as a fresh interpreter would."""
+    """Forget what the package keeps per process, as a fresh interpreter
+    would: the built groups and arrangements, and with them the invariant
+    systems kept on the arrangements."""
     coxeter._walked.cache_clear()
-    invariants._SYSTEMS.clear()
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -99,6 +100,43 @@ def test_parse_type():
         parse_type("I2(7)")
     with pytest.raises(UnsupportedType):
         make_datum("D", 3)
+
+
+PINNED = (["A%d" % n for n in range(8)] + ["B%d" % n for n in range(1, 7)]
+          + ["D%d" % n for n in range(3, 7)] + ["E6", "G2", "H3"]
+          + ["I2(%d)" % m for m in range(3, 9)])
+# sha256 of `datum_lines(PINNED)`, written down before the realizations were
+# merged into one table and the order read off the degrees
+PINNED_DIGEST = "db961e195515c6cadc411b4a3289b7dfb691a5e584e0ffc9b339b3d9a47cb813"
+
+
+def datum_lines(labels: list[str]) -> str:
+    """Per label the repr of its datum, the type of every Gram and root entry
+    and the group order, or the type and message of the refusal."""
+    lines = []
+    for label in labels:
+        try:
+            datum = parse_type(label)
+        except UnsupportedType as exc:
+            lines.append("%s refused: %s: %s" % (label, type(exc).__name__, exc))
+            continue
+        entries = [c for row in datum.gram + datum.simple_roots for c in row]
+        lines.append("%r %s %d" % (datum, [type(c).__name__ for c in entries],
+                                   datum.group_order()))
+    return "\n".join(lines)
+
+
+def test_every_realization_is_pinned():
+    # every label within the default order bound, the realized dihedral types,
+    # and the refused A0, B1, D3, E6 and I2(7)
+    assert all(parse_type(label, order_bound=coxeter.DEFAULT_ORDER_BOUND)
+               for label in PINNED if label not in ("A0", "B1", "D3", "E6", "I2(7)"))
+    for label in ("A8", "B7", "D7"):
+        with pytest.raises(OrderBoundExceeded):
+            parse_type(label, order_bound=coxeter.DEFAULT_ORDER_BOUND)
+    text = datum_lines(PINNED)
+    assert text.count("refused") == 5
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST
 
 
 def test_generators_preserve_gram(pipeline):

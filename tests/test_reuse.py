@@ -1,8 +1,8 @@
 """What one process keeps between requests changes no output.
 
-``build_group`` keeps the walks of recent types, ``compute_invariants``
-keeps the systems of recent types, and a system keeps its universal
-fields.  These tests serve requests in one process through
+``build_group`` keeps the groups and arrangements of recent types,
+``compute_invariants`` keeps each system on its arrangement, and a system
+keeps its universal fields.  These tests serve requests in one process through
 ``coxbasis.cli.main`` and compare every exit code, standard output and
 standard error with the same request run from cleared memos, as a fresh
 interpreter would run it.
@@ -10,6 +10,7 @@ interpreter would run it.
 
 from __future__ import annotations
 
+import functools
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -75,16 +76,32 @@ def test_repeated_requests_match_fresh_runs(first, cache, fresh, selections):
     # one walk and one selection per type, whatever the cache options say
     assert coxeter._walked.cache_info().misses == len(LABELS)
     assert sorted(selections) == sorted(LABELS)
-    assert {datum.label for datum in invariants._SYSTEMS} == set(LABELS)
+    # the memo holds exactly these types, each with its system
+    assert memo_labels(LABELS) == LABELS
+    assert coxeter._walked.cache_info().misses == len(LABELS)
+
+
+def memo_labels(labels: list[str]) -> list[str]:
+    """The labels of the systems kept on the memo's arrangements of the
+    given types; asking for them counts as using them."""
+    return [coxeter._walked(parse_type(label))[1].invariants.label for label in labels]
 
 
 def test_memo_keeps_the_most_recent_types(selections, monkeypatch):
-    monkeypatch.setattr(invariants, "_MEMO_SIZE", 2)
+    monkeypatch.setattr(coxeter, "_walked",
+                        functools.lru_cache(maxsize=2)(coxeter._walked.__wrapped__))
     for label in ["A2", "B2", "A2", "G2", "A2", "B2"]:
         assert serve(["info", label])[0] == 0
     # G2 evicts B2, the least recently asked for, and B2 is selected again
     assert selections == ["A2", "B2", "G2", "B2"]
-    assert [datum.label for datum in invariants._SYSTEMS] == ["A2", "B2"]
+    assert coxeter._walked.cache_info().currsize == 2
+    assert memo_labels(["A2", "B2"]) == ["A2", "B2"]
+    assert coxeter._walked.cache_info().misses == 4
+    # A2, now the least recently asked for, is the next one evicted
+    assert serve(["info", "G2"])[0] == 0
+    assert memo_labels(["B2", "G2"]) == ["B2", "G2"]
+    assert selections == ["A2", "B2", "G2", "B2", "G2"]
+    assert coxeter._walked.cache_info().misses == 5
 
 
 def test_order_bound_applies_to_a_cached_group():
