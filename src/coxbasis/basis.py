@@ -91,26 +91,19 @@ def base_basis(request: BasisRequest) -> tuple[str, tuple[Derivation, ...], Cert
             raise NotABasis("coordinate fields only span the module of the zero multiplicity")
         return source, tuple(Derivation.coordinate(n, i) for i in range(n)), None
     if source == "gradient":
-        members = request.system.gradients
-        cert = ziegler_certify(members, mult, arr)
-        if not cert.is_free:
-            raise NotABasis("gradient fields are not a basis for this multiplicity",
-                            certificate=cert)
-        return source, tuple(members), cert
-    if source == "user":
+        members = tuple(request.system.gradients)
+        message = "gradient fields are not a basis for this multiplicity"
+    elif source == "user":
         members = tuple(request.user_base or ())
         _check_user_shape(members, n, mult.total())
-        cert = ziegler_certify(members, mult, arr)
-        if not cert.is_free:
-            raise NotABasis("user-supplied base failed certification", certificate=cert)
-        return source, members, cert
-
-    members = _oracle_search(mult, arr)
+        message = "user-supplied base failed certification"
+    else:
+        members = _oracle_search(mult, arr)
+        message = "search produced %d generators but they failed certification" % len(members)
     cert = ziegler_certify(members, mult, arr)
     if not cert.is_free:
-        raise NotABasis("search produced %d generators but they failed certification"
-                        % len(members), certificate=cert)
-    return "oracle", tuple(members), cert
+        raise NotABasis(message, certificate=cert)
+    return source, members, cert
 
 
 def _check_user_shape(members: Sequence[Derivation], n: int, mult_sum: int) -> None:

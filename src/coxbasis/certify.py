@@ -12,10 +12,11 @@ derivation module of a multiplicity m by three checks, in this order:
 Once 1 and 2 hold, Saito's criterion in Ziegler's form for
 multiarrangements says the coefficient determinant is c times
 prod_H alpha_H^{m(H)} for one scalar c, and the members form a basis
-exactly when c is nonzero.  So c is read off one exact evaluation at a
-rational point where no alpha_H vanishes: c = det M(p) / prod alpha_H(p)^m
-(`determinant_scalar`, which also gives the Jacobian scalar of the
-basic invariants).
+exactly when c is nonzero.  So c is the same at every point off the
+arrangement, and it is read off one exact evaluation at the first point
+of the package's one point stream (``poly.sample_points``) where no
+alpha_H vanishes: c = det M(p) / prod alpha_H(p)^m (`determinant_scalar`,
+which also gives the Jacobian scalar of the basic invariants).
 The recorded determinant witness is c times prod_H alpha_H^{m(H)}, built
 as prod_v Q_v^v with Q_v the product of the forms of multiplicity v (the
 cached defining polynomial Q when m is constant), by repeated squaring;
@@ -42,7 +43,7 @@ from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation, coefficient_matrix
 from .linalg import Echelon, PolyMatrix, det
 from .poly import (INFINITE_ORDER, Poly, count_monomials, linear_combination, linear_form_order,
-                   monomials_of_degree, order_constraint_rows, point_off, product)
+                   monomials_of_degree, order_constraint_rows, product, sample_points)
 from .scalars import Scalar
 
 VERDICT_FREE = "Free-with-basis"
@@ -141,9 +142,13 @@ def determinant_scalar(matrix: PolyMatrix, arrangement: Arrangement,
                        exponents: Sequence[int]) -> Scalar:
     """The c of det M = c * prod_H alpha_H^{e(H)}, for a polynomial matrix M
     whose determinant is known to have that shape: det M(p) over
-    prod_H alpha_H(p)^{e(H)} at the first point p where no form vanishes
-    (``poly.point_off``).  It is 0 exactly when det M is."""
-    point, values = point_off([h.form for h in arrangement.hyperplanes], arrangement.datum.rank)
+    prod_H alpha_H(p)^{e(H)} at the first point p of ``poly.sample_points``
+    where no form vanishes.  It is 0 exactly when det M is."""
+    forms = [h.form for h in arrangement.hyperplanes]
+    for point in sample_points(arrangement.datum.rank):
+        values = [f.evaluate(point) for f in forms]
+        if all(v != 0 for v in values):
+            break
     target = math.prod((v ** e for v, e in zip(values, exponents)), start=Fraction(1))
     return det(matrix.evaluate(point)) / target
 

@@ -17,29 +17,28 @@ cofactor identity D(P_m) = delta_{m,l} gives
 
     J * nabla_D(g(P) grad P_j) = J (dg/dP_l)(P) grad P_j + g(P) N_j,
 
-with N_j = C . grad(grad P_j) by coordinates.  Evaluated at an exact
-point p with J(p) != 0, each coordinate of this identity is one linear
-equation in the unknowns, and no image field is ever expanded.  A solution
-of the polynomial system solves every evaluated equation, so the evaluated
-rank never exceeds the true rank: once it reaches the number of unknowns
-the solution is unique, and an inconsistent evaluated equation proves
-there is none.  The single candidate is then built in coordinates once,
-and the exact re-check C . grad(delta') == J delta, multiplied out,
-decides the result.
+with N_j = C . grad(grad P_j) by coordinates.  Evaluated at a point p of
+the package's one point stream (``poly.sample_points``) with J(p) != 0,
+each coordinate of this identity is one linear equation in the unknowns,
+and no image field is ever expanded.  A solution of the polynomial system
+solves every evaluated equation, so the evaluated rank never exceeds the
+true rank: once it reaches the number of unknowns the solution is unique,
+and an inconsistent evaluated equation proves there is none.  The single
+candidate is then built in coordinates once, and the exact re-check
+C . grad(delta') == J delta, multiplied out, decides the result.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from typing import Iterator
 
 from .derivations import Derivation
 from .errors import NoSolution, NonUniqueSolution, NotDivisible, NotPolynomial
 from .invariants import InvariantSystem, partial_P_field
 from .linalg import Echelon
-from .poly import Poly
+from .poly import Poly, sample_points
 from .scalars import common_field
 
 
@@ -66,20 +65,8 @@ def nabla_D(delta: Derivation, system: InvariantSystem) -> Derivation:
     return nabla_partial_P(delta, system.nvars - 1, system)
 
 
-# the inverse evaluates at a fixed stream of small integer points in general
-# position; the moment curve of `point_off` will not do, because an image in
-# the ideal of that curve vanishes at every point of it
-_POINT_SEED = 2002
-_POINT_RANGE = 9
 # points beyond the number of unknowns before a short rank counts as an alarm
 _SPARE_POINTS = 10
-
-
-def _sample_points(nvars: int) -> Iterator[tuple[int, ...]]:
-    """The fixed, endless stream of points `nabla_D_inverse` evaluates at."""
-    rng = random.Random(_POINT_SEED)
-    while True:
-        yield tuple(rng.randint(-_POINT_RANGE, _POINT_RANGE) for _ in range(nvars))
 
 
 def _times(x, y, d: int):
@@ -102,7 +89,7 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
     """Equations of nabla_D(delta') = delta, times J, at sample points, as
     integer rows over Q (field 1) or Q(sqrt(field)).
 
-    Each point p of `_sample_points` with J(p) != 0 gives one row per
+    Each point p of `poly.sample_points` with J(p) != 0 gives one row per
     coordinate i: the entry of unknown (j, g) is
     J(p) (dg/dP_l)(P(p)) grad_{j,i}(p) + g(P(p)) N_{j,i}(p), and the last
     entry is J(p) delta_i(p).  Every polynomial enters as its integer
@@ -133,7 +120,7 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
           for i, f in enumerate(delta.coeffs)]
     top = [max(exps[m] for _, exps in unknowns) for m in range(n)]
     used = 0
-    for point in _sample_points(n):
+    for point in sample_points(n):
         jac = at(system.jacobian, point)
         if jac == zero:
             continue

@@ -236,12 +236,6 @@ def identity_matrix(n: int) -> MatrixT:
     return tuple(tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n))
 
 
-@functools.lru_cache(maxsize=256)
-def mat_inverse(a: MatrixT) -> MatrixT:
-    inv = invert_matrix([list(r) for r in a])
-    return tuple(tuple(row) for row in inv)
-
-
 def reflection_matrix(root: Sequence[Scalar], gram: MatrixT) -> MatrixT:
     """Reflection in the hyperplane of a root, acting on covector coefficients.
 
@@ -514,24 +508,15 @@ def _column_forms(w: MatrixT) -> tuple[Poly, ...]:
     return tuple(Poly.linear([w[j][i] for j in range(n)]) for i in range(n))
 
 
-@functools.lru_cache(maxsize=256)
-def _act_powers(w: MatrixT) -> tuple[Powers, ...]:
-    return tuple(Powers(form) for form in _column_forms(w))
-
-
 def act(w: MatrixT, p: Poly) -> Poly:
-    """Action of a group element on a polynomial, p -> p o w^{-1}.
-
-    The power tables of w's column forms are kept for the elements acted
-    with most recently, so repeated actions of one element reuse them.
-    """
-    return substitute_sum(p, [_act_powers(w)], p.nvars)
+    """Action of a group element on a polynomial, p -> p o w^{-1}."""
+    return substitute_sum(p, [tuple(Powers(form) for form in _column_forms(w))], p.nvars)
 
 
 def act_derivation(w: MatrixT, delta: Derivation) -> Derivation:
     """Action on vector fields: conjugation of the derivation by w."""
     n = delta.nvars
-    inv_t = transpose(mat_inverse(w))
+    inv_t = transpose(invert_matrix([list(r) for r in w]))
     moved = [act(w, f) for f in delta.coeffs]
     out = []
     for i in range(n):

@@ -13,9 +13,11 @@ as an alarm.  Each chosen invariant is normalized to leading coefficient
 The Jacobian matrix M[i][j] = dP_j/dx_i of homogeneous invariants of the
 basic degrees has determinant J = c * Q, with Q the defining polynomial
 of the arrangement and c a scalar, nonzero exactly when the invariants
-are basic.  So c is found by evaluating M at one rational point off the
-arrangement, c = det M(p) / Q(p), and J is recorded as c * Q without
-expanding the determinant.  The cofactors of M give the coordinate
+are basic.  So c is found by evaluating M at one integer point off the
+arrangement, c = det M(p) / Q(p) (``certify.determinant_scalar``), and J
+is recorded as c * Q without expanding the determinant.  The system's
+field is the type's: the realization's field holds every invariant,
+gradient and J.  The cofactors of M give the coordinate
 expression of the fields d/dP_j: `partial_P_field` (column j of the
 cofactor matrix over J) is their one definition, and the connection layer
 divides its action by J.  Column j is read off the wedge product of the
@@ -37,10 +39,8 @@ than reading and revalidating a file did.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
-from itertools import chain
 from typing import Iterator, Sequence
 
 from .certify import determinant_scalar
@@ -50,19 +50,22 @@ from .errors import JacobianDegenerate
 from .linalg import Echelon, PolyMatrix, monomial_columns, numerator_vector
 from .poly import (Poly, Powers, linear_combination, monomials_of_degree, poly_to_json,
                    substitute_sum, weighted_exponents)
-from .scalars import Scalar, common_field, format_scalar, join_scalar
+from .scalars import Scalar, format_scalar, join_scalar
 
 
 class InvariantSystem:
     """A full set of basic invariants with Jacobian data attached."""
 
-    def __init__(self, label: str, nvars: int, degrees: tuple[int, ...],
+    def __init__(self, label: str, nvars: int, degrees: tuple[int, ...], field: int,
                  polys: tuple[Poly, ...], jacobian: Poly, jacobian_scalar: Scalar,
                  jacobian_partials: PolyMatrix,
                  gradients: tuple[Derivation, ...]) -> None:
         self.label = label
         self.nvars = nvars
         self.degrees = degrees
+        # the d of Q(sqrt(d)) of the type's realization, 1 for Q: it holds
+        # the invariants, their gradients and J
+        self.field = field
         self.polys = polys
         self.jacobian = jacobian
         self.jacobian_scalar = jacobian_scalar
@@ -103,13 +106,6 @@ class InvariantSystem:
     def exponents(self) -> tuple[int, ...]:
         return tuple(d - 1 for d in self.degrees)
 
-    @functools.cached_property
-    def field(self) -> int:
-        """The d of Q(sqrt(d)) holding the invariants, their gradients and J;
-        1 for Q."""
-        polys = chain(self.polys, (self.jacobian,), *(g.coeffs for g in self.gradients))
-        return functools.reduce(common_field, (f.d for f in polys), 1)
-
     def compose(self, g: Poly) -> Poly:
         """g(P_1, .., P_l) in coordinates, for g a polynomial in l variables."""
         return substitute_sum(g, [self._tables], self.nvars)
@@ -126,17 +122,14 @@ class InvariantSystem:
         """Monomials in the invariants spanning the invariants of one degree."""
         return [self.expand(e) for e in self.invariant_exponents(degree)]
 
-    def to_json_dict(self) -> dict:
-        return {
+    def fingerprint(self) -> str:
+        blob = json.dumps({
             "label": self.label,
             "nvars": self.nvars,
             "degrees": list(self.degrees),
             "polys": [poly_to_json(p) for p in self.polys],
             "jacobian_scalar": format_scalar(self.jacobian_scalar),
-        }
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        }, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -223,8 +216,8 @@ def _finish_system(datum: CoxeterDatum, polys: tuple[Poly, ...],
     forms = [Poly.linear(row) for row in datum.gram]
     gradients = tuple(Derivation([linear_combination([row[j] for row in m.rows], form)
                                   for form in forms]) for j in range(len(polys)))
-    return InvariantSystem(datum.label, datum.rank, datum.degrees, polys, jac, jac_scalar, m,
-                           gradients)
+    return InvariantSystem(datum.label, datum.rank, datum.degrees, datum.disc, polys, jac,
+                           jac_scalar, m, gradients)
 
 
 def partial_P_field(system: InvariantSystem, j: int) -> tuple[Derivation, Poly]:

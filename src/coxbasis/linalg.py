@@ -5,8 +5,8 @@ over Q, int pairs (a, b) for a + b*sqrt(d) over Q(sqrt(d)), as in ``poly``.
 Its rows stay in reduced echelon form with unnormalized pivots, and a
 vector is reduced by cross-multiplying over the gcd of its components, so
 no fraction is formed (integer-preserving elimination: Bareiss, Math.
-Comp. 22, 1968).  `rref`, `rank`, `kernel_basis`, `invert_matrix` and
-`det` convert Fraction/Quad matrices at the boundary (`split_scalars`,
+Comp. 22, 1968).  `rref`, `kernel_basis`, `invert_matrix` and `det`
+convert Fraction/Quad matrices at the boundary (`split_scalars`,
 `join_scalar`); polynomials enter through `numerator_vector`, and
 `Echelon.kernel_basis` reads kernels back as scalars.  Pivots are
 the first nonzero entries in column order, so results are deterministic.

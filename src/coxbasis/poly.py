@@ -27,6 +27,11 @@ nonzero, and `order_constraint_rows` reads r_0 .. r_{m-1} of several
 polynomials under one shared scale, placing each coefficient in the
 linear constraint row of "alpha^m divides" that it belongs to.
 
+Every exact evaluation at points reads one fixed stream of small integer
+points, `sample_points`: the determinant scalars of ``certify`` take its
+first point off the arrangement, and the equations of the connection's
+inverse are read at point after point of it.
+
 The JSON form of a polynomial, a term list of exponent lists and exact
 coefficient strings, is defined here once, for the reports and for the
 members that ``--base-file`` reads back from one; the parser rejects any
@@ -45,6 +50,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import chain
 from operator import add, itemgetter, lshift, sub
@@ -939,24 +945,20 @@ def _divide_buckets(buckets: list[dict], a: int, steps: list, d: int) -> list[di
     return quotient
 
 
-def point_off(forms: Sequence[Poly], nvars: int) -> tuple[tuple[Fraction, ...], tuple[Scalar, ...]]:
-    """The first point (1, t, t^2, ...), t = 1, 2, ..., where no form vanishes.
+# small integer points in general position: the inverse of the connection
+# reads point after point of the stream, and a curve such as the moment curve
+# (1, t, t^2, ...) will not do there, because an image in the ideal of that
+# curve vanishes at every point of it
+_POINT_SEED = 2002
+_POINT_RANGE = 9
 
-    Returns the point together with the values of the forms there.  The
-    forms must be nonzero linear forms: each is then a nonzero polynomial
-    of degree below ``nvars`` in t along this curve, so only finitely many
-    t are skipped and the search ends.
-    """
-    for f in forms:
-        if f.nvars != nvars or f.is_zero or not f.is_homogeneous() or f.total_degree() != 1:
-            raise ValueError("point_off needs nonzero linear forms in %d variables" % nvars)
-    t = 1
+
+def sample_points(nvars: int) -> Iterator[tuple[int, ...]]:
+    """The fixed, endless stream of integer points in [-9, 9]^nvars at
+    which the package evaluates exactly."""
+    rng = random.Random(_POINT_SEED)
     while True:
-        point = tuple(Fraction(t) ** i for i in range(nvars))
-        values = tuple(f.evaluate(point) for f in forms)
-        if all(v != 0 for v in values):
-            return point, values
-        t += 1
+        yield tuple(rng.randint(-_POINT_RANGE, _POINT_RANGE) for _ in range(nvars))
 
 
 def weighted_exponents(weights: Sequence[int], total: int) -> Iterator[Exponents]:

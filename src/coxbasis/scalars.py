@@ -282,8 +282,11 @@ def format_scalar(x: Scalar) -> str:
     return "%s%s%s" % (x.a, sign, sqrt_part)
 
 
-_RATIONAL_TEXT = re.compile(r"-?\d+(?:/\d+)?")
-_SQRT_TERM = re.compile(r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*)?(?P<neg>-?)sqrt\((?P<d>\d+)\)$")
+# the text format_scalar writes: -?R, or [-?R(+|-)|-][R*]sqrt(N) with R an
+# unsigned integer or fraction
+_R = r"\d+(?:/\d+)?"
+_SCALAR_TEXT = re.compile(rf"(?P<rational>-?{_R})|(?:(?P<a>-?{_R})(?P<sign>[+-])|(?P<neg>-))?"
+                          rf"(?:(?P<b>{_R})\*)?sqrt\((?P<d>\d+)\)")
 
 
 # radicands up to 10^12 factor by trial division in at most 10^4 steps
@@ -318,44 +321,29 @@ def parse_scalar(s: str) -> Scalar:
 
     This is where outside text becomes a scalar, so every malformed input
     raises ValueError: text that ``format_scalar`` would not write (such as
-    ``0.5`` or ``1e999999999``, whose power of ten alone takes minutes), a
-    zero denominator, a square radicand, which would make Q(sqrt(d)) a
-    ring with zero divisors, and a radicand above 10^12.  A radicand
+    ``0.5``, ``1 2``, ``3*-sqrt(5)`` or ``1e999999999``, whose power of ten
+    alone takes minutes), a zero denominator, a square radicand, which would
+    make Q(sqrt(d)) a ring with zero divisors, and a radicand above 10^12.  A radicand
     s*s*d with d square-free is read as s*sqrt(d).
     """
+    text = s.strip()
+    m = _SCALAR_TEXT.fullmatch(text)
+    if m is None:
+        raise ValueError("cannot parse scalar %r" % text)
     try:
-        return _parse_scalar(s.strip().replace(" ", ""))
+        if m["rational"] is not None:
+            return Fraction(m["rational"])
+        a = Fraction(m["a"] or 0)
+        b = Fraction(m["b"] or 1)
     except ZeroDivisionError:
         raise ValueError("zero denominator in scalar %r" % s) from None
-
-
-def _parse_scalar(s: str) -> Scalar:
-    if "sqrt" not in s:
-        if _RATIONAL_TEXT.fullmatch(s) is None:
-            raise ValueError("cannot parse scalar %r" % s)
-        return Fraction(s)
-    # split off a leading rational part, keeping the sign of the sqrt term
-    cut = s.find("sqrt")
-    head = s[:cut]
-    m = re.match(r"^(-?\d+(?:/\d+)?)(?=[+-])", head)
-    a = Fraction(0)
-    if m:
-        a = Fraction(m.group(1))
-        head = head[m.end():]
-    term = head + s[cut:]
-    if head.startswith("+"):
-        term = term[1:]
-    mt = _SQRT_TERM.match(term)
-    if mt is None:
-        raise ValueError("cannot parse scalar %r" % s)
-    b = Fraction(mt.group("coeff")) if mt.group("coeff") else Fraction(1)
-    if mt.group("neg"):
+    if m["sign"] == "-" or m["neg"]:
         b = -b
-    d = int(mt.group("d"))
+    d = int(m["d"])
     if d > _MAX_RADICAND:
-        raise ValueError("radicand out of range in scalar %r" % s)
+        raise ValueError("radicand out of range in scalar %r" % text)
     root, d = _square_free(d)
     if d == 1:
-        raise ValueError("square radicand in scalar %r" % s)
+        raise ValueError("square radicand in scalar %r" % text)
     out = Quad(a, b * root, d)
     return out if out.b != 0 else a

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from coxbasis.certify import (
     VERDICT_NOT_MEMBER,
     Certificate,
     contact_order,
+    determinant_scalar,
     free_module_graded_dimension,
     graded_dimension,
     graded_member_basis,
@@ -23,7 +26,8 @@ from coxbasis.coxeter import Multiplicity, is_invariant_derivation
 from coxbasis.derivations import Derivation, coefficient_matrix, euler_field, nabla
 from coxbasis.errors import NotPolynomial
 from coxbasis.invariants import jacobian_matrix
-from coxbasis.poly import Poly, linear_combination, product
+from coxbasis.linalg import det
+from coxbasis.poly import Poly, linear_combination, product, sample_points
 from coxbasis.scalars import scalar_inverse
 from coxbasis.verify import hodge_equality_check, invariant_graded_dimension
 
@@ -117,6 +121,37 @@ def test_evaluated_certificate_matches_polynomial_determinant(pipeline, label):
             assert result.certificate.determinant == coefficient_matrix(list(result.members)).det()
             for cert in certificates:
                 assert cert.is_free and cert.determinant_scalar != 0
+
+
+def _scalar_at(matrix, forms, exponent, point):
+    """det M(p) over prod_H alpha_H(p)^e."""
+    target = math.prod(f.evaluate(point) ** exponent for f in forms)
+    return det(matrix.evaluate(point)) * scalar_inverse(target)
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "D4", "G2", "H3", "I2(5)", "I2(8)"])
+def test_determinant_scalar_is_the_same_at_every_point_off_the_arrangement(pipeline, label):
+    # Saito's criterion in Ziegler's form: det M = c * prod alpha_H^e, so any
+    # point off the arrangement gives c, the stream's first one among them
+    group, arrangement, system = pipeline(label)
+    n = arrangement.datum.rank
+    forms = [h.form for h in arrangement.hyperplanes]
+    off = [p for p in itertools.islice(sample_points(n), 50)
+           if all(f.evaluate(p) != 0 for f in forms)][:3]
+    # the first point (1, t, t^2, ...) of the moment curve off the arrangement
+    curve = (tuple(Fraction(t) ** i for i in range(n)) for t in itertools.count(1))
+    moment = next(p for p in curve if all(f.evaluate(p) != 0 for f in forms))
+    mult = Multiplicity.constant(arrangement, 1)
+    members = build_basis(BasisRequest(group, arrangement, system, mult, 1)).members
+    cases = [(system.jacobian_partials, 1, system.jacobian_scalar),
+             (coefficient_matrix(list(members)), 3, None)]
+    for matrix, exponent, recorded in cases:
+        scalars = {_scalar_at(matrix, forms, exponent, p) for p in off + [moment]}
+        assert len(off) == 3 and len(scalars) == 1
+        c = scalars.pop()
+        assert c != 0
+        assert c == determinant_scalar(matrix, arrangement, [exponent] * len(forms))
+        assert recorded is None or c == recorded
 
 
 def test_coordinate_fields_certify_for_zero_multiplicity(pipeline):

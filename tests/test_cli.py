@@ -109,6 +109,52 @@ def test_info_output_is_unchanged(key, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == INFO_DIGESTS[key]
 
 
+# sha256 of the standard output of ``verify --type T --suite S ... --seed 1
+# --format json`` for the benchmark sweep's 24 verify requests, as written
+# before the certificate and Jacobian scalars moved onto the integer point
+# stream; keyed by type, suite and the other options
+VERIFY_DIGESTS = {
+    "A2 euler --samples 6": "828385cf1bbbaef33a52ea7802090de52575deef592acfe09eac9213639a9ba0",
+    "A2 jacobian": "b0aa0660986d800693315cea1af0edb7e39df244e039b441b36344e4611076e5",
+    "A2 hodge": "737e1b5364c825e4e16d688bcb9dc8e005a09c8008359546e8b0959a26898719",
+    "A3 euler --samples 6": "342540bc1fac5c3c0e25b39b9ff0f2f7e68c887c43dab96fee47f4a3d01075e6",
+    "A3 jacobian": "52e841967c778c69a3a12e14fd58401eab21203a428b9fba614654a58f96bfe0",
+    "A3 hodge": "4fde8f969ad766afb8f01214eaf50d0ea7c31329e5580864fa479568952d1bf9",
+    "B2 euler --samples 6": "e045de50da0a202590bf8dc435ff1fa53ca27c1742381c1ec3835e8bcd82420f",
+    "B2 jacobian": "278da5179d915a60ef5a31eafbed2617dd5229afdf2c72e98406c7051018d659",
+    "B2 hodge": "331602a2c993cd73cc88cdaeb489680fea6c796437ad91551c6855720b745f30",
+    "B3 euler --samples 6": "582f4da24f28db4d6fa19becc94dfdb97b735ab69bef177870fe64fe092e4d76",
+    "B3 jacobian": "cee3dc5e610e7b6642121d5b568f99d941b32fc2e7a85d35ff6aed7c0cd1ff10",
+    "B3 hodge": "9d07c14815ba99af3f57a5a0a98f7e593672f957b04c9d0f887b9c9115510904",
+    "G2 euler --samples 6": "540dc8a294402ceb8713552380f284535e587dea1978890d7e369ada632bdb57",
+    "G2 jacobian": "72582c1ce414cd38ded2a6ea376839dd1c63be5da6724581d3e9a8014f38e9eb",
+    "G2 hodge": "59659d91edc75f9784aff9d8aad9af7fffee37ad10b73139634e59c715872a76",
+    "I2(5) euler --samples 6": "0582749e71296eba35039d177aa92600748c249e6bb0a0714c66006f3dcb95d9",
+    "I2(5) jacobian": "8dfe145c40b2441dab8d8eae85e038cb89a7002a0f5acdae96923c9da9181c29",
+    "I2(5) hodge": "81692e6f9acd0aeae3d4d43ecf368b710ba092386402774ed07343e5b3411f25",
+    "I2(8) euler --samples 6": "82175f1c38ade0caf6ad2646c89857f5721b0ef7f2e62dc1e29ac7c68cd81083",
+    "I2(8) jacobian": "327fee1f599118c0b8ade95afe81aa98459897436fc0919f9e1999a1d8f636a6",
+    "I2(8) hodge": "2d4a6adca53383c244eb3e1e24a7bf0e8a9ac915c2383d151fc9bcf7daddcf22",
+    "A2 shift --samples 2": "e6eed37f2e39fa22936ce11cfd7a32ccb40687ce191e47357368f5b3bb4ff1d3",
+    "B2 shift --samples 2": "cf0f78882dec4449b397a998e973c06e095ba8024b488f2ff215b1300d6ecafd",
+    "G2 shift --samples 2": "ba710abe4f0da62ba87edae28a39a4463885a0d4509e1cf3f7260ace686f2409",
+}
+
+
+def test_verify_digests_cover_the_sweep():
+    assert len(VERIFY_DIGESTS) == 24
+    assert {key.split()[1] for key in VERIFY_DIGESTS} == {"euler", "jacobian", "hodge", "shift"}
+
+
+@pytest.mark.parametrize("key", sorted(VERIFY_DIGESTS))
+def test_verify_output_is_unchanged(key, capsys):
+    label, suite, *extra = key.split()
+    code, out, _ = run(["verify", "--type", label, "--suite", suite, *extra,
+                        "--seed", "1", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[key]
+
+
 def test_info_never_expands_the_jacobian(capsys, monkeypatch):
     calls = []
 

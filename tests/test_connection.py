@@ -257,7 +257,7 @@ def test_inverse_with_one_repeated_point_raises_non_unique(pipeline, monkeypatch
             yield point
         raise AssertionError("the inverse kept drawing points")
 
-    monkeypatch.setattr(connection, "_sample_points", one_point)
+    monkeypatch.setattr(connection, "sample_points", one_point)
     with pytest.raises(NonUniqueSolution):
         nabla_D_inverse(delta, system)
     assert len(drawn) == unknowns + connection._SPARE_POINTS
@@ -274,13 +274,13 @@ def test_inverse_rejects_non_invariant_field_past_the_invariance_check(pipeline,
     # d/dx has one unknown, P_1 grad P_1; at (2, -1) its first equation reads
     # 0 = J(p) != 0, so the evaluated system itself is inconsistent
     assert gradient_numerators(system)[0][0].evaluate((2, -1)) == 0
-    original = connection._sample_points
+    original = connection.sample_points
 
     def inconsistent_first(nvars):
         yield (2, -1)
         yield from original(nvars)
 
-    monkeypatch.setattr(connection, "_sample_points", inconsistent_first)
+    monkeypatch.setattr(connection, "sample_points", inconsistent_first)
     with pytest.raises(NoSolution, match="likely not invariant"):
         nabla_D_inverse(Derivation.coordinate(2, 0), system)
 
@@ -292,13 +292,13 @@ def test_inverse_skips_points_where_the_jacobian_vanishes(pipeline, monkeypatch)
     # points on the hyperplane x = y, distinct, more than the whole point budget
     on_mirror = [(t, t) for t in range(1, 40)]
     assert all(system.jacobian.evaluate(p) == 0 for p in on_mirror)
-    original = connection._sample_points
+    original = connection.sample_points
 
     def mirror_first(nvars):
         yield from on_mirror
         yield from original(nvars)
 
-    monkeypatch.setattr(connection, "_sample_points", mirror_first)
+    monkeypatch.setattr(connection, "sample_points", mirror_first)
     assert nabla_D_inverse(delta, system) == expected
 
 
@@ -366,7 +366,7 @@ def test_evaluated_rows_are_multiples_of_the_numerator_rows(pipeline, label):
         unknowns = [(j, exps) for j, d in enumerate(system.degrees)
                     for exps in system.invariant_exponents(target - (d - 1))]
         field = functools.reduce(common_field, (f.d for f in delta.coeffs), system.field)
-        points = (p for p in connection._sample_points(n) if system.jacobian.evaluate(p) != 0)
+        points = (p for p in connection.sample_points(n) if system.jacobian.evaluate(p) != 0)
         rows = list(connection._evaluated_rows(delta, system, unknowns, field))
         assert len(rows) == n * (len(unknowns) + connection._SPARE_POINTS)
         for start in range(0, len(rows), n):

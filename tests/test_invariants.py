@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from coxbasis.errors import JacobianDegenerate
 from coxbasis.invariants import (compute_invariants, invariant_field_basis, invariant_field_degrees,
                                  jacobian_matrix, partial_P_field)
 from coxbasis.poly import Poly
+from coxbasis.scalars import common_field
 
 
 def test_degrees_match_type_tables(pipeline):
@@ -151,6 +153,15 @@ def test_fingerprint_is_stable_across_builds(pipeline):
     group, arrangement = build_group(datum)
     fresh = compute_invariants(group, arrangement)
     assert fresh.fingerprint() == cached.fingerprint()
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "D4", "G2", "H3", "I2(5)", "I2(8)"])
+def test_system_field_is_the_field_of_its_polynomials(pipeline, label):
+    # the field is set from the type; the polynomials must need exactly it
+    group, _, system = pipeline(label)
+    polys = [*system.polys, system.jacobian, *(c for g in system.gradients for c in g.coeffs)]
+    assert system.field == group.datum.disc
+    assert functools.reduce(common_field, (f.d for f in polys), 1) == system.field
 
 
 @pytest.mark.parametrize("label", ["A2", "B3", "G2", "H3", "I2(5)"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ from coxbasis.poly import (
     grlex_key,
     linear_form_order,
     monomials_of_degree,
-    point_off,
     product,
+    sample_points,
 )
 from coxbasis.scalars import Quad
 
@@ -170,17 +171,11 @@ def test_evaluate_matches_substitution_by_constants():
         (x + y).evaluate([Fraction(1)])
 
 
-def test_point_off_skips_points_on_a_form():
-    x, y = x_y()
-    # (1, 1) lies on x - y, so the search moves on to (1, 2)
-    point, values = point_off([x - y, x], 2)
-    assert point == (1, 2)
-    assert values == (-1, 1)
-    # forms vanishing at t = 1, 2 and 3 push it to t = 4
-    point, values = point_off([x - y, y - x * 2, y - x * 3], 2)
-    assert point == (1, 4)
-    assert values == (-3, 2, 1)
-    with pytest.raises(ValueError):
-        point_off([x * y], 2)
-    with pytest.raises(ValueError):
-        point_off([Poly.zero(2)], 2)
+def test_sample_points_are_one_fixed_stream_of_small_integer_points():
+    first = list(itertools.islice(sample_points(2), 200))
+    assert first[:3] == [(-9, 7), (1, 9), (-6, -1)]
+    assert first == list(itertools.islice(sample_points(2), 200))
+    assert all(type(c) is int and -9 <= c <= 9 for point in first for c in point)
+    # the stream meets a form's zero set, so its users skip such points
+    assert (0, -9) in first
+    assert next(sample_points(3)) == (-9, 7, 1)

@@ -95,7 +95,8 @@ def test_format_and_parse_round_trip():
                                   "sqrt(4)", "2-sqrt(4)", "1+3*sqrt(9)", "sqrt(0)",
                                   "sqrt(1000000000001)", "sqrt(%d)" % 999983 ** 2,
                                   "1e999999999", "1e999999999+sqrt(5)", "0.5", "1_000", "+3",
-                                  "1/2/3", "nan", "inf"])
+                                  "1/2/3", "nan", "inf", "1 2", "sq rt(5)", "3*-sqrt(5)",
+                                  "-3*-sqrt(5)", "1+-3*sqrt(5)", "+sqrt(5)"])
 def test_parse_rejects_zero_denominator_and_square_radicand(text):
     with pytest.raises(ValueError):
         parse_scalar(text)
