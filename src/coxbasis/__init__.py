@@ -8,8 +8,7 @@ determinant factorization.
 """
 
 from .basis import BasisRequest, BasisResult, base_basis, build_basis
-from .certify import (Certificate, contact_order, graded_dimension,
-                      graded_member_basis, ziegler_certify)
+from .certify import Certificate, contact_order, graded_member_basis, ziegler_certify
 from .connection import nabla_D, nabla_D_inverse, nabla_partial_P, universal_field
 from .coxeter import (Arrangement, CoxeterDatum, Multiplicity, ReflectionGroup,
                       act, act_derivation, build_group, make_datum, parse_type,
@@ -19,10 +18,10 @@ from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError,
                      JacobianDegenerate, NoSolution, NonUniqueSolution, NotABasis,
                      NotDivisible, NotPolynomial, OrderBoundExceeded,
                      UnsupportedType)
-from .invariants import InvariantSystem, compute_invariants, partial_P_field
+from .invariants import InvariantSystem, compute_invariants
 from .poly import Poly, linear_form_order
 from .scalars import Quad, format_scalar, parse_scalar
-from .verify import hodge_equality_check
+from .verify import hodge_suite
 
 __version__ = "0.1.0"
 
@@ -34,8 +33,7 @@ __all__ = [
     "OrderBoundExceeded", "Poly", "Quad", "ReflectionGroup", "UnsupportedType",
     "act", "act_derivation", "base_basis", "build_basis", "build_group",
     "compute_invariants", "contact_order", "euler_field", "format_scalar",
-    "graded_dimension", "graded_member_basis", "hodge_equality_check",
-    "linear_form_order", "make_datum", "nabla",
+    "graded_member_basis", "hodge_suite", "linear_form_order", "make_datum", "nabla",
     "nabla_D", "nabla_D_inverse", "nabla_partial_P", "parse_scalar", "parse_type",
-    "partial_P_field", "reynolds", "universal_field", "ziegler_certify",
+    "reynolds", "universal_field", "ziegler_certify",
 ]

@@ -209,12 +209,6 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int,
     return fields
 
 
-def graded_dimension(multiplicity: Multiplicity, degree: int,
-                     arrangement: Arrangement) -> int:
-    """Dimension of one graded piece of the derivation module."""
-    return len(graded_member_basis(multiplicity, degree, arrangement))
-
-
 def free_module_graded_dimension(member_degrees: Sequence[int], degree: int,
                                  nvars: int) -> int:
     """Graded dimension predicted by a free basis with the given degrees."""

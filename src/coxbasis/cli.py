@@ -161,7 +161,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     budget.check("basis construction")
 
     if (args.format or "json") == "json":
-        _emit(dump_report(basis_report(result, system, group, arrangement)), args)
+        _emit(dump_report(basis_report(result)), args)
     else:
         cert = result.certificate
         lines = [

@@ -1,11 +1,11 @@
 """The connection along the invariant directions and its primitive inverse.
 
-With basic invariants P_1 .. P_l fixed, the field d/dP_j has the
-polynomial numerator `partial_P_field` over the Jacobian J.  Applying the
-connection along d/dP_j to a polynomial field is exact division by J:
-`nabla_partial_P` applies the numerator field to each coefficient and
-divides the result by J.  The primitive derivation is D = d/dP_l, and
-nabla_D is the case j = l - 1.
+With basic invariants P_1 .. P_l fixed, the field d/dP_j is
+(1/J) sum_i C[i][j] d/dx_i, with column j of C and J read off the system.
+Applying the connection along d/dP_j to a polynomial field is exact
+division by J: `nabla_partial_P` applies the numerator field to each
+coefficient and divides the result by J.  The primitive derivation is
+D = d/dP_l, and nabla_D is the case j = l - 1.
 
 The inverse direction solves nabla_D(delta') = delta inside the module of
 invariant fields through the numerator C of D alone, the primitive
@@ -36,7 +36,7 @@ from typing import Iterator
 
 from .derivations import Derivation
 from .errors import NoSolution, NonUniqueSolution, NotDivisible, NotPolynomial
-from .invariants import InvariantSystem, partial_P_field
+from .invariants import InvariantSystem
 from .linalg import Echelon
 from .poly import Poly, sample_points
 from .scalars import common_field
@@ -48,11 +48,11 @@ def nabla_partial_P(delta: Derivation, j: int, system: InvariantSystem) -> Deriv
     Raises NotPolynomial with the offending coordinate and remainder when
     some component of the result is not polynomial.
     """
-    field, jacobian = partial_P_field(system, j)
+    field = Derivation(system.cofactor_column(j))
     coeffs = []
     for i, f in enumerate(delta.coeffs):
         try:
-            coeffs.append(field.apply(f).divide_exact(jacobian))
+            coeffs.append(field.apply(f).divide_exact(system.jacobian))
         except NotDivisible as exc:
             raise NotPolynomial(
                 "component %d of the derivative along d/dP_%d is not polynomial"
@@ -104,7 +104,7 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
     n = system.nvars
     last = n - 1
     grads = [g.coeffs for g in system.gradients]
-    column = partial_P_field(system, last)[0].coeffs
+    column = system.cofactor_column(last)
     # partials[i][j][r] is d_r grad_{j,i}
     partials = [[[grads[j][i].partial(r) for r in range(n)] for j in range(n)] for i in range(n)]
     zero, one = (0, 1) if field == 1 else ((0, 0), (1, 0))
@@ -217,8 +217,8 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
                        for (jj, exps), x in zip(unknowns, solution) if jj == j})
         if not g_j.is_zero:
             out = out + grad * system.compose(g_j)
-    primitive, jacobian = partial_P_field(system, n - 1)
-    if any(primitive.apply(f) != jacobian * g for f, g in zip(out.coeffs, delta.coeffs)):
+    primitive = Derivation(system.cofactor_column(n - 1))
+    if any(primitive.apply(f) != system.jacobian * g for f, g in zip(out.coeffs, delta.coeffs)):
         raise NoSolution("the unique candidate preimage along the primitive direction "
                          "failed re-verification; the field has no polynomial preimage")
     return out

@@ -310,18 +310,14 @@ class Arrangement:
         self.datum = datum
         self.hyperplanes = hyperplanes
         self._orbits = orbits
-        self._defining_polynomial: Poly | None = None
         self.invariants: object = None
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
 
-    @property
+    @functools.cached_property
     def defining_polynomial(self) -> Poly:
-        if self._defining_polynomial is None:
-            self._defining_polynomial = product((h.form for h in self.hyperplanes),
-                                                self.datum.rank)
-        return self._defining_polynomial
+        return product((h.form for h in self.hyperplanes), self.datum.rank)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """W-orbits of hyperplanes as index tuples, canonically ordered."""
@@ -515,17 +511,9 @@ def act(w: MatrixT, p: Poly) -> Poly:
 
 def act_derivation(w: MatrixT, delta: Derivation) -> Derivation:
     """Action on vector fields: conjugation of the derivation by w."""
-    n = delta.nvars
-    inv_t = transpose(invert_matrix([list(r) for r in w]))
     moved = [act(w, f) for f in delta.coeffs]
-    out = []
-    for i in range(n):
-        acc = Poly.zero(n)
-        for k in range(n):
-            if not moved[k].is_zero:
-                acc = acc + moved[k].scale(inv_t[i][k])
-        out.append(acc)
-    return Derivation(out)
+    return Derivation([linear_combination(moved, Poly.linear(row))
+                       for row in transpose(invert_matrix([list(r) for r in w]))])
 
 
 def reynolds(group: ReflectionGroup, p: Poly) -> Poly:

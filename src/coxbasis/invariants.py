@@ -18,12 +18,13 @@ arrangement, c = det M(p) / Q(p) (``certify.determinant_scalar``), and J
 is recorded as c * Q without expanding the determinant.  The system's
 field is the type's: the realization's field holds every invariant,
 gradient and J.  The cofactors of M give the coordinate
-expression of the fields d/dP_j: `partial_P_field` (column j of the
-cofactor matrix over J) is their one definition, and the connection layer
-divides its action by J.  Column j is read off the wedge product of the
-other columns of M (`PolyMatrix.wedge`) on first use; the pipeline reads
-only the primitive one, j = l - 1, which the connection's inverse
-evaluates at points and multiplies out in its re-check, dividing nothing.
+expression of the fields d/dP_j = (1/J) sum_i C[i][j] d/dx_i: the
+numerator is `InvariantSystem.cofactor_column(j)` and the denominator
+`InvariantSystem.jacobian`, and the connection layer reads both off the
+system.  Column j is read off the wedge product of the other columns of M
+(`PolyMatrix.wedge`) on first use; the pipeline reads only the primitive
+one, j = l - 1, which the connection's inverse evaluates at points and
+multiplies out in its re-check, dividing nothing.
 
 The invariant fields of one degree have the basis g(P) grad P_j over
 invariant monomials g (`invariant_field_basis`); the connection's inverse
@@ -91,12 +92,6 @@ class InvariantSystem:
             column = self._cofactor_columns[j] = tuple(
                 (-1) ** (i + j) * minors[tuple(r for r in range(n) if r != i)] for i in range(n))
         return column
-
-    @property
-    def cofactors(self) -> tuple[tuple[Poly, ...], ...]:
-        """The whole cofactor matrix C[i][j]; expands every column."""
-        columns = [self.cofactor_column(j) for j in range(self.nvars)]
-        return tuple(zip(*columns))
 
     @property
     def coxeter_number(self) -> int:
@@ -218,15 +213,6 @@ def _finish_system(datum: CoxeterDatum, polys: tuple[Poly, ...],
                                   for form in forms]) for j in range(len(polys)))
     return InvariantSystem(datum.label, datum.rank, datum.degrees, datum.disc, polys, jac,
                            jac_scalar, m, gradients)
-
-
-def partial_P_field(system: InvariantSystem, j: int) -> tuple[Derivation, Poly]:
-    """The field d/dP_j as (polynomial numerator field, denominator J).
-
-    The numerator coefficients form column j of the Jacobian cofactor
-    matrix, so d/dP_j = (1/J) * sum_i C[i][j] d/dx_i.
-    """
-    return Derivation(system.cofactor_column(j)), system.jacobian
 
 
 def invariant_field_degrees(system: InvariantSystem) -> list[int]:

@@ -950,15 +950,17 @@ def _divide_buckets(buckets: list[dict], a: int, steps: list, d: int) -> list[di
 # (1, t, t^2, ...) will not do there, because an image in the ideal of that
 # curve vanishes at every point of it
 _POINT_SEED = 2002
-_POINT_RANGE = 9
 
 
 def sample_points(nvars: int) -> Iterator[tuple[int, ...]]:
-    """The fixed, endless stream of integer points in [-9, 9]^nvars at
-    which the package evaluates exactly."""
+    """The fixed, endless stream of integer points in [-r, r]^nvars,
+    r = max(9, 2 * nvars), at which the package evaluates exactly."""
     rng = random.Random(_POINT_SEED)
+    # a point off B_n needs n distinct nonzero absolute values, off D_n n
+    # distinct ones, so the range grows with the rank; it is 9 up to rank 4
+    bound = max(9, 2 * nvars)
     while True:
-        yield tuple(rng.randint(-_POINT_RANGE, _POINT_RANGE) for _ in range(nvars))
+        yield tuple(rng.randint(-bound, bound) for _ in range(nvars))
 
 
 def weighted_exponents(weights: Sequence[int], total: int) -> Iterator[Exponents]:

@@ -14,7 +14,6 @@ from .basis import BasisResult
 from .certify import Certificate, order_to_json
 from .coxeter import Arrangement, Multiplicity, ReflectionGroup
 from .derivations import Derivation
-from .invariants import InvariantSystem
 from .poly import dump_json, poly_from_json, poly_to_json
 from .scalars import format_scalar
 
@@ -104,9 +103,11 @@ def multiplicity_from_json(data: dict, arrangement: Arrangement) -> Multiplicity
     raise ValueError("multiplicity data needs per_hyperplane, per_orbit, or constant")
 
 
-def basis_report(result: BasisResult, system: InvariantSystem,
-                 group: ReflectionGroup, arrangement: Arrangement) -> dict:
+def basis_report(result: BasisResult) -> dict:
+    """The basis report of a result; the request carries its group,
+    arrangement and invariant system."""
     req = result.request
+    group, system = req.group, req.system
     report = {
         "schema": SCHEMA_BASIS,
         "inputs": {
@@ -115,7 +116,7 @@ def basis_report(result: BasisResult, system: InvariantSystem,
             "multiplicity": multiplicity_to_json(req.multiplicity),
             "base_source": result.base_source,
         },
-        "group": group_to_json(group, arrangement),
+        "group": group_to_json(group, req.arrangement),
         "invariants": {
             "degrees": list(system.degrees),
             "jacobian_scalar": format_scalar(system.jacobian_scalar),

@@ -1,14 +1,14 @@
 """Property suites run over seeded random samples.
 
-Each suite draws exact random inputs from a seeded generator, checks an
-identity that must hold exactly, and reports sample counts and failures.
-Suites never use floating point; a failure is a counterexample, not a
-tolerance issue.
+Each suite draws exact random inputs from a seeded generator (fields with
+integer coefficients in [-4, 4]), checks an identity that must hold
+exactly, and reports sample counts and failures.  Suites never use
+floating point; a failure is a counterexample, not a tolerance issue.
 
-The hodge suite rests on a comparison made here: the images of the
-invariant fields of one degree under the k-fold inverse of nabla_D are
-compared, by dimension, with the invariant fields k*h degrees higher
-whose contact order is at least 2k + 1 at every hyperplane.
+`hodge_suite` makes its comparison itself: the images of the invariant
+fields of one degree under the k-fold inverse of nabla_D are compared, by
+dimension, with the invariant fields k*h degrees higher whose contact
+order is at least 2k + 1 at every hyperplane.
 """
 
 from __future__ import annotations
@@ -28,14 +28,17 @@ from .poly import Poly, linear_combination, monomials_of_degree, order_constrain
 from .scalars import format_scalar
 
 
-def random_homogeneous_derivation(nvars: int, degree: int, rng: random.Random,
-                                  coeff_range: int = 4) -> Derivation:
+# the random fields draw their integer coefficients from [-4, 4]
+_COEFF_RANGE = 4
+
+
+def random_homogeneous_derivation(nvars: int, degree: int, rng: random.Random) -> Derivation:
     """A random homogeneous field with small integer coefficients."""
     monos = list(monomials_of_degree(nvars, degree))
     while True:
         coeffs = []
         for _ in range(nvars):
-            terms = {e: Fraction(rng.randint(-coeff_range, coeff_range)) for e in monos}
+            terms = {e: Fraction(rng.randint(-_COEFF_RANGE, _COEFF_RANGE)) for e in monos}
             coeffs.append(Poly(nvars, terms))
         delta = Derivation(coeffs)
         if not delta.is_zero:
@@ -43,7 +46,7 @@ def random_homogeneous_derivation(nvars: int, degree: int, rng: random.Random,
 
 
 def random_invariant_derivation(system: InvariantSystem, degree: int,
-                                rng: random.Random, coeff_range: int = 4) -> Derivation | None:
+                                rng: random.Random) -> Derivation | None:
     """A random invariant homogeneous field of one degree, None if the
     graded piece is zero."""
     basis = invariant_field_basis(system, degree)
@@ -54,7 +57,7 @@ def random_invariant_derivation(system: InvariantSystem, degree: int,
         out = Derivation.zero(n)
         hit = False
         for _, fld in basis:
-            c = rng.randint(-coeff_range, coeff_range)
+            c = rng.randint(-_COEFF_RANGE, _COEFF_RANGE)
             if c:
                 out = out + fld * Fraction(c)
                 hit = True
@@ -138,15 +141,16 @@ def invariant_graded_dimension(system: InvariantSystem, arrangement: Arrangement
     return len(basis) - echelon.rank
 
 
-def hodge_equality_check(k: int, source_degrees: Sequence[int], system: InvariantSystem,
-                         arrangement: Arrangement) -> dict:
+def hodge_suite(group: ReflectionGroup, arrangement: Arrangement,
+                system: InvariantSystem, k: int,
+                source_degrees: Sequence[int]) -> dict:
     """Compare k-fold antiderivative images with high-order invariant fields.
 
     For each source degree d, the invariant fields of degree d are mapped
     through the k-fold inverse of nabla_D, which is injective; the
     dimension of the image is compared with the dimension of the
     invariant fields of degree d + k*h having contact order at least 2k+1
-    everywhere.
+    everywhere.  Every entry whose dimensions differ is a failure.
     """
     if k < 0:
         raise ValueError("negative antiderivative count")
@@ -168,14 +172,6 @@ def hodge_equality_check(k: int, source_degrees: Sequence[int], system: Invarian
             "invariant_kernel_dimension": kernel_dim,
             "equal": image_dim == kernel_dim,
         })
-    return {"k": k, "entries": entries, "all_equal": all(e["equal"] for e in entries)}
-
-
-def hodge_suite(group: ReflectionGroup, arrangement: Arrangement,
-                system: InvariantSystem, k: int,
-                source_degrees: Sequence[int]) -> dict:
-    report = hodge_equality_check(k, source_degrees, system, arrangement)
-    failures = [e for e in report["entries"] if not e["equal"]]
+    failures = [e for e in entries if not e["equal"]]
     return {"suite": "hodge", "group": group.datum.label, "k": k,
-            "entries": report["entries"], "failures": failures,
-            "passed": report["all_equal"]}
+            "entries": entries, "failures": failures, "passed": not failures}

@@ -8,10 +8,10 @@ import pytest
 from conftest import laplace_cofactor, laplace_det
 from coxbasis import invariants
 from coxbasis.coxeter import build_group, is_invariant_derivation, is_invariant_poly, parse_type
-from coxbasis.derivations import coefficient_matrix
+from coxbasis.derivations import Derivation, coefficient_matrix
 from coxbasis.errors import JacobianDegenerate
 from coxbasis.invariants import (compute_invariants, invariant_field_basis, invariant_field_degrees,
-                                 jacobian_matrix, partial_P_field)
+                                 jacobian_matrix)
 from coxbasis.poly import Poly
 from coxbasis.scalars import common_field
 
@@ -46,7 +46,7 @@ def test_a1_frozen_values(pipeline):
     assert system.jacobian == x * 2
     assert system.jacobian_scalar == 2
     assert arrangement.defining_polynomial == x
-    assert system.cofactors == ((Poly.constant(1, Fraction(1)),),)
+    assert system.cofactor_column(0) == (Poly.constant(1, Fraction(1)),)
     # the invariant form has matrix (2), so the gradient field is 4x d/dx
     assert system.gradients[0].coeffs == (x * 4,)
 
@@ -124,8 +124,7 @@ def test_partial_P_fields_are_dual_to_invariants(pipeline):
         _, _, system = pipeline(label)
         n = len(system.polys)
         for j in range(n):
-            field, denom = partial_P_field(system, j)
-            assert denom == system.jacobian
+            field = Derivation(system.cofactor_column(j))
             for j2 in range(n):
                 value = field.apply(system.polys[j2])
                 assert value == (system.jacobian if j2 == j else Poly.zero(system.nvars))

@@ -179,3 +179,8 @@ def test_sample_points_are_one_fixed_stream_of_small_integer_points():
     # the stream meets a form's zero set, so its users skip such points
     assert (0, -9) in first
     assert next(sample_points(3)) == (-9, 7, 1)
+    # up to four variables the stream is the seeded draw in [-9, 9] itself
+    for nvars in (2, 3, 4):
+        rng = random.Random(2002)
+        expected = [tuple(rng.randint(-9, 9) for _ in range(nvars)) for _ in range(200)]
+        assert list(itertools.islice(sample_points(nvars), 200)) == expected

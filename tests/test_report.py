@@ -89,7 +89,7 @@ def test_basis_report_structure_and_determinism(pipeline):
     request = BasisRequest(group, arrangement, system,
                            Multiplicity.constant(arrangement, 1), 1)
     result = build_basis(request)
-    report = basis_report(result, system, group, arrangement)
+    report = basis_report(result)
     assert report["schema"] == SCHEMA_BASIS
     assert report["inputs"]["type"] == "B2"
     assert report["inputs"]["k"] == 1
@@ -97,7 +97,7 @@ def test_basis_report_structure_and_determinism(pipeline):
     assert report["member_degrees"] == [5, 7]
     assert "certificate" in report["base"]
     # byte determinism of the dump
-    assert dump_report(report) == dump_report(basis_report(result, system, group, arrangement))
+    assert dump_report(report) == dump_report(basis_report(result))
     # members parse back into the same derivations
     for data, member in zip(report["members"], result.members):
         assert derivation_from_json(data, 2) == member
@@ -110,7 +110,7 @@ def test_report_has_no_floats(pipeline):
     request = BasisRequest(group, arrangement, system,
                            Multiplicity.constant(arrangement, 0), 1)
     result = build_basis(request)
-    report = basis_report(result, system, group, arrangement)
+    report = basis_report(result)
 
     def walk(node):
         if isinstance(node, float):
