@@ -11,8 +11,7 @@ from .basis import BasisRequest, BasisResult, base_basis, build_basis
 from .certify import Certificate, contact_order, graded_member_basis, ziegler_certify
 from .connection import nabla_D, nabla_D_inverse, nabla_partial_P, universal_field
 from .coxeter import (Arrangement, CoxeterDatum, Multiplicity, ReflectionGroup,
-                      act, act_derivation, build_group, make_datum, parse_type,
-                      reynolds)
+                      build_group, make_datum, parse_type, reynolds)
 from .derivations import Derivation, euler_field, nabla
 from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError,
                      JacobianDegenerate, NoSolution, NonUniqueSolution, NotABasis,
@@ -31,7 +30,7 @@ __all__ = [
     "InvariantSystem", "JacobianDegenerate", "Multiplicity", "NoSolution",
     "NonUniqueSolution", "NotABasis", "NotDivisible", "NotPolynomial",
     "OrderBoundExceeded", "Poly", "Quad", "ReflectionGroup", "UnsupportedType",
-    "act", "act_derivation", "base_basis", "build_basis", "build_group",
+    "base_basis", "build_basis", "build_group",
     "compute_invariants", "contact_order", "euler_field", "format_scalar",
     "graded_member_basis", "hodge_suite", "linear_form_order", "make_datum", "nabla",
     "nabla_D", "nabla_D_inverse", "nabla_partial_P", "parse_scalar", "parse_type",

@@ -42,7 +42,7 @@ from typing import Sequence
 from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation, coefficient_matrix
 from .linalg import Echelon, PolyMatrix, det
-from .poly import (INFINITE_ORDER, Poly, count_monomials, linear_combination, linear_form_order,
+from .poly import (INFINITE_ORDER, Poly, linear_combination, linear_form_order,
                    monomials_of_degree, order_constraint_rows, product, sample_points)
 from .scalars import Scalar
 
@@ -208,8 +208,3 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int,
         fields.append(Derivation([Poly(n, p) for p in polys]))
     return fields
 
-
-def free_module_graded_dimension(member_degrees: Sequence[int], degree: int,
-                                 nvars: int) -> int:
-    """Graded dimension predicted by a free basis with the given degrees."""
-    return sum(count_monomials(nvars, degree - d) for d in member_degrees)

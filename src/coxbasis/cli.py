@@ -121,7 +121,7 @@ def _read_json(path: str):
 def _load_multiplicity(args: argparse.Namespace, arrangement) -> Multiplicity:
     if args.mfile:
         return multiplicity_from_json(_read_json(args.mfile), arrangement)
-    return Multiplicity.constant(arrangement, args.m)
+    return Multiplicity.constant(arrangement, args.m or 0)
 
 
 def _load_user_base(path: str, nvars: int):
@@ -263,10 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_basis = sub.add_parser("basis", help="build and certify a basis")
     p_basis.add_argument("--type", required=True)
     p_basis.add_argument("--rank", type=int, default=None)
-    p_basis.add_argument("--m", type=int, default=0, choices=(0, 1),
-                         help="constant base multiplicity")
-    p_basis.add_argument("--mfile", type=str, default=None,
-                         help="JSON file with per_orbit or per_hyperplane values")
+    # None as --m's default, so that a given --m 0 also counts as given
+    multiplicity = p_basis.add_mutually_exclusive_group()
+    multiplicity.add_argument("--m", type=int, default=None, choices=(0, 1),
+                              help="constant base multiplicity (default 0)")
+    multiplicity.add_argument("--mfile", type=str, default=None,
+                              help="JSON file with per_orbit or per_hyperplane values")
     p_basis.add_argument("--k", type=_nonnegative, default=1,
                          help="number of antiderivative steps")
     p_basis.add_argument("--base", choices=BASE_SOURCES, default="auto",

@@ -41,7 +41,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .derivations import Derivation
 from .errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
 from .linalg import invert_matrix
 from .poly import Poly, Powers, linear_combination, product, substitute_sum
@@ -504,22 +503,10 @@ def _column_forms(w: MatrixT) -> tuple[Poly, ...]:
     return tuple(Poly.linear([w[j][i] for j in range(n)]) for i in range(n))
 
 
-def act(w: MatrixT, p: Poly) -> Poly:
-    """Action of a group element on a polynomial, p -> p o w^{-1}."""
-    return substitute_sum(p, [tuple(Powers(form) for form in _column_forms(w))], p.nvars)
-
-
-def act_derivation(w: MatrixT, delta: Derivation) -> Derivation:
-    """Action on vector fields: conjugation of the derivation by w."""
-    moved = [act(w, f) for f in delta.coeffs]
-    return Derivation([linear_combination(moved, Poly.linear(row))
-                       for row in transpose(invert_matrix([list(r) for r in w]))])
-
-
 def reynolds(group: ReflectionGroup, p: Poly) -> Poly:
     """Average of p over the group, the projection onto invariants.
 
-    act is a left action, so with W_K the union of the cosets u W_J the
+    The action is a left action, so with W_K the union of the cosets u W_J the
     sum over W_K of w p is the sum over u of u applied to the sum over
     W_J.  Each stage of the chain is one substitute_sum, innermost first,
     and the total is divided by |W| once at the end.
@@ -527,14 +514,6 @@ def reynolds(group: ReflectionGroup, p: Poly) -> Poly:
     for tables in group.coset_powers:
         p = substitute_sum(p, tables, p.nvars)
     return p.scale(Fraction(1, group.order))
-
-
-def is_invariant_poly(group: ReflectionGroup, p: Poly) -> bool:
-    return all(act(g, p) == p for g in group.generators)
-
-
-def is_invariant_derivation(group: ReflectionGroup, delta: Derivation) -> bool:
-    return all(act_derivation(g, delta) == delta for g in group.generators)
 
 
 class Multiplicity:

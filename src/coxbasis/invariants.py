@@ -113,10 +113,6 @@ class InvariantSystem:
         """Exponent vectors of invariant monomials of the given x-degree."""
         yield from weighted_exponents(self.degrees, degree)
 
-    def invariant_basis(self, degree: int) -> list[Poly]:
-        """Monomials in the invariants spanning the invariants of one degree."""
-        return [self.expand(e) for e in self.invariant_exponents(degree)]
-
     def fingerprint(self) -> str:
         blob = json.dumps({
             "label": self.label,

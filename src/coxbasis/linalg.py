@@ -5,7 +5,7 @@ over Q, int pairs (a, b) for a + b*sqrt(d) over Q(sqrt(d)), as in ``poly``.
 Its rows stay in reduced echelon form with unnormalized pivots, and a
 vector is reduced by cross-multiplying over the gcd of its components, so
 no fraction is formed (integer-preserving elimination: Bareiss, Math.
-Comp. 22, 1968).  `rref`, `kernel_basis`, `invert_matrix` and `det`
+Comp. 22, 1968).  `rref`, `invert_matrix` and `det`
 convert Fraction/Quad matrices at the boundary (`split_scalars`,
 `join_scalar`); polynomials enter through `numerator_vector`, and
 `Echelon.kernel_basis` reads kernels back as scalars.  Pivots are
@@ -192,23 +192,6 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     return [row for _, row in echelon.scalar_rows()] + zeros, [p for p, _ in echelon.rows]
 
 
-def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[list[Scalar]]:
-    """Basis of the right kernel, one vector per free column, in column order."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("kernel of an empty matrix needs an explicit column count")
-        ncols = len(rows[0])
-    if rows and ncols != len(rows[0]):
-        raise ValueError("kernel in %d columns of a matrix with %d" % (ncols, len(rows[0])))
-    if not rows:
-        return Echelon().kernel_basis(ncols)
-    d, nums, _ = _numerators(rows)
-    echelon = Echelon(d)
-    for row in nums:
-        echelon.add(row)
-    return echelon.kernel_basis(ncols)
-
-
 def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     """Determinant of a square scalar matrix.
 
@@ -264,11 +247,8 @@ class PolyMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PolyMatrix is immutable")
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.rows[i][j]
-
-    def evaluate(self, point: Sequence[Scalar]) -> Matrix:
-        """The scalar matrix of the entries' values at a point."""
+    def evaluate(self, point: Sequence[int]) -> Matrix:
+        """The scalar matrix of the entries' values at an integer point."""
         return [[e.evaluate(point) for e in row] for row in self.rows]
 
     def wedge(self, columns: Sequence[int]) -> dict[tuple[int, ...], Poly]:

@@ -11,7 +11,7 @@ is stored over Q.  Products, sums, derivatives, substitution and
 division all run on these ints through one set of kernels for both
 fields.  ``Fraction`` and ``Quad`` appear only at the boundary: the
 constructor, the exponents -> scalar view ``terms`` (built on first use),
-coefficient accessors, evaluation and formatting.
+the leading coefficient, the value of an evaluation and formatting.
 
 The monomial order used everywhere is graded lexicographic: compare total
 degree first, then the exponent tuple lexicographically.  Leading terms,
@@ -27,10 +27,12 @@ nonzero, and `order_constraint_rows` reads r_0 .. r_{m-1} of several
 polynomials under one shared scale, placing each coefficient in the
 linear constraint row of "alpha^m divides" that it belongs to.
 
-Every exact evaluation at points reads one fixed stream of small integer
-points, `sample_points`: the determinant scalars of ``certify`` take its
-first point off the arrangement, and the equations of the connection's
-inverse are read at point after point of it.
+Evaluation reads integer points only, as integer numerators
+(`Poly.numerator_at`), and rejects any other coordinate.  Every exact
+evaluation at points reads one fixed stream of small integer points,
+`sample_points`: the determinant scalars of ``certify`` take its first
+point off the arrangement, and the equations of the connection's inverse
+are read at point after point of it.
 
 The JSON form of a polynomial, a term list of exponent lists and exact
 coefficient strings, is defined here once, for the reports and for the
@@ -324,12 +326,6 @@ class Poly:
         if self.nvars != other.nvars:
             raise ValueError("polynomials in %d and %d variables" % (self.nvars, other.nvars))
 
-    def total_degree(self) -> int | float:
-        """Maximum total degree, -inf for the zero polynomial."""
-        if not self.num:
-            return -INFINITE_ORDER
-        return max(map(sum, self.num))
-
     def is_homogeneous(self) -> bool:
         return len(set(map(sum, self.num))) <= 1
 
@@ -348,18 +344,11 @@ class Poly:
         exps = max(self.num, key=grlex_key)
         return exps, join_scalar(self.d, self.num[exps], self.den)
 
-    def leading_coefficient(self) -> Scalar:
-        return self.leading_term()[1]
-
     def monic(self) -> "Poly":
         _, c = self.leading_term()
         if c == 1:
             return self
         return self.scale(1 / c)
-
-    def coefficient(self, exps: Exponents) -> Scalar:
-        c = self.num.get(tuple(exps))
-        return Fraction(0) if c is None else join_scalar(self.d, c, self.den)
 
     def partial(self, i: int) -> "Poly":
         """Partial derivative with respect to variable ``i``."""
@@ -381,14 +370,11 @@ class Poly:
                 raise ValueError("substitution polynomials disagree on variable count")
         return substitute_sum(self, [tuple(Powers(f) for f in forms)], target)
 
-    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        """Exact value at a point given by one scalar per variable."""
-        if len(point) != self.nvars:
-            raise ValueError("need %d coordinates, got %d" % (self.nvars, len(point)))
-        ints = _integral(point)
-        if ints is None:
-            return _evaluate_scalars(self, point)
-        return join_scalar(self.d, self.numerator_at(ints), self.den)
+    def evaluate(self, point: Sequence[int]) -> Scalar:
+        """Exact value at an integer point: `numerator_at` over ``den``."""
+        if not all(isinstance(x, int) for x in point):
+            raise ValueError("evaluation needs integer coordinates")
+        return join_scalar(self.d, self.numerator_at(point), self.den)
 
     def numerator_at(self, point: Sequence[int]) -> "int | tuple[int, int]":
         """The value at an integral point times ``den``: an int over Q, an
@@ -568,34 +554,6 @@ def _make(nvars: int, d: int, num: dict, den: int) -> Poly:
                 else:
                     num = {e: (a // g, b // g) for e, (a, b) in num.items()}
     return _new(nvars, d, num, den)
-
-
-def _integral(point: Sequence[Scalar]) -> list[int] | None:
-    out = []
-    for x in point:
-        if isinstance(x, int):
-            out.append(x)
-        elif isinstance(x, Fraction) and x.denominator == 1:
-            out.append(x.numerator)
-        else:
-            return None
-    return out
-
-
-def _evaluate_scalars(p: Poly, point: Sequence[Scalar]) -> Scalar:
-    """Value at a point with non-integral coordinates, in scalar arithmetic."""
-    powers: dict[tuple[int, int], Scalar] = {}
-    total: Scalar = Fraction(0)
-    for exps, coeff in p.terms.items():
-        term = coeff
-        for i, e in enumerate(exps):
-            if e:
-                pw = powers.get((i, e))
-                if pw is None:
-                    pw = powers[(i, e)] = point[i] ** e
-                term = term * pw
-        total = total + term
-    return total
 
 
 class Powers:
@@ -986,12 +944,6 @@ def weighted_exponents(weights: Sequence[int], total: int) -> Iterator[Exponents
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
     """All exponent tuples of the given total degree, descending grlex."""
     return weighted_exponents((1,) * nvars, degree)
-
-
-def count_monomials(nvars: int, degree: int) -> int:
-    if degree < 0:
-        return 0
-    return math.comb(degree + nvars - 1, nvars - 1)
 
 
 def product(polys: Iterable[Poly], nvars: int) -> Poly:

@@ -85,22 +85,30 @@ def multiplicity_to_json(mult: Multiplicity) -> dict:
 
 
 def multiplicity_from_json(data: dict, arrangement: Arrangement) -> Multiplicity:
-    """Parse one of {"per_hyperplane": [...]}, {"per_orbit": [...]} or
-    {"constant": n}; raises ValueError unless every value is an int."""
+    """Parse {"per_hyperplane": [...]}, {"per_orbit": [...]} or
+    {"constant": n}, or several of them that give one multiplicity, as the
+    ``inputs.multiplicity`` block of a report does; raises ValueError unless
+    every value is an int and the keys given agree."""
     if not isinstance(data, dict):
         raise ValueError("multiplicity data must be a JSON object")
     builders = {"per_hyperplane": Multiplicity, "per_orbit": Multiplicity.from_orbit_values}
+    built = {}
     for key, build in builders.items():
         if key in data:
             values = data[key]
             if not (isinstance(values, list) and all(type(v) is int for v in values)):
                 raise ValueError("multiplicity %s must be a list of integers" % key)
-            return build(arrangement, values)
+            built[key] = build(arrangement, values)
     if "constant" in data:
         if type(data["constant"]) is not int:
             raise ValueError("multiplicity constant must be an integer")
-        return Multiplicity.constant(arrangement, data["constant"])
-    raise ValueError("multiplicity data needs per_hyperplane, per_orbit, or constant")
+        built["constant"] = Multiplicity.constant(arrangement, data["constant"])
+    if not built:
+        raise ValueError("multiplicity data needs per_hyperplane, per_orbit, or constant")
+    first, *rest = built.values()
+    if any(m != first for m in rest):
+        raise ValueError("multiplicity keys %s give different values" % " and ".join(built))
+    return first
 
 
 def basis_report(result: BasisResult) -> dict:

@@ -12,9 +12,9 @@ from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
 from coxbasis.derivations import Derivation
 from coxbasis.errors import NotDivisible
 from coxbasis.invariants import compute_invariants
-from coxbasis.linalg import invert_matrix, rref
-from coxbasis.poly import Poly, Powers, product, substitute_sum
-from coxbasis.scalars import scalar_inverse
+from coxbasis.linalg import Echelon, invert_matrix, rref
+from coxbasis.poly import Poly, Powers, linear_combination, product, substitute_sum
+from coxbasis.scalars import join_scalar, scalar_inverse, split_scalars
 
 _CACHE: dict[str, tuple] = {}
 _CLOSURES: dict[str, tuple] = {}
@@ -150,6 +150,31 @@ def rank(rows):
     return len(rref(rows)[1])
 
 
+def kernel_basis(rows, ncols):
+    """Basis of the right kernel of a scalar matrix in ``ncols`` columns, one
+    vector per free column of `fraction_rref`, in column order."""
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][f]
+        basis.append(v)
+    return basis
+
+
+def echelon_of(rows):
+    """The package's ``Echelon`` of a scalar matrix, its rows entered as
+    integer numerators over one common denominator."""
+    d, nums, _ = split_scalars([x for row in rows for x in row])
+    echelon = Echelon(d)
+    width = len(rows[0]) if rows else 0
+    for k in range(0, len(nums), width or 1):
+        echelon.add(nums[k:k + width])
+    return echelon
+
+
 def fraction_det(rows):
     """Determinant of a square scalar matrix by Gaussian elimination."""
     m = [list(row) for row in rows]
@@ -198,6 +223,30 @@ def laplace_cofactor(rows, i, j):
     return -minor if (i + j) % 2 else minor
 
 
+def total_degree(p):
+    """Maximum total degree of a polynomial, -inf for zero."""
+    return max(map(sum, p.num), default=-math.inf)
+
+
+def coefficient(p, exps):
+    """The coefficient of one monomial of a polynomial, 0 when absent."""
+    c = p.num.get(tuple(exps))
+    return Fraction(0) if c is None else join_scalar(p.d, c, p.den)
+
+
+def invariant_basis(system, degree):
+    """The monomials in the basic invariants of one x-degree, in coordinates:
+    a spanning set of the invariants of that degree."""
+    return [system.expand(e) for e in system.invariant_exponents(degree)]
+
+
+def free_module_graded_dimension(member_degrees, degree, nvars):
+    """Graded dimension predicted by a free basis with the given degrees:
+    one copy of the polynomials of degree ``degree - d`` per member."""
+    return sum(math.comb(degree - d + nvars - 1, nvars - 1)
+               for d in member_degrees if degree >= d)
+
+
 def gradient_numerators(system):
     """N[j][i], the numerator over J of D applied to component i of grad P_j,
     for the primitive derivation D = d/dP_l, as polynomials.  The package
@@ -237,7 +286,7 @@ def substitution_rows(applied, alpha, m, d):
     gives one row, their numerators over one common denominator.  The
     test-only reference for ``coxbasis.certify.order_constraint_rows``."""
     n = alpha.nvars
-    coeffs = [alpha.coefficient(tuple(int(j == t) for j in range(n))) for t in range(n)]
+    coeffs = [coefficient(alpha, tuple(int(j == t) for j in range(n))) for t in range(n)]
     pivot = next(t for t, a in enumerate(coeffs) if a != 0)
     inv = scalar_inverse(coeffs[pivot])
     # x_pivot = inv * (y_pivot - sum of the other alpha_t y_t)
@@ -261,6 +310,34 @@ def substitution_rows(applied, alpha, m, d):
                 rows[slot][u] = (c * s if d == 1 else (c * s, 0) if p.d == 1
                                  else (c[0] * s, c[1] * s))
     return rows
+
+
+# Test-only reference actions of single group elements.  The package never
+# applies one element: it averages over the group through the coset chain of
+# ``coxbasis.coxeter.reynolds``.  These are what invariance is checked by.
+
+
+def act(w, p):
+    """Action of a group element on a polynomial, p -> p o w^{-1}: column i
+    of w substituted for variable i."""
+    n = len(w)
+    columns = tuple(Powers(Poly.linear([w[j][i] for j in range(n)])) for i in range(n))
+    return substitute_sum(p, [columns], p.nvars)
+
+
+def act_derivation(w, delta):
+    """Action on vector fields: conjugation of the derivation by w."""
+    moved = [act(w, f) for f in delta.coeffs]
+    return Derivation([linear_combination(moved, Poly.linear(row))
+                       for row in transpose(invert_matrix([list(r) for r in w]))])
+
+
+def is_invariant_poly(group, p):
+    return all(act(g, p) == p for g in group.generators)
+
+
+def is_invariant_derivation(group, delta):
+    return all(act_derivation(g, delta) == delta for g in group.generators)
 
 
 # Test-only reference orbit walks in Fraction/Quad arithmetic.  The package

@@ -12,10 +12,11 @@ import time
 
 import pytest
 
+from conftest import free_module_graded_dimension, is_invariant_derivation
+
 from coxbasis.basis import BasisRequest, build_basis
 from coxbasis.certify import (
     VERDICT_FREE,
-    free_module_graded_dimension,
     contact_order,
     graded_member_basis,
 )
@@ -24,7 +25,6 @@ from coxbasis.connection import nabla_partial_P, universal_field
 from coxbasis.coxeter import (
     Multiplicity,
     build_group,
-    is_invariant_derivation,
     parse_type,
 )
 from coxbasis.derivations import nabla

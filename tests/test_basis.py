@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from conftest import is_invariant_derivation
 
 from coxbasis.basis import BasisRequest, BasisResult, base_basis, build_basis
 from coxbasis.certify import VERDICT_FREE
-from coxbasis.coxeter import Multiplicity, is_invariant_derivation
+from coxbasis.coxeter import Multiplicity
 from coxbasis.derivations import Derivation
 from coxbasis.errors import CertificateFailed, NotABasis
 from coxbasis.poly import Poly

@@ -22,6 +22,9 @@ from coxbasis import certify, cli, coxeter, invariants
 from coxbasis.coxeter import parse_type
 
 
+MFILE = str(Path(__file__).resolve().parent.parent / "perfbench" / "mfiles" / "per_orbit_01.json")
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -256,6 +259,7 @@ def test_basis_mfile_per_orbit(tmp_path, capsys):
     {"per_hyperplane": [True, 1, 1]},
     {"per_orbit": [[1]]},
     {"per_orbit": 3},
+    {"per_hyperplane": [1, 1, 1], "per_orbit": [0]},
 ])
 def test_basis_rejects_malformed_mfile(tmp_path, capsys, content):
     mfile = tmp_path / "mult.json"
@@ -271,7 +275,8 @@ def _nested_json_error(flag, tmp_path, capsys):
     # deep enough for the JSON decoder to give up on recursion
     path = tmp_path / "nested.json"
     path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
-    code, out, err = run(["basis", "--type", "A2", "--m", "0", "--k", "0", flag, str(path),
+    m = ["--m", "0"] if flag == "--base-file" else []
+    code, out, err = run(["basis", "--type", "A2", *m, "--k", "0", flag, str(path),
                           "--no-cache"], capsys)
     assert (code, out) == (EXIT_FAIL, "")
     lines = err.splitlines()
@@ -290,7 +295,8 @@ def test_deeply_nested_base_file_is_an_error_not_a_traceback(tmp_path, capsys):
 def test_undecodable_json_file_is_an_error(flag, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff{not json")
-    code, out, err = run(["basis", "--type", "A2", "--m", "0", "--k", "0", flag, str(path),
+    m = ["--m", "0"] if flag == "--base-file" else []
+    code, out, err = run(["basis", "--type", "A2", *m, "--k", "0", flag, str(path),
                           "--no-cache"], capsys)
     assert (code, out) == (EXIT_FAIL, "")
     assert err.startswith("error: %s is not readable JSON" % path) and err.count("\n") == 1
@@ -500,6 +506,9 @@ def test_group_construction_alarm_exits_three(attr, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     [],
     ["basis", "--type", "A2", "--m", "2"],
+    # --m and --mfile name one multiplicity twice, whichever value --m has
+    ["basis", "--type", "B2", "--m", "1", "--mfile", MFILE, "--k", "0"],
+    ["basis", "--type", "B2", "--m", "0", "--mfile", MFILE, "--k", "0"],
     ["basis", "--type", "A2", "--k", "x"],
     ["basis", "--type", "A2", "--k", "-1"],
     ["basis", "--type", "A2", "--time-budget", "nan"],

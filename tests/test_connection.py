@@ -8,11 +8,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import fraction_rref, gradient_numerators
+from conftest import fraction_rref, gradient_numerators, is_invariant_derivation
 
 from coxbasis import connection
 from coxbasis.connection import nabla_D, nabla_D_inverse, universal_field
-from coxbasis.coxeter import build_group, is_invariant_derivation, parse_type
+from coxbasis.coxeter import build_group, parse_type
 from coxbasis.derivations import Derivation, euler_field, nabla
 from coxbasis.errors import NoSolution, NonUniqueSolution, NotPolynomial
 from coxbasis.invariants import compute_invariants, invariant_field_basis

@@ -7,16 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fraction_walk, mat_vec, normalize_form
+from conftest import (act, act_derivation, fraction_walk, is_invariant_derivation,
+                      is_invariant_poly, kernel_basis, mat_vec, normalize_form)
 from coxbasis.coxeter import (
     CoxeterDatum,
     Multiplicity,
-    act,
-    act_derivation,
     build_group,
     identity_matrix,
-    is_invariant_derivation,
-    is_invariant_poly,
     make_datum,
     mat_mul,
     parse_type,
@@ -27,7 +24,6 @@ from coxbasis.coxeter import (
 from coxbasis import coxeter
 from coxbasis.derivations import Derivation, euler_field
 from coxbasis.errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
-from coxbasis.linalg import kernel_basis
 from coxbasis.poly import Poly, Powers, monomials_of_degree, substitute_sum
 from coxbasis.verify import random_homogeneous_derivation
 

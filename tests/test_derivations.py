@@ -90,10 +90,7 @@ def test_arithmetic_and_matrix():
     assert (d1 - d1).is_zero
     assert (d1 * Fraction(2)).coeffs == (x * 2, y * 2)
     m = coefficient_matrix([d1, d2])
-    assert m.entry(0, 0) == x
-    assert m.entry(0, 1) == y
-    assert m.entry(1, 0) == y
-    assert m.entry(1, 1) == x
+    assert m.rows == [[x, y], [y, x]]
 
 
 def test_to_str():

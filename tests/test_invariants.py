@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import laplace_cofactor, laplace_det
+from conftest import (coefficient, invariant_basis, is_invariant_derivation, is_invariant_poly,
+                      laplace_cofactor, laplace_det, total_degree)
 from coxbasis import invariants
-from coxbasis.coxeter import build_group, is_invariant_derivation, is_invariant_poly, parse_type
+from coxbasis.coxeter import build_group, parse_type
 from coxbasis.derivations import Derivation, coefficient_matrix
 from coxbasis.errors import JacobianDegenerate
 from coxbasis.invariants import (compute_invariants, invariant_field_basis, invariant_field_degrees,
@@ -23,7 +24,7 @@ def test_degrees_match_type_tables(pipeline):
         for p, d in zip(system.polys, system.degrees):
             assert p.is_homogeneous()
             assert p.homogeneous_degree() == d
-            assert p.leading_coefficient() == 1
+            assert p.leading_term()[1] == 1
             assert is_invariant_poly(group, p)
 
 
@@ -88,7 +89,7 @@ def test_jacobian_matrix_layout(pipeline):
     m = jacobian_matrix(system.polys)
     for i in range(2):
         for j in range(2):
-            assert m.entry(i, j) == system.polys[j].partial(i)
+            assert m.rows[i][j] == system.polys[j].partial(i)
 
 
 def test_gradient_fields_are_invariant(pipeline):
@@ -105,7 +106,7 @@ def test_lowest_gradient_is_proportional_to_euler(pipeline):
         grad = system.gradients[0]
         n = group.rank
         one = tuple(1 if k == 0 else 0 for k in range(n))
-        c = grad.coeffs[0].coefficient(one)
+        c = coefficient(grad.coeffs[0], one)
         assert c != 0
         for i in range(n):
             assert grad.coeffs[i] == Poly.variable(n, i) * c
@@ -116,7 +117,7 @@ def test_gradient_determinant_is_scalar_times_defining_polynomial(pipeline):
         _, arrangement, system = pipeline(label)
         det = coefficient_matrix(list(system.gradients)).det()
         ratio = det.divide_exact(arrangement.defining_polynomial)
-        assert ratio.total_degree() == 0
+        assert total_degree(ratio) == 0
 
 
 def test_partial_P_fields_are_dual_to_invariants(pipeline):
@@ -135,7 +136,7 @@ def test_invariant_exponents_and_basis(pipeline):
     assert list(system.invariant_exponents(4)) == [(2, 0), (0, 1)]
     assert list(system.invariant_exponents(5)) == []
     assert list(system.invariant_exponents(0)) == [(0, 0)]
-    basis = system.invariant_basis(4)
+    basis = invariant_basis(system, 4)
     assert basis == [system.polys[0] ** 2, system.polys[1]]
 
 

@@ -208,7 +208,9 @@ def test_json_files_end_in_an_exit_code(flag, tmp_path, capsys):
     @example(text='{"constant": 1' + "0" * 5000 + "}", label="A1", m="1", k="1")
     def check(text, label, m, k):
         path.write_text(text, encoding="utf-8")
-        settles(["basis", "--type", label, "--m", m, "--k", k, flag, str(path)])
+        # --m goes only with --base-file: beside --mfile it is a usage error
+        settles(["basis", "--type", label, "--k", k, flag, str(path)]
+                + (["--m", m] if flag == "--base-file" else []))
         capsys.readouterr()
 
     check()

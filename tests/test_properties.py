@@ -14,10 +14,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import laplace_det
+from conftest import act, laplace_det
 
 from coxbasis.certify import order_constraint_rows
-from coxbasis.coxeter import act, mat_mul, parse_type
+from coxbasis.coxeter import mat_mul, parse_type
 from coxbasis.linalg import Echelon, PolyMatrix, rref
 from coxbasis.poly import Poly, dump_json, linear_form_order, poly_from_json, poly_to_json
 from coxbasis.scalars import Quad, format_scalar, parse_scalar, split_scalars

@@ -77,6 +77,11 @@ def test_multiplicity_json_round_trips(pipeline):
     assert multiplicity_from_json(data, arrangement) == mult
     assert multiplicity_from_json({"per_orbit": [1, 0]}, arrangement) == mult
     assert multiplicity_from_json({"constant": 1}, arrangement) == Multiplicity.constant(arrangement, 1)
+    # several keys load only when they give one multiplicity
+    assert (multiplicity_from_json({"constant": 1, "per_orbit": [1, 1]}, arrangement)
+            == Multiplicity.constant(arrangement, 1))
+    with pytest.raises(ValueError, match="per_hyperplane and per_orbit"):
+        multiplicity_from_json({"per_hyperplane": [1, 1, 1, 1], "per_orbit": [0, 1]}, arrangement)
     with pytest.raises(ValueError):
         multiplicity_from_json({}, arrangement)
     for bad in ({"constant": 1.0}, {"constant": True}, {"per_orbit": [1, False]}, [1, 0]):

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from conftest import sequential_witness
+from conftest import is_invariant_derivation, sequential_witness
 
 from coxbasis.basis import BasisRequest, build_basis
 from coxbasis.certify import VERDICT_FREE
-from coxbasis.coxeter import Multiplicity, is_invariant_derivation
+from coxbasis.coxeter import Multiplicity
 from coxbasis.scalars import Quad
 
 

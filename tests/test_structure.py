@@ -23,8 +23,10 @@ them with caller input; a zero-argument ``functools.cache`` holds one value.
 
 Every module-level function and class of the package, and every method
 that is not a dunder, is referred to outside its own body: by the package,
-by a test, by a tracer target, or, for an override, by the library class
-it overrides.  A merge that leaves the old routine behind fails here.
+by a tracer target, or, for an override, by the library class it
+overrides.  A merge that leaves the old routine behind fails here.  A
+test's reference keeps nothing alive: code that only tests call lives in
+``tests/conftest.py``, as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "coxbasis"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 STDLIB_IMPORTS = {
@@ -49,9 +50,9 @@ FILE_IO = {"open", "io", "os", "pathlib", "shutil", "tempfile", "read_text", "wr
 JSON_READER = ("cli", "_read_json")
 
 
-def package_modules() -> dict[str, ast.Module]:
+def package_modules(root: Path = ROOT) -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for path in sorted(PACKAGE.glob("*.py"))}
+            for path in sorted((root / "src" / "coxbasis").glob("*.py"))}
 
 
 def nested_imports(tree: ast.Module) -> list[int]:
@@ -209,13 +210,11 @@ def references(tree: ast.Module) -> list[tuple[str, int]]:
     return out
 
 
-def unreferenced(package: dict[str, ast.Module], others: list[ast.Module],
-                 names: set[str]) -> list[str]:
+def unreferenced(package: dict[str, ast.Module], names: set[str]) -> list[str]:
     """``module.name`` of each definition of the package (``definitions``)
     that nothing refers to outside its own body: no other module of the
-    package, none of ``others``, none of ``names``, and no line of its own
-    module outside the definition."""
-    used = set(names).union(*({n for n, _ in references(tree)} for tree in others))
+    package, none of ``names``, and no line of its own module outside the
+    definition."""
     lines: dict[str, dict[str, list[int]]] = {}
     for module, tree in package.items():
         for name, line in references(tree):
@@ -224,7 +223,7 @@ def unreferenced(package: dict[str, ast.Module], others: list[ast.Module],
     for module, tree in package.items():
         for name, first, last in definitions(tree):
             where = lines.get(name, {})
-            if (name not in used and where.keys() <= {module}
+            if (name not in names and where.keys() <= {module}
                     and all(first <= line <= last for line in where.get(module, ()))):
                 out.append("%s.%s" % (module, name))
     return out
@@ -295,7 +294,7 @@ def test_every_memo_is_bounded():
     assert unbounded_caches(tree) == ["a", "b", "c", "d"]
 
 
-def test_guards_detect_what_they_guard():
+def test_guards_detect_what_they_guard(tmp_path):
     tree = ast.parse("import os\n\ndef f():\n    from .poly import Poly\n    import math\n")
     assert nested_imports(tree) == [4, 5]
     tree = ast.parse("from . import verify, main\nfrom .poly import Poly\nimport coxbasis.cli\n")
@@ -317,8 +316,16 @@ def test_guards_detect_what_they_guard():
                               "class C:\n    def m(self):\n        return self.m\n"
                               "    def __eq__(self, other):\n        return True\n"),
                "b": ast.parse("from .a import C\n")}
-    assert unreferenced(package, [], set()) == ["a.unused", "a.m"]
-    assert unreferenced(package, [ast.parse("C().m()")], {"unused"}) == []
+    assert unreferenced(package, set()) == ["a.unused", "a.m"]
+    assert unreferenced(package, {"unused", "m"}) == []
+    # a definition that only a test calls is reported
+    (tmp_path / "src" / "coxbasis").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "coxbasis" / "a.py").write_text(
+        "def used():\n    return 1\n\ndef tested():\n    return used()\n")
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "from coxbasis.a import tested\n\ndef test_tested():\n    assert tested() == 1\n")
+    assert unreferenced(package_modules(tmp_path), set()) == ["a.tested"]
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
 
@@ -338,10 +345,8 @@ def library_overrides(modules: list[str]) -> set[str]:
 
 def test_every_definition_is_referenced():
     package = package_modules()
-    tests = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for path in sorted((ROOT / "tests").glob("*.py"))]
     names = {attr for _, _, attr in tracer_targets()} | library_overrides(list(package))
-    assert unreferenced(package, tests, names) == []
+    assert unreferenced(package, names) == []
 
 
 def test_tracer_targets_resolve():

@@ -13,7 +13,7 @@ B3, G2 and I2(5):
   * nabla_D of nabla_D_inverse, which must give each field back.
 
 On seeded random rational matrices up to 8 x 9, some of them rank
-deficient, `rref`, `det` and `kernel_basis` are also checked against
+deficient, `rref`, `det` and `Echelon.kernel_basis` are also checked against
 sympy's ``rref``, ``det`` and ``nullspace``.
 """
 
@@ -23,11 +23,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import echelon_of
 
 from coxbasis.connection import nabla_D, nabla_D_inverse, nabla_partial_P, universal_field
 from coxbasis.errors import NotPolynomial
 from coxbasis.invariants import invariant_field_basis
-from coxbasis.linalg import det, kernel_basis, rref
+from coxbasis.linalg import det, rref
 from coxbasis.poly import Poly
 from coxbasis.scalars import Quad
 from coxbasis.verify import random_invariant_derivation
@@ -172,7 +173,7 @@ def test_rref_and_kernel_match_sympy():
         reduced, pivots = rref(rows)
         assert pivots == list(expected_pivots)
         assert to_sympy(reduced) == expected
-        kernel = kernel_basis(rows, len(rows[0]))
+        kernel = echelon_of(rows).kernel_basis(len(rows[0]))
         assert [to_sympy([v]).T for v in kernel] == reference.nullspace()
 
 

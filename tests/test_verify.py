@@ -5,18 +5,17 @@ import math
 import random
 
 import pytest
+from conftest import is_invariant_derivation
 
 from coxbasis import verify
 from coxbasis.cli import main
 from coxbasis.verify import (
     euler_suite,
-    hodge_suite,
     jacobian_suite,
     random_homogeneous_derivation,
     random_invariant_derivation,
     shift_suite,
 )
-from coxbasis.coxeter import is_invariant_derivation
 
 
 def test_random_homogeneous_derivation_shape():
@@ -90,8 +89,3 @@ def test_shift_suite_reports_infinite_orders_as_null(monkeypatch, capsys):
         json.loads('{"order_after": Infinity}', parse_constant=_no_constant)
 
 
-def test_hodge_suite(pipeline):
-    group, arrangement, system = pipeline("A2")
-    report = hodge_suite(group, arrangement, system, k=1, source_degrees=[1, 2])
-    assert report["passed"]
-    assert len(report["entries"]) == 2
