@@ -7,7 +7,17 @@ coordinate fields for m = 0, invariant gradients for m = 1, a
 user-supplied list (certified before use), or a degree-by-degree search
 that works directly from the membership conditions and certifies what it
 finds.  Every constructed basis is re-certified; a failed certificate on
-the constructed members is an internal alarm, not a user error.
+the constructed members is an internal alarm, not a user error.  At k = 0
+the members are the base itself (nabla_delta E = delta), and the base's
+certificate is theirs.
+
+The base and its certificate depend on the type and m alone, never on k.
+So a base that is not the user's, for an m constant on every W-orbit of
+hyperplanes, is kept on the arrangement (``Arrangement.bases``), beside
+its invariant system: a process certifies it once for every shift, and at
+most 2^(number of orbits) multiplicities per source are kept.  A user's
+base and a multiplicity that is not W-invariant are certified on every
+request.
 """
 
 from __future__ import annotations
@@ -72,10 +82,13 @@ class BasisResult:
 
 
 def base_basis(request: BasisRequest) -> tuple[str, tuple[Derivation, ...], Certificate | None]:
-    """Produce and, where needed, certify a base basis for the multiplicity."""
-    arr = request.arrangement
+    """Produce and, where needed, certify a base basis for the multiplicity.
+
+    A base that is not the user's, for a W-invariant multiplicity, is kept
+    on the arrangement under its source and multiplicity values, so each
+    is found and certified once; a failure is not kept.
+    """
     mult = request.multiplicity
-    n = arr.datum.rank
     source = request.base_source
     if source == "auto":
         per = set(mult.values)
@@ -85,7 +98,21 @@ def base_basis(request: BasisRequest) -> tuple[str, tuple[Derivation, ...], Cert
             source = "gradient"
         else:
             source = "oracle"
+    if source == "user" or mult.per_orbit() is None:
+        return _certified_base(request, source)
+    key = (source, mult.values)
+    bases = request.arrangement.bases
+    if key not in bases:
+        bases[key] = _certified_base(request, source)
+    return bases[key]
 
+
+def _certified_base(request: BasisRequest,
+                    source: str) -> tuple[str, tuple[Derivation, ...], Certificate | None]:
+    """The base of one resolved source, found and certified afresh."""
+    arr = request.arrangement
+    mult = request.multiplicity
+    n = arr.datum.rank
     if source == "coordinate":
         if any(v != 0 for v in mult.values):
             raise NotABasis("coordinate fields only span the module of the zero multiplicity")
@@ -166,8 +193,12 @@ def build_basis(request: BasisRequest) -> BasisResult:
     source, base, base_cert = base_basis(request)
     univ = universal_field(request.k, request.system)
     members = tuple(nabla(delta, univ) for delta in base)
-    shifted = request.multiplicity.shifted(2 * request.k)
-    cert = ziegler_certify(members, shifted, request.arrangement)
+    if request.k == 0 and base_cert is not None and members == base:
+        # nabla_delta E = delta: the base's certificate is this one
+        cert = base_cert
+    else:
+        cert = ziegler_certify(members, request.multiplicity.shifted(2 * request.k),
+                               request.arrangement)
     if not cert.is_free:
         raise CertificateFailed(
             "constructed members failed certification with verdict %s" % cert.verdict,

@@ -67,7 +67,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -119,7 +119,7 @@ def _read_json(path: str):
 
 
 def _load_multiplicity(args: argparse.Namespace, arrangement) -> Multiplicity:
-    if args.mfile:
+    if args.mfile is not None:
         return multiplicity_from_json(_read_json(args.mfile), arrangement)
     return Multiplicity.constant(arrangement, args.m or 0)
 
@@ -152,7 +152,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     multiplicity = _load_multiplicity(args, arrangement)
     user_base = None
     source = args.base
-    if args.base_file:
+    if args.base_file is not None:
         user_base = _load_user_base(args.base_file, datum.rank)
         source = "user"
     request = BasisRequest(group, arrangement, system, multiplicity, args.k,

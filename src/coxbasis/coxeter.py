@@ -302,7 +302,9 @@ class ReflectionGroup:
 class Arrangement:
     """The set of reflecting hyperplanes, in canonical sorted order, and
     their W-orbits as recorded by the root walk of ``build_group``; it
-    keeps the invariants ``compute_invariants`` selects for it."""
+    keeps the invariants ``compute_invariants`` selects for it and the
+    certified bases ``basis.base_basis`` finds for its W-invariant
+    multiplicities."""
 
     def __init__(self, datum: CoxeterDatum, hyperplanes: tuple[Hyperplane, ...],
                  orbits: tuple[tuple[int, ...], ...]) -> None:
@@ -310,6 +312,8 @@ class Arrangement:
         self.hyperplanes = hyperplanes
         self._orbits = orbits
         self.invariants: object = None
+        # (base source, multiplicity values) -> (source, members, certificate)
+        self.bases: dict[tuple[str, tuple[int, ...]], tuple] = {}
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
@@ -350,9 +354,9 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     mismatch raises GroupClosureFailed.
 
     The group and arrangement of the 16 types built most recently are kept
-    (``_walked``), with the invariants and universal fields that later
-    stages keep on them, so a process pays for each once per type; the
-    bound and both comparisons run on every call.
+    (``_walked``), with the invariants, universal fields and certified
+    bases that later stages keep on them, so a process pays for each once
+    per type; the bound and both comparisons run on every call.
     """
     check_order_bound(datum.family, datum.rank, datum.param, order_bound)
     expected = datum.group_order()

@@ -30,9 +30,11 @@ The invariant fields of one degree have the basis g(P) grad P_j over
 invariant monomials g (`invariant_field_basis`); the connection's inverse
 and the Hodge comparison both work in it.
 
-A system is kept on its arrangement and its universal fields on it, so
-the memo of ``build_group`` (``coxeter._walked``, 16 types) is the one
-memo of a type's group, arrangement, invariants and universal fields.
+A system is kept on its arrangement and its universal fields on it, and
+the certified bases of ``basis.base_basis`` beside it on the arrangement,
+so the memo of ``build_group`` (``coxeter._walked``, 16 types) is the one
+memo of a type's group, arrangement, invariants, universal fields and
+bases.
 There is no on-disk state: the selection runs its Reynolds averages
 through the group's coset chain, largest parabolic first, and costs less
 than reading and revalidating a file did.

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxbasis import coxeter
+from coxbasis import basis, coxeter
 from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
                               reflection_matrix, transpose)
 from coxbasis.derivations import Derivation
@@ -23,16 +23,30 @@ _CLOSURES: dict[str, tuple] = {}
 def clear_memos() -> None:
     """Forget what the package keeps per process, as a fresh interpreter
     would: the built groups and arrangements, and with them the invariant
-    systems kept on the arrangements."""
+    systems and certified bases kept on the arrangements."""
     coxeter._walked.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Every test starts from the package's per-process memos of a fresh
-    interpreter.  Universal fields stay on their systems, such as those of
-    the session-wide ``pipeline``."""
+    interpreter.  Universal fields stay on their systems and bases on their
+    arrangements, such as those of the session-wide ``pipeline``."""
     clear_memos()
+
+
+@pytest.fixture
+def certifications(monkeypatch):
+    """The multiplicity values of every ``ziegler_certify`` call the basis
+    layer makes, in order."""
+    calls = []
+
+    def counting(members, multiplicity, arrangement, original=basis.ziegler_certify):
+        calls.append(multiplicity.values)
+        return original(members, multiplicity, arrangement)
+
+    monkeypatch.setattr(basis, "ziegler_certify", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

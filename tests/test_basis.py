@@ -5,9 +5,10 @@ from conftest import is_invariant_derivation
 
 from coxbasis.basis import BasisRequest, BasisResult, base_basis, build_basis
 from coxbasis.certify import VERDICT_FREE
-from coxbasis.coxeter import Multiplicity
+from coxbasis.coxeter import Multiplicity, build_group, parse_type
 from coxbasis.derivations import Derivation
 from coxbasis.errors import CertificateFailed, NotABasis
+from coxbasis.invariants import compute_invariants
 from coxbasis.poly import Poly
 
 
@@ -157,3 +158,55 @@ def test_request_validation(pipeline):
     with pytest.raises(ValueError):
         BasisRequest(group=group, arrangement=arrangement, system=system,
                      multiplicity=mult, k=1, base_source="user")
+
+
+def fresh_request(label, mult_values, k, **kw):
+    """A request on the type's arrangement from cleared memos, which holds
+    no certified base yet."""
+    group, arrangement = build_group(parse_type(label))
+    system = compute_invariants(group, arrangement)
+    if isinstance(mult_values, int):
+        mult = Multiplicity.constant(arrangement, mult_values)
+    else:
+        mult = Multiplicity(arrangement, mult_values)
+    return BasisRequest(group=group, arrangement=arrangement, system=system,
+                        multiplicity=mult, k=k, **kw)
+
+
+@pytest.mark.parametrize("source", ["auto", "oracle"])
+def test_base_is_certified_once_for_every_shift(source, certifications):
+    first = build_basis(fresh_request("B3", 1, 1, base_source=source))
+    assert len(certifications) == 2
+    request = first.request
+    for k in (2, 0):
+        again = build_basis(BasisRequest(request.group, request.arrangement, request.system,
+                                         request.multiplicity, k, base_source=source))
+        assert again.base_members is first.base_members
+        assert again.base_certificate is first.base_certificate
+    # the base once, then the members at k = 1 and 2; at k = 0 they are the base
+    m = request.multiplicity
+    assert certifications == [m.values, m.shifted(2).values, m.shifted(4).values]
+    assert again.certificate is first.base_certificate
+    assert again.members == first.base_members
+
+
+def test_only_invariant_multiplicities_keep_their_base():
+    request = fresh_request("B3", 0, 0)
+    arrangement = request.arrangement
+    invariant = [Multiplicity.from_orbit_values(arrangement, per_orbit).values
+                 for per_orbit in ([0, 0], [0, 1], [1, 0], [1, 1])]
+    mixed = [1] + [0] * (len(arrangement) - 1)
+    for values in invariant + [mixed]:
+        result = build_basis(fresh_request("B3", list(values), 1))
+        assert result.request.arrangement is arrangement
+    assert Multiplicity(arrangement, mixed).per_orbit() is None
+    assert sorted(values for _, values in arrangement.bases) == sorted(invariant)
+    assert {source for source, _ in arrangement.bases} == {"coordinate", "oracle", "gradient"}
+
+
+def test_failed_base_is_not_kept():
+    request = fresh_request("B2", 1, 0, base_source="coordinate")
+    for _ in range(2):
+        with pytest.raises(NotABasis):
+            base_basis(request)
+    assert request.arrangement.bases == {}

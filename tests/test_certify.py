@@ -296,6 +296,15 @@ def test_certificate_dataclass_defaults():
     assert cert.failure is None
 
 
+def test_certificate_is_immutable():
+    cert = Certificate(verdict=VERDICT_FREE, member_degrees=(1,), required=(1,),
+                       orders=((1,),), degree_sum=1, multiplicity_sum=1)
+    for name, value in (("verdict", "Dependent"), ("failure", {}), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, value)
+    assert cert.verdict == VERDICT_FREE and cert.failure is None
+
+
 WITNESS_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2", "H3", "I2(5)", "I2(8)"]
 
 

@@ -302,6 +302,14 @@ def test_undecodable_json_file_is_an_error(flag, tmp_path, capsys):
     assert err.startswith("error: %s is not readable JSON" % path) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--mfile", "--base-file", "--out"])
+def test_empty_path_is_an_error(flag, capsys):
+    # an empty path names no file; it is not the same as leaving the option out
+    code, out, err = run(["basis", "--type", "B2", flag, "", "--k", "0"], capsys)
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_basis_base_file_round_trip(tmp_path, capsys):
     first = tmp_path / "first.json"
     code, _, _ = run(["basis", "--type", "B2", "--m", "1", "--k", "0",

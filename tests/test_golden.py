@@ -3,14 +3,16 @@
 The warm sweep of the benchmark (``perfbench/workloads.py``) requests 68
 ``basis`` reports, and ``perfbench/golden.json`` holds the sha256 of each
 as the benchmark's driver receives it on standard output.  These tests
-serve the same argument lists in-process through ``coxbasis.cli.main`` on
-one shared invariant cache and compare digests, so a change that moves a
-report byte fails here as well as in the benchmark.  The four high-shift
-requests of the deep-shift workload, where the inverse of the primitive
-connection does most of the work, and the four rank-4 requests of the
-rank-4 workload, where group construction, Reynolds averages and
-certification do, are served the same way with ``--no-cache``.  Both files
-are only read.
+serve the same argument lists in-process through ``coxbasis.cli.main`` and
+compare digests, so a change that moves a report byte fails here as well
+as in the benchmark.  Each parametrized case starts from cleared memos;
+one more test serves all 68 in the sweep's order in one process, as the
+benchmark does, so that reports served from kept state are checked too.
+The four high-shift requests of the deep-shift workload, where the
+inverse of the primitive connection does most of the work, and the four
+rank-4 requests of the rank-4 workload, where group construction,
+Reynolds averages and certification do, are served the same way with
+``--no-cache``.  Both files are only read.
 
 Every report served here, and the JSON of every ``info`` and ``verify``
 request of the sweep, must also be the text ``json.dumps(...,
@@ -80,6 +82,15 @@ def test_report_matches_golden_digest(argv, cache_dir, monkeypatch):
     # the --mfile paths are relative to the root of the checkout
     monkeypatch.chdir(ROOT)
     assert _digest(argv + ["--cache-dir", str(cache_dir)]) == GOLDEN[" ".join(argv)]
+
+
+def test_reports_served_in_one_warm_process_match_golden_digests(monkeypatch):
+    """The sweep's order in one process, from cold memos that are never
+    cleared between requests: every later request of a type is served from
+    what the earlier ones kept, certified bases included."""
+    monkeypatch.chdir(ROOT)
+    digests = {" ".join(argv): _digest(argv) for argv in REQUESTS}
+    assert digests == {key: GOLDEN[key] for key in digests}
 
 
 def test_sweep_has_every_info_and_verify_request():

@@ -1,17 +1,19 @@
 """What one process keeps between requests changes no output.
 
 ``build_group`` keeps the groups and arrangements of recent types,
-``compute_invariants`` keeps each system on its arrangement, and a system
-keeps its universal fields.  These tests serve requests in one process through
-``coxbasis.cli.main`` and compare every exit code, standard output and
-standard error with the same request run from cleared memos, as a fresh
-interpreter would run it.
+``compute_invariants`` keeps each system on its arrangement, a system
+keeps its universal fields, and ``base_basis`` keeps the certified bases
+of W-invariant multiplicities on the arrangement.  These tests serve
+requests in one process through ``coxbasis.cli.main`` and compare every
+exit code, standard output and standard error with the same request run
+from cleared memos, as a fresh interpreter would run it.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import pytest
 
 from conftest import clear_memos
 from coxbasis import coxeter, invariants
-from coxbasis.cli import EXIT_CERTIFICATE, EXIT_UNSUPPORTED, main
+from coxbasis.cli import EXIT_CERTIFICATE, EXIT_NOT_A_BASIS, EXIT_UNSUPPORTED, main
 from coxbasis.coxeter import CoxeterDatum, parse_type
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,8 +34,18 @@ REQUESTS = [argv for label in LABELS for argv in (
      "--format", "json"],
     ["verify", "--type", label, "--suite", "jacobian", "--format", "json"],
     ["verify", "--type", label, "--suite", "hodge", "--format", "json"],
-)] + [["basis", "--type", "B3", "--mfile", str(ROOT / "perfbench/mfiles/per_orbit_10.json"),
-     "--k", "1"]]
+)] + [
+    ["basis", "--type", "B3", "--mfile", str(ROOT / "perfbench/mfiles/per_orbit_10.json"),
+     "--k", "1"],
+    # requests that share a certified base with another: the same m at
+    # another k, and m = 1 from another source
+    ["basis", "--type", "B3", "--m", "1", "--k", "1"],
+    ["basis", "--type", "B3", "--mfile", str(ROOT / "perfbench/mfiles/per_orbit_01.json"),
+     "--k", "0"],
+    ["basis", "--type", "B3", "--mfile", str(ROOT / "perfbench/mfiles/per_orbit_01.json"),
+     "--k", "1"],
+    ["basis", "--type", "B3", "--base", "oracle", "--m", "1", "--k", "1"],
+]
 
 
 def serve(argv: list[str]) -> tuple[int, str, str]:
@@ -123,3 +135,32 @@ def test_group_alarm_fires_on_a_cached_group(attr, monkeypatch):
     assert coxeter._walked.cache_info().hits == 1
     assert code == EXIT_CERTIFICATE
     assert "group construction failure" in err
+
+
+def test_base_file_is_certified_on_every_request(tmp_path, certifications):
+    argv = ["basis", "--type", "B3", "--m", "1", "--k", "0"]
+    code, report, _ = serve(argv)
+    assert code == 0 and len(certifications) == 1
+    path = tmp_path / "gradients.json"
+    path.write_text(report, encoding="utf-8")
+    assert serve(argv)[0] == 0 and len(certifications) == 1
+    # the file holds the kept gradient base, and is certified anyway: once
+    # per request, since at k = 0 the members are the base
+    for expected in (2, 3):
+        assert serve(argv + ["--base-file", str(path)])[0] == 0
+        assert len(certifications) == expected
+    assert list(coxeter._walked(parse_type("B3"))[1].bases) == [("gradient", (1,) * 9)]
+
+
+def test_bad_user_base_after_a_memoized_base_is_not_a_basis(tmp_path):
+    assert serve(["basis", "--type", "B2", "--m", "1", "--k", "1"])[0] == 0
+    path = tmp_path / "coordinates.json"
+    # coordinate fields are not tangent to the arrangement
+    path.write_text(json.dumps([
+        {"degree": 0, "coefficients": [[[[0, 0], "1"]], []]},
+        {"degree": 0, "coefficients": [[], [[[0, 0], "1"]]]},
+    ]), encoding="utf-8")
+    code, out, err = serve(["basis", "--type", "B2", "--m", "1", "--k", "1",
+                            "--base-file", str(path)])
+    assert (code, out) == (EXIT_NOT_A_BASIS, "")
+    assert err.startswith("not a basis: user-supplied base failed certification")
