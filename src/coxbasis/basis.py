@@ -22,7 +22,7 @@ request.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .certify import Certificate, graded_member_basis, ziegler_certify
 from .connection import universal_field
@@ -60,21 +60,17 @@ class BasisRequest:
         self.user_base = user_base
 
 
-class BasisResult:
+class BasisResult(NamedTuple):
     """A constructed basis together with its certificate."""
 
-    def __init__(self, request: BasisRequest, base_source: str,
-                 base_members: tuple[Derivation, ...], base_certificate: Certificate | None,
-                 universal: Derivation, members: tuple[Derivation, ...],
-                 member_degrees: tuple[int, ...], certificate: Certificate) -> None:
-        self.request = request
-        self.base_source = base_source
-        self.base_members = base_members
-        self.base_certificate = base_certificate
-        self.universal = universal
-        self.members = members
-        self.member_degrees = member_degrees
-        self.certificate = certificate
+    request: BasisRequest
+    base_source: str
+    base_members: tuple[Derivation, ...]
+    base_certificate: Certificate | None
+    universal: Derivation
+    members: tuple[Derivation, ...]
+    member_degrees: tuple[int, ...]
+    certificate: Certificate
 
     @property
     def shifted_multiplicity(self) -> Multiplicity:

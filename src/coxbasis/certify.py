@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation, coefficient_matrix
@@ -64,30 +64,19 @@ def order_to_json(o: int | float) -> int | None:
     return None if o == INFINITE_ORDER else int(o)
 
 
-class Certificate:
+class Certificate(NamedTuple):
     """Record of one certification run; immutable, since one certified base
     hands its certificate to every result built on it."""
 
-    __slots__ = ("verdict", "member_degrees", "required", "orders", "degree_sum",
-                 "multiplicity_sum", "determinant", "determinant_scalar", "failure")
-
-    def __init__(self, verdict: str, member_degrees: tuple[int, ...], required: tuple[int, ...],
-                 orders: tuple[tuple[int | float, ...], ...], degree_sum: int,
-                 multiplicity_sum: int, determinant: Poly | None = None,
-                 determinant_scalar: Scalar | None = None, failure: dict | None = None) -> None:
-        set_ = object.__setattr__
-        set_(self, "verdict", verdict)
-        set_(self, "member_degrees", member_degrees)
-        set_(self, "required", required)
-        set_(self, "orders", orders)
-        set_(self, "degree_sum", degree_sum)
-        set_(self, "multiplicity_sum", multiplicity_sum)
-        set_(self, "determinant", determinant)
-        set_(self, "determinant_scalar", determinant_scalar)
-        set_(self, "failure", failure)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Certificate is immutable")
+    verdict: str
+    member_degrees: tuple[int, ...]
+    required: tuple[int, ...]
+    orders: tuple[tuple[int | float, ...], ...]
+    degree_sum: int
+    multiplicity_sum: int
+    determinant: Poly | None = None
+    determinant_scalar: Scalar | None = None
+    failure: dict | None = None
 
     @property
     def is_free(self) -> bool:

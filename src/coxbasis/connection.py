@@ -163,8 +163,9 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
 def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
     """Solve nabla_D(delta') = delta for an invariant homogeneous delta.
 
-    The unknowns are the coefficients of delta' = sum_j g_j(P) grad(P_j)
-    in degree deg(delta) + h, keyed like `invariants.invariant_field_basis`.
+    The unknowns are the Q[P]-coordinates of delta' = sum_j g_j(P) grad(P_j)
+    in degree deg(delta) + h, listed by `InvariantSystem.field_keys`, and
+    the solution is built from them by `InvariantSystem.compose_field`.
     Their equations come as integer rows from exact evaluation at points
     where J does not vanish (`_evaluated_rows`), and the integer kernel
     `linalg.Echelon` takes them until its rank equals the number of
@@ -187,8 +188,7 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
     if not delta.is_homogeneous():
         raise NoSolution("input field is not homogeneous")
     target_degree = delta.degree() + system.coxeter_number
-    unknowns = [(j, exps) for j, d in enumerate(system.degrees)
-                for exps in system.invariant_exponents(target_degree - (d - 1))]
+    unknowns = list(system.field_keys(target_degree))
     if not unknowns:
         raise NoSolution("no invariant fields exist in degree %d" % target_degree)
     size = len(unknowns)
@@ -207,16 +207,11 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
             "primitive direction is not proven unique"
             % (echelon.rank, size, size + _SPARE_POINTS))
 
-    # rows are in pivot order with pivots 0 .. size-1; the last column is the solution
-    solution = echelon.column(size)
-    out = Derivation.zero(n)
-    for j, grad in enumerate(system.gradients):
-        # g_j as a polynomial in the invariants; the product undoes the
-        # column scaling of `_evaluated_rows`
-        g_j = Poly(n, {exps: x * math.prod(p.den ** e for p, e in zip(system.polys, exps))
-                       for (jj, exps), x in zip(unknowns, solution) if jj == j})
-        if not g_j.is_zero:
-            out = out + grad * system.compose(g_j)
+    # rows are in pivot order with pivots 0 .. size-1; the last column is the
+    # solution, and the product undoes the column scaling of `_evaluated_rows`
+    out = system.compose_field({
+        (j, exps): x * math.prod(p.den ** e for p, e in zip(system.polys, exps))
+        for (j, exps), x in zip(unknowns, echelon.column(size))})
     primitive = Derivation(system.cofactor_column(n - 1))
     if any(primitive.apply(f) != system.jacobian * g for f, g in zip(out.coeffs, delta.coeffs)):
         raise NoSolution("the unique candidate preimage along the primitive direction "

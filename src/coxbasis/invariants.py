@@ -27,8 +27,11 @@ one, j = l - 1, which the connection's inverse evaluates at points and
 multiplies out in its re-check, dividing nothing.
 
 The invariant fields of one degree have the basis g(P) grad P_j over
-invariant monomials g (`invariant_field_basis`); the connection's inverse
-and the Hodge comparison both work in it.
+invariant monomials g (`invariant_field_basis`), so a field there is its
+Q[P]-coordinates {(j, exponents of g): c}.  `InvariantSystem.field_keys`
+lists the coordinates of one degree and `InvariantSystem.compose_field`
+builds a field from them; the connection's inverse, the Hodge comparison
+and the random fields of ``verify`` all go through these two.
 
 A system is kept on its arrangement and its universal fields on it, and
 the certified bases of ``basis.base_basis`` beside it on the arrangement,
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .certify import determinant_scalar
 from .coxeter import Arrangement, CoxeterDatum, ReflectionGroup, reynolds
@@ -54,6 +57,9 @@ from .linalg import Echelon, PolyMatrix, monomial_columns, numerator_vector
 from .poly import (Poly, Powers, linear_combination, monomials_of_degree, poly_to_json,
                    substitute_sum, weighted_exponents)
 from .scalars import Scalar, format_scalar, join_scalar
+
+# the coordinates (j, exponents of g) of the invariant field g(P) grad P_j
+FieldKey = tuple[int, tuple[int, ...]]
 
 
 class InvariantSystem:
@@ -99,21 +105,27 @@ class InvariantSystem:
     def coxeter_number(self) -> int:
         return self.degrees[-1]
 
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(d - 1 for d in self.degrees)
-
     def compose(self, g: Poly) -> Poly:
         """g(P_1, .., P_l) in coordinates, for g a polynomial in l variables."""
         return substitute_sum(g, [self._tables], self.nvars)
 
-    def expand(self, exps: Sequence[int]) -> Poly:
-        """Expand a monomial in the invariants to coordinates."""
-        return self.compose(Poly.monomial(len(self.polys), exps))
+    def field_keys(self, degree: int) -> Iterator[FieldKey]:
+        """The coordinates (j, exponents of g) of the fields g(P) grad P_j of
+        one coefficient degree: j ascending, then g of degree
+        degree - (deg P_j - 1) in `weighted_exponents` order."""
+        for j, d in enumerate(self.degrees):
+            for exps in weighted_exponents(self.degrees, degree - (d - 1)):
+                yield j, exps
 
-    def invariant_exponents(self, degree: int) -> Iterator[tuple[int, ...]]:
-        """Exponent vectors of invariant monomials of the given x-degree."""
-        yield from weighted_exponents(self.degrees, degree)
+    def compose_field(self, coords: Mapping[FieldKey, Scalar]) -> Derivation:
+        """The field sum c P^e grad P_j over its coordinates {(j, e): c},
+        composing one g_j = sum c P^e per j."""
+        out = Derivation.zero(self.nvars)
+        for j, grad in enumerate(self.gradients):
+            g = Poly(len(self.polys), {e: c for (jj, e), c in coords.items() if jj == j})
+            if not g.is_zero:
+                out = out + grad * self.compose(g)
+        return out
 
     def fingerprint(self) -> str:
         blob = json.dumps({
@@ -214,30 +226,18 @@ def _finish_system(datum: CoxeterDatum, polys: tuple[Poly, ...],
 
 
 def invariant_field_degrees(system: InvariantSystem) -> list[int]:
-    """The degrees 0..2h that have a nonzero invariant field.
-
-    Degree d has one exactly when some invariant g_j of degree
-    d - (deg P_j - 1) exists, so only the exponents are enumerated.
-    """
+    """The degrees 0..2h that have a nonzero invariant field."""
     return [d for d in range(2 * system.coxeter_number + 1)
-            if any(next(system.invariant_exponents(d - (deg - 1)), None) is not None
-                   for deg in system.degrees)]
+            if next(system.field_keys(d), None) is not None]
 
 
-def invariant_field_basis(system: InvariantSystem, degree: int) -> list[tuple[tuple[int, int, tuple[int, ...]], Derivation]]:
+def invariant_field_basis(system: InvariantSystem,
+                          degree: int) -> list[tuple[FieldKey, Derivation]]:
     """Basis of the invariant polynomial fields of one coefficient degree.
 
     Every invariant field of degree d is uniquely sum_j g_j grad(P_j)
     with g_j an invariant polynomial of degree d - (deg P_j - 1).  The
     basis therefore consists of invariant monomials times gradients; each
-    entry is keyed by (j, degree of g, exponents of g).
+    entry is keyed by its coordinates (j, exponents of g).
     """
-    out = []
-    for j, d in enumerate(system.degrees):
-        g_degree = degree - (d - 1)
-        if g_degree < 0:
-            continue
-        for exps in system.invariant_exponents(g_degree):
-            g = system.expand(exps)
-            out.append(((j, g_degree, exps), system.gradients[j] * g))
-    return out
+    return [(key, system.compose_field({key: 1})) for key in system.field_keys(degree)]

@@ -18,6 +18,7 @@ comparison with 0 and 1, a total (real-number) order, and hashability.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -32,6 +33,7 @@ def _as_fraction(x: int | Fraction) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+@functools.total_ordering
 class Quad:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d))."""
 
@@ -158,38 +160,12 @@ class Quad:
             return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
         return 1 if lhs < rhs else (-1 if lhs > rhs else 0)
 
-    def _cmp(self, other: object) -> "int | None":
+    def __lt__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
-            return None
+            return NotImplemented
         diff = self - o
-        if isinstance(diff, _RATIONAL):
-            return -1 if diff < 0 else (0 if diff == 0 else 1)
-        return diff.sign()
-
-    def __lt__(self, other: object) -> bool:
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c < 0
-
-    def __le__(self, other: object) -> bool:
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c <= 0
-
-    def __gt__(self, other: object) -> bool:
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c > 0
-
-    def __ge__(self, other: object) -> bool:
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c >= 0
+        return diff < 0 if isinstance(diff, _RATIONAL) else diff.sign() < 0
 
     def __repr__(self) -> str:
         return "Quad(%r, %r, %d)" % (self.a, self.b, self.d)

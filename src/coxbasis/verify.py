@@ -49,19 +49,12 @@ def random_invariant_derivation(system: InvariantSystem, degree: int,
                                 rng: random.Random) -> Derivation | None:
     """A random invariant homogeneous field of one degree, None if the
     graded piece is zero."""
-    basis = invariant_field_basis(system, degree)
-    if not basis:
+    keys = list(system.field_keys(degree))
+    if not keys:
         return None
-    n = system.nvars
     while True:
-        out = Derivation.zero(n)
-        hit = False
-        for _, fld in basis:
-            c = rng.randint(-_COEFF_RANGE, _COEFF_RANGE)
-            if c:
-                out = out + fld * Fraction(c)
-                hit = True
-        if hit and not out.is_zero:
+        out = system.compose_field({key: rng.randint(-_COEFF_RANGE, _COEFF_RANGE) for key in keys})
+        if not out.is_zero:
             return out
 
 

@@ -13,7 +13,8 @@ from coxbasis.derivations import Derivation
 from coxbasis.errors import NotDivisible
 from coxbasis.invariants import compute_invariants
 from coxbasis.linalg import Echelon, invert_matrix, rref
-from coxbasis.poly import Poly, Powers, linear_combination, product, substitute_sum
+from coxbasis.poly import (Poly, Powers, linear_combination, product, substitute_sum,
+                           weighted_exponents)
 from coxbasis.scalars import join_scalar, scalar_inverse, split_scalars
 
 _CACHE: dict[str, tuple] = {}
@@ -251,7 +252,8 @@ def coefficient(p, exps):
 def invariant_basis(system, degree):
     """The monomials in the basic invariants of one x-degree, in coordinates:
     a spanning set of the invariants of that degree."""
-    return [system.expand(e) for e in system.invariant_exponents(degree)]
+    return [system.compose(Poly.monomial(len(system.polys), e))
+            for e in weighted_exponents(system.degrees, degree)]
 
 
 def free_module_graded_dimension(member_degrees, degree, nvars):

@@ -72,7 +72,17 @@ def test_oracle_matches_gradient_for_constant_one(pipeline):
     source, members, cert = base_basis(request)
     assert source == "oracle"
     assert cert.is_free
-    assert tuple(m.degree() for m in members) == request.system.exponents
+    assert tuple(m.degree() for m in members) == request.group.datum.exponents
+
+
+def test_basis_result_is_an_immutable_keyword_record(pipeline):
+    result = build_basis(make_request(pipeline, "A2", 1, 1))
+    rebuilt = BasisResult(**result._asdict())
+    assert rebuilt == result
+    assert rebuilt.shifted_multiplicity.values == result.shifted_multiplicity.values
+    for name, value in (("certificate", None), ("members", ()), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(result, name, value)
 
 
 def test_mixed_multiplicity_shift(pipeline):

@@ -180,7 +180,7 @@ def test_gradients_certify_for_constant_one(pipeline):
         mult = Multiplicity.constant(arrangement, 1)
         cert = ziegler_certify(list(system.gradients), mult, arrangement)
         assert cert.verdict == VERDICT_FREE
-        assert cert.member_degrees == system.exponents
+        assert cert.member_degrees == arrangement.datum.exponents
         assert cert.degree_sum == len(arrangement)
         # re-multiply the certified factorization as an independent witness
         n = system.nvars

@@ -331,6 +331,19 @@ def test_basis_base_file_round_trip(tmp_path, capsys):
     assert refed_data["certificate"] == direct_data["certificate"]
 
 
+@pytest.mark.parametrize("source", ["coordinate", "gradient", "oracle"])
+def test_base_beside_base_file_is_an_error(source, tmp_path, capsys):
+    # the file gives the base, so a --base naming another source gives it twice
+    base = tmp_path / "base.json"
+    code, _, _ = run(["basis", "--type", "A2", "--m", "1", "--k", "0", "--out", str(base)],
+                     capsys)
+    assert code == EXIT_OK
+    code, out, err = run(["basis", "--type", "A2", "--m", "1", "--k", "1", "--base", source,
+                          "--base-file", str(base)], capsys)
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err.startswith("error: --base %s " % source) and err.count("\n") == 1
+
+
 def test_basis_rejects_bad_user_base(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     # coordinate fields are not tangent to the arrangement

@@ -164,7 +164,7 @@ def test_invariant_field_basis_spans_invariants(pipeline):
     basis1 = invariant_field_basis(system, 1)
     assert len(basis1) == 1
     key, field = basis1[0]
-    assert key == (0, 0, (0, 0))
+    assert key == (0, (0, 0))
     assert field == system.gradients[0]
     # degree 3: g of degree 2 on grad P_1 plus a constant on grad P_2
     basis3 = invariant_field_basis(system, 3)
@@ -363,8 +363,7 @@ def test_evaluated_rows_are_multiples_of_the_numerator_rows(pipeline, label):
     for k in (1, 2):
         delta = universal_field(k - 1, system)
         target = delta.degree() + system.coxeter_number
-        unknowns = [(j, exps) for j, d in enumerate(system.degrees)
-                    for exps in system.invariant_exponents(target - (d - 1))]
+        unknowns = list(system.field_keys(target))
         field = functools.reduce(common_field, (f.d for f in delta.coeffs), system.field)
         points = (p for p in connection.sample_points(n) if system.jacobian.evaluate(p) != 0)
         rows = list(connection._evaluated_rows(delta, system, unknowns, field))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from coxbasis.derivations import Derivation, coefficient_matrix
 from coxbasis.errors import JacobianDegenerate
 from coxbasis.invariants import (compute_invariants, invariant_field_basis, invariant_field_degrees,
                                  jacobian_matrix)
-from coxbasis.poly import Poly
+from coxbasis.poly import Poly, weighted_exponents
 from coxbasis.scalars import common_field
 
 
@@ -131,20 +132,54 @@ def test_partial_P_fields_are_dual_to_invariants(pipeline):
                 assert value == (system.jacobian if j2 == j else Poly.zero(system.nvars))
 
 
-def test_invariant_exponents_and_basis(pipeline):
+def test_invariant_monomials_and_basis(pipeline):
     _, _, system = pipeline("B2")
-    assert list(system.invariant_exponents(4)) == [(2, 0), (0, 1)]
-    assert list(system.invariant_exponents(5)) == []
-    assert list(system.invariant_exponents(0)) == [(0, 0)]
+    assert list(weighted_exponents(system.degrees, 4)) == [(2, 0), (0, 1)]
+    assert list(weighted_exponents(system.degrees, 5)) == []
+    assert list(weighted_exponents(system.degrees, 0)) == [(0, 0)]
     basis = invariant_basis(system, 4)
     assert basis == [system.polys[0] ** 2, system.polys[1]]
 
 
-def test_expand_multiplies_powers(pipeline):
+def test_compose_multiplies_powers(pipeline):
     _, _, system = pipeline("B2")
-    assert system.expand((1, 1)) == system.polys[0] * system.polys[1]
-    assert system.expand((0, 0)) == Poly.constant(2, Fraction(1))
-    assert system.expand((3, 0)) == system.polys[0] ** 3
+    p1, p2 = system.polys
+    assert system.compose(Poly.monomial(2, (1, 1))) == p1 * p2
+    assert system.compose(Poly.monomial(2, (0, 0))) == Poly.constant(2, Fraction(1))
+    assert system.compose(Poly.monomial(2, (3, 0))) == p1 ** 3
+    g = Poly(2, {(2, 0): Fraction(1, 2), (0, 1): -3})
+    assert system.compose(g) == (p1 * p1).scale(Fraction(1, 2)) - p2.scale(3)
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "G2", "H3", "I2(5)"])
+def test_field_keys_are_the_basis_keys_in_order(pipeline, label):
+    _, _, system = pipeline(label)
+    for d in range(2 * system.coxeter_number + 1):
+        keys = list(system.field_keys(d))
+        assert keys == [key for key, _ in invariant_field_basis(system, d)]
+        assert keys == [(j, e) for j, deg in enumerate(system.degrees)
+                        for e in weighted_exponents(system.degrees, d - (deg - 1))]
+
+
+@pytest.mark.parametrize("label", ["A2", "B3", "G2", "H3", "I2(5)"])
+def test_compose_field_is_the_linear_combination_of_the_basis(pipeline, label):
+    _, _, system = pipeline(label)
+    rng = random.Random(label)
+    zero = Derivation.zero(system.nvars)
+    assert system.compose_field({}) == zero
+    for d in invariant_field_degrees(system)[:4]:
+        basis = invariant_field_basis(system, d)
+        a = {key: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for key, _ in basis}
+        b = {key: rng.randint(-3, 3) for key, _ in basis}
+        expected = zero
+        for key, field in basis:
+            expected = expected + field * a[key]
+        assert system.compose_field(a) == expected
+        assert system.compose_field({key: 0 for key in a}) == zero
+        # linear: the field of a + 2b is the field of a plus twice the field of b
+        combined = {key: a[key] + 2 * b[key] for key in a}
+        assert system.compose_field(combined) == (system.compose_field(a)
+                                                  + system.compose_field(b) * Fraction(2))
 
 
 def test_fingerprint_is_stable_across_builds(pipeline):

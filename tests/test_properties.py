@@ -3,6 +3,7 @@
 They need hypothesis and are skipped without it: the ring axioms, the
 division identity, orders along linear forms adding up, contact
 constraint rows vanishing exactly on the combinations of high order, the
+order of ``Quad`` agreeing with the sign of a difference, the
 report format round trip and its writer, the action of the group
 composing along its closure, and the incremental echelon agreeing with
 the reduced row echelon form of the same rows.
@@ -112,6 +113,33 @@ def test_constraint_rows_vanish_exactly_on_high_orders(drawn, m):
         vanish = all(sum(r[0] * cu for r, cu in zip(row, c)) == 0
                      and sum(r[1] * cu for r, cu in zip(row, c)) == 0 for row in rows)
     assert vanish == (linear_form_order(combination, alpha) >= m)
+
+
+@st.composite
+def ordered_pairs(draw):
+    """A Quad and a Quad of its field, a Fraction or an int, either first."""
+    d = draw(st.sampled_from([5, 2]))
+
+    def rational():
+        return Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+
+    x = Quad(rational(), rational(), d)
+    kind = draw(st.sampled_from(["quad", "fraction", "int"]))
+    y = (Quad(rational(), rational(), d) if kind == "quad"
+         else rational() if kind == "fraction" else draw(st.integers(-6, 6)))
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_pairs())
+@hypothesis.example((Quad(1, 0, 5), Fraction(1)))
+@hypothesis.example((2, Quad(1, 1, 2)))
+def test_quad_order_agrees_with_the_sign_of_the_difference(pair):
+    x, y = pair
+    diff = x - y
+    d = next(v.d for v in pair if isinstance(v, Quad))
+    s = (diff if isinstance(diff, Quad) else Quad(diff, 0, d)).sign()
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
 
 
 @SETTINGS
