@@ -49,8 +49,8 @@ class BasisRequest:
             raise ValueError("base multiplicities must have values in {0, 1}")
         if base_source not in BASE_SOURCES:
             raise ValueError("unknown base source %r" % base_source)
-        if base_source == "user" and user_base is None:
-            raise ValueError("base source 'user' needs a user_base")
+        if (base_source == "user") != (user_base is not None):
+            raise ValueError("a user_base goes with base source 'user' and no other")
         self.group = group
         self.arrangement = arrangement
         self.system = system

@@ -5,7 +5,9 @@ derivation module of a multiplicity m by three checks, in this order:
 
   1. membership: the contact order of every member at every hyperplane
      is at least m(H), decided by synthetic division by the form on
-     integer numerators (``poly.linear_form_order``);
+     integer numerators (``poly.contact_orders``): one call per
+     certification finds each form's pivot once and buckets each
+     member's coefficients once per pivot variable;
   2. the degree count: member degrees must sum to sum_H m(H);
   3. independence: the coefficient determinant must be nonzero.
 
@@ -16,7 +18,10 @@ exactly when c is nonzero.  So c is the same at every point off the
 arrangement, and it is read off one exact evaluation at the first point
 of the package's one point stream (``poly.sample_points``) where no
 alpha_H vanishes: c = det M(p) / prod alpha_H(p)^m (`determinant_scalar`,
-which also gives the Jacobian scalar of the basic invariants).
+which also gives the Jacobian scalar of the basic invariants).  The
+arrangement keeps that point and the forms' values there
+(``Arrangement.generic_point``), so each certification evaluates only
+its matrix.
 The recorded determinant witness is c times prod_H alpha_H^{m(H)}, built
 as prod_v Q_v^v with Q_v the product of the forms of multiplicity v (the
 cached defining polynomial Q when m is constant), by repeated squaring;
@@ -42,8 +47,8 @@ from typing import NamedTuple, Sequence
 from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation, coefficient_matrix
 from .linalg import Echelon, PolyMatrix, det
-from .poly import (INFINITE_ORDER, Poly, linear_combination, linear_form_order,
-                   monomials_of_degree, order_constraint_rows, product, sample_points)
+from .poly import (INFINITE_ORDER, Poly, contact_orders, monomials_of_degree,
+                   order_constraint_rows, product)
 from .scalars import Scalar
 
 VERDICT_FREE = "Free-with-basis"
@@ -54,8 +59,9 @@ VERDICT_DEPENDENT = "Dependent"
 
 def contact_order(delta: Derivation, form: Poly) -> int | float:
     """Largest k with form^k dividing delta(form); delta(form) is the
-    combination of delta's coefficients with the form's coefficients."""
-    return linear_form_order(linear_combination(delta.coeffs, form), form)
+    combination of delta's coefficients with the form's coefficients.
+    The one-field, one-form case of ``poly.contact_orders``."""
+    return contact_orders([delta.coeffs], [form])[0][0]
 
 
 def order_to_json(o: int | float) -> int | None:
@@ -100,10 +106,8 @@ def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity,
     member_degrees = tuple(degrees)
     required = tuple(multiplicity.values)
 
-    orders = tuple(
-        tuple(contact_order(m, h.form) for h in arrangement.hyperplanes)
-        for m in members
-    )
+    orders = tuple(contact_orders([m.coeffs for m in members],
+                                  [h.form for h in arrangement.hyperplanes]))
     degree_sum = sum(member_degrees)
     mult_sum = multiplicity.total()
 
@@ -141,11 +145,7 @@ def determinant_scalar(matrix: PolyMatrix, arrangement: Arrangement,
     whose determinant is known to have that shape: det M(p) over
     prod_H alpha_H(p)^{e(H)} at the first point p of ``poly.sample_points``
     where no form vanishes.  It is 0 exactly when det M is."""
-    forms = [h.form for h in arrangement.hyperplanes]
-    for point in sample_points(arrangement.datum.rank):
-        values = [f.evaluate(point) for f in forms]
-        if all(v != 0 for v in values):
-            break
+    point, values = arrangement.generic_point
     target = math.prod((v ** e for v, e in zip(values, exponents)), start=Fraction(1))
     return det(matrix.evaluate(point)) / target
 

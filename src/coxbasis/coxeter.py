@@ -43,7 +43,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
 from .linalg import invert_matrix
-from .poly import Poly, Powers, linear_combination, product, substitute_sum
+from .poly import Poly, Powers, linear_combination, product, sample_points, substitute_sum
 from .scalars import Quad, Scalar, join_scalar, scalar_inverse, split_scalars
 
 MatrixT = tuple[tuple[Scalar, ...], ...]
@@ -302,9 +302,9 @@ class ReflectionGroup:
 class Arrangement:
     """The set of reflecting hyperplanes, in canonical sorted order, and
     their W-orbits as recorded by the root walk of ``build_group``; it
-    keeps the invariants ``compute_invariants`` selects for it and the
-    certified bases ``basis.base_basis`` finds for its W-invariant
-    multiplicities."""
+    keeps its first sample point off the hyperplanes, the invariants
+    ``compute_invariants`` selects for it and the certified bases
+    ``basis.base_basis`` finds for its W-invariant multiplicities."""
 
     def __init__(self, datum: CoxeterDatum, hyperplanes: tuple[Hyperplane, ...],
                  orbits: tuple[tuple[int, ...], ...]) -> None:
@@ -321,6 +321,15 @@ class Arrangement:
     @functools.cached_property
     def defining_polynomial(self) -> Poly:
         return product((h.form for h in self.hyperplanes), self.datum.rank)
+
+    @functools.cached_property
+    def generic_point(self) -> tuple[tuple[int, ...], tuple[Scalar, ...]]:
+        """The first point of ``poly.sample_points`` where no form vanishes,
+        and the forms' values there."""
+        for point in sample_points(self.datum.rank):
+            values = tuple(h.form.evaluate(point) for h in self.hyperplanes)
+            if all(values):
+                return point, values
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """W-orbits of hyperplanes as index tuples, canonically ordered."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import PolyMatrix
-from .poly import Poly, default_names
+from .poly import Poly, default_names, partial_combination
 from .scalars import Quad, Scalar
 
 
@@ -83,12 +83,9 @@ class Derivation:
     __rmul__ = __mul__
 
     def apply(self, p: Poly) -> Poly:
-        """Apply the derivation to a polynomial."""
-        out = Poly.zero(p.nvars)
-        for i, f in enumerate(self.coeffs):
-            if not f.is_zero:
-                out = out + f * p.partial(i)
-        return out
+        """Apply the derivation to a polynomial, sum_i f_i dp/dx_i, summed
+        over one common denominator (``poly.partial_combination``)."""
+        return partial_combination(self.coeffs, p)
 
     def is_homogeneous(self) -> bool:
         degs = set()

@@ -22,35 +22,34 @@ division raises :class:`~coxbasis.errors.NotDivisible` carrying the
 remainder.  The membership test of the whole package, "alpha^m divides
 p" for a linear form alpha, is decided by synthetic division on integer
 numerators, never by factorization: one stream (`_remainders`) writes p
-as sum_j r_j alpha^j.  `linear_form_order` reads it until some r_j is
-nonzero, and `order_constraint_rows` reads r_0 .. r_{m-1} of several
-polynomials under one shared scale, placing each coefficient in the
-linear constraint row of "alpha^m divides" that it belongs to.
+as sum_j r_j alpha^j.  `contact_orders` reads it until some r_j is
+nonzero, for fields at many forms at once: each form's pivot is found
+once per call, and each field's coefficients are bucketed once per pivot
+variable, over their common denominator, so that theta(alpha) for every
+form is summed on packed keys without building a polynomial
+(`linear_form_order` is its one-form case).  `order_constraint_rows`
+reads r_0 .. r_{m-1} of several polynomials under one shared scale,
+placing each coefficient in the linear constraint row of "alpha^m
+divides" that it belongs to.
 
 Evaluation reads integer points only, as integer numerators
 (`Poly.numerator_at`), and rejects any other coordinate.  Every exact
 evaluation at points reads one fixed stream of small integer points,
-`sample_points`: the determinant scalars of ``certify`` take its first
-point off the arrangement, and the equations of the connection's inverse
-are read at point after point of it.
+`sample_points`: the arrangement keeps its first point off the
+arrangement, and the forms' values there, for the determinant scalars of
+``certify``, and the equations of the connection's inverse are read at
+point after point of it.
 
 The JSON form of a polynomial, a term list of exponent lists and exact
 coefficient strings, is defined here once, for the reports and for the
-members that ``--base-file`` reads back from one; the parser rejects any
-malformed term with ValueError.  `dump_json` is the package's one JSON
-writer, for the info, basis and verify reports.  It writes by hand
-exactly the text of ``json.dumps(obj,
-sort_keys=True, indent=2)``, the layout of every report, which ``json``
-can only produce with its pure-Python encoder: dicts with sorted keys,
-lists, strings through ``json``'s own ASCII escaping, ints, null and
-booleans, with lists of plain ints and polynomial terms rendered in one
-piece each; any other value is handed to ``json.dumps``.
+members that ``--base-file`` reads back from one; each rational
+coefficient is written straight from its numerator over ``den``, and the
+parser rejects any malformed term with ValueError.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 from fractions import Fraction
@@ -63,9 +62,6 @@ from .scalars import (Quad, Scalar, common_field, format_scalar, join_scalar, pa
                       split_scalar, split_scalars)
 
 Exponents = tuple[int, ...]
-
-_escape = json.encoder.encode_basestring_ascii
-_INT_ONLY = {int}  # the types of a list of plain ints, bool excluded
 
 INFINITE_ORDER = math.inf
 
@@ -177,6 +173,16 @@ def _nonzero(acc: dict, d: int) -> dict:
     if d == 1:
         return {e: c for e, c in acc.items() if c}
     return {e: c for e, c in acc.items() if c[0] or c[1]}
+
+
+def _partial_num(num: dict, i: int, d: int) -> dict:
+    """The numerators of the partial derivative by variable ``i``."""
+    out = {}
+    for exps, c in num.items():
+        e = exps[i]
+        if e:
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e if d == 1 else (c[0] * e, c[1] * e)
+    return out
 
 
 class Poly:
@@ -352,13 +358,7 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """Partial derivative with respect to variable ``i``."""
-        out = {}
-        d = self.d
-        for exps, c in self.num.items():
-            e = exps[i]
-            if e:
-                out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e if d == 1 else (c[0] * e, c[1] * e)
-        return _make(self.nvars, d, out, self.den)
+        return _make(self.nvars, self.d, _partial_num(self.num, i, self.d), self.den)
 
     def substitute(self, forms: Sequence["Poly"]) -> "Poly":
         """Substitute ``forms[i]`` for variable ``i``."""
@@ -618,8 +618,20 @@ def substitute_sum(p: Poly, substitutions: Sequence[Sequence[Powers]], nvars: in
 
 
 def poly_to_json(p: Poly) -> list:
-    """The term list [[exponents, coefficient string], ...] in descending grlex order."""
-    return [[list(exps), format_scalar(coeff)] for exps, coeff in p.terms_sorted()]
+    """The term list [[exponents, coefficient string], ...] in descending
+    grlex order, each rational coefficient written from its numerator over
+    ``den``."""
+    d, den, num = p.d, p.den, p.num
+    out = []
+    for e in sorted(num, key=grlex_key, reverse=True):
+        c = num[e]
+        if d != 1:
+            text = format_scalar(join_scalar(d, c, den))
+        else:
+            g = math.gcd(c, den)
+            text = str(c // g) if g == den else "%d/%d" % (c // g, den // g)
+        out.append([list(e), text])
+    return out
 
 
 def poly_from_json(data: Sequence, nvars: int) -> Poly:
@@ -639,69 +651,6 @@ def poly_from_json(data: Sequence, nvars: int) -> Poly:
             raise ValueError("repeated exponents in polynomial term %r" % (term,))
         terms[tuple(exps)] = parse_scalar(coeff)
     return Poly(nvars, terms)
-
-
-def dump_json(obj: object) -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, written by hand."""
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    return "".join(out)
-
-
-def _write_json(o: object, nl: str, out: list[str]) -> None:
-    """Append the JSON of o; ``nl`` is a newline and the indent of o's line."""
-    if isinstance(o, str):
-        out.append(_escape(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        if set(map(type, o)) == _INT_ONLY:
-            out.append("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
-            return
-        # a term [[exponents], "coeff"] with nonempty exponents, in one piece
-        inner2 = inner + "  "
-        term = "[" + inner2 + "[" + inner2 + "  %s" + inner2 + "]," + inner2 + "%s" + inner + "]"
-        sep3 = "," + inner2 + "  "
-        sep = "[" + inner
-        for x in o:
-            out.append(sep)
-            sep = "," + inner
-            if type(x) is list and len(x) == 2:
-                exps, coeff = x
-                if (type(coeff) is str and type(exps) is list
-                        and set(map(type, exps)) == _INT_ONLY):
-                    out.append(term % (sep3.join(map(str, exps)), _escape(coeff)))
-                    continue
-            _write_json(x, inner, out)
-        out.append(nl + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            if not isinstance(key, str):
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError("keys must be str, int, float, bool or None, not %s"
-                                    % type(key).__name__)
-                key = json.dumps(key)
-            out.append(sep + _escape(key) + ": ")
-            sep = "," + inner
-            _write_json(value, inner, out)
-        out.append(nl + "}")
-    else:
-        out.append(json.dumps(o))
 
 
 def default_names(nvars: int) -> list[str]:
@@ -737,18 +686,69 @@ def linear_combination(polys: Sequence[Poly], form: Poly) -> Poly:
     return _make(form.nvars, d, _nonzero(acc, d), den * form.den)
 
 
+def partial_combination(polys: Sequence[Poly], p: Poly) -> Poly:
+    """sum_i polys[i] * dp/dx_i, the field with coefficients ``polys``
+    applied to p: the products of numerators summed over one common
+    denominator and normalized once."""
+    picked = [(f, i) for i, f in enumerate(polys) if f.num]
+    d = p.d
+    for f, _ in picked:
+        d = common_field(d, f.d)
+    num = _promote(p.num, p.d, d)
+    den = math.lcm(*(f.den for f, _ in picked))
+    acc: dict = {}
+    for f, i in picked:
+        s = den // f.den
+        _add_into(acc, _mul_num(_promote(f.num, f.d, d), _partial_num(num, i, d), d),
+                  s if d == 1 else (s, 0), d)
+    return _make(p.nvars, d, _nonzero(acc, d), den * p.den)
+
+
 def linear_form_order(p: Poly, alpha: Poly) -> int | float:
     """Largest k with alpha^k dividing p; ``math.inf`` for p = 0.
 
-    ``alpha`` must be a nonzero homogeneous linear form.  Writing p as
-    sum_j r_j alpha^j (`_remainders`), the order is the first j with
-    r_j nonzero.
+    ``alpha`` must be a nonzero homogeneous linear form.  This is the
+    one-form case of `contact_orders`: the field p d/dx_t, for a variable
+    t of alpha, takes alpha to alpha_t * p, which has the order of p.
     """
-    d, a, steps, (buckets,) = _division_setup([p], alpha)
-    if not p.num:
-        return INFINITE_ORDER
-    buckets = _scale_buckets(buckets, a ** (len(buckets) - 1), d)
-    return next(j for j, r in enumerate(_remainders(buckets, a, steps, d)) if r)
+    t = next((e.index(1) for e in alpha.num if 1 in e), 0)
+    coeffs = [p if i == t else Poly.zero(p.nvars) for i in range(alpha.nvars)]
+    return contact_orders([coeffs], [alpha])[0][0]
+
+
+def contact_orders(fields: Sequence[Sequence[Poly]],
+                   forms: Sequence[Poly]) -> list[tuple[int | float, ...]]:
+    """One row per field theta = sum_i theta_i d/dx_i, given by its
+    coefficients: at each form alpha = sum_i a_i x_i, the largest k with
+    alpha^k dividing theta(alpha) = sum_i a_i theta_i, ``math.inf`` where
+    that is 0.  theta(alpha) is summed bucket by bucket from the
+    `_bucketed` coefficients, each one's denominator folded into its factor."""
+    polys = [p for coeffs in fields for p in coeffs]
+    d = 1
+    for alpha in forms:
+        d = common_field(d, _division_field(alpha, polys))
+    pivots = [_pivot_form(alpha, d) for alpha in forms]
+    out = []
+    for coeffs in fields:
+        nums = [_promote(p.num, p.d, d) for p in coeffs]
+        den = math.lcm(*(p.den for p in coeffs))
+        by_pivot: dict[int, tuple] = {}
+        row = []
+        for v, a, tail in pivots:
+            if v not in by_pivot:
+                by_pivot[v] = _bucketed(nums, len(nums), v)
+            shifts, bucketed = by_pivot[v]
+            buckets: list[dict] = [{} for _ in range(max(len(bucketed[t]) for t in (v, *tail)))]
+            for t, c in ((v, a if d == 1 else (a, 0)), *tail.items()):
+                s = den // coeffs[t].den
+                for acc, b in zip(buckets, bucketed[t]):
+                    _add_into(acc, b, c * s if d == 1 else (c[0] * s, c[1] * s), d)
+            buckets = _scale_buckets(buckets, a ** max(0, len(buckets) - 1), d)
+            steps = [(1 << shifts[t], c) for t, c in tail.items()]
+            row.append(next((j for j, r in enumerate(_remainders(buckets, a, steps, d)) if r),
+                            INFINITE_ORDER))
+        out.append(tuple(row))
+    return out
 
 
 def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) -> list[list]:
@@ -763,7 +763,10 @@ def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) 
     in as the division finds it.  Entries are ints over Q (d = 1) and int
     pairs over Q(sqrt(d)), as in ``linalg.Echelon``.
     """
-    field, a, steps, bucketed = _division_setup(applied, alpha)
+    field = _division_field(alpha, applied)
+    pivot, a, tail = _pivot_form(alpha, field)
+    shifts, bucketed = _bucketed([_promote(p.num, p.d, field) for p in applied], alpha.nvars, pivot)
+    steps = [(1 << shifts[t], c) for t, c in tail.items()]
     power = a ** max(0, max(map(len, bucketed), default=0) - 1)
     den = math.lcm(*(p.den for p in applied))
     zero = 0 if d == 1 else (0, 0)
@@ -779,21 +782,17 @@ def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) 
     return list(slots.values())
 
 
-def _division_setup(polys: Sequence[Poly], alpha: Poly) -> tuple[int, int, list, list[list[dict]]]:
-    """What every synthetic division by alpha starts from: the common field
-    d, the pivot coefficient a and the tail steps of `_pivot_form`, and
-    the polynomials' numerators bucketed by pivot exponent (`_bucketed`)."""
-    nvars = alpha.nvars
-    if (not alpha.num or any(sum(e) != 1 for e in alpha.num)
-            or any(p.nvars != nvars for p in polys)):
-        raise ValueError("order is only defined along a nonzero homogeneous linear form"
-                         " in the variables of the polynomials")
+def _division_field(alpha: Poly, polys: Iterable[Poly]) -> int:
+    """The field holding alpha and the polynomials; ValueError unless alpha
+    is a nonzero homogeneous linear form in their variables."""
+    if not alpha.num or any(sum(e) != 1 for e in alpha.num):
+        raise ValueError("order is only defined along a nonzero homogeneous linear form")
     d = alpha.d
     for p in polys:
+        if p.nvars != alpha.nvars:
+            raise ValueError("the form and the polynomials have different variables")
         d = common_field(d, p.d)
-    pivot, a, tail = _pivot_form(alpha, d)
-    steps, bucketed = _bucketed([_promote(p.num, p.d, d) for p in polys], nvars, pivot, tail)
-    return d, a, steps, bucketed
+    return d
 
 
 def _pivot_form(alpha: Poly, d: int) -> tuple[int, int, dict]:
@@ -820,14 +819,13 @@ def _pivot_form(alpha: Poly, d: int) -> tuple[int, int, dict]:
     return pivot, a, coeffs
 
 
-def _bucketed(nums: Sequence[dict], nvars: int, pivot: int,
-              tail: dict) -> tuple[list, list[list[dict]]]:
+def _bucketed(nums: Sequence[dict], nvars: int, pivot: int) -> tuple[list, list[list[dict]]]:
     """Numerator dicts as buckets by pivot exponent, ready for `_divide_buckets`.
 
     Bucket j of a dict maps the other exponents of each term with pivot
     exponent j, packed into one int under one packing for all the dicts,
-    to its numerator.  Also returns the tail as (packed step, numerator)
-    pairs: multiplying a term by x_t adds the step of t to its key.
+    to its numerator.  Also returns the packing's shifts: multiplying a
+    term by x_t, t not the pivot, adds 1 << shifts[t] to its key.
     """
     bits = max(map(sum, chain.from_iterable(nums)), default=0).bit_length()
     top = (nvars - 1) * bits
@@ -841,7 +839,7 @@ def _bucketed(nums: Sequence[dict], nvars: int, pivot: int,
             k = sum(map(lshift, e, shifts))
             buckets[k >> top][k & mask] = c
         out.append(buckets)
-    return [(1 << shifts[t], c) for t, c in tail.items()], out
+    return shifts, out
 
 
 def _scale_buckets(buckets: list[dict], s: int, d: int) -> list[dict]:

@@ -6,19 +6,32 @@ order and all dict keys are sorted on dump, so a report is byte
 deterministic for a given request.  The members of a basis report parse
 back into derivations, which is how a previous run's base can be re-fed
 and re-certified.
+
+`dump_json` is the package's one JSON writer, for the info, basis and
+verify reports.  It writes by hand exactly the text of ``json.dumps(obj,
+sort_keys=True, indent=2)``, the layout of every report, which ``json``
+can only produce with its pure-Python encoder: dicts with sorted keys,
+lists, strings through ``json``'s own ASCII escaping, ints, null and
+booleans, with lists of plain ints and polynomial terms rendered in one
+piece each; any other value is handed to ``json.dumps``.
 """
 
 from __future__ import annotations
+
+import json
 
 from .basis import BasisResult
 from .certify import Certificate, order_to_json
 from .coxeter import Arrangement, Multiplicity, ReflectionGroup
 from .derivations import Derivation
-from .poly import dump_json, poly_from_json, poly_to_json
+from .poly import poly_from_json, poly_to_json
 from .scalars import format_scalar
 
 SCHEMA_BASIS = "coxbasis/basis-report/1"
 SCHEMA_VERIFY = "coxbasis/verify-report/1"
+
+_escape = json.encoder.encode_basestring_ascii
+_INT_ONLY = {int}  # the types of a list of plain ints, bool excluded
 
 
 def derivation_to_json(delta: Derivation) -> dict:
@@ -147,3 +160,66 @@ def basis_report(result: BasisResult) -> dict:
 
 def dump_report(report: dict) -> str:
     return dump_json(report) + "\n"
+
+
+def dump_json(obj: object) -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, written by hand."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(o: object, nl: str, out: list[str]) -> None:
+    """Append the JSON of o; ``nl`` is a newline and the indent of o's line."""
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, o)) == _INT_ONLY:
+            out.append("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
+            return
+        # a term [[exponents], "coeff"] with nonempty exponents, in one piece
+        inner2 = inner + "  "
+        term = "[" + inner2 + "[" + inner2 + "  %s" + inner2 + "]," + inner2 + "%s" + inner + "]"
+        sep3 = "," + inner2 + "  "
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            sep = "," + inner
+            if type(x) is list and len(x) == 2:
+                exps, coeff = x
+                if (type(coeff) is str and type(exps) is list
+                        and set(map(type, exps)) == _INT_ONLY):
+                    out.append(term % (sep3.join(map(str, exps)), _escape(coeff)))
+                    continue
+            _write_json(x, inner, out)
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                                    % type(key).__name__)
+                key = json.dumps(key)
+            out.append(sep + _escape(key) + ": ")
+            sep = "," + inner
+            _write_json(value, inner, out)
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(o))

@@ -11,10 +11,10 @@ from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
                               reflection_matrix, transpose)
 from coxbasis.derivations import Derivation
 from coxbasis.errors import NotDivisible
-from coxbasis.invariants import compute_invariants
+from coxbasis.invariants import compute_invariants, invariant_field_basis
 from coxbasis.linalg import Echelon, invert_matrix, rref
-from coxbasis.poly import (Poly, Powers, linear_combination, product, substitute_sum,
-                           weighted_exponents)
+from coxbasis.poly import (Poly, Powers, linear_combination, order_constraint_rows, product,
+                           substitute_sum, weighted_exponents)
 from coxbasis.scalars import join_scalar, scalar_inverse, split_scalars
 
 _CACHE: dict[str, tuple] = {}
@@ -285,6 +285,44 @@ def division_order(p, alpha):
         except NotDivisible:
             return order
         order += 1
+
+
+def division_contact_orders(coeffs, forms):
+    """The contact order of the field with coefficients ``coeffs`` at each
+    form: the field applied to the form, sum_i a_i coeffs[i], built with
+    ``Poly`` arithmetic, then `division_order`.  The test-only reference for
+    ``coxbasis.poly.contact_orders``."""
+    n = len(coeffs)
+    orders = []
+    for alpha in forms:
+        applied = Poly.zero(n)
+        for i, f in enumerate(coeffs):
+            applied = applied + f.scale(coefficient(alpha, tuple(int(j == i) for j in range(n))))
+        orders.append(division_order(applied, alpha))
+    return tuple(orders)
+
+
+def all_hyperplane_graded_dimensions(system, arrangement, degree, top):
+    """For min_order 1 .. top, the dimension of the invariant fields of one
+    degree with contact order at least min_order at every hyperplane, from
+    the constraint rows of every hyperplane; the rows of min_order m are
+    those of m - 1 and more, so one echelon grows through all of them.  The
+    test-only reference for ``coxbasis.verify.invariant_graded_dimension``,
+    which reads one hyperplane per W-orbit."""
+    basis = invariant_field_basis(system, degree)
+    applied = [(h.form, [linear_combination(fld.coeffs, h.form) for _, fld in basis])
+               for h in arrangement.hyperplanes]
+    echelon = Echelon(arrangement.datum.disc)
+    seen = set()
+    dimensions = []
+    for m in range(1, top + 1):
+        for form, polys in applied:
+            for row in order_constraint_rows(polys, form, m, echelon.d):
+                if tuple(row) not in seen:
+                    seen.add(tuple(row))
+                    echelon.add(row)
+        dimensions.append(len(basis) - echelon.rank)
+    return dimensions
 
 
 def sequential_witness(arrangement, values):

@@ -122,6 +122,13 @@ def test_user_base_accepted_and_certified(pipeline):
     assert result.members == ref.members
 
 
+@pytest.mark.parametrize("source", ["auto", "coordinate", "gradient", "oracle"])
+def test_user_base_beside_another_source_is_an_error(pipeline, source):
+    coordinates = [Derivation.coordinate(2, i) for i in range(2)]
+    with pytest.raises(ValueError, match="user_base goes with base source 'user'"):
+        make_request(pipeline, "A2", 1, 1, base_source=source, user_base=coordinates)
+
+
 def test_user_base_rejected_when_not_a_basis(pipeline):
     bad = [Derivation.coordinate(2, 0), Derivation.coordinate(2, 1)]
     request = make_request(pipeline, "B2", 1, 0, base_source="user", user_base=bad)

@@ -18,6 +18,7 @@ from coxbasis.certify import (
     graded_member_basis,
     ziegler_certify,
 )
+from coxbasis import poly
 from coxbasis.basis import BasisRequest, build_basis
 from coxbasis.connection import nabla_partial_P, universal_field
 from coxbasis.coxeter import Multiplicity, build_group, parse_type
@@ -53,6 +54,24 @@ def test_contact_order(pipeline):
     d = Derivation([x, Poly.zero(2)])
     assert contact_order(d, x) == 1
     assert contact_order(d, Poly.variable(2, 1)) == float("inf")
+
+
+def test_one_certification_finds_each_pivot_once(pipeline, monkeypatch):
+    # the contact orders of all n members come from one kernel call, which
+    # finds the pivot of each of the |A| forms once, not once per member
+    group, arrangement, system = pipeline("B3")
+    result = build_basis(BasisRequest(group, arrangement, system,
+                                      Multiplicity.constant(arrangement, 1), 2))
+    calls = []
+
+    def counting(alpha, d, original=poly._pivot_form):
+        calls.append(alpha)
+        return original(alpha, d)
+
+    monkeypatch.setattr(poly, "_pivot_form", counting)
+    cert = ziegler_certify(result.members, result.shifted_multiplicity, arrangement)
+    assert cert.is_free
+    assert len(calls) == len(arrangement) == 9
 
 
 def test_not_member_verdict(pipeline):
@@ -139,6 +158,8 @@ def test_determinant_scalar_is_the_same_at_every_point_off_the_arrangement(pipel
     # the first point (1, t, t^2, ...) of the moment curve off the arrangement
     curve = (tuple(t ** i for i in range(n)) for t in itertools.count(1))
     moment = next(p for p in curve if all(f.evaluate(p) != 0 for f in forms))
+    # the arrangement keeps the stream's first point off it, and the forms' values there
+    assert arrangement.generic_point == (off[0], tuple(f.evaluate(off[0]) for f in forms))
     mult = Multiplicity.constant(arrangement, 1)
     members = build_basis(BasisRequest(group, arrangement, system, mult, 1)).members
     cases = [(system.jacobian_partials, 1, system.jacobian_scalar),

@@ -398,11 +398,11 @@ def test_base_member_above_the_multiplicity_sum_computes_no_contact_order(
         tmp_path, capsys, monkeypatch):
     calls = []
 
-    def counting(p, alpha, original=certify.linear_form_order):
-        calls.append(alpha)
-        return original(p, alpha)
+    def counting(fields, forms, original=certify.contact_orders):
+        calls.append(forms)
+        return original(fields, forms)
 
-    monkeypatch.setattr(certify, "linear_form_order", counting)
+    monkeypatch.setattr(certify, "contact_orders", counting)
     bad = tmp_path / "bad.json"
     # x^3 d/dx_0 has degree 3, and a basis for m = 0 has degrees summing to 0
     bad.write_text(json.dumps([

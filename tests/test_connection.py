@@ -16,8 +16,8 @@ from coxbasis.coxeter import build_group, parse_type
 from coxbasis.derivations import Derivation, euler_field, nabla
 from coxbasis.errors import NoSolution, NonUniqueSolution, NotPolynomial
 from coxbasis.invariants import compute_invariants, invariant_field_basis
-from coxbasis.poly import Poly, dump_json, linear_form_order
-from coxbasis.report import derivation_to_json
+from coxbasis.poly import Poly, linear_form_order
+from coxbasis.report import derivation_to_json, dump_json
 from coxbasis.scalars import common_field, join_scalar, scalar_inverse
 from coxbasis.verify import random_invariant_derivation
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxbasis import poly
 from coxbasis.derivations import Derivation, coefficient_matrix, euler_field, nabla
 from coxbasis.poly import Poly
 from coxbasis.verify import random_homogeneous_derivation
@@ -22,6 +23,26 @@ def test_apply_is_a_derivation():
         # Leibniz rule.
         assert delta.apply(p * q) == delta.apply(p) * q + p * delta.apply(q)
         assert delta.apply(p + q) == delta.apply(p) + delta.apply(q)
+
+
+def test_apply_normalizes_once(monkeypatch):
+    # the products f_i * dp/dx_i are summed as numerators over one common
+    # denominator, and only the sum is normalized
+    x, y, z = (Poly.variable(3, i) for i in range(3))
+    delta = Derivation([x * y * Fraction(1, 2), y ** 2 * Fraction(1, 3), z * x])
+    p = x ** 2 * y + z ** 3 * Fraction(2, 5)
+    calls = []
+
+    def counting(nvars, d, num, den, original=poly._make):
+        calls.append(den)
+        return original(nvars, d, num, den)
+
+    monkeypatch.setattr(poly, "_make", counting)
+    out = delta.apply(p)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert out == (x * y * Fraction(1, 2) * x * y * 2 + y ** 2 * Fraction(1, 3) * x ** 2
+                   + z * x * z ** 2 * Fraction(6, 5))
 
 
 def test_euler_field_scales_by_degree():

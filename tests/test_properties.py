@@ -2,11 +2,14 @@
 
 They need hypothesis and are skipped without it: the ring axioms, the
 division identity, orders along linear forms adding up, contact
-constraint rows vanishing exactly on the combinations of high order, the
-order of ``Quad`` agreeing with the sign of a difference, the
-report format round trip and its writer, the action of the group
-composing along its closure, and the incremental echelon agreeing with
-the reduced row echelon form of the same rows.
+constraint rows vanishing exactly on the combinations of high order,
+the contact orders of fields at the forms of H3 and I2(5) agreeing with
+repeated exact division, a field applied to a polynomial agreeing with
+the sum of its coefficients times the partials, the order of ``Quad``
+agreeing with the sign of a difference, the report format round trip,
+its term lists and its writer, the action of the group composing along
+its closure, and the incremental echelon agreeing with the reduced row
+echelon form of the same rows.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import act, laplace_det
+from conftest import act, division_contact_orders, laplace_det
 
 from coxbasis.certify import order_constraint_rows
-from coxbasis.coxeter import mat_mul, parse_type
+from coxbasis.coxeter import build_group, mat_mul, parse_type
+from coxbasis.derivations import Derivation
 from coxbasis.linalg import Echelon, PolyMatrix, rref
-from coxbasis.poly import Poly, dump_json, linear_form_order, poly_from_json, poly_to_json
+from coxbasis.poly import Poly, contact_orders, linear_form_order, poly_from_json, poly_to_json
+from coxbasis.report import dump_json
 from coxbasis.scalars import Quad, format_scalar, parse_scalar, split_scalars
 
 FIELDS = [1, 5, 2]
@@ -115,6 +120,61 @@ def test_constraint_rows_vanish_exactly_on_high_orders(drawn, m):
     assert vanish == (linear_form_order(combination, alpha) >= m)
 
 
+# forms beside the arrangement's whose pivot coefficient is not +-1
+EXTRA_FORMS = [[2, 3, 0], [Fraction(4, 3), -2, Quad(1, 1, 5)]]
+
+
+@st.composite
+def fields_and_forms(draw):
+    """The forms of H3 or I2(5) and two more, and one to three fields over
+    Q or Q(sqrt(5)) with coefficients over mixed denominators: random ones,
+    alpha^k times a random one for a form alpha, the zero field, and
+    g * (a_u d/dx_t - a_t d/dx_u), which annihilates alpha alone."""
+    arrangement = build_group(parse_type(draw(st.sampled_from(["H3", "I2(5)"]))))[1]
+    n = arrangement.datum.rank
+    forms = [h.form for h in arrangement.hyperplanes]
+    forms += [Poly.linear(c[:n]) for c in EXTRA_FORMS]
+    d = draw(st.sampled_from([1, 5]))
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "power", "zero", "annihilates"]))
+        if kind == "zero":
+            fields.append([Poly.zero(n)] * n)
+            continue
+        coeffs = [draw(polys(nvars=n, field=d)) for _ in range(n)]
+        alpha = draw(st.sampled_from(forms))
+        if kind == "power":
+            lift = alpha ** draw(st.integers(1, 3))
+            coeffs = [lift * c for c in coeffs]
+        elif kind == "annihilates":
+            a = [alpha.terms.get(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
+            t = next(i for i in range(n) if a[i] != 0)
+            u = (t + 1) % n
+            g = coeffs[0] if not coeffs[0].is_zero else Poly.constant(n, 1)
+            coeffs = [g.scale(a[u]) if i == t else g.scale(-a[t]) if i == u else Poly.zero(n)
+                      for i in range(n)]
+        fields.append(coeffs)
+    return fields, forms
+
+
+@settings(max_examples=30, deadline=None)
+@given(fields_and_forms())
+def test_contact_orders_match_repeated_division(drawn):
+    fields, forms = drawn
+    assert contact_orders(fields, forms) == [division_contact_orders(c, forms) for c in fields]
+
+
+@SETTINGS
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(
+    st.lists(polys(nvars=3, field=d), min_size=3, max_size=3), polys(nvars=3, field=d))))
+def test_apply_is_the_sum_of_coefficients_times_partials(drawn):
+    coeffs, p = drawn
+    expected = Poly.zero(3)
+    for i, f in enumerate(coeffs):
+        expected = expected + f * p.partial(i)
+    assert Derivation(coeffs).apply(p) == expected
+
+
 @st.composite
 def ordered_pairs(draw):
     """A Quad and a Quad of its field, a Fraction or an int, either first."""
@@ -148,6 +208,12 @@ def test_format_parse_round_trip(p):
     assert poly_from_json(json.loads(json.dumps(poly_to_json(p))), 3) == p
     for c in p.terms.values():
         assert parse_scalar(format_scalar(c)) == c
+
+
+@SETTINGS
+@given(polys(nvars=3))
+def test_json_terms_are_the_formatted_sorted_terms(p):
+    assert poly_to_json(p) == [[list(e), format_scalar(c)] for e, c in p.terms_sorted()]
 
 
 TEXT = st.text() | st.text(alphabet=st.sampled_from(

@@ -5,12 +5,15 @@ import math
 import random
 
 import pytest
-from conftest import is_invariant_derivation
+from conftest import all_hyperplane_graded_dimensions, is_invariant_derivation
 
 from coxbasis import verify
 from coxbasis.cli import main
+from coxbasis.invariants import invariant_field_degrees
 from coxbasis.verify import (
     euler_suite,
+    hodge_suite,
+    invariant_graded_dimension,
     jacobian_suite,
     random_homogeneous_derivation,
     random_invariant_derivation,
@@ -69,14 +72,12 @@ def _no_constant(name):
 
 def test_shift_suite_reports_infinite_orders_as_null(monkeypatch, capsys):
     # force the lifted field to annihilate every form: its order is infinite
-    calls = []
+    def lifted_annihilates(fields, forms):
+        before, _ = contact_orders(fields, forms)
+        return [before, (math.inf,) * len(forms)]
 
-    def lifted_annihilates(delta, form):
-        calls.append(delta)
-        return math.inf if len(calls) % 2 == 0 else contact_order(delta, form)
-
-    contact_order = verify.contact_order
-    monkeypatch.setattr(verify, "contact_order", lifted_annihilates)
+    contact_orders = verify.contact_orders
+    monkeypatch.setattr(verify, "contact_orders", lifted_annihilates)
     code = main(["verify", "--type", "A2", "--suite", "shift", "--samples", "2",
                  "--seed", "0", "--format", "json", "--no-cache"])
     out = capsys.readouterr().out
@@ -89,3 +90,29 @@ def test_shift_suite_reports_infinite_orders_as_null(monkeypatch, capsys):
         json.loads('{"order_after": Infinity}', parse_constant=_no_constant)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "G2", "H3", "I2(5)", "I2(8)"])
+def test_invariant_graded_dimension_reads_one_hyperplane_per_orbit_exactly(label, pipeline):
+    # an invariant field has one order on a whole W-orbit of hyperplanes, so
+    # the dimensions read at one hyperplane per orbit are those read at all
+    _, arrangement, system = pipeline(label)
+    h = system.coxeter_number
+    for d in invariant_field_degrees(system)[:2]:
+        for k in range(3):
+            degree = d + k * h
+            assert ([invariant_graded_dimension(system, arrangement, degree, m)
+                     for m in range(1, 6)]
+                    == all_hyperplane_graded_dimensions(system, arrangement, degree, 5))
+
+
+def test_hodge_reads_the_rows_of_one_hyperplane_per_orbit(pipeline, monkeypatch):
+    group, arrangement, system = pipeline("B3")
+    forms = []
+
+    def counting(applied, alpha, m, d, original=verify.order_constraint_rows):
+        forms.append(alpha)
+        return original(applied, alpha, m, d)
+
+    monkeypatch.setattr(verify, "order_constraint_rows", counting)
+    assert hodge_suite(group, arrangement, system, 1, [1])["passed"]
+    assert forms == [arrangement.hyperplanes[orbit[0]].form for orbit in arrangement.orbits()]
+    assert len(forms) == 2
