@@ -9,7 +9,7 @@ determinant factorization.
 
 from .basis import BasisRequest, BasisResult, base_basis, build_basis
 from .certify import Certificate, contact_order, graded_member_basis, ziegler_certify
-from .connection import nabla_D, nabla_D_inverse, nabla_partial_P, universal_field
+from .connection import nabla_D, nabla_D_inverse, universal_field
 from .coxeter import (Arrangement, CoxeterDatum, Multiplicity, ReflectionGroup,
                       build_group, make_datum, parse_type, reynolds)
 from .derivations import Derivation, euler_field, nabla
@@ -18,7 +18,7 @@ from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError,
                      NotDivisible, NotPolynomial, OrderBoundExceeded,
                      UnsupportedType)
 from .invariants import InvariantSystem, compute_invariants
-from .poly import Poly, linear_form_order
+from .poly import Poly
 from .scalars import Quad, format_scalar, parse_scalar
 from .verify import hodge_suite
 
@@ -32,7 +32,7 @@ __all__ = [
     "OrderBoundExceeded", "Poly", "Quad", "ReflectionGroup", "UnsupportedType",
     "base_basis", "build_basis", "build_group",
     "compute_invariants", "contact_order", "euler_field", "format_scalar",
-    "graded_member_basis", "hodge_suite", "linear_form_order", "make_datum", "nabla",
-    "nabla_D", "nabla_D_inverse", "nabla_partial_P", "parse_scalar", "parse_type",
-    "reynolds", "universal_field", "ziegler_certify",
+    "graded_member_basis", "hodge_suite", "make_datum", "nabla", "nabla_D",
+    "nabla_D_inverse", "parse_scalar", "parse_type", "reynolds", "universal_field",
+    "ziegler_certify",
 ]

@@ -142,9 +142,9 @@ def _load_user_base(path: str, nvars: int):
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    if args.base_file is not None and args.base not in ("auto", "user"):
-        raise ValueError("--base %s conflicts with --base-file, which gives the base"
-                         % args.base)
+    if args.base != "auto" and (args.base == "user") != (args.base_file is not None):
+        raise ValueError("--base user needs --base-file" if args.base == "user" else
+                         "--base %s conflicts with --base-file, which gives the base" % args.base)
     budget = _Budget(args.time_budget)
     datum = parse_type(args.type, args.rank, order_bound=args.order_bound)
     group, arrangement = build_group(datum, order_bound=args.order_bound)

@@ -1,15 +1,14 @@
-"""The connection along the invariant directions and its primitive inverse.
+"""The connection along the primitive direction and its inverse.
 
-With basic invariants P_1 .. P_l fixed, the field d/dP_j is
-(1/J) sum_i C[i][j] d/dx_i, with column j of C and J read off the system.
-Applying the connection along d/dP_j to a polynomial field is exact
-division by J: `nabla_partial_P` applies the numerator field to each
-coefficient and divides the result by J.  The primitive derivation is
-D = d/dP_l, and nabla_D is the case j = l - 1.
+With basic invariants P_1 .. P_l fixed, the primitive derivation is
+D = d/dP_l = (1/J) sum_i C_i d/dx_i, with the numerator field C and J
+read off the system.  Applying the connection along D to a polynomial
+field is exact division by J: `nabla_D` applies C to each coefficient
+and divides the result by J.
 
 The inverse direction solves nabla_D(delta') = delta inside the module of
-invariant fields through the numerator C of D alone, the primitive
-cofactor column: coordinate i of J nabla_D(delta') is C . grad(delta'_i).
+invariant fields through the numerator C of D alone: coordinate i of
+J nabla_D(delta') is C . grad(delta'_i).
 Invariant polynomial fields decompose uniquely as
 sum_j g_j(P) grad(P_j) with invariant polynomial coefficients g_j, so the
 unknowns are the coefficients of the monomials g in the invariants.  The
@@ -42,13 +41,13 @@ from .poly import Poly, sample_points
 from .scalars import common_field
 
 
-def nabla_partial_P(delta: Derivation, j: int, system: InvariantSystem) -> Derivation:
-    """Covariant derivative along d/dP_j (j counted from 0).
+def nabla_D(delta: Derivation, system: InvariantSystem) -> Derivation:
+    """Covariant derivative along the primitive direction D = d/dP_l.
 
     Raises NotPolynomial with the offending coordinate and remainder when
     some component of the result is not polynomial.
     """
-    field = Derivation(system.cofactor_column(j))
+    field = system.primitive_numerator
     coeffs = []
     for i, f in enumerate(delta.coeffs):
         try:
@@ -56,13 +55,8 @@ def nabla_partial_P(delta: Derivation, j: int, system: InvariantSystem) -> Deriv
         except NotDivisible as exc:
             raise NotPolynomial(
                 "component %d of the derivative along d/dP_%d is not polynomial"
-                % (i, j + 1), coordinate=i, remainder=exc.remainder) from exc
+                % (i, system.nvars), coordinate=i, remainder=exc.remainder) from exc
     return Derivation(coeffs)
-
-
-def nabla_D(delta: Derivation, system: InvariantSystem) -> Derivation:
-    """Covariant derivative along the primitive direction D = d/dP_l."""
-    return nabla_partial_P(delta, system.nvars - 1, system)
 
 
 # points beyond the number of unknowns before a short rank counts as an alarm
@@ -99,12 +93,12 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
     prod_m den(P_m)^(g_m), so every entry is integral; `nabla_D_inverse`
     scales the solution back.  The stream ends after `_SPARE_POINTS` more
     such points than unknowns.  N_{j,i}(p) = sum_k C_k(p) d_k grad_{j,i}(p)
-    is read from the primitive cofactor column C and the first partials.
+    is read from the primitive numerator field C and the first partials.
     """
     n = system.nvars
     last = n - 1
     grads = [g.coeffs for g in system.gradients]
-    column = system.cofactor_column(last)
+    column = system.primitive_numerator.coeffs
     # partials[i][j][r] is d_r grad_{j,i}
     partials = [[[grads[j][i].partial(r) for r in range(n)] for j in range(n)] for i in range(n)]
     zero, one = (0, 1) if field == 1 else ((0, 0), (1, 0))
@@ -212,7 +206,7 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
     out = system.compose_field({
         (j, exps): x * math.prod(p.den ** e for p, e in zip(system.polys, exps))
         for (j, exps), x in zip(unknowns, echelon.column(size))})
-    primitive = Derivation(system.cofactor_column(n - 1))
+    primitive = system.primitive_numerator
     if any(primitive.apply(f) != system.jacobian * g for f, g in zip(out.coeffs, delta.coeffs)):
         raise NoSolution("the unique candidate preimage along the primitive direction "
                          "failed re-verification; the field has no polynomial preimage")

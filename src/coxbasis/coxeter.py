@@ -44,7 +44,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
 from .linalg import invert_matrix
 from .poly import Poly, Powers, linear_combination, product, sample_points, substitute_sum
-from .scalars import Quad, Scalar, join_scalar, scalar_inverse, split_scalars
+from .scalars import Quad, Scalar, join_scalar, split_scalars
 
 MatrixT = tuple[tuple[Scalar, ...], ...]
 
@@ -244,7 +244,7 @@ def reflection_matrix(root: Sequence[Scalar], gram: MatrixT) -> MatrixT:
     n = len(root)
     g_root = [sum((row[k] * root[k] for k in range(1, n)), row[0] * root[0]) for row in gram]
     norm = sum((root[k] * g_root[k] for k in range(1, n)), root[0] * g_root[0])
-    factor = 2 * scalar_inverse(norm)
+    factor = 2 / norm
     ident = identity_matrix(n)
     return tuple(tuple(e - factor * r * g for e, g in zip(ident[i], g_root)) if r else ident[i]
                  for i, r in enumerate(root))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import PolyMatrix
-from .poly import Poly, default_names, partial_combination
+from .poly import Poly, partial_combination
 from .scalars import Quad, Scalar
 
 
@@ -108,17 +108,8 @@ class Derivation:
             raise ValueError("derivation is not homogeneous")
         return degs.pop()
 
-    def to_str(self, names: Sequence[str] | None = None) -> str:
-        if names is None:
-            names = default_names(self.nvars)
-        parts = []
-        for f, name in zip(self.coeffs, names):
-            if not f.is_zero:
-                parts.append("(%s) d/d%s" % (f.to_str(names), name))
-        return " + ".join(parts) if parts else "0"
-
     def __repr__(self) -> str:
-        return "Derivation(%s)" % self.to_str()
+        return "Derivation(%r)" % (list(self.coeffs),)
 
 
 def euler_field(nvars: int) -> Derivation:

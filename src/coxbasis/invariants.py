@@ -17,14 +17,14 @@ are basic.  So c is found by evaluating M at one integer point off the
 arrangement, c = det M(p) / Q(p) (``certify.determinant_scalar``), and J
 is recorded as c * Q without expanding the determinant.  The system's
 field is the type's: the realization's field holds every invariant,
-gradient and J.  The cofactors of M give the coordinate
-expression of the fields d/dP_j = (1/J) sum_i C[i][j] d/dx_i: the
-numerator is `InvariantSystem.cofactor_column(j)` and the denominator
+gradient and J.  The cofactors of the last column of M give the
+coordinate expression of the primitive derivation
+D = d/dP_l = (1/J) sum_i C_i d/dx_i: the numerator field C is
+`InvariantSystem.primitive_numerator` and the denominator
 `InvariantSystem.jacobian`, and the connection layer reads both off the
-system.  Column j is read off the wedge product of the other columns of M
-(`PolyMatrix.wedge`) on first use; the pipeline reads only the primitive
-one, j = l - 1, which the connection's inverse evaluates at points and
-multiplies out in its re-check, dividing nothing.
+system.  C is read off the wedge product of the first l - 1 columns of M
+(`PolyMatrix.wedge`) on first use; the connection's inverse evaluates it
+at points and multiplies it out in its re-check, dividing nothing.
 
 The invariant fields of one degree have the basis g(P) grad P_j over
 invariant monomials g (`invariant_field_basis`), so a field there is its
@@ -45,6 +45,7 @@ than reading and revalidating a file did.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Iterator, Mapping, Sequence
@@ -82,24 +83,18 @@ class InvariantSystem:
         self.gradients = gradients
         # the powers of P_1 .. P_l, grown as `compose` asks for them
         self._tables = tuple(Powers(p) for p in polys)
-        self._cofactor_columns: dict[int, tuple[Poly, ...]] = {}
         # k -> nabla_D^{-k} E for k = 0 .. K, extended by `connection.universal_field`
         self.universal_fields: dict[int, Derivation] = {0: euler_field(nvars)}
 
-    def cofactor_column(self, j: int) -> tuple[Poly, ...]:
-        """Column j of the Jacobian cofactor matrix, computed on first use.
-
-        The pipeline reads only the primitive column j = l - 1; the others
-        are expanded only when d/dP_j for a lower j is asked for.
-        """
-        column = self._cofactor_columns.get(j)
-        if column is None:
-            n = self.nvars
-            minors = self.jacobian_partials.wedge([c for c in range(n) if c != j])
-            # C[i][j] is (-1)^(i+j) times the minor of the other columns off row i
-            column = self._cofactor_columns[j] = tuple(
-                (-1) ** (i + j) * minors[tuple(r for r in range(n) if r != i)] for i in range(n))
-        return column
+    @functools.cached_property
+    def primitive_numerator(self) -> Derivation:
+        """J d/dP_l, the numerator field C of the primitive derivation,
+        computed on first use."""
+        n = self.nvars
+        minors = self.jacobian_partials.wedge(range(n - 1))
+        # C_i is (-1)^(i+l) times the minor of the first l - 1 columns off row i
+        return Derivation([(-1) ** (i + n - 1) * minors[tuple(r for r in range(n) if r != i)]
+                           for i in range(n)])
 
     @property
     def coxeter_number(self) -> int:

@@ -12,7 +12,7 @@ convert Fraction/Quad matrices at the boundary (`split_scalars`,
 the first nonzero entries in column order, so results are deterministic.
 Polynomial matrices have one minor routine, `PolyMatrix.wedge`, the
 exterior product of columns built one column at a time; their
-determinants and the Jacobian cofactor columns are read off it.
+determinants and the primitive numerator field are read off it.
 """
 
 from __future__ import annotations

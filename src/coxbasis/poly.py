@@ -26,11 +26,10 @@ as sum_j r_j alpha^j.  `contact_orders` reads it until some r_j is
 nonzero, for fields at many forms at once: each form's pivot is found
 once per call, and each field's coefficients are bucketed once per pivot
 variable, over their common denominator, so that theta(alpha) for every
-form is summed on packed keys without building a polynomial
-(`linear_form_order` is its one-form case).  `order_constraint_rows`
-reads r_0 .. r_{m-1} of several polynomials under one shared scale,
-placing each coefficient in the linear constraint row of "alpha^m
-divides" that it belongs to.
+form is summed on packed keys without building a polynomial.
+`order_constraint_rows` reads r_0 .. r_{m-1} of several polynomials
+under one shared scale, placing each coefficient in the linear
+constraint row of "alpha^m divides" that it belongs to.
 
 Evaluation reads integer points only, as integer numerators
 (`Poly.numerator_at`), and rejects any other coordinate.  Every exact
@@ -41,8 +40,8 @@ arrangement, and the forms' values there, for the determinant scalars of
 point after point of it.
 
 The JSON form of a polynomial, a term list of exponent lists and exact
-coefficient strings, is defined here once, for the reports and for the
-members that ``--base-file`` reads back from one; each rational
+coefficient strings, is defined here once, for the reports, for
+``repr`` and for the members that ``--base-file`` reads back; each rational
 coefficient is written straight from its numerator over ``den``, and the
 parser rejects any malformed term with ValueError.
 """
@@ -475,44 +474,8 @@ class Poly:
             raise NotDivisible("division left a nonzero remainder", remainder=rem)
         return quot
 
-    def terms_sorted(self) -> list[tuple[Exponents, Scalar]]:
-        """Terms in descending grlex order (the canonical serialization)."""
-        d, den = self.d, self.den
-        return [(e, join_scalar(d, self.num[e], den))
-                for e in sorted(self.num, key=grlex_key, reverse=True)]
-
-    def to_str(self, names: Sequence[str] | None = None) -> str:
-        if not self.num:
-            return "0"
-        if names is None:
-            names = default_names(self.nvars)
-        pieces: list[str] = []
-        for exps, coeff in self.terms_sorted():
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            cs = format_scalar(coeff)
-            if factors:
-                body = "*".join(factors)
-                if cs == "1":
-                    term = body
-                elif cs == "-1":
-                    term = "-" + body
-                else:
-                    term = "%s*%s" % (("(%s)" % cs) if ("+" in cs[1:] or "-" in cs[1:]) else cs, body)
-            else:
-                term = ("(%s)" % cs) if ("+" in cs[1:] or "-" in cs[1:]) else cs
-            pieces.append(term)
-        out = pieces[0]
-        for term in pieces[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
-
     def __repr__(self) -> str:
-        return "Poly(%d, %s)" % (self.nvars, self.to_str())
+        return "Poly(%d, %s)" % (self.nvars, poly_to_json(self))
 
 
 _set = object.__setattr__
@@ -653,12 +616,6 @@ def poly_from_json(data: Sequence, nvars: int) -> Poly:
     return Poly(nvars, terms)
 
 
-def default_names(nvars: int) -> list[str]:
-    if nvars <= 3:
-        return ["x", "y", "z"][:nvars]
-    return ["x%d" % (i + 1) for i in range(nvars)]
-
-
 def linear_combination(polys: Sequence[Poly], form: Poly) -> Poly:
     """sum_i a_i * polys[i] for the linear form sum_i a_i x_i.
 
@@ -702,18 +659,6 @@ def partial_combination(polys: Sequence[Poly], p: Poly) -> Poly:
         _add_into(acc, _mul_num(_promote(f.num, f.d, d), _partial_num(num, i, d), d),
                   s if d == 1 else (s, 0), d)
     return _make(p.nvars, d, _nonzero(acc, d), den * p.den)
-
-
-def linear_form_order(p: Poly, alpha: Poly) -> int | float:
-    """Largest k with alpha^k dividing p; ``math.inf`` for p = 0.
-
-    ``alpha`` must be a nonzero homogeneous linear form.  This is the
-    one-form case of `contact_orders`: the field p d/dx_t, for a variable
-    t of alpha, takes alpha to alpha_t * p, which has the order of p.
-    """
-    t = next((e.index(1) for e in alpha.num if 1 in e), 0)
-    coeffs = [p if i == t else Poly.zero(p.nvars) for i in range(alpha.nvars)]
-    return contact_orders([coeffs], [alpha])[0][0]
 
 
 def contact_orders(fields: Sequence[Sequence[Poly]],

@@ -238,12 +238,6 @@ def join_scalar(d: int, num: "int | tuple[int, int]", den: int) -> Scalar:
     return Quad(Fraction(a, den), Fraction(b, den), d)
 
 
-def scalar_inverse(x: Scalar) -> Scalar:
-    if isinstance(x, Quad):
-        return x.inverse()
-    return Fraction(1) / _as_fraction(x)
-
-
 def format_scalar(x: Scalar) -> str:
     """Render a scalar as an exact string such as ``-3/4`` or ``1/2+3*sqrt(5)``."""
     if isinstance(x, _RATIONAL):

@@ -13,9 +13,9 @@ from coxbasis.derivations import Derivation
 from coxbasis.errors import NotDivisible
 from coxbasis.invariants import compute_invariants, invariant_field_basis
 from coxbasis.linalg import Echelon, invert_matrix, rref
-from coxbasis.poly import (Poly, Powers, linear_combination, order_constraint_rows, product,
-                           substitute_sum, weighted_exponents)
-from coxbasis.scalars import join_scalar, scalar_inverse, split_scalars
+from coxbasis.poly import (Poly, Powers, contact_orders, linear_combination,
+                           order_constraint_rows, product, substitute_sum, weighted_exponents)
+from coxbasis.scalars import join_scalar, split_scalars
 
 _CACHE: dict[str, tuple] = {}
 _CLOSURES: dict[str, tuple] = {}
@@ -90,6 +90,11 @@ def closure():
 # Test-only reference linear algebra: elimination in Fraction/Quad arithmetic
 # with normalized pivots.  The package eliminates on integer numerators in
 # one kernel, ``coxbasis.linalg.Echelon``; these are what it is checked against.
+
+
+def scalar_inverse(x):
+    """1/x for a nonzero int, Fraction or Quad, as a Fraction or Quad."""
+    return Fraction(1) / x
 
 
 def fraction_rref(rows):
@@ -266,16 +271,29 @@ def free_module_graded_dimension(member_degrees, degree, nvars):
 def gradient_numerators(system):
     """N[j][i], the numerator over J of D applied to component i of grad P_j,
     for the primitive derivation D = d/dP_l, as polynomials.  The package
-    reads these only at points, from the primitive cofactor column and the
+    reads these only at points, from the primitive numerator field and the
     partials of the gradients; this is the test-only reference."""
-    field = Derivation(system.cofactor_column(system.nvars - 1))
+    field = system.primitive_numerator
     return tuple(tuple(field.apply(f) for f in g.coeffs) for g in system.gradients)
+
+
+def linear_form_order(p, alpha):
+    """Largest k with alpha^k dividing p; ``math.inf`` for p = 0.
+
+    ``alpha`` must be a nonzero homogeneous linear form.  This is the
+    one-form case of ``coxbasis.poly.contact_orders``: the field p d/dx_t,
+    for a variable t of alpha, takes alpha to alpha_t * p, which has the
+    order of p.
+    """
+    t = next((e.index(1) for e in alpha.num if 1 in e), 0)
+    coeffs = [p if i == t else Poly.zero(p.nvars) for i in range(alpha.nvars)]
+    return contact_orders([coeffs], [alpha])[0][0]
 
 
 def division_order(p, alpha):
     """Largest k with alpha^k dividing p, by repeated exact division in grlex
     order; ``math.inf`` for p = 0.  The test-only reference for
-    ``coxbasis.poly.linear_form_order``."""
+    ``coxbasis.poly.contact_orders`` at one form (`linear_form_order`)."""
     if p.is_zero:
         return math.inf
     order = 0

@@ -5,7 +5,7 @@ import math
 
 import pytest
 from conftest import (division_order, free_module_graded_dimension, is_invariant_derivation,
-                      sequential_witness)
+                      scalar_inverse, sequential_witness)
 
 from coxbasis.certify import (
     VERDICT_DEGREE,
@@ -20,14 +20,13 @@ from coxbasis.certify import (
 )
 from coxbasis import poly
 from coxbasis.basis import BasisRequest, build_basis
-from coxbasis.connection import nabla_partial_P, universal_field
+from coxbasis.connection import nabla_D, universal_field
 from coxbasis.coxeter import Multiplicity, build_group, parse_type
 from coxbasis.derivations import Derivation, coefficient_matrix, euler_field, nabla
 from coxbasis.errors import NotPolynomial
 from coxbasis.invariants import jacobian_matrix
 from coxbasis.linalg import det
 from coxbasis.poly import Poly, linear_combination, product, sample_points
-from coxbasis.scalars import scalar_inverse
 from coxbasis.verify import hodge_suite, invariant_graded_dimension
 
 
@@ -256,33 +255,24 @@ def test_graded_member_basis_satisfies_constraints(pipeline):
     assert graded_member_basis(mult, -1, arrangement) == []
 
 
-def test_nabla_partial_P_stays_polynomial_on_a2(pipeline):
+def test_nabla_D_stays_polynomial_on_a2(pipeline):
     group, arrangement, system = pipeline("A2")
     u1 = universal_field(1, system)
-    for j in range(2):
-        out = nabla_partial_P(u1, j, system)
-        assert is_invariant_derivation(group, out)
-        for h in arrangement.hyperplanes:
-            assert contact_order(out, h.form) >= 1
-    # the primitive direction is the last column and recovers the Euler field
-    assert nabla_partial_P(u1, 1, system) == euler_field(2)
+    out = nabla_D(u1, system)
+    assert is_invariant_derivation(group, out)
+    for h in arrangement.hyperplanes:
+        assert contact_order(out, h.form) >= 1
+    # the primitive direction recovers the Euler field
+    assert out == euler_field(2)
 
 
-def test_nabla_partial_P_can_leave_polynomials(pipeline):
-    _, _, system = pipeline("A1")
-    with pytest.raises(NotPolynomial):
-        nabla_partial_P(euler_field(1), 0, system)
-
-
-def test_nabla_partial_P_lets_programming_errors_through(pipeline, monkeypatch):
-    _, _, system = pipeline("A1")
-
-    def broken(self, divisor):
-        raise RuntimeError("bug in division")
-
-    monkeypatch.setattr(Poly, "divide_exact", broken)
-    with pytest.raises(RuntimeError, match="bug in division"):
-        nabla_partial_P(euler_field(1), 0, system)
+@pytest.mark.parametrize("label", ["B2", "H3"])
+def test_nabla_D_can_leave_polynomials(pipeline, label):
+    # nabla_D E = D = (1/J) C, and C is not divisible by J
+    _, _, system = pipeline(label)
+    with pytest.raises(NotPolynomial) as info:
+        nabla_D(euler_field(system.nvars), system)
+    assert not info.value.remainder.is_zero
 
 
 def test_invariant_graded_dimension(pipeline):

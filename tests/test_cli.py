@@ -344,6 +344,11 @@ def test_base_beside_base_file_is_an_error(source, tmp_path, capsys):
     assert err.startswith("error: --base %s " % source) and err.count("\n") == 1
 
 
+def test_base_user_without_base_file_is_an_error(capsys):
+    code, out, err = run(["basis", "--type", "G2", "--k", "0", "--base", "user"], capsys)
+    assert (code, out, err) == (EXIT_FAIL, "", "error: --base user needs --base-file\n")
+
+
 def test_basis_rejects_bad_user_base(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     # coordinate fields are not tangent to the arrangement

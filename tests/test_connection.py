@@ -8,7 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import fraction_rref, gradient_numerators, is_invariant_derivation
+from conftest import (fraction_rref, gradient_numerators, is_invariant_derivation,
+                      linear_form_order, scalar_inverse)
 
 from coxbasis import connection
 from coxbasis.connection import nabla_D, nabla_D_inverse, universal_field
@@ -16,9 +17,9 @@ from coxbasis.coxeter import build_group, parse_type
 from coxbasis.derivations import Derivation, euler_field, nabla
 from coxbasis.errors import NoSolution, NonUniqueSolution, NotPolynomial
 from coxbasis.invariants import compute_invariants, invariant_field_basis
-from coxbasis.poly import Poly, linear_form_order
+from coxbasis.poly import Poly
 from coxbasis.report import derivation_to_json, dump_json
-from coxbasis.scalars import common_field, join_scalar, scalar_inverse
+from coxbasis.scalars import common_field, join_scalar
 from coxbasis.verify import random_invariant_derivation
 
 
@@ -26,8 +27,8 @@ def test_primitive_numerator_on_a1(pipeline):
     _, _, system = pipeline("A1")
     x = Poly.variable(1, 0)
     # one variable: the cofactor is 1, so the numerator is just df/dx
-    field = Derivation(system.cofactor_column(0))
-    assert field.apply(x ** 3) == x ** 2 * 3
+    assert system.primitive_numerator == Derivation([Poly.constant(1, 1)])
+    assert system.primitive_numerator.apply(x ** 3) == x ** 2 * 3
     assert system.jacobian == x * 2
 
 
@@ -199,7 +200,7 @@ def dense_inverse(delta, system):
     Fraction/Quad elimination."""
     n = system.nvars
     basis = invariant_field_basis(system, delta.degree() + system.coxeter_number)
-    primitive = Derivation(system.cofactor_column(n - 1))
+    primitive = system.primitive_numerator
     images = [[primitive.apply(f) for f in field.coeffs] for _, field in basis]
     targets = [system.jacobian * f for f in delta.coeffs]
     monomials = {}

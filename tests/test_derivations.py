@@ -114,8 +114,7 @@ def test_arithmetic_and_matrix():
     assert m.rows == [[x, y], [y, x]]
 
 
-def test_to_str():
+def test_repr_lists_the_coefficient_reprs():
     x = Poly.variable(2, 0)
     d = Derivation([x * 2, Poly.zero(2)])
-    assert d.to_str(("x", "y")) == "(2*x) d/dx"
-    assert Derivation.zero(2).to_str(("x", "y")) == "0"
+    assert repr(d) == "Derivation([Poly(2, [[[1, 0], '2']]), Poly(2, [])])"

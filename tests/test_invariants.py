@@ -48,7 +48,7 @@ def test_a1_frozen_values(pipeline):
     assert system.jacobian == x * 2
     assert system.jacobian_scalar == 2
     assert arrangement.defining_polynomial == x
-    assert system.cofactor_column(0) == (Poly.constant(1, Fraction(1)),)
+    assert system.primitive_numerator == Derivation([Poly.constant(1, Fraction(1))])
     # the invariant form has matrix (2), so the gradient field is 4x d/dx
     assert system.gradients[0].coeffs == (x * 4,)
 
@@ -80,9 +80,9 @@ def test_cofactor_columns_and_jacobian_match_laplace_expansion(pipeline, label):
     _, _, system = pipeline(label)
     m = jacobian_matrix(system.polys)
     assert m.det() == laplace_det(m.rows) == system.jacobian
-    for j in range(system.nvars):
-        assert system.cofactor_column(j) == tuple(laplace_cofactor(m.rows, i, j)
-                                                  for i in range(system.nvars))
+    last = system.nvars - 1
+    assert system.primitive_numerator.coeffs == tuple(laplace_cofactor(m.rows, i, last)
+                                                      for i in range(system.nvars))
 
 
 def test_jacobian_matrix_layout(pipeline):
@@ -122,14 +122,13 @@ def test_gradient_determinant_is_scalar_times_defining_polynomial(pipeline):
 
 
 def test_partial_P_fields_are_dual_to_invariants(pipeline):
-    for label in ("A1", "B2", "A3"):
+    # C(P_m) = J delta_{m,l}, over Q and over Q(sqrt(5))
+    for label in ("A1", "B2", "A3", "H3", "I2(5)"):
         _, _, system = pipeline(label)
-        n = len(system.polys)
-        for j in range(n):
-            field = Derivation(system.cofactor_column(j))
-            for j2 in range(n):
-                value = field.apply(system.polys[j2])
-                assert value == (system.jacobian if j2 == j else Poly.zero(system.nvars))
+        last = system.nvars - 1
+        for m, p in enumerate(system.polys):
+            value = system.primitive_numerator.apply(p)
+            assert value == (system.jacobian if m == last else Poly.zero(system.nvars))
 
 
 def test_invariant_monomials_and_basis(pipeline):

@@ -16,11 +16,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import act, division_order
+from conftest import act, division_order, linear_form_order, scalar_inverse
 
 from coxbasis.coxeter import build_group, parse_type, reynolds
-from coxbasis.poly import Poly, grlex_key, linear_form_order
-from coxbasis.scalars import Quad, scalar_inverse
+from coxbasis.poly import Poly, grlex_key
+from coxbasis.scalars import Quad
 
 FIELDS = [1, 5, 2]
 

@@ -5,17 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import linear_form_order
 
 from coxbasis.errors import NotDivisible
-from coxbasis.poly import (
-    Poly,
-    default_names,
-    grlex_key,
-    linear_form_order,
-    monomials_of_degree,
-    product,
-    sample_points,
-)
+from coxbasis.poly import Poly, grlex_key, monomials_of_degree, product, sample_points
 from coxbasis.scalars import Quad
 
 
@@ -148,13 +141,12 @@ def test_product_helper():
     assert product([], 2) == Poly.constant(2, 1)
 
 
-def test_to_str_and_names():
+def test_repr_is_the_json_term_list():
     x, y = x_y()
-    p = x ** 2 - y * 2 + Poly.constant(2, 1)
-    assert p.to_str(("x", "y")) == "x^2 - 2*y + 1"
-    assert default_names(2) == ["x", "y"]
-    assert default_names(4) == ["x1", "x2", "x3", "x4"]
-    assert Poly.zero(2).to_str(("x", "y")) == "0"
+    p = x ** 2 - y * 2 + Poly.constant(2, Fraction(1, 3))
+    assert repr(p) == "Poly(2, [[[2, 0], '1'], [[0, 1], '-2'], [[0, 0], '1/3']])"
+    assert repr(Poly.zero(2)) == "Poly(2, [])"
+    assert repr(x * Quad(1, 1, 5)) == "Poly(2, [[[1, 0], '1+sqrt(5)']])"
 
 
 def test_evaluate_matches_substitution_by_constants():

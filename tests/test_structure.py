@@ -22,11 +22,14 @@ Every memo in the package has a finite size, since public functions reach
 them with caller input; a zero-argument ``functools.cache`` holds one value.
 
 Every module-level function and class of the package, and every method
-that is not a dunder, is referred to outside its own body: by the package,
-by a tracer target, or, for an override, by the library class it
-overrides.  A merge that leaves the old routine behind fails here.  A
-test's reference keeps nothing alive: code that only tests call lives in
-``tests/conftest.py``, as the reference the tests compare against.
+that is not a dunder, is referred to outside its own body: by the
+package's code, by a tracer target, or, for an override, by the library
+class it overrides.  A merge that leaves the old routine behind fails
+here.  A re-export in ``__init__`` keeps nothing alive, and neither does a
+test's reference: code that only tests call lives in ``tests/conftest.py``,
+as the reference the tests compare against.  Every name of
+``coxbasis.__all__`` resolves and is one that the package's code or the
+tracer reaches.
 """
 
 from __future__ import annotations
@@ -346,7 +349,21 @@ def library_overrides(modules: list[str]) -> set[str]:
 def test_every_definition_is_referenced():
     package = package_modules()
     names = {attr for _, _, attr in tracer_targets()} | library_overrides(list(package))
+    # a re-export keeps nothing alive
+    del package["__init__"]
     assert unreferenced(package, names) == []
+
+
+def test_every_exported_name_resolves_and_is_reached():
+    package = importlib.import_module("coxbasis")
+    exported = package.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(package, name)] == []
+    reached = {attr for _, _, attr in tracer_targets()}
+    for name, tree in package_modules().items():
+        if name != "__init__":
+            reached.update(ref for ref, _ in references(tree))
+    assert [name for name in exported if name not in reached] == []
 
 
 def test_tracer_targets_resolve():
