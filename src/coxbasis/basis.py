@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from .certify import Certificate, graded_member_basis, ziegler_certify
 from .connection import universal_field
-from .coxeter import Arrangement, Multiplicity, ReflectionGroup
+from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation, nabla
 from .errors import CertificateFailed, NotABasis
 from .invariants import InvariantSystem
@@ -40,9 +40,13 @@ BASE_SOURCES = ("auto", "coordinate", "gradient", "oracle", "user")
 class BasisRequest:
     """What to build: a multiplicity with values in {0, 1} and a shift k."""
 
-    def __init__(self, group: ReflectionGroup, arrangement: Arrangement, system: InvariantSystem,
-                 multiplicity: Multiplicity, k: int, base_source: str = "auto",
+    def __init__(self, system: InvariantSystem, multiplicity: Multiplicity, k: int,
+                 base_source: str = "auto",
                  user_base: Sequence[Derivation] | None = None) -> None:
+        if multiplicity.arrangement is not system.arrangement:
+            raise ValueError("the multiplicity is on an arrangement of type %s, not on the "
+                             "arrangement of the %s invariants"
+                             % (multiplicity.arrangement.datum.label, system.label))
         if k < 0:
             raise ValueError("the shift k must be nonnegative")
         if not multiplicity.is_zero_one():
@@ -51,8 +55,6 @@ class BasisRequest:
             raise ValueError("unknown base source %r" % base_source)
         if (base_source == "user") != (user_base is not None):
             raise ValueError("a user_base goes with base source 'user' and no other")
-        self.group = group
-        self.arrangement = arrangement
         self.system = system
         self.multiplicity = multiplicity
         self.k = k
@@ -69,7 +71,6 @@ class BasisResult(NamedTuple):
     base_certificate: Certificate | None
     universal: Derivation
     members: tuple[Derivation, ...]
-    member_degrees: tuple[int, ...]
     certificate: Certificate
 
     @property
@@ -97,7 +98,7 @@ def base_basis(request: BasisRequest) -> tuple[str, tuple[Derivation, ...], Cert
     if source == "user" or mult.per_orbit() is None:
         return _certified_base(request, source)
     key = (source, mult.values)
-    bases = request.arrangement.bases
+    bases = mult.arrangement.bases
     if key not in bases:
         bases[key] = _certified_base(request, source)
     return bases[key]
@@ -106,8 +107,8 @@ def base_basis(request: BasisRequest) -> tuple[str, tuple[Derivation, ...], Cert
 def _certified_base(request: BasisRequest,
                     source: str) -> tuple[str, tuple[Derivation, ...], Certificate | None]:
     """The base of one resolved source, found and certified afresh."""
-    arr = request.arrangement
     mult = request.multiplicity
+    arr = mult.arrangement
     n = arr.datum.rank
     if source == "coordinate":
         if any(v != 0 for v in mult.values):
@@ -193,8 +194,8 @@ def build_basis(request: BasisRequest) -> BasisResult:
         # nabla_delta E = delta: the base's certificate is this one
         cert = base_cert
     else:
-        cert = ziegler_certify(members, request.multiplicity.shifted(2 * request.k),
-                               request.arrangement)
+        shifted = request.multiplicity.shifted(2 * request.k)
+        cert = ziegler_certify(members, shifted, shifted.arrangement)
     if not cert.is_free:
         raise CertificateFailed(
             "constructed members failed certification with verdict %s" % cert.verdict,
@@ -212,6 +213,5 @@ def build_basis(request: BasisRequest) -> BasisResult:
         base_certificate=base_cert,
         universal=univ,
         members=members,
-        member_degrees=cert.member_degrees,
         certificate=cert,
     )

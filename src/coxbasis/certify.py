@@ -22,10 +22,9 @@ which also gives the Jacobian scalar of the basic invariants).  The
 arrangement keeps that point and the forms' values there
 (``Arrangement.generic_point``), so each certification evaluates only
 its matrix.
-The recorded determinant witness is c times prod_H alpha_H^{m(H)}, built
-as prod_v Q_v^v with Q_v the product of the forms of multiplicity v (the
-cached defining polynomial Q when m is constant), by repeated squaring;
-the polynomial determinant is never expanded.
+A certificate records c and nothing it implies: certification multiplies
+no polynomials.  The determinant witness c times prod_H alpha_H^{m(H)} is
+expanded only where a report is written (``report.certificate_to_json``).
 
 The module also provides direct graded dimensions of the derivation
 module, by linear algebra on one graded piece with no basis needed: the
@@ -48,7 +47,7 @@ from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation, coefficient_matrix
 from .linalg import Echelon, PolyMatrix, det
 from .poly import (INFINITE_ORDER, Poly, contact_orders, monomials_of_degree,
-                   order_constraint_rows, product)
+                   order_constraint_rows)
 from .scalars import Scalar
 
 VERDICT_FREE = "Free-with-basis"
@@ -78,9 +77,6 @@ class Certificate(NamedTuple):
     member_degrees: tuple[int, ...]
     required: tuple[int, ...]
     orders: tuple[tuple[int | float, ...], ...]
-    degree_sum: int
-    multiplicity_sum: int
-    determinant: Poly | None = None
     determinant_scalar: Scalar | None = None
     failure: dict | None = None
 
@@ -111,8 +107,7 @@ def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity,
     degree_sum = sum(member_degrees)
     mult_sum = multiplicity.total()
 
-    base = dict(member_degrees=member_degrees, required=required, orders=orders,
-                degree_sum=degree_sum, multiplicity_sum=mult_sum)
+    base = dict(member_degrees=member_degrees, required=required, orders=orders)
 
     for i, row in enumerate(orders):
         for j, o in enumerate(row):
@@ -132,11 +127,8 @@ def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity,
     # membership and the degree count make det M = c * prod alpha^m
     scalar = determinant_scalar(coefficient_matrix(members), arrangement, required)
     if scalar == 0:
-        return Certificate(verdict=VERDICT_DEPENDENT, determinant=Poly.zero(n),
-                           failure={"determinant": "zero"}, **base)
-    return Certificate(verdict=VERDICT_FREE,
-                       determinant=_witness(arrangement, required).scale(scalar),
-                       determinant_scalar=scalar, **base)
+        return Certificate(verdict=VERDICT_DEPENDENT, failure={"determinant": "zero"}, **base)
+    return Certificate(verdict=VERDICT_FREE, determinant_scalar=scalar, **base)
 
 
 def determinant_scalar(matrix: PolyMatrix, arrangement: Arrangement,
@@ -148,20 +140,6 @@ def determinant_scalar(matrix: PolyMatrix, arrangement: Arrangement,
     point, values = arrangement.generic_point
     target = math.prod((v ** e for v, e in zip(values, exponents)), start=Fraction(1))
     return det(matrix.evaluate(point)) / target
-
-
-def _witness(arrangement: Arrangement, required: Sequence[int]) -> Poly:
-    """prod_H alpha_H^{m(H)} as prod_v Q_v^v, where Q_v is the product of
-    the forms with m(H) = v; a constant nonzero m has Q_v the arrangement's
-    cached defining polynomial."""
-    if len(set(required)) == 1 and required[0]:
-        return arrangement.defining_polynomial ** required[0]
-    n = arrangement.datum.rank
-    forms: dict[int, list[Poly]] = {}
-    for h, mv in zip(arrangement.hyperplanes, required):
-        if mv:
-            forms.setdefault(mv, []).append(h.form)
-    return product((product(fs, n) ** v for v, fs in forms.items()), n)
 
 
 def graded_member_basis(multiplicity: Multiplicity, degree: int,

@@ -83,7 +83,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     if len(datum.degrees) > 1 and datum.degrees[-2] >= datum.coxeter_number:
         problems.append("second-highest degree is not below the Coxeter number")
 
-    info = group_to_json(group, arrangement)
+    info = group_to_json(arrangement)
     info["invariant_degrees"] = list(system.degrees)
     info["jacobian_scalar"] = format_scalar(system.jacobian_scalar)
     info["invariants_fingerprint"] = system.fingerprint()
@@ -94,7 +94,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     else:
         lines = [
             "type            %s over %s" % (datum.label, datum.field_label),
-            "group order     %d" % group.order,
+            "group order     %d" % datum.group_order(),
             "hyperplanes     %d" % len(arrangement),
             "coxeter number  %d" % datum.coxeter_number,
             "degrees         %s" % (list(datum.degrees),),
@@ -158,8 +158,8 @@ def cmd_basis(args: argparse.Namespace) -> int:
     if args.base_file is not None:
         user_base = _load_user_base(args.base_file, datum.rank)
         source = "user"
-    request = BasisRequest(group, arrangement, system, multiplicity, args.k,
-                           base_source=source, user_base=user_base)
+    request = BasisRequest(system, multiplicity, args.k, base_source=source,
+                           user_base=user_base)
     result = build_basis(request)
     budget.check("basis construction")
 
@@ -171,8 +171,9 @@ def cmd_basis(args: argparse.Namespace) -> int:
             "type            %s" % datum.label,
             "multiplicity    %s (+2k with k=%d)" % (list(multiplicity.values), args.k),
             "base source     %s" % result.base_source,
-            "member degrees  %s" % (list(result.member_degrees),),
-            "degree sum      %d (multiplicity sum %d)" % (cert.degree_sum, cert.multiplicity_sum),
+            "member degrees  %s" % (list(cert.member_degrees),),
+            "degree sum      %d (multiplicity sum %d)" % (sum(cert.member_degrees),
+                                                           sum(cert.required)),
             "verdict         %s" % cert.verdict,
         ]
         _emit("\n".join(lines) + "\n", args)
@@ -188,15 +189,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     for name in names:
         if name == "euler":
-            reports.append(suites.euler_suite(group, args.samples, args.seed))
+            reports.append(suites.euler_suite(system, args.samples, args.seed))
         elif name == "jacobian":
-            reports.append(suites.jacobian_suite(group, arrangement, system))
+            reports.append(suites.jacobian_suite(system))
         elif name == "shift":
-            reports.append(suites.shift_suite(group, arrangement, system,
-                                              args.samples, args.seed))
+            reports.append(suites.shift_suite(system, args.samples, args.seed))
         elif name == "hodge":
             degrees = args.degrees or invariant_field_degrees(system)[:2]
-            reports.append(suites.hodge_suite(group, arrangement, system, args.k, degrees))
+            reports.append(suites.hodge_suite(system, args.k, degrees))
     all_passed = all(r["passed"] for r in reports)
 
     if (args.format or "text") == "json":

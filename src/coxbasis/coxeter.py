@@ -533,7 +533,9 @@ class Multiplicity:
     """A multiplicity on the arrangement, one integer per hyperplane."""
 
     def __init__(self, arrangement: Arrangement, values: Sequence[int]) -> None:
-        values = tuple(int(v) for v in values)
+        values = tuple(values)
+        if not all(type(v) is int for v in values):
+            raise ValueError("multiplicity values must be integers")
         if len(values) != len(arrangement):
             raise ValueError("need %d multiplicity values, got %d"
                              % (len(arrangement), len(values)))
@@ -554,7 +556,7 @@ class Multiplicity:
         values = [0] * len(arrangement)
         for orbit, v in zip(orbs, per_orbit):
             for i in orbit:
-                values[i] = int(v)
+                values[i] = v
         return cls(arrangement, values)
 
     def total(self) -> int:

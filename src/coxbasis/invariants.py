@@ -37,10 +37,10 @@ A system is kept on its arrangement and its universal fields on it, and
 the certified bases of ``basis.base_basis`` beside it on the arrangement,
 so the memo of ``build_group`` (``coxeter._walked``, 16 types) is the one
 memo of a type's group, arrangement, invariants, universal fields and
-bases.
-There is no on-disk state: the selection runs its Reynolds averages
-through the group's coset chain, largest parabolic first, and costs less
-than reading and revalidating a file did.
+bases.  The system keeps its arrangement in turn and reads its type from
+the arrangement's datum, so after ``compute_invariants`` it is the one
+handle on a type's state: the requests and suites downstream take it
+alone.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import json
 from typing import Iterator, Mapping, Sequence
 
 from .certify import determinant_scalar
-from .coxeter import Arrangement, CoxeterDatum, ReflectionGroup, reynolds
+from .coxeter import Arrangement, ReflectionGroup, reynolds
 from .derivations import Derivation, euler_field
 from .errors import JacobianDegenerate
 from .linalg import Echelon, PolyMatrix, monomial_columns, numerator_vector
@@ -64,27 +64,30 @@ FieldKey = tuple[int, tuple[int, ...]]
 
 
 class InvariantSystem:
-    """A full set of basic invariants with Jacobian data attached."""
+    """A full set of basic invariants of the arrangement's type, with
+    Jacobian data attached."""
 
-    def __init__(self, label: str, nvars: int, degrees: tuple[int, ...], field: int,
-                 polys: tuple[Poly, ...], jacobian: Poly, jacobian_scalar: Scalar,
-                 jacobian_partials: PolyMatrix,
+    def __init__(self, arrangement: Arrangement, polys: tuple[Poly, ...],
+                 jacobian_scalar: Scalar, jacobian_partials: PolyMatrix,
                  gradients: tuple[Derivation, ...]) -> None:
-        self.label = label
-        self.nvars = nvars
-        self.degrees = degrees
+        datum = arrangement.datum
+        self.arrangement = arrangement
+        self.label = datum.label
+        self.nvars = datum.rank
+        self.degrees = datum.degrees
         # the d of Q(sqrt(d)) of the type's realization, 1 for Q: it holds
         # the invariants, their gradients and J
-        self.field = field
+        self.field = datum.disc
         self.polys = polys
-        self.jacobian = jacobian
+        # J = c * Q, never expanded
+        self.jacobian = arrangement.defining_polynomial.scale(jacobian_scalar)
         self.jacobian_scalar = jacobian_scalar
         self.jacobian_partials = jacobian_partials
         self.gradients = gradients
         # the powers of P_1 .. P_l, grown as `compose` asks for them
         self._tables = tuple(Powers(p) for p in polys)
         # k -> nabla_D^{-k} E for k = 0 .. K, extended by `connection.universal_field`
-        self.universal_fields: dict[int, Derivation] = {0: euler_field(nvars)}
+        self.universal_fields: dict[int, Derivation] = {0: euler_field(self.nvars)}
 
     @functools.cached_property
     def primitive_numerator(self) -> Derivation:
@@ -139,7 +142,7 @@ def jacobian_matrix(polys: Sequence[Poly]) -> PolyMatrix:
     return PolyMatrix([[polys[j].partial(i) for j in range(len(polys))] for i in range(n)])
 
 
-def jacobian_factors(system: InvariantSystem, arrangement: Arrangement) -> bool:
+def jacobian_factors(system: InvariantSystem) -> bool:
     """Reference check that the expanded Jacobian determinant equals c * Q.
 
     The pipeline never expands this determinant; the check does, so it
@@ -147,7 +150,7 @@ def jacobian_factors(system: InvariantSystem, arrangement: Arrangement) -> bool:
     """
     reference = jacobian_matrix(system.polys).det()
     return (system.jacobian_scalar != 0 and
-            reference == arrangement.defining_polynomial.scale(system.jacobian_scalar))
+            reference == system.jacobian)
 
 
 def compute_invariants(group: ReflectionGroup, arrangement: Arrangement,
@@ -156,8 +159,12 @@ def compute_invariants(group: ReflectionGroup, arrangement: Arrangement,
 
     The system is kept on the arrangement, which ``build_group`` keeps for
     the 16 types built most recently.  ``cache_dir`` is accepted and
-    ignored: nothing is read from or written to disk.
+    ignored: nothing is read from or written to disk.  A group and an
+    arrangement of different types raise ValueError.
     """
+    if group.datum != arrangement.datum:
+        raise ValueError("the group is of type %s but the arrangement of type %s"
+                         % (group.datum.label, arrangement.datum.label))
     if arrangement.invariants is None:
         arrangement.invariants = _select_invariants(group, arrangement)
     return arrangement.invariants
@@ -197,11 +204,10 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
                                      % (len(picked), degree, datum.label))
         chosen += picked
         tables += map(Powers, picked)
-    return _finish_system(datum, tuple(chosen), arrangement)
+    return _finish_system(tuple(chosen), arrangement)
 
 
-def _finish_system(datum: CoxeterDatum, polys: tuple[Poly, ...],
-                   arrangement: Arrangement) -> InvariantSystem:
+def _finish_system(polys: tuple[Poly, ...], arrangement: Arrangement) -> InvariantSystem:
     """Attach the Jacobian data to homogeneous invariants of the type's degrees.
 
     Invariance is what makes J = c * Q, so callers must have checked it.
@@ -210,14 +216,12 @@ def _finish_system(datum: CoxeterDatum, polys: tuple[Poly, ...],
     jac_scalar = determinant_scalar(m, arrangement, [1] * len(arrangement))
     if jac_scalar == 0:
         raise JacobianDegenerate("Jacobian of the invariants vanishes")
-    jac = arrangement.defining_polynomial.scale(jac_scalar)
     # the invariant form on covectors has the Gram matrix; pairing the
     # partials of P_j against it is what makes the gradient field equivariant
-    forms = [Poly.linear(row) for row in datum.gram]
+    forms = [Poly.linear(row) for row in arrangement.datum.gram]
     gradients = tuple(Derivation([linear_combination([row[j] for row in m.rows], form)
                                   for form in forms]) for j in range(len(polys)))
-    return InvariantSystem(datum.label, datum.rank, datum.degrees, datum.disc, polys, jac,
-                           jac_scalar, m, gradients)
+    return InvariantSystem(arrangement, polys, jac_scalar, m, gradients)
 
 
 def invariant_field_degrees(system: InvariantSystem) -> list[int]:

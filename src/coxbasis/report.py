@@ -5,7 +5,8 @@ never as a float.  All term lists are emitted in descending monomial
 order and all dict keys are sorted on dump, so a report is byte
 deterministic for a given request.  The members of a basis report parse
 back into derivations, which is how a previous run's base can be re-fed
-and re-certified.
+and re-certified.  A certificate's witness c * prod_H alpha_H^{m(H)} is
+expanded only here, as its report is written.
 
 `dump_json` is the package's one JSON writer, for the info, basis and
 verify reports.  It writes by hand exactly the text of ``json.dumps(obj,
@@ -19,12 +20,13 @@ piece each; any other value is handed to ``json.dumps``.
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
 from .basis import BasisResult
-from .certify import Certificate, order_to_json
-from .coxeter import Arrangement, Multiplicity, ReflectionGroup
+from .certify import VERDICT_DEPENDENT, Certificate, order_to_json
+from .coxeter import Arrangement, Multiplicity
 from .derivations import Derivation
-from .poly import poly_from_json, poly_to_json
+from .poly import Poly, poly_from_json, poly_to_json, product
 from .scalars import format_scalar
 
 SCHEMA_BASIS = "coxbasis/basis-report/1"
@@ -53,32 +55,50 @@ def derivation_from_json(data: dict, nvars: int) -> Derivation:
     return Derivation([poly_from_json(c, nvars) for c in coeffs])
 
 
-def certificate_to_json(cert: Certificate) -> dict:
+def _witness(arrangement: Arrangement, required: Sequence[int]) -> Poly:
+    """prod_H alpha_H^{m(H)} as prod_v Q_v^v, where Q_v is the product of
+    the forms with m(H) = v; a constant nonzero m has Q_v the arrangement's
+    cached defining polynomial."""
+    if len(set(required)) == 1 and required[0]:
+        return arrangement.defining_polynomial ** required[0]
+    n = arrangement.datum.rank
+    forms: dict[int, list[Poly]] = {}
+    for h, mv in zip(arrangement.hyperplanes, required):
+        if mv:
+            forms.setdefault(mv, []).append(h.form)
+    return product((product(fs, n) ** v for v, fs in forms.items()), n)
+
+
+def certificate_to_json(cert: Certificate, arrangement: Arrangement) -> dict:
+    """A certificate on the arrangement; a free one with its witness, a
+    dependent one with the zero polynomial."""
     out = {
         "verdict": cert.verdict,
         "member_degrees": list(cert.member_degrees),
         "required_multiplicities": list(cert.required),
         "contact_orders": [[order_to_json(o) for o in row] for row in cert.orders],
-        "degree_sum": cert.degree_sum,
-        "multiplicity_sum": cert.multiplicity_sum,
+        "degree_sum": sum(cert.member_degrees),
+        "multiplicity_sum": sum(cert.required),
     }
-    if cert.determinant is not None:
-        out["determinant"] = poly_to_json(cert.determinant)
     if cert.determinant_scalar is not None:
+        witness = _witness(arrangement, cert.required).scale(cert.determinant_scalar)
+        out["determinant"] = poly_to_json(witness)
         out["determinant_scalar"] = format_scalar(cert.determinant_scalar)
+    elif cert.verdict == VERDICT_DEPENDENT:
+        out["determinant"] = []
     if cert.failure is not None:
         out["failure"] = {k: order_to_json(v) if isinstance(v, float) else v
                           for k, v in cert.failure.items()}
     return out
 
 
-def group_to_json(group: ReflectionGroup, arrangement: Arrangement) -> dict:
-    datum = group.datum
+def group_to_json(arrangement: Arrangement) -> dict:
+    datum = arrangement.datum
     return {
         "type": datum.label,
         "rank": datum.rank,
         "field": datum.field_label,
-        "order": group.order,
+        "order": datum.group_order(),
         "num_hyperplanes": len(arrangement),
         "coxeter_number": datum.coxeter_number,
         "degrees": list(datum.degrees),
@@ -125,19 +145,19 @@ def multiplicity_from_json(data: dict, arrangement: Arrangement) -> Multiplicity
 
 
 def basis_report(result: BasisResult) -> dict:
-    """The basis report of a result; the request carries its group,
-    arrangement and invariant system."""
+    """The basis report of a result; the request carries its invariant
+    system, and the system its arrangement."""
     req = result.request
-    group, system = req.group, req.system
+    system, arrangement = req.system, req.system.arrangement
     report = {
         "schema": SCHEMA_BASIS,
         "inputs": {
-            "type": group.datum.label,
+            "type": system.label,
             "k": req.k,
             "multiplicity": multiplicity_to_json(req.multiplicity),
             "base_source": result.base_source,
         },
-        "group": group_to_json(group, req.arrangement),
+        "group": group_to_json(arrangement),
         "invariants": {
             "degrees": list(system.degrees),
             "jacobian_scalar": format_scalar(system.jacobian_scalar),
@@ -150,11 +170,11 @@ def basis_report(result: BasisResult) -> dict:
         },
         "shifted_multiplicity": multiplicity_to_json(result.shifted_multiplicity),
         "members": [derivation_to_json(m) for m in result.members],
-        "member_degrees": list(result.member_degrees),
-        "certificate": certificate_to_json(result.certificate),
+        "member_degrees": list(result.certificate.member_degrees),
+        "certificate": certificate_to_json(result.certificate, arrangement),
     }
     if result.base_certificate is not None:
-        report["base"]["certificate"] = certificate_to_json(result.base_certificate)
+        report["base"]["certificate"] = certificate_to_json(result.base_certificate, arrangement)
     return report
 
 

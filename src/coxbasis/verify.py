@@ -28,7 +28,6 @@ from typing import Sequence
 # contact_order stays bound here for the per-layer tracer of perfbench/tracer.py
 from .certify import contact_order, order_to_json  # noqa: F401
 from .connection import nabla_D, nabla_D_inverse
-from .coxeter import Arrangement, ReflectionGroup
 from .derivations import Derivation, euler_field, nabla
 from .invariants import (InvariantSystem, invariant_field_basis, invariant_field_degrees,
                          jacobian_factors)
@@ -68,10 +67,10 @@ def random_invariant_derivation(system: InvariantSystem, degree: int,
             return out
 
 
-def euler_suite(group: ReflectionGroup, samples: int, seed: int) -> dict:
+def euler_suite(system: InvariantSystem, samples: int, seed: int) -> dict:
     """nabla_delta(E) = delta and nabla_E(delta) = deg(delta) * delta."""
     rng = random.Random(seed)
-    n = group.rank
+    n = system.nvars
     e = euler_field(n)
     failures = []
     for s in range(samples):
@@ -81,15 +80,15 @@ def euler_suite(group: ReflectionGroup, samples: int, seed: int) -> dict:
             failures.append({"sample": s, "identity": "nabla_delta(E) = delta"})
         if nabla(e, delta) != delta * Fraction(degree):
             failures.append({"sample": s, "identity": "nabla_E(delta) = deg * delta"})
-    return {"suite": "euler", "group": group.datum.label, "seed": seed,
+    return {"suite": "euler", "group": system.label, "seed": seed,
             "samples": samples, "failures": failures, "passed": not failures}
 
 
-def shift_suite(group: ReflectionGroup, arrangement: Arrangement,
-                system: InvariantSystem, samples: int, seed: int) -> dict:
+def shift_suite(system: InvariantSystem, samples: int, seed: int) -> dict:
     """Contact orders shift by exactly +2 under the primitive
     antiderivative and -2 back under the primitive derivative."""
     rng = random.Random(seed)
+    hyperplanes = system.arrangement.hyperplanes
     degrees = [d for d in invariant_field_degrees(system) if d >= 1]
     failures = []
     checked = 0
@@ -103,9 +102,8 @@ def shift_suite(group: ReflectionGroup, arrangement: Arrangement,
         if back != delta:
             failures.append({"sample": s, "identity": "nabla_D o inverse = id"})
             continue
-        orders = contact_orders([delta.coeffs, lifted.coeffs],
-                                [h.form for h in arrangement.hyperplanes])
-        for h, before, after in zip(arrangement.hyperplanes, *orders):
+        orders = contact_orders([delta.coeffs, lifted.coeffs], [h.form for h in hyperplanes])
+        for h, before, after in zip(hyperplanes, *orders):
             if before == float("inf"):
                 continue
             checked += 1
@@ -114,23 +112,21 @@ def shift_suite(group: ReflectionGroup, arrangement: Arrangement,
                     "sample": s, "hyperplane": [str(c) for c in h.coeffs],
                     "order_before": order_to_json(before), "order_after": order_to_json(after),
                 })
-    return {"suite": "shift", "group": group.datum.label, "seed": seed,
+    return {"suite": "shift", "group": system.label, "seed": seed,
             "samples": samples, "orders_checked": checked,
             "failures": failures, "passed": not failures}
 
 
-def jacobian_suite(group: ReflectionGroup, arrangement: Arrangement,
-                   system: InvariantSystem) -> dict:
+def jacobian_suite(system: InvariantSystem) -> dict:
     """The expanded Jacobian determinant equals the recorded nonzero scalar
     times the defining polynomial."""
-    ok = jacobian_factors(system, arrangement)
-    return {"suite": "jacobian", "group": group.datum.label,
+    ok = jacobian_factors(system)
+    return {"suite": "jacobian", "group": system.label,
             "scalar": format_scalar(system.jacobian_scalar),
             "failures": [] if ok else [{"identity": "J = c * Q"}], "passed": ok}
 
 
-def invariant_graded_dimension(system: InvariantSystem, arrangement: Arrangement,
-                               degree: int, min_order: int) -> int:
+def invariant_graded_dimension(system: InvariantSystem, degree: int, min_order: int) -> int:
     """Dimension of the invariant fields of one degree with contact order
     at least min_order at every hyperplane, read at one hyperplane per
     W-orbit: an invariant field has the same order at every hyperplane of
@@ -138,18 +134,16 @@ def invariant_graded_dimension(system: InvariantSystem, arrangement: Arrangement
     basis = invariant_field_basis(system, degree)
     if not basis:
         return 0
-    echelon = Echelon(arrangement.datum.disc)
-    for orbit in arrangement.orbits():
-        h = arrangement.hyperplanes[orbit[0]]
+    echelon = Echelon(system.field)
+    for orbit in system.arrangement.orbits():
+        h = system.arrangement.hyperplanes[orbit[0]]
         applied = [linear_combination(fld.coeffs, h.form) for _, fld in basis]
         for row in order_constraint_rows(applied, h.form, min_order, echelon.d):
             echelon.add(row)
     return len(basis) - echelon.rank
 
 
-def hodge_suite(group: ReflectionGroup, arrangement: Arrangement,
-                system: InvariantSystem, k: int,
-                source_degrees: Sequence[int]) -> dict:
+def hodge_suite(system: InvariantSystem, k: int, source_degrees: Sequence[int]) -> dict:
     """Compare k-fold antiderivative images with high-order invariant fields.
 
     For each source degree d, the invariant fields of degree d are mapped
@@ -170,7 +164,7 @@ def hodge_suite(group: ReflectionGroup, arrangement: Arrangement,
             for _ in range(k):
                 field = nabla_D_inverse(field, system)
         image_dim = len(basis)
-        kernel_dim = invariant_graded_dimension(system, arrangement, target, 2 * k + 1)
+        kernel_dim = invariant_graded_dimension(system, target, 2 * k + 1)
         entries.append({
             "source_degree": d,
             "target_degree": target,
@@ -179,5 +173,5 @@ def hodge_suite(group: ReflectionGroup, arrangement: Arrangement,
             "equal": image_dim == kernel_dim,
         })
     failures = [e for e in entries if not e["equal"]]
-    return {"suite": "hodge", "group": group.datum.label, "k": k,
+    return {"suite": "hodge", "group": system.label, "k": k,
             "entries": entries, "failures": failures, "passed": not failures}

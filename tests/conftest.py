@@ -14,7 +14,9 @@ from coxbasis.errors import NotDivisible
 from coxbasis.invariants import compute_invariants, invariant_field_basis
 from coxbasis.linalg import Echelon, invert_matrix, rref
 from coxbasis.poly import (Poly, Powers, contact_orders, linear_combination,
-                           order_constraint_rows, product, substitute_sum, weighted_exponents)
+                           order_constraint_rows, poly_from_json, product, substitute_sum,
+                           weighted_exponents)
+from coxbasis.report import certificate_to_json
 from coxbasis.scalars import join_scalar, split_scalars
 
 _CACHE: dict[str, tuple] = {}
@@ -346,9 +348,16 @@ def all_hyperplane_graded_dimensions(system, arrangement, degree, top):
 def sequential_witness(arrangement, values):
     """prod_H alpha_H^{m(H)} as one product of the powers of the forms, one
     factor after another.  The test-only reference for the determinant
-    witness of ``coxbasis.certify.ziegler_certify``."""
+    witness of ``coxbasis.report.certificate_to_json``."""
     return product((h.form ** mv for h, mv in zip(arrangement.hyperplanes, values)),
                    arrangement.datum.rank)
+
+
+def report_determinant(cert, arrangement):
+    """The determinant witness the report of a certificate writes, parsed
+    back into a polynomial; None when the report has no determinant."""
+    data = certificate_to_json(cert, arrangement).get("determinant")
+    return None if data is None else poly_from_json(data, arrangement.datum.rank)
 
 
 def substitution_rows(applied, alpha, m, d):

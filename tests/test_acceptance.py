@@ -91,7 +91,7 @@ def test_criterion_2_basis_sweep():
                 start = time.monotonic()
                 group, arrangement, system = fresh(label)
                 mult = Multiplicity.constant(arrangement, m)
-                request = BasisRequest(group, arrangement, system, mult, k)
+                request = BasisRequest(system, mult, k)
                 result = build_basis(request)
                 elapsed = time.monotonic() - start
                 worst = max(worst, elapsed)
@@ -99,8 +99,9 @@ def test_criterion_2_basis_sweep():
                 h = group.datum.coxeter_number
                 base_degrees = tuple(b.degree() for b in result.base_members)
                 assert result.certificate.verdict == VERDICT_FREE
-                assert result.member_degrees == tuple(k * h + d for d in base_degrees)
-                assert sum(result.member_degrees) == 2 * k * len(arrangement) + mult.total()
+                degrees = result.certificate.member_degrees
+                assert degrees == tuple(k * h + d for d in base_degrees)
+                assert sum(degrees) == 2 * k * len(arrangement) + mult.total()
                 assert result.certificate.determinant_scalar != 0
                 assert elapsed <= 60.0, "%s m=%d k=%d took %.1fs" % (label, m, k, elapsed)
     report(2, True, "%d certified builds, all Free-with-basis with exact degree "
@@ -125,7 +126,7 @@ def test_criterion_4_contact_order_shift(pipeline):
     results = []
     for label in ("A1", "A2", "B2"):
         group, arrangement, system = pipeline(label)
-        out = shift_suite(group, arrangement, system, samples=20, seed=0)
+        out = shift_suite(system, samples=20, seed=0)
         results.append((label, out["passed"], out["samples"], out["orders_checked"]))
         assert out["samples"] >= 20
         assert out["failures"] == []
@@ -153,10 +154,8 @@ def test_criterion_5_lower_connection_membership(pipeline):
 
 
 def test_criterion_6_hodge_window(pipeline):
-    grp_a1, arr_a1, sys_a1 = pipeline("A1")
-    out_a1 = hodge_suite(grp_a1, arr_a1, sys_a1, 1, list(range(6)))
-    grp_a2, arr_a2, sys_a2 = pipeline("A2")
-    out_a2 = hodge_suite(grp_a2, arr_a2, sys_a2, 1, [1, 2])
+    out_a1 = hodge_suite(pipeline("A1")[2], 1, list(range(6)))
+    out_a2 = hodge_suite(pipeline("A2")[2], 1, [1, 2])
     ok = out_a1["passed"] and out_a2["passed"]
     pairs = [(e["image_dimension"], e["invariant_kernel_dimension"])
              for e in out_a1["entries"] + out_a2["entries"]]
@@ -170,14 +169,13 @@ def test_criterion_7_graded_dimension_equivalence(pipeline):
         for m in (0, 1):
             for k in (1, 2):
                 mult = Multiplicity.constant(arrangement, m)
-                request = BasisRequest(group, arrangement, system, mult, k)
-                result = build_basis(request)
+                result = build_basis(BasisRequest(system, mult, k))
                 shifted = result.shifted_multiplicity
-                top = max(result.member_degrees) + 2
+                degrees = result.certificate.member_degrees
+                top = max(degrees) + 2
                 for d in range(top + 1):
                     direct = len(graded_member_basis(shifted, d, arrangement))
-                    predicted = free_module_graded_dimension(
-                        result.member_degrees, d, group.rank)
+                    predicted = free_module_graded_dimension(degrees, d, group.rank)
                     assert direct == predicted, (label, m, k, d, direct, predicted)
                     checks += 1
     report(7, True, "%d graded dimensions match the free-module prediction "
@@ -189,13 +187,12 @@ def test_criterion_8_one_orbit_multiplicity(pipeline):
     outcomes = []
     for values in ([1, 0], [0, 1]):
         mult = Multiplicity.from_orbit_values(arrangement, values)
-        request = BasisRequest(group, arrangement, system, mult, 1)
-        result = build_basis(request)
+        result = build_basis(BasisRequest(system, mult, 1))
         assert result.base_source == "oracle"
         assert mult.total() == 2
         assert result.certificate.verdict == VERDICT_FREE
-        assert sum(result.member_degrees) == 2 * len(arrangement) + 2
-        outcomes.append(tuple(result.member_degrees))
+        assert sum(result.certificate.member_degrees) == 2 * len(arrangement) + 2
+        outcomes.append(result.certificate.member_degrees)
     report(8, True, "oracle base found for both single-orbit patterns; "
                     "member degrees %s and %s" % tuple(outcomes))
 
@@ -203,8 +200,7 @@ def test_criterion_8_one_orbit_multiplicity(pipeline):
 def test_criterion_9_euler_identities(pipeline):
     results = []
     for label in GROUPS:
-        group, _, _ = pipeline(label)
-        out = euler_suite(group, samples=20, seed=0)
+        out = euler_suite(pipeline(label)[2], samples=20, seed=0)
         results.append((label, out["passed"]))
         assert out["samples"] == 20
         assert out["failures"] == []

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import re
+
 import pytest
-from conftest import is_invariant_derivation
+from conftest import clear_memos, is_invariant_derivation
 
 from coxbasis.basis import BasisRequest, BasisResult, base_basis, build_basis
 from coxbasis.certify import VERDICT_FREE
@@ -13,13 +15,12 @@ from coxbasis.poly import Poly
 
 
 def make_request(pipeline, label, mult_values, k, **kw):
-    group, arrangement, system = pipeline(label)
+    _, arrangement, system = pipeline(label)
     if isinstance(mult_values, int):
         mult = Multiplicity.constant(arrangement, mult_values)
     else:
         mult = Multiplicity.from_orbit_values(arrangement, mult_values)
-    return BasisRequest(group=group, arrangement=arrangement, system=system,
-                        multiplicity=mult, k=k, **kw)
+    return BasisRequest(system=system, multiplicity=mult, k=k, **kw)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "G2"])
@@ -28,14 +29,14 @@ def make_request(pipeline, label, mult_values, k, **kw):
 def test_constant_multiplicity_sweep(pipeline, label, m, k):
     request = make_request(pipeline, label, m, k)
     result = build_basis(request)
-    group = request.group
-    h = group.datum.coxeter_number
+    h = request.system.coxeter_number
+    arrangement = request.system.arrangement
     assert result.certificate.verdict == VERDICT_FREE
     base_degrees = tuple(b.degree() for b in result.base_members)
-    assert result.member_degrees == tuple(k * h + d for d in base_degrees)
-    expected_sum = 2 * k * len(request.arrangement) + request.multiplicity.total()
-    assert sum(result.member_degrees) == expected_sum
-    assert result.shifted_multiplicity.values == tuple(m + 2 * k for _ in request.arrangement.hyperplanes)
+    assert result.certificate.member_degrees == tuple(k * h + d for d in base_degrees)
+    expected_sum = 2 * k * len(arrangement) + request.multiplicity.total()
+    assert sum(result.certificate.member_degrees) == expected_sum
+    assert result.shifted_multiplicity.values == tuple(m + 2 * k for _ in arrangement.hyperplanes)
 
 
 def test_base_source_selection(pipeline):
@@ -64,7 +65,7 @@ def test_oracle_base_for_mixed_multiplicity(pipeline):
         source, members, cert = base_basis(request)
         assert cert.is_free
         assert sorted(m.degree() for m in members) == [1, 1]
-        assert cert.degree_sum == request.multiplicity.total() == 2
+        assert sum(cert.member_degrees) == request.multiplicity.total() == 2
 
 
 def test_oracle_matches_gradient_for_constant_one(pipeline):
@@ -72,7 +73,7 @@ def test_oracle_matches_gradient_for_constant_one(pipeline):
     source, members, cert = base_basis(request)
     assert source == "oracle"
     assert cert.is_free
-    assert tuple(m.degree() for m in members) == request.group.datum.exponents
+    assert tuple(m.degree() for m in members) == request.system.arrangement.datum.exponents
 
 
 def test_basis_result_is_an_immutable_keyword_record(pipeline):
@@ -90,7 +91,7 @@ def test_mixed_multiplicity_shift(pipeline):
     result = build_basis(request)
     assert result.certificate.is_free
     assert result.base_source == "oracle"
-    assert sum(result.member_degrees) == 2 * len(request.arrangement) + 2
+    assert sum(result.certificate.member_degrees) == 2 * len(request.system.arrangement) + 2
     assert result.shifted_multiplicity.per_orbit() == [3, 2]
 
 
@@ -104,10 +105,10 @@ def test_k_zero_returns_certified_base(pipeline):
 
 def test_members_are_invariant_exactly_for_full_invariant_base(pipeline):
     # gradient base members are invariant, so the shifted members are too
-    request = make_request(pipeline, "A2", 1, 1)
-    result = build_basis(request)
+    group = pipeline("A2")[0]
+    result = build_basis(make_request(pipeline, "A2", 1, 1))
     for member in result.members:
-        assert is_invariant_derivation(request.group, member)
+        assert is_invariant_derivation(group, member)
 
 
 def test_user_base_accepted_and_certified(pipeline):
@@ -161,20 +162,40 @@ def test_coordinate_source_rejects_nonzero_multiplicity(pipeline):
 
 
 def test_request_validation(pipeline):
-    group, arrangement, system = pipeline("B2")
+    _, arrangement, system = pipeline("B2")
     mult = Multiplicity.constant(arrangement, 1)
     with pytest.raises(ValueError):
-        BasisRequest(group=group, arrangement=arrangement, system=system,
-                     multiplicity=mult, k=-1)
+        BasisRequest(system=system, multiplicity=mult, k=-1)
     with pytest.raises(ValueError):
-        BasisRequest(group=group, arrangement=arrangement, system=system,
-                     multiplicity=Multiplicity.constant(arrangement, 2), k=1)
+        BasisRequest(system=system, multiplicity=Multiplicity.constant(arrangement, 2), k=1)
     with pytest.raises(ValueError):
-        BasisRequest(group=group, arrangement=arrangement, system=system,
-                     multiplicity=mult, k=1, base_source="nonsense")
+        BasisRequest(system=system, multiplicity=mult, k=1, base_source="nonsense")
     with pytest.raises(ValueError):
-        BasisRequest(group=group, arrangement=arrangement, system=system,
-                     multiplicity=mult, k=1, base_source="user")
+        BasisRequest(system=system, multiplicity=mult, k=1, base_source="user")
+
+
+@pytest.mark.parametrize("system_label, mult_label", [
+    ("G2", "B2"),     # once a G2-labelled report of B2's basis
+    ("B2", "G2"),     # once a NotABasis, exit 2
+    ("B2", "I2(4)"),  # once accepted: I2(4) has B2's four hyperplanes
+])
+def test_multiplicity_on_another_arrangement_is_an_error(pipeline, system_label, mult_label):
+    system = pipeline(system_label)[2]
+    mult = Multiplicity.constant(pipeline(mult_label)[1], 1)
+    with pytest.raises(ValueError, match=re.escape("arrangement of type %s," % mult_label)):
+        BasisRequest(system, mult, 1)
+
+
+def test_multiplicity_on_an_equal_arrangement_that_is_another_is_an_error(pipeline):
+    # the certified bases are kept on the system's arrangement, so a second
+    # build of the same type is refused rather than silently given a base
+    system = pipeline("B2")[2]
+    clear_memos()
+    _, rebuilt = build_group(parse_type("B2"))
+    assert rebuilt is not system.arrangement and rebuilt.datum == system.arrangement.datum
+    with pytest.raises(ValueError, match="not on the arrangement of the B2 invariants"):
+        BasisRequest(system, Multiplicity.constant(rebuilt, 1), 1)
+    assert rebuilt.bases == {} and rebuilt.invariants is None
 
 
 def fresh_request(label, mult_values, k, **kw):
@@ -186,8 +207,7 @@ def fresh_request(label, mult_values, k, **kw):
         mult = Multiplicity.constant(arrangement, mult_values)
     else:
         mult = Multiplicity(arrangement, mult_values)
-    return BasisRequest(group=group, arrangement=arrangement, system=system,
-                        multiplicity=mult, k=k, **kw)
+    return BasisRequest(system=system, multiplicity=mult, k=k, **kw)
 
 
 @pytest.mark.parametrize("source", ["auto", "oracle"])
@@ -196,8 +216,8 @@ def test_base_is_certified_once_for_every_shift(source, certifications):
     assert len(certifications) == 2
     request = first.request
     for k in (2, 0):
-        again = build_basis(BasisRequest(request.group, request.arrangement, request.system,
-                                         request.multiplicity, k, base_source=source))
+        again = build_basis(BasisRequest(request.system, request.multiplicity, k,
+                                         base_source=source))
         assert again.base_members is first.base_members
         assert again.base_certificate is first.base_certificate
     # the base once, then the members at k = 1 and 2; at k = 0 they are the base
@@ -209,13 +229,13 @@ def test_base_is_certified_once_for_every_shift(source, certifications):
 
 def test_only_invariant_multiplicities_keep_their_base():
     request = fresh_request("B3", 0, 0)
-    arrangement = request.arrangement
+    arrangement = request.system.arrangement
     invariant = [Multiplicity.from_orbit_values(arrangement, per_orbit).values
                  for per_orbit in ([0, 0], [0, 1], [1, 0], [1, 1])]
     mixed = [1] + [0] * (len(arrangement) - 1)
     for values in invariant + [mixed]:
         result = build_basis(fresh_request("B3", list(values), 1))
-        assert result.request.arrangement is arrangement
+        assert result.request.system.arrangement is arrangement
     assert Multiplicity(arrangement, mixed).per_orbit() is None
     assert sorted(values for _, values in arrangement.bases) == sorted(invariant)
     assert {source for source, _ in arrangement.bases} == {"coordinate", "oracle", "gradient"}
@@ -226,4 +246,4 @@ def test_failed_base_is_not_kept():
     for _ in range(2):
         with pytest.raises(NotABasis):
             base_basis(request)
-    assert request.arrangement.bases == {}
+    assert request.system.arrangement.bases == {}

@@ -18,7 +18,7 @@ from coxbasis.cli import (
     build_parser,
     main,
 )
-from coxbasis import certify, cli, coxeter, invariants
+from coxbasis import certify, cli, coxeter, invariants, report
 from coxbasis.coxeter import parse_type
 
 
@@ -158,12 +158,99 @@ def test_verify_output_is_unchanged(key, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[key]
 
 
+# sha256 of the standard output of ``basis --type T --m M --k K --format
+# text`` for the benchmark sweep's constant-m requests, as written while
+# every certification still expanded its determinant witness
+TEXT_DIGESTS = {
+    "A1 --m 0 --k 1": "f91e63174944b74ea5be490ee6ff9e17ea54aeff12f917d3d62c7b6be7581b67",
+    "A1 --m 0 --k 2": "edc10cba01338aba2ef1d112dc00caa8f170534a00845a099416e8a9c4761175",
+    "A1 --m 1 --k 1": "d6bbe0285681dc3e616f8c955d6b1dceff14a631535df399a6638f994e98d685",
+    "A1 --m 1 --k 2": "79d5ac114fd4fc209a241509405526868ec3852ab313fd50b931f67b5280b9be",
+    "A2 --m 0 --k 1": "761775da1a96e7675e2518b1c96c5158438fac99aba6b1173cc70518630669b1",
+    "A2 --m 0 --k 2": "9bbf5bc95b4db200314904efc2d039a91104463cbaff38c45b838a42349ba781",
+    "A2 --m 1 --k 1": "773b8fcc387ec87f6840137c3eda5e7c96f98f094d4e6d878aea8d47c158237e",
+    "A2 --m 1 --k 2": "d92a23f37d1f20457a456e85a83cf878805af2e7c3e64c0d53f3aaf161c20d69",
+    "A3 --m 0 --k 1": "254b659b2719278185bad6d91fe9168fdea5c2cd0dcb06c4a5ef282d6207b2eb",
+    "A3 --m 0 --k 2": "308f62d04c100d406657ad3af76423d307c8210aa6b4a5274d40e11af7c5d8aa",
+    "A3 --m 1 --k 1": "78806a8b5a9337051ea87a877836ec7019d60465c30d21b4353f5a1ba25ec3ab",
+    "A3 --m 1 --k 2": "88ee2faf04719267699661356a65997d91baef8ed79db433cb2996ecc94a0e47",
+    "B2 --m 0 --k 1": "9c3b2bc8a9e900c0fcb677b3e91c7f377612a3028e070fe1e6c1800d84dce0de",
+    "B2 --m 0 --k 2": "29657b2f3f96b5cb6b43708d8ea15017b460295214315998fb34fcaee015eb8c",
+    "B2 --m 1 --k 1": "330d49d7b90ff39ff20d823c68d98f71473be005d1641fc772ad5c296d431fc2",
+    "B2 --m 1 --k 2": "cca32d3d70ac3f225a8ed9b330b7a5ce460feda50542bd42cc67d8f526ad976c",
+    "B3 --m 0 --k 1": "6ab9cfb5c04d98ceca11697a3b6f7f8505ce1408dad295e3cbd0525894653dde",
+    "B3 --m 0 --k 2": "ba40fa2b8c9da2289c451d0f01f59e3ca24e7903fa1335ea247d1f24557fcfac",
+    "B3 --m 1 --k 1": "64fbaaf8de2bc69937da3352ca7a1556cc7678a05def5ea9c27b6a65e7796e4f",
+    "B3 --m 1 --k 2": "5c91b4dc03af36a93893c1339b9007fd17d20ce857d478ffd7e9a85fb8234757",
+    "G2 --m 0 --k 1": "7f37ca838b9817f924d96d33272afc6d4ec6e72dbb9ea636163a9266515fa644",
+    "G2 --m 0 --k 2": "3d1c2e602b5d3c06376350d6089be0c43de2509320a3be27bd00ecb87f66e155",
+    "G2 --m 1 --k 1": "bb8201ad125d98ac7455353e95c0c63d8775f299db9794ebfd7aec064741245f",
+    "G2 --m 1 --k 2": "d2aa2db4a3c4e0b7e857a1152aee9a856f7d63311ecc316cac1bce3a955b02da",
+    "I2(3) --m 0 --k 1": "de6712f6ba9d08f5c2c6ad90482f4bf417958b8f8fe1489f65c1089903f795c3",
+    "I2(3) --m 0 --k 2": "c4669e899fca5d23f2e14bd1387829af4653ca618843b02bed347f570baec6d3",
+    "I2(3) --m 1 --k 1": "f2f60dee2139fd19350564101bdc5c9bc788e4a19b3ac14e86e3be3ef3efc65d",
+    "I2(3) --m 1 --k 2": "c0b9869daedb511198b633e3dedc264ce3afdf7238888c7d34cb84491e2b94fc",
+    "I2(4) --m 0 --k 1": "40736e2c0ec4d3cfaf30aef874df4d5f42b363400055926dd69e8602642a3e3e",
+    "I2(4) --m 0 --k 2": "165cc2c75fd3401c1cb8b3f50d3d8953e6ea84e3882f4c1eba20fc267280541f",
+    "I2(4) --m 1 --k 1": "25d02d3c139af618e40150c11cd7d10f4d47b2999a0536606934373baf067f3a",
+    "I2(4) --m 1 --k 2": "576f21e6f8a73bd47533c8a0453ddfc94a66958928945e52802a918882704ab0",
+    "I2(5) --m 0 --k 1": "073cf4a955eb48488738bc7b2138498ce46a8d5b130ea4fbb3006a686e85d146",
+    "I2(5) --m 0 --k 2": "1d8505dffc8d24597d42528c614a7a7f150037601db2237d2723f1478353a909",
+    "I2(5) --m 1 --k 1": "352f19f5d5ff347c5913cc16d2528de09ad5e4e006278f8e4055fa6c284d8b2c",
+    "I2(5) --m 1 --k 2": "bc1e010e9605f90f984a783d80e1ea93e1445823dffaa00cd2a21ee7ccedda68",
+    "I2(6) --m 0 --k 1": "a440de3de3c0faa96b4cb5fdb1160207fa9b78ba2cceaaa38751267717d58370",
+    "I2(6) --m 0 --k 2": "0849999f41684cd80d401b0e8489d59489ba0e845d40327278fcc35224653f48",
+    "I2(6) --m 1 --k 1": "ef8ccbbd620699e11da5b6d187a0b45f1f44726af5e2c0ea4f5eea0fb8d55dd1",
+    "I2(6) --m 1 --k 2": "3f9eabbb32cc7f36954b79b3aa7bf8d97f3c279832eb01a936c037da75e882e9",
+    "I2(8) --m 0 --k 1": "88c6f493ec0c68deaa910908cf0f3012a3c31e742c53ffcfaa0d4a1029b18b76",
+    "I2(8) --m 0 --k 2": "7c0da0e35235242dacddd86b482dda05c84d5af5c1194408b31ef1b2b95cd1b0",
+    "I2(8) --m 1 --k 1": "34bab73f33dae1bc8790cdaedf99abbee3ee4b78560416a4ba4574ace0edc339",
+    "I2(8) --m 1 --k 2": "2c6e9ee0389216ec0b9a9bd9e544d83b5adf858fb032f7fc606ae5288db131a9",
+}
+
+
+def test_text_digests_cover_the_sweep():
+    assert len(TEXT_DIGESTS) == 44
+    assert len({key.split()[0] for key in TEXT_DIGESTS}) == 11
+
+
+@pytest.mark.parametrize("key", sorted(TEXT_DIGESTS))
+def test_basis_text_output_is_unchanged(key, capsys):
+    label, *options = key.split()
+    code, out, _ = run(["basis", "--type", label, *options, "--format", "text"], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TEXT_DIGESTS[key]
+
+
+@pytest.mark.parametrize("argv, witnesses", [
+    (["--m", "0", "--k", "1", "--format", "text"], 0),
+    (["--m", "1", "--k", "2", "--format", "text"], 0),
+    (["--m", "0", "--k", "1"], 1),
+    (["--m", "1", "--k", "2"], 2),
+    (["--m", "1", "--k", "0"], 2),
+    (["--mfile", MFILE, "--k", "1"], 2),
+])
+def test_only_a_written_certificate_expands_its_witness(argv, witnesses, capsys, monkeypatch):
+    # a JSON report writes the members' certificate and, unless the base is
+    # the coordinate fields, the base's; text writes neither
+    calls = []
+
+    def counting(arrangement, required, original=report._witness):
+        calls.append(required)
+        return original(arrangement, required)
+
+    monkeypatch.setattr(report, "_witness", counting)
+    code, _, _ = run(["basis", "--type", "B3", *argv], capsys)
+    assert code == EXIT_OK
+    assert len(calls) == witnesses
+
+
 def test_info_never_expands_the_jacobian(capsys, monkeypatch):
     calls = []
 
-    def counting(system, arrangement, original=invariants.jacobian_factors):
-        calls.append(arrangement.datum.label)
-        return original(system, arrangement)
+    def counting(system, original=invariants.jacobian_factors):
+        calls.append(system.label)
+        return original(system)
 
     # every binding of the name in the package, wherever it was imported
     for name, module in list(sys.modules.items()):
@@ -178,6 +265,20 @@ def test_info_never_expands_the_jacobian(capsys, monkeypatch):
     code, _, _ = run(["verify", "--type", "A2", "--suite", "jacobian", "--no-cache"], capsys)
     assert code == EXIT_OK
     assert calls == ["A2"]
+
+
+def test_a_mismatched_group_and_arrangement_keep_no_invariants(capsys):
+    # G2's invariants once landed on B2's kept arrangement, and every later
+    # request on B2 read them: info printed -45/2 for the Jacobian scalar
+    g2, _ = coxeter.build_group(parse_type("G2"))
+    _, b2 = coxeter.build_group(parse_type("B2"))
+    with pytest.raises(ValueError, match="type G2 but the arrangement of type B2"):
+        invariants.compute_invariants(g2, b2)
+    assert b2.invariants is None
+    code, out, _ = run(["info", "B2"], capsys)
+    assert code == EXIT_OK
+    assert "jacobian        4 * defining polynomial\n" in out
+    assert run(["basis", "--type", "B2", "--m", "1", "--k", "1"], capsys)[0] == EXIT_OK
 
 
 def test_info_unsupported_type(capsys):

@@ -296,6 +296,23 @@ def test_multiplicity(pipeline):
         Multiplicity.from_orbit_values(arrangement, [1])
 
 
+def test_multiplicity_values_must_be_ints(pipeline):
+    # nothing is truncated or converted: 1.5, 0.9, True and "1" were once
+    # read as (1, 0, 1, 1)
+    _, arrangement, _ = pipeline("B2")
+    bad = [[1.5, 0.9, True, "1"], [1, 1, 1, 1.0], [1, 1, 1, True], [Fraction(1)] * 4]
+    for values in bad:
+        with pytest.raises(ValueError, match="multiplicity values must be integers"):
+            Multiplicity(arrangement, values)
+    for value in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="must be integers"):
+            Multiplicity.constant(arrangement, value)
+    for per_orbit in ([1, 0.5], [False, 1], ["1", "0"]):
+        with pytest.raises(ValueError, match="must be integers"):
+            Multiplicity.from_orbit_values(arrangement, per_orbit)
+    assert Multiplicity(arrangement, (v for v in [2, 0, 2, 0])).values == (2, 0, 2, 0)
+
+
 def test_order_bound_checked_before_enumeration():
     with pytest.raises(OrderBoundExceeded):
         build_group(parse_type("H3"), order_bound=10)

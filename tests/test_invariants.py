@@ -34,7 +34,7 @@ def test_selection_alarms_raise_jacobian_degenerate(pipeline, monkeypatch):
     p2 = system.polys[0]
     # the Jacobian of P_1, P_1^2 vanishes, so they are not basic
     with pytest.raises(JacobianDegenerate):
-        invariants._finish_system(group.datum, (p2, p2 * p2), arrangement)
+        invariants._finish_system((p2, p2 * p2), arrangement)
     # a degree whose averages all reduce to zero has too few candidates
     monkeypatch.setattr(invariants, "reynolds", lambda group, p: Poly.zero(p.nvars))
     with pytest.raises(JacobianDegenerate, match="only 0 independent invariants of degree 2"):

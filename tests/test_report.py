@@ -50,7 +50,7 @@ def test_infinite_contact_orders_become_null(pipeline):
     mult = Multiplicity.constant(arrangement, 0)
     members = [Derivation.coordinate(2, 0), Derivation.coordinate(2, 1)]
     cert = ziegler_certify(members, mult, arrangement)
-    data = certificate_to_json(cert)
+    data = certificate_to_json(cert, arrangement)
     # d/dx annihilates the form y, an infinite contact order
     assert data["contact_orders"][0][0] is None
     assert data["contact_orders"][0][1] == 0
@@ -60,7 +60,8 @@ def test_infinite_contact_orders_become_null(pipeline):
 
 def test_group_json_for_b2(pipeline):
     group, arrangement, _ = pipeline("B2")
-    data = group_to_json(group, arrangement)
+    data = group_to_json(arrangement)
+    assert data["order"] == group.order
     assert data["type"] == "B2"
     assert data["order"] == 8
     assert data["field"] == "Q"
@@ -90,9 +91,8 @@ def test_multiplicity_json_round_trips(pipeline):
 
 
 def test_basis_report_structure_and_determinism(pipeline):
-    group, arrangement, system = pipeline("B2")
-    request = BasisRequest(group, arrangement, system,
-                           Multiplicity.constant(arrangement, 1), 1)
+    _, arrangement, system = pipeline("B2")
+    request = BasisRequest(system, Multiplicity.constant(arrangement, 1), 1)
     result = build_basis(request)
     report = basis_report(result)
     assert report["schema"] == SCHEMA_BASIS
@@ -111,9 +111,8 @@ def test_basis_report_structure_and_determinism(pipeline):
 
 
 def test_report_has_no_floats(pipeline):
-    group, arrangement, system = pipeline("A2")
-    request = BasisRequest(group, arrangement, system,
-                           Multiplicity.constant(arrangement, 0), 1)
+    _, arrangement, system = pipeline("A2")
+    request = BasisRequest(system, Multiplicity.constant(arrangement, 0), 1)
     result = build_basis(request)
     report = basis_report(result)
 

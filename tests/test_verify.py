@@ -42,25 +42,23 @@ def test_random_invariant_derivation(pipeline):
 
 
 def test_euler_suite(pipeline):
-    group, _, _ = pipeline("A2")
-    report = euler_suite(group, samples=10, seed=3)
+    system = pipeline("A2")[2]
+    report = euler_suite(system, samples=10, seed=3)
     assert report["passed"]
     assert report["samples"] == 10
     assert report["failures"] == []
     assert report["suite"] == "euler"
     # the same seed reproduces the same verdict
-    assert euler_suite(group, samples=10, seed=3) == report
+    assert euler_suite(system, samples=10, seed=3) == report
 
 
 def test_jacobian_suite(pipeline):
-    group, arrangement, system = pipeline("G2")
-    report = jacobian_suite(group, arrangement, system)
+    report = jacobian_suite(pipeline("G2")[2])
     assert report["passed"]
 
 
 def test_shift_suite(pipeline):
-    group, arrangement, system = pipeline("B2")
-    report = shift_suite(group, arrangement, system, samples=8, seed=5)
+    report = shift_suite(pipeline("B2")[2], samples=8, seed=5)
     assert report["passed"]
     assert report["orders_checked"] > 0
     assert report["failures"] == []
@@ -99,13 +97,12 @@ def test_invariant_graded_dimension_reads_one_hyperplane_per_orbit_exactly(label
     for d in invariant_field_degrees(system)[:2]:
         for k in range(3):
             degree = d + k * h
-            assert ([invariant_graded_dimension(system, arrangement, degree, m)
-                     for m in range(1, 6)]
+            assert ([invariant_graded_dimension(system, degree, m) for m in range(1, 6)]
                     == all_hyperplane_graded_dimensions(system, arrangement, degree, 5))
 
 
 def test_hodge_reads_the_rows_of_one_hyperplane_per_orbit(pipeline, monkeypatch):
-    group, arrangement, system = pipeline("B3")
+    _, arrangement, system = pipeline("B3")
     forms = []
 
     def counting(applied, alpha, m, d, original=verify.order_constraint_rows):
@@ -113,6 +110,6 @@ def test_hodge_reads_the_rows_of_one_hyperplane_per_orbit(pipeline, monkeypatch)
         return original(applied, alpha, m, d)
 
     monkeypatch.setattr(verify, "order_constraint_rows", counting)
-    assert hodge_suite(group, arrangement, system, 1, [1])["passed"]
+    assert hodge_suite(system, 1, [1])["passed"]
     assert forms == [arrangement.hyperplanes[orbit[0]].form for orbit in arrangement.orbits()]
     assert len(forms) == 2
