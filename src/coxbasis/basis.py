@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from .certify import Certificate, graded_member_basis, ziegler_certify
 from .connection import universal_field
-from .coxeter import Arrangement, Multiplicity
+from .coxeter import Multiplicity
 from .derivations import Derivation, nabla
 from .errors import CertificateFailed, NotABasis
 from .invariants import InvariantSystem
@@ -108,8 +108,7 @@ def _certified_base(request: BasisRequest,
                     source: str) -> tuple[str, tuple[Derivation, ...], Certificate | None]:
     """The base of one resolved source, found and certified afresh."""
     mult = request.multiplicity
-    arr = mult.arrangement
-    n = arr.datum.rank
+    n = mult.arrangement.datum.rank
     if source == "coordinate":
         if any(v != 0 for v in mult.values):
             raise NotABasis("coordinate fields only span the module of the zero multiplicity")
@@ -122,9 +121,9 @@ def _certified_base(request: BasisRequest,
         _check_user_shape(members, n, mult.total())
         message = "user-supplied base failed certification"
     else:
-        members = _oracle_search(mult, arr)
+        members = _oracle_search(mult)
         message = "search produced %d generators but they failed certification" % len(members)
-    cert = ziegler_certify(members, mult, arr)
+    cert = ziegler_certify(members, mult)
     if not cert.is_free:
         raise NotABasis(message, certificate=cert)
     return source, members, cert
@@ -150,7 +149,7 @@ def _check_user_shape(members: Sequence[Derivation], n: int, mult_sum: int) -> N
                             failure={"member": i, "degree": degree, "multiplicity_sum": mult_sum})
 
 
-def _oracle_search(mult: Multiplicity, arr: Arrangement) -> tuple[Derivation, ...]:
+def _oracle_search(mult: Multiplicity) -> tuple[Derivation, ...]:
     """Minimal generators of the derivation module, degree by degree.
 
     Walks degrees 0 .. sum(m).  At each degree the graded piece is
@@ -159,12 +158,12 @@ def _oracle_search(mult: Multiplicity, arr: Arrangement) -> tuple[Derivation, ..
     appended.  A free module of rank n has exactly n generators with
     degrees summing to sum(m), so anything else aborts the search.
     """
-    n = arr.datum.rank
-    field = arr.datum.disc
+    n = mult.arrangement.datum.rank
+    field = mult.arrangement.datum.disc
     bound = mult.total()
     generators: list[Derivation] = []
     for degree in range(0, bound + 1):
-        piece = graded_member_basis(mult, degree, arr)
+        piece = graded_member_basis(mult, degree)
         if not piece:
             continue
         columns = monomial_columns(n, n, degree)
@@ -195,7 +194,7 @@ def build_basis(request: BasisRequest) -> BasisResult:
         cert = base_cert
     else:
         shifted = request.multiplicity.shifted(2 * request.k)
-        cert = ziegler_certify(members, shifted, shifted.arrangement)
+        cert = ziegler_certify(members, shifted)
     if not cert.is_free:
         raise CertificateFailed(
             "constructed members failed certification with verdict %s" % cert.verdict,

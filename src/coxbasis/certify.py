@@ -85,9 +85,10 @@ class Certificate(NamedTuple):
         return self.verdict == VERDICT_FREE
 
 
-def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity,
-                    arrangement: Arrangement) -> Certificate:
-    """Certify a candidate basis for the derivation module of a multiplicity."""
+def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity) -> Certificate:
+    """Certify a candidate basis for the derivation module of a multiplicity
+    on its own arrangement."""
+    arrangement = multiplicity.arrangement
     n = arrangement.datum.rank
     if len(members) != n:
         raise ValueError("need %d members, got %d" % (n, len(members)))
@@ -142,8 +143,7 @@ def determinant_scalar(matrix: PolyMatrix, arrangement: Arrangement,
     return det(matrix.evaluate(point)) / target
 
 
-def graded_member_basis(multiplicity: Multiplicity, degree: int,
-                        arrangement: Arrangement) -> list[Derivation]:
+def graded_member_basis(multiplicity: Multiplicity, degree: int) -> list[Derivation]:
     """Basis of the degree-d piece of the derivation module, by constraints.
 
     Unknowns are the coefficients of a degree-d field; for each hyperplane
@@ -152,6 +152,7 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int,
     monomial by alpha under one shared scale (`order_constraint_rows`).
     The kernel of the stacked constraints is the graded piece.
     """
+    arrangement = multiplicity.arrangement
     n = arrangement.datum.rank
     if degree < 0:
         return []

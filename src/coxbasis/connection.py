@@ -25,18 +25,27 @@ true rank: once it reaches the number of unknowns the solution is unique,
 and an inconsistent evaluated equation proves there is none.  The single
 candidate is then built in coordinates once, and the exact re-check
 C . grad(delta') == J delta, multiplied out, decides the result.
+
+Over Q the evaluated system is solved first modulo one prime, lifted and
+checked exactly on the rows it kept (`linalg.solve_modular`): a full rank
+mod the prime proves the solution unique just as the exact rank does.
+The exact `Echelon` runs on the same rows only when that solve decides
+nothing, and it alone gives the verdicts on the evaluated system: an
+inconsistent equation (NoSolution) and a rank that stays short
+(NonUniqueSolution).  Over Q(sqrt d) the system goes to `Echelon` directly.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Iterator
 
 from .derivations import Derivation
 from .errors import NoSolution, NonUniqueSolution, NotDivisible, NotPolynomial
 from .invariants import InvariantSystem
-from .linalg import Echelon
+from .linalg import Echelon, solve_modular
 from .poly import Poly, sample_points
 from .scalars import common_field
 
@@ -154,6 +163,31 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
             return
 
 
+def _solution(rows: Iterator[list], size: int, field: int) -> list:
+    """The unique solution of the evaluated rows in `size` unknowns: the
+    modular solve's over Q, else Echelon's, which reads the rows the
+    modular solve drew and then the rest of the stream, so no point is
+    evaluated twice."""
+    if field == 1:
+        rows, replay = itertools.tee(rows)
+        solution = solve_modular(rows, size)
+        if solution is not None:
+            return solution
+        rows = replay
+    echelon = Echelon(field)
+    for row in rows:
+        if echelon.add(row) == size:
+            raise NoSolution("field has no polynomial preimage along the primitive "
+                             "direction; input is likely not invariant")
+        if echelon.rank == size:
+            # rows in pivot order with pivots 0 .. size-1: the last column is the solution
+            return echelon.column(size)
+    raise NonUniqueSolution(
+        "evaluated rank %d of %d after %d points; the preimage along the "
+        "primitive direction is not proven unique"
+        % (echelon.rank, size, size + _SPARE_POINTS))
+
+
 def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
     """Solve nabla_D(delta') = delta for an invariant homogeneous delta.
 
@@ -161,20 +195,20 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
     in degree deg(delta) + h, listed by `InvariantSystem.field_keys`, and
     the solution is built from them by `InvariantSystem.compose_field`.
     Their equations come as integer rows from exact evaluation at points
-    where J does not vanish (`_evaluated_rows`), and the integer kernel
-    `linalg.Echelon` takes them until its rank equals the number of
-    unknowns, which proves the solution unique.  The solution, each row's
-    last entry over its pivot, is then built in coordinates and re-verified
-    exactly: C . grad(delta'_i) == J delta_i as polynomials, for every
-    coordinate i.  That re-check is the gate.
+    where J does not vanish (`_evaluated_rows`), and `_solution` takes them
+    until their rank, modulo a prime or exact, equals the number of
+    unknowns, which proves the solution unique.  The solution is then
+    built in coordinates and re-verified exactly:
+    C . grad(delta'_i) == J delta_i as polynomials, for every coordinate i.
+    That re-check is the gate.
 
     NoSolution signals a non-invariant or otherwise malformed input: an
-    evaluated equation is inconsistent, or the unique candidate fails the
-    re-check.  Every candidate is invariant and nabla_D keeps fields
-    invariant, so the re-check rejects a non-invariant input without a
-    separate invariance test.  NonUniqueSolution signals that the rank
-    stayed short after `_SPARE_POINTS` more points than unknowns; it is
-    an internal alarm.
+    evaluated equation is inconsistent (found by `Echelon`), or the unique
+    candidate, from either solve, fails the re-check.  Every candidate is
+    invariant and nabla_D keeps fields invariant, so the re-check rejects
+    a non-invariant input without a separate invariance test.
+    NonUniqueSolution signals that the rank stayed short after
+    `_SPARE_POINTS` more points than unknowns; it is an internal alarm.
     """
     n = system.nvars
     if delta.is_zero:
@@ -188,24 +222,11 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
     size = len(unknowns)
 
     field = functools.reduce(common_field, (f.d for f in delta.coeffs), system.field)
-    echelon = Echelon(field)
-    for row in _evaluated_rows(delta, system, unknowns, field):
-        if echelon.add(row) == size:
-            raise NoSolution("field has no polynomial preimage along the primitive "
-                             "direction; input is likely not invariant")
-        if echelon.rank == size:
-            break
-    else:
-        raise NonUniqueSolution(
-            "evaluated rank %d of %d after %d points; the preimage along the "
-            "primitive direction is not proven unique"
-            % (echelon.rank, size, size + _SPARE_POINTS))
-
-    # rows are in pivot order with pivots 0 .. size-1; the last column is the
-    # solution, and the product undoes the column scaling of `_evaluated_rows`
+    solution = _solution(_evaluated_rows(delta, system, unknowns, field), size, field)
+    # the product undoes the column scaling of `_evaluated_rows`
     out = system.compose_field({
         (j, exps): x * math.prod(p.den ** e for p, e in zip(system.polys, exps))
-        for (j, exps), x in zip(unknowns, echelon.column(size))})
+        for (j, exps), x in zip(unknowns, solution)})
     primitive = system.primitive_numerator
     if any(primitive.apply(f) != system.jacobian * g for f, g in zip(out.coeffs, delta.coeffs)):
         raise NoSolution("the unique candidate preimage along the primitive direction "

@@ -580,5 +580,5 @@ class Multiplicity:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Multiplicity):
-            return self.values == other.values
+            return self.arrangement is other.arrangement and self.values == other.values
         return NotImplemented

@@ -1,15 +1,19 @@
 """Exact linear algebra over scalar fields and polynomial rings.
 
-All elimination runs in one kernel, `Echelon`, on integer numerators: ints
-over Q, int pairs (a, b) for a + b*sqrt(d) over Q(sqrt(d)), as in ``poly``.
-Its rows stay in reduced echelon form with unnormalized pivots, and a
-vector is reduced by cross-multiplying over the gcd of its components, so
-no fraction is formed (integer-preserving elimination: Bareiss, Math.
-Comp. 22, 1968).  `rref`, `invert_matrix` and `det`
-convert Fraction/Quad matrices at the boundary (`split_scalars`,
-`join_scalar`); polynomials enter through `numerator_vector`, and
-`Echelon.kernel_basis` reads kernels back as scalars.  Pivots are
-the first nonzero entries in column order, so results are deterministic.
+Elimination runs in two kernels.  `solve_modular` solves an integer
+system with a unique solution over Q modulo one prime, lifts it and
+checks it exactly; where it cannot settle a system it returns None and
+decides nothing.  `Echelon`, the exact kernel, does all other elimination
+on integer numerators: ints over Q, int pairs (a, b) for a + b*sqrt(d)
+over Q(sqrt(d)), as in ``poly``.  Its rows stay in reduced echelon form
+with unnormalized pivots, and a vector is reduced by cross-multiplying
+over the gcd of its components, so no fraction is formed
+(integer-preserving elimination: Bareiss, Math. Comp. 22, 1968).
+`rref`, `invert_matrix` and `det` convert Fraction/Quad matrices at the
+boundary (`split_scalars`, `join_scalar`); polynomials enter through
+`numerator_vector`, and `Echelon.kernel_basis` reads kernels back as
+scalars.  Pivots are the first nonzero entries in column order, so
+results are deterministic.
 Polynomial matrices have one minor routine, `PolyMatrix.wedge`, the
 exterior product of columns built one column at a time; their
 determinants and the primitive numerator field are read off it.
@@ -21,7 +25,7 @@ import bisect
 import math
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .poly import Exponents, Poly, monomials_of_degree
 from .scalars import Scalar, join_scalar, split_scalars
@@ -169,6 +173,119 @@ class Echelon:
 
     def _scalar(self, a, pivot) -> Scalar:
         return join_scalar(self.d, a, pivot if self.d == 1 else pivot[0])
+
+
+# the one modulus of `solve_modular`, the Mersenne prime 2^127 - 1
+PRIME = (1 << 127) - 1
+
+
+def solve_modular(rows: Iterable[Sequence[int]], size: int) -> list[Fraction] | None:
+    """The unique solution of integer rows [A | b] in `size` unknowns, or None.
+
+    Rows are drawn until the rank of A mod PRIME reaches `size`.  Each is
+    reduced mod PRIME against the rows kept so far, in pivot order, and
+    kept when it is independent of them.  A nonzero minor mod PRIME is
+    nonzero over Z, so the kept square system has one solution x over Q.
+    Dixon lifting (Numer. Math. 40, 1982) solves it mod PRIME^s, and
+    rational reconstruction (Wang, SYMSAC 1981) reads candidates off that
+    until one satisfies every kept integer row exactly.
+
+    None means the modular solve decides nothing: the rows ran out with
+    the rank mod PRIME short, a row was inconsistent mod PRIME, or the
+    modulus passed twice the square of the kept system's Hadamard bound
+    without a candidate.  The rows it drew are then for an exact
+    elimination to read again.
+    """
+    p = PRIME
+    kept: list[Sequence[int]] = []
+    pivots: list[int] = []
+    tails: dict[int, list[int]] = {}  # pivot -> its row mod p from the pivot on, pivot entry 1
+    steps: list[tuple[int, int, list]] = []  # per kept row: pivot, inverse, [(pivot, factor)]
+    for row in rows:
+        r = [a % p for a in row]
+        ops = []
+        for c in pivots:
+            f = r[c] % p
+            if f:
+                r[c:] = [a - f * b for a, b in zip(r[c:], tails[c])]
+                ops.append((c, f))
+        pivot = next((c for c, a in enumerate(r) if a % p), None)
+        if pivot is None:
+            continue
+        if pivot == size:
+            return None
+        inverse = pow(r[pivot], -1, p)
+        tails[pivot] = [a * inverse % p for a in r[pivot:]]
+        bisect.insort(pivots, pivot)
+        steps.append((pivot, inverse, ops))
+        kept.append(row)
+        if len(kept) == size:
+            break
+    else:
+        return None
+
+    def solve_mod_p(rhs: list[int]) -> list[int]:
+        # the forward pass's row operations on rhs, then back-substitution
+        t = {}
+        for v, (pivot, inverse, ops) in zip(rhs, steps):
+            t[pivot] = (v - sum(f * t[c] for c, f in ops)) * inverse % p
+        y = [0] * size
+        for c in range(size - 1, -1, -1):
+            y[c] = (t[c] - sum(a * v for a, v in zip(tails[c][1:], y[c + 1:]))) % p
+        return y
+
+    # x = sum_i y_i p^i with A y_i = r_i mod p, r_0 = b and r_(i+1) = (r_i - A y_i) / p;
+    # zipped with `size` values, a kept row leaves out its b
+    residual = [row[size] for row in kept]
+    lifted, modulus, cap = [0] * size, 1, None
+    while True:
+        y = solve_mod_p(residual)
+        lifted = [x + modulus * v for x, v in zip(lifted, y)]
+        modulus *= p
+        candidate = _reconstruct(lifted, modulus)
+        if candidate is not None:
+            nums, den = candidate
+            if all(sum(a * x for a, x in zip(row, nums)) == den * row[size] for row in kept):
+                return [Fraction(x, den) for x in nums]
+        if cap is None:
+            # by Cramer and Hadamard, x's numerators and denominators are below 2^bits
+            bits = sum((sum(a * a for a in row).bit_length() + 1) // 2 for row in kept)
+            cap = 1 << (2 * bits + 1)
+        if modulus > cap:
+            return None
+        residual = [(c - sum(a * v for a, v in zip(row, y))) // p
+                    for row, c in zip(kept, residual)]
+
+
+def _reconstruct(residues: list[int], modulus: int) -> tuple[list[int], int] | None:
+    """Integers x_j and den > 0 with x_j = den * residue_j mod modulus, each
+    x_j / den read by Wang's rational reconstruction with numerator and
+    denominator at most sqrt(modulus / 2), or None where one has none.
+    Each residue is first multiplied by the denominators found so far, so
+    a component over them needs no reconstruction of its own."""
+    half = modulus >> 1
+    bound = math.isqrt(half)
+    den = 1
+    nums: list[int] = []
+    for u in residues:
+        v = u * den % modulus
+        if v > half:
+            v -= modulus
+        if abs(v) > bound:
+            # extended Euclid on (modulus, v): r_i = s_i v mod modulus, until r_i <= bound
+            r0, r1, s0, s1 = modulus, v % modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound:
+                return None
+            v, s = (r1, s1) if s1 > 0 else (-r1, -s1)
+            nums = [x * s for x in nums]
+            den *= s
+            if den > bound:
+                return None
+        nums.append(v)
+    return nums, den
 
 
 def _numerators(rows: Sequence[Sequence[Scalar]]) -> tuple[int, list[list], int]:

@@ -44,9 +44,9 @@ def certifications(monkeypatch):
     layer makes, in order."""
     calls = []
 
-    def counting(members, multiplicity, arrangement, original=basis.ziegler_certify):
+    def counting(members, multiplicity, original=basis.ziegler_certify):
         calls.append(multiplicity.values)
-        return original(members, multiplicity, arrangement)
+        return original(members, multiplicity)
 
     monkeypatch.setattr(basis, "ziegler_certify", counting)
     return calls

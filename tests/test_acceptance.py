@@ -174,7 +174,7 @@ def test_criterion_7_graded_dimension_equivalence(pipeline):
                 degrees = result.certificate.member_degrees
                 top = max(degrees) + 2
                 for d in range(top + 1):
-                    direct = len(graded_member_basis(shifted, d, arrangement))
+                    direct = len(graded_member_basis(shifted, d))
                     predicted = free_module_graded_dimension(degrees, d, group.rank)
                     assert direct == predicted, (label, m, k, d, direct, predicted)
                     checks += 1

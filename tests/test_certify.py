@@ -67,7 +67,7 @@ def test_one_certification_finds_each_pivot_once(pipeline, monkeypatch):
         return original(alpha, d)
 
     monkeypatch.setattr(poly, "_pivot_form", counting)
-    cert = ziegler_certify(result.members, result.shifted_multiplicity, arrangement)
+    cert = ziegler_certify(result.members, result.shifted_multiplicity)
     assert cert.is_free
     assert len(calls) == len(arrangement) == 9
 
@@ -76,7 +76,7 @@ def test_not_member_verdict(pipeline):
     _, arrangement, _ = pipeline("B2")
     mult = Multiplicity.constant(arrangement, 1)
     members = [Derivation.coordinate(2, 0), Derivation.coordinate(2, 1)]
-    cert = ziegler_certify(members, mult, arrangement)
+    cert = ziegler_certify(members, mult)
     assert cert.verdict == VERDICT_NOT_MEMBER
     assert not cert.is_free
     # d/dx kills the form y at hyperplane 0, so the first failure is the
@@ -90,7 +90,7 @@ def test_degree_mismatch_verdict(pipeline):
     x = Poly.variable(2, 0)
     y = Poly.variable(2, 1)
     members = [Derivation([x, Poly.zero(2)]), Derivation([Poly.zero(2), y])]
-    cert = ziegler_certify(members, mult, arrangement)
+    cert = ziegler_certify(members, mult)
     assert cert.verdict == VERDICT_DEGREE
     assert cert.failure == {"degree_sum": 2, "multiplicity_sum": 0}
     data = certificate_to_json(cert, arrangement)
@@ -103,7 +103,7 @@ def test_dependent_verdict(pipeline):
     _, arrangement, _ = pipeline("B2")
     mult = Multiplicity.constant(arrangement, 0)
     members = [Derivation.coordinate(2, 0), Derivation.coordinate(2, 0)]
-    cert = ziegler_certify(members, mult, arrangement)
+    cert = ziegler_certify(members, mult)
     assert cert.verdict == VERDICT_DEPENDENT
     assert report_determinant(cert, arrangement).is_zero
     assert cert.failure == {"determinant": "zero"}
@@ -116,7 +116,7 @@ def test_dependent_members_of_the_module(pipeline):
     mult = Multiplicity.constant(arrangement, 1)
     e = euler_field(2)
     members = [e, e * Poly.variable(2, 0)]
-    cert = ziegler_certify(members, mult, arrangement)
+    cert = ziegler_certify(members, mult)
     assert cert.verdict == VERDICT_DEPENDENT
     assert report_determinant(cert, arrangement).is_zero
     assert cert.determinant_scalar is None
@@ -191,7 +191,7 @@ def test_coordinate_fields_certify_for_zero_multiplicity(pipeline):
     _, arrangement, _ = pipeline("B2")
     mult = Multiplicity.constant(arrangement, 0)
     members = [Derivation.coordinate(2, 0), Derivation.coordinate(2, 1)]
-    cert = ziegler_certify(members, mult, arrangement)
+    cert = ziegler_certify(members, mult)
     assert cert.verdict == VERDICT_FREE
     assert cert.member_degrees == (0, 0)
     assert cert.determinant_scalar == 1
@@ -201,7 +201,7 @@ def test_gradients_certify_for_constant_one(pipeline):
     for label in ("A2", "B2", "G2"):
         _, arrangement, system = pipeline(label)
         mult = Multiplicity.constant(arrangement, 1)
-        cert = ziegler_certify(list(system.gradients), mult, arrangement)
+        cert = ziegler_certify(list(system.gradients), mult)
         assert cert.verdict == VERDICT_FREE
         assert cert.member_degrees == arrangement.datum.exponents
         assert sum(cert.member_degrees) == len(arrangement)
@@ -211,10 +211,27 @@ def test_gradients_certify_for_constant_one(pipeline):
         assert report_determinant(cert, arrangement) == target.scale(cert.determinant_scalar)
 
 
+def test_certification_reads_the_multiplicity_arrangement(pipeline):
+    # B2 and I2(4) have four hyperplanes each, so values alone cannot tell
+    # which arrangement a multiplicity lives on
+    _, b2, system = pipeline("B2")
+    _, i2, _ = pipeline("I2(4)")
+    mult = Multiplicity.constant(b2, 1)
+    assert len(b2) == len(i2) == 4
+    assert mult != Multiplicity.constant(i2, 1)
+    assert mult == Multiplicity.constant(b2, 1)
+    assert ziegler_certify(list(system.gradients), mult).verdict == VERDICT_FREE
+    # degree 3 holds the generator of degree 3 beside the multiples of Euler
+    piece = graded_member_basis(mult, 3)
+    assert len(piece) == 4
+    for field in piece:
+        assert all(contact_order(field, h.form) >= 1 for h in b2.hyperplanes)
+
+
 def test_certified_orders_table_shape(pipeline):
     _, arrangement, system = pipeline("B2")
     mult = Multiplicity.constant(arrangement, 1)
-    cert = ziegler_certify(list(system.gradients), mult, arrangement)
+    cert = ziegler_certify(list(system.gradients), mult)
     assert len(cert.orders) == 2
     assert all(len(row) == len(arrangement) for row in cert.orders)
     assert all(o >= 1 for row in cert.orders for o in row)
@@ -224,22 +241,22 @@ def test_ziegler_input_validation(pipeline):
     _, arrangement, _ = pipeline("B2")
     mult = Multiplicity.constant(arrangement, 0)
     with pytest.raises(ValueError):
-        ziegler_certify([Derivation.coordinate(2, 0)], mult, arrangement)
+        ziegler_certify([Derivation.coordinate(2, 0)], mult)
     with pytest.raises(ValueError):
-        ziegler_certify([Derivation.zero(2), Derivation.coordinate(2, 0)], mult, arrangement)
+        ziegler_certify([Derivation.zero(2), Derivation.coordinate(2, 0)], mult)
     x = Poly.variable(2, 0)
     mixed = Derivation([x * x + x, Poly.zero(2)])
     with pytest.raises(ValueError):
-        ziegler_certify([mixed, Derivation.coordinate(2, 1)], mult, arrangement)
+        ziegler_certify([mixed, Derivation.coordinate(2, 1)], mult)
 
 
 def test_graded_dimensions_match_free_prediction(pipeline):
     _, arrangement, system = pipeline("B2")
     mult = Multiplicity.constant(arrangement, 1)
-    cert = ziegler_certify(list(system.gradients), mult, arrangement)
+    cert = ziegler_certify(list(system.gradients), mult)
     assert cert.is_free
     for d in range(7):
-        direct = len(graded_member_basis(mult, d, arrangement))
+        direct = len(graded_member_basis(mult, d))
         predicted = free_module_graded_dimension(cert.member_degrees, d, 2)
         assert direct == predicted
 
@@ -248,14 +265,14 @@ def test_graded_member_basis_satisfies_constraints(pipeline):
     _, arrangement, _ = pipeline("B2")
     mult = Multiplicity.from_orbit_values(arrangement, [2, 0])
     for degree in (1, 2, 3):
-        fields = graded_member_basis(mult, degree, arrangement)
+        fields = graded_member_basis(mult, degree)
         for fld in fields:
             assert fld.is_homogeneous()
             assert fld.degree() == degree
             for h, m in zip(arrangement.hyperplanes, mult.values):
                 assert contact_order(fld, h.form) >= m
-        assert graded_member_basis(mult, degree, arrangement) == fields
-    assert graded_member_basis(mult, -1, arrangement) == []
+        assert graded_member_basis(mult, degree) == fields
+    assert graded_member_basis(mult, -1) == []
 
 
 def test_nabla_D_stays_polynomial_on_a2(pipeline):

@@ -69,11 +69,11 @@ def test_graded_pieces_unchanged(label, per_orbit, degrees, pipeline, monkeypatc
             else Multiplicity.from_orbit_values(arrangement, per_orbit))
     orders = (1, 3)
     h = system.coxeter_number
-    fresh = ([graded_member_basis(mult, deg, arrangement) for deg in degrees],
+    fresh = ([graded_member_basis(mult, deg) for deg in degrees],
              [invariant_graded_dimension(system, h + 1, o) for o in orders])
     monkeypatch.setattr(certify, "order_constraint_rows", substitution_rows)
     monkeypatch.setattr(verify, "order_constraint_rows", substitution_rows)
-    reference = ([graded_member_basis(mult, deg, arrangement) for deg in degrees],
+    reference = ([graded_member_basis(mult, deg) for deg in degrees],
                  [invariant_graded_dimension(system, h + 1, o) for o in orders])
     assert any(fresh[0]) and any(fresh[1])
     assert fresh == reference
@@ -93,7 +93,7 @@ def test_rows_substitute_nothing(pipeline, monkeypatch):
         _, arrangement, system = pipeline(label)
         mult = Multiplicity.constant(arrangement, 2)
         # with m = 2 everywhere the basis degrees are all h
-        assert graded_member_basis(mult, system.coxeter_number, arrangement)
+        assert graded_member_basis(mult, system.coxeter_number)
         assert invariant_graded_dimension(system, system.coxeter_number + 1, 1)
     assert calls == []
     # a substitution inside the package is counted

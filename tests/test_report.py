@@ -49,7 +49,7 @@ def test_infinite_contact_orders_become_null(pipeline):
     _, arrangement, _ = pipeline("B2")
     mult = Multiplicity.constant(arrangement, 0)
     members = [Derivation.coordinate(2, 0), Derivation.coordinate(2, 1)]
-    cert = ziegler_certify(members, mult, arrangement)
+    cert = ziegler_certify(members, mult)
     data = certificate_to_json(cert, arrangement)
     # d/dx annihilates the form y, an infinite contact order
     assert data["contact_orders"][0][0] is None
