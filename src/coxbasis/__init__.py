@@ -15,8 +15,7 @@ from .coxeter import (Arrangement, CoxeterDatum, Multiplicity, ReflectionGroup,
 from .derivations import Derivation, euler_field, nabla
 from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError,
                      JacobianDegenerate, NoSolution, NonUniqueSolution, NotABasis,
-                     NotDivisible, NotPolynomial, OrderBoundExceeded,
-                     UnsupportedType)
+                     NotPolynomial, OrderBoundExceeded, UnsupportedType)
 from .invariants import InvariantSystem, compute_invariants
 from .poly import Poly
 from .scalars import Quad, format_scalar, parse_scalar
@@ -28,7 +27,7 @@ __all__ = [
     "Arrangement", "BasisRequest", "BasisResult", "BudgetExceeded", "Certificate",
     "CertificateFailed", "CoxBasisError", "CoxeterDatum", "Derivation",
     "InvariantSystem", "JacobianDegenerate", "Multiplicity", "NoSolution",
-    "NonUniqueSolution", "NotABasis", "NotDivisible", "NotPolynomial",
+    "NonUniqueSolution", "NotABasis", "NotPolynomial",
     "OrderBoundExceeded", "Poly", "Quad", "ReflectionGroup", "UnsupportedType",
     "base_basis", "build_basis", "build_group",
     "compute_invariants", "contact_order", "euler_field", "format_scalar",

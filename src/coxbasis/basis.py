@@ -63,7 +63,8 @@ class BasisRequest:
 
 
 class BasisResult(NamedTuple):
-    """A constructed basis together with its certificate."""
+    """A constructed basis together with its certificate, which holds the
+    shifted multiplicity m + 2k."""
 
     request: BasisRequest
     base_source: str
@@ -72,10 +73,6 @@ class BasisResult(NamedTuple):
     universal: Derivation
     members: tuple[Derivation, ...]
     certificate: Certificate
-
-    @property
-    def shifted_multiplicity(self) -> Multiplicity:
-        return self.request.multiplicity.shifted(2 * self.request.k)
 
 
 def base_basis(request: BasisRequest) -> tuple[str, tuple[Derivation, ...], Certificate | None]:

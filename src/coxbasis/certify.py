@@ -43,7 +43,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .coxeter import Arrangement, Multiplicity
+from .coxeter import Multiplicity
 from .derivations import Derivation, coefficient_matrix
 from .linalg import Echelon, PolyMatrix, det
 from .poly import (INFINITE_ORDER, Poly, contact_orders, monomials_of_degree,
@@ -70,12 +70,13 @@ def order_to_json(o: int | float) -> int | None:
 
 
 class Certificate(NamedTuple):
-    """Record of one certification run; immutable, since one certified base
-    hands its certificate to every result built on it."""
+    """Record of one certification run of members against the multiplicity
+    it certified them for; immutable, since one certified base hands its
+    certificate to every result built on it."""
 
     verdict: str
     member_degrees: tuple[int, ...]
-    required: tuple[int, ...]
+    multiplicity: Multiplicity
     orders: tuple[tuple[int | float, ...], ...]
     determinant_scalar: Scalar | None = None
     failure: dict | None = None
@@ -101,14 +102,14 @@ def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity) -
             raise ValueError("member %d is zero" % i)
         degrees.append(d)
     member_degrees = tuple(degrees)
-    required = tuple(multiplicity.values)
+    required = multiplicity.values
 
     orders = tuple(contact_orders([m.coeffs for m in members],
                                   [h.form for h in arrangement.hyperplanes]))
     degree_sum = sum(member_degrees)
     mult_sum = multiplicity.total()
 
-    base = dict(member_degrees=member_degrees, required=required, orders=orders)
+    base = dict(member_degrees=member_degrees, multiplicity=multiplicity, orders=orders)
 
     for i, row in enumerate(orders):
         for j, o in enumerate(row):
@@ -126,20 +127,21 @@ def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity) -
             **base)
 
     # membership and the degree count make det M = c * prod alpha^m
-    scalar = determinant_scalar(coefficient_matrix(members), arrangement, required)
+    scalar = determinant_scalar(coefficient_matrix(members), multiplicity)
     if scalar == 0:
         return Certificate(verdict=VERDICT_DEPENDENT, failure={"determinant": "zero"}, **base)
     return Certificate(verdict=VERDICT_FREE, determinant_scalar=scalar, **base)
 
 
-def determinant_scalar(matrix: PolyMatrix, arrangement: Arrangement,
-                       exponents: Sequence[int]) -> Scalar:
-    """The c of det M = c * prod_H alpha_H^{e(H)}, for a polynomial matrix M
-    whose determinant is known to have that shape: det M(p) over
-    prod_H alpha_H(p)^{e(H)} at the first point p of ``poly.sample_points``
-    where no form vanishes.  It is 0 exactly when det M is."""
-    point, values = arrangement.generic_point
-    target = math.prod((v ** e for v, e in zip(values, exponents)), start=Fraction(1))
+def determinant_scalar(matrix: PolyMatrix, multiplicity: Multiplicity) -> Scalar:
+    """The c of det M = c * prod_H alpha_H^{m(H)}, for a polynomial matrix M
+    whose determinant is known to have that shape on the multiplicity's
+    arrangement: det M(p) over prod_H alpha_H(p)^{m(H)} at the first point p
+    of ``poly.sample_points`` where no form vanishes.  It is 0 exactly when
+    det M is."""
+    point, values = multiplicity.arrangement.generic_point
+    target = math.prod((v ** e for v, e in zip(values, multiplicity.values)),
+                       start=Fraction(1))
     return det(matrix.evaluate(point)) / target
 
 

@@ -173,7 +173,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
             "base source     %s" % result.base_source,
             "member degrees  %s" % (list(cert.member_degrees),),
             "degree sum      %d (multiplicity sum %d)" % (sum(cert.member_degrees),
-                                                           sum(cert.required)),
+                                                           cert.multiplicity.total()),
             "verdict         %s" % cert.verdict,
         ]
         _emit("\n".join(lines) + "\n", args)

@@ -43,7 +43,7 @@ import math
 from typing import Iterator
 
 from .derivations import Derivation
-from .errors import NoSolution, NonUniqueSolution, NotDivisible, NotPolynomial
+from .errors import NoSolution, NonUniqueSolution, NotPolynomial
 from .invariants import InvariantSystem
 from .linalg import Echelon, solve_modular
 from .poly import Poly, sample_points
@@ -59,12 +59,12 @@ def nabla_D(delta: Derivation, system: InvariantSystem) -> Derivation:
     field = system.primitive_numerator
     coeffs = []
     for i, f in enumerate(delta.coeffs):
-        try:
-            coeffs.append(field.apply(f).divide_exact(system.jacobian))
-        except NotDivisible as exc:
+        quotient, remainder = field.apply(f).divrem(system.jacobian)
+        if not remainder.is_zero:
             raise NotPolynomial(
                 "component %d of the derivative along d/dP_%d is not polynomial"
-                % (i, system.nvars), coordinate=i, remainder=exc.remainder) from exc
+                % (i, system.nvars), coordinate=i, remainder=remainder)
+        coeffs.append(quotient)
     return Derivation(coeffs)
 
 

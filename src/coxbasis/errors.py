@@ -13,14 +13,6 @@ class CoxBasisError(Exception):
     """Base class for all package errors."""
 
 
-class NotDivisible(CoxBasisError):
-    """Exact polynomial division failed; carries the remainder as witness."""
-
-    def __init__(self, message: str, remainder=None) -> None:
-        super().__init__(message)
-        self.remainder = remainder
-
-
 class NoSolution(CoxBasisError):
     """A linear system has no solution; for the connection solver this
     signals a non-invariant or otherwise malformed input field."""

@@ -6,7 +6,7 @@ monomial order) are reduced against the products of the invariants already
 chosen, and the first nonzero reductions are kept.  By Chevalley's theorem
 (Amer. J. Math. 77, 1955) homogeneous invariants of the basic degrees that
 are independent modulo the decomposables always form a basic system, so
-no choice is ever revisited; the Jacobian check of `_finish_system` stays
+no choice is ever revisited; the Jacobian check of `InvariantSystem` stays
 as an alarm.  Each chosen invariant is normalized to leading coefficient
 1, so the whole system is deterministic.
 
@@ -51,7 +51,7 @@ import json
 from typing import Iterator, Mapping, Sequence
 
 from .certify import determinant_scalar
-from .coxeter import Arrangement, ReflectionGroup, reynolds
+from .coxeter import Arrangement, Multiplicity, ReflectionGroup, reynolds
 from .derivations import Derivation, euler_field
 from .errors import JacobianDegenerate
 from .linalg import Echelon, PolyMatrix, monomial_columns, numerator_vector
@@ -64,12 +64,14 @@ FieldKey = tuple[int, tuple[int, ...]]
 
 
 class InvariantSystem:
-    """A full set of basic invariants of the arrangement's type, with
-    Jacobian data attached."""
+    """A full set of basic invariants of the arrangement's type, with the
+    Jacobian data derived from them.
 
-    def __init__(self, arrangement: Arrangement, polys: tuple[Poly, ...],
-                 jacobian_scalar: Scalar, jacobian_partials: PolyMatrix,
-                 gradients: tuple[Derivation, ...]) -> None:
+    Invariance is what makes J = c * Q, so callers must have checked it.
+    Raises JacobianDegenerate when c is 0, so the invariants are not basic.
+    """
+
+    def __init__(self, arrangement: Arrangement, polys: tuple[Poly, ...]) -> None:
         datum = arrangement.datum
         self.arrangement = arrangement
         self.label = datum.label
@@ -79,11 +81,17 @@ class InvariantSystem:
         # the invariants, their gradients and J
         self.field = datum.disc
         self.polys = polys
+        self.jacobian_partials = m = jacobian_matrix(polys)
+        self.jacobian_scalar = determinant_scalar(m, Multiplicity.constant(arrangement, 1))
+        if self.jacobian_scalar == 0:
+            raise JacobianDegenerate("Jacobian of the invariants vanishes")
         # J = c * Q, never expanded
-        self.jacobian = arrangement.defining_polynomial.scale(jacobian_scalar)
-        self.jacobian_scalar = jacobian_scalar
-        self.jacobian_partials = jacobian_partials
-        self.gradients = gradients
+        self.jacobian = arrangement.defining_polynomial.scale(self.jacobian_scalar)
+        # the invariant form on covectors has the Gram matrix; pairing the
+        # partials of P_j against it is what makes the gradient field equivariant
+        forms = [Poly.linear(row) for row in datum.gram]
+        self.gradients = tuple(Derivation([linear_combination([row[j] for row in m.rows], form)
+                                           for form in forms]) for j in range(len(polys)))
         # the powers of P_1 .. P_l, grown as `compose` asks for them
         self._tables = tuple(Powers(p) for p in polys)
         # k -> nabla_D^{-k} E for k = 0 .. K, extended by `connection.universal_field`
@@ -204,24 +212,7 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
                                      % (len(picked), degree, datum.label))
         chosen += picked
         tables += map(Powers, picked)
-    return _finish_system(tuple(chosen), arrangement)
-
-
-def _finish_system(polys: tuple[Poly, ...], arrangement: Arrangement) -> InvariantSystem:
-    """Attach the Jacobian data to homogeneous invariants of the type's degrees.
-
-    Invariance is what makes J = c * Q, so callers must have checked it.
-    """
-    m = jacobian_matrix(polys)
-    jac_scalar = determinant_scalar(m, arrangement, [1] * len(arrangement))
-    if jac_scalar == 0:
-        raise JacobianDegenerate("Jacobian of the invariants vanishes")
-    # the invariant form on covectors has the Gram matrix; pairing the
-    # partials of P_j against it is what makes the gradient field equivariant
-    forms = [Poly.linear(row) for row in arrangement.datum.gram]
-    gradients = tuple(Derivation([linear_combination([row[j] for row in m.rows], form)
-                                  for form in forms]) for j in range(len(polys)))
-    return InvariantSystem(arrangement, polys, jac_scalar, m, gradients)
+    return InvariantSystem(arrangement, tuple(chosen))
 
 
 def invariant_field_degrees(system: InvariantSystem) -> list[int]:

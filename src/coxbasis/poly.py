@@ -17,19 +17,18 @@ The monomial order used everywhere is graded lexicographic: compare total
 degree first, then the exponent tuple lexicographically.  Leading terms,
 division, and all serialized term lists refer to this order.
 
-Division is plain multivariate division by a single divisor.  Exact
-division raises :class:`~coxbasis.errors.NotDivisible` carrying the
-remainder.  The membership test of the whole package, "alpha^m divides
-p" for a linear form alpha, is decided by synthetic division on integer
-numerators, never by factorization: one stream (`_remainders`) writes p
-as sum_j r_j alpha^j.  `contact_orders` reads it until some r_j is
-nonzero, for fields at many forms at once: each form's pivot is found
-once per call, and each field's coefficients are bucketed once per pivot
-variable, over their common denominator, so that theta(alpha) for every
-form is summed on packed keys without building a polynomial.
-`order_constraint_rows` reads r_0 .. r_{m-1} of several polynomials
-under one shared scale, placing each coefficient in the linear
-constraint row of "alpha^m divides" that it belongs to.
+Division is plain multivariate division by a single divisor.  The
+membership test of the whole package, "alpha^m divides p" for a linear
+form alpha, is decided by synthetic division on integer numerators,
+never by factorization: one stream (`_remainders`) writes p as sum_j r_j
+alpha^j.  `contact_orders` reads it until some r_j is nonzero, for
+fields at many forms at once: each form's pivot is found once per call,
+and each field's coefficients are bucketed once per pivot variable, over
+their common denominator, so that theta(alpha) for every form is summed
+on packed keys without building a polynomial.  `order_constraint_rows`
+reads r_0 .. r_{m-1} of several polynomials under one shared scale,
+placing each coefficient in the linear constraint row of "alpha^m
+divides" that it belongs to.
 
 Evaluation reads integer points only, as integer numerators
 (`Poly.numerator_at`), and rejects any other coordinate.  Every exact
@@ -56,7 +55,6 @@ from itertools import chain
 from operator import add, itemgetter, lshift, sub
 from typing import Iterable, Iterator, Sequence
 
-from .errors import NotDivisible
 from .scalars import (Quad, Scalar, common_field, format_scalar, join_scalar, parse_scalar,
                       split_scalar, split_scalars)
 
@@ -466,13 +464,6 @@ class Poly:
         if lt_coeff != 1:
             quotient = quotient.scale(1 / lt_coeff)
         return quotient, _make(self.nvars, d, rem, wden)
-
-    def divide_exact(self, divisor: "Poly") -> "Poly":
-        """Exact quotient; raises NotDivisible with the remainder otherwise."""
-        quot, rem = self.divrem(divisor)
-        if not rem.is_zero:
-            raise NotDivisible("division left a nonzero remainder", remainder=rem)
-        return quot
 
     def __repr__(self) -> str:
         return "Poly(%d, %s)" % (self.nvars, poly_to_json(self))

@@ -20,7 +20,6 @@ piece each; any other value is handed to ``json.dumps``.
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
 from .basis import BasisResult
 from .certify import VERDICT_DEPENDENT, Certificate, order_to_json
@@ -55,10 +54,11 @@ def derivation_from_json(data: dict, nvars: int) -> Derivation:
     return Derivation([poly_from_json(c, nvars) for c in coeffs])
 
 
-def _witness(arrangement: Arrangement, required: Sequence[int]) -> Poly:
-    """prod_H alpha_H^{m(H)} as prod_v Q_v^v, where Q_v is the product of
-    the forms with m(H) = v; a constant nonzero m has Q_v the arrangement's
-    cached defining polynomial."""
+def _witness(multiplicity: Multiplicity) -> Poly:
+    """prod_H alpha_H^{m(H)} on the multiplicity's arrangement as
+    prod_v Q_v^v, where Q_v is the product of the forms with m(H) = v; a
+    constant nonzero m has Q_v the arrangement's cached defining polynomial."""
+    arrangement, required = multiplicity.arrangement, multiplicity.values
     if len(set(required)) == 1 and required[0]:
         return arrangement.defining_polynomial ** required[0]
     n = arrangement.datum.rank
@@ -69,19 +69,19 @@ def _witness(arrangement: Arrangement, required: Sequence[int]) -> Poly:
     return product((product(fs, n) ** v for v, fs in forms.items()), n)
 
 
-def certificate_to_json(cert: Certificate, arrangement: Arrangement) -> dict:
-    """A certificate on the arrangement; a free one with its witness, a
-    dependent one with the zero polynomial."""
+def certificate_to_json(cert: Certificate) -> dict:
+    """A certificate on its multiplicity's arrangement; a free one with its
+    witness, a dependent one with the zero polynomial."""
     out = {
         "verdict": cert.verdict,
         "member_degrees": list(cert.member_degrees),
-        "required_multiplicities": list(cert.required),
+        "required_multiplicities": list(cert.multiplicity.values),
         "contact_orders": [[order_to_json(o) for o in row] for row in cert.orders],
         "degree_sum": sum(cert.member_degrees),
-        "multiplicity_sum": sum(cert.required),
+        "multiplicity_sum": cert.multiplicity.total(),
     }
     if cert.determinant_scalar is not None:
-        witness = _witness(arrangement, cert.required).scale(cert.determinant_scalar)
+        witness = _witness(cert.multiplicity).scale(cert.determinant_scalar)
         out["determinant"] = poly_to_json(witness)
         out["determinant_scalar"] = format_scalar(cert.determinant_scalar)
     elif cert.verdict == VERDICT_DEPENDENT:
@@ -148,7 +148,7 @@ def basis_report(result: BasisResult) -> dict:
     """The basis report of a result; the request carries its invariant
     system, and the system its arrangement."""
     req = result.request
-    system, arrangement = req.system, req.system.arrangement
+    system = req.system
     report = {
         "schema": SCHEMA_BASIS,
         "inputs": {
@@ -157,7 +157,7 @@ def basis_report(result: BasisResult) -> dict:
             "multiplicity": multiplicity_to_json(req.multiplicity),
             "base_source": result.base_source,
         },
-        "group": group_to_json(arrangement),
+        "group": group_to_json(system.arrangement),
         "invariants": {
             "degrees": list(system.degrees),
             "jacobian_scalar": format_scalar(system.jacobian_scalar),
@@ -168,13 +168,13 @@ def basis_report(result: BasisResult) -> dict:
             "members": [derivation_to_json(b) for b in result.base_members],
             "degrees": [b.degree() for b in result.base_members],
         },
-        "shifted_multiplicity": multiplicity_to_json(result.shifted_multiplicity),
+        "shifted_multiplicity": multiplicity_to_json(result.certificate.multiplicity),
         "members": [derivation_to_json(m) for m in result.members],
         "member_degrees": list(result.certificate.member_degrees),
-        "certificate": certificate_to_json(result.certificate, arrangement),
+        "certificate": certificate_to_json(result.certificate),
     }
     if result.base_certificate is not None:
-        report["base"]["certificate"] = certificate_to_json(result.base_certificate, arrangement)
+        report["base"]["certificate"] = certificate_to_json(result.base_certificate)
     return report
 
 

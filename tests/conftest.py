@@ -10,7 +10,6 @@ from coxbasis import basis, coxeter
 from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
                               reflection_matrix, transpose)
 from coxbasis.derivations import Derivation
-from coxbasis.errors import NotDivisible
 from coxbasis.invariants import compute_invariants, invariant_field_basis
 from coxbasis.linalg import Echelon, invert_matrix, rref
 from coxbasis.poly import (Poly, Powers, contact_orders, linear_combination,
@@ -300,9 +299,8 @@ def division_order(p, alpha):
         return math.inf
     order = 0
     while True:
-        try:
-            p = p.divide_exact(alpha)
-        except NotDivisible:
+        p, remainder = p.divrem(alpha)
+        if not remainder.is_zero:
             return order
         order += 1
 
@@ -345,19 +343,20 @@ def all_hyperplane_graded_dimensions(system, arrangement, degree, top):
     return dimensions
 
 
-def sequential_witness(arrangement, values):
+def sequential_witness(multiplicity):
     """prod_H alpha_H^{m(H)} as one product of the powers of the forms, one
     factor after another.  The test-only reference for the determinant
     witness of ``coxbasis.report.certificate_to_json``."""
-    return product((h.form ** mv for h, mv in zip(arrangement.hyperplanes, values)),
+    arrangement = multiplicity.arrangement
+    return product((h.form ** mv for h, mv in zip(arrangement.hyperplanes, multiplicity.values)),
                    arrangement.datum.rank)
 
 
-def report_determinant(cert, arrangement):
+def report_determinant(cert):
     """The determinant witness the report of a certificate writes, parsed
     back into a polynomial; None when the report has no determinant."""
-    data = certificate_to_json(cert, arrangement).get("determinant")
-    return None if data is None else poly_from_json(data, arrangement.datum.rank)
+    data = certificate_to_json(cert).get("determinant")
+    return None if data is None else poly_from_json(data, cert.multiplicity.arrangement.datum.rank)
 
 
 def substitution_rows(applied, alpha, m, d):

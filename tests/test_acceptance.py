@@ -170,7 +170,7 @@ def test_criterion_7_graded_dimension_equivalence(pipeline):
             for k in (1, 2):
                 mult = Multiplicity.constant(arrangement, m)
                 result = build_basis(BasisRequest(system, mult, k))
-                shifted = result.shifted_multiplicity
+                shifted = result.certificate.multiplicity
                 degrees = result.certificate.member_degrees
                 top = max(degrees) + 2
                 for d in range(top + 1):

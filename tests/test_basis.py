@@ -36,7 +36,7 @@ def test_constant_multiplicity_sweep(pipeline, label, m, k):
     assert result.certificate.member_degrees == tuple(k * h + d for d in base_degrees)
     expected_sum = 2 * k * len(arrangement) + request.multiplicity.total()
     assert sum(result.certificate.member_degrees) == expected_sum
-    assert result.shifted_multiplicity.values == tuple(m + 2 * k for _ in arrangement.hyperplanes)
+    assert result.certificate.multiplicity.values == tuple(m + 2 * k for _ in arrangement.hyperplanes)
 
 
 def test_base_source_selection(pipeline):
@@ -80,7 +80,7 @@ def test_basis_result_is_an_immutable_keyword_record(pipeline):
     result = build_basis(make_request(pipeline, "A2", 1, 1))
     rebuilt = BasisResult(**result._asdict())
     assert rebuilt == result
-    assert rebuilt.shifted_multiplicity.values == result.shifted_multiplicity.values
+    assert rebuilt.certificate.multiplicity == result.certificate.multiplicity
     for name, value in (("certificate", None), ("members", ()), ("extra", 1)):
         with pytest.raises(AttributeError):
             setattr(result, name, value)
@@ -92,7 +92,7 @@ def test_mixed_multiplicity_shift(pipeline):
     assert result.certificate.is_free
     assert result.base_source == "oracle"
     assert sum(result.certificate.member_degrees) == 2 * len(request.system.arrangement) + 2
-    assert result.shifted_multiplicity.per_orbit() == [3, 2]
+    assert result.certificate.multiplicity.per_orbit() == [3, 2]
 
 
 def test_k_zero_returns_certified_base(pipeline):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from conftest import (division_order, free_module_graded_dimension, is_invariant_derivation,
@@ -67,7 +68,7 @@ def test_one_certification_finds_each_pivot_once(pipeline, monkeypatch):
         return original(alpha, d)
 
     monkeypatch.setattr(poly, "_pivot_form", counting)
-    cert = ziegler_certify(result.members, result.shifted_multiplicity)
+    cert = ziegler_certify(result.members, result.certificate.multiplicity)
     assert cert.is_free
     assert len(calls) == len(arrangement) == 9
 
@@ -93,7 +94,7 @@ def test_degree_mismatch_verdict(pipeline):
     cert = ziegler_certify(members, mult)
     assert cert.verdict == VERDICT_DEGREE
     assert cert.failure == {"degree_sum": 2, "multiplicity_sum": 0}
-    data = certificate_to_json(cert, arrangement)
+    data = certificate_to_json(cert)
     assert data["degree_sum"] == 2
     assert data["multiplicity_sum"] == 0
     assert "determinant" not in data
@@ -105,7 +106,7 @@ def test_dependent_verdict(pipeline):
     members = [Derivation.coordinate(2, 0), Derivation.coordinate(2, 0)]
     cert = ziegler_certify(members, mult)
     assert cert.verdict == VERDICT_DEPENDENT
-    assert report_determinant(cert, arrangement).is_zero
+    assert report_determinant(cert).is_zero
     assert cert.failure == {"determinant": "zero"}
 
 
@@ -118,7 +119,7 @@ def test_dependent_members_of_the_module(pipeline):
     members = [e, e * Poly.variable(2, 0)]
     cert = ziegler_certify(members, mult)
     assert cert.verdict == VERDICT_DEPENDENT
-    assert report_determinant(cert, arrangement).is_zero
+    assert report_determinant(cert).is_zero
     assert cert.determinant_scalar is None
 
 
@@ -134,9 +135,9 @@ def test_evaluated_certificate_matches_polynomial_determinant(pipeline, label):
             certificates = [result.certificate]
             if result.base_certificate is not None:
                 certificates.append(result.base_certificate)
-                assert (report_determinant(result.base_certificate, arrangement)
+                assert (report_determinant(result.base_certificate)
                         == coefficient_matrix(list(result.base_members)).det())
-            assert (report_determinant(result.certificate, arrangement)
+            assert (report_determinant(result.certificate)
                     == coefficient_matrix(list(result.members)).det())
             for cert in certificates:
                 assert cert.is_free and cert.determinant_scalar != 0
@@ -171,8 +172,20 @@ def test_determinant_scalar_is_the_same_at_every_point_off_the_arrangement(pipel
         assert len(off) == 3 and len(scalars) == 1
         c = scalars.pop()
         assert c != 0
-        assert c == determinant_scalar(matrix, arrangement, [exponent] * len(forms))
+        assert c == determinant_scalar(matrix, Multiplicity.constant(arrangement, exponent))
         assert recorded is None or c == recorded
+
+
+def test_determinant_scalar_reads_the_multiplicity(pipeline):
+    # the scalar of B2's m = 3 members and of its Jacobian, each over the
+    # forms of the multiplicity it is taken for
+    _, arrangement, system = pipeline("B2")
+    one = Multiplicity.constant(arrangement, 1)
+    result = build_basis(BasisRequest(system, one, 1))
+    cert = result.certificate
+    scalar = determinant_scalar(coefficient_matrix(list(result.members)), cert.multiplicity)
+    assert scalar == cert.determinant_scalar == Fraction(-16, 3)
+    assert determinant_scalar(system.jacobian_partials, one) == system.jacobian_scalar
 
 
 @pytest.mark.parametrize("label", ["B10", "B12", "D11", "D12"])
@@ -208,7 +221,7 @@ def test_gradients_certify_for_constant_one(pipeline):
         # re-multiply the certified factorization as an independent witness
         n = system.nvars
         target = product((h.form for h in arrangement.hyperplanes), n)
-        assert report_determinant(cert, arrangement) == target.scale(cert.determinant_scalar)
+        assert report_determinant(cert) == target.scale(cert.determinant_scalar)
 
 
 def test_certification_reads_the_multiplicity_arrangement(pipeline):
@@ -319,17 +332,19 @@ def test_hodge_equality(pipeline):
                 assert entry["equal"]
 
 
-def test_certificate_dataclass_defaults():
-    cert = Certificate(verdict=VERDICT_FREE, member_degrees=(1,), required=(1,),
-                       orders=((1,),))
+def test_certificate_dataclass_defaults(pipeline):
+    _, arrangement, _ = pipeline("A1")
+    cert = Certificate(verdict=VERDICT_FREE, member_degrees=(1,),
+                       multiplicity=Multiplicity.constant(arrangement, 1), orders=((1,),))
     assert cert.is_free
     assert cert.determinant_scalar is None
     assert cert.failure is None
 
 
-def test_certificate_is_immutable():
-    cert = Certificate(verdict=VERDICT_FREE, member_degrees=(1,), required=(1,),
-                       orders=((1,),))
+def test_certificate_is_immutable(pipeline):
+    _, arrangement, _ = pipeline("A1")
+    cert = Certificate(verdict=VERDICT_FREE, member_degrees=(1,),
+                       multiplicity=Multiplicity.constant(arrangement, 1), orders=((1,),))
     for name, value in (("verdict", "Dependent"), ("failure", {}), ("extra", 1)):
         with pytest.raises(AttributeError):
             setattr(cert, name, value)
@@ -362,8 +377,8 @@ def test_witness_matches_sequential_product(pipeline, label):
             if cert is None:
                 continue
             assert cert.verdict == VERDICT_FREE
-            witness = report_determinant(cert, arrangement).scale(
+            witness = report_determinant(cert).scale(
                 scalar_inverse(cert.determinant_scalar))
-            assert witness == sequential_witness(arrangement, cert.required)
-            certified.add(cert.required)
+            assert witness == sequential_witness(cert.multiplicity)
+            certified.add(cert.multiplicity.values)
     assert all((m,) * n_hyp in certified for m in range(5))

@@ -235,9 +235,9 @@ def test_only_a_written_certificate_expands_its_witness(argv, witnesses, capsys,
     # the coordinate fields, the base's; text writes neither
     calls = []
 
-    def counting(arrangement, required, original=report._witness):
-        calls.append(required)
-        return original(arrangement, required)
+    def counting(multiplicity, original=report._witness):
+        calls.append(multiplicity.values)
+        return original(multiplicity)
 
     monkeypatch.setattr(report, "_witness", counting)
     code, _, _ = run(["basis", "--type", "B3", *argv], capsys)

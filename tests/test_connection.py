@@ -55,7 +55,7 @@ def test_nabla_D_lets_programming_errors_through(pipeline, monkeypatch):
     def broken(self, divisor):
         raise RuntimeError("bug in division")
 
-    monkeypatch.setattr(Poly, "divide_exact", broken)
+    monkeypatch.setattr(Poly, "divrem", broken)
     with pytest.raises(RuntimeError, match="bug in division"):
         nabla_D(euler_field(1), system)
 

@@ -227,7 +227,7 @@ def test_exact_division_by_fractional_forms(d):
             continue
         alpha = Poly(n, form)
         product = Poly(n, q) * alpha
-        assert product.divide_exact(alpha) == Poly(n, q)
+        assert product.divrem(alpha) == (Poly(n, q), Poly.zero(n))
         quot, rem = (product + Poly.constant(n, Fraction(1, 7))).divrem(alpha)
         ref_q, ref_r = ref_divrem(ref_add(ref_mul(q, form), {(0,) * n: Fraction(1, 7)}), form)
         assert same(quot, ref_q) and same(rem, ref_r)

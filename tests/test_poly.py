@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from conftest import linear_form_order
 
-from coxbasis.errors import NotDivisible
 from coxbasis.poly import Poly, grlex_key, monomials_of_degree, product, sample_points
 from coxbasis.scalars import Quad
 
@@ -74,14 +73,13 @@ def test_divrem_identity_and_remainder_reduced():
             assert not all(e >= le for e, le in zip(exps, lt))
 
 
-def test_divide_exact_and_not_divisible():
+def test_divrem_exact_and_inexact():
     x, y = x_y()
     one = Poly.constant(2, 1)
     p = (x + y) * (x * x + y)
-    assert p.divide_exact(x + y) == x * x + y
-    with pytest.raises(NotDivisible) as info:
-        (x * x + one).divide_exact(x + y)
-    assert not info.value.remainder.is_zero
+    assert p.divrem(x + y) == (x * x + y, Poly.zero(2))
+    _, remainder = (x * x + one).divrem(x + y)
+    assert not remainder.is_zero
 
 
 def test_division_by_linear_forms_chain():

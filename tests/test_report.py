@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import sequential_witness
 
 from coxbasis.basis import BasisRequest, build_basis
 from coxbasis.certify import ziegler_certify
@@ -50,12 +51,27 @@ def test_infinite_contact_orders_become_null(pipeline):
     mult = Multiplicity.constant(arrangement, 0)
     members = [Derivation.coordinate(2, 0), Derivation.coordinate(2, 1)]
     cert = ziegler_certify(members, mult)
-    data = certificate_to_json(cert, arrangement)
+    data = certificate_to_json(cert)
     # d/dx annihilates the form y, an infinite contact order
     assert data["contact_orders"][0][0] is None
     assert data["contact_orders"][0][1] == 0
     blob = json.dumps(data)
     assert "Infinity" not in blob
+
+
+def test_certificate_json_reads_its_own_arrangement(pipeline):
+    # B2 and I2(4) have four hyperplanes each, so the witness of a B2
+    # certificate must come from the arrangement its multiplicity is on
+    _, b2, system = pipeline("B2")
+    _, i2, _ = pipeline("I2(4)")
+    assert len(b2) == len(i2) == 4
+    cert = build_basis(BasisRequest(system, Multiplicity.constant(b2, 1), 1)).certificate
+    data = certificate_to_json(cert)
+    assert data["required_multiplicities"] == [3, 3, 3, 3]
+    expected = sequential_witness(Multiplicity.constant(b2, 3)).scale(cert.determinant_scalar)
+    other = sequential_witness(Multiplicity.constant(i2, 3)).scale(cert.determinant_scalar)
+    assert expected != other
+    assert poly_from_json(data["determinant"], 2) == expected
 
 
 def test_group_json_for_b2(pipeline):

@@ -25,8 +25,10 @@ def check_free(request, result):
     arrangement = request.system.arrangement
     expected = 2 * request.k * len(arrangement) + request.multiplicity.total()
     assert sum(cert.member_degrees) == expected
-    target = sequential_witness(arrangement, result.shifted_multiplicity.values)
-    assert report_determinant(cert, arrangement) == target.scale(cert.determinant_scalar)
+    shifted = request.multiplicity.shifted(2 * request.k)
+    assert cert.multiplicity == shifted
+    target = sequential_witness(shifted)
+    assert report_determinant(cert) == target.scale(cert.determinant_scalar)
 
 
 def test_d4_builds(pipeline):
