@@ -6,8 +6,10 @@ derivation module of a multiplicity m by three checks, in this order:
   1. membership: the contact order of every member at every hyperplane
      is at least m(H), decided by synthetic division by the form on
      integer numerators (``poly.contact_orders``): one call per
-     certification finds each form's pivot once and buckets each
-     member's coefficients once per pivot variable;
+     certification runs one division chain per form for all members,
+     each member's terms tagged with its index and dropped from the
+     chain at its first nonzero remainder, so a certification runs |A|
+     chains, not n|A|;
   2. the degree count: member degrees must sum to sum_H m(H);
   3. independence: the coefficient determinant must be nonzero.
 
@@ -21,7 +23,8 @@ alpha_H vanishes: c = det M(p) / prod alpha_H(p)^m (`determinant_scalar`,
 which also gives the Jacobian scalar of the basic invariants).  The
 arrangement keeps that point and the forms' values there
 (``Arrangement.generic_point``), so each certification evaluates only
-its matrix.
+its matrix.  Both sides stay integer numerators, the determinant from
+the fraction-free kernel ``linalg.integer_det``, until the one scalar c.
 A certificate records c and nothing it implies: certification multiplies
 no polynomials.  The determinant witness c times prod_H alpha_H^{m(H)} is
 expanded only where a report is written (``report.certificate_to_json``).
@@ -45,10 +48,10 @@ from typing import NamedTuple, Sequence
 
 from .coxeter import Multiplicity
 from .derivations import Derivation, coefficient_matrix
-from .linalg import Echelon, PolyMatrix, det
-from .poly import (INFINITE_ORDER, Poly, contact_orders, monomials_of_degree,
+from .linalg import Echelon, PolyMatrix, integer_det, times
+from .poly import (INFINITE_ORDER, Poly, contact_orders, monomials_of_degree, numerator_in,
                    order_constraint_rows)
-from .scalars import Scalar
+from .scalars import Scalar, common_field, join_scalar, split_scalar
 
 VERDICT_FREE = "Free-with-basis"
 VERDICT_NOT_MEMBER = "NotMember"
@@ -138,11 +141,39 @@ def determinant_scalar(matrix: PolyMatrix, multiplicity: Multiplicity) -> Scalar
     whose determinant is known to have that shape on the multiplicity's
     arrangement: det M(p) over prod_H alpha_H(p)^{m(H)} at the first point p
     of ``poly.sample_points`` where no form vanishes.  It is 0 exactly when
-    det M is."""
-    point, values = multiplicity.arrangement.generic_point
-    target = math.prod((v ** e for v, e in zip(values, multiplicity.values)),
-                       start=Fraction(1))
-    return det(matrix.evaluate(point)) / target
+    det M is.
+
+    Both sides stay integer numerators until the one scalar at the end:
+    row i of M(p) enters `integer_det` as its entries' numerators at p
+    times the lcm L_i of their denominators, and the product of the kept
+    values as the product of their numerators over that of their
+    denominators."""
+    arrangement = multiplicity.arrangement
+    point, values = arrangement.generic_point
+    d = arrangement.datum.disc
+    for row in matrix.rows:
+        for p in row:
+            d = common_field(d, p.d)
+    rows, scale = [], 1
+    for row in matrix.rows:
+        lcm = math.lcm(*(p.den for p in row))
+        scale *= lcm
+        rows.append([numerator_in(p, point, lcm // p.den, d) for p in row])
+    # det M(p) / target = integer_det * den / num, num = the rows' scale times
+    # the target's numerator and den its denominator
+    num, den = (scale if d == 1 else (scale, 0)), 1
+    for v, e in zip(values, multiplicity.values):
+        vd, vn, vden = split_scalar(v)
+        vn = vn if vd == d else (vn, 0)
+        for _ in range(e):
+            num = times(num, vn, d)
+        den *= vden ** e
+    value = integer_det(rows, d)
+    if d == 1:
+        return Fraction(value * den, num)
+    # over Q(sqrt(d)), dividing by num is multiplying by its conjugate over its norm
+    return join_scalar(d, times(value, (num[0] * den, -num[1] * den), d),
+                       num[0] * num[0] - d * num[1] * num[1])
 
 
 def graded_member_basis(multiplicity: Multiplicity, degree: int) -> list[Derivation]:

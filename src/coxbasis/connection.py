@@ -45,8 +45,8 @@ from typing import Iterator
 from .derivations import Derivation
 from .errors import NoSolution, NonUniqueSolution, NotPolynomial
 from .invariants import InvariantSystem
-from .linalg import Echelon, solve_modular
-from .poly import Poly, sample_points
+from .linalg import Echelon, solve_modular, times
+from .poly import Poly, numerator_in, sample_points
 from .scalars import common_field
 
 
@@ -70,13 +70,6 @@ def nabla_D(delta: Derivation, system: InvariantSystem) -> Derivation:
 
 # points beyond the number of unknowns before a short rank counts as an alarm
 _SPARE_POINTS = 10
-
-
-def _times(x, y, d: int):
-    """Product of two integer numerators: ints, or int pairs when d > 1."""
-    if d == 1:
-        return x * y
-    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
 def _scale(x, s: int):
@@ -113,9 +106,7 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
     zero, one = (0, 1) if field == 1 else ((0, 0), (1, 0))
 
     def at(f: Poly, point, scale: int = 1):
-        # f's numerator at the point times an integer scale, in the field
-        v = _scale(f.numerator_at(point), scale)
-        return v if field == 1 or f.d > 1 else (v, 0)
+        return numerator_in(f, point, scale, field)
 
     jd, d_last = system.jacobian.den, system.polys[last].den
     ks = [math.lcm(f.den, *(grads[j][i].den for j in range(n)),
@@ -132,31 +123,31 @@ def _evaluated_rows(delta: Derivation, system: InvariantSystem,
             value = at(p, point)
             powers.append([one])
             for _ in range(top[m]):
-                powers[m].append(_times(powers[m][-1], value, field))
+                powers[m].append(times(powers[m][-1], value, field))
         g_at = []
         dg_at = []
         for _, exps in unknowns:
             g = one
             for m, e in enumerate(exps):
                 if e:
-                    g = _times(g, powers[m][e], field)
+                    g = times(g, powers[m][e], field)
             g_at.append(g)
             e_last = exps[last]
             dg = _scale(jac, e_last * d_last)
             for m, e in enumerate(exps[:last] + (e_last - 1,)):
                 if e_last and e:
-                    dg = _times(dg, powers[m][e], field)
+                    dg = times(dg, powers[m][e], field)
             dg_at.append(dg)
         c_at = [at(c, point) for c in column]
         for i, (f, k) in enumerate(zip(delta.coeffs, ks)):
             gk = [at(grads[j][i], point, k // grads[j][i].den) for j in range(n)]
             # N_{j,i}(p) at the row's scale den(J) K_i
-            ck = [functools.reduce(_plus, (_times(x, at(dr, point, jd * k // (c.den * dr.den)), field)
+            ck = [functools.reduce(_plus, (times(x, at(dr, point, jd * k // (c.den * dr.den)), field)
                                            for x, c, dr in zip(c_at, column, partials[i][j])))
                   for j in range(n)]
-            row = [_plus(_times(dg, gk[j], field), _times(g, ck[j], field))
+            row = [_plus(times(dg, gk[j], field), times(g, ck[j], field))
                    for (j, _), g, dg in zip(unknowns, g_at, dg_at)]
-            row.append(_times(jac, at(f, point, k // f.den), field))
+            row.append(times(jac, at(f, point, k // f.den), field))
             yield row
         used += 1
         if used == len(unknowns) + _SPARE_POINTS:

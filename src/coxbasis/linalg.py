@@ -7,13 +7,17 @@ decides nothing.  `Echelon`, the exact kernel, does all other elimination
 on integer numerators: ints over Q, int pairs (a, b) for a + b*sqrt(d)
 over Q(sqrt(d)), as in ``poly``.  Its rows stay in reduced echelon form
 with unnormalized pivots, and a vector is reduced by cross-multiplying
-over the gcd of its components, so no fraction is formed
-(integer-preserving elimination: Bareiss, Math. Comp. 22, 1968).
-`rref`, `invert_matrix` and `det` convert Fraction/Quad matrices at the
-boundary (`split_scalars`, `join_scalar`); polynomials enter through
+over the gcd of its components, so no fraction is formed.
+`rref` and `invert_matrix` convert Fraction/Quad matrices at the boundary
+(`split_scalars`, `join_scalar`); polynomials enter through
 `numerator_vector`, and `Echelon.kernel_basis` reads kernels back as
 scalars.  Pivots are the first nonzero entries in column order, so
 results are deterministic.
+Scalar determinants have one kernel, `integer_det`: fraction-free
+elimination on the same integer numerators (Bareiss, Math. Comp. 22,
+1968), where every intermediate entry is a minor, so each division by
+the previous pivot is exact, in Z or in Z[sqrt(d)].  `det` is that kernel
+on a Fraction/Quad matrix over its common denominator.
 Polynomial matrices have one minor routine, `PolyMatrix.wedge`, the
 exterior product of columns built one column at a time; their
 determinants and the primitive numerator field are read off it.
@@ -309,30 +313,67 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
     return [row for _, row in echelon.scalar_rows()] + zeros, [p for p, _ in echelon.rows]
 
 
-def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant of a square scalar matrix.
+def times(x, y, d: int):
+    """Product of two integer numerators: ints, or int pairs when d > 1."""
+    if d == 1:
+        return x * y
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
-    Row i with e_i appended is reduced against the rows before it; the
-    entry lam at column n + i is the scale the reduction gave row i.  Over
-    their lam, the reduced rows are triangular up to the pivot order.
+
+def integer_det(rows: Sequence[Sequence], d: int):
+    """Determinant of a nonempty square matrix of integer numerators: an int
+    over Q (d = 1), an int pair over Q(sqrt(d)).
+
+    Fraction-free Gaussian elimination (Bareiss): step k replaces each
+    entry below and right of the pivot p_k by (p_k*a - f*b) / p_(k-1),
+    which is a minor of the matrix, so the division is exact.  Over
+    Q(sqrt(d)) it divides by the conjugate over the norm, a rational
+    integer.  A zero pivot is swapped with the first nonzero entry below
+    it, negating the result; a zero column gives 0.
     """
+    m = [list(row) for row in rows]
+    n = len(m)
+    zero = 0 if d == 1 else (0, 0)
+    sign, prev = 1, 1 if d == 1 else (1, 0)
+    for k in range(n - 1):
+        p = next((i for i in range(k, n) if m[i][0] != zero), None)
+        if p is None:
+            return zero
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        head = m[k][1:]
+        if d == 1:
+            pk = m[k][0]
+            for i in range(k + 1, n):
+                f = m[i][0]
+                m[i] = [(pk * a - f * b) // prev for a, b in zip(m[i][1:], head)]
+        else:
+            (pa, pb), (ra, rb) = m[k][0], prev
+            norm, rb = ra * ra - d * rb * rb, -rb
+            for i in range(k + 1, n):
+                fa, fb = m[i][0]
+                row = []
+                for (a, b), (ha, hb) in zip(m[i][1:], head):
+                    xa = pa * a + d * pb * b - fa * ha - d * fb * hb
+                    xb = pa * b + pb * a - fa * hb - fb * ha
+                    row.append(((xa * ra + d * xb * rb) // norm, (xa * rb + xb * ra) // norm))
+                m[i] = row
+        prev = m[k][0]
+    out = m[n - 1][0]
+    if sign > 0:
+        return out
+    return -out if d == 1 else (-out[0], -out[1])
+
+
+def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Determinant of a square scalar matrix: `integer_det` of its integer
+    numerators over the n-th power of their common denominator."""
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("determinant needs a nonempty square matrix")
     d, nums, den = _numerators(rows)
-    echelon = Echelon(d)
-    zero, one = echelon.zero, (1 if d == 1 else (1, 0))
-    out: Scalar = Fraction(1, den ** n)
-    pivots: list[int] = []
-    for i, row in enumerate(nums):
-        v = echelon.reduce(row + [one if j == i else zero for j in range(n)])
-        pivot = next(k for k, a in enumerate(v) if a != zero)
-        if pivot >= n:
-            return Fraction(0)
-        out = out * join_scalar(d, v[pivot], 1) / join_scalar(d, v[n + i], 1)
-        pivots.append(echelon.insert(v))
-    inversions = sum(a > b for k, a in enumerate(pivots) for b in pivots[k + 1:])
-    return -out if inversions % 2 else out
+    return join_scalar(d, integer_det(nums, d), den ** n)
 
 
 def invert_matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
@@ -363,10 +404,6 @@ class PolyMatrix:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PolyMatrix is immutable")
-
-    def evaluate(self, point: Sequence[int]) -> Matrix:
-        """The scalar matrix of the entries' values at an integer point."""
-        return [[e.evaluate(point) for e in row] for row in self.rows]
 
     def wedge(self, columns: Sequence[int]) -> dict[tuple[int, ...], Poly]:
         """The exterior product of the given columns, in order: the maximal

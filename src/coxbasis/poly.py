@@ -20,13 +20,17 @@ division, and all serialized term lists refer to this order.
 Division is plain multivariate division by a single divisor.  The
 membership test of the whole package, "alpha^m divides p" for a linear
 form alpha, is decided by synthetic division on integer numerators,
-never by factorization: one stream (`_remainders`) writes p as sum_j r_j
-alpha^j.  `contact_orders` reads it until some r_j is nonzero, for
-fields at many forms at once: each form's pivot is found once per call,
-and each field's coefficients are bucketed once per pivot variable, over
-their common denominator, so that theta(alpha) for every form is summed
-on packed keys without building a polynomial.  `order_constraint_rows`
-reads r_0 .. r_{m-1} of several polynomials under one shared scale,
+never by factorization: one synthetic-division step
+(`_divide_buckets`), repeated, writes p as sum_j r_j alpha^j.
+`contact_orders` takes fields at many forms at once and runs one chain
+of steps per form for all of them (`_chain_orders`): each form's pivot is
+found once per call, every field's coefficients are bucketed once per
+pivot variable under one packing, with the field's index above the
+exponent bits, and theta(alpha) of every field is summed on packed keys
+into one set of buckets without building a polynomial.  A field's order
+is the index of the first remainder with a term under its index, and its
+terms leave the chain there.  `order_constraint_rows` reads r_0 ..
+r_{m-1} of several polynomials under one shared scale (`_remainders`),
 placing each coefficient in the linear constraint row of "alpha^m
 divides" that it belongs to.
 
@@ -657,34 +661,70 @@ def contact_orders(fields: Sequence[Sequence[Poly]],
     """One row per field theta = sum_i theta_i d/dx_i, given by its
     coefficients: at each form alpha = sum_i a_i x_i, the largest k with
     alpha^k dividing theta(alpha) = sum_i a_i theta_i, ``math.inf`` where
-    that is 0.  theta(alpha) is summed bucket by bucket from the
-    `_bucketed` coefficients, each one's denominator folded into its factor."""
+    that is 0.
+
+    Each form runs one division chain for all the fields
+    (`_chain_orders`): the coefficients of every field are bucketed once
+    per pivot variable under one packing, with the field's index above the
+    exponent bits, and theta(alpha) of every field is summed into one set
+    of buckets, each coefficient's factor carrying its field's common
+    denominator and the form's one scale a^D."""
+    if not forms:
+        return [()] * len(fields)
+    n = forms[0].nvars
+    if any(len(coeffs) != n for coeffs in fields):
+        raise ValueError("a field in %d variables needs %d coefficients" % (n, n))
     polys = [p for coeffs in fields for p in coeffs]
     d = 1
     for alpha in forms:
         d = common_field(d, _division_field(alpha, polys))
-    pivots = [_pivot_form(alpha, d) for alpha in forms]
-    out = []
+    nums = [_promote(p.num, p.d, d) for p in polys]
+    tags = [f for f in range(len(fields)) for _ in range(n)]
+    scales = []
     for coeffs in fields:
-        nums = [_promote(p.num, p.d, d) for p in coeffs]
         den = math.lcm(*(p.den for p in coeffs))
-        by_pivot: dict[int, tuple] = {}
-        row = []
-        for v, a, tail in pivots:
-            if v not in by_pivot:
-                by_pivot[v] = _bucketed(nums, len(nums), v)
-            shifts, bucketed = by_pivot[v]
-            buckets: list[dict] = [{} for _ in range(max(len(bucketed[t]) for t in (v, *tail)))]
-            for t, c in ((v, a if d == 1 else (a, 0)), *tail.items()):
-                s = den // coeffs[t].den
-                for acc, b in zip(buckets, bucketed[t]):
+        scales += [den // p.den for p in coeffs]
+    by_pivot: dict[int, tuple] = {}
+    columns = []
+    for alpha in forms:
+        v, a, tail = _pivot_form(alpha, d)
+        if v not in by_pivot:
+            by_pivot[v] = _bucketed(nums, n, v, tags)
+        shifts, bucketed = by_pivot[v]
+        factors = ((v, a if d == 1 else (a, 0)), *tail.items())
+        depth = max((len(bucketed[f * n + t]) for f in range(len(fields)) for t, _ in factors),
+                    default=0)
+        power = a ** max(0, depth - 1)
+        buckets: list[dict] = [{} for _ in range(depth)]
+        for f in range(len(fields)):
+            for t, c in factors:
+                s = scales[f * n + t] * power
+                for acc, b in zip(buckets, bucketed[f * n + t]):
                     _add_into(acc, b, c * s if d == 1 else (c[0] * s, c[1] * s), d)
-            buckets = _scale_buckets(buckets, a ** max(0, len(buckets) - 1), d)
-            steps = [(1 << shifts[t], c) for t, c in tail.items()]
-            row.append(next((j for j, r in enumerate(_remainders(buckets, a, steps, d)) if r),
-                            INFINITE_ORDER))
-        out.append(tuple(row))
-    return out
+        steps = [(1 << shifts[t], c) for t, c in tail.items()]
+        columns.append(_chain_orders(buckets, a, steps, d, shifts[v], len(fields)))
+    return list(zip(*columns))
+
+
+def _chain_orders(buckets: list[dict], a: int, steps: list, d: int, top: int,
+                  count: int) -> list[int | float]:
+    """The orders of `count` tagged polynomials at one form, from one chain
+    of `_divide_buckets` steps on their shared buckets: a polynomial's
+    order is the index of the first remainder with a nonzero entry under
+    its tag (the key shifted right by ``top``), and from then on its terms
+    are dropped from the quotient, so it is not divided again."""
+    orders: list[int | float] = [INFINITE_ORDER] * count
+    j = 0
+    while any(buckets):
+        quotient = _divide_buckets(buckets, a, steps, d)
+        done = {k >> top for k in _nonzero(buckets[0], d)}
+        if done:
+            for f in done:
+                orders[f] = j
+            quotient = [{k: c for k, c in b.items() if k >> top not in done} for b in quotient]
+        buckets = quotient
+        j += 1
+    return orders
 
 
 def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) -> list[list]:
@@ -755,25 +795,29 @@ def _pivot_form(alpha: Poly, d: int) -> tuple[int, int, dict]:
     return pivot, a, coeffs
 
 
-def _bucketed(nums: Sequence[dict], nvars: int, pivot: int) -> tuple[list, list[list[dict]]]:
+def _bucketed(nums: Sequence[dict], nvars: int, pivot: int,
+              tags: Sequence[int] | None = None) -> tuple[list, list[list[dict]]]:
     """Numerator dicts as buckets by pivot exponent, ready for `_divide_buckets`.
 
     Bucket j of a dict maps the other exponents of each term with pivot
     exponent j, packed into one int under one packing for all the dicts,
-    to its numerator.  Also returns the packing's shifts: multiplying a
-    term by x_t, t not the pivot, adds 1 << shifts[t] to its key.
+    to its numerator; a dict's tag, if given, is put above the exponent
+    bits, at the pivot's shift.  Also returns the packing's shifts:
+    multiplying a term by x_t, t not the pivot, adds 1 << shifts[t] to its
+    key.
     """
     bits = max(map(sum, chain.from_iterable(nums)), default=0).bit_length()
     top = (nvars - 1) * bits
     shifts = [top if t == pivot else (t - (t > pivot)) * bits for t in range(nvars)]
     mask = (1 << top) - 1
     out = []
-    for num in nums:
+    for u, num in enumerate(nums):
+        tag = tags[u] << top if tags else 0
         depth = max(map(itemgetter(pivot), num), default=-1) + 1
         buckets: list[dict] = [{} for _ in range(depth)]
         for e, c in num.items():
             k = sum(map(lshift, e, shifts))
-            buckets[k >> top][k & mask] = c
+            buckets[k >> top][k & mask | tag] = c
         out.append(buckets)
     return shifts, out
 
@@ -853,6 +897,15 @@ def sample_points(nvars: int) -> Iterator[tuple[int, ...]]:
     bound = max(9, 2 * nvars)
     while True:
         yield tuple(rng.randint(-bound, bound) for _ in range(nvars))
+
+
+def numerator_in(p: Poly, point: Sequence[int], scale: int, d: int) -> "int | tuple[int, int]":
+    """p's numerator at an integral point times an integer scale, in the
+    field d that holds p: an int over Q, an int pair over Q(sqrt(d))."""
+    v = p.numerator_at(point)
+    if d == 1:
+        return v * scale
+    return (v * scale, 0) if p.d == 1 else (v[0] * scale, v[1] * scale)
 
 
 def weighted_exponents(weights: Sequence[int], total: int) -> Iterator[Exponents]:

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import (division_order, free_module_graded_dimension, is_invariant_derivation,
-                      report_determinant, scalar_inverse, sequential_witness)
+from conftest import (division_contact_orders, division_order, free_module_graded_dimension,
+                      is_invariant_derivation, report_determinant, scalar_inverse,
+                      sequential_witness)
 
 from coxbasis.certify import (
     VERDICT_DEGREE,
@@ -21,15 +23,15 @@ from coxbasis.certify import (
 )
 from coxbasis import poly
 from coxbasis.basis import BasisRequest, build_basis
-from coxbasis.connection import nabla_D, universal_field
+from coxbasis.connection import nabla_D, nabla_D_inverse, universal_field
 from coxbasis.coxeter import Multiplicity, build_group, parse_type
 from coxbasis.derivations import Derivation, coefficient_matrix, euler_field, nabla
 from coxbasis.errors import NotPolynomial
-from coxbasis.invariants import jacobian_matrix
+from coxbasis.invariants import invariant_field_degrees, jacobian_matrix
 from coxbasis.linalg import det
-from coxbasis.poly import Poly, linear_combination, product, sample_points
+from coxbasis.poly import Poly, contact_orders, linear_combination, product, sample_points
 from coxbasis.report import certificate_to_json
-from coxbasis.verify import hodge_suite, invariant_graded_dimension
+from coxbasis.verify import hodge_suite, invariant_graded_dimension, random_invariant_derivation
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "G2", "I2(5)"])
@@ -73,6 +75,60 @@ def test_one_certification_finds_each_pivot_once(pipeline, monkeypatch):
     assert len(calls) == len(arrangement) == 9
 
 
+def test_one_certification_runs_one_division_chain_per_form(pipeline, monkeypatch):
+    # all n members share each form's division chain: |A| chains, not n|A|,
+    # and a chain stops at the first nonzero remainder of its last member
+    group, arrangement, system = pipeline("B3")
+    result = build_basis(BasisRequest(system, Multiplicity.constant(arrangement, 1), 2))
+    chains, steps = [], []
+
+    def chain(buckets, a, steps_, d, top, count, original=poly._chain_orders):
+        chains.append(count)
+        return original(buckets, a, steps_, d, top, count)
+
+    def divide(buckets, a, steps_, d, original=poly._divide_buckets):
+        steps.append(len(buckets))
+        return original(buckets, a, steps_, d)
+
+    monkeypatch.setattr(poly, "_chain_orders", chain)
+    monkeypatch.setattr(poly, "_divide_buckets", divide)
+    cert = ziegler_certify(result.members, result.certificate.multiplicity)
+    assert cert.is_free
+    assert chains == [3] * len(arrangement) == [3] * 9
+    columns = list(zip(*cert.orders))
+    assert len(steps) == sum(max(column) + 1 for column in columns)
+    # member by member, the chains would take this many steps
+    assert len(steps) < sum(o + 1 for column in columns for o in column)
+
+
+def test_batched_contact_orders_match_repeated_division(pipeline):
+    # fields of unequal degree and order in one call, each field and form
+    # against repeated exact division of the field applied to the form
+    cases = []
+    for label in ("A1", "A2", "B2", "I2(5)", "I2(8)", "H3"):
+        _, arrangement, system = pipeline(label)
+        forms = [h.form for h in arrangement.hyperplanes]
+        n = arrangement.datum.rank
+        # the coordinate base's members at k = 2, whose orders differ
+        members = build_basis(BasisRequest(system, Multiplicity.constant(arrangement, 0), 2)).members
+        zero = [Poly.zero(n)] * n
+        cases.append((forms, [m.coeffs for m in members]))
+        cases.append((forms, [zero] + [m.coeffs for m in members[:1]] + [zero]))
+        cases.append((forms, []))
+        if label in ("A2", "B2", "I2(5)"):
+            # the shift suite's pair: delta and its primitive antiderivative,
+            # whose orders differ by 2
+            rng = random.Random(5)
+            degree = next(d for d in invariant_field_degrees(system) if d >= 1)
+            delta = random_invariant_derivation(system, degree, rng)
+            lifted = nabla_D_inverse(delta, system)
+            cases.append((forms, [delta.coeffs, lifted.coeffs]))
+            orders = contact_orders([delta.coeffs, lifted.coeffs], forms)
+            assert all(b == a + 2 for a, b in zip(*orders) if a != math.inf)
+    for forms, fields in cases:
+        assert contact_orders(fields, forms) == [division_contact_orders(c, forms) for c in fields]
+
+
 def test_not_member_verdict(pipeline):
     _, arrangement, _ = pipeline("B2")
     mult = Multiplicity.constant(arrangement, 1)
@@ -110,13 +166,18 @@ def test_dependent_verdict(pipeline):
     assert cert.failure == {"determinant": "zero"}
 
 
-def test_dependent_members_of_the_module(pipeline):
-    # E and x*E both lie in D(A2), and their degrees 1 + 2 sum to |A| = 3,
-    # so only the evaluated determinant can reject them
-    _, arrangement, _ = pipeline("A2")
+@pytest.mark.parametrize("label, powers", [("A2", (1,)), ("I2(5)", (3,)), ("H3", (5, 7))],
+                         ids=["A2", "I2(5)", "H3"])
+def test_dependent_members_of_the_module(pipeline, label, powers):
+    # E and x^a*E all lie in D(A), and their degrees sum to |A|: 1 + 2 = 3
+    # on A2, 1 + 4 = 5 on I2(5), 1 + 6 + 8 = 15 on H3; so only the evaluated
+    # determinant can reject them, over Z[sqrt 5] on I2(5) and H3
+    _, arrangement, _ = pipeline(label)
+    n = arrangement.datum.rank
     mult = Multiplicity.constant(arrangement, 1)
-    e = euler_field(2)
-    members = [e, e * Poly.variable(2, 0)]
+    e = euler_field(n)
+    members = [e] + [e * Poly.variable(n, 0) ** a for a in powers]
+    assert sum(m.degree() for m in members) == len(arrangement)
     cert = ziegler_certify(members, mult)
     assert cert.verdict == VERDICT_DEPENDENT
     assert report_determinant(cert).is_zero
@@ -146,7 +207,7 @@ def test_evaluated_certificate_matches_polynomial_determinant(pipeline, label):
 def _scalar_at(matrix, forms, exponent, point):
     """det M(p) over prod_H alpha_H(p)^e."""
     target = math.prod(f.evaluate(point) ** exponent for f in forms)
-    return det(matrix.evaluate(point)) * scalar_inverse(target)
+    return det([[e.evaluate(point) for e in row] for row in matrix.rows]) * scalar_inverse(target)
 
 
 @pytest.mark.parametrize("label", ["A2", "B3", "D4", "G2", "H3", "I2(5)", "I2(8)"])

@@ -225,7 +225,8 @@ def test_cofactor_det_matches_scalar_det_at_points():
         poly_det = m.det()
         for _ in range(3):
             point = [rng.randint(-9, 9) for _ in range(2)]
-            assert poly_det.evaluate(point) == det(m.evaluate(point))
+            assert poly_det.evaluate(point) == det([[e.evaluate(point) for e in row]
+                                                    for row in entries])
 
 
 def test_scalar_det_pivots_and_rejects_bad_shapes():

@@ -18,15 +18,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import act, division_contact_orders, laplace_det, linear_form_order
+from conftest import act, division_contact_orders, fraction_det, laplace_det, linear_form_order
 
 from coxbasis.certify import order_constraint_rows
 from coxbasis.coxeter import build_group, mat_mul, parse_type
 from coxbasis.derivations import Derivation
-from coxbasis.linalg import Echelon, PolyMatrix, rref
+from coxbasis.linalg import Echelon, PolyMatrix, det, integer_det, rref
 from coxbasis.poly import Poly, contact_orders, grlex_key, poly_from_json, poly_to_json
 from coxbasis.report import dump_json
-from coxbasis.scalars import Quad, format_scalar, parse_scalar, split_scalars
+from coxbasis.scalars import Quad, format_scalar, join_scalar, parse_scalar, split_scalars
 
 FIELDS = [1, 5, 2]
 
@@ -280,6 +280,58 @@ def test_echelon_fed_row_by_row_equals_rref(drawn):
         echelon.add(nums if field == d else [(a, 0) for a in nums])
     reduced, pivots = rref(rows)
     assert echelon.scalar_rows() == list(zip(pivots, reduced))
+
+
+@st.composite
+def square_matrices(draw):
+    """A square matrix up to 6 x 6 over Z, Q, Q(sqrt(5)) or Q(sqrt(2)):
+    random, singular (its last row a combination of two rows above), with
+    a zero row, or with a zero leading entry that forces a row swap."""
+    field = draw(st.sampled_from(["Z", 1, 5, 2]))
+
+    def entry():
+        if field == "Z":
+            return draw(st.integers(-6, 6))
+        a = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        b = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) if field > 1 else 0
+        return Quad(a, b, field) if b else a
+
+    n = draw(st.integers(1, 6))
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["random", "singular", "zero row", "swap"]))
+    if shape == "singular" and n > 1:
+        s, t = entry(), entry()
+        rows[-1] = [s * a + t * b for a, b in zip(rows[0], rows[n - 2])]
+    elif shape == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [0] * n
+    elif shape == "swap":
+        rows[0][0] = 0
+        if n > 1:
+            rows[-1][0] = draw(st.integers(1, 6))
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(square_matrices())
+def test_bareiss_det_matches_fraction_elimination(rows):
+    expected = fraction_det(rows)
+    assert det(rows) == expected
+    n = len(rows)
+    pivot = next((i for i in range(n) if rows[i][0] != 0), None)
+    if pivot:
+        # a zero leading entry: the row swap negates the determinant
+        swapped = list(rows)
+        swapped[0], swapped[pivot] = swapped[pivot], swapped[0]
+        assert det(swapped) == -expected
+    d, nums, den = split_scalars([x for row in rows for x in row])
+    value = integer_det([nums[k:k + n] for k in range(0, n * n, n)], d)
+    assert join_scalar(d, value, den ** n) == expected
+
+
+def test_bareiss_det_of_one_entry():
+    assert integer_det([[-7]], 1) == -7
+    assert integer_det([[(2, -3)]], 5) == (2, -3)
+    assert det([[Quad(Fraction(1, 2), 3, 2)]]) == Quad(Fraction(1, 2), 3, 2)
 
 
 @st.composite
