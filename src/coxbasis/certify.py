@@ -9,7 +9,8 @@ derivation module of a multiplicity m by three checks, in this order:
      certification runs one division chain per form for all members,
      each member's terms tagged with its index and dropped from the
      chain at its first nonzero remainder, so a certification runs |A|
-     chains, not n|A|;
+     chains, not n|A|, each on the form's pivot form as the arrangement
+     keeps it;
   2. the degree count: member degrees must sum to sum_H m(H);
   3. independence: the coefficient determinant must be nonzero.
 
@@ -42,6 +43,7 @@ comparable.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -108,7 +110,8 @@ def ziegler_certify(members: Sequence[Derivation], multiplicity: Multiplicity) -
     required = multiplicity.values
 
     orders = tuple(contact_orders([m.coeffs for m in members],
-                                  [h.form for h in arrangement.hyperplanes]))
+                                  [h.form for h in arrangement.hyperplanes],
+                                  arrangement.pivot_form))
     degree_sum = sum(member_degrees)
     mult_sum = multiplicity.total()
 
@@ -194,7 +197,7 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int) -> list[Derivat
     echelon = Echelon(arrangement.datum.disc)
     d = echelon.d
     monomials = [Poly.monomial(n, e) for e in monos]
-    for h, m in zip(arrangement.hyperplanes, multiplicity.values):
+    for k, (h, m) in enumerate(zip(arrangement.hyperplanes, multiplicity.values)):
         if m <= 0:
             continue
         # (x^e d/dx_i) applied to the form is alpha_i x^e: the rows for x^e
@@ -202,7 +205,8 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int) -> list[Derivat
         alpha = [echelon.zero] * n
         for e, c in h.form.num.items():
             alpha[e.index(1)] = c if h.form.d == d else (c, 0)
-        for row in order_constraint_rows(monomials, h.form, m, d):
+        for row in order_constraint_rows(monomials, h.form, m, d,
+                                         functools.partial(arrangement.pivot_form, k)):
             if d == 1:
                 echelon.add([a * r for a in alpha for r in row])
             else:

@@ -40,11 +40,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .derivations import Derivation
 from .errors import NoSolution, NonUniqueSolution, NotPolynomial
-from .invariants import InvariantSystem
+from .invariants import FieldKey, InvariantSystem
 from .linalg import Echelon, solve_modular, times
 from .poly import Poly, numerator_in, sample_points
 from .scalars import common_field
@@ -81,7 +81,7 @@ def _plus(x, y):
 
 
 def _evaluated_rows(delta: Derivation, system: InvariantSystem,
-                    unknowns: list[tuple[int, tuple[int, ...]]], field: int) -> Iterator[list]:
+                    unknowns: Sequence[FieldKey], field: int) -> Iterator[list]:
     """Equations of nabla_D(delta') = delta, times J, at sample points, as
     integer rows over Q (field 1) or Q(sqrt(field)).
 
@@ -207,7 +207,7 @@ def nabla_D_inverse(delta: Derivation, system: InvariantSystem) -> Derivation:
     if not delta.is_homogeneous():
         raise NoSolution("input field is not homogeneous")
     target_degree = delta.degree() + system.coxeter_number
-    unknowns = list(system.field_keys(target_degree))
+    unknowns = system.field_keys(target_degree)
     if not unknowns:
         raise NoSolution("no invariant fields exist in degree %d" % target_degree)
     size = len(unknowns)

@@ -43,7 +43,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import GroupClosureFailed, OrderBoundExceeded, UnsupportedType
 from .linalg import invert_matrix
-from .poly import Poly, Powers, linear_combination, product, sample_points, substitute_sum
+from .poly import (PivotForm, Poly, Powers, linear_combination, pivot_form, product,
+                   sample_points, substitute_sum)
 from .scalars import Quad, Scalar, join_scalar, split_scalars
 
 MatrixT = tuple[tuple[Scalar, ...], ...]
@@ -191,7 +192,9 @@ def parse_type(text: str, rank: int | None = None,
     rank given next to a full label must agree with it (2 or m for
     ``I2(<m>)``).  Anything else raises UnsupportedType naming the label.
     With an order bound, a larger group raises OrderBoundExceeded before
-    any of its rank-sized data is built.
+    any of its rank-sized data is built.  The datum is the one the memo
+    of recent types (``_walked``) keeps, so a label parsed again returns
+    the same datum, built once.
     """
     t = text.strip().upper().replace(" ", "")
     if not t:
@@ -216,7 +219,7 @@ def parse_type(text: str, rank: int | None = None,
     args = ("I2", 2, rank) if family == "I2" else (family, rank, None)
     if order_bound is not None:
         check_order_bound(*args, order_bound)
-    return make_datum(*args)
+    return _walked(*args).datum
 
 
 def mat_mul(a: MatrixT, b: MatrixT) -> MatrixT:
@@ -302,9 +305,10 @@ class ReflectionGroup:
 class Arrangement:
     """The set of reflecting hyperplanes, in canonical sorted order, and
     their W-orbits as recorded by the root walk of ``build_group``; it
-    keeps its first sample point off the hyperplanes, the invariants
-    ``compute_invariants`` selects for it and the certified bases
-    ``basis.base_basis`` finds for its W-invariant multiplicities."""
+    keeps its first sample point off the hyperplanes, the pivot form of
+    each hyperplane per field, the invariants ``compute_invariants``
+    selects for it and the certified bases ``basis.base_basis`` finds for
+    its W-invariant multiplicities."""
 
     def __init__(self, datum: CoxeterDatum, hyperplanes: tuple[Hyperplane, ...],
                  orbits: tuple[tuple[int, ...], ...]) -> None:
@@ -314,6 +318,8 @@ class Arrangement:
         self.invariants: object = None
         # (base source, multiplicity values) -> (source, members, certificate)
         self.bases: dict[tuple[str, tuple[int, ...]], tuple] = {}
+        # (hyperplane index, field d) -> its `pivot_form`
+        self._pivots: dict[tuple[int, int], PivotForm] = {}
 
     def __len__(self) -> int:
         return len(self.hyperplanes)
@@ -330,6 +336,15 @@ class Arrangement:
             values = tuple(h.form.evaluate(point) for h in self.hyperplanes)
             if all(values):
                 return point, values
+
+    def pivot_form(self, k: int, d: int) -> PivotForm:
+        """``poly.pivot_form`` of hyperplane k over the field d, found on
+        first use and kept: the contact orders and the constraint rows of
+        ``certify`` and ``verify`` read it."""
+        held = self._pivots.get((k, d))
+        if held is None:
+            held = self._pivots[k, d] = pivot_form(self.hyperplanes[k].form, d)
+        return held
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """W-orbits of hyperplanes as index tuples, canonically ordered."""
@@ -362,14 +377,18 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     be the type's order and the root orbit its hyperplane count; a
     mismatch raises GroupClosureFailed.
 
-    The group and arrangement of the 16 types built most recently are kept
-    (``_walked``), with the invariants, universal fields and certified
-    bases that later stages keep on them, so a process pays for each once
-    per type; the bound and both comparisons run on every call.
+    The group and arrangement of the 16 types used most recently are kept
+    (``_walked``) beside their datum, with the invariants, universal
+    fields and certified bases that later stages keep on them, so a
+    process pays for each once per type; they are found by the type's
+    (family, rank, param), and the bound and both comparisons run on every
+    call.  A datum built by hand that differs from the package's
+    realization of its (supported) type is walked anew and not kept.
     """
     check_order_bound(datum.family, datum.rank, datum.param, order_bound)
     expected = datum.group_order()
-    group, arrangement = _walked(datum)
+    kept = _walked(datum.family, datum.rank, datum.param)
+    group, arrangement = kept.walk if kept.datum == datum else _walk(datum)
     if group.order != expected:
         raise GroupClosureFailed("coset chain gives order %d, expected %d"
                                  % (group.order, expected))
@@ -379,8 +398,27 @@ def build_group(datum: CoxeterDatum, order_bound: int = DEFAULT_ORDER_BOUND) -> 
     return group, arrangement
 
 
+class _Kept:
+    """What a process keeps of one type: its datum, and the group and
+    arrangement of ``build_group``, walked when first asked for."""
+
+    def __init__(self, datum: CoxeterDatum) -> None:
+        self.datum = datum
+
+    @functools.cached_property
+    def walk(self) -> tuple[ReflectionGroup, Arrangement]:
+        return _walk(self.datum)
+
+
 @functools.lru_cache(maxsize=16)
-def _walked(datum: CoxeterDatum) -> tuple[ReflectionGroup, Arrangement]:
+def _walked(family: str, rank: int, param: int | None) -> _Kept:
+    """The memo of recent types, the package's only one, by (family,
+    rank, param): so neither the datum nor the group is built twice and
+    no matrix is hashed to find them."""
+    return _Kept(make_datum(family, rank, param))
+
+
+def _walk(datum: CoxeterDatum) -> tuple[ReflectionGroup, Arrangement]:
     """The group and arrangement of ``build_group``, before its checks."""
     roots = datum.simple_roots
     n = datum.rank

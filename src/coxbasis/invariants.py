@@ -29,15 +29,16 @@ at points and multiplies it out in its re-check, dividing nothing.
 The invariant fields of one degree have the basis g(P) grad P_j over
 invariant monomials g (`invariant_field_basis`), so a field there is its
 Q[P]-coordinates {(j, exponents of g): c}.  `InvariantSystem.field_keys`
-lists the coordinates of one degree and `InvariantSystem.compose_field`
-builds a field from them; the connection's inverse, the Hodge comparison
+lists the coordinates of one degree, once per degree, and
+`InvariantSystem.compose_field` builds a field from them; the connection's inverse, the Hodge comparison
 and the random fields of ``verify`` all go through these two.
 
-A system is kept on its arrangement and its universal fields on it, and
-the certified bases of ``basis.base_basis`` beside it on the arrangement,
-so the memo of ``build_group`` (``coxeter._walked``, 16 types) is the one
-memo of a type's group, arrangement, invariants, universal fields and
-bases.  The system keeps its arrangement in turn and reads its type from
+A system is kept on its arrangement and its universal fields, field keys
+and fingerprint on it, and the certified bases of ``basis.base_basis``
+and the hyperplanes' pivot forms beside it on the arrangement, so the
+memo of recent types (``coxeter._walked``, 16 types) is the one memo of
+a type's datum, group, arrangement, invariants and everything kept on
+them.  The system keeps its arrangement in turn and reads its type from
 the arrangement's datum, so after ``compute_invariants`` it is the one
 handle on a type's state: the requests and suites downstream take it
 alone.
@@ -48,7 +49,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .certify import determinant_scalar
 from .coxeter import Arrangement, Multiplicity, ReflectionGroup, reynolds
@@ -96,6 +97,9 @@ class InvariantSystem:
         self._tables = tuple(Powers(p) for p in polys)
         # k -> nabla_D^{-k} E for k = 0 .. K, extended by `connection.universal_field`
         self.universal_fields: dict[int, Derivation] = {0: euler_field(self.nvars)}
+        # degree -> `field_keys`, and the `fingerprint`, each kept from its first use
+        self._field_keys: dict[int, tuple[FieldKey, ...]] = {}
+        self._fingerprint: str | None = None
 
     @functools.cached_property
     def primitive_numerator(self) -> Derivation:
@@ -115,13 +119,17 @@ class InvariantSystem:
         """g(P_1, .., P_l) in coordinates, for g a polynomial in l variables."""
         return substitute_sum(g, [self._tables], self.nvars)
 
-    def field_keys(self, degree: int) -> Iterator[FieldKey]:
+    def field_keys(self, degree: int) -> tuple[FieldKey, ...]:
         """The coordinates (j, exponents of g) of the fields g(P) grad P_j of
         one coefficient degree: j ascending, then g of degree
-        degree - (deg P_j - 1) in `weighted_exponents` order."""
-        for j, d in enumerate(self.degrees):
-            for exps in weighted_exponents(self.degrees, degree - (d - 1)):
-                yield j, exps
+        degree - (deg P_j - 1) in `weighted_exponents` order.  Listed on
+        first use and kept per degree."""
+        keys = self._field_keys.get(degree)
+        if keys is None:
+            keys = self._field_keys[degree] = tuple(
+                (j, exps) for j, d in enumerate(self.degrees)
+                for exps in weighted_exponents(self.degrees, degree - (d - 1)))
+        return keys
 
     def compose_field(self, coords: Mapping[FieldKey, Scalar]) -> Derivation:
         """The field sum c P^e grad P_j over its coordinates {(j, e): c},
@@ -134,14 +142,18 @@ class InvariantSystem:
         return out
 
     def fingerprint(self) -> str:
-        blob = json.dumps({
-            "label": self.label,
-            "nvars": self.nvars,
-            "degrees": list(self.degrees),
-            "polys": [poly_to_json(p) for p in self.polys],
-            "jacobian_scalar": format_scalar(self.jacobian_scalar),
-        }, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """The sha256 of the system's invariants and Jacobian scalar,
+        hashed on first use and kept."""
+        if self._fingerprint is None:
+            blob = json.dumps({
+                "label": self.label,
+                "nvars": self.nvars,
+                "degrees": list(self.degrees),
+                "polys": [poly_to_json(p) for p in self.polys],
+                "jacobian_scalar": format_scalar(self.jacobian_scalar),
+            }, sort_keys=True, separators=(",", ":"))
+            self._fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return self._fingerprint
 
 
 def jacobian_matrix(polys: Sequence[Poly]) -> PolyMatrix:
@@ -218,7 +230,7 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
 def invariant_field_degrees(system: InvariantSystem) -> list[int]:
     """The degrees 0..2h that have a nonzero invariant field."""
     return [d for d in range(2 * system.coxeter_number + 1)
-            if next(system.field_keys(d), None) is not None]
+            if system.field_keys(d)]
 
 
 def invariant_field_basis(system: InvariantSystem,

@@ -23,16 +23,17 @@ form alpha, is decided by synthetic division on integer numerators,
 never by factorization: one synthetic-division step
 (`_divide_buckets`), repeated, writes p as sum_j r_j alpha^j.
 `contact_orders` takes fields at many forms at once and runs one chain
-of steps per form for all of them (`_chain_orders`): each form's pivot is
-found once per call, every field's coefficients are bucketed once per
-pivot variable under one packing, with the field's index above the
-exponent bits, and theta(alpha) of every field is summed on packed keys
-into one set of buckets without building a polynomial.  A field's order
-is the index of the first remainder with a term under its index, and its
-terms leave the chain there.  `order_constraint_rows` reads r_0 ..
-r_{m-1} of several polynomials under one shared scale (`_remainders`),
-placing each coefficient in the linear constraint row of "alpha^m
-divides" that it belongs to.
+of steps per form for all of them (`_chain_orders`): each form's pivot
+form (`pivot_form`) is found once per call, or read from a caller that
+keeps it (``Arrangement.pivot_form``), every field's coefficients are
+bucketed once per pivot variable under one packing, with the field's
+index above the exponent bits, and theta(alpha) of every field is
+summed on packed keys into one set of buckets without building a
+polynomial.  A field's order is the index of the first remainder with a
+term under its index, and its terms leave the chain there.
+`order_constraint_rows` reads r_0 .. r_{m-1} of several polynomials
+under one shared scale (`_remainders`), placing each coefficient in the
+linear constraint row of "alpha^m divides" that it belongs to.
 
 Evaluation reads integer points only, as integer numerators
 (`Poly.numerator_at`), and rejects any other coordinate.  Every exact
@@ -57,12 +58,14 @@ import random
 from fractions import Fraction
 from itertools import chain
 from operator import add, itemgetter, lshift, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .scalars import (Quad, Scalar, common_field, format_scalar, join_scalar, parse_scalar,
                       split_scalar, split_scalars)
 
 Exponents = tuple[int, ...]
+# the (pivot variable, pivot coefficient, tail) of `pivot_form`
+PivotForm = tuple[int, int, dict]
 
 INFINITE_ORDER = math.inf
 
@@ -656,8 +659,9 @@ def partial_combination(polys: Sequence[Poly], p: Poly) -> Poly:
     return _make(p.nvars, d, _nonzero(acc, d), den * p.den)
 
 
-def contact_orders(fields: Sequence[Sequence[Poly]],
-                   forms: Sequence[Poly]) -> list[tuple[int | float, ...]]:
+def contact_orders(fields: Sequence[Sequence[Poly]], forms: Sequence[Poly],
+                   pivots: Callable[[int, int], PivotForm] | None = None
+                   ) -> list[tuple[int | float, ...]]:
     """One row per field theta = sum_i theta_i d/dx_i, given by its
     coefficients: at each form alpha = sum_i a_i x_i, the largest k with
     alpha^k dividing theta(alpha) = sum_i a_i theta_i, ``math.inf`` where
@@ -668,7 +672,9 @@ def contact_orders(fields: Sequence[Sequence[Poly]],
     per pivot variable under one packing, with the field's index above the
     exponent bits, and theta(alpha) of every field is summed into one set
     of buckets, each coefficient's factor carrying its field's common
-    denominator and the form's one scale a^D."""
+    denominator and the form's one scale a^D.  ``pivots(k, d)``, if given,
+    is the `pivot_form` of forms[k] over the field d, as
+    ``Arrangement.pivot_form`` keeps it for its hyperplanes."""
     if not forms:
         return [()] * len(fields)
     n = forms[0].nvars
@@ -686,8 +692,8 @@ def contact_orders(fields: Sequence[Sequence[Poly]],
         scales += [den // p.den for p in coeffs]
     by_pivot: dict[int, tuple] = {}
     columns = []
-    for alpha in forms:
-        v, a, tail = _pivot_form(alpha, d)
+    for k, alpha in enumerate(forms):
+        v, a, tail = pivots(k, d) if pivots else pivot_form(alpha, d)
         if v not in by_pivot:
             by_pivot[v] = _bucketed(nums, n, v, tags)
         shifts, bucketed = by_pivot[v]
@@ -727,21 +733,23 @@ def _chain_orders(buckets: list[dict], a: int, steps: list, d: int, top: int,
     return orders
 
 
-def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int) -> list[list]:
+def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int,
+                          pivot: Callable[[int], PivotForm] | None = None) -> list[list]:
     """Integer rows forcing alpha^m to divide a combination of ``applied``.
 
     Each p is sum_j r_j alpha^j with no r_j containing the pivot variable
-    of `_pivot_form`, so alpha^m divides a combination exactly when the
+    of `pivot_form`, so alpha^m divides a combination exactly when the
     same combination of the r_0 ... r_{m-1} vanishes.  The r_j come from
     `_remainders`, with every polynomial scaled by one shared factor (the
     common denominator times a^D, a the pivot coefficient, D the top pivot
     exponent of all of them); each monomial of some r_j is one row, filled
     in as the division finds it.  Entries are ints over Q (d = 1) and int
-    pairs over Q(sqrt(d)), as in ``linalg.Echelon``.
+    pairs over Q(sqrt(d)), as in ``linalg.Echelon``.  ``pivot(field)``, if
+    given, is the `pivot_form` of alpha over the field of the division.
     """
     field = _division_field(alpha, applied)
-    pivot, a, tail = _pivot_form(alpha, field)
-    shifts, bucketed = _bucketed([_promote(p.num, p.d, field) for p in applied], alpha.nvars, pivot)
+    v, a, tail = pivot(field) if pivot else pivot_form(alpha, field)
+    shifts, bucketed = _bucketed([_promote(p.num, p.d, field) for p in applied], alpha.nvars, v)
     steps = [(1 << shifts[t], c) for t, c in tail.items()]
     power = a ** max(0, max(map(len, bucketed), default=0) - 1)
     den = math.lcm(*(p.den for p in applied))
@@ -771,7 +779,7 @@ def _division_field(alpha: Poly, polys: Iterable[Poly]) -> int:
     return d
 
 
-def _pivot_form(alpha: Poly, d: int) -> tuple[int, int, dict]:
+def pivot_form(alpha: Poly, d: int) -> PivotForm:
     """A primitive integral multiple of alpha as a*x_v + tail.
 
     Returns the pivot variable v, the pivot coefficient a, a rational

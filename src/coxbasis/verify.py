@@ -21,6 +21,7 @@ its order at H.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -58,7 +59,7 @@ def random_invariant_derivation(system: InvariantSystem, degree: int,
                                 rng: random.Random) -> Derivation | None:
     """A random invariant homogeneous field of one degree, None if the
     graded piece is zero."""
-    keys = list(system.field_keys(degree))
+    keys = system.field_keys(degree)
     if not keys:
         return None
     while True:
@@ -88,7 +89,8 @@ def shift_suite(system: InvariantSystem, samples: int, seed: int) -> dict:
     """Contact orders shift by exactly +2 under the primitive
     antiderivative and -2 back under the primitive derivative."""
     rng = random.Random(seed)
-    hyperplanes = system.arrangement.hyperplanes
+    arrangement = system.arrangement
+    forms = [h.form for h in arrangement.hyperplanes]
     degrees = [d for d in invariant_field_degrees(system) if d >= 1]
     failures = []
     checked = 0
@@ -102,8 +104,8 @@ def shift_suite(system: InvariantSystem, samples: int, seed: int) -> dict:
         if back != delta:
             failures.append({"sample": s, "identity": "nabla_D o inverse = id"})
             continue
-        orders = contact_orders([delta.coeffs, lifted.coeffs], [h.form for h in hyperplanes])
-        for h, before, after in zip(hyperplanes, *orders):
+        orders = contact_orders([delta.coeffs, lifted.coeffs], forms, arrangement.pivot_form)
+        for h, before, after in zip(arrangement.hyperplanes, *orders):
             if before == float("inf"):
                 continue
             checked += 1
@@ -135,10 +137,12 @@ def invariant_graded_dimension(system: InvariantSystem, degree: int, min_order: 
     if not basis:
         return 0
     echelon = Echelon(system.field)
-    for orbit in system.arrangement.orbits():
-        h = system.arrangement.hyperplanes[orbit[0]]
+    arrangement = system.arrangement
+    for orbit in arrangement.orbits():
+        h = arrangement.hyperplanes[orbit[0]]
         applied = [linear_combination(fld.coeffs, h.form) for _, fld in basis]
-        for row in order_constraint_rows(applied, h.form, min_order, echelon.d):
+        for row in order_constraint_rows(applied, h.form, min_order, echelon.d,
+                                         functools.partial(arrangement.pivot_form, orbit[0])):
             echelon.add(row)
     return len(basis) - echelon.rank
 

@@ -359,12 +359,13 @@ def report_determinant(cert):
     return None if data is None else poly_from_json(data, cert.multiplicity.arrangement.datum.rank)
 
 
-def substitution_rows(applied, alpha, m, d):
+def substitution_rows(applied, alpha, m, d, pivot=None):
     """Integer rows forcing alpha^m to divide a combination of ``applied``,
     by a change of coordinates that makes alpha the pivot variable: every
     monomial of the rewritten polynomials with pivot exponent below m
     gives one row, their numerators over one common denominator.  The
-    test-only reference for ``coxbasis.certify.order_constraint_rows``."""
+    test-only reference for ``coxbasis.certify.order_constraint_rows``; it
+    takes the kept pivot form the kernel may be given and reads none."""
     n = alpha.nvars
     coeffs = [coefficient(alpha, tuple(int(j == t) for j in range(n))) for t in range(n)]
     pivot = next(t for t, a in enumerate(coeffs) if a != 0)

@@ -21,13 +21,13 @@ from coxbasis.certify import (
     graded_member_basis,
     ziegler_certify,
 )
-from coxbasis import poly
+from coxbasis import coxeter, poly
 from coxbasis.basis import BasisRequest, build_basis
 from coxbasis.connection import nabla_D, nabla_D_inverse, universal_field
 from coxbasis.coxeter import Multiplicity, build_group, parse_type
 from coxbasis.derivations import Derivation, coefficient_matrix, euler_field, nabla
 from coxbasis.errors import NotPolynomial
-from coxbasis.invariants import invariant_field_degrees, jacobian_matrix
+from coxbasis.invariants import compute_invariants, invariant_field_degrees, jacobian_matrix
 from coxbasis.linalg import det
 from coxbasis.poly import Poly, contact_orders, linear_combination, product, sample_points
 from coxbasis.report import certificate_to_json
@@ -58,21 +58,25 @@ def test_contact_order(pipeline):
     assert contact_order(d, Poly.variable(2, 1)) == float("inf")
 
 
-def test_one_certification_finds_each_pivot_once(pipeline, monkeypatch):
+def test_one_certification_finds_each_pivot_once(monkeypatch):
     # the contact orders of all n members come from one kernel call, which
-    # finds the pivot of each of the |A| forms once, not once per member
-    group, arrangement, system = pipeline("B3")
-    result = build_basis(BasisRequest(system, Multiplicity.constant(arrangement, 1), 2))
+    # finds the pivot of each of the |A| forms once, not once per member,
+    # and the arrangement keeps them, so the next certification finds none
+    group, arrangement = build_group(parse_type("B3"))
+    system = compute_invariants(group, arrangement)
     calls = []
 
-    def counting(alpha, d, original=poly._pivot_form):
+    def counting(alpha, d, original=poly.pivot_form):
         calls.append(alpha)
         return original(alpha, d)
 
-    monkeypatch.setattr(poly, "_pivot_form", counting)
+    monkeypatch.setattr(coxeter, "pivot_form", counting)
+    monkeypatch.setattr(poly, "pivot_form", counting)
+    result = build_basis(BasisRequest(system, Multiplicity.constant(arrangement, 1), 2))
+    assert len(calls) == len(arrangement) == 9
     cert = ziegler_certify(result.members, result.certificate.multiplicity)
     assert cert.is_free
-    assert len(calls) == len(arrangement) == 9
+    assert len(calls) == 9
 
 
 def test_one_certification_runs_one_division_chain_per_form(pipeline, monkeypatch):

@@ -7,7 +7,8 @@ serve the same argument lists in-process through ``coxbasis.cli.main`` and
 compare digests, so a change that moves a report byte fails here as well
 as in the benchmark.  Each parametrized case starts from cleared memos;
 one more test serves all 68 in the sweep's order in one process, as the
-benchmark does, so that reports served from kept state are checked too.
+benchmark does, so that reports served from kept state are checked too,
+and another serves them in one order and then the reverse.
 The four high-shift requests of the deep-shift workload, where the
 inverse of the primitive connection does most of the work, and the four
 rank-4 requests of the rank-4 workload, where group construction,
@@ -91,6 +92,22 @@ def test_reports_served_in_one_warm_process_match_golden_digests(monkeypatch):
     monkeypatch.chdir(ROOT)
     digests = {" ".join(argv): _digest(argv) for argv in REQUESTS}
     assert digests == {key: GOLDEN[key] for key in digests}
+
+
+@pytest.mark.parametrize("first", ["forward", "reverse"])
+def test_reports_do_not_depend_on_the_order_served(first, monkeypatch):
+    """The basis requests of the sweep's seed-1 order, served in one
+    process in that order and then reversed, or the other way round: what
+    one type keeps must not reach another that shares its realization
+    (A2 and I2(3), B2 and I2(4), G2 and I2(6)), nor a form's pivot form
+    over one field another field (I2(5) over Q(sqrt 5), I2(8) over
+    Q(sqrt 2))."""
+    monkeypatch.chdir(ROOT)
+    order = [argv for argv in WORKLOADS.sweep_requests(1) if argv[0] == "basis"]
+    if first == "reverse":
+        order.reverse()
+    for argv in order + order[::-1]:
+        assert _digest(argv) == GOLDEN[" ".join(argv)], argv
 
 
 def test_sweep_has_every_info_and_verify_request():

@@ -1,9 +1,11 @@
 """What one process keeps between requests changes no output.
 
-``build_group`` keeps the groups and arrangements of recent types,
-``compute_invariants`` keeps each system on its arrangement, a system
-keeps its universal fields, and ``base_basis`` keeps the certified bases
-of W-invariant multiplicities on the arrangement.  These tests serve
+``parse_type`` and ``build_group`` keep the data, groups and
+arrangements of recent types, an arrangement keeps its hyperplanes'
+pivot forms, ``compute_invariants`` keeps each system on its
+arrangement, a system keeps its universal fields, field keys and
+fingerprint, and ``base_basis`` keeps the certified bases of W-invariant
+multiplicities on the arrangement.  These tests serve
 requests in one process through ``coxbasis.cli.main`` and compare every
 exit code, standard output and standard error with the same request run
 from cleared memos, as a fresh interpreter would run it.
@@ -12,15 +14,18 @@ from cleared memos, as a fresh interpreter would run it.
 from __future__ import annotations
 
 import functools
+import hashlib
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import clear_memos
-from coxbasis import coxeter, invariants
+from coxbasis import coxeter, invariants, poly
 from coxbasis.cli import EXIT_CERTIFICATE, EXIT_NOT_A_BASIS, EXIT_UNSUPPORTED, main
 from coxbasis.coxeter import CoxeterDatum, parse_type
 
@@ -85,7 +90,8 @@ def test_repeated_requests_match_fresh_runs(first, cache, fresh, selections):
     order = REQUESTS if first == "forward" else REQUESTS[::-1]
     for argv in order + order[::-1]:
         assert serve(argv + cache) == fresh[tuple(argv)], argv
-    # one walk and one selection per type, whatever the cache options say
+    # one datum, one walk and one selection per type, whatever the cache
+    # options say
     assert coxeter._walked.cache_info().misses == len(LABELS)
     assert sorted(selections) == sorted(LABELS)
     # the memo holds exactly these types, each with its system
@@ -93,10 +99,68 @@ def test_repeated_requests_match_fresh_runs(first, cache, fresh, selections):
     assert coxeter._walked.cache_info().misses == len(LABELS)
 
 
+def kept_arrangement(label: str):
+    """The arrangement the memo keeps for a type; asking for it counts as
+    using the type."""
+    datum = parse_type(label)
+    kept = coxeter._walked(datum.family, datum.rank, datum.param)
+    assert kept.datum is datum
+    return kept.walk[1]
+
+
 def memo_labels(labels: list[str]) -> list[str]:
     """The labels of the systems kept on the memo's arrangements of the
     given types; asking for them counts as using them."""
-    return [coxeter._walked(parse_type(label))[1].invariants.label for label in labels]
+    return [kept_arrangement(label).invariants.label for label in labels]
+
+
+def test_a_type_derives_its_fixed_facts_once(monkeypatch):
+    # four requests on one type: its datum, each hyperplane's pivot form per
+    # field, the fingerprint and each degree's field keys are derived once
+    data, pivots, hashes, weights = [], [], [], []
+    asked, listed = Counter(), Counter()
+
+    def making(*args, original=coxeter.make_datum):
+        data.append(args)
+        return original(*args)
+
+    def pivoting(alpha, d, original=poly.pivot_form):
+        pivots.append((alpha, d))
+        return original(alpha, d)
+
+    def hashing(blob, original=hashlib.sha256):
+        hashes.append(blob)
+        return original(blob)
+
+    def exponents(w, total, original=invariants.weighted_exponents):
+        weights.append(w)
+        return original(w, total)
+
+    def keys(self, degree, original=invariants.InvariantSystem.field_keys):
+        before = len(weights)
+        out = original(self, degree)
+        asked[degree] += 1
+        # a listing reads every invariant's weight; the selection of the
+        # invariants reads fewer
+        listed[degree] += any(len(w) == len(self.degrees) for w in weights[before:])
+        return out
+
+    monkeypatch.setattr(coxeter, "make_datum", making)
+    monkeypatch.setattr(coxeter, "pivot_form", pivoting)
+    monkeypatch.setattr(poly, "pivot_form", pivoting)
+    monkeypatch.setattr(invariants, "hashlib", SimpleNamespace(sha256=hashing))
+    monkeypatch.setattr(invariants, "weighted_exponents", exponents)
+    monkeypatch.setattr(invariants.InvariantSystem, "field_keys", keys)
+    for argv in (["info", "B3"], ["basis", "--type", "B3", "--m", "1", "--k", "1"],
+                 ["basis", "--type", "B3", "--m", "1", "--k", "2"],
+                 ["verify", "--type", "B3", "--suite", "shift"]):
+        assert serve(argv)[0] == 0, argv
+    assert data == [("B", 3, None)]
+    forms = [h.form for h in kept_arrangement("B3").hyperplanes]
+    assert len(pivots) == len({(forms.index(alpha), d) for alpha, d in pivots}) == 9
+    # info and both basis reports ask for the fingerprint
+    assert len(hashes) == 1
+    assert max(asked.values()) > 1 and listed == Counter(dict.fromkeys(asked, 1))
 
 
 def test_memo_keeps_the_most_recent_types(selections, monkeypatch):
@@ -116,6 +180,19 @@ def test_memo_keeps_the_most_recent_types(selections, monkeypatch):
     assert coxeter._walked.cache_info().misses == 5
 
 
+def test_memo_holds_sixteen_types():
+    # a datum is kept from its first parse, before any group is walked, and
+    # the seventeenth type evicts the least recently used one
+    labels = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "D4", "D5", "G2", "H3",
+              "I2(3)", "I2(4)", "I2(5)", "I2(8)"]
+    data = [parse_type(label) for label in labels[:16]]
+    assert all(parse_type(label) is datum for label, datum in zip(labels, data))
+    parse_type(labels[16])
+    assert parse_type(labels[0]) is not data[0] and parse_type(labels[0]) == data[0]
+    assert coxeter._walked.cache_info().currsize == 16
+    assert coxeter._walked.cache_info().misses == 18
+
+
 def test_order_bound_applies_to_a_cached_group():
     assert serve(["info", "A3"])[0] == 0
     code, out, err = serve(["info", "A3", "--order-bound", "10"])
@@ -132,7 +209,8 @@ def test_group_alarm_fires_on_a_cached_group(attr, monkeypatch):
     replacement = (lambda self: wrong) if attr == "group_order" else property(lambda self: wrong)
     monkeypatch.setattr(CoxeterDatum, attr, replacement)
     code, _, err = serve(argv)
-    assert coxeter._walked.cache_info().hits == 1
+    # the second request found the type kept, datum, group and all
+    assert coxeter._walked.cache_info().misses == 1
     assert code == EXIT_CERTIFICATE
     assert "group construction failure" in err
 
@@ -149,7 +227,7 @@ def test_base_file_is_certified_on_every_request(tmp_path, certifications):
     for expected in (2, 3):
         assert serve(argv + ["--base-file", str(path)])[0] == 0
         assert len(certifications) == expected
-    assert list(coxeter._walked(parse_type("B3"))[1].bases) == [("gradient", (1,) * 9)]
+    assert list(kept_arrangement("B3").bases) == [("gradient", (1,) * 9)]
 
 
 def test_bad_user_base_after_a_memoized_base_is_not_a_basis(tmp_path):

@@ -70,8 +70,8 @@ def _no_constant(name):
 
 def test_shift_suite_reports_infinite_orders_as_null(monkeypatch, capsys):
     # force the lifted field to annihilate every form: its order is infinite
-    def lifted_annihilates(fields, forms):
-        before, _ = contact_orders(fields, forms)
+    def lifted_annihilates(fields, forms, pivots=None):
+        before, _ = contact_orders(fields, forms, pivots)
         return [before, (math.inf,) * len(forms)]
 
     contact_orders = verify.contact_orders
@@ -105,9 +105,9 @@ def test_hodge_reads_the_rows_of_one_hyperplane_per_orbit(pipeline, monkeypatch)
     _, arrangement, system = pipeline("B3")
     forms = []
 
-    def counting(applied, alpha, m, d, original=verify.order_constraint_rows):
+    def counting(applied, alpha, m, d, pivot=None, original=verify.order_constraint_rows):
         forms.append(alpha)
-        return original(applied, alpha, m, d)
+        return original(applied, alpha, m, d, pivot)
 
     monkeypatch.setattr(verify, "order_constraint_rows", counting)
     assert hodge_suite(system, 1, [1])["passed"]
