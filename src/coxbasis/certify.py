@@ -51,8 +51,8 @@ from typing import NamedTuple, Sequence
 from .coxeter import Multiplicity
 from .derivations import Derivation, coefficient_matrix
 from .linalg import Echelon, PolyMatrix, integer_det, times
-from .poly import (INFINITE_ORDER, Poly, contact_orders, monomials_of_degree, numerator_in,
-                   order_constraint_rows)
+from .poly import (INFINITE_ORDER, Poly, contact_orders, linear_numerators, monomials_of_degree,
+                   numerator_in, order_constraint_rows)
 from .scalars import Scalar, common_field, join_scalar, split_scalar
 
 VERDICT_FREE = "Free-with-basis"
@@ -203,8 +203,8 @@ def graded_member_basis(multiplicity: Multiplicity, degree: int) -> list[Derivat
         # (x^e d/dx_i) applied to the form is alpha_i x^e: the rows for x^e
         # times the numerator of each alpha_i
         alpha = [echelon.zero] * n
-        for e, c in h.form.num.items():
-            alpha[e.index(1)] = c if h.form.d == d else (c, 0)
+        for i, c in linear_numerators(h.form).items():
+            alpha[i] = c if h.form.d == d else (c, 0)
         for row in order_constraint_rows(monomials, h.form, m, d,
                                          functools.partial(arrangement.pivot_form, k)):
             if d == 1:

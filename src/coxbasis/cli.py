@@ -23,9 +23,9 @@ import time
 
 from .basis import BASE_SOURCES, BasisRequest, build_basis
 from .coxeter import (DEFAULT_ORDER_BOUND, Multiplicity, build_group, parse_type)
-from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError, GroupClosureFailed,
-                     NoSolution, NonUniqueSolution, NotABasis, OrderBoundExceeded,
-                     UnsupportedType)
+from .errors import (BudgetExceeded, CertificateFailed, CoxBasisError, DegreeOverflow,
+                     GroupClosureFailed, NoSolution, NonUniqueSolution, NotABasis,
+                     OrderBoundExceeded, UnsupportedType)
 from .invariants import compute_invariants, invariant_field_degrees
 from .report import (SCHEMA_VERIFY, basis_report, derivation_from_json, dump_report,
                      group_to_json, multiplicity_from_json)
@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except GroupClosureFailed as exc:
         sys.stderr.write("group construction failure: %s\n" % exc)
         return EXIT_CERTIFICATE
-    except (UnsupportedType, OrderBoundExceeded, BudgetExceeded) as exc:
+    except (UnsupportedType, OrderBoundExceeded, BudgetExceeded, DegreeOverflow) as exc:
         sys.stderr.write("unsupported or over budget: %s\n" % exc)
         return EXIT_UNSUPPORTED
     except CoxBasisError as exc:

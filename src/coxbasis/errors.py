@@ -2,8 +2,8 @@
 
 Everything raised on purpose derives from CoxBasisError.  The CLI maps
 NotABasis to exit code 2, failed or internally inconsistent certificates
-and group constructions to 3, and unsupported input or exceeded budgets
-to 4.
+and group constructions to 3, and unsupported input (a degree too) or
+exceeded budgets to 4.
 """
 
 from __future__ import annotations
@@ -72,3 +72,7 @@ class OrderBoundExceeded(CoxBasisError):
 
 class BudgetExceeded(CoxBasisError):
     """A configured time budget ran out between pipeline stages."""
+
+
+class DegreeOverflow(CoxBasisError):
+    """A polynomial degree above ``poly.MAX_DEGREE``, which keys do not hold."""

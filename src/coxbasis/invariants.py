@@ -199,7 +199,7 @@ def _select_invariants(group: ReflectionGroup, arrangement: Arrangement) -> Inva
     for degree in sorted(set(datum.degrees)):
         count = datum.degrees.count(degree)
         columns = monomial_columns(1, n, degree)
-        monos = [e for _, e in columns]
+        monos = list(monomials_of_degree(n, degree))
         # echelon spanning the decomposables of this degree, then the picks
         echelon = Echelon(field)
         for exps in weighted_exponents(datum.degrees[:len(chosen)], degree):

@@ -28,22 +28,22 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
-from .poly import Exponents, Poly, monomials_of_degree
+from .poly import Poly, monomial_keys, monomials_of_degree
 from .scalars import Scalar, join_scalar, split_scalars
 
 Matrix = list[list[Scalar]]
-# column of the coefficient of x^exponents in polynomial `position` of a tuple
-Columns = dict[tuple[int, Exponents], int]
+# column of the coefficient of a monomial's key in polynomial `position` of a tuple
+Columns = dict[tuple[int, int], int]
 
 
 def monomial_columns(width: int, nvars: int, degree: int) -> Columns:
     """Columns for tuples of `width` homogeneous polynomials of one degree:
     position-major, then descending grlex, as `monomials_of_degree` yields."""
-    keys = ((i, e) for i in range(width) for e in monomials_of_degree(nvars, degree))
-    return {key: k for k, key in enumerate(keys)}
+    keys = monomial_keys(list(monomials_of_degree(nvars, degree)), nvars)
+    return {key: k for k, key in enumerate(product(range(width), keys))}
 
 
 def numerator_vector(polys: Sequence[Poly], columns: Columns, d: int) -> list:
@@ -55,9 +55,9 @@ def numerator_vector(polys: Sequence[Poly], columns: Columns, d: int) -> list:
         if f.d not in (1, d):
             raise ValueError("polynomial over Q(sqrt(%d)) in a vector over field %d" % (f.d, d))
         s = den // f.den
-        for exps, c in f.num.items():
-            v[columns[(i, exps)]] = (c * s if d == 1 else (c * s, 0) if f.d == 1
-                                     else (c[0] * s, c[1] * s))
+        for k, c in f.num.items():
+            v[columns[(i, k)]] = (c * s if d == 1 else (c * s, 0) if f.d == 1
+                                  else (c[0] * s, c[1] * s))
     return v
 
 

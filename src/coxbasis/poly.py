@@ -1,65 +1,53 @@
 """Sparse multivariate polynomials with exact coefficients on Python ints.
 
 A polynomial stores integer numerators over one positive common
-denominator: ``num`` maps exponent tuples to nonzero numerators and
-``den`` is the smallest positive integer that clears every coefficient,
-so gcd(den, all numerators) = 1 and equal polynomials have equal
-representations.  Over Q each numerator is an int; over Q(sqrt(d)) it is
-an int pair (a, b) standing for a + b*sqrt(d), and d is stored once per
-polynomial (``d`` = 1 over Q).  A polynomial whose sqrt parts all cancel
-is stored over Q.  Products, sums, derivatives, substitution and
-division all run on these ints through one set of kernels for both
-fields.  ``Fraction`` and ``Quad`` appear only at the boundary: the
-constructor, the exponents -> scalar view ``terms`` (built on first use),
-the leading coefficient, the value of an evaluation and formatting.
+denominator: ``num`` maps the key of each monomial (below) to its nonzero
+numerator and ``den`` is the smallest positive integer that clears every
+coefficient, so equal polynomials have equal representations.  Over Q a
+numerator is an int; over Q(sqrt(d)) an int pair (a, b) for a + b*sqrt(d),
+with d stored once per polynomial (``d`` = 1 over Q, also when every sqrt
+part cancels).  Products, sums, derivatives, substitution and division run
+on these ints through one set of kernels for both fields.
 
-The monomial order used everywhere is graded lexicographic: compare total
-degree first, then the exponent tuple lexicographically.  Leading terms,
-division, and all serialized term lists refer to this order.
+The key of x^e is one int, as in Monagan and Pearce's POLY (Maple 17): the
+total degree in the top field, then a ``WIDTH``-bit field per exponent,
+e_0 most significant.  A monomial product is one int addition, descending
+graded lexicographic order (degree first, then the exponents
+lexicographically), which leading terms, division and every term list
+follow, is descending int order, and a degree is one shift.  The top bit
+of each exponent field is a guard, 0 in every key, so x^e divides x^f
+exactly when key(f) - key(e) sets no guard bit.  The top field is
+unbounded and takes no carry; only a degree above ``MAX_DEGREE`` could
+overflow an exponent field, and the constructor and every product raise
+DegreeOverflow for one instead.  Exponent tuples and ``Fraction``/``Quad``
+appear only at the boundary: the constructor, the exponents -> scalar view
+``terms`` (built on first use), ``leading_term``, evaluation and the JSON
+term lists.
 
-Division is plain multivariate division by a single divisor.  The
-membership test of the whole package, "alpha^m divides p" for a linear
-form alpha, is decided by synthetic division on integer numerators,
-never by factorization: one synthetic-division step
+"alpha^m divides p" for a linear form alpha is decided by synthetic
+division on integer numerators, never by factorization: one step
 (`_divide_buckets`), repeated, writes p as sum_j r_j alpha^j.
-`contact_orders` takes fields at many forms at once and runs one chain
-of steps per form for all of them (`_chain_orders`): each form's pivot
-form (`pivot_form`) is found once per call, or read from a caller that
-keeps it (``Arrangement.pivot_form``), every field's coefficients are
-bucketed once per pivot variable under one packing, with the field's
-index above the exponent bits, and theta(alpha) of every field is
-summed on packed keys into one set of buckets without building a
-polynomial.  A field's order is the index of the first remainder with a
-term under its index, and its terms leave the chain there.
-`order_constraint_rows` reads r_0 .. r_{m-1} of several polynomials
-under one shared scale (`_remainders`), placing each coefficient in the
-linear constraint row of "alpha^m divides" that it belongs to.
-
-Evaluation reads integer points only, as integer numerators
-(`Poly.numerator_at`), and rejects any other coordinate.  Every exact
-evaluation at points reads one fixed stream of small integer points,
-`sample_points`: the arrangement keeps its first point off the
-arrangement, and the forms' values there, for the determinant scalars of
-``certify``, and the equations of the connection's inverse are read at
-point after point of it.
-
-The JSON form of a polynomial, a term list of exponent lists and exact
-coefficient strings, is defined here once, for the reports, for
-``repr`` and for the members that ``--base-file`` reads back; each rational
-coefficient is written straight from its numerator over ``den``, and the
-parser rejects any malformed term with ValueError.
+`contact_orders` runs one chain of steps per form for many fields
+(`_chain_orders`), and `order_constraint_rows` reads r_0 .. r_{m-1} of
+several polynomials as the linear constraint rows of "alpha^m divides".
+Evaluation reads integer points only, and every exact evaluation reads
+one fixed stream of them, `sample_points`.  The JSON form of a polynomial,
+a term list of exponent lists and exact coefficient strings, is defined
+here once, for the reports, ``repr`` and ``--base-file``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
 from fractions import Fraction
 from itertools import chain
-from operator import add, itemgetter, lshift, sub
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .errors import DegreeOverflow
 from .scalars import (Quad, Scalar, common_field, format_scalar, join_scalar, parse_scalar,
                       split_scalar, split_scalars)
 
@@ -69,18 +57,43 @@ PivotForm = tuple[int, int, dict]
 
 INFINITE_ORDER = math.inf
 
-def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
-    return (sum(exps), exps)
+# bits per exponent field of a key; the top bit of each is the guard
+WIDTH = 16
+MAX_DEGREE = (1 << (WIDTH - 1)) - 1
+_FIELD = (1 << WIDTH) - 1
 
 
-def _heap_key(exps: Exponents) -> tuple[int, Exponents]:
-    # negated grlex key, so a min-heap pops the leading monomial first
-    return (-sum(exps), tuple(-e for e in exps))
+@functools.lru_cache(maxsize=64)
+def _layout(nvars: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """For keys in ``nvars`` variables: the shift of each exponent's field,
+    the key of each variable and the guard bits of all exponent fields."""
+    top = nvars * WIDTH
+    shifts = tuple(range(top - WIDTH, -1, -WIDTH))
+    units = tuple((1 << s) + (1 << top) for s in shifts)
+    return shifts, units, sum(1 << (s + WIDTH - 1) for s in shifts)
+
+
+def monomial_keys(monos: Sequence[Exponents], nvars: int) -> list[int]:
+    """The keys of the monomials x^e, e in ``monos``; ValueError for a
+    negative exponent and DegreeOverflow for a degree above MAX_DEGREE."""
+    if nvars and monos:
+        if min(map(min, monos)) < 0:
+            raise ValueError("negative exponent in %r" % (min(monos, key=min),))
+        if max(map(sum, monos)) > MAX_DEGREE:
+            raise DegreeOverflow("monomial of degree %d: degrees above %d do not fit a key"
+                                 % (max(map(sum, monos)), MAX_DEGREE))
+    units = _layout(nvars)[1]
+    return [sum(map(mul, e, units)) for e in monos]
+
+
+def linear_numerators(form: Poly) -> dict:
+    """{i: numerator of x_i} of a linear form, in the order of its terms."""
+    units = _layout(form.nvars)[1]
+    return {units.index(k): c for k, c in form.num.items()}
 
 
 # --- integer kernels ------------------------------------------------------
-#
-# A numerator dict maps exponents to ints (d = 1) or to int pairs (d > 1).
+# A numerator dict maps keys to ints (d = 1) or to int pairs (d > 1).
 # The kernels take and return such dicts; callers track the denominators.
 
 
@@ -105,53 +118,39 @@ def _scale_num(num: dict, c, d: int) -> dict:
     return {e: (a * ca + d * b * cb, a * cb + b * ca) for e, (a, b) in num.items()}
 
 
-def _packing(a: dict, b: dict, nvars: int) -> tuple[int, tuple[int, ...]]:
-    """Field width and bit offsets packing the exponents of a product into
-    one int each; every exponent of the product fits its field."""
-    bits = (max(map(sum, a)) + max(map(sum, b))).bit_length()
-    return bits, tuple(range((nvars - 1) * bits, -1, -bits))
-
-
-def _mul_num(a: dict, b: dict, d: int) -> dict:
-    """Product of two numerator dicts.
-
-    Exponent tuples are packed into single ints (Kronecker substitution),
-    so a monomial product is one integer addition; the packing is chosen
-    wide enough that no exponent of the product overflows its field.
-    """
+def _mul_num(a: dict, b: dict, d: int, top: int) -> dict:
+    """Product of two numerator dicts whose keys have their degree field at
+    ``top``: a monomial product is one int addition.  DegreeOverflow if
+    the product's degree is above MAX_DEGREE."""
     if len(a) > len(b):
         a, b = b, a
     if not a:
         return {}
+    if (max(a) + max(b)) >> top > MAX_DEGREE:
+        raise DegreeOverflow("product of degree %d: degrees above %d do not fit a key"
+                             % ((max(a) + max(b)) >> top, MAX_DEGREE))
     if len(a) == 1:
-        ((e1, c1),) = a.items()
+        ((k1, c1),) = a.items()
         if d == 1:
-            return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
-        return _scale_num({tuple(map(add, e1, e2)): c2 for e2, c2 in b.items()}, c1, d)
-    nvars = len(next(iter(a)))
-    bits, shifts = _packing(a, b, nvars)
-    pa = [(sum(map(lshift, e, shifts)), c) for e, c in a.items()]
-    pb = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
+            return {k1 + k2: c1 * c2 for k2, c2 in b.items()}
+        return _scale_num({k1 + k2: c2 for k2, c2 in b.items()}, c1, d)
     if d == 1:
         out: dict[int, int] = {}
         get = out.get
-        for k1, c1 in pa:
-            for k2, c2 in pb:
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        packed = [(k, c) for k, c in out.items() if c]
-    else:
-        outa: dict[int, int] = {}
-        outb: dict[int, int] = {}
-        geta, getb = outa.get, outb.get
-        for k1, (a1, b1) in pa:
-            for k2, (a2, b2) in pb:
-                k = k1 + k2
-                outa[k] = geta(k, 0) + a1 * a2 + d * b1 * b2
-                outb[k] = getb(k, 0) + a1 * b2 + b1 * a2
-        packed = [(k, (ca, outb[k])) for k, ca in outa.items() if ca or outb[k]]
-    mask = (1 << bits) - 1
-    return {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed}
+        return {k: c for k, c in out.items() if c}
+    outa: dict[int, int] = {}
+    outb: dict[int, int] = {}
+    geta, getb = outa.get, outb.get
+    for k1, (a1, b1) in a.items():
+        for k2, (a2, b2) in b.items():
+            k = k1 + k2
+            outa[k] = geta(k, 0) + a1 * a2 + d * b1 * b2
+            outb[k] = getb(k, 0) + a1 * b2 + b1 * a2
+    return {k: (ca, outb[k]) for k, ca in outa.items() if ca or outb[k]}
 
 
 def _add_into(acc: dict, num: dict, factor, d: int) -> None:
@@ -179,13 +178,15 @@ def _nonzero(acc: dict, d: int) -> dict:
     return {e: c for e, c in acc.items() if c[0] or c[1]}
 
 
-def _partial_num(num: dict, i: int, d: int) -> dict:
+def _partial_num(num: dict, i: int, d: int, nvars: int) -> dict:
     """The numerators of the partial derivative by variable ``i``."""
+    shifts, units = _layout(nvars)[:2]
+    s, unit = shifts[i], units[i]
     out = {}
-    for exps, c in num.items():
-        e = exps[i]
+    for k, c in num.items():
+        e = k >> s & _FIELD
         if e:
-            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e if d == 1 else (c[0] * e, c[1] * e)
+            out[k - unit] = c * e if d == 1 else (c[0] * e, c[1] * e)
     return out
 
 
@@ -203,7 +204,7 @@ class Poly:
                 exps_list.append(exps)
                 coeffs.append(coeff)
         d, nums, den = split_scalars(coeffs)
-        _init(self, nvars, d, dict(zip(exps_list, nums)), den)
+        _init(self, nvars, d, dict(zip(monomial_keys(exps_list, nvars), nums)), den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
@@ -218,8 +219,7 @@ class Poly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
-        exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return _new(nvars, 1, {exps: 1}, 1)
+        return _new(nvars, 1, {_layout(nvars)[1][i]: 1}, 1)
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exponents, c: Scalar = 1) -> "Poly":
@@ -236,8 +236,9 @@ class Poly:
         """The exponents -> Fraction/Quad view, built on first use."""
         view = self._terms
         if view is None:
-            d, den = self.d, self.den
-            view = {e: join_scalar(d, c, den) for e, c in self.num.items()}
+            d, den, shifts = self.d, self.den, _layout(self.nvars)[0]
+            view = {tuple([k >> s & _FIELD for s in shifts]): join_scalar(d, c, den)
+                    for k, c in self.num.items()}
             object.__setattr__(self, "_terms", view)
         return view
 
@@ -298,7 +299,8 @@ class Poly:
             if not self.num or not other.num:
                 return Poly.zero(self.nvars)
             d = common_field(self.d, other.d)
-            num = _mul_num(_promote(self.num, self.d, d), _promote(other.num, other.d, d), d)
+            num = _mul_num(_promote(self.num, self.d, d), _promote(other.num, other.d, d), d,
+                           self.nvars * WIDTH)
             return _make(self.nvars, d, num, self.den * other.den)
         if isinstance(other, (int, Fraction, Quad)):
             return self.scale(other)
@@ -322,14 +324,9 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.constant(self.nvars, Fraction(1))
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        out = Poly.constant(self.nvars, 1)
+        for _ in range(n):
+            out = out * self
         return out
 
     def _check_compatible(self, other: "Poly") -> None:
@@ -337,22 +334,21 @@ class Poly:
             raise ValueError("polynomials in %d and %d variables" % (self.nvars, other.nvars))
 
     def is_homogeneous(self) -> bool:
-        return len(set(map(sum, self.num))) <= 1
+        top = self.nvars * WIDTH
+        return len({k >> top for k in self.num}) <= 1
 
     def homogeneous_degree(self) -> int | None:
         """Common total degree of all terms; None for zero, error if mixed."""
-        degs = set(map(sum, self.num))
-        if not degs:
-            return None
-        if len(degs) > 1:
+        if not self.is_homogeneous():
             raise ValueError("polynomial is not homogeneous")
-        return degs.pop()
+        return max(self.num) >> self.nvars * WIDTH if self.num else None
 
     def leading_term(self) -> tuple[Exponents, Scalar]:
         if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.num, key=grlex_key)
-        return exps, join_scalar(self.d, self.num[exps], self.den)
+        k = max(self.num)
+        exps = tuple([k >> s & _FIELD for s in _layout(self.nvars)[0]])
+        return exps, join_scalar(self.d, self.num[k], self.den)
 
     def monic(self) -> "Poly":
         _, c = self.leading_term()
@@ -362,7 +358,7 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """Partial derivative with respect to variable ``i``."""
-        return _make(self.nvars, self.d, _partial_num(self.num, i, self.d), self.den)
+        return _make(self.nvars, self.d, _partial_num(self.num, i, self.d, self.nvars), self.den)
 
     def substitute(self, forms: Sequence["Poly"]) -> "Poly":
         """Substitute ``forms[i]`` for variable ``i``."""
@@ -385,17 +381,15 @@ class Poly:
         int pair over Q(sqrt(d))."""
         if len(point) != self.nvars:
             raise ValueError("need %d coordinates, got %d" % (self.nvars, len(point)))
-        powers: dict[tuple[int, int], int] = {}
+        shifts = _layout(self.nvars)[0]
         d = self.d
         ta = tb = 0
-        for exps, c in self.num.items():
+        for k, c in self.num.items():
             m = 1
-            for i, e in enumerate(exps):
+            for s, x in zip(shifts, point):
+                e = k >> s & _FIELD
                 if e:
-                    pw = powers.get((i, e))
-                    if pw is None:
-                        pw = powers[(i, e)] = point[i] ** e
-                    m *= pw
+                    m *= x if e == 1 else x ** e
             if d == 1:
                 ta += c * m
             else:
@@ -415,24 +409,28 @@ class Poly:
         self._check_compatible(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        lt_exps, lt_coeff = divisor.leading_term()
+        lead = max(divisor.num)
+        lt_coeff = join_scalar(divisor.d, divisor.num[lead], divisor.den)
         monic = divisor if lt_coeff == 1 else divisor.scale(1 / lt_coeff)
         d = common_field(self.d, monic.d)
         m = monic.den
-        tail = [(e, c) for e, c in _promote(monic.num, monic.d, d).items() if e != lt_exps]
+        guards = _layout(self.nvars)[2]
+        tail = [(k, c) for k, c in _promote(monic.num, monic.d, d).items() if k != lead]
         work = dict(_promote(self.num, self.d, d))
         wden = self.den
-        heap = [(_heap_key(e), e) for e in work]
+        # a min-heap of negated keys pops the leading monomial first
+        heap = [-k for k in work]
         heapq.heapify(heap)
         quot: dict = {}
         rem: dict = {}
         while heap:
-            _, exps = heapq.heappop(heap)
-            c = work.pop(exps, None)
+            k = -heapq.heappop(heap)
+            c = work.pop(k, None)
             if c is None:
                 continue  # stale heap entry
-            if not all(a >= b for a, b in zip(exps, lt_exps)):
-                rem[exps] = c
+            t = k - lead
+            if t & guards:  # the leading monomial does not divide x^k
+                rem[k] = c
                 continue
             if m != 1:
                 g = m // (math.gcd(m, c) if d == 1 else math.gcd(m, *c))
@@ -446,10 +444,9 @@ class Poly:
                 q = c // m if d == 1 else (c[0] // m, c[1] // m)
             else:
                 q = c
-            t_exps = tuple(map(sub, exps, lt_exps))
-            quot[t_exps] = c
-            for d_exps, d_coeff in tail:
-                target = tuple(map(add, t_exps, d_exps))
+            quot[t] = c
+            for d_key, d_coeff in tail:
+                target = t + d_key
                 cur = work.get(target)
                 if d == 1:
                     s = (0 if cur is None else cur) - q * d_coeff
@@ -463,7 +460,7 @@ class Poly:
                     nz = s[0] != 0 or s[1] != 0
                 if nz:
                     if cur is None:
-                        heapq.heappush(heap, (_heap_key(target), target))
+                        heapq.heappush(heap, -target)
                     work[target] = s
                 elif cur is not None:
                     del work[target]
@@ -526,18 +523,18 @@ class Powers:
     recompute its powers.
     """
 
-    __slots__ = ("d", "den", "_pows")
+    __slots__ = ("d", "den", "top", "_pows")
 
     def __init__(self, form: Poly) -> None:
         self.d = form.d
         self.den = form.den
-        one = 1 if form.d == 1 else (1, 0)
-        self._pows = [{(0,) * form.nvars: one}, form.num]
+        self.top = form.nvars * WIDTH
+        self._pows = [{0: 1 if form.d == 1 else (1, 0)}, form.num]
 
     def get(self, e: int) -> dict:
         pows = self._pows
         while len(pows) <= e:
-            pows.append(_mul_num(pows[-1], pows[1], self.d))
+            pows.append(_mul_num(pows[-1], pows[1], self.d, self.top))
         return pows[e]
 
 
@@ -554,26 +551,27 @@ def substitute_sum(p: Poly, substitutions: Sequence[Sequence[Powers]], nvars: in
     for tables in substitutions:
         for t in tables:
             d = common_field(d, t.d)
-    top = [max(e[i] for e in p.num) for i in range(p.nvars)]
-    # per substitution the product of den_i^top_i, and the common multiple
-    clears = [math.prod(t.den ** k for t, k in zip(tables, top)) for tables in substitutions]
+    shifts = _layout(p.nvars)[0]
+    terms = [([k >> s & _FIELD for s in shifts], c) for k, c in _promote(p.num, p.d, d).items()]
+    high = [max(col) for col in zip(*(e for e, _ in terms))]
+    # per substitution the product of den_i^high_i, and the common multiple
+    clears = [math.prod(t.den ** k for t, k in zip(tables, high)) for tables in substitutions]
     common = math.lcm(*clears)
-    terms = list(_promote(p.num, p.d, d).items())
-    one_exps = (0,) * nvars
+    top = nvars * WIDTH
     acc: dict = {}
     for tables, clear in zip(substitutions, clears):
         outer = common // clear
         for exps, c in terms:
             factor = outer
             prod = None
-            for t, e, k in zip(tables, exps, top):
+            for t, e, k in zip(tables, exps, high):
                 if e < k:
                     factor *= t.den ** (k - e)
                 if e:
                     pw = _promote(t.get(e), t.d, d)
-                    prod = pw if prod is None else _mul_num(prod, pw, d)
+                    prod = pw if prod is None else _mul_num(prod, pw, d, top)
             if prod is None:
-                prod = {one_exps: 1 if d == 1 else (1, 0)}
+                prod = {0: 1 if d == 1 else (1, 0)}
             _add_into(acc, prod, c * factor if d == 1 else (c[0] * factor, c[1] * factor), d)
     return _make(nvars, d, _nonzero(acc, d), p.den * common)
 
@@ -583,15 +581,16 @@ def poly_to_json(p: Poly) -> list:
     grlex order, each rational coefficient written from its numerator over
     ``den``."""
     d, den, num = p.d, p.den, p.num
+    shifts = _layout(p.nvars)[0]
     out = []
-    for e in sorted(num, key=grlex_key, reverse=True):
-        c = num[e]
+    for k in sorted(num, reverse=True):
+        c = num[k]
         if d != 1:
             text = format_scalar(join_scalar(d, c, den))
         else:
             g = math.gcd(c, den)
             text = str(c // g) if g == den else "%d/%d" % (c // g, den // g)
-        out.append([list(e), text])
+        out.append([[k >> s & _FIELD for s in shifts], text])
     return out
 
 
@@ -621,12 +620,13 @@ def linear_combination(polys: Sequence[Poly], form: Poly) -> Poly:
     denominator; for the coefficients of a field this is the field
     applied to the form.
     """
-    if len(polys) != form.nvars or any(sum(e) != 1 for e in form.num):
+    top = form.nvars * WIDTH
+    if len(polys) != form.nvars or any(k >> top != 1 for k in form.num):
         raise ValueError("need a linear form in %d variables" % len(polys))
     d = form.d
     picked = []
-    for e, c in form.num.items():
-        f = polys[e.index(1)]
+    for i, c in linear_numerators(form).items():
+        f = polys[i]
         if f.num:
             d = common_field(d, f.d)
             picked.append((f, c))
@@ -654,8 +654,8 @@ def partial_combination(polys: Sequence[Poly], p: Poly) -> Poly:
     acc: dict = {}
     for f, i in picked:
         s = den // f.den
-        _add_into(acc, _mul_num(_promote(f.num, f.d, d), _partial_num(num, i, d), d),
-                  s if d == 1 else (s, 0), d)
+        _add_into(acc, _mul_num(_promote(f.num, f.d, d), _partial_num(num, i, d, p.nvars), d,
+                                p.nvars * WIDTH), s if d == 1 else (s, 0), d)
     return _make(p.nvars, d, _nonzero(acc, d), den * p.den)
 
 
@@ -667,19 +667,18 @@ def contact_orders(fields: Sequence[Sequence[Poly]], forms: Sequence[Poly],
     alpha^k dividing theta(alpha) = sum_i a_i theta_i, ``math.inf`` where
     that is 0.
 
-    Each form runs one division chain for all the fields
-    (`_chain_orders`): the coefficients of every field are bucketed once
-    per pivot variable under one packing, with the field's index above the
-    exponent bits, and theta(alpha) of every field is summed into one set
-    of buckets, each coefficient's factor carrying its field's common
-    denominator and the form's one scale a^D.  ``pivots(k, d)``, if given,
-    is the `pivot_form` of forms[k] over the field d, as
-    ``Arrangement.pivot_form`` keeps it for its hyperplanes."""
+    Each form runs one division chain for all the fields (`_chain_orders`):
+    every field's coefficients are bucketed once per pivot variable, tagged
+    with the field's index, and theta(alpha) of every field is summed into
+    one set of buckets, each factor carrying its field's common denominator
+    and the form's one scale a^D.  ``pivots(k, d)``, if given, is the
+    `pivot_form` of forms[k] over the field d (``Arrangement.pivot_form``)."""
     if not forms:
         return [()] * len(fields)
     n = forms[0].nvars
-    if any(len(coeffs) != n for coeffs in fields):
-        raise ValueError("a field in %d variables needs %d coefficients" % (n, n))
+    if len(fields) > _FIELD or any(len(coeffs) != n for coeffs in fields):
+        raise ValueError("at most %d fields in %d variables, each of %d coefficients"
+                         % (_FIELD, n, n))
     polys = [p for coeffs in fields for p in coeffs]
     d = 1
     for alpha in forms:
@@ -690,13 +689,14 @@ def contact_orders(fields: Sequence[Sequence[Poly]], forms: Sequence[Poly],
     for coeffs in fields:
         den = math.lcm(*(p.den for p in coeffs))
         scales += [den // p.den for p in coeffs]
-    by_pivot: dict[int, tuple] = {}
+    shifts, units = _layout(n)[:2]
+    by_pivot: dict[int, list] = {}
     columns = []
     for k, alpha in enumerate(forms):
         v, a, tail = pivots(k, d) if pivots else pivot_form(alpha, d)
         if v not in by_pivot:
             by_pivot[v] = _bucketed(nums, n, v, tags)
-        shifts, bucketed = by_pivot[v]
+        bucketed = by_pivot[v]
         factors = ((v, a if d == 1 else (a, 0)), *tail.items())
         depth = max((len(bucketed[f * n + t]) for f in range(len(fields)) for t, _ in factors),
                     default=0)
@@ -707,7 +707,7 @@ def contact_orders(fields: Sequence[Sequence[Poly]], forms: Sequence[Poly],
                 s = scales[f * n + t] * power
                 for acc, b in zip(buckets, bucketed[f * n + t]):
                     _add_into(acc, b, c * s if d == 1 else (c[0] * s, c[1] * s), d)
-        steps = [(1 << shifts[t], c) for t, c in tail.items()]
+        steps = [(units[t], c) for t, c in tail.items()]
         columns.append(_chain_orders(buckets, a, steps, d, shifts[v], len(fields)))
     return list(zip(*columns))
 
@@ -717,17 +717,18 @@ def _chain_orders(buckets: list[dict], a: int, steps: list, d: int, top: int,
     """The orders of `count` tagged polynomials at one form, from one chain
     of `_divide_buckets` steps on their shared buckets: a polynomial's
     order is the index of the first remainder with a nonzero entry under
-    its tag (the key shifted right by ``top``), and from then on its terms
+    its tag (the exponent field at ``top``), and from then on its terms
     are dropped from the quotient, so it is not divided again."""
     orders: list[int | float] = [INFINITE_ORDER] * count
     j = 0
     while any(buckets):
         quotient = _divide_buckets(buckets, a, steps, d)
-        done = {k >> top for k in _nonzero(buckets[0], d)}
+        done = {k >> top & _FIELD for k in _nonzero(buckets[0], d)}
         if done:
             for f in done:
                 orders[f] = j
-            quotient = [{k: c for k, c in b.items() if k >> top not in done} for b in quotient]
+            quotient = [{k: c for k, c in b.items() if k >> top & _FIELD not in done}
+                        for b in quotient]
         buckets = quotient
         j += 1
     return orders
@@ -749,14 +750,17 @@ def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int,
     """
     field = _division_field(alpha, applied)
     v, a, tail = pivot(field) if pivot else pivot_form(alpha, field)
-    shifts, bucketed = _bucketed([_promote(p.num, p.d, field) for p in applied], alpha.nvars, v)
-    steps = [(1 << shifts[t], c) for t, c in tail.items()]
+    bucketed = _bucketed([_promote(p.num, p.d, field) for p in applied], alpha.nvars, v)
+    units = _layout(alpha.nvars)[1]
+    steps = [(units[t], c) for t, c in tail.items()]
     power = a ** max(0, max(map(len, bucketed), default=0) - 1)
     den = math.lcm(*(p.den for p in applied))
     zero = 0 if d == 1 else (0, 0)
     slots: dict[tuple[int, int], list] = {}
     for u, (p, buckets) in enumerate(zip(applied, bucketed)):
-        buckets = _scale_buckets(buckets, den // p.den * power, field)
+        s = den // p.den * power
+        if s != 1:
+            buckets = [_scale_num(b, s if field == 1 else (s, 0), field) for b in buckets]
         for j, r in zip(range(m), _remainders(buckets, a, steps, field)):
             for k, c in r.items():
                 row = slots.get((j, k))
@@ -769,7 +773,8 @@ def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int,
 def _division_field(alpha: Poly, polys: Iterable[Poly]) -> int:
     """The field holding alpha and the polynomials; ValueError unless alpha
     is a nonzero homogeneous linear form in their variables."""
-    if not alpha.num or any(sum(e) != 1 for e in alpha.num):
+    top = alpha.nvars * WIDTH
+    if not alpha.num or any(k >> top != 1 for k in alpha.num):
         raise ValueError("order is only defined along a nonzero homogeneous linear form")
     d = alpha.d
     for p in polys:
@@ -789,7 +794,7 @@ def pivot_form(alpha: Poly, d: int) -> PivotForm:
     conjugate of its pivot coefficient.  Scaling alpha leaves every order
     unchanged.
     """
-    coeffs = {e.index(1): c for e, c in _promote(alpha.num, alpha.d, d).items()}
+    coeffs = _promote(linear_numerators(alpha), alpha.d, d)
     if d == 1:
         pivot = min(coeffs, key=lambda t: (abs(coeffs[t]), t))
     else:
@@ -804,36 +809,26 @@ def pivot_form(alpha: Poly, d: int) -> PivotForm:
 
 
 def _bucketed(nums: Sequence[dict], nvars: int, pivot: int,
-              tags: Sequence[int] | None = None) -> tuple[list, list[list[dict]]]:
+              tags: Sequence[int] | None = None) -> list[list[dict]]:
     """Numerator dicts as buckets by pivot exponent, ready for `_divide_buckets`.
 
-    Bucket j of a dict maps the other exponents of each term with pivot
-    exponent j, packed into one int under one packing for all the dicts,
-    to its numerator; a dict's tag, if given, is put above the exponent
-    bits, at the pivot's shift.  Also returns the packing's shifts:
-    multiplying a term by x_t, t not the pivot, adds 1 << shifts[t] to its
-    key.
+    Bucket j of a dict maps the key of each term with pivot exponent j,
+    divided by x_pivot^j, to its numerator; a dict's tag, if given, is put
+    in the pivot's exponent field, which that leaves 0.  Multiplying a
+    bucketed term by x_t then adds the key of x_t to its key.
     """
-    bits = max(map(sum, chain.from_iterable(nums)), default=0).bit_length()
-    top = (nvars - 1) * bits
-    shifts = [top if t == pivot else (t - (t > pivot)) * bits for t in range(nvars)]
-    mask = (1 << top) - 1
+    shifts, units = _layout(nvars)[:2]
+    s, unit = shifts[pivot], units[pivot]
     out = []
     for u, num in enumerate(nums):
-        tag = tags[u] << top if tags else 0
-        depth = max(map(itemgetter(pivot), num), default=-1) + 1
+        tag = tags[u] << s if tags else 0
+        depth = max((k >> s & _FIELD for k in num), default=-1) + 1
         buckets: list[dict] = [{} for _ in range(depth)]
-        for e, c in num.items():
-            k = sum(map(lshift, e, shifts))
-            buckets[k >> top][k & mask | tag] = c
+        for k, c in num.items():
+            e = k >> s & _FIELD
+            buckets[e][k - e * unit | tag] = c
         out.append(buckets)
-    return shifts, out
-
-
-def _scale_buckets(buckets: list[dict], s: int, d: int) -> list[dict]:
-    if s == 1:
-        return buckets
-    return [_scale_num(b, s if d == 1 else (s, 0), d) for b in buckets]
+    return out
 
 
 def _remainders(buckets: list[dict], a: int, steps: list, d: int) -> Iterator[dict]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from coxbasis.poly import (Poly, Powers, contact_orders, linear_combination,
                            order_constraint_rows, poly_from_json, product, substitute_sum,
                            weighted_exponents)
 from coxbasis.report import certificate_to_json
-from coxbasis.scalars import join_scalar, split_scalars
+from coxbasis.scalars import Quad, split_scalars
 
 _CACHE: dict[str, tuple] = {}
 _CLOSURES: dict[str, tuple] = {}
@@ -246,13 +247,156 @@ def laplace_cofactor(rows, i, j):
 
 def total_degree(p):
     """Maximum total degree of a polynomial, -inf for zero."""
-    return max(map(sum, p.num), default=-math.inf)
+    return max(map(sum, p.terms), default=-math.inf)
 
 
 def coefficient(p, exps):
     """The coefficient of one monomial of a polynomial, 0 when absent."""
-    c = p.num.get(tuple(exps))
-    return Fraction(0) if c is None else join_scalar(p.d, c, p.den)
+    return p.terms.get(tuple(exps), Fraction(0))
+
+
+def numerators(p):
+    """The exponents -> numerator view of a polynomial over its ``den``: an
+    int over Q, an int pair over Q(sqrt(d)), read off ``terms``."""
+    out = {}
+    for exps, c in p.terms.items():
+        c = c * p.den
+        if p.d == 1:
+            out[exps] = int(c)
+        else:
+            out[exps] = (int(c.a), int(c.b)) if isinstance(c, Quad) else (int(c), 0)
+    return out
+
+
+# --- the tuple-keyed reference of the polynomial kernels -------------------
+#
+# ``Poly`` keys its terms by packed ints.  Below is the arithmetic it
+# replaced, keyed by exponent tuples: the numerator product that packed
+# each operand per call and unpacked the result, and the scalar sum,
+# partial derivative, division and evaluation, with grlex as a tuple key.
+
+
+def grlex_key(exps):
+    return (sum(exps), exps)
+
+
+def tuple_mul_num(a, b, d):
+    """Product of two numerator dicts keyed by exponent tuples, over Q
+    (d = 1) or Q(sqrt(d)) (int pairs): a one-term factor shifts the other's
+    exponents, and otherwise each exponent tuple is packed into one int per
+    call, in a field just wide enough for the product, and the products
+    are unpacked again."""
+
+    def times(c1, c2):
+        if d == 1:
+            return c1 * c2
+        (a1, b1), (a2, b2) = c1, c2
+        return (a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2)
+
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    if len(a) == 1:
+        ((e1, c1),) = a.items()
+        return {tuple(x + y for x, y in zip(e1, e2)): times(c1, c2) for e2, c2 in b.items()}
+    nvars = len(next(iter(a)))
+    bits = (max(map(sum, a)) + max(map(sum, b))).bit_length()
+    shifts = tuple(range((nvars - 1) * bits, -1, -bits))
+    pa = [(sum(e << s for e, s in zip(exps, shifts)), c) for exps, c in a.items()]
+    pb = [(sum(e << s for e, s in zip(exps, shifts)), c) for exps, c in b.items()]
+    out = {}
+    for k1, c1 in pa:
+        for k2, c2 in pb:
+            k = k1 + k2
+            c = times(c1, c2)
+            out[k] = c if k not in out else (
+                out[k] + c if d == 1 else (out[k][0] + c[0], out[k][1] + c[1]))
+    mask = (1 << bits) - 1
+    return {tuple((k >> s) & mask for s in shifts): c for k, c in out.items()
+            if c != 0 and c != (0, 0)}
+
+
+def _put(out, exps, value):
+    if value == 0:
+        out.pop(exps, None)
+    else:
+        out[exps] = value
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exps, c in b.items():
+        _put(out, exps, out.get(exps, 0) + c)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            _put(out, exps, out.get(exps, 0) + c1 * c2)
+    return out
+
+
+def ref_partial(a, i):
+    out = {}
+    for exps, c in a.items():
+        if exps[i]:
+            out[exps[:i] + (exps[i] - 1,) + exps[i + 1:]] = c * exps[i]
+    return out
+
+
+def ref_evaluate(a, point):
+    total = Fraction(0)
+    for exps, c in a.items():
+        term = c
+        for x, e in zip(point, exps):
+            term = term * x ** e
+        total = total + term
+    return total
+
+
+def ref_divrem(a, b):
+    lt = max(b, key=grlex_key)
+    inv = scalar_inverse(b[lt])
+    work = dict(a)
+    heap = [(-sum(e), tuple(-x for x in e)) for e in work]
+    heapq.heapify(heap)
+    quot, rem = {}, {}
+    while heap:
+        key = heapq.heappop(heap)
+        exps = tuple(-x for x in key[1])
+        c = work.pop(exps, None)
+        if c is None:
+            continue
+        if all(x >= y for x, y in zip(exps, lt)):
+            t = tuple(x - y for x, y in zip(exps, lt))
+            q = c * inv
+            quot[t] = q
+            for e2, c2 in b.items():
+                if e2 != lt:
+                    target = tuple(x + y for x, y in zip(t, e2))
+                    if target not in work:
+                        heapq.heappush(heap, (-sum(target), tuple(-x for x in target)))
+                    _put(work, target, work.get(target, 0) - q * c2)
+        else:
+            rem[exps] = c
+    return quot, rem
+
+
+def ref_order(a, alpha):
+    """Largest k with the linear form alpha^k dividing a, by `ref_divrem`;
+    ``math.inf`` for a = 0."""
+    if not a:
+        return math.inf
+    order = 0
+    while True:
+        a, rem = ref_divrem(a, alpha)
+        if rem:
+            return order
+        order += 1
 
 
 def invariant_basis(system, degree):
@@ -286,7 +430,7 @@ def linear_form_order(p, alpha):
     for a variable t of alpha, takes alpha to alpha_t * p, which has the
     order of p.
     """
-    t = next((e.index(1) for e in alpha.num if 1 in e), 0)
+    t = next((e.index(1) for e in alpha.terms if 1 in e), 0)
     coeffs = [p if i == t else Poly.zero(p.nvars) for i in range(alpha.nvars)]
     return contact_orders([coeffs], [alpha])[0][0]
 
@@ -378,14 +522,14 @@ def substitution_rows(applied, alpha, m, d, pivot=None):
     rewritten = [substitute_sum(p, tables, n) for p in applied]
     low = {}
     for p in rewritten:
-        for exps in p.num:
+        for exps in p.terms:
             if exps[pivot] < m:
                 low.setdefault(exps, len(low))
     den = math.lcm(*(p.den for p in rewritten))
     rows = [[0 if d == 1 else (0, 0)] * len(rewritten) for _ in low]
     for u, p in enumerate(rewritten):
         s = den // p.den
-        for exps, c in p.num.items():
+        for exps, c in numerators(p).items():
             slot = low.get(exps)
             if slot is not None:
                 rows[slot][u] = (c * s if d == 1 else (c * s, 0) if p.d == 1

@@ -20,6 +20,7 @@ from coxbasis.cli import (
 )
 from coxbasis import certify, cli, coxeter, invariants, report
 from coxbasis.coxeter import parse_type
+from coxbasis.poly import MAX_DEGREE
 
 
 MFILE = str(Path(__file__).resolve().parent.parent / "perfbench" / "mfiles" / "per_orbit_01.json")
@@ -482,6 +483,20 @@ def test_basis_rejects_malformed_base_file(tmp_path, capsys, member):
                         "--base", "user", "--base-file", str(bad), "--no-cache"], capsys)
     assert code == EXIT_FAIL
     assert err.startswith("error: base member 0:")
+
+
+def test_base_member_past_the_exponent_fields_is_unsupported(tmp_path, capsys):
+    # a member term of degree MAX_DEGREE + 1 does not fit a key: exit 4, no traceback
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps([
+        {"degree": MAX_DEGREE + 1, "coefficients": [[[[MAX_DEGREE + 1, 0], "1"]], []]},
+        {"degree": 0, "coefficients": [[], [[[0, 0], "1"]]]},
+    ]), encoding="utf-8")
+    code, out, err = run(["basis", "--type", "B2", "--m", "0", "--k", "0",
+                          "--base", "user", "--base-file", str(big), "--no-cache"], capsys)
+    assert (code, out) == (EXIT_UNSUPPORTED, "")
+    assert err == ("unsupported or over budget: monomial of degree %d: degrees above %d do not "
+                   "fit a key\n" % (MAX_DEGREE + 1, MAX_DEGREE))
 
 
 def test_user_base_reads_a_radicand_that_is_not_square_free(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The integer polynomial kernels against a scalar reference.
 
-``Poly`` computes on integer numerators over a common denominator.  The
-reference below is the plain dict-of-scalars arithmetic on ``Fraction`` and
-``Quad`` coefficients that the kernels replaced; it lives only here.  Random
+``Poly`` computes on integer numerators over a common denominator, keyed
+by packed ints.  The reference is the plain dict-of-scalars arithmetic on
+``Fraction`` and ``Quad`` coefficients, keyed by exponent tuples, that the
+kernels replaced; it lives in conftest, except substitution's, below.  Random
 polynomials over Q, Q(sqrt(5)) and Q(sqrt(2)) are pushed through both, and
 the results must agree term by term.  The order kernel along linear forms
 is checked against repeated exact division (``division_order`` in
@@ -11,52 +12,21 @@ conftest).
 
 from __future__ import annotations
 
-import heapq
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import act, division_order, linear_form_order, scalar_inverse
+from conftest import (act, division_order, linear_form_order, numerators, ref_add, ref_divrem,
+                      ref_evaluate, ref_mul, ref_partial)
 
 from coxbasis.coxeter import build_group, parse_type, reynolds
-from coxbasis.poly import Poly, grlex_key
+from coxbasis.poly import Poly
 from coxbasis.scalars import Quad
 
 FIELDS = [1, 5, 2]
 
 
 # --- the scalar reference -------------------------------------------------
-
-
-def _put(out, exps, value):
-    if value == 0:
-        out.pop(exps, None)
-    else:
-        out[exps] = value
-
-
-def ref_add(a, b):
-    out = dict(a)
-    for exps, c in b.items():
-        _put(out, exps, out.get(exps, 0) + c)
-    return out
-
-
-def ref_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            exps = tuple(x + y for x, y in zip(e1, e2))
-            _put(out, exps, out.get(exps, 0) + c1 * c2)
-    return out
-
-
-def ref_partial(a, i):
-    out = {}
-    for exps, c in a.items():
-        if exps[i]:
-            out[exps[:i] + (exps[i] - 1,) + exps[i + 1:]] = c * exps[i]
-    return out
 
 
 def ref_substitute(a, forms, nvars):
@@ -68,44 +38,6 @@ def ref_substitute(a, forms, nvars):
                 term = ref_mul(term, f)
         out = ref_add(out, term)
     return out
-
-
-def ref_evaluate(a, point):
-    total = Fraction(0)
-    for exps, c in a.items():
-        term = c
-        for x, e in zip(point, exps):
-            term = term * x ** e
-        total = total + term
-    return total
-
-
-def ref_divrem(a, b):
-    lt = max(b, key=grlex_key)
-    inv = scalar_inverse(b[lt])
-    work = dict(a)
-    heap = [(-sum(e), tuple(-x for x in e)) for e in work]
-    heapq.heapify(heap)
-    quot, rem = {}, {}
-    while heap:
-        key = heapq.heappop(heap)
-        exps = tuple(-x for x in key[1])
-        c = work.pop(exps, None)
-        if c is None:
-            continue
-        if all(x >= y for x, y in zip(exps, lt)):
-            t = tuple(x - y for x, y in zip(exps, lt))
-            q = c * inv
-            quot[t] = q
-            for e2, c2 in b.items():
-                if e2 != lt:
-                    target = tuple(x + y for x, y in zip(t, e2))
-                    if target not in work:
-                        heapq.heappush(heap, (-sum(target), tuple(-x for x in target)))
-                    _put(work, target, work.get(target, 0) - q * c2)
-        else:
-            rem[exps] = c
-    return quot, rem
 
 
 # --- random inputs --------------------------------------------------------
@@ -235,11 +167,12 @@ def test_exact_division_by_fractional_forms(d):
 
 def test_representation_is_canonical():
     p = Poly(2, {(1, 0): Fraction(2, 3), (0, 1): Fraction(4, 9)})
-    assert p.den == 9 and p.num == {(1, 0): 6, (0, 1): 4}
+    assert p.den == 9 and numerators(p) == {(1, 0): 6, (0, 1): 4}
     q = Poly(2, {(1, 0): Quad(Fraction(1, 2), Fraction(1, 2), 5)})
-    assert (q.d, q.den, q.num) == (5, 2, {(1, 0): (1, 1)})
+    assert (q.d, q.den, numerators(q)) == (5, 2, {(1, 0): (1, 1)})
     # the same polynomial reached two ways has one representation
-    assert (p * Poly.constant(2, 3)).scale(Fraction(1, 3)).num == p.num
+    r = (p * Poly.constant(2, 3)).scale(Fraction(1, 3))
+    assert r.num == p.num and (r.den, numerators(r)) == (p.den, numerators(p))
     assert hash(p + p - p) == hash(p)
 
 

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import linear_form_order
+from conftest import grlex_key, linear_form_order
 
-from coxbasis.poly import Poly, grlex_key, monomials_of_degree, product, sample_points
+from coxbasis.errors import CoxBasisError, DegreeOverflow
+from coxbasis.poly import (MAX_DEGREE, Poly, monomials_of_degree, poly_to_json, product,
+                           sample_points)
 from coxbasis.scalars import Quad
 
 
@@ -107,10 +109,37 @@ def test_linear_form_order_rejects_nonlinear():
 
 
 def test_grlex_order():
-    # Degree first, then lexicographic on exponents.
+    # Degree first, then lexicographic on exponents: the reference key, and
+    # the order of the leading term and the term list, which the keys give
     assert grlex_key((0, 2)) < grlex_key((3, 0))
     assert grlex_key((1, 1)) < grlex_key((2, 0))
     assert grlex_key((0, 3)) < grlex_key((1, 2))
+    monos = [(0, 2), (3, 0), (1, 1), (2, 0), (0, 3), (1, 2), (0, 0)]
+    p = Poly(2, {e: 1 for e in monos})
+    expected = [(3, 0), (1, 2), (0, 3), (2, 0), (1, 1), (0, 2), (0, 0)]
+    assert sorted(monos, key=grlex_key, reverse=True) == expected
+    assert [tuple(e) for e, _ in poly_to_json(p)] == expected
+    assert p.leading_term() == ((3, 0), 1)
+
+
+def test_a_degree_past_the_exponent_fields_raises():
+    # two monomials whose product's degree is one past what a key holds
+    half = MAX_DEGREE // 2 + 1
+    x, y = Poly.monomial(2, (half, 0)), Poly.monomial(2, (0, half))
+    with pytest.raises(DegreeOverflow, match="product of degree %d" % (2 * half)):
+        x * y
+    with pytest.raises(DegreeOverflow):
+        x ** 2
+    with pytest.raises(DegreeOverflow, match="monomial of degree %d" % (MAX_DEGREE + 1)):
+        Poly.monomial(3, (MAX_DEGREE, 0, 1))
+    assert issubclass(DegreeOverflow, CoxBasisError)
+    # up to MAX_DEGREE every exponent stays in its own field
+    top = Poly.monomial(2, (half - 1, 0)) * Poly.monomial(2, (half - 1, 1))
+    assert top.terms == {(MAX_DEGREE - 1, 1): 1} and top.homogeneous_degree() == MAX_DEGREE
+    assert (top.partial(1), top.partial(0).terms) == (Poly.monomial(2, (MAX_DEGREE - 1, 0)),
+                                                      {(MAX_DEGREE - 2, 1): MAX_DEGREE - 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly.monomial(2, (2, -1))
 
 
 def test_monomials_of_degree():

@@ -1,7 +1,8 @@
 """Property tests of polynomials, scalars and the group action.
 
-They need hypothesis and are skipped without it: the ring axioms, the
-division identity, orders along linear forms adding up, contact
+They need hypothesis and are skipped without it: the packed polynomial
+kernels against the tuple-keyed reference of conftest in 1 to 7
+variables, the ring axioms, the division identity, orders along linear forms adding up, contact
 constraint rows vanishing exactly on the combinations of high order,
 the contact orders of fields at the forms of H3 and I2(5) agreeing with
 repeated exact division, a field applied to a polynomial agreeing with
@@ -18,13 +19,15 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import act, division_contact_orders, fraction_det, laplace_det, linear_form_order
+from conftest import (act, division_contact_orders, fraction_det, grlex_key, laplace_det,
+                      linear_form_order, ref_add, ref_divrem, ref_evaluate, ref_mul, ref_order,
+                      ref_partial, tuple_mul_num)
 
 from coxbasis.certify import order_constraint_rows
 from coxbasis.coxeter import build_group, mat_mul, parse_type
 from coxbasis.derivations import Derivation
 from coxbasis.linalg import Echelon, PolyMatrix, det, integer_det, rref
-from coxbasis.poly import Poly, contact_orders, grlex_key, poly_from_json, poly_to_json
+from coxbasis.poly import Poly, contact_orders, poly_from_json, poly_to_json
 from coxbasis.report import dump_json
 from coxbasis.scalars import Quad, format_scalar, join_scalar, parse_scalar, split_scalars
 
@@ -47,6 +50,78 @@ def polys(draw, nvars=2, field=None):
         b = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) if d > 1 else 0
         terms[exps] = Quad(a, b, d) if b else a
     return Poly(nvars, terms)
+
+
+@st.composite
+def tuple_terms(draw, nvars, d, count=5):
+    """Up to ``count`` random terms {exponent tuple: scalar} of degree at most
+    4, over Q or Q(sqrt(d)); a term's degree is spread over its variables."""
+    terms = {}
+    for _ in range(draw(st.integers(0, count))):
+        exps = [0] * nvars
+        for i in draw(st.lists(st.integers(0, nvars - 1), max_size=4)):
+            exps[i] += 1
+        a = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        b = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) if d > 1 else 0
+        if a or b:
+            terms[tuple(exps)] = Quad(a, b, d) if b else a
+    return terms
+
+
+def tuple_numerators(terms, d):
+    """The numerators of a term dict, keyed by exponent tuples, over its
+    denominator, as the field d stores them."""
+    fd, nums, den = split_scalars(list(terms.values()))
+    return dict(zip(terms, nums if fd == d else [(c, 0) for c in nums])), den
+
+
+KERNEL_CASES = st.tuples(st.integers(1, 7), st.sampled_from([1, 5])).flatmap(
+    lambda nd: st.tuples(st.just(nd[0]), st.just(nd[1]), tuple_terms(*nd), tuple_terms(*nd),
+                         st.integers(0, nd[0] - 1),
+                         st.lists(st.integers(-5, 5), min_size=nd[0], max_size=nd[0])))
+
+
+@SETTINGS
+@given(KERNEL_CASES)
+def test_packed_kernels_match_the_tuple_keyed_reference(case):
+    n, d, a, b, i, point = case
+    pa, pb = Poly(n, a), Poly(n, b)
+    (na, da), (nb, db) = tuple_numerators(a, d), tuple_numerators(b, d)
+    assert (pa * pb).terms == {e: join_scalar(d, c, da * db)
+                               for e, c in tuple_mul_num(na, nb, d).items()}
+    assert (pa * pb).terms == ref_mul(a, b)
+    assert (pa + pb).terms == ref_add(a, b)
+    assert (pa - pb).terms == ref_add(a, {e: -c for e, c in b.items()})
+    assert pa.partial(i).terms == ref_partial(a, i)
+    assert join_scalar(pa.d, pa.numerator_at(point), pa.den) == ref_evaluate(a, point)
+    assert pa.is_homogeneous() == (len({sum(e) for e in a}) <= 1)
+    ordered = sorted(a.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+    if a:
+        assert pa.leading_term() == ordered[0]
+    assert poly_to_json(pa) == [[list(e), format_scalar(c)] for e, c in ordered]
+    assert poly_from_json(json.loads(json.dumps(poly_to_json(pa))), n) == pa
+
+
+@SETTINGS
+@given(KERNEL_CASES, st.data())
+def test_packed_division_and_orders_match_the_tuple_keyed_reference(case, data):
+    n, d, a, b, i, point = case
+    if b:
+        quot, rem = Poly(n, a).divrem(Poly(n, b))
+        assert (quot.terms, rem.terms) == ref_divrem(a, b)
+    # a field of n coefficients at a nonzero linear form
+    coeffs = [data.draw(tuple_terms(n, d, count=3)) for _ in range(n)]
+    alpha = {}
+    for j in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+        a = Fraction(data.draw(st.integers(1, 5) | st.integers(-5, -1)),
+                     data.draw(st.integers(1, 3)))
+        b = data.draw(st.integers(-2, 2)) if d > 1 else 0
+        alpha[tuple(int(k == j) for k in range(n))] = Quad(a, b, d) if b else a
+    applied = {}
+    for e, c in alpha.items():
+        applied = ref_add(applied, ref_mul(coeffs[e.index(1)], {(0,) * n: c}))
+    orders = contact_orders([[Poly(n, c) for c in coeffs]], [Poly(n, alpha)])
+    assert orders == [(ref_order(applied, alpha),)]
 
 
 @SETTINGS
