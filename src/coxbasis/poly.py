@@ -76,14 +76,15 @@ def _layout(nvars: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 def monomial_keys(monos: Sequence[Exponents], nvars: int) -> list[int]:
     """The keys of the monomials x^e, e in ``monos``; ValueError for a
     negative exponent and DegreeOverflow for a degree above MAX_DEGREE."""
-    if nvars and monos:
+    units = _layout(nvars)[1]
+    keys = [sum(map(mul, e, units)) for e in monos]
+    # with no negative exponent, a degree field above MAX_DEGREE is the only overflow
+    if nvars and keys and (min(map(min, monos)) < 0 or max(keys) >> nvars * WIDTH > MAX_DEGREE):
         if min(map(min, monos)) < 0:
             raise ValueError("negative exponent in %r" % (min(monos, key=min),))
-        if max(map(sum, monos)) > MAX_DEGREE:
-            raise DegreeOverflow("monomial of degree %d: degrees above %d do not fit a key"
-                                 % (max(map(sum, monos)), MAX_DEGREE))
-    units = _layout(nvars)[1]
-    return [sum(map(mul, e, units)) for e in monos]
+        raise DegreeOverflow("monomial of degree %d: degrees above %d do not fit a key"
+                             % (max(map(sum, monos)), MAX_DEGREE))
+    return keys
 
 
 def linear_numerators(form: Poly) -> dict:

@@ -317,6 +317,13 @@ def tuple_mul_num(a, b, d):
             if c != 0 and c != (0, 0)}
 
 
+def same(poly, terms):
+    """A kernel's result equals the reference term dict, as a polynomial
+    (so its keys are those the constructor packs) and term by term."""
+    return (poly == Poly(poly.nvars, terms)
+            and poly.terms == {e: c for e, c in terms.items() if c != 0})
+
+
 def _put(out, exps, value):
     if value == 0:
         out.pop(exps, None)

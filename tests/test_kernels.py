@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (act, division_order, linear_form_order, numerators, ref_add, ref_divrem,
-                      ref_evaluate, ref_mul, ref_partial)
+                      ref_evaluate, ref_mul, ref_partial, same)
 
 from coxbasis.coxeter import build_group, parse_type, reynolds
 from coxbasis.poly import Poly
@@ -58,11 +58,6 @@ def random_terms(rng: random.Random, nvars: int, d: int, nterms: int, max_deg: i
         if c != 0:
             out[exps] = c
     return out
-
-
-def same(poly: Poly, terms: dict) -> bool:
-    """The kernel result equals the reference, as a polynomial and term-wise."""
-    return poly == Poly(poly.nvars, terms) and poly.terms == {e: c for e, c in terms.items() if c != 0}
 
 
 # --- differential tests ---------------------------------------------------
