@@ -12,17 +12,16 @@ on these ints through one set of kernels for both fields.
 The key of x^e is one int, as in Monagan and Pearce's POLY (Maple 17): the
 total degree in the top field, then a ``WIDTH``-bit field per exponent,
 e_0 most significant.  A monomial product is one int addition, descending
-graded lexicographic order (degree first, then the exponents
-lexicographically), which leading terms, division and every term list
-follow, is descending int order, and a degree is one shift.  The top bit
-of each exponent field is a guard, 0 in every key, so x^e divides x^f
-exactly when key(f) - key(e) sets no guard bit.  The top field is
-unbounded and takes no carry; only a degree above ``MAX_DEGREE`` could
-overflow an exponent field, and the constructor and every product raise
-DegreeOverflow for one instead.  Exponent tuples and ``Fraction``/``Quad``
-appear only at the boundary: the constructor, the exponents -> scalar view
-``terms`` (built on first use), ``leading_term``, evaluation and the JSON
-term lists.
+grlex order (degree first, then the exponents lexicographically), which
+leading terms, division and every term list follow, is descending int
+order, and a degree is one shift.  The top bit of each exponent field is a
+guard, 0 in every key, so x^e divides x^f exactly when key(f) - key(e)
+sets no guard bit.  The top field is unbounded and takes no carry; only a
+degree above ``MAX_DEGREE`` could overflow an exponent field, and the
+constructor and every product raise DegreeOverflow for one instead.
+Exponent tuples and ``Fraction``/``Quad`` appear only at the boundary: the
+constructor, ``terms`` (built on first use), ``leading_term``, evaluation
+and the JSON term lists.
 
 "alpha^m divides p" for a linear form alpha is decided by synthetic
 division on integer numerators, never by factorization: one step
@@ -325,9 +324,14 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.constant(self.nvars, 1)
-        for _ in range(n):
-            out = out * self
+        out = Poly.constant(self.nvars, Fraction(1))
+        base = self
+        k = n
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
         return out
 
     def _check_compatible(self, other: "Poly") -> None:
@@ -388,9 +392,7 @@ class Poly:
         for k, c in self.num.items():
             m = 1
             for s, x in zip(shifts, point):
-                e = k >> s & _FIELD
-                if e:
-                    m *= x if e == 1 else x ** e
+                m *= x ** (k >> s & _FIELD)
             if d == 1:
                 ta += c * m
             else:
@@ -677,9 +679,8 @@ def contact_orders(fields: Sequence[Sequence[Poly]], forms: Sequence[Poly],
     if not forms:
         return [()] * len(fields)
     n = forms[0].nvars
-    if len(fields) > _FIELD or any(len(coeffs) != n for coeffs in fields):
-        raise ValueError("at most %d fields in %d variables, each of %d coefficients"
-                         % (_FIELD, n, n))
+    if any(len(coeffs) != n for coeffs in fields):
+        raise ValueError("a field in %d variables needs %d coefficients" % (n, n))
     polys = [p for coeffs in fields for p in coeffs]
     d = 1
     for alpha in forms:
@@ -816,8 +817,7 @@ def _bucketed(nums: Sequence[dict], nvars: int, pivot: int,
     Bucket j of a dict maps the key of each term with pivot exponent j,
     divided by x_pivot^j, to its numerator; a dict's tag, if given, is put
     in the pivot's exponent field, which that leaves 0.  Multiplying a
-    bucketed term by x_t then adds the key of x_t to its key.
-    """
+    bucketed term by x_t then adds the key of x_t to its key."""
     shifts, units = _layout(nvars)[:2]
     s, unit = shifts[pivot], units[pivot]
     out = []
