@@ -88,25 +88,15 @@ class Derivation:
         return partial_combination(self.coeffs, p)
 
     def is_homogeneous(self) -> bool:
-        degs = set()
-        for c in self.coeffs:
-            if not c.is_homogeneous():
-                return False
-            if not c.is_zero:
-                degs.add(c.homogeneous_degree())
-        return len(degs) <= 1
+        return (all(c.is_homogeneous() for c in self.coeffs)
+                and len({c.homogeneous_degree() for c in self.coeffs} - {None}) <= 1)
 
     def degree(self) -> int | None:
         """Common degree of the nonzero coefficients; None for zero fields."""
-        degs = set()
-        for c in self.coeffs:
-            if not c.is_zero:
-                degs.add(c.homogeneous_degree())
-        if not degs:
-            return None
+        degs = {c.homogeneous_degree() for c in self.coeffs} - {None}
         if len(degs) > 1:
             raise ValueError("derivation is not homogeneous")
-        return degs.pop()
+        return degs.pop() if degs else None
 
     def __repr__(self) -> str:
         return "Derivation(%r)" % (list(self.coeffs),)

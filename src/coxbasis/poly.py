@@ -324,7 +324,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.constant(self.nvars, Fraction(1))
+        out = _new(self.nvars, 1, {0: 1}, 1)
         base = self
         k = n
         while k:
@@ -344,9 +344,11 @@ class Poly:
 
     def homogeneous_degree(self) -> int | None:
         """Common total degree of all terms; None for zero, error if mixed."""
-        if not self.is_homogeneous():
+        top = self.nvars * WIDTH
+        degs = {k >> top for k in self.num}
+        if len(degs) > 1:
             raise ValueError("polynomial is not homogeneous")
-        return max(self.num) >> self.nvars * WIDTH if self.num else None
+        return degs.pop() if degs else None
 
     def leading_term(self) -> tuple[Exponents, Scalar]:
         if not self.num:
@@ -691,7 +693,7 @@ def contact_orders(fields: Sequence[Sequence[Poly]], forms: Sequence[Poly],
     for coeffs in fields:
         den = math.lcm(*(p.den for p in coeffs))
         scales += [den // p.den for p in coeffs]
-    shifts, units = _layout(n)[:2]
+    shifts = _layout(n)[0]
     by_pivot: dict[int, list] = {}
     columns = []
     for k, alpha in enumerate(forms):
@@ -709,7 +711,7 @@ def contact_orders(fields: Sequence[Sequence[Poly]], forms: Sequence[Poly],
                 s = scales[f * n + t] * power
                 for acc, b in zip(buckets, bucketed[f * n + t]):
                     _add_into(acc, b, c * s if d == 1 else (c[0] * s, c[1] * s), d)
-        steps = [(units[t], c) for t, c in tail.items()]
+        steps = [(1 << shifts[t], c) for t, c in tail.items()]
         columns.append(_chain_orders(buckets, a, steps, d, shifts[v], len(fields)))
     return list(zip(*columns))
 
@@ -753,8 +755,8 @@ def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int,
     field = _division_field(alpha, applied)
     v, a, tail = pivot(field) if pivot else pivot_form(alpha, field)
     bucketed = _bucketed([_promote(p.num, p.d, field) for p in applied], alpha.nvars, v)
-    units = _layout(alpha.nvars)[1]
-    steps = [(units[t], c) for t, c in tail.items()]
+    shifts = _layout(alpha.nvars)[0]
+    steps = [(1 << shifts[t], c) for t, c in tail.items()]
     power = a ** max(0, max(map(len, bucketed), default=0) - 1)
     den = math.lcm(*(p.den for p in applied))
     zero = 0 if d == 1 else (0, 0)
@@ -815,11 +817,10 @@ def _bucketed(nums: Sequence[dict], nvars: int, pivot: int,
     """Numerator dicts as buckets by pivot exponent, ready for `_divide_buckets`.
 
     Bucket j of a dict maps the key of each term with pivot exponent j,
-    divided by x_pivot^j, to its numerator; a dict's tag, if given, is put
-    in the pivot's exponent field, which that leaves 0.  Multiplying a
-    bucketed term by x_t then adds the key of x_t to its key."""
-    shifts, units = _layout(nvars)[:2]
-    s, unit = shifts[pivot], units[pivot]
+    its degree and pivot fields cleared (short keys for a short chain), to
+    its numerator; a dict's tag, if given, is put in the pivot's field.
+    Multiplying a bucketed term by x_t then adds 1 << (x_t's shift)."""
+    s, low = _layout(nvars)[0][pivot], (1 << nvars * WIDTH) - 1
     out = []
     for u, num in enumerate(nums):
         tag = tags[u] << s if tags else 0
@@ -827,7 +828,7 @@ def _bucketed(nums: Sequence[dict], nvars: int, pivot: int,
         buckets: list[dict] = [{} for _ in range(depth)]
         for k, c in num.items():
             e = k >> s & _FIELD
-            buckets[e][k - e * unit | tag] = c
+            buckets[e][k & low ^ e << s | tag] = c
         out.append(buckets)
     return out
 
@@ -938,7 +939,7 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
 
 
 def product(polys: Iterable[Poly], nvars: int) -> Poly:
-    out = Poly.constant(nvars, Fraction(1))
+    out = _new(nvars, 1, {0: 1}, 1)
     for p in polys:
         out = out * p
     return out

@@ -2,15 +2,15 @@
 
 They need hypothesis and are skipped without it: the packed polynomial
 kernels against the tuple-keyed reference of conftest in 1 to 7
-variables, the ring axioms, the division identity, orders along linear forms adding up, contact
-constraint rows vanishing exactly on the combinations of high order,
-the contact orders of fields at the forms of H3 and I2(5) agreeing with
-repeated exact division, a field applied to a polynomial agreeing with
-the sum of its coefficients times the partials, the order of ``Quad``
-agreeing with the sign of a difference, the report format round trip,
-its term lists and its writer, the action of the group composing along
-its closure, and the incremental echelon agreeing with the reduced row
-echelon form of the same rows.
+variables, the ring axioms, the division identity, orders along linear
+forms adding up, contact constraint rows vanishing exactly on the
+combinations of high order, the contact orders of fields at the forms of
+H3 and I2(5) agreeing with repeated exact division, a field applied to a
+polynomial agreeing with the sum of its coefficients times the partials,
+the order of ``Quad`` agreeing with the sign of a difference, the report
+format round trip, its term lists and its writer, the action of the
+group composing along its closure, and the incremental echelon agreeing
+with the reduced row echelon form of the same rows.
 """
 
 from __future__ import annotations
@@ -114,10 +114,10 @@ def test_packed_division_and_orders_match_the_tuple_keyed_reference(case, data):
     coeffs = [data.draw(tuple_terms(n, d, count=3)) for _ in range(n)]
     alpha = {}
     for j in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
-        a = Fraction(data.draw(st.integers(1, 5) | st.integers(-5, -1)),
-                     data.draw(st.integers(1, 3)))
-        b = data.draw(st.integers(-2, 2)) if d > 1 else 0
-        alpha[tuple(int(k == j) for k in range(n))] = Quad(a, b, d) if b else a
+        ra = Fraction(data.draw(st.integers(1, 5) | st.integers(-5, -1)),
+                      data.draw(st.integers(1, 3)))
+        rb = data.draw(st.integers(-2, 2)) if d > 1 else 0
+        alpha[tuple(int(k == j) for k in range(n))] = Quad(ra, rb, d) if rb else ra
     applied = {}
     for e, c in alpha.items():
         applied = ref_add(applied, ref_mul(coeffs[e.index(1)], {(0,) * n: c}))
