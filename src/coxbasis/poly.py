@@ -762,9 +762,7 @@ def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int,
     zero = 0 if d == 1 else (0, 0)
     slots: dict[tuple[int, int], list] = {}
     for u, (p, buckets) in enumerate(zip(applied, bucketed)):
-        s = den // p.den * power
-        if s != 1:
-            buckets = [_scale_num(b, s if field == 1 else (s, 0), field) for b in buckets]
+        buckets = _scale_buckets(buckets, den // p.den * power, field)
         for j, r in zip(range(m), _remainders(buckets, a, steps, field)):
             for k, c in r.items():
                 row = slots.get((j, k))
@@ -831,6 +829,12 @@ def _bucketed(nums: Sequence[dict], nvars: int, pivot: int,
             buckets[e][k & low ^ e << s | tag] = c
         out.append(buckets)
     return out
+
+
+def _scale_buckets(buckets: list[dict], s: int, d: int) -> list[dict]:
+    if s == 1:
+        return buckets
+    return [_scale_num(b, s if d == 1 else (s, 0), d) for b in buckets]
 
 
 def _remainders(buckets: list[dict], a: int, steps: list, d: int) -> Iterator[dict]:
