@@ -35,10 +35,10 @@ module, by linear algebra on one graded piece with no basis needed: the
 contact-order conditions become integer linear rows
 (`poly.order_constraint_rows`) for the elimination kernel
 `linalg.Echelon`.  The rows are the coefficients of the first m
-remainders of synthetic division by the form, placed as the same
-division loop the contact orders run finds them, with every polynomial
-scaled by one shared factor so that the rows of different unknowns stay
-comparable.
+remainders of synthetic division by the form, from the same tagged
+division chain the contact orders run: all the polynomials of one form
+share one chain, each tagged with its column and scaled by one shared
+factor so that the rows of different unknowns stay comparable.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ results are deterministic.
 Scalar determinants have one kernel, `integer_det`: fraction-free
 elimination on the same integer numerators (Bareiss, Math. Comp. 22,
 1968), where every intermediate entry is a minor, so each division by
-the previous pivot is exact, in Z or in Z[sqrt(d)].  `det` is that kernel
-on a Fraction/Quad matrix over its common denominator.
+the previous pivot is exact, in Z or in Z[sqrt(d)].
 Polynomial matrices have one minor routine, `PolyMatrix.wedge`, the
 exterior product of columns built one column at a time; their
 determinants and the primitive numerator field are read off it.
@@ -364,16 +363,6 @@ def integer_det(rows: Sequence[Sequence], d: int):
     if sign > 0:
         return out
     return -out if d == 1 else (-out[0], -out[1])
-
-
-def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant of a square scalar matrix: `integer_det` of its integer
-    numerators over the n-th power of their common denominator."""
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a nonempty square matrix")
-    d, nums, den = _numerators(rows)
-    return join_scalar(d, integer_det(nums, d), den ** n)
 
 
 def invert_matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:

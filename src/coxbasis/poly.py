@@ -25,10 +25,11 @@ and the JSON term lists.
 
 "alpha^m divides p" for a linear form alpha is decided by synthetic
 division on integer numerators, never by factorization: one step
-(`_divide_buckets`), repeated, writes p as sum_j r_j alpha^j.
-`contact_orders` runs one chain of steps per form for many fields
-(`_chain_orders`), and `order_constraint_rows` reads r_0 .. r_{m-1} of
-several polynomials as the linear constraint rows of "alpha^m divides".
+(`_divide_buckets`), repeated, writes p as sum_j r_j alpha^j.  One chain
+of steps (`_chain`) divides many polynomials at once, each tagged by its
+index: `contact_orders` reads the order of each field at a form off the
+tags of the remainders, and `order_constraint_rows` reads r_0 .. r_{m-1}
+of several polynomials as the linear constraint rows of "alpha^m divides".
 Evaluation reads integer points only, and every exact evaluation reads
 one fixed stream of them, `sample_points`.  The JSON form of a polynomial,
 a term list of exponent lists and exact coefficient strings, is defined
@@ -672,12 +673,10 @@ def contact_orders(fields: Sequence[Sequence[Poly]], forms: Sequence[Poly],
     alpha^k dividing theta(alpha) = sum_i a_i theta_i, ``math.inf`` where
     that is 0.
 
-    Each form runs one division chain for all the fields (`_chain_orders`):
-    every field's coefficients are bucketed once per pivot variable, tagged
-    with the field's index, and theta(alpha) of every field is summed into
-    one set of buckets, each factor carrying its field's common denominator
-    and the form's one scale a^D.  ``pivots(k, d)``, if given, is the
-    `pivot_form` of forms[k] over the field d (``Arrangement.pivot_form``)."""
+    Each form runs one division chain (`_chain`) for all the fields, each
+    theta(alpha) tagged with its field's index; a field's order is the
+    index of its first nonzero remainder.  ``pivots(k, d)``, if given, is
+    the `pivot_form` of forms[k] over the field d (``Arrangement.pivot_form``)."""
     if not forms:
         return [()] * len(fields)
     n = forms[0].nvars
@@ -688,54 +687,24 @@ def contact_orders(fields: Sequence[Sequence[Poly]], forms: Sequence[Poly],
     for alpha in forms:
         d = common_field(d, _division_field(alpha, polys))
     nums = [_promote(p.num, p.d, d) for p in polys]
-    tags = [f for f in range(len(fields)) for _ in range(n)]
     scales = []
     for coeffs in fields:
         den = math.lcm(*(p.den for p in coeffs))
         scales += [den // p.den for p in coeffs]
-    shifts = _layout(n)[0]
-    by_pivot: dict[int, list] = {}
+    top = n * WIDTH
     columns = []
     for k, alpha in enumerate(forms):
         v, a, tail = pivots(k, d) if pivots else pivot_form(alpha, d)
-        if v not in by_pivot:
-            by_pivot[v] = _bucketed(nums, n, v, tags)
-        bucketed = by_pivot[v]
         factors = ((v, a if d == 1 else (a, 0)), *tail.items())
-        depth = max((len(bucketed[f * n + t]) for f in range(len(fields)) for t, _ in factors),
-                    default=0)
-        power = a ** max(0, depth - 1)
-        buckets: list[dict] = [{} for _ in range(depth)]
-        for f in range(len(fields)):
-            for t, c in factors:
-                s = scales[f * n + t] * power
-                for acc, b in zip(buckets, bucketed[f * n + t]):
-                    _add_into(acc, b, c * s if d == 1 else (c[0] * s, c[1] * s), d)
-        steps = [(1 << shifts[t], c) for t, c in tail.items()]
-        columns.append(_chain_orders(buckets, a, steps, d, shifts[v], len(fields)))
+        # theta(alpha) of every field over its common denominator, tagged by field
+        buckets = _summed(nums, [(f * n + t, f, scales[f * n + t], c)
+                                 for f in range(len(fields)) for t, c in factors], n, v, a, d)
+        orders: list[int | float] = [INFINITE_ORDER] * len(fields)
+        for j, r in enumerate(_chain(buckets, a, tail, d, n, settle=True)):
+            for key in r:
+                orders[key >> top] = j
+        columns.append(orders)
     return list(zip(*columns))
-
-
-def _chain_orders(buckets: list[dict], a: int, steps: list, d: int, top: int,
-                  count: int) -> list[int | float]:
-    """The orders of `count` tagged polynomials at one form, from one chain
-    of `_divide_buckets` steps on their shared buckets: a polynomial's
-    order is the index of the first remainder with a nonzero entry under
-    its tag (the exponent field at ``top``), and from then on its terms
-    are dropped from the quotient, so it is not divided again."""
-    orders: list[int | float] = [INFINITE_ORDER] * count
-    j = 0
-    while any(buckets):
-        quotient = _divide_buckets(buckets, a, steps, d)
-        done = {k >> top & _FIELD for k in _nonzero(buckets[0], d)}
-        if done:
-            for f in done:
-                orders[f] = j
-            quotient = [{k: c for k, c in b.items() if k >> top & _FIELD not in done}
-                        for b in quotient]
-        buckets = quotient
-        j += 1
-    return orders
 
 
 def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int,
@@ -744,31 +713,30 @@ def order_constraint_rows(applied: Sequence[Poly], alpha: Poly, m: int, d: int,
 
     Each p is sum_j r_j alpha^j with no r_j containing the pivot variable
     of `pivot_form`, so alpha^m divides a combination exactly when the
-    same combination of the r_0 ... r_{m-1} vanishes.  The r_j come from
-    `_remainders`, with every polynomial scaled by one shared factor (the
-    common denominator times a^D, a the pivot coefficient, D the top pivot
-    exponent of all of them); each monomial of some r_j is one row, filled
-    in as the division finds it.  Entries are ints over Q (d = 1) and int
-    pairs over Q(sqrt(d)), as in ``linalg.Echelon``.  ``pivot(field)``, if
-    given, is the `pivot_form` of alpha over the field of the division.
+    same combination of the r_0 ... r_{m-1} vanishes.  All the p, tagged
+    by index over their common denominator, run one chain (`_chain`); a
+    monomial of some r_j is a row, and a term's tag is its column.  Entries
+    are ints over Q (d = 1) and int pairs over Q(sqrt(d)), as in
+    ``linalg.Echelon``.  ``pivot(field)``, if given, is the `pivot_form`
+    of alpha over the field of the division.
     """
     field = _division_field(alpha, applied)
     v, a, tail = pivot(field) if pivot else pivot_form(alpha, field)
-    bucketed = _bucketed([_promote(p.num, p.d, field) for p in applied], alpha.nvars, v)
-    shifts = _layout(alpha.nvars)[0]
-    steps = [(1 << shifts[t], c) for t, c in tail.items()]
-    power = a ** max(0, max(map(len, bucketed), default=0) - 1)
+    n = alpha.nvars
     den = math.lcm(*(p.den for p in applied))
+    one = 1 if field == 1 else (1, 0)
+    buckets = _summed([_promote(p.num, p.d, field) for p in applied],
+                      [(u, u, den // p.den, one) for u, p in enumerate(applied)], n, v, a, field)
     zero = 0 if d == 1 else (0, 0)
+    top = n * WIDTH
+    low = (1 << top) - 1
     slots: dict[tuple[int, int], list] = {}
-    for u, (p, buckets) in enumerate(zip(applied, bucketed)):
-        buckets = _scale_buckets(buckets, den // p.den * power, field)
-        for j, r in zip(range(m), _remainders(buckets, a, steps, field)):
-            for k, c in r.items():
-                row = slots.get((j, k))
-                if row is None:
-                    row = slots[j, k] = [zero] * len(applied)
-                row[u] = c if field == d else (c, 0)
+    for j, r in zip(range(m), _chain(buckets, a, tail, field, n)):
+        for k, c in r.items():
+            row = slots.get((j, k & low))
+            if row is None:
+                row = slots[j, k & low] = [zero] * len(applied)
+            row[k >> top] = c if field == d else (c, 0)
     return list(slots.values())
 
 
@@ -810,40 +778,61 @@ def pivot_form(alpha: Poly, d: int) -> PivotForm:
     return pivot, a, coeffs
 
 
-def _bucketed(nums: Sequence[dict], nvars: int, pivot: int,
-              tags: Sequence[int] | None = None) -> list[list[dict]]:
-    """Numerator dicts as buckets by pivot exponent, ready for `_divide_buckets`.
+def _summed(nums: Sequence[dict], picks: Iterable[tuple[int, int, int, object]], nvars: int,
+            pivot: int, a: int, d: int) -> list[dict]:
+    """The sum of s * c * nums[u] over the (u, tag, s, c) in ``picks``, s
+    an int and c a numerator of the field d, as buckets by pivot exponent
+    for `_chain`, all times a^D (a the pivot coefficient, D the top pivot
+    exponent) so that every quotient of the chain is integral.
 
-    Bucket j of a dict maps the key of each term with pivot exponent j,
-    its degree and pivot fields cleared (short keys for a short chain), to
-    its numerator; a dict's tag, if given, is put in the pivot's field.
-    Multiplying a bucketed term by x_t then adds 1 << (x_t's shift)."""
-    s, low = _layout(nvars)[0][pivot], (1 << nvars * WIDTH) - 1
-    out = []
-    for u, num in enumerate(nums):
-        tag = tags[u] << s if tags else 0
-        depth = max((k >> s & _FIELD for k in num), default=-1) + 1
-        buckets: list[dict] = [{} for _ in range(depth)]
-        for k, c in num.items():
-            e = k >> s & _FIELD
-            buckets[e][k & low ^ e << s | tag] = c
-        out.append(buckets)
-    return out
-
-
-def _scale_buckets(buckets: list[dict], s: int, d: int) -> list[dict]:
-    if s == 1:
+    Bucket j maps the key of each term with pivot exponent j, its pivot
+    field cleared and its tag in place of its degree, to its numerator.
+    The degree field is unbounded, so no count of tags aliases, and
+    multiplying a bucketed term by x_t adds 1 << (x_t's shift), which
+    never carries into the tag."""
+    top = nvars * WIDTH
+    parts = [(nums[u], tag << top, c * s if d == 1 else (c[0] * s, c[1] * s))
+             for u, tag, s, c in picks if nums[u]]
+    shift, low = _layout(nvars)[0][pivot], (1 << top) - 1
+    # no pivot exponent is above the degree; empty top buckets are cut below
+    depth = max((max(num) >> top for num, _, _ in parts), default=-1) + 1
+    buckets: list[dict] = [{} for _ in range(depth)]
+    for num, tag, c in parts:
+        if d == 1:
+            for k, x in num.items():
+                e = k >> shift & _FIELD
+                acc, key = buckets[e], k & low ^ e << shift | tag
+                acc[key] = acc.get(key, 0) + c * x
+        else:
+            ca, cb = c
+            for k, (xa, xb) in num.items():
+                e = k >> shift & _FIELD
+                acc, key = buckets[e], k & low ^ e << shift | tag
+                ya, yb = acc.get(key, (0, 0))
+                acc[key] = (ya + ca * xa + d * cb * xb, yb + ca * xb + cb * xa)
+    while buckets and not buckets[-1]:
+        buckets.pop()
+    power = a ** max(0, len(buckets) - 1)
+    if power == 1:
         return buckets
-    return [_scale_num(b, s if d == 1 else (s, 0), d) for b in buckets]
+    return [_scale_num(b, power if d == 1 else (power, 0), d) for b in buckets]
 
 
-def _remainders(buckets: list[dict], a: int, steps: list, d: int) -> Iterator[dict]:
-    """r_0, r_1, ... of p = sum_j r_j alpha^j, one `_divide_buckets` step
-    each, for buckets of p scaled by a multiple of a^D (a the pivot
-    coefficient, D the top pivot exponent), so every quotient is integral."""
-    while buckets:
+def _chain(buckets: list[dict], a: int, tail: dict, d: int, nvars: int,
+           settle: bool = False) -> Iterator[dict]:
+    """r_0, r_1, ... of every tagged p = sum_j r_j alpha^j in ``buckets``,
+    alpha = a*x_v + tail, one `_divide_buckets` step each.  With
+    ``settle``, a tag is dropped from the quotient at its first nonzero
+    remainder, so it is not divided again."""
+    shifts, top = _layout(nvars)[0], nvars * WIDTH
+    steps = [(1 << shifts[t], c) for t, c in tail.items()]
+    while any(buckets):
         quotient = _divide_buckets(buckets, a, steps, d)
-        yield _nonzero(buckets[0], d)
+        r = _nonzero(buckets[0], d)
+        yield r
+        if settle and r:
+            done = {k >> top for k in r}
+            quotient = [{k: c for k, c in b.items() if k >> top not in done} for b in quotient]
         buckets = quotient
 
 
@@ -854,7 +843,7 @@ def _divide_buckets(buckets: list[dict], a: int, steps: list, d: int) -> list[di
     -q times the tail goes into the bucket below, one int addition per
     term of the tail.  The remainder is left in ``buckets[0]``, zeros
     included; returns the quotient's buckets.  The dividend must be
-    scaled as `_remainders` says, so a divides every c.
+    scaled as `_summed` says, so a divides every c.
     """
     quotient = []
     for j in range(len(buckets) - 1, 0, -1):

@@ -12,12 +12,12 @@ from coxbasis.coxeter import (build_group, identity_matrix, mat_mul, parse_type,
                               reflection_matrix, transpose)
 from coxbasis.derivations import Derivation
 from coxbasis.invariants import compute_invariants, invariant_field_basis
-from coxbasis.linalg import Echelon, invert_matrix, rref
+from coxbasis.linalg import Echelon, integer_det, invert_matrix, rref
 from coxbasis.poly import (Poly, Powers, contact_orders, linear_combination,
                            order_constraint_rows, poly_from_json, product, substitute_sum,
                            weighted_exponents)
 from coxbasis.report import certificate_to_json
-from coxbasis.scalars import Quad, split_scalars
+from coxbasis.scalars import Quad, join_scalar, split_scalars
 
 _CACHE: dict[str, tuple] = {}
 _CLOSURES: dict[str, tuple] = {}
@@ -216,6 +216,17 @@ def fraction_det(rows):
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return out
+
+
+def det(rows):
+    """Determinant of a square scalar matrix: the package's one scalar
+    determinant kernel, ``coxbasis.linalg.integer_det``, on its integer
+    numerators over the n-th power of their common denominator."""
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a nonempty square matrix")
+    d, nums, den = split_scalars([x for row in rows for x in row])
+    return join_scalar(d, integer_det([nums[k:k + n] for k in range(0, n * n, n)], d), den ** n)
 
 
 def laplace_det(rows):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (division_contact_orders, division_order, free_module_graded_dimension,
+from conftest import (det, division_contact_orders, division_order, free_module_graded_dimension,
                       is_invariant_derivation, report_determinant, scalar_inverse,
                       sequential_witness)
 
@@ -28,7 +28,6 @@ from coxbasis.coxeter import Multiplicity, build_group, parse_type
 from coxbasis.derivations import Derivation, coefficient_matrix, euler_field, nabla
 from coxbasis.errors import NotPolynomial
 from coxbasis.invariants import compute_invariants, invariant_field_degrees, jacobian_matrix
-from coxbasis.linalg import det
 from coxbasis.poly import Poly, contact_orders, linear_combination, product, sample_points
 from coxbasis.report import certificate_to_json
 from coxbasis.verify import hodge_suite, invariant_graded_dimension, random_invariant_derivation
@@ -86,15 +85,16 @@ def test_one_certification_runs_one_division_chain_per_form(pipeline, monkeypatc
     result = build_basis(BasisRequest(system, Multiplicity.constant(arrangement, 1), 2))
     chains, steps = [], []
 
-    def chain(buckets, a, steps_, d, top, count, original=poly._chain_orders):
-        chains.append(count)
-        return original(buckets, a, steps_, d, top, count)
+    def chain(buckets, a, tail, d, nvars, settle=False, original=poly._chain):
+        # a term's tag sits in its key's degree field
+        chains.append(len({k >> nvars * poly.WIDTH for b in buckets for k in b}))
+        return original(buckets, a, tail, d, nvars, settle)
 
     def divide(buckets, a, steps_, d, original=poly._divide_buckets):
         steps.append(len(buckets))
         return original(buckets, a, steps_, d)
 
-    monkeypatch.setattr(poly, "_chain_orders", chain)
+    monkeypatch.setattr(poly, "_chain", chain)
     monkeypatch.setattr(poly, "_divide_buckets", divide)
     cert = ziegler_certify(result.members, result.certificate.multiplicity)
     assert cert.is_free
@@ -103,6 +103,23 @@ def test_one_certification_runs_one_division_chain_per_form(pipeline, monkeypatc
     assert len(steps) == sum(max(column) + 1 for column in columns)
     # member by member, the chains would take this many steps
     assert len(steps) < sum(o + 1 for column in columns for o in column)
+
+
+def test_chain_tags_never_alias_past_one_exponent_field():
+    # more fields and polynomials than a 16-bit exponent field can count:
+    # with alpha = y the pivot is the lowest field, so a tag kept there
+    # would carry into x's exponent; each must keep its own order and entry
+    count = (1 << 16) + 2
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    zero = Poly.zero(2)
+    # at alpha = y, x + y has order 0, y order 1 and y^2 order 2
+    shapes = [x + y, y, y * y]
+    orders = contact_orders([[zero, shapes[u % 3]] for u in range(count)], [y])
+    assert orders == [(u % 3,) for u in range(count)]
+    # r_0 and r_1 of x + y are x and 1, of y 0 and 1, of y^2 0 and 0
+    rows = poly.order_constraint_rows([shapes[u % 3] for u in range(count)], y, 2, 1)
+    assert sorted(rows) == sorted([[1 if u % 3 == 0 else 0 for u in range(count)],
+                                   [1 if u % 3 < 2 else 0 for u in range(count)]])
 
 
 def test_batched_contact_orders_match_repeated_division(pipeline):

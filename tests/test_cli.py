@@ -223,6 +223,19 @@ def test_basis_text_output_is_unchanged(key, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TEXT_DIGESTS[key]
 
 
+# sha256 of the standard output of ``basis --type H3 --m 1 --k 0 --base
+# oracle``, the one oracle base whose forms divide over two fields: the
+# rational forms over Q, the others over Q(sqrt(5))
+H3_ORACLE_DIGEST = "6e4db7299613a42d502d56c78a468c2d2be7bfe8dfaa1fe5428d1ea440f14151"
+
+
+def test_h3_oracle_report_is_unchanged(capsys):
+    code, out, _ = run(["basis", "--type", "H3", "--m", "1", "--k", "0", "--base", "oracle"],
+                       capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == H3_ORACLE_DIGEST
+
+
 @pytest.mark.parametrize("argv, witnesses", [
     (["--m", "0", "--k", "1", "--format", "text"], 0),
     (["--m", "1", "--k", "2", "--format", "text"], 0),

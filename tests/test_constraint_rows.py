@@ -79,6 +79,30 @@ def test_graded_pieces_unchanged(label, per_orbit, degrees, pipeline, monkeypatc
     assert fresh == reference
 
 
+def test_one_rows_call_runs_one_division_chain(pipeline, monkeypatch):
+    # all the monomials of a graded piece share the form's division chain,
+    # so one call takes at most m division steps, not m per monomial
+    _, arrangement, system = pipeline("B3")
+    steps, calls = [], []
+
+    def divide(buckets, a, steps_, d, original=poly._divide_buckets):
+        steps.append(len(buckets))
+        return original(buckets, a, steps_, d)
+
+    def counting(applied, alpha, m, d, pivot=None, original=certify.order_constraint_rows):
+        before = len(steps)
+        rows = original(applied, alpha, m, d, pivot)
+        calls.append((len(steps) - before, m, len(applied)))
+        return rows
+
+    monkeypatch.setattr(poly, "_divide_buckets", divide)
+    monkeypatch.setattr(certify, "order_constraint_rows", counting)
+    # with m = 2 everywhere the basis degrees are all h
+    assert graded_member_basis(Multiplicity.constant(arrangement, 2), system.coxeter_number)
+    assert len(calls) == len(arrangement) == 9
+    assert all(0 < taken <= m < size for taken, m, size in calls)
+
+
 def test_rows_substitute_nothing(pipeline, monkeypatch):
     calls = []
 

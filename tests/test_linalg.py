@@ -5,13 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (FractionEchelon, echelon_of, fraction_det, fraction_rref, kernel_basis,
-                      laplace_det, rank)
+from conftest import (FractionEchelon, det, echelon_of, fraction_det, fraction_rref,
+                      kernel_basis, laplace_det, rank)
 
 from coxbasis.linalg import (
     Echelon,
     PolyMatrix,
-    det,
     invert_matrix,
     rref,
 )

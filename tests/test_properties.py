@@ -19,14 +19,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from conftest import (act, division_contact_orders, fraction_det, grlex_key, laplace_det,
+from conftest import (act, det, division_contact_orders, fraction_det, grlex_key, laplace_det,
                       linear_form_order, ref_add, ref_divrem, ref_evaluate, ref_mul, ref_order,
                       ref_partial, same, tuple_mul_num)
 
 from coxbasis.certify import order_constraint_rows
 from coxbasis.coxeter import build_group, mat_mul, parse_type
 from coxbasis.derivations import Derivation
-from coxbasis.linalg import Echelon, PolyMatrix, det, integer_det, rref
+from coxbasis.linalg import Echelon, PolyMatrix, integer_det, rref
 from coxbasis.poly import Poly, contact_orders, poly_from_json, poly_to_json
 from coxbasis.report import dump_json
 from coxbasis.scalars import Quad, format_scalar, join_scalar, parse_scalar, split_scalars

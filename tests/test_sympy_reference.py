@@ -23,12 +23,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import echelon_of
+from conftest import det, echelon_of
 
 from coxbasis.connection import nabla_D, nabla_D_inverse, universal_field
 from coxbasis.errors import NotPolynomial
 from coxbasis.invariants import invariant_field_basis
-from coxbasis.linalg import det, rref
+from coxbasis.linalg import rref
 from coxbasis.poly import Poly
 from coxbasis.scalars import Quad
 from coxbasis.verify import random_invariant_derivation
