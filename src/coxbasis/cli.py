@@ -10,6 +10,12 @@ Exit codes: 0 success, 1 verification or structural failure or invalid
 arguments, 2 a proposed base is not a basis, 3 a certificate failed on a
 constructed basis or a group's coset chain or root orbit did not match its
 type (internal alarms), 4 unsupported input or an exceeded budget.
+
+Each subcommand's grammar is one table, ``_COMMANDS``, and argparse's
+parser is built from it.  A command line whose every token the table reads
+exactly is read in one pass, without argparse; the parser is built, once
+per process, only for a line the table declines (help, an abbreviated
+flag, ``--opt=value`` or a usage error), so those stay argparse's own.
 """
 
 from __future__ import annotations
@@ -50,20 +56,6 @@ class _Budget:
         if self.seconds is not None and time.monotonic() - self.start > self.seconds:
             raise BudgetExceeded("time budget of %rs exceeded after %s"
                                  % (self.seconds, stage))
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order-bound", type=int, default=DEFAULT_ORDER_BOUND,
-                        help="refuse groups larger than this order")
-    # kept so that existing command lines still parse; there is no cache on disk
-    parser.add_argument("--cache-dir", type=str, default=None,
-                        help="accepted and ignored")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="accepted and ignored")
-    parser.add_argument("--format", choices=("text", "json"), default=None,
-                        help="output format")
-    parser.add_argument("--out", type=str, default=None,
-                        help="write the report to this file instead of stdout")
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -251,63 +243,199 @@ def _nonnegative_list(text: str) -> list[int]:
     return [_nonnegative(v) for v in text.split(",")]
 
 
+class _Option:
+    """One entry of a subcommand's grammar: an option (``flag`` set) or a
+    positional (``flag`` None), with the keywords ``add_argument`` takes.
+    ``convert`` is argparse's ``type`` (None keeps the text); a ``switch``
+    takes no value and stores True; a positional that is not ``required``
+    may be left out."""
+
+    __slots__ = ("flag", "dest", "convert", "choices", "default", "help", "required", "switch")
+
+    def __init__(self, flag: str | None, dest: str, convert=None, *, choices=None,
+                 default=None, help: str | None = None, required: bool = False,
+                 switch: bool = False) -> None:
+        self.flag = flag
+        self.dest = dest
+        self.convert = convert
+        self.choices = choices
+        self.default = False if switch else default
+        self.help = help
+        self.required = required
+        self.switch = switch
+
+    def value(self, text: str):
+        """What argparse stores for ``text``, or None where it reports a usage
+        error instead (no converter of the table returns None)."""
+        try:
+            value = text if self.convert is None else self.convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if self.choices is not None and value not in self.choices:
+            return None
+        return value
+
+
+class _Command:
+    """One subcommand's grammar: its positionals and options in the order
+    the help lists them, the dests of which at most one may be given, and
+    the function that serves it."""
+
+    __slots__ = ("name", "help", "func", "positionals", "options", "exclusive", "flags",
+                 "required", "fewest", "defaults")
+
+    def __init__(self, name: str, help: str, func, options: tuple[_Option, ...],
+                 positionals: tuple[_Option, ...] = (), exclusive: tuple[str, ...] = ()) -> None:
+        self.name = name
+        self.help = help
+        self.func = func
+        self.positionals = positionals
+        self.options = options
+        self.exclusive = frozenset(exclusive)
+        self.flags = {option.flag: option for option in options}
+        self.required = tuple(option.dest for option in options if option.required)
+        self.fewest = sum(arg.required for arg in positionals)
+        self.defaults = {arg.dest: arg.default for arg in positionals + options}
+
+
+_COMMON = (
+    _Option("--order-bound", "order_bound", int, default=DEFAULT_ORDER_BOUND,
+            help="refuse groups larger than this order"),
+    # kept so that existing command lines still parse; there is no cache on disk
+    _Option("--cache-dir", "cache_dir", str, help="accepted and ignored"),
+    _Option("--no-cache", "no_cache", switch=True, help="accepted and ignored"),
+    _Option("--format", "format", choices=("text", "json"), help="output format"),
+    _Option("--out", "out", str, help="write the report to this file instead of stdout"),
+)
+
+_TYPE = _Option("--type", "type", required=True)
+_RANK = _Option("--rank", "rank", int)
+
+_COMMANDS = {command.name: command for command in (
+    _Command("info", "structural facts about one group", cmd_info, _COMMON, positionals=(
+        _Option(None, "type", help="type label such as A2, B3, G2, I2(5), H3", required=True),
+        _Option(None, "rank", int),
+    )),
+    _Command("basis", "build and certify a basis", cmd_basis, (
+        _TYPE,
+        _RANK,
+        # None as --m's default, so that a given --m 0 also counts as given
+        _Option("--m", "m", int, choices=(0, 1), help="constant base multiplicity (default 0)"),
+        _Option("--mfile", "mfile", str,
+                help="JSON file with per_orbit or per_hyperplane values"),
+        _Option("--k", "k", _nonnegative, default=1, help="number of antiderivative steps"),
+        _Option("--base", "base", choices=BASE_SOURCES, default="auto",
+                help="where the base basis comes from"),
+        _Option("--base-file", "base_file", str,
+                help="JSON file with base members (or a previous report)"),
+        _Option("--time-budget", "time_budget", _positive_seconds,
+                help="soft wall clock budget in seconds"),
+    ) + _COMMON, exclusive=("m", "mfile")),
+    _Command("verify", "run exact property suites", cmd_verify, (
+        _TYPE,
+        _RANK,
+        _Option("--suite", "suite", choices=("euler", "jacobian", "shift", "hodge", "all"),
+                default="all"),
+        _Option("--samples", "samples", _nonnegative, default=20),
+        _Option("--seed", "seed", int, default=0),
+        _Option("--k", "k", _nonnegative, default=1, help="shift for the hodge suite"),
+        _Option("--degrees", "degrees", _nonnegative_list,
+                help="comma separated source degrees for the hodge suite"),
+    ) + _COMMON),
+)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="coxbasis",
         description="exact bases for derivation modules of Coxeter arrangements")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_info = sub.add_parser("info", help="structural facts about one group")
-    p_info.add_argument("type", help="type label such as A2, B3, G2, I2(5), H3")
-    p_info.add_argument("rank", nargs="?", type=int, default=None)
-    _add_common(p_info)
-    p_info.set_defaults(func=cmd_info)
-
-    p_basis = sub.add_parser("basis", help="build and certify a basis")
-    p_basis.add_argument("--type", required=True)
-    p_basis.add_argument("--rank", type=int, default=None)
-    # None as --m's default, so that a given --m 0 also counts as given
-    multiplicity = p_basis.add_mutually_exclusive_group()
-    multiplicity.add_argument("--m", type=int, default=None, choices=(0, 1),
-                              help="constant base multiplicity (default 0)")
-    multiplicity.add_argument("--mfile", type=str, default=None,
-                              help="JSON file with per_orbit or per_hyperplane values")
-    p_basis.add_argument("--k", type=_nonnegative, default=1,
-                         help="number of antiderivative steps")
-    p_basis.add_argument("--base", choices=BASE_SOURCES, default="auto",
-                         help="where the base basis comes from")
-    p_basis.add_argument("--base-file", type=str, default=None,
-                         help="JSON file with base members (or a previous report)")
-    p_basis.add_argument("--time-budget", type=_positive_seconds, default=None,
-                         help="soft wall clock budget in seconds")
-    _add_common(p_basis)
-    p_basis.set_defaults(func=cmd_basis)
-
-    p_verify = sub.add_parser("verify", help="run exact property suites")
-    p_verify.add_argument("--type", required=True)
-    p_verify.add_argument("--rank", type=int, default=None)
-    p_verify.add_argument("--suite", choices=("euler", "jacobian", "shift", "hodge", "all"),
-                          default="all")
-    p_verify.add_argument("--samples", type=_nonnegative, default=20)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--k", type=_nonnegative, default=1,
-                          help="shift for the hodge suite")
-    p_verify.add_argument("--degrees", type=_nonnegative_list, default=None,
-                          help="comma separated source degrees for the hodge suite")
-    _add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    for command in _COMMANDS.values():
+        p = sub.add_parser(command.name, help=command.help)
+        for arg in command.positionals:
+            p.add_argument(arg.dest, nargs=None if arg.required else "?", type=arg.convert,
+                           default=arg.default, help=arg.help)
+        group = None
+        for option in command.options:
+            target = p
+            if option.dest in command.exclusive:
+                group = group or p.add_mutually_exclusive_group()
+                target = group
+            if option.switch:
+                target.add_argument(option.flag, dest=option.dest, action="store_true",
+                                    help=option.help)
+            else:
+                target.add_argument(option.flag, dest=option.dest, type=option.convert,
+                                    choices=option.choices, default=option.default,
+                                    required=option.required, help=option.help)
+        p.set_defaults(func=command.func)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of this process: it holds no per-request state, so it is
-    built once and reused by every call of ``main``."""
+    built once, on the first command line the table declines, and reused."""
     return build_parser()
 
 
+def _read_exact(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read in one
+    pass, or None where the table declines the command line.
+
+    It reads a subcommand, then exact flags of its table, each switch alone
+    and every other flag with the next token as its value, and ``info``'s
+    positionals in one run.  It declines ``-h``, an unknown or abbreviated
+    flag, ``--opt=value``, a missing value or one that starts with ``-``, a
+    value that the converter or the choices refuse, a missing required
+    argument, two of an exclusive set and positionals split by an option;
+    argparse then reads the line, so help, usage errors and their exit codes
+    are argparse's own."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {}
+    texts = []
+    after_positionals = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if after_positionals:
+                return None
+            texts.append(token)
+            continue
+        after_positionals = bool(texts)
+        option = command.flags.get(token)
+        if option is None:
+            return None
+        if option.switch:
+            values[option.dest] = True
+            continue
+        text = next(tokens, "-")
+        if text[:1] == "-" or (value := option.value(text)) is None:
+            return None
+        values[option.dest] = value
+    if not command.fewest <= len(texts) <= len(command.positionals):
+        return None
+    for arg, text in zip(command.positionals, texts):
+        if (value := arg.value(text)) is None:
+            return None
+        values[arg.dest] = value
+    if any(dest not in values for dest in command.required):
+        return None
+    if len(command.exclusive & values.keys()) > 1:
+        return None
+    namespace = argparse.Namespace(command=command.name, func=command.func)
+    vars(namespace).update(command.defaults, **values)
+    return namespace
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_exact(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NotABasis as exc:

@@ -735,6 +735,8 @@ def test_label_with_more_digits_than_int_reads_is_unsupported(label, capsys):
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # exact command lines are read off the option table; only a line the
+    # table declines builds argparse's parser, once for the process
     import coxbasis.cli as cli
 
     built = []
@@ -747,4 +749,22 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     cli._parser.cache_clear()
     assert run(["info", "A1", "--no-cache"], capsys)[0] == EXIT_OK
     assert run(["info", "A2", "--no-cache"], capsys)[0] == EXIT_OK
+    assert len(built) == 0
+    assert run(["info", "A1", "--form", "text"], capsys)[0] == EXIT_OK
+    assert run(["info", "A2", "--format=text"], capsys)[0] == EXIT_OK
     assert len(built) == 1
+
+
+def test_an_exact_request_builds_no_parser_and_imports_no_locale():
+    # argparse's first parser of a process imports locale through gettext
+    code = ("import io, sys; sys.path.insert(0, %r); import coxbasis.cli as cli; "
+            "built = []; real = cli.build_parser; "
+            "cli.build_parser = lambda: built.append(1) or real(); "
+            "sys.stdout = io.StringIO(); "
+            "rc = cli.main(['basis', '--type', 'A2', '--m', '1', '--k', '1']); "
+            "sys.stdout = sys.__stdout__; "
+            "print(rc, len(built), 'locale' in sys.modules)"
+            % str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == [str(EXIT_OK), "0", "False"]
